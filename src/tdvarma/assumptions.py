@@ -21,7 +21,8 @@ import numpy as np
 from .asymptotics import theoretical_v
 from .errors import ContractError
 from .model import TdVarmaModel
-from .representations import _ma_rows_order0, build_pi, build_psi
+from .representations import _resid_rows
+from .representations import build_pi, build_psi  # unused here; perfbench/tracer.py wraps these names
 from .timefn import sorted_tuples
 
 # -- Kronecker / moment utilities --------------------------------------------
@@ -115,36 +116,16 @@ def psi_deriv_norms(
     """Frobenius norms of the residual-derivative MA weights.
 
     Returns {tuple: [per-t 1d arrays over k = 0..K_t]} for all sorted index
-    tuples of order 1..max_order; matrices are reduced to norms on the fly,
-    keeping the memory footprint linear in the table size.
+    tuples of order 1..max_order; each row of weights is reduced to norms as
+    it is produced, keeping the memory footprint linear in the table size.
     """
-    theta0 = np.asarray(theta0, dtype=float)
-    r = model.r
-    kcap = n - 1 if kmax is None else int(kmax)
-    psi0 = _ma_rows_order0(model, theta0, n, kcap)
-    pi = build_pi(model, theta0, n, max_deriv_order=max_order, kmax=kcap)
-    tuples = [tau for tau in sorted_tuples(range(model.m), max_order) if tau]
-    out: dict = {tau: [] for tau in tuples}
-    for t in range(1, n + 1):
-        K = min(t - 1, kcap)
-        prow = pi.rows[t - 1]
-        count = int(pi.counts[t - 1])
-        rows = {tau: np.zeros((K + 1, r, r)) for tau in tuples if tau in prow or count}
-        for u in range(1, min(count, K) + 1):
-            base = psi0[t - u - 1]
-            length = min(K - u, base.shape[0] - 1)
-            seg = base[: length + 1]
-            for tau in tuples:
-                arr = prow.get(tau)
-                if arr is None or not arr[u - 1].any():
-                    continue
-                rows[tau][u : u + length + 1] -= np.einsum("rs,ksu->kru", arr[u - 1], seg)
-        for tau in tuples:
-            row = rows.get(tau)
-            if row is None:
-                out[tau].append(np.zeros(K + 1))
-            else:
-                out[tau].append(np.sqrt(np.einsum("krs,krs->k", row, row)))
+    out: dict = {tau: [] for tau in sorted_tuples(range(model.m), max_order)[1:]}
+    for _, row in _resid_rows(model, theta0, theta0, n, max_order, kmax):
+        zero = np.zeros(row[()].shape[0])  # shared by the identically zero tuples
+        zero.flags.writeable = False
+        for tau, norms in out.items():
+            arr = row.get(tau)
+            norms.append(zero if arr is None else np.sqrt(np.einsum("krs,krs->k", arr, arr)))
     return out
 
 
@@ -386,13 +367,13 @@ def check_cross_sums(
         ratios.update({f"second_n{n}": 0.0 for n in m_term_grid})
     elif m_term_grid:
         n2_max = max(m_term_grid)
-        psi = build_psi(model, theta0, theta0, n2_max, max_deriv_order=1, kmax=kcap)
         sig = model.sigma_t_all(n2_max, theta0)
         evals, evecs = np.linalg.eigh(sig)
         inv_sqrt = np.einsum("tab,tb,tcb->tac", evecs, 1.0 / np.sqrt(evals), evecs)
         urows = []  # per t: (n_slots, K_t, r, r)
-        for t in range(1, n2_max + 1):
-            rows = np.stack([psi.derivs[(i,)][t - 1][1:] for i in slots])
+        for t, (_, row) in enumerate(_resid_rows(model, theta0, theta0, n2_max, 1, kcap), 1):
+            zero = np.zeros_like(row[()])
+            rows = np.stack([row.get((i,), zero)[1:] for i in slots])
             K = rows.shape[1]
             gseg = g_all[t - 2 :: -1][:K] if t >= 2 else g_all[:0]
             urows.append(np.einsum("ab,ikbc,kcd->ikad", inv_sqrt[t - 1], rows, gseg))

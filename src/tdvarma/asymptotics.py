@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import ContractError, NumericalError
 from .model import TdVarmaModel
-from .representations import build_psi, triangular_var1_product, _triangular_var1_params
+from .likelihood import _scale_derivs, _scale_info
+from .representations import _resid_rows, _triangular_var1_params, triangular_var1_product
+from .representations import build_psi  # unused here; perfbench/tracer.py wraps this name
 
 
 @dataclass
@@ -45,39 +47,30 @@ def _se_from_v(v: np.ndarray, n: int) -> InfoReport:
 
 
 def theoretical_v(model: TdVarmaModel, theta0, n: int, kmax: Optional[int] = None) -> InfoReport:
-    """Information matrix via the MA expansion of the residual derivatives."""
-    theta0 = np.asarray(theta0, dtype=float)
-    m, r = model.m, model.r
-    psi = build_psi(model, theta0, theta0, n, max_deriv_order=1, kmax=kmax)
+    """Information matrix via the MA expansion of the residual derivatives.
 
+    The expansion is consumed one row per t, so memory stays linear in n.
+    """
+    theta0 = np.asarray(theta0, dtype=float)
+    m = model.m
     sig = model.sigma_t_all(n, theta0)
     try:
         siginv = np.linalg.inv(sig)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("singular residual covariance in the information sum") from exc
-    dsig = np.zeros((m, n, r, r))
-    ts = np.arange(1, n + 1)
-    for slot in model.layout.scale_slots:
-        dsig[slot] = model._sigma_t_deriv_any(ts, theta0, (slot,))
 
-    deriv_slots = [i for i in range(m) if any(psi.derivs[(i,)][t].any() for t in range(n))]
     v = np.zeros((m, m))
-    for t in range(1, n + 1):
-        K = psi.resid[t - 1].shape[0] - 1
-        if K >= 1 and deriv_slots:
-            sig_rev = sig[t - 2 :: -1][:K] if t - 1 >= 1 else sig[:0]
-            rows = {i: psi.derivs[(i,)][t - 1][1:] for i in deriv_slots}
-            for i in deriv_slots:
-                gi = np.einsum("kab,kbc->kac", rows[i], sig_rev)
-                for j in deriv_slots:
-                    if j < i:
-                        continue
-                    val = np.einsum("kac,kdc,da->", gi, rows[j], siginv[t - 1])
-                    v[i, j] += val
-                    if i != j:
-                        v[j, i] += val
-    rel = np.einsum("tab,itbc->itac", siginv, dsig)
-    v += 0.5 * np.einsum("itab,jtba->ij", rel, rel)
+    for t, (_, row) in enumerate(_resid_rows(model, theta0, theta0, n, 1, kmax), 1):
+        slots = [i for i in range(m) if (i,) in row]
+        K = row[()].shape[0] - 1
+        if K == 0 or not slots:
+            continue
+        d = np.stack([row[(i,)][1:] for i in slots])  # (slots, K, r, r)
+        # tr(psi_ik Sigma_{t-k} psi_jk' Sigma_t^{-1}) summed over k, for all pairs
+        left = (d @ sig[t - 2 :: -1][:K]).reshape(len(slots), -1)
+        right = (siginv[t - 1].T @ d).reshape(len(slots), -1)
+        v[np.ix_(slots, slots)] += left @ right.T
+    v += _scale_info(siginv, _scale_derivs(model, n, theta0))
     return _se_from_v(v / n, n)
 
 

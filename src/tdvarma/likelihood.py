@@ -158,15 +158,32 @@ def _scale_derivs(model: TdVarmaModel, n: int, theta) -> np.ndarray:
 def objective_value(model: TdVarmaModel, series: Series, theta) -> float:
     """Q_n(theta) alone; the cheap path for line searches."""
     res = residuals(model, series, theta, with_derivs=False)
-    return _q_from_residuals(model, res)
+    return _q(_alphas(res)[0], res.e.shape[1])
 
 
-def _q_from_residuals(model: TdVarmaModel, res: ResidualSet) -> float:
-    n, r = res.e.shape
+def _alphas(res: ResidualSet) -> tuple[np.ndarray, np.ndarray]:
+    """Per-observation terms alpha_t and the whitened residuals Sigma_t^{-1} e_t."""
     logdets = 2.0 * np.sum(np.log(np.diagonal(res.chol, axis1=1, axis2=2)), axis=1)
     w = np.linalg.solve(res.sigma, res.e[..., None])[..., 0]
-    quads = np.einsum("tr,tr->t", res.e, w)
-    return 0.5 * float(np.sum(logdets + quads)) + 0.5 * r * n * math.log(2.0 * math.pi)
+    return logdets + np.einsum("tr,tr->t", res.e, w), w
+
+
+def _q(alphas: np.ndarray, r: int) -> float:
+    return 0.5 * float(np.sum(alphas)) + 0.5 * r * alphas.shape[0] * math.log(2.0 * math.pi)
+
+
+def _score_rows(res: ResidualSet, w: np.ndarray, siginv: np.ndarray, dsig: np.ndarray) -> np.ndarray:
+    """Rows d alpha_t / d theta, shape (n, m), given w_t = Sigma_t^{-1} e_t."""
+    tr_term = np.einsum("tsr,itrs->ti", siginv, dsig)
+    quad_term = np.einsum("tr,itrs,ts->ti", w, dsig, w)
+    e_term = 2.0 * np.einsum("tr,itr->ti", w, res.de)
+    return tr_term - quad_term + e_term
+
+
+def _scale_info(siginv: np.ndarray, dsig: np.ndarray) -> np.ndarray:
+    """sum_t 0.5 tr(Sigma_t^{-1} dSigma_t/di Sigma_t^{-1} dSigma_t/dj), shape (m, m)."""
+    rel = np.einsum("tab,itbc->itac", siginv, dsig)
+    return 0.5 * np.einsum("itab,jtba->ij", rel, rel)
 
 
 def objective(model: TdVarmaModel, series: Series, theta) -> ObjectiveReport:
@@ -174,23 +191,12 @@ def objective(model: TdVarmaModel, series: Series, theta) -> ObjectiveReport:
     theta = np.asarray(theta, dtype=float)
     res = residuals(model, series, theta, with_derivs=True)
     n, r = res.e.shape
-
-    logdets = 2.0 * np.sum(np.log(np.diagonal(res.chol, axis1=1, axis2=2)), axis=1)
-    w = np.linalg.solve(res.sigma, res.e[..., None])[..., 0]
-    quads = np.einsum("tr,tr->t", res.e, w)
-    alphas = logdets + quads
-    q = 0.5 * float(np.sum(alphas)) + 0.5 * r * n * math.log(2.0 * math.pi)
-
-    dsig = _scale_derivs(model, n, theta)
-    siginv = np.linalg.inv(res.sigma)
-    tr_term = np.einsum("tsr,itrs->ti", siginv, dsig)
-    quad_term = np.einsum("tr,itrs,ts->ti", w, dsig, w)
-    e_term = 2.0 * np.einsum("tr,itr->ti", w, res.de)
-    score_rows = tr_term - quad_term + e_term
+    alphas, w = _alphas(res)
+    score_rows = _score_rows(res, w, np.linalg.inv(res.sigma), _scale_derivs(model, n, theta))
     grad = 0.5 * score_rows.sum(axis=0)
     if not np.all(np.isfinite(score_rows)):
         raise NumericalError("non-finite entries in the score")
-    return ObjectiveReport(q=q, alphas=alphas, grad=grad, score_rows=score_rows)
+    return ObjectiveReport(q=_q(alphas, r), alphas=alphas, grad=grad, score_rows=score_rows)
 
 
 def empirical_vw(model: TdVarmaModel, series: Series, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -206,17 +212,8 @@ def empirical_vw(model: TdVarmaModel, series: Series, theta) -> tuple[np.ndarray
     n = res.e.shape[0]
     dsig = _scale_derivs(model, n, theta)
     siginv = np.linalg.inv(res.sigma)
-
-    v = np.einsum("itr,trs,jts->ij", res.de, siginv, res.de)
-    rel = np.einsum("tab,itbc->itac", siginv, dsig)
-    v = v + 0.5 * np.einsum("itab,jtba->ij", rel, rel)
-    v /= n
-
-    w = np.linalg.solve(res.sigma, res.e[..., None])[..., 0]
-    tr_term = np.einsum("tsr,itrs->ti", siginv, dsig)
-    quad_term = np.einsum("tr,itrs,ts->ti", w, dsig, w)
-    e_term = 2.0 * np.einsum("tr,itr->ti", w, res.de)
-    score_rows = tr_term - quad_term + e_term
+    v = (np.einsum("itr,trs,jts->ij", res.de, siginv, res.de) + _scale_info(siginv, dsig)) / n
+    score_rows = _score_rows(res, _alphas(res)[1], siginv, dsig)
     what = score_rows.T @ score_rows / (4.0 * n)
 
     v = 0.5 * (v + v.T)

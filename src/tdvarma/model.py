@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, NumericalError
-from .timefn import MatrixTimeFunction, _check_indices
+from .timefn import MatrixTimeFunction, _check_indices, index_splits
 
 DEFAULT_CHECK_HORIZON = 400
 
@@ -255,10 +255,7 @@ class TdVarmaModel:
             if tau:
                 g[tau] = self.g_func.deriv(t, theta, tau)
         out = None
-        npos = len(idx)
-        for mask in range(1 << npos):
-            left = tuple(sorted(idx[p] for p in range(npos) if mask >> p & 1))
-            right = tuple(sorted(idx[p] for p in range(npos) if not mask >> p & 1))
+        for left, right in index_splits(idx):
             term = np.einsum(
                 "...rs,su,...vu->...rv", g[left], self.sigma, g[right]
             )

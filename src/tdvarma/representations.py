@@ -1,68 +1,96 @@
 """Finite pure-AR and pure-MA representations and their derivative tables.
 
-Because the process starts at t = 1 with zero initial values, both
-representations are exact finite sums:
+With zero initial values the residuals are e = M(theta) x, where the block
+lower-triangular M = (I + B_op)^{-1} (I - A_op) carries lags k = 0..t-1 in
+row t.  The AR weights are pi_{tk} = -M_t[k], the MA weights psi_{tk} are the
+rows of Psi = M(theta0)^{-1}, and the residual derivatives expand as
+d^tau e_t(theta) = sum_k (d^tau M(theta) Psi(theta0))_t[k] g_{t-k} eps_{t-k}.
+All three tables are instances of one block-row recurrence over lags
+k = 0..min(t-1, kmax), differentiated by the product rule:
 
-    x_t = sum_{k=1}^{t-1} pi_{tk} x_{t-k} + e_t        (AR weights pi)
-    x_t = e_t + sum_{k=1}^{t-1} psi_{tk} e_{t-k}       (MA weights psi)
+    R_t = basis_t + sum_i U_ti basis_{t-i} + sum_j V_tj R_{t-j}   (shifted i, j lags)
 
-The tables are produced by elimination recurrences that peel off one lag at
-a time.  Derivatives of the AR weights (obtained by running the same
-recurrence through the product rule) convolved against MA weights at the
-data-generating parameter give the moving-average expansion of the residual
-derivatives:
-
-    d e_t(theta) / d theta_i = sum_k psi_{t,i,k}(theta, theta0) g_{t-k} eps_{t-k},
-    psi_{t,i,k} = - sum_{u=1}^{k} (d pi_{tu}(theta) / d theta_i) psi_{t-u,k-u}(theta0),
-
-and analogously for second and third derivative index tuples.
+    table                  U     V     basis
+    M(theta)               -A    -B    identity at lag 0
+    Psi(theta0)            +B    +A    identity at lag 0
+    M(theta) Psi(theta0)   -A    -B    Psi(theta0)
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import ContractError
 from .model import TdVarmaModel
-from .timefn import sorted_tuples
+from .timefn import index_splits, sorted_tuples
 
 
-def _leibniz_product(xcell: dict, ymap: dict, tau: tuple[int, ...]) -> Optional[np.ndarray]:
-    """Sum of (d_left x)(d_right y) over all splits of the index positions."""
-    npos = len(tau)
-    acc = None
-    for mask in range(1 << npos):
-        left = tuple(sorted(tau[p] for p in range(npos) if mask >> p & 1))
-        right = tuple(sorted(tau[p] for p in range(npos) if not mask >> p & 1))
-        xv = xcell.get(left)
-        yv = ymap.get(right)
-        if xv is None or yv is None:
-            continue
-        prod = xv @ yv
-        acc = prod if acc is None else acc + prod
-    return acc
-
-
-def _cell_axpy(target: Optional[dict], xcell: dict, ymap: dict, tuples, sign: float) -> dict:
-    """target += sign * (xcell 'times' ymap) under the product rule."""
-    out = dict(target) if target else {}
+def _row_recurrence(
+    r: int, u_funcs, v_funcs, sign: float, theta, n: int, kmax, tuples, basis=None
+) -> Iterator[dict]:
+    """Rows {tau: (K_t+1, r, r) array}, t = 1..n, of the recurrence in the module
+    docstring with U = sign u_funcs and V = sign v_funcs.  Tuples (sorted by order,
+    from ()) that are identically zero are left out.  basis iterates theta-free rows
+    (None: identity at lag 0).  Only the rows the recurrence still reads are kept."""
+    if n < 1:
+        raise ContractError("horizon must be at least 1")
+    if kmax is not None and kmax < 0:
+        raise ContractError("kmax must be non-negative")
+    kcap = n - 1 if kmax is None else int(kmax)
+    ts = np.arange(1, n + 1)
+    # one evaluation per lag matrix for all t; exact zeros dropped
+    u, v = (
+        [{tau: sign * c for tau, c in f.deriv_map(ts, theta, tuples).items() if c.any()} for f in fs]
+        for fs in (u_funcs, v_funcs)
+    )
+    # terms (lag, coefficient, source) of each tuple that is not identically zero;
+    # source None is the basis, otherwise the tuple of the earlier row R_{t-lag}
+    terms: dict = {}
     for tau in tuples:
-        acc = _leibniz_product(xcell, ymap, tau)
-        if acc is not None:
-            prev = out.get(tau)
-            out[tau] = sign * acc if prev is None else prev + sign * acc
-    return out
+        tau_terms = [(i, c[tau], None) for i, c in enumerate(u, 1) if tau in c] + [
+            (j, c[sig], rho)
+            for j, c in enumerate(v, 1)
+            for sig, rho in index_splits(tau)
+            if sig in c and (rho in terms or rho == tau)
+        ]
+        if not tau or any(src != tau for _, _, src in tau_terms):
+            terms[tau] = tau_terms
+    unit = np.eye(r)[None]
+    past_basis: deque = deque(maxlen=len(u) + 1)
+    past: deque = deque(maxlen=len(v))
+    for t in range(1, n + 1):
+        K = min(t - 1, kcap)
+        past_basis.appendleft(unit if basis is None else next(basis))
+        row = {}
+        for tau, tau_terms in terms.items():
+            acc = np.zeros((K + 1, r, r))
+            if not tau:
+                acc[: len(past_basis[0])] += past_basis[0]
+            for lag, c, src in tau_terms:
+                if lag <= K:
+                    seg = (past_basis[lag] if src is None else past[lag - 1][src])[: K - lag + 1]
+                    acc[lag : lag + len(seg)] += c[t - 1] @ seg
+            row[tau] = acc
+        past.appendleft(row)
+        yield row
 
 
-def _cell_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for tau, v in b.items():
-        prev = out.get(tau)
-        out[tau] = v if prev is None else prev + v
-    return out
+def _resid_rows(model: TdVarmaModel, theta, theta0, n: int, max_order: int, kmax) -> Iterator[tuple]:
+    """Pairs (Psi_t(theta0), {tau: d^tau (M(theta) Psi(theta0))_t}) for t = 1..n and
+    every tau up to max_order; the () entry holds the residual weights."""
+    r, a, b = model.r, model.a_funcs, model.b_funcs
+    psi, basis = itertools.tee(row[()] for row in _row_recurrence(r, b, a, 1.0, theta0, n, kmax, [()]))
+    tuples = sorted_tuples(range(model.m), max_order)
+    return zip(psi, _row_recurrence(r, a, b, -1.0, theta, n, kmax, tuples, basis))
+
+
+def _lag(arr: np.ndarray, k: int, r: int) -> np.ndarray:
+    return arr[k] if k < arr.shape[0] else np.zeros((r, r))
 
 
 @dataclass
@@ -71,7 +99,8 @@ class ArWeightTable:
 
     rows[t-1] maps a sorted derivative index tuple (() for the weight itself)
     to an array of shape (count[t-1], r, r) holding k = 1..count entries;
-    weights beyond the stored count are exactly zero.
+    weights beyond the stored count, and tuples without an entry, are
+    exactly zero.
     """
 
     n: int
@@ -83,13 +112,8 @@ class ArWeightTable:
     def weight(self, t: int, k: int, indices: Sequence[int] = ()) -> np.ndarray:
         if not 1 <= t <= self.n or k < 1:
             raise ContractError("AR weight requested outside the table")
-        tau = tuple(sorted(int(i) for i in indices))
-        if k > self.counts[t - 1]:
-            return np.zeros((self.r, self.r))
-        arr = self.rows[t - 1].get(tau)
-        if arr is None:
-            return np.zeros((self.r, self.r))
-        return arr[k - 1]
+        arr = self.rows[t - 1].get(tuple(sorted(int(i) for i in indices)))
+        return np.zeros((self.r, self.r)) if arr is None else _lag(arr, k - 1, self.r)
 
 
 @dataclass
@@ -111,30 +135,17 @@ class MaWeightTable:
     max_order: int
 
     def weight(self, t: int, k: int) -> np.ndarray:
-        arr = self.weights[t - 1]
-        if k >= arr.shape[0]:
-            return np.zeros((self.r, self.r))
-        return arr[k]
+        return _lag(self.weights[t - 1], k, self.r)
 
     def resid_weight(self, t: int, k: int) -> np.ndarray:
-        arr = self.resid[t - 1]
-        if k >= arr.shape[0]:
-            return np.zeros((self.r, self.r))
-        return arr[k]
+        return _lag(self.resid[t - 1], k, self.r)
 
     def deriv_weight(self, t: int, k: int, indices: Sequence[int]) -> np.ndarray:
         tau = tuple(sorted(int(i) for i in indices))
         rows = self.derivs.get(tau)
         if rows is None:
             raise ContractError(f"derivative tuple {tau} was not built (max_order={self.max_order})")
-        arr = rows[t - 1]
-        if k >= arr.shape[0]:
-            return np.zeros((self.r, self.r))
-        return arr[k]
-
-
-def _deriv_tuples(model: TdVarmaModel, max_order: int) -> list[tuple[int, ...]]:
-    return sorted_tuples(range(model.m), max_order)
+        return _lag(rows[t - 1], k, self.r)
 
 
 def build_pi(
@@ -145,128 +156,11 @@ def build_pi(
     kmax: Optional[int] = None,
 ) -> ArWeightTable:
     """AR weight table for t = 1..n with derivative layers up to max_deriv_order."""
-    if n < 1:
-        raise ContractError("horizon must be at least 1")
-    theta = np.asarray(theta, dtype=float)
-    r = model.r
-    tuples = _deriv_tuples(model, max_deriv_order)
-    kcap = n - 1 if kmax is None else int(kmax)
-    rows = []
-    counts = np.zeros(n, dtype=int)
-    for t in range(1, n + 1):
-        K = min(t - 1, kcap)
-        harvested: dict[int, dict] = {}
-        if K >= 1:
-            pi_stage = {
-                j: model.a_funcs[j - 1].deriv_map(t, theta, tuples)
-                for j in range(1, min(model.p, t - 1) + 1)
-            }
-            rho_stage = {
-                j: model.b_funcs[j - 1].deriv_map(t, theta, tuples)
-                for j in range(1, min(model.q, t - 1) + 1)
-            }
-            for k in range(1, K + 1):
-                rho_k = rho_stage.pop(k, None)
-                cell = pi_stage.pop(k, {})
-                if rho_k is not None:
-                    cell = _cell_add(cell, rho_k)
-                if cell:
-                    harvested[k] = cell
-                if rho_k is None:
-                    if not rho_stage:
-                        for j, c in pi_stage.items():
-                            if j <= K and c:
-                                harvested[j] = c
-                        break
-                    continue
-                tk = t - k
-                for lag in range(1, model.p + 1):
-                    j = k + lag
-                    if j > t - 1:
-                        break
-                    ymap = model.a_funcs[lag - 1].deriv_map(tk, theta, tuples)
-                    pi_stage[j] = _cell_axpy(pi_stage.get(j), rho_k, ymap, tuples, -1.0)
-                for lag in range(1, model.q + 1):
-                    j = k + lag
-                    if j > t - 1:
-                        break
-                    ymap = model.b_funcs[lag - 1].deriv_map(tk, theta, tuples)
-                    rho_stage[j] = _cell_axpy(rho_stage.get(j), rho_k, ymap, tuples, -1.0)
-        count = max(harvested) if harvested else 0
-        counts[t - 1] = count
-        row: dict[tuple, np.ndarray] = {}
-        for k, cell in harvested.items():
-            for tau, val in cell.items():
-                arr = row.get(tau)
-                if arr is None:
-                    arr = row[tau] = np.zeros((count, r, r))
-                arr[k - 1] = val
-        rows.append(row)
-    return ArWeightTable(n=n, r=r, rows=rows, counts=counts, max_order=max_deriv_order)
-
-
-def _ma_rows_order0(model: TdVarmaModel, theta, n: int, kcap: int) -> list:
-    """Order-0 MA weight rows; row t has shape (min(t-1, kcap)+1, r, r)."""
-    r = model.r
-    if model.p == 1 and model.q == 0:
-        # running product psi_{tk} = psi_{t,k-1} A_{t-k+1}, vectorized over t
-        ts = np.arange(1, n + 1)
-        A = model.a_funcs[0].value(ts, theta)
-        rows = [np.zeros((min(t - 1, kcap) + 1, r, r)) for t in range(1, n + 1)]
-        col = np.broadcast_to(np.eye(r), (n, r, r)).copy()
-        for t in range(1, n + 1):
-            rows[t - 1][0] = np.eye(r)
-        for k in range(1, min(n - 1, kcap) + 1):
-            # psi_{t,k} = psi_{t,k-1} A_{t-k+1}; positions align t = k+1..n
-            col = np.einsum("tij,tjk->tik", col[1:], A[1 : n - k + 1])
-            for pos, t in enumerate(range(k + 1, n + 1)):
-                rows[t - 1][k] = col[pos]
-        return rows
-
-    tuples = [()]
-    rows = []
-    for t in range(1, n + 1):
-        K = min(t - 1, kcap)
-        out = np.zeros((K + 1, r, r))
-        out[0] = np.eye(r)
-        if K >= 1:
-            psi_stage = {
-                j: model.b_funcs[j - 1].deriv_map(t, theta, tuples)
-                for j in range(1, min(model.q, t - 1) + 1)
-            }
-            til_stage = {
-                j: model.a_funcs[j - 1].deriv_map(t, theta, tuples)
-                for j in range(1, min(model.p, t - 1) + 1)
-            }
-            for k in range(1, K + 1):
-                til_k = til_stage.pop(k, None)
-                cell = psi_stage.pop(k, {})
-                if til_k is not None:
-                    cell = _cell_add(cell, til_k)
-                if cell:
-                    out[k] = cell[()]
-                if til_k is None:
-                    if not til_stage:
-                        for j, c in psi_stage.items():
-                            if j <= K and c:
-                                out[j] = c[()]
-                        break
-                    continue
-                tk = t - k
-                for lag in range(1, model.q + 1):
-                    j = k + lag
-                    if j > t - 1:
-                        break
-                    ymap = model.b_funcs[lag - 1].deriv_map(tk, theta, tuples)
-                    psi_stage[j] = _cell_axpy(psi_stage.get(j), til_k, ymap, tuples, +1.0)
-                for lag in range(1, model.p + 1):
-                    j = k + lag
-                    if j > t - 1:
-                        break
-                    ymap = model.a_funcs[lag - 1].deriv_map(tk, theta, tuples)
-                    til_stage[j] = _cell_axpy(til_stage.get(j), til_k, ymap, tuples, +1.0)
-        rows.append(out)
-    return rows
+    tuples = sorted_tuples(range(model.m), max_deriv_order)
+    m_rows = _row_recurrence(model.r, model.a_funcs, model.b_funcs, -1.0, theta, n, kmax, tuples)
+    rows = [{tau: -arr[1:] for tau, arr in row.items()} for row in m_rows]
+    counts = np.array([row[()].shape[0] for row in rows])
+    return ArWeightTable(n=n, r=model.r, rows=rows, counts=counts, max_order=max_deriv_order)
 
 
 def build_psi(
@@ -283,55 +177,16 @@ def build_psi(
     theta_eval drives the AR weights and their derivatives.  The two
     coincide when expanding at the data-generating parameter.
     """
-    if n < 1:
-        raise ContractError("horizon must be at least 1")
-    theta_eval = np.asarray(theta_eval, dtype=float)
-    theta_truth = np.asarray(theta_truth, dtype=float)
-    r = model.r
-    kcap = n - 1 if kmax is None else int(kmax)
-
-    psi0 = _ma_rows_order0(model, theta_truth, n, kcap)
-    pi = build_pi(model, theta_eval, n, max_deriv_order=max_deriv_order, kmax=kcap)
-
-    tuples = [tau for tau in _deriv_tuples(model, max_deriv_order) if tau]
-
-    resid = []
-    derivs: dict[tuple, list] = {tau: [] for tau in tuples}
-    for t in range(1, n + 1):
-        K = min(t - 1, kcap)
-        res_row = np.zeros((K + 1, r, r))
-        res_row[0] = np.eye(r)
-        if K >= 1:
-            res_row[1:] = psi0[t - 1][1 : K + 1]
-        drows = {tau: np.zeros((K + 1, r, r)) for tau in tuples}
-        prow = pi.rows[t - 1]
-        pi0 = prow.get(())
-        count = int(pi.counts[t - 1])
-        for u in range(1, min(count, K) + 1):
-            base = psi0[t - u - 1]
-            length = min(K - u, base.shape[0] - 1)
-            seg = base[: length + 1]
-            if pi0 is not None and pi0[u - 1].any():
-                res_row[u : u + length + 1] -= np.einsum("rs,ksu->kru", pi0[u - 1], seg)
-            for tau in tuples:
-                arr = prow.get(tau)
-                if arr is None:
-                    continue
-                dpi = arr[u - 1]
-                if not dpi.any():
-                    continue
-                drows[tau][u : u + length + 1] -= np.einsum("rs,ksu->kru", dpi, seg)
-        resid.append(res_row)
-        for tau in tuples:
-            derivs[tau].append(drows[tau])
-
+    weights: list = []
+    resid: list = []
+    derivs: dict = {tau: [] for tau in sorted_tuples(range(model.m), max_deriv_order)[1:]}
+    for psi_row, row in _resid_rows(model, theta_eval, theta_truth, n, max_deriv_order, kmax):
+        weights.append(psi_row)
+        resid.append(row[()])
+        for tau, rows in derivs.items():
+            rows.append(row[tau] if tau in row else np.zeros_like(row[()]))
     return MaWeightTable(
-        n=n,
-        r=r,
-        weights=psi0,
-        resid=resid,
-        derivs=derivs,
-        max_order=max_deriv_order,
+        n=n, r=model.r, weights=weights, resid=resid, derivs=derivs, max_order=max_deriv_order
     )
 
 

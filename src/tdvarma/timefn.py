@@ -36,6 +36,19 @@ def _check_indices(indices: Sequence[int]) -> tuple[int, ...]:
     return idx
 
 
+def index_splits(idx: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Product-rule splits of a derivative index tuple: the sorted (left, right)
+    parts for every subset of its positions, with multiplicity."""
+    npos = len(idx)
+    return [
+        (
+            tuple(sorted(idx[p] for p in range(npos) if mask >> p & 1)),
+            tuple(sorted(idx[p] for p in range(npos) if not mask >> p & 1)),
+        )
+        for mask in range(1 << npos)
+    ]
+
+
 class ScalarTimeFunction:
     """One matrix entry: a scalar function of t with exact theta-derivatives."""
 
@@ -263,10 +276,7 @@ class Product(_Composite):
     def _deriv(self, t, theta, idx):
         # Leibniz rule over all splits of the index positions
         out = np.zeros_like(t)
-        npos = len(idx)
-        for mask in range(1 << npos):
-            li = tuple(sorted(idx[p] for p in range(npos) if mask >> p & 1))
-            ri = tuple(sorted(idx[p] for p in range(npos) if not mask >> p & 1))
+        for li, ri in index_splits(idx):
             lv = self.left.value(t, theta) if not li else self.left.deriv(t, theta, li)
             rv = self.right.value(t, theta) if not ri else self.right.deriv(t, theta, ri)
             out = out + lv * rv
@@ -388,7 +398,6 @@ def sorted_tuples(indices: Sequence[int], max_order: int) -> list[tuple[int, ...
     for _ in range(max_order):
         nxt = []
         for tau in level:
-            last = tau[-1] if tau else min(pool, default=0)
             for i in pool:
                 if not tau or i >= tau[-1]:
                     nxt.append(tau + (i,))

@@ -193,25 +193,29 @@ def test_criterion_04_table2_n50_cell():
 # -- criterion 5 ---------------------------------------------------------------
 
 
-def _closed_ma_weights_varma11(model, theta, t):
-    """Incremental product-form MA weights for orders (1,1)."""
-    a, b = model.a_funcs[0], model.b_funcs[0]
+def _values_by_time(func, theta, n):
+    """func.value(s, theta) for s = 1..n, indexed by s (scalar evaluations)."""
+    return [None] + [func.value(s, theta) for s in range(1, n + 1)]
+
+
+def _closed_ma_weights_varma11(a, b, t):
+    """Incremental product-form MA weights for orders (1,1), given the
+    coefficient values a[s] = A_s and b[s] = B_s."""
     out = {}
-    prefix = np.eye(model.r)
+    prefix = np.eye(a[1].shape[0])
     for k in range(1, t):
-        tail = b.value(t - k + 1, theta) + a.value(t - k + 1, theta)
+        tail = b[t - k + 1] + a[t - k + 1]
         out[k] = prefix @ tail
-        prefix = prefix @ a.value(t - k + 1, theta)
+        prefix = prefix @ a[t - k + 1]
     return out
 
 
-def _closed_ma_weights_var1(model, theta, t):
-    """Running product weights for a pure VAR(1)."""
-    a = model.a_funcs[0]
+def _closed_ma_weights_var1(a, t):
+    """Running product weights for a pure VAR(1), given a[s] = A_s."""
     out = {}
-    prod = np.eye(model.r)
+    prod = np.eye(a[1].shape[0])
     for k in range(1, t):
-        prod = prod @ a.value(t - k + 1, theta)
+        prod = prod @ a[t - k + 1]
         out[k] = prod.copy()
     return out
 
@@ -235,16 +239,18 @@ def test_criterion_05_recurrence_closed_form_equivalence():
         m11 = make_sin_varma11(rng)
         th = np.array(m11.layout.theta0)
         psi = build_psi(m11, th, th, 50)
+        a, b = (_values_by_time(f, th, 50) for f in (m11.a_funcs[0], m11.b_funcs[0]))
         for t in range(2, 51):
-            closed = _closed_ma_weights_varma11(m11, th, t)
+            closed = _closed_ma_weights_varma11(a, b, t)
             for k in range(1, t):
                 worst = max(worst, float(np.abs(psi.weight(t, k) - closed[k]).max()))
 
         mv = _random_sin_var1(rng)
         thv = np.array(mv.layout.theta0)
         psiv = build_psi(mv, thv, thv, 50)
+        av = _values_by_time(mv.a_funcs[0], thv, 50)
         for t in range(2, 51):
-            closed = _closed_ma_weights_var1(mv, thv, t)
+            closed = _closed_ma_weights_var1(av, t)
             for k in range(1, t):
                 worst = max(worst, float(np.abs(psiv.weight(t, k) - closed[k]).max()))
     record(
