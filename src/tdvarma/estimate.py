@@ -3,9 +3,15 @@
 The objective is minimized by a BFGS quasi-Newton iteration with a
 backtracking Armijo line search (c = 1e-4, shrink 0.5); trial points where
 the per-time covariance loses positive definiteness are treated as +inf so
-the search backtracks into the feasible region.  The asymptotic covariance
-of the estimate is the sandwich V_hat^{-1} W_hat V_hat^{-1} / n built from
-the empirical curvature and score outer-product matrices.
+the search backtracks into the feasible region.  BFGS starts from the
+inverse of the Gauss-Newton information at the start point, and resets to
+it at the current point when the curvature goes stale; it falls back to the
+identity where that information is not positive definite.  When the
+objective is quadratic in theta (no MA part, no scale parameters) the
+information is its Hessian, so the first step lands on the GLS solution.
+The asymptotic covariance of the estimate is the sandwich
+V_hat^{-1} W_hat V_hat^{-1} / n built from the empirical curvature and
+score outer-product matrices.
 """
 
 from __future__ import annotations
@@ -47,7 +53,11 @@ class FitOptions:
 
 @dataclass
 class FitResult:
-    """Point estimate, objective diagnostics and sandwich covariance."""
+    """Point estimate, objective diagnostics and sandwich covariance.
+
+    iters and n_evals are totals over all noise-covariance rounds;
+    metadata["rounds"] lists (iters, n_evals, termination) per round.
+    """
 
     theta: np.ndarray
     objective: float
@@ -88,15 +98,25 @@ def _safe_value(model, series, theta) -> float:
     return val if math.isfinite(val) else math.inf
 
 
+def _inverse_info(info: np.ndarray) -> np.ndarray:
+    """inv(info) through its Cholesky factor; the identity where info is not positive definite."""
+    try:
+        li = np.linalg.inv(np.linalg.cholesky(info))
+    except np.linalg.LinAlgError:
+        return np.eye(info.shape[0])
+    return li.T @ li
+
+
 def _minimize(model: TdVarmaModel, series: Series, theta0, opts: FitOptions, bounds):
-    """BFGS with Armijo backtracking; monotone in the objective."""
+    """BFGS from the inverse Gauss-Newton information, with Armijo backtracking;
+    monotone in the objective."""
     n = series.n
     theta = _project(np.asarray(theta0, dtype=float).copy(), bounds)
     rep = likelihood.objective(model, series, theta)
-    q, g = rep.q, rep.grad
+    q, g, info = rep.q, rep.grad, rep.info
     n_evals = 1
     m = theta.size
-    h = np.eye(m)
+    h = _inverse_info(info)
     history = [q]
     termination = "max_iters"
     converged = False
@@ -107,9 +127,9 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, opts: FitOptions, bou
             converged = True
             break
         d = -h @ g
-        if d @ g >= 0:          # stale curvature: reset to steepest descent
-            h = np.eye(m)
-            d = -g
+        if d @ g >= 0:          # stale curvature: reset to the current information
+            h = _inverse_info(info)
+            d = -h @ g
         step = 1.0
         accepted = False
         gd = g @ d
@@ -129,7 +149,7 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, opts: FitOptions, bou
         n_evals += 1
         s = trial - theta
         y = rep_trial.grad - g
-        theta, q, g = trial, rep_trial.q, rep_trial.grad
+        theta, q, g, info = trial, rep_trial.q, rep_trial.grad, rep_trial.info
         history.append(q)
         if np.linalg.norm(s) <= opts.step_tol * (1.0 + np.linalg.norm(theta)):
             converged = np.max(np.abs(g)) / n <= 10 * opts.grad_tol
@@ -171,10 +191,12 @@ def fit(model: TdVarmaModel, series: Series, options: FitOptions) -> FitResult:
     sigma_hat = None
     rounds = options.sigma_iters if options.estimate_sigma else 1
     history: list = []
+    per_round: list = []
     for rnd in range(rounds):
         theta, q, g, iters, n_evals, converged, termination, hist = _minimize(
             work, series, theta, options, bounds
         )
+        per_round.append((iters, n_evals, termination))
         history.extend(hist if not history else hist[1:])
         if options.estimate_sigma:
             sigma_hat = estimate_noise_cov(work, series, theta)
@@ -203,6 +225,7 @@ def fit(model: TdVarmaModel, series: Series, options: FitOptions) -> FitResult:
         if options.estimate_sigma
         else "noise covariance held fixed",
         "score_rows_centered": False,
+        "rounds": per_round,
     }
     return FitResult(
         theta=theta,
@@ -213,8 +236,8 @@ def fit(model: TdVarmaModel, series: Series, options: FitOptions) -> FitResult:
         what=what,
         cov=cov,
         se=se,
-        iters=iters,
-        n_evals=n_evals,
+        iters=sum(r[0] for r in per_round),
+        n_evals=sum(r[1] for r in per_round),
         converged=converged,
         termination=termination,
         covariance_ok=covariance_ok,

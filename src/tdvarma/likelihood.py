@@ -11,6 +11,11 @@ so the exact likelihood needs no state-space filtering.  The objective is
     alpha_t = log det Sigma_t + e_t' Sigma_t^{-1} e_t,
 
 with analytic first derivatives propagated through the same recursion.
+The Gauss-Newton (expected) Hessian of Q_n,
+
+    sum_t de_t' Sigma_t^{-1} de_t + 0.5 tr(Sigma_t^{-1} dSigma_t Sigma_t^{-1} dSigma_t),
+
+is n times the plug-in curvature V_hat; the optimizer scales its steps by it.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ class ObjectiveReport:
     alphas: np.ndarray       # (n,)
     grad: np.ndarray         # (m,)
     score_rows: np.ndarray   # (n, m), rows d alpha_t / d theta
+    info: np.ndarray         # (m, m), Gauss-Newton Hessian of q (n * V_hat)
 
 
 def _lagged(x: np.ndarray, lag: int) -> np.ndarray:
@@ -186,24 +192,38 @@ def _scale_info(siginv: np.ndarray, dsig: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("itab,jtba->ij", rel, rel)
 
 
+def _info(res: ResidualSet, siginv: np.ndarray, dsig: np.ndarray) -> np.ndarray:
+    """Gauss-Newton Hessian sum_t de_t' Sigma_t^{-1} de_t plus the scale term, shape (m, m)."""
+    m = res.de.shape[0]
+    wde = np.einsum("trs,jts->jtr", siginv, res.de)
+    info = res.de.reshape(m, -1) @ wde.reshape(m, -1).T + _scale_info(siginv, dsig)
+    return 0.5 * (info + info.T)
+
+
 def objective(model: TdVarmaModel, series: Series, theta) -> ObjectiveReport:
-    """Objective, per-observation terms, analytic score rows and gradient."""
+    """Objective, per-observation terms, analytic score rows, gradient and
+    Gauss-Newton Hessian."""
     theta = np.asarray(theta, dtype=float)
     res = residuals(model, series, theta, with_derivs=True)
     n, r = res.e.shape
     alphas, w = _alphas(res)
-    score_rows = _score_rows(res, w, np.linalg.inv(res.sigma), _scale_derivs(model, n, theta))
+    siginv = np.linalg.inv(res.sigma)
+    dsig = _scale_derivs(model, n, theta)
+    score_rows = _score_rows(res, w, siginv, dsig)
     grad = 0.5 * score_rows.sum(axis=0)
     if not np.all(np.isfinite(score_rows)):
         raise NumericalError("non-finite entries in the score")
-    return ObjectiveReport(q=_q(alphas, r), alphas=alphas, grad=grad, score_rows=score_rows)
+    return ObjectiveReport(
+        q=_q(alphas, r), alphas=alphas, grad=grad, score_rows=score_rows, info=_info(res, siginv, dsig)
+    )
 
 
 def empirical_vw(model: TdVarmaModel, series: Series, theta) -> tuple[np.ndarray, np.ndarray]:
     """Plug-in estimates of the curvature matrix V and score outer-product W.
 
-    V_hat averages e-derivative quadratic forms plus half the trace of
-    squared relative covariance derivatives; W_hat is the outer product of
+    V_hat is the Gauss-Newton Hessian of Q_n divided by n: the average of
+    e-derivative quadratic forms plus half the trace of squared relative
+    covariance derivatives.  W_hat is the outer product of
     the realized score rows divided by 4n (rows are not centered: their
     conditional mean vanishes at the data-generating parameter).
     """
@@ -212,11 +232,9 @@ def empirical_vw(model: TdVarmaModel, series: Series, theta) -> tuple[np.ndarray
     n = res.e.shape[0]
     dsig = _scale_derivs(model, n, theta)
     siginv = np.linalg.inv(res.sigma)
-    v = (np.einsum("itr,trs,jts->ij", res.de, siginv, res.de) + _scale_info(siginv, dsig)) / n
+    v = _info(res, siginv, dsig) / n
     score_rows = _score_rows(res, _alphas(res)[1], siginv, dsig)
     what = score_rows.T @ score_rows / (4.0 * n)
-
-    v = 0.5 * (v + v.T)
     what = 0.5 * (what + what.T)
     if not (np.all(np.isfinite(v)) and np.all(np.isfinite(what))):
         raise NumericalError("non-finite entries in the empirical information matrices")

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .estimate import FitOptions, FitResult, fit, wald_test
 from .model import TdVarmaModel
 from .simulate import SimPlan, replication_stream, simulate
@@ -103,8 +103,13 @@ def _one_replication(plan: McPlan, n: int, rep: int):
         sigma_iters=plan.sigma_iters,
         max_iters=plan.max_iters,
     )
-    result = fit(plan.model, series, opts)
     m = plan.model.m
+    try:
+        result = fit(plan.model, series, opts)
+    except (NumericalError, ConfigError):
+        # a replication whose fit breaks down counts as excluded
+        nan = np.full(m, np.nan)
+        return rep, nan, nan, nan, False
     h0 = plan.h0 if plan.h0 is not None else plan.theta0
     ok = bool(result.converged and result.covariance_ok)
     if ok:

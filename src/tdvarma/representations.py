@@ -134,18 +134,23 @@ class MaWeightTable:
     derivs: dict
     max_order: int
 
+    def _entry(self, rows: list, t: int, k: int) -> np.ndarray:
+        if not 1 <= t <= self.n or k < 0:
+            raise ContractError("MA weight requested outside the table")
+        return _lag(rows[t - 1], k, self.r)
+
     def weight(self, t: int, k: int) -> np.ndarray:
-        return _lag(self.weights[t - 1], k, self.r)
+        return self._entry(self.weights, t, k)
 
     def resid_weight(self, t: int, k: int) -> np.ndarray:
-        return _lag(self.resid[t - 1], k, self.r)
+        return self._entry(self.resid, t, k)
 
     def deriv_weight(self, t: int, k: int, indices: Sequence[int]) -> np.ndarray:
         tau = tuple(sorted(int(i) for i in indices))
         rows = self.derivs.get(tau)
         if rows is None:
             raise ContractError(f"derivative tuple {tau} was not built (max_order={self.max_order})")
-        return _lag(rows[t - 1], k, self.r)
+        return self._entry(rows, t, k)
 
 
 def build_pi(

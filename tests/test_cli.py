@@ -94,6 +94,9 @@ def test_fit_round_trip(cfg_dir, tmp_path):
     assert doc["converged"] is True
     np.testing.assert_allclose(doc["theta"], [0.8, 0.5, -0.9], atol=0.2)
     assert doc["metadata"]["sigma_estimated"] is True
+    rounds = doc["metadata"]["rounds"]
+    assert len(rounds) >= 1 and rounds[-1][2] == doc["termination"]
+    assert sum(r[1] for r in rounds) == doc["n_evals"]
 
 
 def test_mc_smoke_and_determinism(cfg_dir, tmp_path):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from tdvarma import examples
+from tdvarma import examples, likelihood
 from tdvarma.errors import ContractError
-from tdvarma.estimate import FitOptions, estimate_noise_cov, fit, wald_test
+from tdvarma.estimate import FitOptions, _inverse_info, estimate_noise_cov, fit, wald_test
 from tdvarma.model import ParamLayout, Series, TdVarmaModel
 from tdvarma.simulate import SimPlan, replication_stream, simulate
 from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Sine
@@ -79,9 +79,12 @@ def test_consistency_improves_with_n():
 
 
 def test_nonconvergence_returns_result():
-    m = examples.example1_sim_model()
+    # example2's exp-sine scale block keeps the objective non-quadratic, so one
+    # iteration cannot reach the minimum
+    m = examples.example2_model()
     series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
-    res = fit(m, series, FitOptions(theta_init=(0.1, 0.1, 0.1), max_iters=1))
+    start = tuple(v + 0.1 for v in m.layout.theta0)
+    res = fit(m, series, FitOptions(theta_init=start, max_iters=1))
     assert not res.converged
     assert res.termination == "max_iters"
     assert np.all(np.isfinite(res.theta))
@@ -130,3 +133,94 @@ def test_wald_trivials():
     assert t3.statistic == pytest.approx(3.0) and t3.reject_5pct
     t196 = wald_test(res, 0, float(res.theta[0] - 1.9 * res.se[0]))
     assert not t196.reject_5pct
+
+
+def test_first_step_is_the_gls_solution():
+    # q = 0 and no scale slots: e_t = y_t - Z_t theta is affine in theta, so with
+    # Sigma fixed the QML estimate is (Z' Sigma^-1 Z)^-1 Z' Sigma^-1 y
+    m = examples.example1_sim_model()
+    assert len(m.layout.scale_slots) == 0
+    n = 100
+    series = simulate(SimPlan(m, m.layout.theta0, n, 5))
+    x = series.values
+    a = m.a_funcs[0]
+    basis = np.eye(m.m)
+    sig_inv = np.linalg.inv(m.sigma_t_all(n, np.zeros(m.m)))
+    gram = np.zeros((m.m, m.m))
+    rhs = np.zeros(m.m)
+    for t in range(2, n + 1):
+        a0 = a.value(t, np.zeros(m.m))
+        z = np.column_stack([(a.value(t, basis[i]) - a0) @ x[t - 2] for i in range(m.m)])
+        y = x[t - 1] - a0 @ x[t - 2]
+        gram += z.T @ sig_inv[t - 1] @ z
+        rhs += z.T @ sig_inv[t - 1] @ y
+    gls = np.linalg.solve(gram, rhs)
+    res = fit(m, series, FitOptions(theta_init=(0.1, 0.1, 0.1)))
+    assert res.converged and res.n_evals <= 3
+    np.testing.assert_allclose(res.theta, gls, atol=1e-8)
+
+
+@pytest.mark.parametrize("name", ["example1_sim", "example2"])
+def test_objective_info_matches_reference_and_vhat(name, request):
+    m = request.getfixturevalue(name)
+    n = 120
+    series = simulate(SimPlan(m, m.layout.theta0, n, 11))
+    theta = np.array(m.layout.theta0) + 0.05
+    info = likelihood.objective(m, series, theta).info
+    vhat = likelihood.empirical_vw(m, series, theta)[0]
+    np.testing.assert_allclose(info / n, vhat, rtol=0, atol=1e-13)
+
+    # per-t reference from central differences of e_t and Sigma_t
+    h = 1e-6
+    de, dsig = [], []
+    for i in range(m.m):
+        step = h * np.eye(m.m)[i]
+        up = likelihood.residuals(m, series, theta + step)
+        dn = likelihood.residuals(m, series, theta - step)
+        de.append((up.e - dn.e) / (2 * h))
+        dsig.append((up.sigma - dn.sigma) / (2 * h))
+    siginv = np.linalg.inv(likelihood.residuals(m, series, theta).sigma)
+    ref = np.zeros((m.m, m.m))
+    for t in range(n):
+        for i in range(m.m):
+            for j in range(m.m):
+                ref[i, j] += de[i][t] @ siginv[t] @ de[j][t] + 0.5 * np.trace(
+                    siginv[t] @ dsig[i][t] @ siginv[t] @ dsig[j][t]
+                )
+    np.testing.assert_allclose(info, ref, rtol=1e-6, atol=1e-6 * np.max(np.abs(ref)))
+
+
+def test_singular_info_falls_back_to_identity(rng):
+    # slot 1 is referenced by no coefficient, so its row of the information is zero
+    layout = ParamLayout(names=("a", "unused"), n_ar=2, n_ma=0, theta0=(0.4, 0.0))
+    a = MatrixTimeFunction([[Param(0), Constant(0.0)], [Constant(0.0), Param(0)]])
+    m = TdVarmaModel(2, [a], [], None, np.eye(2), layout)
+    series = Series(values=rng.standard_normal((200, 2)))
+    info = likelihood.objective(m, series, np.array([0.1, 0.3])).info
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(info)
+    np.testing.assert_array_equal(_inverse_info(info), np.eye(2))
+    res = fit(m, series, FitOptions(theta_init=(0.1, 0.3)))
+    assert res.converged
+    assert float(res.theta[1]) == 0.3
+
+
+def test_counts_are_totals_over_sigma_rounds(monkeypatch):
+    calls = {"n": 0}
+    for name in ("objective", "objective_value"):
+        original = getattr(likelihood, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls["n"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(likelihood, name, counted)
+    m = examples.example2_model()
+    series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
+    start = tuple(v + 0.1 for v in m.layout.theta0)
+    res = fit(m, series, FitOptions(theta_init=start, estimate_sigma=True, sigma_iters=3))
+    rounds = res.metadata["rounds"]
+    assert len(rounds) == 3
+    assert res.n_evals == calls["n"] == sum(r[1] for r in rounds)
+    assert res.iters == sum(r[0] for r in rounds)
+    assert res.termination == rounds[-1][2]

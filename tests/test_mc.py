@@ -3,6 +3,8 @@ import pytest
 
 from tdvarma import examples
 from tdvarma.errors import ConfigError
+from tdvarma.model import ParamLayout, TdVarmaModel
+from tdvarma.timefn import Constant, MatrixTimeFunction, Param
 from tdvarma.mc import (
     McPlan,
     McSummary,
@@ -86,10 +88,29 @@ def test_estimates_csv_shape():
 
 
 def test_nonconvergence_excluded_and_flagged():
-    plan = _small_plan(max_iters=1)
+    # example2's exp-sine scale block keeps the objective non-quadratic, so one
+    # iteration cannot reach the minimum
+    m = examples.example2_model()
+    plan = _small_plan(
+        model=m,
+        theta0=m.layout.theta0,
+        theta_init=tuple(v + 0.1 for v in m.layout.theta0),
+        max_iters=1,
+    )
     summary = run_mc(plan)
     cell = summary.cell(25)
     assert cell.n_converged == 0
+    assert summary.flagged
+
+
+def test_failed_fit_counts_as_excluded():
+    # Sigma_t = g_t g_t' vanishes at theta = 0, so every fit raises at its start point
+    layout = ParamLayout(names=("s",), n_ar=0, n_ma=0, theta0=(1.0,))
+    g = MatrixTimeFunction([[Param(0), Constant(0.0)], [Constant(0.0), Param(0)]])
+    m = TdVarmaModel(2, [], [], g, np.eye(2), layout)
+    summary = run_mc(_small_plan(model=m, theta0=(1.0,), theta_init=(0.0,)))
+    cell = summary.cell(25)
+    assert cell.n_converged == 0 and cell.n_total == 10
     assert summary.flagged
 
 

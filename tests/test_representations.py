@@ -235,6 +235,16 @@ def test_negative_kmax_rejected(rng):
         build_pi(m, th, 10, kmax=-1)
 
 
+@pytest.mark.parametrize("accessor", ["weight", "resid_weight", "deriv_weight"])
+@pytest.mark.parametrize("t, k", [(0, 1), (11, 0), (3, -1)])
+def test_ma_table_rejects_entries_outside_the_table(example1_sim, accessor, t, k):
+    th = np.array(example1_sim.layout.theta0)
+    psi = build_psi(example1_sim, th, th, 10, 1)
+    args = (t, k, (0,)) if accessor == "deriv_weight" else (t, k)
+    with pytest.raises(ContractError):
+        getattr(psi, accessor)(*args)
+
+
 def _random_varma22(rng, r=3):
     """VARMA(2,2) whose entries are Sine(amplitude slot) or Product(Sine, Param):
     AR slots 0-1 amplitudes, 2-3 factors; MA slots 4-5 amplitudes, 6-7 factors."""
