@@ -1,16 +1,19 @@
 """Exact Gaussian quasi-likelihood: residuals, objective, score, information.
 
-With zero initial values the one-step prediction residuals satisfy the
-finite recursion
+With zero initial values the one-step prediction residuals are one
+block-lower-triangular operator applied to the series,
 
-    e_t = x_t - sum_i A_ti(theta) x_{t-i} - sum_j B_tj(theta) e_{t-j},
+    e = (I + B_op)^{-1} (I - A_op) x,   (A_op x)_t = sum_i A_ti(theta) x_{t-i},
 
-so the exact likelihood needs no state-space filtering.  The objective is
+so the exact likelihood needs no state-space filtering.  `_lag_sum`
+applies a lag operator and `_lag_solve` applies (I + C_op)^{-1} by forward
+substitution in t; the same solve gives all residual derivatives at once,
+and `simulate` applies the inverse operator to the scaled innovations.
+The objective is
 
     Q_n(theta) = 0.5 * sum_t alpha_t + (r n / 2) log(2 pi),
-    alpha_t = log det Sigma_t + e_t' Sigma_t^{-1} e_t,
+    alpha_t = log det Sigma_t + e_t' Sigma_t^{-1} e_t.
 
-with analytic first derivatives propagated through the same recursion.
 The Gauss-Newton (expected) Hessian of Q_n,
 
     sum_t de_t' Sigma_t^{-1} de_t + 0.5 tr(Sigma_t^{-1} dSigma_t Sigma_t^{-1} dSigma_t),
@@ -53,11 +56,31 @@ class ObjectiveReport:
 
 def _lagged(x: np.ndarray, lag: int) -> np.ndarray:
     """x shifted down by `lag` rows, zero-padded (x_s = 0 for s < 1)."""
-    if lag == 0:
-        return x
     out = np.zeros_like(x)
     out[lag:] = x[:-lag]
     return out
+
+
+def _lag_sum(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_i C_ti y_{t-i} for all t; c stacks the lag-i coefficients as (k, n, r, r), y is (n, r)."""
+    out = np.zeros_like(y)
+    for i, ci in enumerate(c, 1):
+        out += np.einsum("trs,ts->tr", ci, _lagged(y, i))
+    return out
+
+
+def _lag_solve(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """y solving y_t + sum_i C_ti y_{t-i} = z_t forward in t (y_s = 0 for s < 1).
+
+    z is a (..., n, r) stack solved along its time axis; c is (k, n, r, r).
+    """
+    y = z.copy()
+    if len(c) == 0:
+        return y
+    for t in range(1, y.shape[-2]):
+        for i in range(min(len(c), t)):
+            y[..., t, :] -= y[..., t - 1 - i, :] @ c[i, t].T
+    return y
 
 
 def _chol_stack(model: TdVarmaModel, sigma_all: np.ndarray, theta) -> np.ndarray:
@@ -79,72 +102,18 @@ def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = Fa
     theta = np.asarray(theta, dtype=float)
     x = series.values
     n, r = x.shape
-    m = model.m
     ts = np.arange(1, n + 1)
-
-    a_slots = sorted(set().union(*(f.param_slots() for f in model.a_funcs)) if model.p else set())
-    b_slots = sorted(set().union(*(f.param_slots() for f in model.b_funcs)) if model.q else set())
-
-    if model.q == 0:
-        e = x.copy()
-        if model.p:
-            a_all = model.a_values(ts, theta)
-            for i in range(model.p):
-                e -= np.einsum("trs,ts->tr", a_all[i], _lagged(x, i + 1))
-        de = None
-        if with_derivs:
-            de = np.zeros((m, n, r))
-            for slot in a_slots:
-                for i in range(model.p):
-                    da = model.a_funcs[i].deriv(ts, theta, (slot,))
-                    if da.any():
-                        de[slot] -= np.einsum("trs,ts->tr", da, _lagged(x, i + 1))
-    else:
-        a_all = model.a_values(ts, theta)
-        b_all = model.b_values(ts, theta)
-        e = np.zeros((n, r))
-        de = np.zeros((m, n, r)) if with_derivs else None
-        da_all = db_all = None
-        if with_derivs:
-            da_all = {
-                slot: np.stack([f.deriv(ts, theta, (slot,)) for f in model.a_funcs])
-                for slot in a_slots
-            }
-            db_all = {
-                slot: np.stack([f.deriv(ts, theta, (slot,)) for f in model.b_funcs])
-                for slot in b_slots
-            }
-        for t0 in range(n):
-            acc = x[t0].copy()
-            for i in range(model.p):
-                s = t0 - i - 1
-                if s >= 0:
-                    acc -= a_all[i, t0] @ x[s]
-            for j in range(model.q):
-                s = t0 - j - 1
-                if s >= 0:
-                    acc -= b_all[j, t0] @ e[s]
-            e[t0] = acc
-            if with_derivs:
-                for slot in a_slots:
-                    dacc = np.zeros(r)
-                    for i in range(model.p):
-                        s = t0 - i - 1
-                        if s >= 0:
-                            dacc -= da_all[slot][i, t0] @ x[s]
-                    for j in range(model.q):
-                        s = t0 - j - 1
-                        if s >= 0:
-                            dacc -= b_all[j, t0] @ de[slot, s]
-                    de[slot, t0] = dacc
-                for slot in b_slots:
-                    dacc = np.zeros(r)
-                    for j in range(model.q):
-                        s = t0 - j - 1
-                        if s >= 0:
-                            dacc -= db_all[slot][j, t0] @ e[s]
-                            dacc -= b_all[j, t0] @ de[slot, s]
-                    de[slot, t0] = dacc
+    b_all = model.b_values(ts, theta)
+    e = _lag_solve(b_all, x - _lag_sum(model.a_values(ts, theta), x))
+    de = None
+    if with_derivs:
+        # row k: -(sum_i d_k A_ti x_{t-i} + sum_j d_k B_tj e_{t-j}), then the same solve as e
+        de = np.zeros((model.m, n, r))
+        for funcs, y in ((model.a_funcs, x), (model.b_funcs, e)):
+            for lag, f in enumerate(funcs, 1):
+                for k in f.param_slots():
+                    de[k] -= np.einsum("trs,ts->tr", f.deriv(ts, theta, (k,)), _lagged(y, lag))
+        de = _lag_solve(b_all, de)
 
     sigma_all = model.sigma_t_all(n, theta)
     chol = _chol_stack(model, sigma_all, theta)

@@ -211,6 +211,8 @@ def summary_from_csv(text: str, replications: int = 0) -> McSummary:
         n = int(n_s)
         if line == "excluded":
             excluded[n] = int(value)
+            if not 0 <= excluded[n] <= replications:
+                raise ConfigError(f"cell n={n}: {value} excluded of {replications} replications")
             continue
         if param not in names:
             names.append(param)

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ContractError
+from .likelihood import _lag_solve, _lag_sum
 from .model import Series, TdVarmaModel
 
 RNG_ALGORITHM = f"philox4x64+ziggurat-standard-normal (numpy {np.__version__})"
@@ -65,23 +66,8 @@ def simulate(plan: SimPlan, return_innovations: bool = False):
     eps = rng.standard_normal((n, r)) @ chol.T
 
     ts = np.arange(1, n + 1)
-    g_all = model.g_values(ts, theta0)
-    scaled = np.einsum("trs,ts->tr", g_all, eps)
-    a_all = model.a_values(ts, theta0)
-    b_all = model.b_values(ts, theta0)
-
-    x = np.zeros((n, r))
-    for t0 in range(n):
-        acc = scaled[t0].copy()
-        for i in range(model.p):
-            s = t0 - i - 1
-            if s >= 0:
-                acc += a_all[i, t0] @ x[s]
-        for j in range(model.q):
-            s = t0 - j - 1
-            if s >= 0:
-                acc += b_all[j, t0] @ scaled[s]
-        x[t0] = acc
+    scaled = np.einsum("trs,ts->tr", model.g_values(ts, theta0), eps)
+    x = _lag_solve(-model.a_values(ts, theta0), scaled + _lag_sum(model.b_values(ts, theta0), scaled))
     series = Series(values=x)
     if return_innovations:
         return series, eps

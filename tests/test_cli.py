@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 CLI = [sys.executable, "-m", "tdvarma.cli"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
+    # the child interpreter imports the package from this checkout, installed or not
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

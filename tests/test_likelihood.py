@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_scalar_arma11, make_sin_varma11
+from conftest import dense_residual_operator, make_random_varma22, make_scalar_arma11, make_sin_varma11
 from tdvarma import examples
 from tdvarma.errors import ContractError, SingularCovarianceError
 from tdvarma.likelihood import empirical_vw, objective, objective_value, residuals
 from tdvarma.model import ParamLayout, Series, TdVarmaModel
 from tdvarma.representations import build_psi
 from tdvarma.simulate import SimPlan, simulate
-from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Sine
+from tdvarma.timefn import Constant, ExpSine, MatrixTimeFunction, Param, Product, Sine
 
 
 def test_zero_model_residuals_equal_series(rng):
@@ -42,24 +44,28 @@ def test_objective_single_observation_value():
     assert rep.q == pytest.approx(0.5 * rep.alphas.sum() + 2 * 1 / 2 * math.log(2 * math.pi))
 
 
+def _worst_fd_error(m, series, th):
+    """Largest |grad_i - central difference_i| / max(1, |central difference_i|)."""
+    grad = objective(m, series, th).grad
+    worst = 0.0
+    for i in range(th.size):
+        h = 1e-6 * (1.0 + abs(th[i]))
+        tp = th.copy()
+        tm = th.copy()
+        tp[i] += h
+        tm[i] -= h
+        fd = (objective_value(m, series, tp) - objective_value(m, series, tm)) / (2 * h)
+        worst = max(worst, abs(grad[i] - fd) / max(1.0, abs(fd)))
+    return worst
+
+
 @pytest.mark.parametrize("which", ["example1_sim", "example1_theory", "example2"])
 def test_gradient_matches_finite_differences(which):
     m = examples.build(which)
     th0 = np.array(m.layout.theta0)
     series = simulate(SimPlan(m, m.layout.theta0, 50, 2024))
     rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(20):
-        th = th0 + rng.uniform(-0.05, 0.05, size=th0.size)
-        rep = objective(m, series, th)
-        for i in range(th.size):
-            h = 1e-6 * (1.0 + abs(th[i]))
-            tp = th.copy()
-            tm = th.copy()
-            tp[i] += h
-            tm[i] -= h
-            fd = (objective_value(m, series, tp) - objective_value(m, series, tm)) / (2 * h)
-            worst = max(worst, abs(rep.grad[i] - fd) / max(1.0, abs(fd)))
+    worst = max(_worst_fd_error(m, series, th0 + rng.uniform(-0.05, 0.05, size=th0.size)) for _ in range(20))
     assert worst < 1e-6
 
 
@@ -78,6 +84,72 @@ def test_gradient_matches_fd_with_moving_average_part(rng):
         assert rep.grad[i] == pytest.approx(fd, rel=2e-6, abs=1e-6)
 
 
+def _random_varma(rng, p, q, r):
+    """VARMA(p, q) with Sine or Product(Sine, Param) entries and a diagonal ExpSine scale.
+
+    Each nonempty lag block has two amplitude slots and one factor slot; the
+    diagonal entries of the scale take min(r, 2) slots in turn.
+    """
+    slots = iter(range(100))
+
+    def block(order):
+        if not order:
+            return [], ()
+        amps, factor = (next(slots), next(slots)), next(slots)
+
+        def entry():
+            sine = Sine(amps[int(rng.integers(2))], rng.uniform(0.05, 2.0), rng.uniform(0, 2 * np.pi))
+            return sine if rng.uniform() < 0.5 else Product(sine, Param(factor))
+
+        mats = [MatrixTimeFunction([[entry() for _ in range(r)] for _ in range(r)]) for _ in range(order)]
+        # absolute row sums total at most 0.4 over all lags: stable and invertible lag polynomials
+        return mats, (*rng.uniform(-0.4, 0.4, 2) / (r * order), rng.uniform(0.5, 1.0))
+
+    a_funcs, a_theta = block(p)
+    b_funcs, b_theta = block(q)
+    scale = [next(slots) for _ in range(min(r, 2))]
+    g = MatrixTimeFunction(
+        [
+            [ExpSine(scale[i % len(scale)], rng.uniform(0.05, 2.0), rng.uniform(0, 2 * np.pi))
+             if i == j else Constant(0.0) for j in range(r)]
+            for i in range(r)
+        ]
+    )
+    theta0 = (*a_theta, *b_theta, *rng.uniform(-0.5, 0.5, len(scale)))
+    layout = ParamLayout(
+        names=tuple(f"p{i}" for i in range(len(theta0))), n_ar=len(a_theta), n_ma=len(b_theta), theta0=theta0
+    )
+    return TdVarmaModel(r, a_funcs, b_funcs, g, np.eye(r), layout)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.integers(0, 2), q=st.integers(0, 2), r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_score_matches_fd_for_random_varma(p, q, r, seed):
+    rng = np.random.default_rng(seed)
+    m = _random_varma(rng, p, q, r)
+    th0 = np.array(m.layout.theta0)
+    series = simulate(SimPlan(m, m.layout.theta0, 40, seed))
+    assert _worst_fd_error(m, series, th0 + rng.uniform(-0.05, 0.05, size=th0.size)) < 2e-6
+
+
+def test_residuals_and_simulation_match_dense_operator():
+    # e = M(theta) x and de_i = d_i M(theta) x with M = (I + B_op)^{-1} (I - A_op);
+    # the simulated series is x = M(theta0)^{-1} g eps
+    rng = np.random.default_rng(2718)
+    m = make_random_varma22(rng)
+    n = 14
+    th0 = np.array(m.layout.theta0)
+    th = th0 + rng.uniform(-0.1, 0.1, size=th0.size)
+    series, eps = simulate(SimPlan(m, m.layout.theta0, n, 11), return_innovations=True)
+    x = series.values.ravel()
+    scaled = np.einsum("trs,ts->tr", m.g_values(np.arange(1, n + 1), th0), eps).ravel()
+    np.testing.assert_allclose(x, np.linalg.solve(dense_residual_operator(m, th0, n)[0], scaled), atol=1e-12)
+    res = residuals(m, series, th, with_derivs=True)
+    big_m, dms = dense_residual_operator(m, th, n)
+    np.testing.assert_allclose(res.e.ravel(), big_m @ x, atol=1e-12)
+    np.testing.assert_allclose(res.de.reshape(m.m, -1), np.stack([dm @ x for dm in dms]), atol=1e-12)
+
+
 def test_average_alpha_approaches_population_value():
     m = examples.example1_sim_model()
     series = simulate(SimPlan(m, m.layout.theta0, 10000, 7))
@@ -87,7 +159,7 @@ def test_average_alpha_approaches_population_value():
 
 
 def test_cross_representation_residual_derivatives_arma(rng):
-    # recursive derivative propagation equals the MA expansion, q > 0 path
+    # the forward-solved derivatives of a VARMA(1,1) equal the MA expansion
     m = make_sin_varma11(rng)
     th0 = np.array(m.layout.theta0)
     n = 60

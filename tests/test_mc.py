@@ -67,6 +67,13 @@ def test_csv_round_trip_is_stable():
     np.testing.assert_array_equal(cell.mean_estimate, summary.cell(25).mean_estimate)
 
 
+def test_csv_excluded_count_beyond_replications_rejected():
+    text = "n,param,line,value\n25,a,a,0.5\n25,all,excluded,3\n"
+    with pytest.raises(ConfigError):
+        summary_from_csv(text)
+    assert summary_from_csv(text, replications=3).cell(25).n_converged == 0
+
+
 def test_empty_summary_emits_header_only():
     empty = McSummary(param_names=("a",), replications=0)
     assert summary_to_csv(empty) == "n,param,line,value\n"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_scalar_arma11, make_sin_varma11
+from conftest import dense_residual_operator, make_random_varma22, make_scalar_arma11, make_sin_varma11
 from tdvarma.errors import ContractError
 from tdvarma.examples import FREQ_A, FREQ_B, example1_sim_model, example1_theory_model
 from tdvarma.model import ParamLayout, TdVarmaModel
@@ -16,7 +16,7 @@ from tdvarma.representations import (
     varma11_pi_deriv_closed,
     varma11_psi_closed,
 )
-from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Product, Sine
+from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Product
 
 
 def test_pure_ar_weights_are_lag_coefficients(example1_sim):
@@ -245,61 +245,19 @@ def test_ma_table_rejects_entries_outside_the_table(example1_sim, accessor, t, k
         getattr(psi, accessor)(*args)
 
 
-def _random_varma22(rng, r=3):
-    """VARMA(2,2) whose entries are Sine(amplitude slot) or Product(Sine, Param):
-    AR slots 0-1 amplitudes, 2-3 factors; MA slots 4-5 amplitudes, 6-7 factors."""
-
-    def mat(base):
-        rows = []
-        for _ in range(r):
-            row = []
-            for _ in range(r):
-                amp = base + int(rng.integers(2))
-                sine = Sine(amp, rng.uniform(0.05, 2.0), rng.uniform(0, 2 * np.pi))
-                factor = Param(base + 2 + int(rng.integers(2)))
-                row.append(sine if rng.uniform() < 0.5 else Product(sine, factor))
-            rows.append(row)
-        return MatrixTimeFunction(rows)
-
-    bounds = [(-0.4, 0.4), (0.5, 1.0)] * 2  # amplitudes, factors; AR block then MA block
-    theta0 = tuple(np.concatenate([rng.uniform(lo, hi, 2) for lo, hi in bounds]))
-    layout = ParamLayout(names=tuple(f"p{i}" for i in range(8)), n_ar=4, n_ma=4, theta0=theta0)
-    return TdVarmaModel(r, [mat(0), mat(0)], [mat(4), mat(4)], None, np.eye(r), layout)
-
-
-def _dense_lag_operator(funcs, theta, n, indices=()):
-    """(n r)^2 matrix with the lag-i coefficient (or its derivative) of row t in block (t, t-i)."""
-    r = funcs[0].rows
-    out = np.zeros((n * r, n * r))
-    for i, f in enumerate(funcs, 1):
-        for t in range(i + 1, n + 1):
-            coef = f.deriv(t, theta, indices) if indices else f.value(t, theta)
-            out[(t - 1) * r : t * r, (t - 1 - i) * r : (t - i) * r] = coef
-    return out
-
-
 def test_tables_match_dense_operator_inverse():
     # e = M x with M = (I + B_op)^{-1} (I - A_op); pi = -M, psi = M(theta0)^{-1},
     # residual weights M(theta) psi, derivative weights d_i M(theta) psi with
     # d_i M = (I + B_op)^{-1} (-d_i A_op - d_i B_op M)
     rng = np.random.default_rng(2718)
-    m = _random_varma22(rng)
+    m = make_random_varma22(rng)
     n, r = 14, m.r
     th0 = np.array(m.layout.theta0)
     th = th0 + rng.uniform(-0.1, 0.1, size=th0.size)
-    eye = np.eye(n * r)
-
-    def m_op(theta):
-        a_op = _dense_lag_operator(m.a_funcs, theta, n)
-        return np.linalg.solve(eye + _dense_lag_operator(m.b_funcs, theta, n), eye - a_op)
-
-    big_m = m_op(th)
-    psi0 = np.linalg.inv(m_op(th0))
+    big_m, dms = dense_residual_operator(m, th, n)
+    psi0 = np.linalg.inv(dense_residual_operator(m, th0, n)[0])
     dense = {"pi": -big_m, "psi": psi0, "resid": big_m @ psi0}
-    for i in range(m.m):
-        da = _dense_lag_operator(m.a_funcs, th, n, (i,))
-        db = _dense_lag_operator(m.b_funcs, th, n, (i,))
-        dm = np.linalg.solve(eye + _dense_lag_operator(m.b_funcs, th, n), -da - db @ big_m)
+    for i, dm in enumerate(dms):
         dense[("pi", i)] = -dm
         dense[("deriv", i)] = dm @ psi0
 
