@@ -3,8 +3,9 @@
 1000 replications each, noise covariance estimated).
 
 Writes summary.csv / estimates.csv next to --out and prints each cell against
-the published values. Expect roughly 5-15 minutes single-threaded; use
---threads to parallelize replications.
+the published values. A single-threaded run took about a minute (60 s with
+--threads 1 on a 2-core x86 machine); use --threads to parallelize
+replications.
 """
 
 import argparse

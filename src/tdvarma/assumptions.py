@@ -12,7 +12,10 @@ proof.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from .asymptotics import theoretical_v
 from .errors import ContractError
-from .model import TdVarmaModel
+from .model import TdVarmaModel, _sym
 from .representations import _resid_rows
 from .representations import build_pi, build_psi  # unused here; perfbench/tracer.py wraps these names
 from .timefn import sorted_tuples
@@ -35,27 +38,17 @@ def vec(mat: np.ndarray) -> np.ndarray:
 
 def commutation_matrix(r: int) -> np.ndarray:
     """Permutation K with K vec(A) = vec(A') for r x r matrices A."""
-    k = np.zeros((r * r, r * r))
-    for i in range(r):
-        for j in range(r):
-            k[j * r + i, i * r + j] = 1.0
-    return k
+    # row j r + i of the identity's row (i, j)
+    return np.eye(r * r).reshape(r, r, r * r).transpose(1, 0, 2).reshape(r * r, r * r)
 
 
 def gaussian_kappa(sigma) -> np.ndarray:
     """Fourth-moment matrix E[vec(ee') vec(ee')'] for e ~ N(0, sigma),
-    assembled entrywise from the pairwise-product expansion of E[e_a e_b e_c e_d]."""
+    from the pairwise-product expansion of E[e_a e_b e_c e_d] at row b r + a, column d r + c."""
     s = np.asarray(sigma, dtype=float)
     r = s.shape[0]
-    kappa = np.empty((r * r, r * r))
-    for a in range(r):
-        for b in range(r):
-            row = b * r + a
-            for c in range(r):
-                for d in range(r):
-                    col = d * r + c
-                    kappa[row, col] = s[a, b] * s[c, d] + s[a, c] * s[b, d] + s[a, d] * s[b, c]
-    return kappa
+    pairs = ("ab,cd->badc", "ac,bd->badc", "ad,bc->badc")
+    return sum(np.einsum(spec, s, s) for spec in pairs).reshape(r * r, r * r)
 
 
 def fourth_cumulant_residual(sigma) -> np.ndarray:
@@ -107,7 +100,28 @@ class AssumptionReport:
         return all(v == "pass" for v in self.verdicts.values())
 
 
-# -- MA-derivative norms ------------------------------------------------------
+# -- MA-derivative weight tables ---------------------------------------------
+
+
+def _weight_rows(model: TdVarmaModel, theta0, n: int, max_order: int, kmax) -> tuple:
+    """(taus, rows): the tuples of order 1..max_order whose residual-derivative MA
+    weights d^tau (M Psi)_t[k] are not identically zero, and an iterator over
+    t = 1..n of those weights stacked as (len(taus), K_t + 1, r, r)."""
+    rows = (row for _, row in _resid_rows(model, theta0, theta0, n, max_order, kmax))
+    first = next(rows)
+    taus = [tau for tau in first if tau]
+    stacks = (np.stack([row[tau] for tau in taus]) for row in itertools.chain([first], rows))
+    return taus, stacks if taus else iter(())
+
+
+def _norm_table(model: TdVarmaModel, theta0, n: int, max_order: int, kmax) -> tuple:
+    """(taus, table): Frobenius norms of the _weight_rows, zero-padded over
+    k = 0..K into table[j, t-1, k]; each row is reduced as it is produced."""
+    taus, rows = _weight_rows(model, theta0, n, max_order, kmax)
+    table = np.zeros((len(taus), n, (n - 1 if kmax is None else min(n - 1, int(kmax))) + 1))
+    for t, stack in enumerate(rows):
+        table[:, t, : stack.shape[1]] = np.sqrt(np.einsum("jkrs,jkrs->jk", stack, stack))
+    return taus, table
 
 
 def psi_deriv_norms(
@@ -116,22 +130,35 @@ def psi_deriv_norms(
     """Frobenius norms of the residual-derivative MA weights.
 
     Returns {tuple: [per-t 1d arrays over k = 0..K_t]} for all sorted index
-    tuples of order 1..max_order; each row of weights is reduced to norms as
-    it is produced, keeping the memory footprint linear in the table size.
+    tuples of order 1..max_order; the rows are views of one padded table, and
+    the identically zero tuples share read-only zero rows.
     """
-    out: dict = {tau: [] for tau in sorted_tuples(range(model.m), max_order)[1:]}
-    for _, row in _resid_rows(model, theta0, theta0, n, max_order, kmax):
-        zero = np.zeros(row[()].shape[0])  # shared by the identically zero tuples
-        zero.flags.writeable = False
-        for tau, norms in out.items():
-            arr = row.get(tau)
-            norms.append(zero if arr is None else np.sqrt(np.einsum("krs,krs->k", arr, arr)))
-    return out
+    taus, table = _norm_table(model, theta0, n, max_order, kmax)
+    zero = np.zeros(table.shape[2])
+    zero.flags.writeable = False
+    present = dict(zip(taus, table))
+    lengths = np.minimum(np.arange(n), table.shape[2] - 1) + 1
+    return {
+        tau: [(present[tau][t] if tau in present else zero)[:c] for t, c in enumerate(lengths)]
+        for tau in sorted_tuples(range(model.m), max_order)[1:]
+    }
 
 
 # -- individual checks --------------------------------------------------------
 
 
+def _timed(check):
+    """Record the check's wall time in details["wall_s"]."""
+    @functools.wraps(check)
+    def run(*args, **kwargs) -> CheckResult:
+        start = time.perf_counter()
+        res = check(*args, **kwargs)
+        res.details["wall_s"] = time.perf_counter() - start
+        return res
+    return run
+
+
+@_timed
 def check_psi_decay(
     model: TdVarmaModel,
     theta0,
@@ -140,11 +167,9 @@ def check_psi_decay(
 ) -> CheckResult:
     """Geometric decay of MA-derivative tail sums (squared and fourth powers
     for first/second-order weights; bounded totals for third order)."""
-    norms = psi_deriv_norms(model, theta0, n_probe, max_order=3)
+    taus, norms = _norm_table(model, theta0, n_probe, 3, None)
     # weights whose norm sits at the roundoff floor count as exact zeros
-    norms = {
-        tau: [np.where(arr > 1e-14, arr, 0.0) for arr in rows] for tau, rows in norms.items()
-    }
+    norms[~(norms > 1e-14)] = 0.0
     nu_grid = [int(v) for v in nu_grid if v <= n_probe - 1]
     phis = []
     constants: dict = {}
@@ -152,29 +177,21 @@ def check_psi_decay(
     verdict = "pass"
     max_k_nonzero = 0
     any_positive = False
+    o3_max = 0.0
 
-    def tail_stats(rows, power):
-        tails = []
-        for nu in nu_grid:
-            best = 0.0
-            for arr in rows:
-                if arr.shape[0] - 1 >= nu:
-                    best = max(best, float(np.sum(arr[nu:] ** power)))
-            tails.append(best)
-        return np.array(tails)
-
-    order12 = [tau for tau in norms if len(tau) <= 2]
-    order3 = [tau for tau in norms if len(tau) == 3]
-
-    for tau in order12:
-        rows = norms[tau]
-        for arr in rows:
-            nz = np.nonzero(arr > 0)[0]
-            if nz.size:
-                max_k_nonzero = max(max_k_nonzero, int(nz[-1]))
-                any_positive = True
+    for tau, tab in zip(taus, norms):  # tab[t-1, k], zero-padded beyond K_t
+        if len(tau) == 3:
+            sums = np.sum(tab**2, axis=1)
+            if not np.all(np.isfinite(sums)):
+                verdict = "fail"
+            o3_max = max(o3_max, float(np.max(sums)))
+            continue
+        nz = np.nonzero(np.any(tab > 0, axis=0))[0]
+        if nz.size:
+            max_k_nonzero = max(max_k_nonzero, int(nz[-1]))
+            any_positive = True
         for power, label in ((2, "sq"), (4, "4th")):
-            tails = tail_stats(rows, power)
+            tails = _tail_sums(tab, nu_grid, power)
             if not np.all(np.isfinite(tails)):
                 verdict = "fail"
                 details[f"unbounded_{label}_{tau}"] = True
@@ -193,14 +210,6 @@ def check_psi_decay(
                 key = f"decay_{label}_bound_o{len(tau)}"
                 bound = np.max(tails[pos] / phi ** (x - 1.0))
                 constants[key] = max(constants.get(key, 0.0), float(bound))
-
-    o3_max = 0.0
-    for tau in order3:
-        for arr in norms[tau]:
-            s = float(np.sum(arr**2))
-            if not math.isfinite(s):
-                verdict = "fail"
-            o3_max = max(o3_max, s)
     constants["sum_sq_bound_o3"] = o3_max
 
     phi = max(phis) if phis else (0.0 if any_positive else None)
@@ -214,6 +223,12 @@ def check_psi_decay(
     return CheckResult("psi_decay", verdict, constants, details)
 
 
+def _tail_sums(tab: np.ndarray, nu_grid: Sequence[int], power: int) -> np.ndarray:
+    """max_t sum_{k >= nu} tab[t, k]^power for each nu: one reverse cumulative
+    sum over the zero-padded (T, K+1) table, then the worst t per nu."""
+    return np.cumsum(tab[:, ::-1] ** power, axis=1)[:, ::-1][:, nu_grid].max(axis=0)
+
+
 def _trend_ok(values: np.ndarray) -> bool:
     """Bounded–not-increasing heuristic: the last-decile max must not exceed
     the max over the earlier horizon by more than 1%."""
@@ -224,11 +239,11 @@ def _trend_ok(values: np.ndarray) -> bool:
     return bool(np.max(values[cut:]) <= 1.01 * np.max(values[:cut]) + 1e-300)
 
 
+@_timed
 def check_sigma_bounds(model: TdVarmaModel, theta0, n_probe: int = 500) -> CheckResult:
     """Finiteness (and non-growth) of covariance / scale derivative norms."""
     theta0 = np.asarray(theta0, dtype=float)
     ts = np.arange(1, n_probe + 1)
-    m = model.m
     constants: dict = {}
     verdict = "pass"
     details: dict = {}
@@ -236,26 +251,19 @@ def check_sigma_bounds(model: TdVarmaModel, theta0, n_probe: int = 500) -> Check
     def fro2(stack):
         return np.einsum("trs,trs->t", stack, stack)
 
-    g = model.g_values(ts, theta0)
-    quantities = {"scale_norm_bound": fro2(g)}
-    siginv = np.linalg.inv(model.sigma_t_all(n_probe, theta0))
-    quantities["covinv_norm_bound"] = fro2(siginv)
-
-    singles = [(i,) for i in range(m)]
-    pairs = [tau for tau in sorted_tuples(range(m), 2) if len(tau) == 2]
-    triples = [tau for tau in sorted_tuples(range(m), 3) if len(tau) == 3]
-
-    def accumulate(key, stacks):
-        arr = np.zeros(n_probe)
-        for s in stacks:
-            arr = np.maximum(arr, fro2(s))
-        quantities[key] = arr
-
-    accumulate("cov_d1_bound", (model._sigma_t_deriv_any(ts, theta0, tau) for tau in singles))
-    accumulate("cov_d2_bound", (model._sigma_t_deriv_any(ts, theta0, tau) for tau in pairs))
-    accumulate("covinv_d1_bound", (model.sigma_t_inv_deriv(ts, theta0, tau) for tau in singles))
-    accumulate("covinv_d2_bound", (model.sigma_t_inv_deriv(ts, theta0, tau) for tau in pairs))
-    accumulate("covinv_d3_bound", (model.sigma_t_inv_deriv(ts, theta0, tau) for tau in triples))
+    # every covariance and inverse derivative up to order 3 from one memo; the
+    # tuples it leaves out are identically zero (_sym leaves sig's entries as they are)
+    sig, inv = model._sigma_t_table(ts, theta0, sorted_tuples(range(model.m), 3), inverse=True)
+    quantities = {"scale_norm_bound": fro2(model.g_values(ts, theta0)), "covinv_norm_bound": fro2(inv[()])}
+    for key, table, order in (
+        ("cov_d1_bound", sig, 1),
+        ("cov_d2_bound", sig, 2),
+        ("covinv_d1_bound", inv, 1),
+        ("covinv_d2_bound", inv, 2),
+        ("covinv_d3_bound", inv, 3),
+    ):
+        stacks = (fro2(_sym(stack)) for tau, stack in table.items() if len(tau) == order)
+        quantities[key] = functools.reduce(np.maximum, stacks, np.zeros(n_probe))
 
     for key, arr in quantities.items():
         if not np.all(np.isfinite(arr)):
@@ -269,6 +277,7 @@ def check_sigma_bounds(model: TdVarmaModel, theta0, n_probe: int = 500) -> Check
     return CheckResult("covariance_bounds", verdict, constants, details)
 
 
+@_timed
 def check_moment_bounds(sigma, dist: str = "gaussian") -> CheckResult:
     """Innovation moment bounds; exact formulas for Gaussian noise."""
     if dist != "gaussian":
@@ -277,12 +286,8 @@ def check_moment_bounds(sigma, dist: str = "gaussian") -> CheckResult:
     kappa = gaussian_kappa(s)
     vs = vec(s)
     kron = np.kron(s, s)
-    m3 = (
-        float(np.linalg.norm(kappa))
-        + float(np.linalg.norm(np.outer(vs, vs)))
-        + float(np.linalg.norm(kron))
-        + float(np.linalg.norm(commutation_matrix(s.shape[0]) @ kron))
-    )
+    parts = (kappa, np.outer(vs, vs), kron, commutation_matrix(s.shape[0]) @ kron)
+    m3 = sum(float(np.linalg.norm(part)) for part in parts)
     constants = {
         "moment_8th": gaussian_quad_norm_moment(s, 4),
         "moment_3rd_norm": 0.0,  # odd Gaussian moments vanish
@@ -293,6 +298,7 @@ def check_moment_bounds(sigma, dist: str = "gaussian") -> CheckResult:
     return CheckResult("moment_bounds", verdict, constants, {})
 
 
+@_timed
 def check_information(
     model: TdVarmaModel, theta0, n_grid: Sequence[int] = (25, 50, 100)
 ) -> CheckResult:
@@ -307,6 +313,7 @@ def check_information(
     return CheckResult("information_pd", verdict, {"min_eigenvalue": min(min_eigs.values())}, {"min_eigs": min_eigs})
 
 
+@_timed
 def check_cross_sums(
     model: TdVarmaModel,
     theta0,
@@ -321,83 +328,73 @@ def check_cross_sums(
     fourth-moment structure.  For Gaussian innovations the fourth-cumulant
     residual vanishes, so its term is skipped exactly.
 
-    Lags and shifts are capped at d_cap: geometric weight decay makes the
-    discarded tail negligible, and the cap keeps long horizons affordable.
-    Quasi-periodic models can have n * value transients stretching over
-    hundreds of observations, so the verdict uses the slope between the two
-    largest grid points.
+    Lags are capped at 2 * d_cap and shifts at d_cap: geometric weight decay
+    makes the discarded tail negligible (VALIDATION.md compares d_cap 60 and
+    120).  Both families run as array kernels (cumulative sums along the
+    diagonals, one batched matmul per shift), so the default grid costs well
+    under a second for the shipped examples.  Quasi-periodic models can have
+    n * value transients stretching over hundreds of observations, so the
+    verdict uses the slope between the two largest grid points.  details also
+    record the maximum of the second family's n * value curve over
+    n = 1..max(m_term_grid) and where it occurs.
     """
     theta0 = np.asarray(theta0, dtype=float)
     n_grid = sorted(int(v) for v in n_grid)
     m_term_grid = sorted(int(v) for v in m_term_grid)
-    n_max = max(n_grid)
-    horizon = max([n_max, *m_term_grid])
+    n_max, n2 = max(n_grid), max(m_term_grid, default=0)
+    horizon = max(n_max, n2)
     kcap = min(horizon - 1, 2 * d_cap)
-    norms = psi_deriv_norms(model, theta0, n_max, max_order=1, kmax=kcap)
-    slots = [tau[0] for tau, rows in norms.items() if any(a.any() for a in rows)]
-    ts = np.arange(1, horizon + 1)
-    g_all = model.g_values(ts, theta0)
-    g2 = np.einsum("trs,trs->t", g_all, g_all)
-
-    ratios: dict = {}
+    g_all = model.g_values(np.arange(1, horizon + 1), theta0)
+    # one pass over the weights: their norms up to n_max, and up to n2 the
+    # whitened lag-k weights V_t[i, :, k-1, :] = Sigma_t^{-1/2} w_{t,i,k} g_{t-k} L
+    # with Sigma = L L^T, so that V_t V_{t+d}^T carries the Sigma sandwich
+    taus, rows = _weight_rows(model, theta0, horizon, 1, kcap)
+    norms = np.zeros((len(taus), n_max, kcap + 1))
+    whitened = np.zeros((n2, len(taus), model.r, kcap, model.r))
+    if n2 and taus:
+        evals, evecs = np.linalg.eigh(model.sigma_t_all(n2, theta0))
+        inv_sqrt = np.einsum("tab,tb,tcb->tac", evecs, 1.0 / np.sqrt(evals), evecs)
+        g_chol = g_all @ np.linalg.cholesky(model.sigma)
+    for t, stack in enumerate(rows, 1):
+        lags = stack.shape[1] - 1
+        if t <= n_max:
+            norms[:, t - 1, : lags + 1] = np.sqrt(np.einsum("jkrs,jkrs->jk", stack, stack))
+        if 2 <= t <= n2:
+            white = inv_sqrt[t - 1] @ stack[:, 1:] @ g_chol[t - 2 :: -1][:lags]
+            whitened[t - 1, :, :, :lags] = white.transpose(0, 2, 1, 3)
+    drop = [j for j in range(len(taus)) if not norms[j].any()]  # slots that vanish up to n_max
     details: dict = {}
     verdict = "pass"
 
+    # first family: v_k = N_{s+k}[k], k = 1..n-s, along the diagonal of each start s;
+    # cumulative sums over k give sum v and sum v^2 for every n at once
+    s_idx, k_idx = np.arange(1, n_max)[:, None], np.arange(kcap + 1)[None, :]
+    # indices past row n_max are clipped; they lie past the last k any n reads
+    diag = np.delete(norms, drop, axis=0)[:, np.minimum(s_idx + k_idx - 1, n_max - 1), k_idx]
+    diag[:, :, 0] = 0.0  # the diagonals start at lag 1
+    c1, c2 = np.cumsum(diag, axis=2), np.cumsum(diag**2, axis=2)
+    g2 = np.einsum("trs,trs->t", g_all, g_all)
     first_vals = {}
     for n in n_grid:
-        best = 0.0
-        for i in slots:
-            rows = norms[(i,)]
-            total = 0.0
-            for s in range(1, n):
-                v = np.array(
-                    [
-                        rows[s + k - 1][k] if rows[s + k - 1].shape[0] > k else 0.0
-                        for k in range(1, n - s + 1)
-                    ]
-                )
-                total += g2[s - 1] * 0.5 * (v.sum() ** 2 - float(v @ v))
-            best = max(best, total / (n * n))
-        first_vals[n] = best
-        ratios[f"first_n{n}"] = n * best
+        s = np.arange(1, n)
+        sv, sv2 = c1[:, s - 1, np.minimum(n - s, kcap)], c2[:, s - 1, np.minimum(n - s, kcap)]
+        totals = np.sum(g2[s - 1] * 0.5 * (sv**2 - sv2), axis=1)
+        first_vals[n] = max(0.0, float(np.max(totals, initial=0.0))) / (n * n)
+    ratios = {f"first_n{n}": n * val for n, val in first_vals.items()}
 
     second_vals = {}
-    if m_term_grid and not slots:
-        second_vals = {n: 0.0 for n in m_term_grid}
-        ratios.update({f"second_n{n}": 0.0 for n in m_term_grid})
-    elif m_term_grid:
-        n2_max = max(m_term_grid)
-        sig = model.sigma_t_all(n2_max, theta0)
-        evals, evecs = np.linalg.eigh(sig)
-        inv_sqrt = np.einsum("tab,tb,tcb->tac", evecs, 1.0 / np.sqrt(evals), evecs)
-        urows = []  # per t: (n_slots, K_t, r, r)
-        for t, (_, row) in enumerate(_resid_rows(model, theta0, theta0, n2_max, 1, kcap), 1):
-            zero = np.zeros_like(row[()])
-            rows = np.stack([row.get((i,), zero)[1:] for i in slots])
-            K = rows.shape[1]
-            gseg = g_all[t - 2 :: -1][:K] if t >= 2 else g_all[:0]
-            urows.append(np.einsum("ab,ikbc,kcd->ikad", inv_sqrt[t - 1], rows, gseg))
-        inner = np.zeros(n2_max + 1)
-        for t in range(2, n2_max + 1):
-            ut = urows[t - 1]
-            tot = 0.0
-            for d in range(1, min(d_cap, n2_max - t) + 1):
-                utd = urows[t + d - 1]
-                L = min(ut.shape[1], utd.shape[1] - d)
-                if L <= 0:
-                    continue
-                s_all = np.einsum(
-                    "ikab,bc,jkdc->ijad", ut[:, :L], model.sigma, utd[:, d : d + L]
-                )
-                d_self = np.einsum("iiab->iab", s_all)
-                term2 = np.einsum("jab,iab->ij", d_self, d_self)
-                term3 = np.einsum("jiab,ijab->ij", s_all, s_all)
-                tot += float(np.max(np.abs(term2 + term3)))
-            inner[t] = tot
+    if m_term_grid:
+        inner = np.zeros(n2 + 1)
+        if len(drop) < len(taus):
+            whitened[:, drop] = 0.0  # as in the first family
+            inner[1:] = _second_family_inner(whitened, d_cap)
         csum = np.cumsum(inner)
         for n in m_term_grid:
             second_vals[n] = float(csum[n]) / (n * n)
             ratios[f"second_n{n}"] = n * second_vals[n]
+        curve = csum[1:] / np.arange(1, n2 + 1)  # n * value for n = 1..n2
+        details["second_curve_max"] = float(curve.max())
+        details["second_curve_argmax_n"] = int(np.argmax(curve)) + 1
 
     def trend(vals: dict, label: str):
         nonlocal verdict
@@ -414,6 +411,30 @@ def check_cross_sums(
     trend(second_vals, "second")
     details["gaussian_fourth_cumulant_term_skipped"] = True
     return CheckResult("cross_sums", verdict, {}, {**details, "ratios": ratios})
+
+
+def _second_family_inner(whitened: np.ndarray, d_cap: int) -> np.ndarray:
+    """Per-t summands, t = 1..T, of the second cross-time family.
+
+    whitened[t-1] holds the lag-k weights V_t[i, a, k-1, b] of slot i,
+    zero-padded over k, shape (T, S, r, K, r).  For each shift d <= d_cap the
+    slot-pair sandwiches S_t[i, j] = sum_k V_t[i, :, k] V_{t+d}[j, :, k+d]^T are
+    one batched (S r, K r) @ (K r, S r) product over t; the summand adds
+    max_ij |<D_i, D_j> + <S_t[j, i], S_t[i, j]>| (Frobenius products,
+    D_i = S_t[i, i]) over the shifts.
+    """
+    T, n_slots, r, K, _ = whitened.shape
+    flat = whitened.reshape(T, n_slots * r, K * r)  # rows (slot, a), columns (lag, b)
+    inner = np.zeros(T)
+    for d in range(1, min(d_cap, T - 1) + 1):
+        width = max(K - d, 0) * r
+        s_all = flat[: T - d, :, :width] @ flat[d:, :, d * r : d * r + width].transpose(0, 2, 1)
+        s_all = s_all.reshape(T - d, n_slots, r, n_slots, r)  # [t, i, a, j, b] = S_t[i, j][a, b]
+        d_self = np.einsum("tiaib->tiab", s_all)
+        term2 = np.einsum("tjab,tiab->tij", d_self, d_self)
+        term3 = np.einsum("tjaib,tiajb->tij", s_all, s_all)
+        inner[: T - d] += np.max(np.abs(term2 + term3), axis=(1, 2))
+    return inner
 
 
 def run_all(

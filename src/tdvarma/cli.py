@@ -159,12 +159,12 @@ def _cmd_asymptotics(args) -> int:
 
 def _cmd_check(args) -> int:
     model, _ = config.load(args.config)
-    report = run_all(
-        model,
-        n_probe=args.n_probe,
-        cross_grid=tuple(int(v) for v in args.cross_grid.split(",")),
-        cross_m_grid=tuple(int(v) for v in args.cross_m_grid.split(",")) if args.cross_m_grid else (),
-    )
+    probe = {
+        "n_probe": args.n_probe,
+        "cross_grid": [int(v) for v in args.cross_grid.split(",")],
+        "cross_m_grid": [int(v) for v in args.cross_m_grid.split(",")] if args.cross_m_grid else [],
+    }
+    report = run_all(model, **probe)
     lines = ["assumption audit:"]
     for name, verdict in report.verdicts.items():
         lines.append(f"  {name:18s} {verdict}")
@@ -175,6 +175,8 @@ def _cmd_check(args) -> int:
         "ratios": report.h37_ratios,
         "verdicts": report.verdicts,
         "all_pass": report.all_pass(),
+        "probe": probe,
+        "details": {name: res.details for name, res in report.checks.items()},
     }
     _emit_json(payload, args.out)
     return 0

@@ -250,17 +250,9 @@ class TdVarmaModel:
 
     def _sigma_t_deriv_any(self, t, theta, idx) -> np.ndarray:
         """Leibniz expansion of d^k (g Sigma g^T) for any k <= 3."""
-        g = {(): self.g_func.value(t, theta)}
-        for tau in _subtuples(idx):
-            if tau:
-                g[tau] = self.g_func.deriv(t, theta, tau)
-        out = None
-        for left, right in index_splits(idx):
-            term = np.einsum(
-                "...rs,su,...vu->...rv", g[left], self.sigma, g[right]
-            )
-            out = term if out is None else out + term
-        return _sym(out)
+        sig, _ = self._sigma_t_table(t, theta, _subtuples(idx))
+        tau = tuple(sorted(idx))
+        return sig[tau] if tau in sig else np.zeros_like(self.g_func.value(t, theta))
 
     def sigma_t_inv(self, t, theta) -> np.ndarray:
         st = self.sigma_t(t, theta)
@@ -272,43 +264,31 @@ class TdVarmaModel:
     def sigma_t_inv_deriv(self, t, theta, indices) -> np.ndarray:
         """Derivative of Sigma_t^{-1} of order 1..3 via d(M^-1) = -M^-1 dM M^-1."""
         idx = _check_indices(indices)
-        sig = {(): self.sigma_t(t, theta)}
-        for tau in _subtuples(idx):
-            if tau:
-                sig[tau] = self._sigma_t_deriv_any(t, theta, tau)
-        inv: dict[tuple[int, ...], np.ndarray] = {(): self.sigma_t_inv(t, theta)}
+        _, inv = self._sigma_t_table(t, theta, _subtuples(idx), inverse=True)
+        tau = tuple(sorted(idx))
+        return _sym(inv[tau]) if tau in inv else np.zeros_like(inv[()])
 
-        def inv_deriv(tau: tuple[int, ...]) -> np.ndarray:
-            if tau in inv:
-                return inv[tau]
+    def _sigma_t_table(self, t, theta, taus, inverse: bool = False) -> tuple[dict, dict]:
+        """({tau: d^tau Sigma_t}, {tau: d^tau Sigma_t^{-1}}) for the sorted tuples taus,
+        which run by order and hold the sorted sub-tuples of each member; every product
+        is formed once.  Tuples with an index outside the scale slots are identically
+        zero and left out.  The inverse table is empty unless requested; it also holds
+        (), and its other entries are not symmetrized."""
+        g = self.g_func.deriv_map(t, theta, taus)
+        sig: dict = {}
+        for tau in g:
+            if tau:  # the product rule over g Sigma g^T
+                sig[tau] = _sym(sum(np.einsum("...rs,su,...vu->...rv", g[a], self.sigma, g[b])
+                                    for a, b in index_splits(tau)))
+        inv: dict = {(): self.sigma_t_inv(t, theta)} if inverse else {}
+        for tau in sig if inverse else ():
+            # differentiate -M^-1 (d_head M) M^-1 by the remaining indices, split three ways
             head, rest = tau[0], tau[1:]
-            total = None
-            nrest = len(rest)
-            # differentiate -M^-1 (d_head M) M^-1 with the remaining indices
-            for mask_a in range(1 << nrest):
-                for mask_b in range(1 << nrest):
-                    if mask_a & mask_b:
-                        continue
-                    ta = tuple(sorted(rest[p] for p in range(nrest) if mask_a >> p & 1))
-                    tb = tuple(
-                        sorted(
-                            rest[p]
-                            for p in range(nrest)
-                            if not (mask_a >> p & 1) and not (mask_b >> p & 1)
-                        )
-                    )
-                    tm = tuple(sorted((head,) + tuple(rest[p] for p in range(nrest) if mask_b >> p & 1)))
-                    term = -inv_deriv(ta) @ sig[tm] @ inv_deriv(tb)
-                    total = term if total is None else total + term
-            inv[tau] = total
-            return total
-
-        # build up from low orders so memoization sees sorted sub-tuples
-        for k in range(1, len(idx) + 1):
-            for tau in _subtuples(idx):
-                if len(tau) == k:
-                    inv_deriv(tau)
-        return _sym(inv[tuple(sorted(idx))])
+            splits = [(a, tuple(sorted((head,) + b)), c) for a, bc in index_splits(rest)
+                      for b, c in index_splits(bc)]
+            inv[tau] = sum(-inv[a] @ sig[m] @ inv[c] for a, m, c in splits
+                           if a in inv and m in sig and c in inv)
+        return sig, inv
 
     def __eq__(self, other):
         return (
@@ -323,9 +303,5 @@ class TdVarmaModel:
 
 
 def _subtuples(idx: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All sorted sub-multisets of idx (by positions), deduplicated."""
-    npos = len(idx)
-    out = set()
-    for mask in range(1 << npos):
-        out.add(tuple(sorted(idx[p] for p in range(npos) if mask >> p & 1)))
-    return sorted(out, key=lambda tau: (len(tau), tau))
+    """All sorted sub-multisets of idx, deduplicated, by order."""
+    return sorted({left for left, _ in index_splits(idx)}, key=lambda tau: (len(tau), tau))

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import make_random_varma22, make_sin_varma11
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdvarma import examples
 from tdvarma.assumptions import (
+    _norm_table,
+    _tail_sums,
     check_cross_sums,
     check_information,
     check_moment_bounds,
@@ -21,6 +24,7 @@ from tdvarma.assumptions import (
     vec,
 )
 from tdvarma.model import ParamLayout, TdVarmaModel
+from tdvarma.representations import _resid_rows
 from tdvarma.simulate import make_rng
 from tdvarma.timefn import Constant, ExpTrend, MatrixTimeFunction, Param
 
@@ -202,3 +206,134 @@ def test_run_all_examples_pass():
         )
         assert rep.all_pass(), (which, rep.verdicts)
         assert 0 < rep.phi < 1
+
+
+def test_run_all_records_wall_time_per_check(example2):
+    rep = run_all(example2, n_probe=100, cross_grid=(50, 100), cross_m_grid=(50,), info_grid=(25,))
+    for res in rep.checks.values():
+        assert isinstance(res.details["wall_s"], float) and res.details["wall_s"] >= 0.0
+    assert "wall_s" not in rep.bound_constants
+
+
+# -- oracles: the per-(t, k) and per-(t, d) loops the array kernels replaced -------
+
+
+def _ref_tail_stats(rows, nu_grid, power):
+    tails = []
+    for nu in nu_grid:
+        best = 0.0
+        for arr in rows:
+            if arr.shape[0] - 1 >= nu:
+                best = max(best, float(np.sum(arr[nu:] ** power)))
+        tails.append(best)
+    return np.array(tails)
+
+
+def _ref_cross_sums(model, theta0, n_grid, m_term_grid, d_cap):
+    """(ratios, per-t second-family summands) of check_cross_sums, looped."""
+    n_grid = sorted(n_grid)
+    m_term_grid = sorted(m_term_grid)
+    n_max = max(n_grid)
+    horizon = max([n_max, *m_term_grid])
+    kcap = min(horizon - 1, 2 * d_cap)
+    norms = psi_deriv_norms(model, theta0, n_max, max_order=1, kmax=kcap)
+    slots = [tau[0] for tau, rows in norms.items() if any(a.any() for a in rows)]
+    g_all = model.g_values(np.arange(1, horizon + 1), theta0)
+    g2 = np.einsum("trs,trs->t", g_all, g_all)
+    ratios = {}
+    for n in n_grid:
+        best = 0.0
+        for i in slots:
+            rows = norms[(i,)]
+            total = 0.0
+            for s in range(1, n):
+                v = np.array(
+                    [rows[s + k - 1][k] if rows[s + k - 1].shape[0] > k else 0.0 for k in range(1, n - s + 1)]
+                )
+                total += g2[s - 1] * 0.5 * (v.sum() ** 2 - float(v @ v))
+            best = max(best, total / (n * n))
+        ratios[f"first_n{n}"] = n * best
+    if not m_term_grid:
+        return ratios, None
+    n2_max = max(m_term_grid)
+    inner = np.zeros(n2_max + 1)
+    if slots:
+        evals, evecs = np.linalg.eigh(model.sigma_t_all(n2_max, theta0))
+        inv_sqrt = np.einsum("tab,tb,tcb->tac", evecs, 1.0 / np.sqrt(evals), evecs)
+        urows = []
+        for t, (_, row) in enumerate(_resid_rows(model, theta0, theta0, n2_max, 1, kcap), 1):
+            zero = np.zeros_like(row[()])
+            rows = np.stack([row.get((i,), zero)[1:] for i in slots])
+            gseg = g_all[t - 2 :: -1][: rows.shape[1]] if t >= 2 else g_all[:0]
+            urows.append(np.einsum("ab,ikbc,kcd->ikad", inv_sqrt[t - 1], rows, gseg))
+        for t in range(2, n2_max + 1):
+            ut = urows[t - 1]
+            tot = 0.0
+            for d in range(1, min(d_cap, n2_max - t) + 1):
+                utd = urows[t + d - 1]
+                L = min(ut.shape[1], utd.shape[1] - d)
+                if L <= 0:
+                    continue
+                s_all = np.einsum("ikab,bc,jkdc->ijad", ut[:, :L], model.sigma, utd[:, d : d + L])
+                d_self = np.einsum("iiab->iab", s_all)
+                term2 = np.einsum("jab,iab->ij", d_self, d_self)
+                term3 = np.einsum("jiab,ijab->ij", s_all, s_all)
+                tot += float(np.max(np.abs(term2 + term3)))
+            inner[t] = tot
+    csum = np.cumsum(inner)
+    for n in m_term_grid:
+        ratios[f"second_n{n}"] = csum[n] / n
+    return ratios, inner
+
+
+def _oracle_cases():
+    crit9 = dict(n_grid=(50, 100, 200), m_term_grid=(50, 100), d_cap=60)
+    short = dict(n_grid=(10, 20, 40), m_term_grid=(5, 20, 40), d_cap=60)  # max(m) < d_cap
+    yield "example1_sim", examples.build("example1_sim"), crit9
+    yield "example2", examples.build("example2"), crit9
+    yield "example2_short", examples.build("example2"), short
+    yield "example2_tiny", examples.build("example2"), dict(n_grid=(2, 3), m_term_grid=(1, 2, 3), d_cap=60)
+    # q > 0; rows are shorter than the lag cap up to t = 2 d_cap
+    yield "varma22", make_random_varma22(np.random.default_rng(3)), dict(n_grid=(30, 60), m_term_grid=(40, 80), d_cap=25)
+    yield "varma11_short", make_sin_varma11(np.random.default_rng(7)), short
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
+def test_cross_sum_kernels_match_looped_oracle(case):
+    _, model, grid = case
+    theta0 = model.layout.theta0_array()
+    res = check_cross_sums(model, theta0, **grid)
+    ref, inner = _ref_cross_sums(model, theta0, **grid)
+    got = res.details["ratios"]
+    assert set(got) == set(ref)
+    for key, val in ref.items():
+        assert abs(got[key] - val) <= 1e-12 * abs(val), (key, got[key], val)
+    curve = np.cumsum(inner)[1:] / np.arange(1, len(inner))
+    assert res.details["second_curve_argmax_n"] == int(np.argmax(curve)) + 1
+    assert res.details["second_curve_max"] == pytest.approx(float(curve.max()), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "which, n_probe, nu_grid",
+    [("example1_sim", 250, (1, 5, 10, 20, 40)), ("example2", 250, (1, 5, 10, 20, 40)),
+     ("varma22", 60, (1, 5, 10, 20, 40)), ("varma11", 50, (0, 3, 49))],
+)
+def test_tail_sums_match_looped_oracle(which, n_probe, nu_grid):
+    models = {
+        "varma22": lambda: make_random_varma22(np.random.default_rng(3)),
+        "varma11": lambda: make_sin_varma11(np.random.default_rng(7)),
+    }
+    model = models[which]() if which in models else examples.build(which)
+    theta0 = model.layout.theta0_array()
+    taus, table = _norm_table(model, theta0, n_probe, 3, None)
+    table[~(table > 1e-14)] = 0.0
+    rows = psi_deriv_norms(model, theta0, n_probe, max_order=3)
+    checked = 0
+    for tau, tab in zip(taus, table):
+        floored = [np.where(arr > 1e-14, arr, 0.0) for arr in rows[tau]]
+        for power in (2, 4):
+            ref = _ref_tail_stats(floored, nu_grid, power)
+            got = _tail_sums(tab, list(nu_grid), power)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+            checked += int(np.count_nonzero(ref))
+    assert checked > 0

@@ -8,6 +8,7 @@ import pytest
 
 CLI = [sys.executable, "-m", "tdvarma.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+CHECKS = {"psi_decay", "covariance_bounds", "moment_bounds", "information_pd", "cross_sums"}
 
 
 def run_cli(*args, env_extra=None):
@@ -129,9 +130,32 @@ def test_check_reports_verdicts(cfg_dir):
     assert res.returncode == 0, res.stderr
     doc = json.loads(res.stdout)
     assert doc["all_pass"] is True
-    assert set(doc["verdicts"]) == {
-        "psi_decay", "covariance_bounds", "moment_bounds", "information_pd", "cross_sums",
-    }
+    assert set(doc["verdicts"]) == CHECKS
+    assert doc["probe"] == {"n_probe": 150, "cross_grid": [50, 100], "cross_m_grid": [50]}
+    _assert_check_details(doc)
+    assert {"max_k_nonzero", "k_cutoff", "nu_grid"} <= set(doc["details"]["psi_decay"])
+
+
+def test_check_default_grids_on_shipped_config():
+    # the array kernels make the default probe grids affordable; no verdict is asserted
+    config = os.path.join(os.path.dirname(SRC), "configs", "example2.json")
+    res = run_cli("check", "--config", config)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert set(doc["verdicts"]) == CHECKS
+    assert doc["probe"] == {"n_probe": 500, "cross_grid": [50, 100, 200, 400], "cross_m_grid": [300, 600, 900, 1200]}
+    _assert_check_details(doc)
+    assert "second_trend" in doc["details"]["cross_sums"]
+
+
+def _assert_check_details(doc):
+    assert set(doc["details"]) == CHECKS
+    for details in doc["details"].values():
+        assert details["wall_s"] >= 0.0
+    cross = doc["details"]["cross_sums"]
+    assert {"first_trend", "second_curve_max", "second_curve_argmax_n", "ratios"} <= set(cross)
+    assert 1 <= cross["second_curve_argmax_n"] <= max(doc["probe"]["cross_m_grid"])
+    assert cross["ratios"] == doc["ratios"]
 
 
 def test_usage_errors_exit_one(cfg_dir):
