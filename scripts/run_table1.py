@@ -3,8 +3,8 @@
 1000 replications each, noise covariance estimated).
 
 Writes summary.csv / estimates.csv next to --out and prints each cell against
-the published values. A single-threaded run took about a minute (60 s with
---threads 1 on a 2-core x86 machine); use --threads to parallelize
+the published values. A single-threaded run takes about half a minute (27 s
+with --threads 1 on a 2-core x86 machine); use --threads to parallelize
 replications.
 """
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractError, NumericalError
 from .model import TdVarmaModel
-from .likelihood import _scale_derivs, _scale_info
+from .likelihood import _add_scale_info, _scale_derivs
 from .representations import _resid_rows, _triangular_var1_params, triangular_var1_product
 from .representations import build_psi  # unused here; perfbench/tracer.py wraps this name
 
@@ -70,7 +70,7 @@ def theoretical_v(model: TdVarmaModel, theta0, n: int, kmax: Optional[int] = Non
         left = (d @ sig[t - 2 :: -1][:K]).reshape(len(slots), -1)
         right = (siginv[t - 1].T @ d).reshape(len(slots), -1)
         v[np.ix_(slots, slots)] += left @ right.T
-    v += _scale_info(siginv, _scale_derivs(model, n, theta0))
+    _add_scale_info(v, siginv, _scale_derivs(model, n, theta0))
     return _se_from_v(v / n, n)
 
 

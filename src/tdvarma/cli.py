@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, config
 from .errors import ConfigError, ContractError, NumericalError
 from .estimate import FitOptions, fit
-from .examples import example1_sim_model, example1_theory_model, example2_model
+from .examples import EXAMPLE_IDS, build
 from .mc import McPlan, estimates_to_csv, run_mc, summary_to_csv
 from .model import Series
 from .simulate import RNG_ALGORITHM, SimPlan, simulate
@@ -132,6 +132,7 @@ def _cmd_fit(args) -> int:
         "iters": result.iters,
         "n_evals": result.n_evals,
         "se": result.se,
+        "se_info": result.se_info,
         "cov": result.cov,
         "vhat": result.vhat,
         "what": result.what,
@@ -209,36 +210,25 @@ def _cmd_mc(args) -> int:
 
 
 _EXAMPLES = {
-    "1": (("example1_sim", "example1_theory"), None),
-    "1-theory": (("example1_theory",), None),
-    "2": (("example2",), None),
-    "all": (("example1_sim", "example1_theory", "example2"), None),
-}
-
-_BUILDERS = {
-    "example1_sim": example1_sim_model,
-    "example1_theory": example1_theory_model,
-    "example2": example2_model,
+    "1": ("example1_sim", "example1_theory"),
+    "1-theory": ("example1_theory",),
+    "2": ("example2",),
+    "all": EXAMPLE_IDS,
 }
 
 
 def _cmd_examples(args) -> int:
-    names, _ = _EXAMPLES[args.which]
     os.makedirs(args.out, exist_ok=True)
     written = []
-    for name in names:
-        model = _BUILDERS[name]()
-        run = config.RunConfig()
-        if name == "example1_sim":
-            run.theta_init = (0.1, 0.1, 0.1)
-            run.estimate_sigma = True
-        elif name == "example1_theory":
-            run.theta_init = (0.1, 0.1)
-            run.estimate_sigma = True
-        else:
-            # start at the true value shifted by +0.1 per coordinate
-            run.theta_init = tuple(v + 0.1 for v in model.layout.theta0)
-            run.estimate_sigma = False
+    for name in _EXAMPLES[args.which]:
+        model = build(name)
+        # example 1 starts at 0.1 per coordinate and estimates sigma; example 2
+        # starts at the true value shifted by +0.1 per coordinate
+        first = name.startswith("example1")
+        run = config.RunConfig(
+            theta_init=(0.1,) * model.m if first else tuple(v + 0.1 for v in model.layout.theta0),
+            estimate_sigma=first,
+        )
         path = os.path.join(args.out, f"{name}.json")
         config.dump(model, run, path)
         written.append(path)

@@ -24,7 +24,7 @@ Unknown keys anywhere are rejected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -38,18 +38,6 @@ MAX_ORDER = 4
 
 _MODEL_KEYS = {"r", "p", "q", "a_funcs", "b_funcs", "g_func", "sigma", "layout"}
 _LAYOUT_KEYS = {"names", "n_ar", "n_ma", "theta0", "bounds"}
-_RUN_KEYS = {
-    "seed",
-    "n",
-    "replications",
-    "n_list",
-    "theta_init",
-    "estimate_sigma",
-    "sigma_iters",
-    "max_iters",
-    "grad_tol",
-    "step_tol",
-}
 _ENTRY_KEYS = {"kind", "constants", "param_slots", "terms"}
 
 
@@ -65,6 +53,9 @@ class RunConfig:
     max_iters: int = 200
     grad_tol: float = 1e-6
     step_tol: float = 1e-10
+
+
+_RUN_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _reject_unknown(block: dict, allowed: set, where: str):
@@ -195,18 +186,7 @@ def model_to_config(model: TdVarmaModel) -> dict:
 def dump(model: TdVarmaModel, run: Optional[RunConfig], path: str):
     doc: dict = {"model": model_to_config(model)}
     if run is not None:
-        doc["run"] = {
-            "seed": run.seed,
-            "n": run.n,
-            "replications": run.replications,
-            "n_list": list(run.n_list),
-            "theta_init": list(run.theta_init) if run.theta_init is not None else None,
-            "estimate_sigma": run.estimate_sigma,
-            "sigma_iters": run.sigma_iters,
-            "max_iters": run.max_iters,
-            "grad_tol": run.grad_tol,
-            "step_tol": run.step_tol,
-        }
+        doc["run"] = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(run).items()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

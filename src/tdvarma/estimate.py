@@ -53,7 +53,8 @@ class FitOptions:
 
 @dataclass
 class FitResult:
-    """Point estimate, objective diagnostics and sandwich covariance.
+    """Point estimate, objective diagnostics, sandwich covariance and
+    information-only standard errors.
 
     iters and n_evals are totals over all noise-covariance rounds;
     metadata["rounds"] lists (iters, n_evals, termination) per round.
@@ -67,6 +68,7 @@ class FitResult:
     what: Optional[np.ndarray]
     cov: Optional[np.ndarray]
     se: Optional[np.ndarray]
+    se_info: Optional[np.ndarray]   # sqrt(diag(V_hat^-1) / n), the information-only errors
     iters: int
     n_evals: int
     converged: bool
@@ -113,22 +115,22 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, opts: FitOptions, bou
     n = series.n
     theta = _project(np.asarray(theta0, dtype=float).copy(), bounds)
     rep = likelihood.objective(model, series, theta)
-    q, g, info = rep.q, rep.grad, rep.info
     n_evals = 1
     m = theta.size
-    h = _inverse_info(info)
-    history = [q]
+    h = _inverse_info(rep.info)
+    history = [rep.q]
     termination = "max_iters"
     converged = False
     it = 0
     for it in range(1, opts.max_iters + 1):
+        q, g = rep.q, rep.grad
         if np.max(np.abs(g)) / n <= opts.grad_tol:
             termination = "gradient"
             converged = True
             break
         d = -h @ g
         if d @ g >= 0:          # stale curvature: reset to the current information
-            h = _inverse_info(info)
+            h = _inverse_info(rep.info)
             d = -h @ g
         step = 1.0
         accepted = False
@@ -145,14 +147,14 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, opts: FitOptions, bou
             termination = "line_search"
             converged = np.max(np.abs(g)) / n <= 10 * opts.grad_tol
             break
-        rep_trial = likelihood.objective(model, series, trial)
+        rep = likelihood.objective(model, series, trial)
         n_evals += 1
         s = trial - theta
-        y = rep_trial.grad - g
-        theta, q, g, info = trial, rep_trial.q, rep_trial.grad, rep_trial.info
-        history.append(q)
+        y = rep.grad - g
+        theta = trial
+        history.append(rep.q)
         if np.linalg.norm(s) <= opts.step_tol * (1.0 + np.linalg.norm(theta)):
-            converged = np.max(np.abs(g)) / n <= 10 * opts.grad_tol
+            converged = np.max(np.abs(rep.grad)) / n <= 10 * opts.grad_tol
             termination = "step"
             break
         sy = s @ y
@@ -162,20 +164,21 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, opts: FitOptions, bou
             h = v @ h @ v.T + rho * np.outer(s, s)
     else:
         it = opts.max_iters
-    if not converged and np.max(np.abs(g)) / n <= opts.grad_tol:
+    if not converged and np.max(np.abs(rep.grad)) / n <= opts.grad_tol:
         converged = True
         termination = "gradient"
-    return theta, q, g, it, n_evals, converged, termination, history
+    return theta, rep, it, n_evals, converged, termination, history
 
 
-def estimate_noise_cov(model: TdVarmaModel, series: Series, theta) -> np.ndarray:
-    """Moment estimator of the innovation covariance:
-    the average of g_t^{-1} e_t e_t' g_t^{-T} at the supplied parameter."""
-    res = likelihood.residuals(model, series, theta)
-    n = series.n
-    g = model.g_values(np.arange(1, n + 1), np.asarray(theta, dtype=float))
-    z = np.linalg.solve(g, res.e[..., None])[..., 0]
-    sig = z.T @ z / n
+def estimate_noise_cov(model: TdVarmaModel, series: Series, theta, e=None) -> np.ndarray:
+    """Moment estimator of the innovation covariance: the average of
+    g_t^{-1} e_t e_t' g_t^{-T} at the supplied parameter, whose residuals e
+    are computed unless given."""
+    if e is None:
+        e = likelihood.residuals(model, series, theta).e
+    g = model.g_func.head(series.n, theta)
+    z = np.linalg.solve(g, e[..., None])[..., 0]
+    sig = z.T @ z / series.n
     return 0.5 * (sig + sig.T)
 
 
@@ -193,19 +196,22 @@ def fit(model: TdVarmaModel, series: Series, options: FitOptions) -> FitResult:
     history: list = []
     per_round: list = []
     for rnd in range(rounds):
-        theta, q, g, iters, n_evals, converged, termination, hist = _minimize(
+        theta, rep, iters, n_evals, converged, termination, hist = _minimize(
             work, series, theta, options, bounds
         )
         per_round.append((iters, n_evals, termination))
         history.extend(hist if not history else hist[1:])
         if options.estimate_sigma:
-            sigma_hat = estimate_noise_cov(work, series, theta)
+            sigma_hat = estimate_noise_cov(work, series, theta, rep.e)
             work = work.with_sigma(sigma_hat)
 
-    vhat = what = cov = se = None
+    vhat = what = cov = se = se_info = None
     covariance_ok = False
     try:
-        vhat, what = likelihood.empirical_vw(work, series, theta)
+        # the last report holds V_hat and W_hat unless sigma was replaced after it
+        vhat, what = (likelihood.empirical_vw(work, series, theta) if options.estimate_sigma
+                      else likelihood.report_vw(rep))
+        se_info = np.sqrt(np.diag(np.linalg.inv(vhat)) / series.n)
         sol = np.linalg.solve(vhat, what)
         cov = np.linalg.solve(vhat, sol.T).T / series.n
         cov = 0.5 * (cov + cov.T)
@@ -216,7 +222,7 @@ def fit(model: TdVarmaModel, series: Series, options: FitOptions) -> FitResult:
         else:
             cov = se = None
     except (np.linalg.LinAlgError, NumericalError):
-        vhat = what = cov = se = None
+        vhat = what = cov = se = se_info = None
 
     metadata = {
         "names": tuple(model.layout.names),
@@ -229,13 +235,14 @@ def fit(model: TdVarmaModel, series: Series, options: FitOptions) -> FitResult:
     }
     return FitResult(
         theta=theta,
-        objective=q,
-        grad=g,
+        objective=rep.q,
+        grad=rep.grad,
         sigma_hat=sigma_hat,
         vhat=vhat,
         what=what,
         cov=cov,
         se=se,
+        se_info=se_info,
         iters=sum(r[0] for r in per_round),
         n_evals=sum(r[1] for r in per_round),
         converged=converged,

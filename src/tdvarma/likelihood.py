@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError, NumericalError, SingularCovarianceError
+from .errors import ContractError, NumericalError
 from .model import Series, TdVarmaModel
 
 
@@ -52,6 +52,7 @@ class ObjectiveReport:
     grad: np.ndarray         # (m,)
     score_rows: np.ndarray   # (n, m), rows d alpha_t / d theta
     info: np.ndarray         # (m, m), Gauss-Newton Hessian of q (n * V_hat)
+    e: np.ndarray            # (n, r), the residuals at theta
 
 
 def _lagged(x: np.ndarray, lag: int) -> np.ndarray:
@@ -83,16 +84,9 @@ def _lag_solve(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return y
 
 
-def _chol_stack(model: TdVarmaModel, sigma_all: np.ndarray, theta) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(sigma_all)
-    except np.linalg.LinAlgError:
-        for t0, st in enumerate(sigma_all):
-            try:
-                np.linalg.cholesky(st)
-            except np.linalg.LinAlgError:
-                raise SingularCovarianceError(t0 + 1, theta) from None
-        raise NumericalError("batched Cholesky failed without an identifiable time index")
+def _lag_coefs(funcs, n: int, r: int, theta) -> np.ndarray:
+    """Lag coefficients for t = 1..n stacked as (k, n, r, r)."""
+    return np.stack([f.head(n, theta) for f in funcs]) if funcs else np.zeros((0, n, r, r))
 
 
 def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = False) -> ResidualSet:
@@ -102,31 +96,29 @@ def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = Fa
     theta = np.asarray(theta, dtype=float)
     x = series.values
     n, r = x.shape
-    ts = np.arange(1, n + 1)
-    b_all = model.b_values(ts, theta)
-    e = _lag_solve(b_all, x - _lag_sum(model.a_values(ts, theta), x))
+    b_all = _lag_coefs(model.b_funcs, n, r, theta)
+    e = _lag_solve(b_all, x - _lag_sum(_lag_coefs(model.a_funcs, n, r, theta), x))
     de = None
     if with_derivs:
         # row k: -(sum_i d_k A_ti x_{t-i} + sum_j d_k B_tj e_{t-j}), then the same solve as e
         de = np.zeros((model.m, n, r))
         for funcs, y in ((model.a_funcs, x), (model.b_funcs, e)):
             for lag, f in enumerate(funcs, 1):
-                for k in f.param_slots():
-                    de[k] -= np.einsum("trs,ts->tr", f.deriv(ts, theta, (k,)), _lagged(y, lag))
+                slots, d = f.head_grad(n, theta)
+                de[list(slots)] -= np.einsum("ktrs,ts->ktr", d, _lagged(y, lag))
         de = _lag_solve(b_all, de)
 
-    sigma_all = model.sigma_t_all(n, theta)
-    chol = _chol_stack(model, sigma_all, theta)
+    sigma_all, chol = model.sigma_chol_all(n, theta)
     return ResidualSet(e=e, sigma=sigma_all, chol=chol, de=de)
 
 
 def _scale_derivs(model: TdVarmaModel, n: int, theta) -> np.ndarray:
-    """d Sigma_t / d theta_i for all t and i, shape (m, n, r, r); zero outside the scale block."""
-    m, r = model.m, model.r
-    out = np.zeros((m, n, r, r))
+    """d Sigma_t / d theta_i for all t and the scale slots i, which come last in theta,
+    shape (n_scale, n, r, r); Sigma_t does not depend on the other slots."""
+    out = np.zeros((model.layout.n_scale, n, model.r, model.r))
     ts = np.arange(1, n + 1)
-    for slot in model.layout.scale_slots:
-        out[slot] = model._sigma_t_deriv_any(ts, theta, (slot,))
+    for i, slot in enumerate(model.layout.scale_slots):
+        out[i] = model._sigma_t_deriv_any(ts, theta, (slot,))
     return out
 
 
@@ -149,29 +141,39 @@ def _q(alphas: np.ndarray, r: int) -> float:
 
 def _score_rows(res: ResidualSet, w: np.ndarray, siginv: np.ndarray, dsig: np.ndarray) -> np.ndarray:
     """Rows d alpha_t / d theta, shape (n, m), given w_t = Sigma_t^{-1} e_t."""
-    tr_term = np.einsum("tsr,itrs->ti", siginv, dsig)
-    quad_term = np.einsum("tr,itrs,ts->ti", w, dsig, w)
-    e_term = 2.0 * np.einsum("tr,itr->ti", w, res.de)
-    return tr_term - quad_term + e_term
+    rows = 2.0 * np.einsum("tr,itr->ti", w, res.de)
+    k = dsig.shape[0]  # the scale slots come last, and the residuals do not depend on them
+    if k:
+        rows[:, -k:] += np.einsum("tsr,itrs->ti", siginv, dsig) - np.einsum("tr,itrs,ts->ti", w, dsig, w)
+    return rows
 
 
-def _scale_info(siginv: np.ndarray, dsig: np.ndarray) -> np.ndarray:
-    """sum_t 0.5 tr(Sigma_t^{-1} dSigma_t/di Sigma_t^{-1} dSigma_t/dj), shape (m, m)."""
-    rel = np.einsum("tab,itbc->itac", siginv, dsig)
-    return 0.5 * np.einsum("itab,jtba->ij", rel, rel)
+def _add_scale_info(info: np.ndarray, siginv: np.ndarray, dsig: np.ndarray) -> None:
+    """Adds sum_t 0.5 tr(Sigma_t^{-1} dSigma_t/di Sigma_t^{-1} dSigma_t/dj) to the
+    block of info over the scale slots, which come last."""
+    if dsig.shape[0]:
+        rel = np.einsum("tab,itbc->itac", siginv, dsig)
+        info[-dsig.shape[0]:, -dsig.shape[0]:] += 0.5 * np.einsum("itab,jtba->ij", rel, rel)
 
 
 def _info(res: ResidualSet, siginv: np.ndarray, dsig: np.ndarray) -> np.ndarray:
     """Gauss-Newton Hessian sum_t de_t' Sigma_t^{-1} de_t plus the scale term, shape (m, m)."""
     m = res.de.shape[0]
     wde = np.einsum("trs,jts->jtr", siginv, res.de)
-    info = res.de.reshape(m, -1) @ wde.reshape(m, -1).T + _scale_info(siginv, dsig)
+    info = res.de.reshape(m, -1) @ wde.reshape(m, -1).T
+    _add_scale_info(info, siginv, dsig)
     return 0.5 * (info + info.T)
 
 
 def objective(model: TdVarmaModel, series: Series, theta) -> ObjectiveReport:
     """Objective, per-observation terms, analytic score rows, gradient and
     Gauss-Newton Hessian."""
+    return _evaluate(model, series, theta)
+
+
+def _evaluate(model: TdVarmaModel, series: Series, theta) -> ObjectiveReport:
+    # objective's body; empirical_vw calls it directly, so that calls of the public
+    # name count the optimizer's evaluations only
     theta = np.asarray(theta, dtype=float)
     res = residuals(model, series, theta, with_derivs=True)
     n, r = res.e.shape
@@ -183,12 +185,19 @@ def objective(model: TdVarmaModel, series: Series, theta) -> ObjectiveReport:
     if not np.all(np.isfinite(score_rows)):
         raise NumericalError("non-finite entries in the score")
     return ObjectiveReport(
-        q=_q(alphas, r), alphas=alphas, grad=grad, score_rows=score_rows, info=_info(res, siginv, dsig)
+        q=_q(alphas, r), alphas=alphas, grad=grad, score_rows=score_rows,
+        info=_info(res, siginv, dsig), e=res.e,
     )
 
 
 def empirical_vw(model: TdVarmaModel, series: Series, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Plug-in estimates of the curvature matrix V and score outer-product W.
+    """Plug-in estimates of the curvature matrix V and score outer-product W at theta;
+    see `report_vw`."""
+    return report_vw(_evaluate(model, series, theta))
+
+
+def report_vw(rep: ObjectiveReport) -> tuple[np.ndarray, np.ndarray]:
+    """(V_hat, W_hat) from the objective report at a parameter.
 
     V_hat is the Gauss-Newton Hessian of Q_n divided by n: the average of
     e-derivative quadratic forms plus half the trace of squared relative
@@ -196,14 +205,9 @@ def empirical_vw(model: TdVarmaModel, series: Series, theta) -> tuple[np.ndarray
     the realized score rows divided by 4n (rows are not centered: their
     conditional mean vanishes at the data-generating parameter).
     """
-    theta = np.asarray(theta, dtype=float)
-    res = residuals(model, series, theta, with_derivs=True)
-    n = res.e.shape[0]
-    dsig = _scale_derivs(model, n, theta)
-    siginv = np.linalg.inv(res.sigma)
-    v = _info(res, siginv, dsig) / n
-    score_rows = _score_rows(res, _alphas(res)[1], siginv, dsig)
-    what = score_rows.T @ score_rows / (4.0 * n)
+    n = rep.alphas.shape[0]
+    v = rep.info / n
+    what = rep.score_rows.T @ rep.score_rows / (4.0 * n)
     what = 0.5 * (what + what.T)
     if not (np.all(np.isfinite(v)) and np.all(np.isfinite(what))):
         raise NumericalError("non-finite entries in the empirical information matrices")

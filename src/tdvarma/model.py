@@ -8,12 +8,13 @@ Sigma_t(theta) = g_t(theta) Sigma g_t(theta)^T.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericalError
+from .errors import ConfigError, ContractError, NumericalError, SingularCovarianceError
 from .timefn import MatrixTimeFunction, _check_indices, index_splits
 
 DEFAULT_CHECK_HORIZON = 400
@@ -142,6 +143,7 @@ class TdVarmaModel:
         self.sigma = _sym(np.asarray(sigma, dtype=float))
         self.layout = layout
         self.check_horizon = int(check_horizon)
+        self._fixed_scale: Optional[tuple] = None
         self._validate()
 
     @property
@@ -197,15 +199,11 @@ class TdVarmaModel:
             raise ConfigError(f"scale matrix g_t is singular at t={int(ts[bad[0]])}")
 
     def with_sigma(self, sigma) -> "TdVarmaModel":
-        """Copy of the model with a replaced innovation covariance."""
-        new = object.__new__(TdVarmaModel)
-        new.r = self.r
-        new.a_funcs = self.a_funcs
-        new.b_funcs = self.b_funcs
-        new.g_func = self.g_func
+        """Copy of the model with a replaced innovation covariance; it shares the
+        coefficient functions and their tables."""
+        new = copy.copy(self)
         new.sigma = _sym(np.asarray(sigma, dtype=float))
-        new.layout = self.layout
-        new.check_horizon = self.check_horizon
+        new._fixed_scale = None
         try:
             np.linalg.cholesky(new.sigma)
         except np.linalg.LinAlgError as exc:
@@ -235,8 +233,31 @@ class TdVarmaModel:
 
     def sigma_t_all(self, n: int, theta) -> np.ndarray:
         """Residual covariances for t = 1..n, shape (n, r, r)."""
-        g = self.g_func.value(np.arange(1, n + 1), theta)
-        return _sym(np.einsum("trs,su,tvu->trv", g, self.sigma, g))
+        g = self.g_func.head(n, theta)
+        return _sym(g @ self.sigma @ np.swapaxes(g, -1, -2))
+
+    def sigma_chol_all(self, n: int, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Sigma_t for t = 1..n and their Cholesky factors.  When g_t has no
+        parameter slots neither depends on theta: both are kept, read-only, for
+        the longest n asked so far and read by prefix."""
+        fixed = self._fixed_scale
+        if fixed is not None and fixed[0].shape[0] >= n:
+            return fixed[0][:n], fixed[1][:n]
+        sig = self.sigma_t_all(n, theta)
+        try:
+            chol = np.linalg.cholesky(sig)
+        except np.linalg.LinAlgError:
+            for t0, st in enumerate(sig):
+                try:
+                    np.linalg.cholesky(st)
+                except np.linalg.LinAlgError:
+                    raise SingularCovarianceError(t0 + 1, theta) from None
+            raise NumericalError("batched Cholesky failed without an identifiable time index")
+        if not self.g_func.param_slots():
+            sig.setflags(write=False)
+            chol.setflags(write=False)
+            self._fixed_scale = sig, chol
+        return sig, chol
 
     def sigma_t_deriv(self, t, theta, indices) -> np.ndarray:
         """Exact derivative of Sigma_t of order 1 or 2 w.r.t. theta[indices]."""
@@ -278,7 +299,7 @@ class TdVarmaModel:
         sig: dict = {}
         for tau in g:
             if tau:  # the product rule over g Sigma g^T
-                sig[tau] = _sym(sum(np.einsum("...rs,su,...vu->...rv", g[a], self.sigma, g[b])
+                sig[tau] = _sym(sum(g[a] @ self.sigma @ np.swapaxes(g[b], -1, -2)
                                     for a, b in index_splits(tau)))
         inv: dict = {(): self.sigma_t_inv(t, theta)} if inverse else {}
         for tau in sig if inverse else ():

@@ -129,3 +129,14 @@ def dense_residual_operator(model, theta, n):
         for i in range(model.m)
     ]
     return big_m, dms
+
+
+def assert_heads_match_entrywise(f, n, theta, rtol=0.0):
+    """head / head_grad at t = 1..n against the entry-by-entry value and deriv."""
+    ts = np.arange(1, n + 1)
+    np.testing.assert_allclose(f.head(n, theta), f.value(ts, theta), rtol=rtol, atol=0)
+    slots, grad = f.head_grad(n, theta)
+    assert slots == tuple(sorted(f.param_slots()))
+    assert grad.shape == (len(slots), n, f.rows, f.cols)
+    for k, d in zip(slots, grad):
+        np.testing.assert_allclose(d, f.deriv(ts, theta, (k,)), rtol=rtol, atol=0)

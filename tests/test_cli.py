@@ -101,6 +101,7 @@ def test_fit_round_trip(cfg_dir, tmp_path):
     rounds = doc["metadata"]["rounds"]
     assert len(rounds) >= 1 and rounds[-1][2] == doc["termination"]
     assert sum(r[1] for r in rounds) == doc["n_evals"]
+    assert len(doc["se_info"]) == 3 and all(v > 0 for v in doc["se_info"])
 
 
 def test_mc_smoke_and_determinism(cfg_dir, tmp_path):

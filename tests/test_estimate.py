@@ -224,3 +224,48 @@ def test_counts_are_totals_over_sigma_rounds(monkeypatch):
     assert res.n_evals == calls["n"] == sum(r[1] for r in rounds)
     assert res.iters == sum(r[0] for r in rounds)
     assert res.termination == rounds[-1][2]
+
+
+@pytest.mark.parametrize("which", ["example1_sim", "example2"])
+@pytest.mark.parametrize("estimate_sigma", [False, True], ids=["sigma_fixed", "sigma_estimated"])
+def test_fit_reuses_the_last_evaluation(monkeypatch, which, estimate_sigma):
+    # residuals runs once per evaluation; a sigma-estimated fit adds one evaluation at the final sigma
+    calls = {"n": 0}
+    original = likelihood.residuals
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(likelihood, "residuals", counted)
+    m = examples.build(which)
+    series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
+    start = tuple(v + 0.1 for v in m.layout.theta0)
+    res = fit(m, series, FitOptions(theta_init=start, estimate_sigma=estimate_sigma, sigma_iters=3))
+    assert calls["n"] == res.n_evals + estimate_sigma
+    final = m.with_sigma(res.sigma_hat) if estimate_sigma else m
+    vhat, what = likelihood.empirical_vw(final, series, res.theta)
+    np.testing.assert_array_equal(res.vhat, vhat)
+    np.testing.assert_array_equal(res.what, what)
+    if estimate_sigma:
+        np.testing.assert_array_equal(res.sigma_hat, estimate_noise_cov(final, series, res.theta))
+
+
+def test_information_only_standard_errors():
+    m = examples.example2_model()
+    n = 150
+    series = simulate(SimPlan(m, m.layout.theta0, n, 8))
+    res = fit(m, series, FitOptions(theta_init=m.layout.theta0))
+    assert res.covariance_ok
+    expected = np.sqrt(np.diag(np.linalg.inv(res.vhat)) / n)
+    np.testing.assert_allclose(res.se_info, expected, rtol=1e-14, atol=0)
+    # V_hat and W_hat agree to sampling error at the truth, so do the two kinds of errors
+    np.testing.assert_allclose(res.se_info, res.se, rtol=0.5)
+
+
+def test_information_only_errors_absent_without_vhat(rng):
+    layout = ParamLayout(names=("a", "unused"), n_ar=2, n_ma=0, theta0=(0.4, 0.0))
+    a = MatrixTimeFunction([[Param(0), Constant(0.0)], [Constant(0.0), Param(0)]])
+    m = TdVarmaModel(2, [a], [], None, np.eye(2), layout)
+    res = fit(m, Series(values=rng.standard_normal((200, 2))), FitOptions(theta_init=(0.1, 0.3)))
+    assert res.vhat is None and res.se_info is None and res.se is None

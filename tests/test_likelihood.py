@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_residual_operator, make_random_varma22, make_scalar_arma11, make_sin_varma11
+from conftest import (
+    assert_heads_match_entrywise,
+    dense_residual_operator,
+    make_random_varma22,
+    make_scalar_arma11,
+    make_sin_varma11,
+)
 from tdvarma import examples
 from tdvarma.errors import ContractError, SingularCovarianceError
 from tdvarma.likelihood import empirical_vw, objective, objective_value, residuals
@@ -256,3 +262,30 @@ def test_dimension_mismatch_rejected():
     m = examples.example1_sim_model()
     with pytest.raises(ContractError):
         residuals(m, Series(values=np.ones((5, 1))), np.array(m.layout.theta0))
+
+
+def _all_matrices(model):
+    return [*model.a_funcs, *model.b_funcs, model.g_func]
+
+
+@pytest.mark.parametrize("which", ["example1_sim", "example1_theory", "example2", "varma11", "varma22"])
+def test_coefficient_tables_match_entrywise_path(which):
+    makers = {
+        "varma11": lambda: make_sin_varma11(np.random.default_rng(909)),
+        "varma22": lambda: make_random_varma22(np.random.default_rng(3)),
+    }
+    m = makers[which]() if which in makers else examples.build(which)
+    th0 = np.array(m.layout.theta0)
+    for f in _all_matrices(m):
+        for theta, n in ((th0, 100), (th0 + 0.1, 60), (th0 - 0.05, 150)):
+            assert_heads_match_entrywise(f, n, theta)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.integers(0, 2), q=st.integers(0, 2), r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_coefficient_tables_match_entrywise_path_for_random_varma(p, q, r, seed):
+    rng = np.random.default_rng(seed)
+    m = _random_varma(rng, p, q, r)
+    theta = np.array(m.layout.theta0) + rng.uniform(-0.05, 0.05, size=m.m)
+    for f in _all_matrices(m):
+        assert_heads_match_entrywise(f, int(rng.integers(1, 60)), theta)

@@ -172,3 +172,24 @@ def test_layout_blocks():
     assert lay.n_scale == 2
     with pytest.raises(ConfigError):
         ParamLayout(names=("a",), n_ar=2, n_ma=0)
+
+
+def test_parameter_free_scale_is_built_once_and_read_by_prefix(example1_sim, example2):
+    th = np.array(example1_sim.layout.theta0)
+    m = example1_sim.with_sigma(example1_sim.sigma)
+    sig, chol = m.sigma_chol_all(30, th)
+    assert not (sig.flags.writeable or chol.flags.writeable)
+    np.testing.assert_array_equal(sig, example1_sim.sigma_t_all(30, th))
+    np.testing.assert_array_equal(chol, np.linalg.cholesky(sig))
+    again = m.sigma_chol_all(30, th + 0.3)
+    assert np.shares_memory(again[0], sig) and np.shares_memory(again[1], chol)
+    short = m.sigma_chol_all(12, th)
+    assert np.shares_memory(short[0], sig) and short[0].shape == (12, 2, 2)
+    longer = m.sigma_chol_all(45, th)
+    np.testing.assert_array_equal(longer[0][:30], sig)
+    np.testing.assert_array_equal(m.with_sigma(2.0 * np.eye(2)).sigma_chol_all(30, th)[0], 2.0 * sig)
+    # a scale with parameters is rebuilt at every theta
+    th2 = np.array(example2.layout.theta0)
+    sig2 = example2.sigma_chol_all(30, th2)[0]
+    assert sig2.flags.writeable
+    assert not np.array_equal(sig2, example2.sigma_chol_all(30, th2 + 0.1)[0])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_heads_match_entrywise
 from tdvarma.errors import ConfigError, ContractError
 from tdvarma.timefn import (
     Constant,
@@ -176,3 +177,90 @@ def test_vectorized_matches_scalar_eval():
     vec = fn.value(ts, theta)
     for i, t in enumerate(ts):
         assert vec[i] == pytest.approx(float(fn.value(int(t), theta)), abs=0)
+
+
+def test_affine_table_matches_entrywise_path_and_grows():
+    f = MatrixTimeFunction(
+        [
+            [Sine(0, 0.3, 0.1), Sum(Constant(0.25), Sum(Sine(1, 0.7), Param(2)))],
+            [LinearTrend(1), Sum(Sine(2, 0.2), Sine(2, 1.1))],
+        ]
+    )
+    theta = np.array([0.4, -0.03, 0.8])
+    assert_heads_match_entrywise(f, 50, theta, rtol=1e-15)
+    slots, c, big_f = f._table
+    assert slots == (0, 1, 2) and c.shape == (50, 2, 2) and big_f.shape == (3, 50, 2, 2)
+    assert_heads_match_entrywise(f, 80, theta, rtol=1e-15)
+    assert f._table[1].shape[0] == 100  # rebuilt at twice the old length
+    assert_heads_match_entrywise(f, 7, theta + 0.2, rtol=1e-15)
+    assert f._table[1].shape[0] == 100  # a shorter n reads a prefix
+    for order in (2, 3):  # affine in theta: higher derivatives vanish identically
+        np.testing.assert_array_equal(f.deriv(np.arange(1, 9), theta, (2,) * order), np.zeros((8, 2, 2)))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [ExpSine(0, 0.25, phase=math.pi), Product(Sine(0, 0.3), Param(1))],
+    ids=["exp_sine", "product"],
+)
+def test_non_affine_matrices_take_the_generic_path(entry):
+    assert entry.parts(np.arange(1.0, 5.0)) is None
+    f = MatrixTimeFunction([[entry, Sine(1, 0.5)], [Constant(0.0), Param(1)]])
+    theta = np.array([0.6, -0.4])
+    assert_heads_match_entrywise(f, 40, theta)
+    assert f._table is False
+
+
+def test_slot_free_entry_is_constant_in_the_table():
+    grow = ExpTrend(0.01)
+    c, coefs = grow.parts(np.arange(1.0, 31.0))
+    np.testing.assert_array_equal(c, np.exp(0.01 * np.arange(1.0, 31.0)))
+    assert coefs == {}
+    f = MatrixTimeFunction([[grow, Sine(0, 0.3)], [Product(Constant(2.0), ExpTrend(-0.1)), Constant(0.5)]])
+    theta = np.array([0.7])
+    assert_heads_match_entrywise(f, 30, theta)
+    slots, tab_c, tab_f = f._table
+    assert slots == (0,)
+    np.testing.assert_array_equal(tab_c[:, 0, 0], c)
+    np.testing.assert_array_equal(tab_f[0, :, 0, 0], np.zeros(30))
+
+
+@pytest.mark.parametrize(
+    "entry", [Sine(2, 0.3), ExpSine(2, 0.3)], ids=["table", "generic"]
+)
+def test_short_theta_raises_on_both_paths(entry):
+    f = MatrixTimeFunction([[entry, Constant(0.0)], [Param(0), Constant(1.0)]])
+    f.head(10, np.zeros(3))
+    with pytest.raises(ConfigError):
+        f.head(10, np.zeros(2))
+    with pytest.raises(ConfigError):
+        f.head_grad(10, np.zeros(2))
+
+
+def test_table_is_read_only_and_values_are_fresh():
+    f = MatrixTimeFunction([[Sine(0, 0.3), Param(1)], [Constant(0.0), Sine(1, 0.2)]])
+    theta = np.array([0.5, -0.5])
+    first = f.head(20, theta)
+    first[:] = 99.0
+    np.testing.assert_array_equal(f.head(20, theta), f.value(np.arange(1, 21), theta))
+    _, grad = f.head_grad(20, theta)
+    with pytest.raises(ValueError):
+        grad[0, 0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [
+        {"kind": "sine", "constants": {}, "param_slots": [0]},
+        {"kind": "sine", "constants": {"omega": 0.3, "period": 7.0}, "param_slots": [0]},
+        {"kind": "param", "constants": {}, "param_slots": []},
+        {"kind": "param", "constants": {}, "param_slots": [0, 1]},
+        {"kind": "const", "constants": {"rate": 1.0}, "param_slots": []},
+        {"kind": "sum", "terms": [{"kind": "param", "param_slots": [0]}]},
+        {"kind": "cosine", "constants": {"omega": 0.3}, "param_slots": [0]},
+    ],
+    ids=["missing_constant", "unknown_constant", "missing_slot", "extra_slot", "wrong_constant", "one_term", "unknown_kind"],
+)
+def test_malformed_records_rejected(rec):
+    with pytest.raises(ConfigError):
+        scalar_from_config(rec)
