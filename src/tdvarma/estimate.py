@@ -188,6 +188,8 @@ def fit(model: TdVarmaModel, series: Series, options: FitOptions) -> FitResult:
         raise ContractError(
             f"series length {series.n} is smaller than the parameter count {model.m}"
         )
+    if len(options.theta_init) != model.m:
+        raise ContractError(f"theta_init has {len(options.theta_init)} entries for {model.m} parameters")
     bounds = options.bounds if options.bounds is not None else model.layout.bounds
     work = model
     theta = np.asarray(options.theta_init, dtype=float)

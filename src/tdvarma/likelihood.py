@@ -5,10 +5,10 @@ block-lower-triangular operator applied to the series,
 
     e = (I + B_op)^{-1} (I - A_op) x,   (A_op x)_t = sum_i A_ti(theta) x_{t-i},
 
-so the exact likelihood needs no state-space filtering.  `_lag_sum`
-applies a lag operator and `_lag_solve` applies (I + C_op)^{-1} by forward
-substitution in t; the same solve gives all residual derivatives at once,
-and `simulate` applies the inverse operator to the scaled innovations.
+so the exact likelihood needs no state-space filtering.  `_lag_sum` applies a
+lag operator and `_lag_solve` applies (I + C_op)^{-1} by recursive doubling over
+the companion form; the same solve gives all residual derivatives at once, and
+`simulate` applies the inverse operator to the scaled innovations.
 The objective is
 
     Q_n(theta) = 0.5 * sum_t alpha_t + (r n / 2) log(2 pi),
@@ -73,15 +73,29 @@ def _lag_sum(c: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _lag_solve(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """y solving y_t + sum_i C_ti y_{t-i} = z_t forward in t (y_s = 0 for s < 1).
 
-    z is a (..., n, r) stack solved along its time axis; c is (k, n, r, r).
+    z is a (..., n, r) stack solved along its time axis; c is (k, n, r, r).  The
+    companion Phi_t, first block row -[C_t1 ... C_tk] and identities below, gives
+    Y_t = (y_t, ..., y_{t-k+1}) = Phi_t Y_{t-1} + (z_t, 0, ...).  At level d = 1, 2, 4, ...
+    each Y_t with t > d adds Phi_t ... Phi_{t-d+1} Y_{t-d}, and the products are then
+    composed to span 2d steps; each y_t sees the same operations whatever n is.
     """
-    y = z.copy()
-    if len(c) == 0:
-        return y
-    for t in range(1, y.shape[-2]):
-        for i in range(min(len(c), t)):
-            y[..., t, :] -= y[..., t - 1 - i, :] @ c[i, t].T
-    return y
+    k = len(c)
+    if k == 0:
+        return z.copy()
+    n, r = z.shape[-2:]
+    phi = np.zeros((n, k * r, k * r))
+    phi[:, :r] = -np.concatenate(c, axis=-1)
+    phi[:, r:, :-r] = np.eye((k - 1) * r)
+    phi[0] = 0.0  # it multiplies Y_0 = 0
+    v = np.zeros((n, k * r, math.prod(z.shape[:-2])))  # the stack runs along the columns
+    v[:, :r] = z.reshape(-1, n, r).transpose(1, 2, 0)
+    d = 1
+    while d < n:
+        v[d:] += phi[d:] @ v[:-d]
+        if 2 * d < n:
+            phi[d:] = phi[d:] @ phi[:-d]
+        d *= 2
+    return v[:, :r].transpose(2, 0, 1).reshape(z.shape)
 
 
 def _lag_coefs(funcs, n: int, r: int, theta) -> np.ndarray:
@@ -115,10 +129,13 @@ def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = Fa
 def _scale_derivs(model: TdVarmaModel, n: int, theta) -> np.ndarray:
     """d Sigma_t / d theta_i for all t and the scale slots i, which come last in theta,
     shape (n_scale, n, r, r); Sigma_t does not depend on the other slots."""
-    out = np.zeros((model.layout.n_scale, n, model.r, model.r))
-    ts = np.arange(1, n + 1)
-    for i, slot in enumerate(model.layout.scale_slots):
-        out[i] = model._sigma_t_deriv_any(ts, theta, (slot,))
+    slots = model.layout.scale_slots
+    out = np.zeros((len(slots), n, model.r, model.r))
+    if slots:  # one table over g_t and all its first derivatives
+        sig, _ = model._sigma_t_table(np.arange(1, n + 1), theta, [()] + [(s,) for s in slots])
+        for i, slot in enumerate(slots):
+            if (slot,) in sig:  # slots g_t does not use stay zero
+                out[i] = sig[(slot,)]
     return out
 
 

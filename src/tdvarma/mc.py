@@ -41,16 +41,17 @@ class McPlan:
     max_iters: int = 200
 
     def __post_init__(self):
-        object.__setattr__(self, "theta0", tuple(float(v) for v in self.theta0))
+        for name in ("theta0", "theta_init", "h0"):
+            if getattr(self, name) is not None:
+                value = tuple(float(v) for v in getattr(self, name))
+                object.__setattr__(self, name, value)
+                if len(value) != self.model.m:
+                    raise ConfigError(f"{name} has {len(value)} entries for {self.model.m} parameters")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if self.replications < 1:
             raise ConfigError("replication count must be at least 1")
         if any(n < self.model.m for n in self.n_list):
             raise ConfigError("every series length must be at least the parameter count")
-        if self.theta_init is not None:
-            object.__setattr__(self, "theta_init", tuple(float(v) for v in self.theta_init))
-        if self.h0 is not None:
-            object.__setattr__(self, "h0", tuple(float(v) for v in self.h0))
 
 
 @dataclass

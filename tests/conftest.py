@@ -103,6 +103,16 @@ def make_random_varma22(rng, r=3):
     return TdVarmaModel(r, [mat(0), mat(0)], [mat(4), mat(4)], None, np.eye(r), layout)
 
 
+def lag_solve_loop(c, z):
+    """Reference for `likelihood._lag_solve`: forward substitution one t at a time,
+    y_t = z_t - sum_i C_ti y_{t-i} with y_s = 0 for s < 1."""
+    y = z.copy()
+    for t in range(1, y.shape[-2]):
+        for i in range(min(len(c), t)):
+            y[..., t, :] -= y[..., t - 1 - i, :] @ c[i, t].T
+    return y
+
+
 def dense_lag_operator(funcs, theta, n, indices=()):
     """(n r)^2 matrix with the lag-i coefficient (or its derivative) of row t in block (t, t-i)."""
     r = funcs[0].rows

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tdvarma import examples, likelihood
-from tdvarma.errors import ContractError
-from tdvarma.estimate import FitOptions, _inverse_info, estimate_noise_cov, fit, wald_test
+from tdvarma.errors import ContractError, NumericalError
+from tdvarma.estimate import FitOptions, _inverse_info, _safe_value, estimate_noise_cov, fit, wald_test
 from tdvarma.model import ParamLayout, Series, TdVarmaModel
 from tdvarma.simulate import SimPlan, replication_stream, simulate
 from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Sine
@@ -103,6 +103,31 @@ def test_too_short_series_rejected():
     m = examples.example1_sim_model()
     with pytest.raises(ContractError):
         fit(m, Series(values=np.ones((2, 2))), FitOptions(theta_init=(0.1, 0.1, 0.1)))
+
+
+@pytest.mark.parametrize("theta_init", [(0.1, 0.1), (0.1,) * 4])
+def test_wrong_length_start_rejected(theta_init):
+    m = examples.example1_sim_model()
+    with pytest.raises(ContractError, match="theta_init"):
+        fit(m, simulate(SimPlan(m, m.layout.theta0, 30, 1)), FitOptions(theta_init=theta_init))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("b, finite", [(3.0, False), (1e3, False), (1e-200, True)])
+def test_exploding_moving_average_reads_as_inf(b, finite):
+    # pure MA(1) with B = b I: the residuals grow like b^t and overflow for b > 1
+    layout = ParamLayout(names=("b",), n_ar=0, n_ma=1, theta0=(0.0,))
+    ma = MatrixTimeFunction([[Param(0), Constant(0.0)], [Constant(0.0), Param(0)]])
+    m = TdVarmaModel(2, [], [ma], None, np.eye(2), layout)
+    series = Series(values=np.random.default_rng(8).standard_normal((2000, 2)))
+    theta = np.array([b])
+    if finite:
+        assert math.isfinite(_safe_value(m, series, theta))
+        assert math.isfinite(likelihood.objective(m, series, theta).q)
+    else:
+        assert _safe_value(m, series, theta) == math.inf
+        with pytest.raises(NumericalError):
+            likelihood.objective(m, series, theta)
 
 
 def test_noise_cov_moment_estimator_matches_direct(rng):

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from conftest import (
     assert_heads_match_entrywise,
     dense_residual_operator,
+    lag_solve_loop,
     make_random_varma22,
     make_scalar_arma11,
     make_sin_varma11,
 )
 from tdvarma import examples
 from tdvarma.errors import ContractError, SingularCovarianceError
-from tdvarma.likelihood import empirical_vw, objective, objective_value, residuals
+from tdvarma.likelihood import _lag_solve, _scale_derivs, empirical_vw, objective, objective_value, residuals
 from tdvarma.model import ParamLayout, Series, TdVarmaModel
 from tdvarma.representations import build_psi
 from tdvarma.simulate import SimPlan, simulate
@@ -289,3 +290,50 @@ def test_coefficient_tables_match_entrywise_path_for_random_varma(p, q, r, seed)
     theta = np.array(m.layout.theta0) + rng.uniform(-0.05, 0.05, size=m.m)
     for f in _all_matrices(m):
         assert_heads_match_entrywise(f, int(rng.integers(1, 60)), theta)
+
+
+def _lag_problem(rng, k, r, stack, n):
+    # absolute row sums below 0.5 over all lags keep the recursion bounded
+    c = rng.uniform(-0.5, 0.5, (k, n, r, r)) / max(k * r, 1)
+    return c, rng.standard_normal(stack + (n, r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(0, 3),
+    r=st.integers(1, 3),
+    stack=st.sampled_from([(), (5,), (2, 3)]),
+    n=st.sampled_from([1, 2, 3, 4, 5, 8, 9, 64, 65, 400]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lag_solve_matches_forward_substitution(k, r, stack, n, seed):
+    c, z = _lag_problem(np.random.default_rng(seed), k, r, stack, n)
+    z_before = z.copy()
+    ref = lag_solve_loop(c, z)
+    y = _lag_solve(c, z)
+    assert y.shape == z.shape
+    np.testing.assert_array_equal(z, z_before)
+    assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k, r, stack", [(1, 2, ()), (2, 3, (4,)), (3, 1, (2, 3))])
+def test_lag_solve_is_prefix_invariant(k, r, stack):
+    # each y_t goes through the same operations whatever the length of the solve
+    c, z = _lag_problem(np.random.default_rng(17), k, r, stack, 400)
+    full = _lag_solve(c, z)
+    for n0 in (3, 5, 6, 37, 100, 255, 257, 399):
+        np.testing.assert_array_equal(_lag_solve(c[:, :n0], z[..., :n0, :]), full[..., :n0, :])
+
+
+def test_objective_builds_the_scale_once_per_evaluation(monkeypatch):
+    m = examples.example2_model()
+    calls = []
+    deriv_map = m.g_func.deriv_map
+    monkeypatch.setattr(m.g_func, "deriv_map", lambda *a: calls.append(a) or deriv_map(*a))
+    series = simulate(SimPlan(m, m.layout.theta0, 60, 3))
+    theta = np.array(m.layout.theta0) + 0.05
+    objective(m, series, theta)
+    assert len(calls) == 1
+    ts = np.arange(1, 61)
+    per_slot = [m.sigma_t_deriv(ts, theta, (s,)) for s in m.layout.scale_slots]
+    np.testing.assert_array_equal(_scale_derivs(m, 60, theta), np.stack(per_slot))

@@ -156,3 +156,13 @@ def test_plan_validation():
         McPlan(model=m, theta0=m.layout.theta0, n_list=(2,), replications=10)
     with pytest.raises(ConfigError):
         McPlan(model=m, theta0=m.layout.theta0, replications=0)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("theta0", (0.1, 0.1)), ("theta_init", (0.1, 0.1)), ("theta_init", (0.1,) * 5), ("h0", (0.0,))],
+)
+def test_plan_rejects_wrong_length_vectors(name, value):
+    # each would otherwise fail every replication or raise in the middle of the run
+    with pytest.raises(ConfigError, match=name):
+        _small_plan(**{name: value})
