@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .asymptotics import theoretical_v
+from .asymptotics import _information_pass, theoretical_v  # perfbench/tracer.py wraps theoretical_v here
 from .errors import ContractError
 from .model import TdVarmaModel, _sym
 from .representations import _resid_rows
@@ -303,13 +303,9 @@ def check_information(
     model: TdVarmaModel, theta0, n_grid: Sequence[int] = (25, 50, 100)
 ) -> CheckResult:
     """Positive definiteness of the finite-horizon information matrix."""
-    min_eigs = {}
-    verdict = "pass"
-    for n in n_grid:
-        rep = theoretical_v(model, theta0, int(n))
-        min_eigs[int(n)] = rep.min_eigenvalue
-        if not rep.positive_definite:
-            verdict = "fail"
+    reports = _information_pass(model, theta0, n_grid)
+    min_eigs = {n: rep.min_eigenvalue for n, rep in reports.items()}
+    verdict = "pass" if all(rep.positive_definite for rep in reports.values()) else "fail"
     return CheckResult("information_pd", verdict, {"min_eigenvalue": min(min_eigs.values())}, {"min_eigs": min_eigs})
 
 

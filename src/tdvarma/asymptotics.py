@@ -13,7 +13,7 @@ vanish).  Theoretical standard errors are sqrt(diag(V^{-1}) / n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -46,32 +46,43 @@ def _se_from_v(v: np.ndarray, n: int) -> InfoReport:
     return InfoReport(n=n, v=v, se=se, positive_definite=pd, min_eigenvalue=min_eig)
 
 
-def theoretical_v(model: TdVarmaModel, theta0, n: int, kmax: Optional[int] = None) -> InfoReport:
-    """Information matrix via the MA expansion of the residual derivatives.
+def theoretical_v(model: TdVarmaModel, theta0, n: int) -> InfoReport:
+    """Information matrix via the MA expansion of the residual derivatives."""
+    return _information_pass(model, theta0, (n,))[int(n)]
 
-    The expansion is consumed one row per t, so memory stays linear in n.
+
+def _information_pass(model: TdVarmaModel, theta0, n_grid: Sequence[int]) -> dict:
+    """{n: InfoReport} for every n in n_grid, from one pass over t = 1..max(n_grid).
+
+    The lag part of V(n) is a running sum over t, read at each grid n as the pass
+    goes by; the expansion is consumed one row per t, so memory stays linear in n.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    m = model.m
-    sig = model.sigma_t_all(n, theta0)
+    n_grid = [int(n) for n in n_grid]
+    n_max = max(n_grid)
+    sig = model.sigma_t_all(n_max, theta0)
     try:
         siginv = np.linalg.inv(sig)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("singular residual covariance in the information sum") from exc
 
-    v = np.zeros((m, m))
-    for t, (_, row) in enumerate(_resid_rows(model, theta0, theta0, n, 1, kmax), 1):
-        slots = [i for i in range(m) if (i,) in row]
+    v = np.zeros((model.m, model.m))
+    partial = {}
+    for t, (_, row) in enumerate(_resid_rows(model, theta0, theta0, n_max, 1, None), 1):
+        slots = [i for i in range(model.m) if (i,) in row]
         K = row[()].shape[0] - 1
-        if K == 0 or not slots:
-            continue
-        d = np.stack([row[(i,)][1:] for i in slots])  # (slots, K, r, r)
-        # tr(psi_ik Sigma_{t-k} psi_jk' Sigma_t^{-1}) summed over k, for all pairs
-        left = (d @ sig[t - 2 :: -1][:K]).reshape(len(slots), -1)
-        right = (siginv[t - 1].T @ d).reshape(len(slots), -1)
-        v[np.ix_(slots, slots)] += left @ right.T
-    _add_scale_info(v, siginv, _scale_derivs(model, n, theta0))
-    return _se_from_v(v / n, n)
+        if K and slots:
+            d = np.stack([row[(i,)][1:] for i in slots])  # (slots, K, r, r)
+            # tr(psi_ik Sigma_{t-k} psi_jk' Sigma_t^{-1}) summed over k, for all pairs
+            left = (d @ sig[t - 2 :: -1][:K]).reshape(len(slots), -1)
+            right = (siginv[t - 1].T @ d).reshape(len(slots), -1)
+            v[np.ix_(slots, slots)] += left @ right.T
+        if t in n_grid:
+            partial[t] = v.copy()
+    dsig = _scale_derivs(model, n_max, theta0)
+    for n, vn in partial.items():
+        _add_scale_info(vn, siginv[:n], dsig[:, :n])
+    return {n: _se_from_v(partial[n] / n, n) for n in n_grid}
 
 
 def example1_v_closed(model: TdVarmaModel, theta0, n: int) -> InfoReport:

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, config
 from .errors import ConfigError, ContractError, NumericalError
 from .estimate import FitOptions, fit
-from .examples import EXAMPLE_IDS, build
+from .examples import EXAMPLE_IDS, build, paper_run
 from .mc import McPlan, estimates_to_csv, run_mc, summary_to_csv
 from .model import Series
 from .simulate import RNG_ALGORITHM, SimPlan, simulate
@@ -196,6 +196,8 @@ def _cmd_mc(args) -> int:
         estimate_sigma=run.estimate_sigma,
         sigma_iters=run.sigma_iters,
         max_iters=run.max_iters,
+        grad_tol=run.grad_tol,
+        step_tol=run.step_tol,
     )
     threads = _effective_threads(args)
     if args.estimates:
@@ -221,16 +223,8 @@ def _cmd_examples(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     written = []
     for name in _EXAMPLES[args.which]:
-        model = build(name)
-        # example 1 starts at 0.1 per coordinate and estimates sigma; example 2
-        # starts at the true value shifted by +0.1 per coordinate
-        first = name.startswith("example1")
-        run = config.RunConfig(
-            theta_init=(0.1,) * model.m if first else tuple(v + 0.1 for v in model.layout.theta0),
-            estimate_sigma=first,
-        )
         path = os.path.join(args.out, f"{name}.json")
-        config.dump(model, run, path)
+        config.dump(build(name), paper_run(name), path)
         written.append(path)
     sys.stdout.write("\n".join(written) + "\n")
     return 0

@@ -39,8 +39,12 @@ class McPlan:
     estimate_sigma: bool = False
     sigma_iters: int = 3
     max_iters: int = 200
+    grad_tol: float = FitOptions.grad_tol
+    step_tol: float = FitOptions.step_tol
 
     def __post_init__(self):
+        if self.theta0 is None:
+            raise ConfigError("a Monte Carlo study needs the true parameter theta0")
         for name in ("theta0", "theta_init", "h0"):
             if getattr(self, name) is not None:
                 value = tuple(float(v) for v in getattr(self, name))
@@ -103,6 +107,8 @@ def _one_replication(plan: McPlan, n: int, rep: int):
         estimate_sigma=plan.estimate_sigma,
         sigma_iters=plan.sigma_iters,
         max_iters=plan.max_iters,
+        grad_tol=plan.grad_tol,
+        step_tol=plan.step_tol,
     )
     m = plan.model.m
     try:

@@ -122,8 +122,9 @@ class TdVarmaModel:
     g_func : innovation scale matrix g_t(theta); identity when None.
     sigma : innovation covariance (symmetric positive definite, r x r).
     layout : parameter names / blocks / optional true value and bounds.
-    check_horizon : horizon over which g_t invertibility is verified eagerly
-        at construction when the layout supplies a true value.
+
+    When the layout supplies a true value, g_t is checked to be invertible
+    for t = 1..DEFAULT_CHECK_HORIZON at construction.
     """
 
     def __init__(
@@ -134,7 +135,6 @@ class TdVarmaModel:
         g_func: Optional[MatrixTimeFunction],
         sigma,
         layout: ParamLayout,
-        check_horizon: int = DEFAULT_CHECK_HORIZON,
     ):
         self.r = int(r)
         self.a_funcs = tuple(a_funcs)
@@ -142,7 +142,6 @@ class TdVarmaModel:
         self.g_func = MatrixTimeFunction.identity(r) if g_func is None else g_func
         self.sigma = _sym(np.asarray(sigma, dtype=float))
         self.layout = layout
-        self.check_horizon = int(check_horizon)
         self._fixed_scale: Optional[tuple] = None
         self._validate()
 
@@ -188,15 +187,11 @@ class TdVarmaModel:
                         f"{name} coefficients reference slots {sorted(extra)} outside their block"
                     )
         if lay.theta0 is not None:
-            self._check_scale_invertible(lay.theta0_array(), self.check_horizon)
-
-    def _check_scale_invertible(self, theta, horizon):
-        ts = np.arange(1, horizon + 1)
-        g = self.g_func.value(ts, theta)
-        dets = np.linalg.det(g)
-        bad = np.nonzero(np.abs(dets) < 1e-12)[0]
-        if bad.size:
-            raise ConfigError(f"scale matrix g_t is singular at t={int(ts[bad[0]])}")
+            ts = np.arange(1, DEFAULT_CHECK_HORIZON + 1)
+            dets = np.linalg.det(self.g_func.value(ts, lay.theta0_array()))
+            bad = np.nonzero(np.abs(dets) < 1e-12)[0]
+            if bad.size:
+                raise ConfigError(f"scale matrix g_t is singular at t={int(ts[bad[0]])}")
 
     def with_sigma(self, sigma) -> "TdVarmaModel":
         """Copy of the model with a replaced innovation covariance; it shares the

@@ -47,6 +47,8 @@ class SimPlan:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError("simulation length must be at least 1")
+        if self.theta0 is None:
+            raise ConfigError("simulation needs the true parameter theta0")
         object.__setattr__(self, "theta0", tuple(float(v) for v in self.theta0))
         if len(self.theta0) != self.model.m:
             raise ConfigError("theta0 length does not match the model parameter count")

@@ -10,7 +10,6 @@ back on numerical differentiation.
 
 from __future__ import annotations
 
-import math
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
@@ -397,5 +396,3 @@ def sorted_tuples(indices: Sequence[int], max_order: int) -> list[tuple[int, ...
     pool = sorted(set(indices))
     return [tau for order in range(max_order + 1) for tau in combinations_with_replacement(pool, order)]
 
-
-TWO_PI = 2.0 * math.pi

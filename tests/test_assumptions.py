@@ -23,6 +23,7 @@ from tdvarma.assumptions import (
     run_all,
     vec,
 )
+from tdvarma.asymptotics import theoretical_v
 from tdvarma.model import ParamLayout, TdVarmaModel
 from tdvarma.representations import _resid_rows
 from tdvarma.simulate import make_rng
@@ -153,6 +154,18 @@ def test_information_audit_examples():
         res = check_information(m, np.array(m.layout.theta0), n_grid=(25, 50, 100))
         assert res.verdict == "pass"
         assert res.constants["min_eigenvalue"] > 0
+
+
+@pytest.mark.parametrize("which", ["example1_sim", "example1_theory", "example2", "varma11"])
+def test_information_audit_matches_per_n_reports(which):
+    # one pass over the largest n gives each grid n exactly what its own call gives
+    m = make_sin_varma11(np.random.default_rng(909)) if which == "varma11" else examples.build(which)
+    th = np.array(m.layout.theta0)
+    grid = (50, 3, 25)
+    res = check_information(m, th, n_grid=grid)
+    assert list(res.details["min_eigs"]) == list(grid)
+    for n in grid:
+        assert res.details["min_eigs"][n] == theoretical_v(m, th, n).min_eigenvalue
 
 
 def test_cross_sums_bounded_for_example1(example1_sim):

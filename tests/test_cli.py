@@ -11,14 +11,14 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 CHECKS = {"psi_decay", "covariance_bounds", "moment_bounds", "information_pd", "cross_sums"}
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, command=CLI):
     env = os.environ.copy()
     # the child interpreter imports the package from this checkout, installed or not
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env, timeout=300
+        command + list(args), capture_output=True, text=True, env=env, timeout=300
     )
 
 
@@ -167,6 +167,48 @@ def test_usage_errors_exit_one(cfg_dir):
     assert res.returncode == 1
     res = run_cli("simulate")  # missing required --config
     assert res.returncode == 1
+
+
+def _edited_config(cfg_dir, tmp_path, edit):
+    doc = json.loads((cfg_dir / "example1_sim.json").read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_mc_honours_run_block_tolerances(cfg_dir, tmp_path):
+    loose = _edited_config(cfg_dir, tmp_path, lambda doc: doc["run"].update(grad_tol=1e-2))
+    outs = []
+    for cfg in (str(cfg_dir / "example1_sim.json"), loose):
+        outs.append(tmp_path / f"{len(outs)}.csv")
+        res = run_cli("mc", "--config", cfg, "--n-list", "25", "--replications", "5", "--out", str(outs[-1]))
+        assert res.returncode == 0, res.stderr
+    assert outs[0].read_bytes() != outs[1].read_bytes()
+
+
+def test_config_without_true_value_is_a_usage_error(cfg_dir, tmp_path):
+    cfg = _edited_config(cfg_dir, tmp_path, lambda doc: doc["model"]["layout"].update(theta0=None))
+    for args in (("simulate", "--n", "10"), ("mc", "--n-list", "25", "--replications", "2")):
+        res = run_cli(*args, "--config", cfg)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("table", [1, 2])
+def test_table_script_writes_outputs_and_cell_lines(table, tmp_path):
+    script = os.path.join(os.path.dirname(SRC), "scripts", "run_table.py")
+    res = run_cli("--table", str(table), "--n-list", "25", "--replications", "2", "--threads", "1",
+                  "--out", str(tmp_path), command=[sys.executable, script])
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "summary.csv").is_file() and (tmp_path / "estimates.csv").is_file()
+    shown = "abcd" if table == 1 else "acd"
+    labels = {"a": "mean estimate", "b": "mean est. se", "c": "sample std", "d": "rejection %"}
+    expected = ["n=25 (converged "] + [f"  ({line}) {labels[line]}" for line in shown]
+    lines = res.stdout.splitlines()
+    assert len(lines) == len(expected) + 1 and lines[-1].startswith("elapsed ")
+    for got, want in zip(lines, expected):
+        assert got.startswith(want), (got, want)
 
 
 def test_malformed_config_names_offending_key(tmp_path):

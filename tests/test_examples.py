@@ -1,7 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from tdvarma import examples
+from tdvarma import config, examples
 from tdvarma.errors import ConfigError
 from tdvarma.simulate import innovation_correlation
 
@@ -34,6 +37,14 @@ def test_builders_pass_construction_invariants():
     # construction is eager: positive definite noise and invertible scale to t=400
     for which in examples.EXAMPLE_IDS:
         examples.build(which)
+
+
+@pytest.mark.parametrize("which", examples.EXAMPLE_IDS)
+def test_shipped_config_matches_model_and_paper_run(which):
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{which}.json"
+    doc = json.loads(path.read_text())
+    assert doc["model"] == json.loads(json.dumps(config.model_to_config(examples.build(which))))
+    assert config.load(str(path))[1] == examples.paper_run(which)
 
 
 def test_example2_correlation_range():

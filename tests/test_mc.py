@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from tdvarma import examples
+from tdvarma import examples, mc
 from tdvarma.errors import ConfigError
+from tdvarma.estimate import FitOptions
 from tdvarma.model import ParamLayout, TdVarmaModel
 from tdvarma.timefn import Constant, MatrixTimeFunction, Param
 from tdvarma.mc import (
@@ -166,3 +167,22 @@ def test_plan_rejects_wrong_length_vectors(name, value):
     # each would otherwise fail every replication or raise in the middle of the run
     with pytest.raises(ConfigError, match=name):
         _small_plan(**{name: value})
+
+
+def test_plan_tolerances_reach_each_fit(monkeypatch):
+    assert (_small_plan().grad_tol, _small_plan().step_tol) == (FitOptions.grad_tol, FitOptions.step_tol)
+    seen = []
+    real_fit = mc.fit
+
+    def spy(model, series, opts):
+        seen.append((opts.grad_tol, opts.step_tol))
+        return real_fit(model, series, opts)
+
+    monkeypatch.setattr(mc, "fit", spy)
+    run_mc(_small_plan(replications=2, grad_tol=1e-3, step_tol=1e-8))
+    assert seen == [(1e-3, 1e-8)] * 2
+
+
+def test_plan_without_true_value_rejected():
+    with pytest.raises(ConfigError, match="theta0"):
+        _small_plan(theta0=None)

@@ -152,7 +152,7 @@ def test_singular_scale_detected_eagerly():
     a = MatrixTimeFunction([[Param(0)]])
     g = MatrixTimeFunction([[Param(1)]])  # zero at theta0: singular for every t
     with pytest.raises(ConfigError, match="singular at t=1"):
-        TdVarmaModel(1, [a], [], g, [[1.0]], layout, check_horizon=10)
+        TdVarmaModel(1, [a], [], g, [[1.0]], layout)
 
 
 def test_series_validation():

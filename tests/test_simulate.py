@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_sin_varma11
 from tdvarma import examples
-from tdvarma.errors import ContractError
+from tdvarma.errors import ConfigError, ContractError
 from tdvarma.likelihood import residuals
 from tdvarma.model import ParamLayout, TdVarmaModel
 from tdvarma.simulate import SimPlan, innovation_correlation, make_rng, simulate
@@ -91,3 +91,8 @@ def test_descaled_residual_covariance_matches_noise_cov(example2):
     # entries are averages of products with O(1) variance: 3 mc standard errors
     se = 3.0 / np.sqrt(n)
     assert np.max(np.abs(emp - example2.sigma)) < 3 * se * 2.0
+
+
+def test_plan_without_true_value_rejected():
+    with pytest.raises(ConfigError, match="theta0"):
+        SimPlan(examples.example1_sim_model(), None, 10, 1)
