@@ -51,28 +51,20 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--table", type=int, choices=sorted(TABLES), required=True)
     ap.add_argument("--out", default=None, help="output directory (default tableT_out)")
-    ap.add_argument("--replications", type=int, default=1000)
-    ap.add_argument("--n-list", default="25,50,100,200,400")
+    ap.add_argument("--replications", type=int, default=None, help="default from the example's run (1000)")
+    ap.add_argument("--n-list", default=None, help="default from the example's run (25,50,100,200,400)")
     ap.add_argument("--seed", type=int, default=None, help="default 1234567 for table 1, 7 for table 2")
     ap.add_argument("--threads", type=int, default=max(1, (os.cpu_count() or 2) - 1))
     args = ap.parse_args()
 
     which, seed, shown, published = TABLES[args.table]
     out = args.out or f"table{args.table}_out"
-    model = examples.build(which)
-    run = examples.paper_run(which)
-    plan = McPlan(
-        model=model,
-        theta0=model.layout.theta0,
-        n_list=tuple(int(v) for v in args.n_list.split(",")),
+    plan = McPlan.from_run(
+        examples.build(which),
+        examples.paper_run(which),
+        n_list=tuple(int(v) for v in args.n_list.split(",")) if args.n_list else None,
         replications=args.replications,
         seed=seed if args.seed is None else args.seed,
-        theta_init=run.theta_init,
-        estimate_sigma=run.estimate_sigma,
-        sigma_iters=run.sigma_iters,
-        max_iters=run.max_iters,
-        grad_tol=run.grad_tol,
-        step_tol=run.step_tol,
     )
     t0 = time.time()
     summary, rows = run_mc(plan, threads=args.threads, collect_estimates=True)

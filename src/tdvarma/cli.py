@@ -185,19 +185,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_mc(args) -> int:
     model, run = config.load(args.config)
-    seed = args.seed if args.seed is not None else run.seed
-    plan = McPlan(
-        model=model,
-        theta0=model.layout.theta0,
-        n_list=tuple(int(v) for v in args.n_list.split(",")) if args.n_list else run.n_list,
-        replications=args.replications if args.replications is not None else run.replications,
-        seed=seed,
-        theta_init=run.theta_init,
-        estimate_sigma=run.estimate_sigma,
-        sigma_iters=run.sigma_iters,
-        max_iters=run.max_iters,
-        grad_tol=run.grad_tol,
-        step_tol=run.step_tol,
+    plan = McPlan.from_run(
+        model,
+        run,
+        n_list=tuple(int(v) for v in args.n_list.split(",")) if args.n_list else None,
+        replications=args.replications,
+        seed=args.seed,
     )
     threads = _effective_threads(args)
     if args.estimates:

@@ -7,7 +7,7 @@ block-lower-triangular operator applied to the series,
 
 so the exact likelihood needs no state-space filtering.  `_lag_sum` applies a
 lag operator and `_lag_solve` applies (I + C_op)^{-1} by recursive doubling over
-the companion form; the same solve gives all residual derivatives at once, and
+the companion form; the same companion products give all residual derivatives, and
 `simulate` applies the inverse operator to the scaled innovations.
 The objective is
 
@@ -79,23 +79,37 @@ def _lag_solve(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     each Y_t with t > d adds Phi_t ... Phi_{t-d+1} Y_{t-d}, and the products are then
     composed to span 2d steps; each y_t sees the same operations whatever n is.
     """
+    return _lag_solver(c, z.shape[-2])(z)
+
+
+def _lag_solver(c: np.ndarray, n: int):
+    """`_lag_solve(c, .)` for right-hand sides of length n, as a function of z.  The
+    companion products of every level are composed once, and every z reuses them."""
     k = len(c)
     if k == 0:
-        return z.copy()
-    n, r = z.shape[-2:]
+        return np.copy
+    r = c.shape[-1]
     phi = np.zeros((n, k * r, k * r))
     phi[:, :r] = -np.concatenate(c, axis=-1)
     phi[:, r:, :-r] = np.eye((k - 1) * r)
     phi[0] = 0.0  # it multiplies Y_0 = 0
-    v = np.zeros((n, k * r, math.prod(z.shape[:-2])))  # the stack runs along the columns
-    v[:, :r] = z.reshape(-1, n, r).transpose(1, 2, 0)
+    levels = []  # (d, Phi^(d)) with row t >= d of Phi^(d) the product Phi_t ... Phi_{t-d+1}
     d = 1
     while d < n:
-        v[d:] += phi[d:] @ v[:-d]
+        levels.append((d, phi))
         if 2 * d < n:
+            phi = phi.copy()
             phi[d:] = phi[d:] @ phi[:-d]
         d *= 2
-    return v[:, :r].transpose(2, 0, 1).reshape(z.shape)
+
+    def solve(z: np.ndarray) -> np.ndarray:
+        v = np.zeros((n, k * r, math.prod(z.shape[:-2])))  # the stack runs along the columns
+        v[:, :r] = z.reshape(-1, n, r).transpose(1, 2, 0)
+        for d, phi_d in levels:
+            v[d:] += phi_d[d:] @ v[:-d]
+        return v[:, :r].transpose(2, 0, 1).reshape(z.shape)
+
+    return solve
 
 
 def _lag_coefs(funcs, n: int, r: int, theta) -> np.ndarray:
@@ -110,8 +124,8 @@ def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = Fa
     theta = np.asarray(theta, dtype=float)
     x = series.values
     n, r = x.shape
-    b_all = _lag_coefs(model.b_funcs, n, r, theta)
-    e = _lag_solve(b_all, x - _lag_sum(_lag_coefs(model.a_funcs, n, r, theta), x))
+    solve = _lag_solver(_lag_coefs(model.b_funcs, n, r, theta), n)  # shared by e and de
+    e = solve(x - _lag_sum(_lag_coefs(model.a_funcs, n, r, theta), x))
     de = None
     if with_derivs:
         # row k: -(sum_i d_k A_ti x_{t-i} + sum_j d_k B_tj e_{t-j}), then the same solve as e
@@ -120,7 +134,7 @@ def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = Fa
             for lag, f in enumerate(funcs, 1):
                 slots, d = f.head_grad(n, theta)
                 de[list(slots)] -= np.einsum("ktrs,ts->ktr", d, _lagged(y, lag))
-        de = _lag_solve(b_all, de)
+        de = solve(de)
 
     sigma_all, chol = model.sigma_chol_all(n, theta)
     return ResidualSet(e=e, sigma=sigma_all, chol=chol, de=de)

@@ -12,11 +12,12 @@ from __future__ import annotations
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ConfigError, NumericalError
 from .estimate import FitOptions, FitResult, fit, wald_test
 from .model import TdVarmaModel
@@ -56,6 +57,19 @@ class McPlan:
             raise ConfigError("replication count must be at least 1")
         if any(n < self.model.m for n in self.n_list):
             raise ConfigError("every series length must be at least the parameter count")
+
+    @classmethod
+    def from_run(
+        cls, model: TdVarmaModel, run: RunConfig, n_list=None, replications=None, seed=None
+    ) -> "McPlan":
+        """The plan of a config's run block for model, at the true value of its layout.
+        Every run key the plan shares reaches it; n_list, replications and seed
+        replace the block's values when given."""
+        keys = {f.name for f in fields(cls)}
+        block = {k: v for k, v in asdict(run).items() if k in keys}
+        given = dict(n_list=n_list, replications=replications, seed=seed)
+        block.update({k: v for k, v in given.items() if v is not None})
+        return cls(model=model, theta0=model.layout.theta0, **block)
 
 
 @dataclass

@@ -16,7 +16,7 @@ def pytest_terminal_summary(terminalreporter):
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"{status}  {criterion}: {detail}")
 from tdvarma.model import ParamLayout, TdVarmaModel
-from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Product, Sine
+from tdvarma.timefn import Constant, ExpSine, MatrixTimeFunction, Param, Product, Sine
 
 
 @pytest.fixture(scope="session")
@@ -101,6 +101,44 @@ def make_random_varma22(rng, r=3):
     theta0 = tuple(np.concatenate([rng.uniform(lo, hi, 2) for lo, hi in bounds]))
     layout = ParamLayout(names=tuple(f"p{i}" for i in range(8)), n_ar=4, n_ma=4, theta0=theta0)
     return TdVarmaModel(r, [mat(0), mat(0)], [mat(4), mat(4)], None, np.eye(r), layout)
+
+
+def make_random_varma(rng, p, q, r):
+    """VARMA(p, q) with Sine or Product(Sine, Param) entries and a diagonal ExpSine scale.
+
+    Each nonempty lag block has two amplitude slots and one factor slot; the
+    diagonal entries of the scale take min(r, 2) slots in turn.
+    """
+    slots = iter(range(100))
+
+    def block(order):
+        if not order:
+            return [], ()
+        amps, factor = (next(slots), next(slots)), next(slots)
+
+        def entry():
+            sine = Sine(amps[int(rng.integers(2))], rng.uniform(0.05, 2.0), rng.uniform(0, 2 * np.pi))
+            return sine if rng.uniform() < 0.5 else Product(sine, Param(factor))
+
+        mats = [MatrixTimeFunction([[entry() for _ in range(r)] for _ in range(r)]) for _ in range(order)]
+        # absolute row sums total at most 0.4 over all lags: stable and invertible lag polynomials
+        return mats, (*rng.uniform(-0.4, 0.4, 2) / (r * order), rng.uniform(0.5, 1.0))
+
+    a_funcs, a_theta = block(p)
+    b_funcs, b_theta = block(q)
+    scale = [next(slots) for _ in range(min(r, 2))]
+    g = MatrixTimeFunction(
+        [
+            [ExpSine(scale[i % len(scale)], rng.uniform(0.05, 2.0), rng.uniform(0, 2 * np.pi))
+             if i == j else Constant(0.0) for j in range(r)]
+            for i in range(r)
+        ]
+    )
+    theta0 = (*a_theta, *b_theta, *rng.uniform(-0.5, 0.5, len(scale)))
+    layout = ParamLayout(
+        names=tuple(f"p{i}" for i in range(len(theta0))), n_ar=len(a_theta), n_ma=len(b_theta), theta0=theta0
+    )
+    return TdVarmaModel(r, a_funcs, b_funcs, g, np.eye(r), layout)
 
 
 def lag_solve_loop(c, z):

@@ -1,13 +1,22 @@
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import make_random_varma, make_random_varma22
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tdvarma import examples
-from tdvarma.asymptotics import example1_v_closed, example2_trace_terms, theoretical_v
-from tdvarma.errors import ContractError
+from tdvarma import asymptotics, examples
+from tdvarma.assumptions import check_information
+from tdvarma.asymptotics import _information_pass, example1_v_closed, example2_trace_terms, theoretical_v
+from tdvarma.errors import ContractError, NumericalError
+from tdvarma.likelihood import _add_scale_info, _scale_derivs
 from tdvarma.mc import McPlan, run_mc
+from tdvarma.model import ParamLayout, TdVarmaModel
+from tdvarma.representations import _resid_rows
+from tdvarma.timefn import Constant, MatrixTimeFunction, Param
 
 
 def covariance_recursion_v(model, theta0, n):
@@ -33,6 +42,83 @@ def covariance_recursion_v(model, theta0, n):
                     v[j, i] += val
         cov_prev = a_t @ cov_prev @ a_t.T + sig_t
     return v / n
+
+
+def ma_expansion_v(model, theta0, n_grid):
+    """Independent oracle for any VARMA(p, q): {n: V(n)} from the MA expansion
+    de_t = sum_k psi_tk eta_{t-k} of the residual derivatives, whose terms are
+    uncorrelated across k, so E[de_ti de_tj'] = sum_k psi_tik Sigma_{t-k} psi_tjk'."""
+    th = np.asarray(theta0, dtype=float)
+    n_max = max(n_grid)
+    sig = model.sigma_t_all(n_max, th)
+    siginv = np.linalg.inv(sig)
+    v = np.zeros((model.m, model.m))
+    out = {}
+    for t, (_, row) in enumerate(_resid_rows(model, th, th, n_max, 1, None), 1):
+        # psi[i, k-1] = psi_tik for k = 1..t-1, zero for slots the residuals do not use
+        zero = np.zeros_like(row[()][1:])
+        psi = np.stack([row[(i,)][1:] if (i,) in row else zero for i in range(model.m)])
+        lagged = sig[t - 2 :: -1][: t - 1]  # Sigma_{t-k} for k = 1..t-1
+        v += np.einsum("ab,ikbc,kcd,jkad->ij", siginv[t - 1], psi, lagged, psi, optimize=True)
+        if t in n_grid:
+            out[t] = v.copy()
+    dsig = _scale_derivs(model, n_max, th)
+    for n, vn in out.items():
+        _add_scale_info(vn, siginv[:n], dsig[:, :n])
+        vn /= n
+    return out
+
+
+def _assert_matches_ma_expansion(model, n_grid):
+    th = np.array(model.layout.theta0)
+    want = ma_expansion_v(model, th, n_grid)
+    # V(n) before its standard errors: a draw need not be identified at every n
+    with mock.patch.object(asymptotics, "_se_from_v", lambda v, n: v):
+        got = _information_pass(model, th, n_grid)
+    assert list(got) == list(n_grid)
+    for n in n_grid:
+        np.testing.assert_allclose(got[n], want[n], rtol=1e-12, atol=1e-12 * np.abs(want[n]).max())
+    return want
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.integers(0, 2), q=st.integers(0, 2), r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_state_recursion_matches_ma_expansion_for_random_varma(p, q, r, seed):
+    _assert_matches_ma_expansion(make_random_varma(np.random.default_rng(seed), p, q, r), (1, 2, 9, 30))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_state_recursion_matches_ma_expansion_for_varma22(seed):
+    _assert_matches_ma_expansion(make_random_varma22(np.random.default_rng(seed)), (40, 3, 17))
+
+
+def test_state_recursion_matches_ma_expansion_for_example2(example2):
+    # the ExpSine scale makes Sigma_t vary, so each lag k sees its own Sigma_{t-k}
+    want = _assert_matches_ma_expansion(example2, (25, 50, 100, 400))
+    th = np.array(example2.layout.theta0)
+    for n, v in want.items():
+        got = theoretical_v(example2, th, n).v
+        np.testing.assert_allclose(got, v, rtol=1e-12, atol=1e-12 * np.abs(v).max())
+
+
+def test_information_rejects_horizons_below_one(example2):
+    th = np.array(example2.layout.theta0)
+    with pytest.raises(ContractError):
+        theoretical_v(example2, th, 0)
+    with pytest.raises(ContractError):
+        check_information(example2, th, n_grid=())
+    with pytest.raises(ContractError):
+        check_information(example2, th, n_grid=(25, 0))
+
+
+def test_information_reports_singular_residual_covariance():
+    # g_t = diag(s, 1) is singular at s = 0, a value the layout's theta0 avoids
+    layout = ParamLayout(names=("a", "s"), n_ar=1, n_ma=0, theta0=(0.5, 1.0))
+    a = MatrixTimeFunction([[Param(0), Constant(0.0)], [Constant(0.0), Constant(0.3)]])
+    g = MatrixTimeFunction([[Param(1), Constant(0.0)], [Constant(0.0), Constant(1.0)]])
+    model = TdVarmaModel(2, [a], [], g, np.eye(2), layout)
+    with pytest.raises(NumericalError):
+        theoretical_v(model, np.array([0.5, 0.0]), 10)
 
 
 @pytest.mark.parametrize("which", ["example1_sim", "example1_theory", "example2"])

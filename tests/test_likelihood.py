@@ -9,17 +9,28 @@ from conftest import (
     assert_heads_match_entrywise,
     dense_residual_operator,
     lag_solve_loop,
+    make_random_varma,
     make_random_varma22,
     make_scalar_arma11,
     make_sin_varma11,
 )
 from tdvarma import examples
 from tdvarma.errors import ContractError, SingularCovarianceError
-from tdvarma.likelihood import _lag_solve, _scale_derivs, empirical_vw, objective, objective_value, residuals
+from tdvarma.likelihood import (
+    _lag_coefs,
+    _lag_solve,
+    _lag_sum,
+    _lagged,
+    _scale_derivs,
+    empirical_vw,
+    objective,
+    objective_value,
+    residuals,
+)
 from tdvarma.model import ParamLayout, Series, TdVarmaModel
 from tdvarma.representations import build_psi
 from tdvarma.simulate import SimPlan, simulate
-from tdvarma.timefn import Constant, ExpSine, MatrixTimeFunction, Param, Product, Sine
+from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Sine
 
 
 def test_zero_model_residuals_equal_series(rng):
@@ -91,49 +102,11 @@ def test_gradient_matches_fd_with_moving_average_part(rng):
         assert rep.grad[i] == pytest.approx(fd, rel=2e-6, abs=1e-6)
 
 
-def _random_varma(rng, p, q, r):
-    """VARMA(p, q) with Sine or Product(Sine, Param) entries and a diagonal ExpSine scale.
-
-    Each nonempty lag block has two amplitude slots and one factor slot; the
-    diagonal entries of the scale take min(r, 2) slots in turn.
-    """
-    slots = iter(range(100))
-
-    def block(order):
-        if not order:
-            return [], ()
-        amps, factor = (next(slots), next(slots)), next(slots)
-
-        def entry():
-            sine = Sine(amps[int(rng.integers(2))], rng.uniform(0.05, 2.0), rng.uniform(0, 2 * np.pi))
-            return sine if rng.uniform() < 0.5 else Product(sine, Param(factor))
-
-        mats = [MatrixTimeFunction([[entry() for _ in range(r)] for _ in range(r)]) for _ in range(order)]
-        # absolute row sums total at most 0.4 over all lags: stable and invertible lag polynomials
-        return mats, (*rng.uniform(-0.4, 0.4, 2) / (r * order), rng.uniform(0.5, 1.0))
-
-    a_funcs, a_theta = block(p)
-    b_funcs, b_theta = block(q)
-    scale = [next(slots) for _ in range(min(r, 2))]
-    g = MatrixTimeFunction(
-        [
-            [ExpSine(scale[i % len(scale)], rng.uniform(0.05, 2.0), rng.uniform(0, 2 * np.pi))
-             if i == j else Constant(0.0) for j in range(r)]
-            for i in range(r)
-        ]
-    )
-    theta0 = (*a_theta, *b_theta, *rng.uniform(-0.5, 0.5, len(scale)))
-    layout = ParamLayout(
-        names=tuple(f"p{i}" for i in range(len(theta0))), n_ar=len(a_theta), n_ma=len(b_theta), theta0=theta0
-    )
-    return TdVarmaModel(r, a_funcs, b_funcs, g, np.eye(r), layout)
-
-
 @settings(max_examples=25, deadline=None)
 @given(p=st.integers(0, 2), q=st.integers(0, 2), r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_score_matches_fd_for_random_varma(p, q, r, seed):
     rng = np.random.default_rng(seed)
-    m = _random_varma(rng, p, q, r)
+    m = make_random_varma(rng, p, q, r)
     th0 = np.array(m.layout.theta0)
     series = simulate(SimPlan(m, m.layout.theta0, 40, seed))
     assert _worst_fd_error(m, series, th0 + rng.uniform(-0.05, 0.05, size=th0.size)) < 2e-6
@@ -286,7 +259,7 @@ def test_coefficient_tables_match_entrywise_path(which):
 @given(p=st.integers(0, 2), q=st.integers(0, 2), r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_coefficient_tables_match_entrywise_path_for_random_varma(p, q, r, seed):
     rng = np.random.default_rng(seed)
-    m = _random_varma(rng, p, q, r)
+    m = make_random_varma(rng, p, q, r)
     theta = np.array(m.layout.theta0) + rng.uniform(-0.05, 0.05, size=m.m)
     for f in _all_matrices(m):
         assert_heads_match_entrywise(f, int(rng.integers(1, 60)), theta)
@@ -323,6 +296,30 @@ def test_lag_solve_is_prefix_invariant(k, r, stack):
     full = _lag_solve(c, z)
     for n0 in (3, 5, 6, 37, 100, 255, 257, 399):
         np.testing.assert_array_equal(_lag_solve(c[:, :n0], z[..., :n0, :]), full[..., :n0, :])
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_residual_solves_share_companion_products(q):
+    # e and de come from one set of companion products; each equals its own
+    # two-call solve bit for bit, and the per-t forward substitution to rounding
+    rng = np.random.default_rng(31 + q)
+    m = make_random_varma(rng, 2, q, 3)
+    series = simulate(SimPlan(m, m.layout.theta0, 70, 5))
+    theta = np.array(m.layout.theta0) + rng.uniform(-0.05, 0.05, size=m.m)
+    res = residuals(m, series, theta, with_derivs=True)
+    x, (n, r) = series.values, series.values.shape
+    b_all = _lag_coefs(m.b_funcs, n, r, theta)
+    rhs = x - _lag_sum(_lag_coefs(m.a_funcs, n, r, theta), x)
+    e = _lag_solve(b_all, rhs)
+    de_rhs = np.zeros((m.m, n, r))
+    for funcs, y in ((m.a_funcs, x), (m.b_funcs, e)):
+        for lag, f in enumerate(funcs, 1):
+            slots, d = f.head_grad(n, theta)
+            de_rhs[list(slots)] -= np.einsum("ktrs,ts->ktr", d, _lagged(y, lag))
+    np.testing.assert_array_equal(res.e, e)
+    np.testing.assert_array_equal(res.de, _lag_solve(b_all, de_rhs))
+    for got, ref in ((res.e, lag_solve_loop(b_all, rhs)), (res.de, lag_solve_loop(b_all, de_rhs))):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_objective_builds_the_scale_once_per_evaluation(monkeypatch):

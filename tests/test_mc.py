@@ -1,7 +1,13 @@
+import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tdvarma import examples, mc
+from tdvarma.config import RunConfig
 from tdvarma.errors import ConfigError
 from tdvarma.estimate import FitOptions
 from tdvarma.model import ParamLayout, TdVarmaModel
@@ -14,6 +20,8 @@ from tdvarma.mc import (
     summary_from_csv,
     summary_to_csv,
 )
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _small_plan(**kw):
@@ -186,3 +194,70 @@ def test_plan_tolerances_reach_each_fit(monkeypatch):
 def test_plan_without_true_value_rejected():
     with pytest.raises(ConfigError, match="theta0"):
         _small_plan(theta0=None)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _capture_plan(monkeypatch, namespace) -> list:
+    """Replace run_mc in namespace by a stub that records its plan and stops the run."""
+    plans = []
+
+    def stub(plan, **kw):
+        plans.append(plan)
+        raise _Captured
+
+    monkeypatch.setattr(namespace, "run_mc", stub)
+    return plans
+
+
+# every run key except n, which sets the length of a single simulate or fit
+_RUN_BLOCK = dict(
+    seed=11, replications=3, n_list=(30, 40), theta_init=(0.2, 0.3, -0.4), estimate_sigma=True,
+    sigma_iters=5, max_iters=17, grad_tol=1e-3, step_tol=1e-7,
+)
+
+
+def _assert_run_reaches_plan(plan, run, **overrides):
+    # a key left at its default could not tell a dropped value from a copied one
+    assert {f.name for f in dataclasses.fields(RunConfig)} - set(_RUN_BLOCK) == {"n"}
+    for key in _RUN_BLOCK:
+        assert getattr(run, key) != getattr(RunConfig(), key), key
+        assert getattr(plan, key) == overrides.get(key, getattr(run, key)), key
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(seed=99, replications=2, n_list=(35,))])
+def test_every_run_key_reaches_the_plan_from_the_cli(monkeypatch, tmp_path, overrides):
+    from tdvarma import cli, config
+
+    model = examples.example1_sim_model()
+    run = RunConfig(**_RUN_BLOCK)
+    path = tmp_path / "cfg.json"
+    config.dump(model, run, str(path))
+    plans = _capture_plan(monkeypatch, cli)
+    argv = ["mc", "--config", str(path), "--out", str(tmp_path / "out.csv")]
+    if overrides:
+        argv += ["--seed", "99", "--replications", "2", "--n-list", "35"]
+    with pytest.raises(_Captured):
+        cli.main(argv)
+    _assert_run_reaches_plan(plans[0], run, **overrides)
+    assert plans[0] == McPlan.from_run(model, run, **overrides)
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(seed=99, replications=2, n_list=(35,))])
+def test_every_run_key_reaches_the_plan_from_the_table_script(monkeypatch, tmp_path, overrides):
+    spec = importlib.util.spec_from_file_location("run_table", SCRIPTS / "run_table.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    run = RunConfig(**_RUN_BLOCK)
+    monkeypatch.setattr(examples, "paper_run", lambda which: run)
+    plans = _capture_plan(monkeypatch, script)
+    argv = ["run_table.py", "--table", "1", "--out", str(tmp_path)]
+    if overrides:
+        argv += ["--seed", "99", "--replications", "2", "--n-list", "35"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(_Captured):
+        script.main()
+    # the table fixes its own seed; the rest of the run block reaches the plan
+    _assert_run_reaches_plan(plans[0], run, **{"seed": script.TABLES[1][1], **overrides})
