@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ContractError, NumericalError
 from .model import TdVarmaModel
-from .likelihood import _add_scale_info, _lag_coefs, _scale_derivs
+from .likelihood import _add_scale_info, _lag_coefs
 from .representations import _triangular_var1_params, triangular_var1_product
 from .representations import build_psi  # unused here; perfbench/tracer.py wraps this name
 
@@ -41,10 +41,13 @@ class InfoReport:
 
 
 def _se_from_v(v: np.ndarray, n: int) -> InfoReport:
+    """V is positive definite when its smallest eigenvalue exceeds the rounding
+    level of its largest, m * eps * lambda_max (numpy's matrix-rank tolerance);
+    a smaller one is a null direction that rounded positive."""
     v = 0.5 * (v + v.T)
     eigvals = np.linalg.eigvalsh(v)
     min_eig = float(eigvals[0])
-    pd = bool(min_eig > 0.0)
+    pd = bool(min_eig > v.shape[0] * np.finfo(float).eps * max(float(eigvals[-1]), 0.0))
     se = None
     if pd:
         se = np.sqrt(np.diag(np.linalg.inv(v)) / n)
@@ -68,7 +71,7 @@ def _information_pass(model: TdVarmaModel, theta0, n_grid: Sequence[int]) -> dic
     if not n_grid or min(n_grid) < 1:
         raise ContractError("information horizons must be a non-empty list of integers >= 1")
     n_max = max(n_grid)
-    sig = model.sigma_t_all(n_max, theta0)
+    sig, _, dsig = model.sigma_chol_all(n_max, theta0, derivs=True)
     try:
         siginv = np.linalg.inv(sig)
     except np.linalg.LinAlgError as exc:
@@ -85,7 +88,6 @@ def _information_pass(model: TdVarmaModel, theta0, n_grid: Sequence[int]) -> dic
     # tr(Sigma_t^{-1} H_ti P_{t-1} H_tj') for all slot pairs (i, j), summed over t
     left = ((siginv[:, None] @ readout) @ cov[:, None]).reshape(n_max, m_arma, r * dim)
     lag = np.cumsum(left @ readout.reshape(n_max, m_arma, r * dim).transpose(0, 2, 1), axis=0)
-    dsig = _scale_derivs(model, n_max, theta0)
     out = {}
     for n in n_grid:
         v = np.zeros((model.m, model.m))

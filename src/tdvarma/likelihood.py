@@ -41,6 +41,7 @@ class ResidualSet:
     sigma: np.ndarray        # (n, r, r)
     chol: np.ndarray         # (n, r, r)
     de: Optional[np.ndarray]  # (m, n, r) or None
+    dsig: Optional[np.ndarray]  # (n_scale, n, r, r), d sigma by the scale slots, or None
 
 
 @dataclass
@@ -118,7 +119,8 @@ def _lag_coefs(funcs, n: int, r: int, theta) -> np.ndarray:
 
 
 def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = False) -> ResidualSet:
-    """One-step residuals e_t(theta), their covariances, and optionally d e_t / d theta."""
+    """One-step residuals e_t(theta), their covariances, and optionally d e_t / d theta
+    and d Sigma_t / d theta."""
     if series.r != model.r:
         raise ContractError(f"series dimension {series.r} does not match model dimension {model.r}")
     theta = np.asarray(theta, dtype=float)
@@ -126,31 +128,18 @@ def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = Fa
     n, r = x.shape
     solve = _lag_solver(_lag_coefs(model.b_funcs, n, r, theta), n)  # shared by e and de
     e = solve(x - _lag_sum(_lag_coefs(model.a_funcs, n, r, theta), x))
-    de = None
-    if with_derivs:
-        # row k: -(sum_i d_k A_ti x_{t-i} + sum_j d_k B_tj e_{t-j}), then the same solve as e
-        de = np.zeros((model.m, n, r))
-        for funcs, y in ((model.a_funcs, x), (model.b_funcs, e)):
-            for lag, f in enumerate(funcs, 1):
-                slots, d = f.head_grad(n, theta)
-                de[list(slots)] -= np.einsum("ktrs,ts->ktr", d, _lagged(y, lag))
-        de = solve(de)
-
-    sigma_all, chol = model.sigma_chol_all(n, theta)
-    return ResidualSet(e=e, sigma=sigma_all, chol=chol, de=de)
-
-
-def _scale_derivs(model: TdVarmaModel, n: int, theta) -> np.ndarray:
-    """d Sigma_t / d theta_i for all t and the scale slots i, which come last in theta,
-    shape (n_scale, n, r, r); Sigma_t does not depend on the other slots."""
-    slots = model.layout.scale_slots
-    out = np.zeros((len(slots), n, model.r, model.r))
-    if slots:  # one table over g_t and all its first derivatives
-        sig, _ = model._sigma_t_table(np.arange(1, n + 1), theta, [()] + [(s,) for s in slots])
-        for i, slot in enumerate(slots):
-            if (slot,) in sig:  # slots g_t does not use stay zero
-                out[i] = sig[(slot,)]
-    return out
+    if not with_derivs:
+        sigma_all, chol = model.sigma_chol_all(n, theta)
+        return ResidualSet(e=e, sigma=sigma_all, chol=chol, de=None, dsig=None)
+    # row k: -(sum_i d_k A_ti x_{t-i} + sum_j d_k B_tj e_{t-j}), then the same solve as e
+    de = np.zeros((model.m, n, r))
+    for funcs, y in ((model.a_funcs, x), (model.b_funcs, e)):
+        for lag, f in enumerate(funcs, 1):
+            slots, d = f.head_grad(n, theta)
+            de[list(slots)] -= np.einsum("ktrs,ts->ktr", d, _lagged(y, lag))
+    de = solve(de)
+    sigma_all, chol, dsig = model.sigma_chol_all(n, theta, derivs=True)
+    return ResidualSet(e=e, sigma=sigma_all, chol=chol, de=de, dsig=dsig)
 
 
 def objective_value(model: TdVarmaModel, series: Series, theta) -> float:
@@ -170,9 +159,10 @@ def _q(alphas: np.ndarray, r: int) -> float:
     return 0.5 * float(np.sum(alphas)) + 0.5 * r * alphas.shape[0] * math.log(2.0 * math.pi)
 
 
-def _score_rows(res: ResidualSet, w: np.ndarray, siginv: np.ndarray, dsig: np.ndarray) -> np.ndarray:
+def _score_rows(res: ResidualSet, w: np.ndarray, siginv: np.ndarray) -> np.ndarray:
     """Rows d alpha_t / d theta, shape (n, m), given w_t = Sigma_t^{-1} e_t."""
     rows = 2.0 * np.einsum("tr,itr->ti", w, res.de)
+    dsig = res.dsig
     k = dsig.shape[0]  # the scale slots come last, and the residuals do not depend on them
     if k:
         rows[:, -k:] += np.einsum("tsr,itrs->ti", siginv, dsig) - np.einsum("tr,itrs,ts->ti", w, dsig, w)
@@ -187,12 +177,12 @@ def _add_scale_info(info: np.ndarray, siginv: np.ndarray, dsig: np.ndarray) -> N
         info[-dsig.shape[0]:, -dsig.shape[0]:] += 0.5 * np.einsum("itab,jtba->ij", rel, rel)
 
 
-def _info(res: ResidualSet, siginv: np.ndarray, dsig: np.ndarray) -> np.ndarray:
+def _info(res: ResidualSet, siginv: np.ndarray) -> np.ndarray:
     """Gauss-Newton Hessian sum_t de_t' Sigma_t^{-1} de_t plus the scale term, shape (m, m)."""
     m = res.de.shape[0]
     wde = np.einsum("trs,jts->jtr", siginv, res.de)
     info = res.de.reshape(m, -1) @ wde.reshape(m, -1).T
-    _add_scale_info(info, siginv, dsig)
+    _add_scale_info(info, siginv, res.dsig)
     return 0.5 * (info + info.T)
 
 
@@ -207,17 +197,16 @@ def _evaluate(model: TdVarmaModel, series: Series, theta) -> ObjectiveReport:
     # name count the optimizer's evaluations only
     theta = np.asarray(theta, dtype=float)
     res = residuals(model, series, theta, with_derivs=True)
-    n, r = res.e.shape
+    r = res.e.shape[1]
     alphas, w = _alphas(res)
     siginv = np.linalg.inv(res.sigma)
-    dsig = _scale_derivs(model, n, theta)
-    score_rows = _score_rows(res, w, siginv, dsig)
+    score_rows = _score_rows(res, w, siginv)
     grad = 0.5 * score_rows.sum(axis=0)
     if not np.all(np.isfinite(score_rows)):
         raise NumericalError("non-finite entries in the score")
     return ObjectiveReport(
         q=_q(alphas, r), alphas=alphas, grad=grad, score_rows=score_rows,
-        info=_info(res, siginv, dsig), e=res.e,
+        info=_info(res, siginv), e=res.e,
     )
 
 

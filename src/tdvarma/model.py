@@ -231,28 +231,41 @@ class TdVarmaModel:
         g = self.g_func.head(n, theta)
         return _sym(g @ self.sigma @ np.swapaxes(g, -1, -2))
 
-    def sigma_chol_all(self, n: int, theta) -> tuple[np.ndarray, np.ndarray]:
-        """Sigma_t for t = 1..n and their Cholesky factors.  When g_t has no
-        parameter slots neither depends on theta: both are kept, read-only, for
-        the longest n asked so far and read by prefix."""
+    def sigma_chol_all(self, n: int, theta, derivs: bool = False) -> tuple:
+        """(Sigma_t, chol) for t = 1..n: the residual covariances and their Cholesky
+        factors.  With derivs a third element, the first derivatives by the scale
+        slots (which come last in theta) as an (n_scale, n, r, r) stack, zero for a
+        slot g_t does not use; one evaluation of g_t serves all three.  When g_t has
+        no parameter slots Sigma_t does not depend on theta: Sigma_t and chol are
+        kept, read-only, for the longest n asked so far and read by prefix."""
         fixed = self._fixed_scale
+        slots = self.layout.scale_slots if derivs else ()
+        table: dict = {}  # d Sigma_t by the scale slots g_t uses; none when it is fixed
         if fixed is not None and fixed[0].shape[0] >= n:
-            return fixed[0][:n], fixed[1][:n]
-        sig = self.sigma_t_all(n, theta)
-        try:
-            chol = np.linalg.cholesky(sig)
-        except np.linalg.LinAlgError:
-            for t0, st in enumerate(sig):
-                try:
-                    np.linalg.cholesky(st)
-                except np.linalg.LinAlgError:
-                    raise SingularCovarianceError(t0 + 1, theta) from None
-            raise NumericalError("batched Cholesky failed without an identifiable time index")
-        if not self.g_func.param_slots():
-            sig.setflags(write=False)
-            chol.setflags(write=False)
-            self._fixed_scale = sig, chol
-        return sig, chol
+            sig, chol = fixed[0][:n], fixed[1][:n]
+        else:
+            table, _ = self._sigma_t_table(range(1, n + 1), theta, [()] + [(s,) for s in slots])
+            sig = table[()]
+            try:
+                chol = np.linalg.cholesky(sig)
+            except np.linalg.LinAlgError:
+                for t0, st in enumerate(sig):
+                    try:
+                        np.linalg.cholesky(st)
+                    except np.linalg.LinAlgError:
+                        raise SingularCovarianceError(t0 + 1, theta) from None
+                raise NumericalError("batched Cholesky failed without an identifiable time index")
+            if not self.g_func.param_slots():
+                sig.setflags(write=False)
+                chol.setflags(write=False)
+                self._fixed_scale = sig, chol
+        if not derivs:
+            return sig, chol
+        dsig = np.zeros((len(slots), n, self.r, self.r))
+        for i, slot in enumerate(slots):
+            if (slot,) in table:
+                dsig[i] = table[(slot,)]
+        return sig, chol, dsig
 
     def sigma_t_deriv(self, t, theta, indices) -> np.ndarray:
         """Exact derivative of Sigma_t of order 1 or 2 w.r.t. theta[indices]."""
@@ -268,14 +281,10 @@ class TdVarmaModel:
         """Leibniz expansion of d^k (g Sigma g^T) for any k <= 3."""
         sig, _ = self._sigma_t_table(t, theta, _subtuples(idx))
         tau = tuple(sorted(idx))
-        return sig[tau] if tau in sig else np.zeros_like(self.g_func.value(t, theta))
+        return sig[tau] if tau in sig else np.zeros(np.shape(t) + (self.r, self.r))
 
     def sigma_t_inv(self, t, theta) -> np.ndarray:
-        st = self.sigma_t(t, theta)
-        try:
-            return _sym(np.linalg.inv(st))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"residual covariance singular at t={t}") from exc
+        return self._sigma_t_table(t, theta, [()], inverse=True)[1][()]
 
     def sigma_t_inv_deriv(self, t, theta, indices) -> np.ndarray:
         """Derivative of Sigma_t^{-1} of order 1..3 via d(M^-1) = -M^-1 dM M^-1."""
@@ -286,18 +295,23 @@ class TdVarmaModel:
 
     def _sigma_t_table(self, t, theta, taus, inverse: bool = False) -> tuple[dict, dict]:
         """({tau: d^tau Sigma_t}, {tau: d^tau Sigma_t^{-1}}) for the sorted tuples taus,
-        which run by order and hold the sorted sub-tuples of each member; every product
-        is formed once.  Tuples with an index outside the scale slots are identically
-        zero and left out.  The inverse table is empty unless requested; it also holds
-        (), and its other entries are not symmetrized."""
+        which run by order from () and hold the sorted sub-tuples of each member; every
+        product is formed once, from one evaluation of g_t and its derivatives.  Tuples
+        with an index outside the scale slots are identically zero and left out.  The
+        inverse table is empty unless requested; its entries other than () are not
+        symmetrized."""
         g = self.g_func.deriv_map(t, theta, taus)
-        sig: dict = {}
-        for tau in g:
-            if tau:  # the product rule over g Sigma g^T
-                sig[tau] = _sym(sum(g[a] @ self.sigma @ np.swapaxes(g[b], -1, -2)
-                                    for a, b in index_splits(tau)))
-        inv: dict = {(): self.sigma_t_inv(t, theta)} if inverse else {}
-        for tau in sig if inverse else ():
+        gs = {tau: d @ self.sigma for tau, d in g.items()}
+        gt = {tau: np.ascontiguousarray(np.swapaxes(d, -1, -2)) for tau, d in g.items()}  # a faster matmul
+        sig = {tau: _sym(sum(gs[a] @ gt[b] for a, b in index_splits(tau))) for tau in g}  # over g Sigma g^T
+        inv: dict = {}
+        if not inverse:
+            return sig, inv
+        try:
+            inv[()] = _sym(np.linalg.inv(sig[()]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"residual covariance singular at t={t}") from exc
+        for tau in list(sig)[1:]:
             # differentiate -M^-1 (d_head M) M^-1 by the remaining indices, split three ways
             head, rest = tau[0], tau[1:]
             splits = [(a, tuple(sorted((head,) + b)), c) for a, bc in index_splits(rest)

@@ -6,12 +6,24 @@ Each scalar function depends on at most one or two entries of the global
 parameter vector and carries *exact* partial derivatives up to third order,
 so that score and information computations downstream never have to fall
 back on numerical differentiation.
+
+Every kind has one closed form over a time array t, a sum of terms
+
+    f_t(theta) = sum_k p_kt(theta) exp(sum_s theta_s G_kts),
+
+where p_k is a polynomial in theta whose coefficients are arrays over t and
+the exponent is linear in theta (and absent from most terms).  Sums join the
+terms and products multiply them out, so the form is closed under both, and
+every derivative follows from it by the product rule:
+
+    d^tau (p e^a) = sum over the splits (L, R) of tau of d^L p * prod_{s in R} G_s * e^a.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +55,12 @@ def _checked_theta(theta, slots) -> np.ndarray:
     return theta
 
 
+@lru_cache(maxsize=None)
+def _splits(idx: tuple[int, ...]) -> tuple:
+    """index_splits, kept per tuple for the table's inner loop."""
+    return tuple(index_splits(idx))
+
+
 def index_splits(idx: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Product-rule splits of a derivative index tuple: the sorted (left, right)
     parts for every subset of its positions, with multiplicity."""
@@ -56,14 +74,193 @@ def index_splits(idx: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, .
     ]
 
 
+def _head_length(t) -> int:
+    """n when t holds the times 1, 2, ..., n, else 0; a range is told without a scan."""
+    if isinstance(t, range):
+        return len(t) if t.start == 1 and t.step == 1 else 0
+    tt = np.asarray(t)
+    n = tt.shape[0] if tt.ndim == 1 else 0
+    return n if n and tt[0] == 1 and tt[-1] == n and np.all(np.diff(tt) == 1) else 0
+
+
+# -- the closed form -------------------------------------------------------------
+#
+# A kind returns its terms as (poly, expo) pairs: poly maps each monomial, a
+# sorted tuple of slots (() the constant), to its coefficient over t, and expo
+# maps each slot of the exponent to its coefficient G_s (empty: no exponent).
+
+
+def _join(terms: list) -> list:
+    """The terms with every exponent-free one merged into the first."""
+    plain: dict = {}
+    rest = []
+    for poly, expo in terms:
+        if expo:
+            rest.append((poly, expo))
+            continue
+        for mono, coef in poly.items():
+            plain[mono] = plain[mono] + coef if mono in plain else coef
+    return ([(plain, {})] if plain else []) + rest
+
+
+def _multiply(left: list, right: list) -> list:
+    """The terms of a product, every pair of factor terms multiplied out."""
+    out = []
+    for lpoly, lexpo in left:
+        for rpoly, rexpo in right:
+            poly: dict = {}
+            for lmono, lcoef in lpoly.items():
+                for rmono, rcoef in rpoly.items():
+                    mono = tuple(sorted(lmono + rmono))
+                    poly[mono] = poly[mono] + lcoef * rcoef if mono in poly else lcoef * rcoef
+            expo = dict(lexpo)
+            for slot, g in rexpo.items():
+                expo[slot] = expo[slot] + g if slot in expo else g
+            out.append((poly, expo))
+    return _join(out)
+
+
+def _mono_deriv(mono: tuple[int, ...], left: tuple[int, ...], theta: np.ndarray) -> float:
+    """d^left of the monomial prod_{s in mono} theta_s at theta."""
+    rest = list(mono)
+    w = 1.0
+    for slot in left:
+        if slot not in rest:
+            return 0.0
+        w *= rest.count(slot)
+        rest.remove(slot)
+    for slot in rest:
+        w *= theta[slot]
+    return w
+
+
+class _Term(NamedTuple):
+    """One packed term: arrays of the form's shape, stacked over its slots where noted."""
+
+    c: np.ndarray                 # the constant coefficient
+    lin: Optional[np.ndarray]     # (slots, ...) linear coefficients, None without any
+    higher: dict                  # {monomial of degree >= 2: coefficient}
+    expo: Optional[np.ndarray]    # (slots, ...) exponent coefficients, None without an exponent
+    expo_slots: frozenset         # the slots the exponent uses
+
+
+class _Form:
+    """The terms of a grid of entries at a time array t, packed as arrays of shape
+    t.shape + grid: term k of the form holds term k of every entry, zero where an
+    entry has fewer terms.  `derivs` evaluates the value and derivatives at a theta."""
+
+    def __init__(self, slots: tuple[int, ...], shape: tuple, terms: list):
+        self.slots = slots
+        self.shape = shape
+        self.terms = terms
+        self._where = {slot: k for k, slot in enumerate(slots)}
+        self._take = np.array(slots, dtype=np.intp)
+
+    @classmethod
+    def pack(cls, cells: Sequence[tuple[tuple, ScalarTimeFunction]], tt: np.ndarray, grid: tuple) -> "_Form":
+        """The form of the entries at their grid positions, over the time array tt."""
+        slots = tuple(sorted(frozenset().union(*(f.param_slots() for _, f in cells))))
+        shape = tt.shape + grid
+        where = {slot: k for k, slot in enumerate(slots)}
+        per_cell = [(pos, f.terms(tt)) for pos, f in cells]
+        terms = []
+        for k in range(max(len(ts) for _, ts in per_cell)):
+            c = np.zeros(shape)
+            lin = expo = None
+            higher: dict = {}
+            expo_slots: set = set()
+            for pos, ts in per_cell:
+                if k >= len(ts):
+                    continue
+                at = (Ellipsis,) + pos
+                poly, ex = ts[k]
+                for mono, coef in poly.items():
+                    if not mono:
+                        c[at] = coef
+                    elif len(mono) == 1:
+                        lin = np.zeros((len(slots),) + shape) if lin is None else lin
+                        lin[(where[mono[0]],) + at] = coef
+                    else:
+                        higher.setdefault(mono, np.zeros(shape))[at] = coef
+                for slot, g in ex.items():
+                    expo = np.zeros((len(slots),) + shape) if expo is None else expo
+                    expo[(where[slot],) + at] = g
+                    expo_slots.add(slot)
+            terms.append(_Term(c, lin, dict(sorted(higher.items())), expo, frozenset(expo_slots)))
+        return cls(slots, shape, terms)
+
+    @property
+    def affine(self) -> bool:
+        """One term without exponent or monomials above degree one: c + theta . lin."""
+        return len(self.terms) == 1 and self.terms[0].expo is None and not self.terms[0].higher
+
+    def arrays(self):
+        for term in self.terms:
+            yield from (a for a in (term.c, term.lin, term.expo) if a is not None)
+            yield from term.higher.values()
+
+    def prefix(self, n: int) -> "_Form":
+        """The same form over the first n times (views)."""
+        cut = [
+            _Term(
+                term.c[:n],
+                None if term.lin is None else term.lin[:, :n],
+                {mono: coef[:n] for mono, coef in term.higher.items()},
+                None if term.expo is None else term.expo[:, :n],
+                term.expo_slots,
+            )
+            for term in self.terms
+        ]
+        return _Form(self.slots, (n,) + self.shape[1:], cut)
+
+    def _poly(self, term: _Term, theta, th, left) -> Optional[np.ndarray]:
+        """d^left p of the term's polynomial, None where it vanishes identically."""
+        if not left:
+            p = term.c if term.lin is None else term.c + np.einsum("k,k...->...", th, term.lin)
+        elif len(left) == 1 and term.lin is not None:
+            p = term.lin[self._where[left[0]]]
+        else:
+            p = None
+        for mono, coef in term.higher.items():
+            w = _mono_deriv(mono, left, theta)
+            if w:
+                p = w * coef if p is None else p + w * coef
+        return p
+
+    def derivs(self, theta, taus: Iterable[tuple[int, ...]]) -> dict:
+        """{tau: d^tau f} at theta for every tau (() the value), each a fresh array."""
+        theta = _checked_theta(theta, self.slots)
+        th = theta[self._take]
+        out = dict.fromkeys(taus)
+        for term in self.terms:
+            e = None if term.expo is None else np.exp(np.einsum("k,k...->...", th, term.expo))
+            polys: dict = {}
+            for tau, acc in out.items():
+                for left, right in _splits(tau):
+                    if right and (e is None or not term.expo_slots.issuperset(right)):
+                        continue
+                    x = polys[left] if left in polys else polys.setdefault(left, self._poly(term, theta, th, left))
+                    if x is None:
+                        continue
+                    for slot in right:
+                        x = x * term.expo[self._where[slot]]
+                    if e is not None:
+                        x = x * e
+                    acc = x if acc is None else acc + x
+                out[tau] = acc
+        for tau, x in out.items():
+            if x is None:
+                out[tau] = np.zeros(self.shape)
+            elif not x.flags.writeable:
+                out[tau] = x.copy()
+        return out
+
+
 class ScalarTimeFunction:
     """One matrix entry: a scalar function of t with exact theta-derivatives.
 
-    A kind that is affine in theta declares its parts once, in `parts`:
-    f_t(theta) = c_t + sum_s theta_s F_ts.  Its value and derivatives follow
-    from them (first derivatives are the F_ts, higher ones vanish).  An entry
-    without parameter slots is affine with no F terms.  Other kinds return
-    None from `parts` and define `_value` and `_deriv`.
+    Each kind declares its closed form once, in `terms`; its value and
+    derivatives at any times follow from it.
     """
 
     kind: str = ""
@@ -72,20 +269,13 @@ class ScalarTimeFunction:
     def param_slots(self) -> frozenset[int]:
         return frozenset()
 
-    def parts(self, t):
-        """(c_t, {slot: F_ts}) over the time array t, or None when f is not affine in theta."""
-        return None if self.param_slots() else (self._value(t, np.zeros(0)), {})
+    def terms(self, t) -> list:
+        """The (poly, expo) terms of the closed form over the time array t."""
+        raise NotImplementedError
 
     def value(self, t, theta):
-        theta = _checked_theta(theta, self.param_slots())
         tt = _as_time(t)
-        parts = self.parts(tt)
-        if parts is None:
-            return self._value(tt, theta)
-        out, coefs = parts
-        for slot, f in coefs.items():
-            out = out + theta[slot] * f
-        return out
+        return _Form.pack([((), self)], tt, ()).derivs(theta, [()])[()]
 
     def deriv(self, t, theta, indices: Sequence[int]):
         """Exact partial derivative of order len(indices); zero for foreign slots."""
@@ -94,16 +284,8 @@ class ScalarTimeFunction:
         tt = _as_time(t)
         if not set(idx) <= self.param_slots():
             return np.zeros_like(tt)
-        parts = self.parts(tt)
-        if parts is None:
-            return self._deriv(tt, theta, idx)
-        return parts[1][idx[0]] if len(idx) == 1 else np.zeros_like(tt)
-
-    def _value(self, t, theta):
-        raise NotImplementedError
-
-    def _deriv(self, t, theta, idx):
-        raise NotImplementedError
+        tau = tuple(sorted(idx))
+        return _Form.pack([((), self)], tt, ()).derivs(theta, [tau])[tau]
 
     def to_config(self) -> dict:
         return {
@@ -127,8 +309,8 @@ class Constant(ScalarTimeFunction):
     def __init__(self, value: float):
         self.c = float(value)
 
-    def _value(self, t, theta):
-        return np.full_like(t, self.c)
+    def terms(self, t):
+        return [({(): self.c}, {})]
 
     def to_config(self):
         return {**super().to_config(), "constants": {"value": self.c}}
@@ -143,8 +325,8 @@ class ExpTrend(ScalarTimeFunction):
     def __init__(self, rate: float):
         self.rate = float(rate)
 
-    def _value(self, t, theta):
-        return np.exp(self.rate * t)
+    def terms(self, t):
+        return [({(): np.exp(self.rate * t)}, {})]
 
 
 class _OneSlot(ScalarTimeFunction):
@@ -160,8 +342,8 @@ class Param(_OneSlot):
 
     kind = "param"
 
-    def parts(self, t):
-        return np.zeros_like(t), {self.slot: np.ones_like(t)}
+    def terms(self, t):
+        return [({(self.slot,): 1.0}, {})]
 
 
 class LinearTrend(_OneSlot):
@@ -169,8 +351,8 @@ class LinearTrend(_OneSlot):
 
     kind = "linear"
 
-    def parts(self, t):
-        return np.zeros_like(t), {self.slot: t.copy()}
+    def terms(self, t):
+        return [({(self.slot,): t}, {})]
 
 
 class _Periodic(_OneSlot):
@@ -187,21 +369,18 @@ class Sine(_Periodic):
 
     kind = "sine"
 
-    def parts(self, t):
-        return np.zeros_like(t), {self.slot: np.sin(self.omega * t + self.phase)}
+    def terms(self, t):
+        return [({(self.slot,): np.sin(self.omega * t + self.phase)}, {})]
 
 
 class ExpSine(_Periodic):
-    """f(t) = exp(-theta[slot] * sin(omega * t + phase)); the heteroscedastic scale kind."""
+    """f(t) = exp(-theta[slot] * sin(omega * t + phase)); the heteroscedastic scale kind,
+    an exponent with coefficient G = -sin(omega * t + phase), so d^k f = G^k f."""
 
     kind = "exp_sine"
 
-    def _value(self, t, theta):
-        return np.exp(-theta[self.slot] * np.sin(self.omega * t + self.phase))
-
-    def _deriv(self, t, theta, idx):
-        u = np.sin(self.omega * t + self.phase)
-        return (-u) ** len(idx) * np.exp(-theta[self.slot] * u)
+    def terms(self, t):
+        return [({(): 1.0}, {self.slot: -np.sin(self.omega * t + self.phase)})]
 
 
 class _Composite(ScalarTimeFunction):
@@ -219,36 +398,15 @@ class _Composite(ScalarTimeFunction):
 class Sum(_Composite):
     kind = "sum"
 
-    def parts(self, t):
-        left, right = self.left.parts(t), self.right.parts(t)
-        if left is None or right is None:
-            return None
-        coefs = dict(left[1])
-        for slot, f in right[1].items():
-            coefs[slot] = coefs[slot] + f if slot in coefs else f
-        return left[0] + right[0], coefs
-
-    def _value(self, t, theta):
-        return self.left.value(t, theta) + self.right.value(t, theta)
-
-    def _deriv(self, t, theta, idx):
-        return self.left.deriv(t, theta, idx) + self.right.deriv(t, theta, idx)
+    def terms(self, t):
+        return _join(self.left.terms(t) + self.right.terms(t))
 
 
 class Product(_Composite):
     kind = "prod"
 
-    def _value(self, t, theta):
-        return self.left.value(t, theta) * self.right.value(t, theta)
-
-    def _deriv(self, t, theta, idx):
-        # Leibniz rule over all splits of the index positions
-        out = np.zeros_like(t)
-        for li, ri in index_splits(idx):
-            lv = self.left.value(t, theta) if not li else self.left.deriv(t, theta, li)
-            rv = self.right.value(t, theta) if not ri else self.right.deriv(t, theta, ri)
-            out = out + lv * rv
-        return out
+    def terms(self, t):
+        return _multiply(self.left.terms(t), self.right.terms(t))
 
 
 _KINDS = {cls.kind: cls for cls in (Constant, Param, LinearTrend, Sine, ExpSine, ExpTrend, Sum, Product)}
@@ -274,11 +432,12 @@ def scalar_from_config(rec: Mapping) -> ScalarTimeFunction:
 class MatrixTimeFunction:
     """An r x r matrix of scalar time functions, evaluated and differentiated jointly.
 
-    `value`, `deriv` and `deriv_map` work entry by entry at any times.  `head`
-    and `head_grad` cover t = 1..n.  When every entry is affine in theta they
-    read one table (C, F) over t = 1..N, built on first use and rebuilt at
-    twice the length when a longer n comes: the value is C + theta_slots . F,
-    and the first derivatives are slices of F.
+    `value` and `deriv` work entry by entry at any times.  `head`, `head_grad`
+    and `deriv_map` at t = 1..n read one table: the entries' closed forms packed
+    over t = 1..N, built on first use and rebuilt at twice the length when a
+    longer n comes.  Every derivative up to order 3 follows from the table.  For
+    an affine matrix the table is (C, F), one term without exponent: the value
+    is C + theta_slots . F and the first derivatives are slices of F.
     """
 
     def __init__(self, entries: Sequence[Sequence[ScalarTimeFunction]]):
@@ -288,7 +447,8 @@ class MatrixTimeFunction:
             raise ConfigError("coefficient matrices must be square and non-empty")
         self.cols = self.rows
         self._slots = frozenset().union(*(f.param_slots() for row in self.entries for f in row))
-        self._table = None  # None: not built; False: an entry is not affine; else (slots, C, F)
+        self._table: Optional[_Form] = None  # the form over t = 1..N once built, read-only
+        self._head: Optional[_Form] = None  # its prefix at the last n asked
 
     @classmethod
     def constant(cls, mat) -> "MatrixTimeFunction":
@@ -302,49 +462,35 @@ class MatrixTimeFunction:
     def param_slots(self) -> frozenset[int]:
         return self._slots
 
-    def _affine_table(self, n: int):
-        """(slots, C, F) over t = 1..N with N >= n, or None when an entry is not
-        affine; C is (N, r, r) and F is (len(slots), N, r, r), both read-only."""
+    def _head_table(self, n: int) -> _Form:
+        """The table's form over t = 1..n."""
+        if self._head is not None and self._head.shape[0] == n:
+            return self._head
         tab = self._table
-        if tab is not None and (not tab or tab[1].shape[0] >= n):
-            return tab or None
-        big_n = n if tab is None else max(n, 2 * tab[1].shape[0])
-        tt = np.arange(1.0, big_n + 1)
-        parts = [[f.parts(tt) for f in row] for row in self.entries]
-        if any(p is None for row in parts for p in row):
-            self._table = False
-            return None
-        slots = tuple(sorted(self._slots))
-        c = np.zeros((big_n, self.rows, self.cols))
-        f = np.zeros((len(slots), big_n, self.rows, self.cols))
-        for i, row in enumerate(parts):
-            for j, (cij, coefs) in enumerate(row):
-                c[:, i, j] = cij
-                for slot, fij in coefs.items():
-                    f[slots.index(slot), :, i, j] = fij
-        c.setflags(write=False)
-        f.setflags(write=False)
-        self._table = slots, c, f
-        return self._table
+        if tab is None or tab.shape[0] < n:
+            big_n = n if tab is None else max(n, 2 * tab.shape[0])
+            cells = [((i, j), f) for i, row in enumerate(self.entries) for j, f in enumerate(row)]
+            tab = _Form.pack(cells, np.arange(1.0, big_n + 1), (self.rows, self.cols))
+            for arr in tab.arrays():
+                arr.setflags(write=False)
+            self._table = tab
+        self._head = tab.prefix(n)
+        return self._head
 
     def head(self, n: int, theta) -> np.ndarray:
         """Values at t = 1..n, shape (n, r, r)."""
-        tab = self._affine_table(n)
-        if tab is None:
-            return self.value(np.arange(1, n + 1), theta)
-        slots, c, f = tab
-        return c[:n] + np.einsum("k,ktrs->trs", _checked_theta(theta, slots)[list(slots)], f[:, :n])
+        return self._head_table(n).derivs(theta, [()])[()]
 
     def head_grad(self, n: int, theta) -> tuple[tuple[int, ...], np.ndarray]:
         """(slots, D) with D[i] the derivative by theta[slots[i]] at t = 1..n, shape
         (len(slots), n, r, r); read-only for an affine matrix."""
-        tab = self._affine_table(n)
-        if tab is None:
-            ts = np.arange(1, n + 1)
-            slots = tuple(sorted(self._slots))
-            return slots, np.stack([self.deriv(ts, theta, (k,)) for k in slots])
-        _checked_theta(theta, tab[0])
-        return tab[0], tab[2][:, :n]
+        tab = self._head_table(n)
+        if tab.affine:
+            _checked_theta(theta, tab.slots)
+            lin = tab.terms[0].lin
+            return tab.slots, np.zeros((0,) + tab.shape) if lin is None else lin
+        grads = tab.derivs(theta, [(k,) for k in tab.slots])
+        return tab.slots, np.stack(list(grads.values()))
 
     def value(self, t, theta) -> np.ndarray:
         """Matrix value at time(s) t; shape (r, r) for scalar t, (len(t), r, r) otherwise."""
@@ -368,15 +514,15 @@ class MatrixTimeFunction:
         return out
 
     def deriv_map(self, t, theta, tuples: Iterable[tuple[int, ...]]) -> dict:
-        """Evaluate several derivative tuples at once; omits exact zeros."""
-        out: dict[tuple[int, ...], np.ndarray] = {}
-        slots = self.param_slots()
-        for tau in tuples:
-            if tau == ():
-                out[()] = self.value(t, theta)
-            elif set(tau) <= slots:
-                out[tau] = self.deriv(t, theta, tau)
-        return out
+        """Evaluate several derivative tuples at once; omits the tuples with a slot the
+        matrix does not use, whose derivatives vanish.  At t = 1..n (an array, or a
+        range, which is recognized without a scan) it reads the table."""
+        taus = [tau for tau in tuples if set(tau) <= self._slots]
+        n = _head_length(t)
+        if n:
+            return self._head_table(n).derivs(theta, taus)
+        tt = _as_time(t)
+        return {tau: self.deriv(tt, theta, tau) if tau else self.value(tt, theta) for tau in taus}
 
     def to_config(self):
         return [[f.to_config() for f in row] for row in self.entries]
@@ -395,4 +541,3 @@ def sorted_tuples(indices: Sequence[int], max_order: int) -> list[tuple[int, ...
         raise ContractError(f"derivative order {max_order} unsupported (max {MAX_DERIV_ORDER})")
     pool = sorted(set(indices))
     return [tau for order in range(max_order + 1) for tau in combinations_with_replacement(pool, order)]
-

@@ -16,7 +16,19 @@ def pytest_terminal_summary(terminalreporter):
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"{status}  {criterion}: {detail}")
 from tdvarma.model import ParamLayout, TdVarmaModel
-from tdvarma.timefn import Constant, ExpSine, MatrixTimeFunction, Param, Product, Sine
+from tdvarma.timefn import (
+    Constant,
+    ExpSine,
+    ExpTrend,
+    LinearTrend,
+    MatrixTimeFunction,
+    Param,
+    Product,
+    Sine,
+    Sum,
+    index_splits,
+    sorted_tuples,
+)
 
 
 @pytest.fixture(scope="session")
@@ -180,7 +192,8 @@ def dense_residual_operator(model, theta, n):
 
 
 def assert_heads_match_entrywise(f, n, theta, rtol=0.0):
-    """head / head_grad at t = 1..n against the entry-by-entry value and deriv."""
+    """head / head_grad / deriv_map at t = 1..n against the entry-by-entry value and
+    deriv; deriv_map on every sorted derivative tuple up to order 3."""
     ts = np.arange(1, n + 1)
     np.testing.assert_allclose(f.head(n, theta), f.value(ts, theta), rtol=rtol, atol=0)
     slots, grad = f.head_grad(n, theta)
@@ -188,3 +201,33 @@ def assert_heads_match_entrywise(f, n, theta, rtol=0.0):
     assert grad.shape == (len(slots), n, f.rows, f.cols)
     for k, d in zip(slots, grad):
         np.testing.assert_allclose(d, f.deriv(ts, theta, (k,)), rtol=rtol, atol=0)
+    taus = sorted_tuples(slots, 3)
+    got = f.deriv_map(ts, theta, taus)
+    assert list(got) == taus
+    for tau in taus:
+        want = f.deriv(ts, theta, tau) if tau else f.value(ts, theta)
+        np.testing.assert_allclose(got[tau], want, rtol=rtol, atol=0, err_msg=str(tau))
+
+
+def kind_oracle(f, t, theta, idx=()):
+    """The value (idx = ()) or a derivative of a scalar time function from per-kind
+    formulas and the product rule, independent of the closed form the library
+    evaluates."""
+    t = np.asarray(t, dtype=float)
+    if not set(idx) <= f.param_slots():
+        return np.zeros_like(t)
+    if isinstance(f, Sum):
+        return kind_oracle(f.left, t, theta, idx) + kind_oracle(f.right, t, theta, idx)
+    if isinstance(f, Product):
+        return sum(kind_oracle(f.left, t, theta, a) * kind_oracle(f.right, t, theta, b) for a, b in index_splits(idx))
+    if isinstance(f, Constant):
+        return np.full_like(t, f.c)
+    if isinstance(f, ExpTrend):
+        return np.exp(f.rate * t)
+    if isinstance(f, ExpSine):
+        u = np.sin(f.omega * t + f.phase)
+        return (-u) ** len(idx) * np.exp(-theta[f.slot] * u)
+    shape = {Param: np.ones_like(t), LinearTrend: t}.get(type(f))
+    if shape is None:  # Sine
+        shape = np.sin(f.omega * t + f.phase)
+    return {0: theta[f.slot] * shape, 1: shape}.get(len(idx), np.zeros_like(t))

@@ -1,6 +1,6 @@
 import math
 import os
-from unittest import mock
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +8,11 @@ from conftest import make_random_varma, make_random_varma22
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdvarma import asymptotics, examples
+from tdvarma import examples
 from tdvarma.assumptions import check_information
 from tdvarma.asymptotics import _information_pass, example1_v_closed, example2_trace_terms, theoretical_v
 from tdvarma.errors import ContractError, NumericalError
-from tdvarma.likelihood import _add_scale_info, _scale_derivs
+from tdvarma.likelihood import _add_scale_info
 from tdvarma.mc import McPlan, run_mc
 from tdvarma.model import ParamLayout, TdVarmaModel
 from tdvarma.representations import _resid_rows
@@ -62,7 +62,7 @@ def ma_expansion_v(model, theta0, n_grid):
         v += np.einsum("ab,ikbc,kcd,jkad->ij", siginv[t - 1], psi, lagged, psi, optimize=True)
         if t in n_grid:
             out[t] = v.copy()
-    dsig = _scale_derivs(model, n_max, th)
+    dsig = model.sigma_chol_all(n_max, th, derivs=True)[2]
     for n, vn in out.items():
         _add_scale_info(vn, siginv[:n], dsig[:, :n])
         vn /= n
@@ -72,12 +72,10 @@ def ma_expansion_v(model, theta0, n_grid):
 def _assert_matches_ma_expansion(model, n_grid):
     th = np.array(model.layout.theta0)
     want = ma_expansion_v(model, th, n_grid)
-    # V(n) before its standard errors: a draw need not be identified at every n
-    with mock.patch.object(asymptotics, "_se_from_v", lambda v, n: v):
-        got = _information_pass(model, th, n_grid)
+    got = _information_pass(model, th, n_grid)  # a draw need not be identified at every n
     assert list(got) == list(n_grid)
     for n in n_grid:
-        np.testing.assert_allclose(got[n], want[n], rtol=1e-12, atol=1e-12 * np.abs(want[n]).max())
+        np.testing.assert_allclose(got[n].v, want[n], rtol=1e-12, atol=1e-12 * np.abs(want[n]).max())
     return want
 
 
@@ -85,6 +83,18 @@ def _assert_matches_ma_expansion(model, n_grid):
 @given(p=st.integers(0, 2), q=st.integers(0, 2), r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_state_recursion_matches_ma_expansion_for_random_varma(p, q, r, seed):
     _assert_matches_ma_expansion(make_random_varma(np.random.default_rng(seed), p, q, r), (1, 2, 9, 30))
+
+
+def test_rank_deficient_information_has_no_standard_errors():
+    # the AR amplitudes and their shared factor are not separately identified, so
+    # V(n) has a null eigenvalue that rounds to about +-1e-18
+    model = make_random_varma(np.random.default_rng(1), 2, 0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = _information_pass(model, np.array(model.layout.theta0), (1, 2, 9, 30))
+    for rep in reports.values():
+        assert not rep.positive_definite and rep.se is None
+        assert abs(rep.min_eigenvalue) < 1e-15
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -21,7 +21,6 @@ from tdvarma.likelihood import (
     _lag_solve,
     _lag_sum,
     _lagged,
-    _scale_derivs,
     empirical_vw,
     objective,
     objective_value,
@@ -30,7 +29,7 @@ from tdvarma.likelihood import (
 from tdvarma.model import ParamLayout, Series, TdVarmaModel
 from tdvarma.representations import build_psi
 from tdvarma.simulate import SimPlan, simulate
-from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Sine
+from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Sine, index_splits, sorted_tuples
 
 
 def test_zero_model_residuals_equal_series(rng):
@@ -333,4 +332,63 @@ def test_objective_builds_the_scale_once_per_evaluation(monkeypatch):
     assert len(calls) == 1
     ts = np.arange(1, 61)
     per_slot = [m.sigma_t_deriv(ts, theta, (s,)) for s in m.layout.scale_slots]
-    np.testing.assert_array_equal(_scale_derivs(m, 60, theta), np.stack(per_slot))
+    np.testing.assert_array_equal(m.sigma_chol_all(60, theta, derivs=True)[2], np.stack(per_slot))
+
+
+def _entrywise_objective(m, series, theta):
+    """(q, grad, info) of a VAR(1) model one t at a time, from the entry-by-entry
+    value and deriv of its coefficient functions."""
+    x = series.values
+    n, r = x.shape
+    ts = np.arange(1, n + 1)
+    a, g = m.a_funcs[0].value(ts, theta), m.g_func.value(ts, theta)
+    da = [m.a_funcs[0].deriv(ts, theta, (i,)) for i in range(m.m)]
+    dg = [m.g_func.deriv(ts, theta, (i,)) for i in range(m.m)]
+    q, grad, info = 0.5 * r * n * math.log(2.0 * math.pi), np.zeros(m.m), np.zeros((m.m, m.m))
+    for t in range(n):
+        prev = x[t - 1] if t else np.zeros(r)
+        e = x[t] - a[t] @ prev
+        de = [-d[t] @ prev for d in da]
+        sig = g[t] @ m.sigma @ g[t].T
+        dsig = [d[t] @ m.sigma @ g[t].T + g[t] @ m.sigma @ d[t].T for d in dg]
+        inv = np.linalg.inv(sig)
+        w = inv @ e
+        q += 0.5 * (np.linalg.slogdet(sig)[1] + e @ w)
+        for i in range(m.m):
+            grad[i] += de[i] @ w + 0.5 * (np.trace(inv @ dsig[i]) - w @ dsig[i] @ w)
+            for j in range(m.m):
+                info[i, j] += de[i] @ inv @ de[j] + 0.5 * np.trace(inv @ dsig[i] @ inv @ dsig[j])
+    return q, grad, info
+
+
+def _assert_rel(got, want, rtol=1e-12):
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("n", [25, 50, 400])
+def test_example2_tables_match_entrywise_reference(n):
+    # objective and the order-3 covariance table read g_t's table; the reference
+    # evaluates every coefficient entry by entry
+    m = examples.example2_model()
+    rng = np.random.default_rng(n)
+    series = simulate(SimPlan(m, m.layout.theta0, n, 11))
+    ts = np.arange(1, n + 1)
+    slots = list(m.layout.scale_slots)
+    for _ in range(5):
+        theta = np.array(m.layout.theta0) + rng.uniform(-0.3, 0.3, m.m)
+        rep = objective(m, series, theta)
+        q, grad, info = _entrywise_objective(m, series, theta)
+        _assert_rel(rep.q, q)
+        _assert_rel(rep.grad, grad)
+        _assert_rel(rep.info, info)
+        taus = sorted_tuples(range(m.m), 3)
+        sig, inv = m._sigma_t_table(ts, theta, taus, inverse=True)
+        assert list(sig) == list(inv) == [tau for tau in taus if set(tau) <= set(slots)]
+        g = {tau: m.g_func.deriv(ts, theta, tau) if tau else m.g_func.value(ts, theta) for tau in sig}
+        for tau in sig:
+            want = sum(g[a] @ m.sigma @ np.swapaxes(g[b], -1, -2) for a, b in index_splits(tau))
+            _assert_rel(sig[tau], want)
+            # d^tau (Sigma Sigma^-1) is the identity for tau = () and zero otherwise
+            eye = np.broadcast_to(np.eye(m.r) * (not tau), (n, m.r, m.r))
+            product = sum(sig[a] @ inv[b] for a, b in index_splits(tau))
+            np.testing.assert_allclose(product, eye, rtol=0, atol=1e-12 * max(1.0, np.abs(inv[tau]).max()))

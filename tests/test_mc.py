@@ -261,3 +261,56 @@ def test_every_run_key_reaches_the_plan_from_the_table_script(monkeypatch, tmp_p
         script.main()
     # the table fixes its own seed; the rest of the run block reaches the plan
     _assert_run_reaches_plan(plans[0], run, **{"seed": script.TABLES[1][1], **overrides})
+
+
+# summary_to_csv of the table-2 cells below, written by the entry-by-entry scale
+# evaluation that the time-function tables replaced
+TABLE2_REFERENCE_CELLS = """n,param,line,value
+25,a11_amp,a,0.7617714309267146
+25,a11_amp,b,0.12688332813677786
+25,a11_amp,c,0.1424864261004958
+25,a11_amp,d,0.0
+25,a22_amp,a,-0.8269042836550456
+25,a22_amp,b,0.152157428059918
+25,a22_amp,c,0.1386203065590305
+25,a22_amp,d,10.0
+25,eta11,a,1.109571570739274
+25,eta11,b,0.19418371440649398
+25,eta11,c,0.2796680549778725
+25,eta11,d,35.0
+25,eta22,a,-0.9814163076442333
+25,eta22,b,0.1385190904838126
+25,eta22,c,0.2048513055498164
+25,eta22,d,25.0
+25,all,excluded,0
+50,a11_amp,a,0.7614398665938148
+50,a11_amp,b,0.09153359711922424
+50,a11_amp,c,0.09879462365679456
+50,a11_amp,d,15.0
+50,a22_amp,a,-0.8612135216984977
+50,a22_amp,b,0.1224473044328658
+50,a22_amp,c,0.17538406194078252
+50,a22_amp,d,5.0
+50,eta11,a,0.9741659394751746
+50,eta11,b,0.1600633726216774
+50,eta11,c,0.24818524902951386
+50,eta11,d,25.0
+50,eta22,a,-1.0286049206513366
+50,eta22,b,0.13093493398598208
+50,eta22,c,0.12421918894447442
+50,eta22,d,10.0
+50,all,excluded,0
+"""
+
+
+def test_table2_reference_cells_are_unchanged():
+    m = examples.example2_model()
+    plan = mc.McPlan.from_run(m, examples.paper_run("example2"), n_list=(25, 50), replications=20, seed=7)
+    got = mc.summary_from_csv(mc.summary_to_csv(mc.run_mc(plan, threads=1)), 20)
+    want = mc.summary_from_csv(TABLE2_REFERENCE_CELLS, 20)
+    for n in (25, 50):
+        cell, ref = got.cell(n), want.cell(n)
+        for line in ("mean_estimate", "mean_se", "std_estimate"):
+            np.testing.assert_allclose(getattr(cell, line), getattr(ref, line), rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(cell.reject_pct, ref.reject_pct)
+        assert cell.n_total - cell.n_converged == ref.n_total - ref.n_converged == 0

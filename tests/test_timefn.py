@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_heads_match_entrywise
+from conftest import assert_heads_match_entrywise, kind_oracle
 from tdvarma.errors import ConfigError, ContractError
 from tdvarma.timefn import (
     Constant,
@@ -188,53 +188,110 @@ def test_affine_table_matches_entrywise_path_and_grows():
     )
     theta = np.array([0.4, -0.03, 0.8])
     assert_heads_match_entrywise(f, 50, theta, rtol=1e-15)
-    slots, c, big_f = f._table
-    assert slots == (0, 1, 2) and c.shape == (50, 2, 2) and big_f.shape == (3, 50, 2, 2)
+    tab = f._table
+    assert tab.affine and tab.slots == (0, 1, 2)
+    assert tab.terms[0].c.shape == (50, 2, 2) and tab.terms[0].lin.shape == (3, 50, 2, 2)
     assert_heads_match_entrywise(f, 80, theta, rtol=1e-15)
-    assert f._table[1].shape[0] == 100  # rebuilt at twice the old length
+    assert f._table.shape[0] == 100  # rebuilt at twice the old length
     assert_heads_match_entrywise(f, 7, theta + 0.2, rtol=1e-15)
-    assert f._table[1].shape[0] == 100  # a shorter n reads a prefix
+    assert f._table.shape[0] == 100  # a shorter n reads a prefix
     for order in (2, 3):  # affine in theta: higher derivatives vanish identically
         np.testing.assert_array_equal(f.deriv(np.arange(1, 9), theta, (2,) * order), np.zeros((8, 2, 2)))
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [ExpSine(0, 0.25, phase=math.pi), Product(Sine(0, 0.3), Param(1))],
-    ids=["exp_sine", "product"],
+_T = np.arange(1.0, 81.0)
+NON_AFFINE = {
+    "exp_sine": ExpSine(2, 2.0 * math.pi / 25.0, phase=math.pi),
+    "product": Product(Sine(0, 0.3, 0.2), Param(1)),
+    "sine_exp_sine": Product(Sine(0, 0.7), ExpSine(2, 0.25)),
+}
+NON_AFFINE["sum"] = Sum(NON_AFFINE["sine_exp_sine"], Sum(NON_AFFINE["exp_sine"], NON_AFFINE["product"]))
+
+
+@pytest.mark.parametrize("name", list(NON_AFFINE))
+def test_non_affine_matrices_are_tabled(name):
+    entry = NON_AFFINE[name]
+    f = MatrixTimeFunction([[entry, Sine(1, 0.5)], [Constant(-1.0), Product(entry, entry)]])
+    theta = np.array([0.6, -0.4, 0.9])
+    for n in (50, 80, 7):  # 80 rebuilds the table at 100; 7 reads a prefix of it
+        assert_heads_match_entrywise(f, n, theta)
+        assert f._table.shape[0] == (50 if n == 50 else 100) and not f._table.affine
+        theta = theta - 0.3
+    for tau in sorted_tuples(sorted(entry.param_slots()), 3):  # the entry against per-kind formulas
+        want = kind_oracle(entry, _T, theta, tau)
+        got = entry.deriv(_T, theta, tau) if tau else entry.value(_T, theta)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+def test_exp_sine_derivatives_are_powers_of_minus_sine():
+    c = 2.0 * math.pi / 25.0
+    f = MatrixTimeFunction([[ExpSine(0, c, phase=math.pi), Constant(1.0)], [Constant(-1.0), ExpSine(1, c)]])
+    theta = np.array([1.0, -1.0])
+    u = np.sin(c * _T[:30] + math.pi)
+    got = f.deriv_map(_T[:30], theta, [(), (0,), (0, 0), (0, 0, 0), (0, 1)])
+    for tau, d in got.items():
+        np.testing.assert_allclose(d[:, 0, 0], (-u) ** len(tau) * np.exp(-u) if 1 not in tau else 0.0, rtol=1e-15)
+    np.testing.assert_array_equal(got[()][:, 0, 1], np.ones(30))
+    np.testing.assert_array_equal(got[(0,)][:, 0, 1], np.zeros(30))
+
+
+_LEAVES = st.one_of(
+    st.builds(Constant, st.floats(-2, 2)),
+    st.builds(ExpTrend, st.floats(-0.05, 0.05)),
+    st.builds(Param, st.integers(0, 2)),
+    st.builds(LinearTrend, st.integers(0, 2)),
+    st.builds(Sine, st.integers(0, 2), st.floats(0.05, 2.0), st.floats(0.0, 6.3)),
+    st.builds(ExpSine, st.integers(0, 2), st.floats(0.05, 2.0), st.floats(0.0, 6.3)),
 )
-def test_non_affine_matrices_take_the_generic_path(entry):
-    assert entry.parts(np.arange(1.0, 5.0)) is None
-    f = MatrixTimeFunction([[entry, Sine(1, 0.5)], [Constant(0.0), Param(1)]])
-    theta = np.array([0.6, -0.4])
-    assert_heads_match_entrywise(f, 40, theta)
-    assert f._table is False
+_DEPTH1 = st.one_of(_LEAVES, st.builds(Sum, _LEAVES, _LEAVES), st.builds(Product, _LEAVES, _LEAVES))
+_DEPTH2 = st.one_of(_DEPTH1, st.builds(Sum, _DEPTH1, _DEPTH1), st.builds(Product, _DEPTH1, _DEPTH1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    entries=st.lists(_DEPTH2, min_size=4, max_size=4),
+    theta=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+)
+def test_random_compositions_table_matches_entrywise_and_kind_formulas(entries, theta):
+    f = MatrixTimeFunction([entries[:2], entries[2:]])
+    theta = np.array(theta)
+    for n in (50, 80, 7):
+        assert_heads_match_entrywise(f, n, theta)
+    for entry in entries:
+        for tau in sorted_tuples(sorted(entry.param_slots()), 3):
+            want = kind_oracle(entry, _T, theta, tau)
+            got = entry.deriv(_T, theta, tau) if tau else entry.value(_T, theta)
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-12 * (1.0 + np.abs(want).max()))
 
 
 def test_slot_free_entry_is_constant_in_the_table():
     grow = ExpTrend(0.01)
-    c, coefs = grow.parts(np.arange(1.0, 31.0))
-    np.testing.assert_array_equal(c, np.exp(0.01 * np.arange(1.0, 31.0)))
-    assert coefs == {}
+    assert grow.terms(_T[:30])[0][1] == {}  # no exponent in theta
+    np.testing.assert_array_equal(grow.terms(_T[:30])[0][0][()], np.exp(0.01 * _T[:30]))
     f = MatrixTimeFunction([[grow, Sine(0, 0.3)], [Product(Constant(2.0), ExpTrend(-0.1)), Constant(0.5)]])
     theta = np.array([0.7])
     assert_heads_match_entrywise(f, 30, theta)
-    slots, tab_c, tab_f = f._table
-    assert slots == (0,)
-    np.testing.assert_array_equal(tab_c[:, 0, 0], c)
-    np.testing.assert_array_equal(tab_f[0, :, 0, 0], np.zeros(30))
+    tab = f._table
+    assert tab.affine and tab.slots == (0,)
+    np.testing.assert_array_equal(tab.terms[0].c[:, 0, 0], np.exp(0.01 * _T[:30]))
+    np.testing.assert_array_equal(tab.terms[0].lin[0, :, 0, 0], np.zeros(30))
 
 
-@pytest.mark.parametrize(
-    "entry", [Sine(2, 0.3), ExpSine(2, 0.3)], ids=["table", "generic"]
-)
-def test_short_theta_raises_on_both_paths(entry):
-    f = MatrixTimeFunction([[entry, Constant(0.0)], [Param(0), Constant(1.0)]])
-    f.head(10, np.zeros(3))
+@pytest.mark.parametrize("path", ["table", "generic"])
+def test_short_theta_raises_on_both_paths(path):
+    # the table at t = 1..n, and entry by entry at other times
+    f = MatrixTimeFunction([[ExpSine(2, 0.3), Sine(2, 0.3)], [Param(0), Constant(1.0)]])
+    ts = np.arange(1, 11) if path == "table" else np.arange(1, 11) + 0.5
+    f.deriv_map(ts, np.zeros(3), [(), (2,)])
     with pytest.raises(ConfigError):
-        f.head(10, np.zeros(2))
-    with pytest.raises(ConfigError):
-        f.head_grad(10, np.zeros(2))
+        f.deriv_map(ts, np.zeros(2), [(), (2,)])
+    if path == "table":
+        for call in (f.head, f.head_grad):
+            with pytest.raises(ConfigError):
+                call(10, np.zeros(2))
+    else:
+        with pytest.raises(ConfigError):
+            f.value(ts, np.zeros(2))
 
 
 def test_table_is_read_only_and_values_are_fresh():
