@@ -25,14 +25,12 @@ from .timefn import (
 from .likelihood import ObjectiveReport, ResidualSet, empirical_vw, objective, objective_value, residuals
 from .estimate import FitOptions, FitResult, WaldTest, estimate_noise_cov, fit, wald_test
 from .simulate import RNG_ALGORITHM, SimPlan, innovation_correlation, make_rng, replication_stream, simulate
-from .asymptotics import InfoReport, example1_v_closed, example2_trace_terms, theoretical_v
+from .asymptotics import InfoReport, example1_v_closed, theoretical_v
 from .mc import McCell, McPlan, McSummary, run_mc, summary_from_csv, summary_to_csv
 from .representations import (
     ArWeightTable,
     MaWeightTable,
     build_pi,
     build_psi,
-    var1_transition_power,
-    varma11_pi_closed,
     varma11_psi_closed,
 )

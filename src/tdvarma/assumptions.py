@@ -28,6 +28,13 @@ from .representations import _resid_rows
 from .representations import build_pi, build_psi  # unused here; perfbench/tracer.py wraps these names
 from .timefn import sorted_tuples
 
+# Probe horizon and grids of the audits, also the defaults of `tdvarma check`.
+N_PROBE = 500
+NU_GRID = (1, 5, 10, 20, 40)            # starts of the tail sums the decay fit uses
+CROSS_GRID = (50, 100, 200, 400)        # lengths n of the first cross-time family
+CROSS_M_GRID = (300, 600, 900, 1200)    # and of the second
+INFO_GRID = (25, 50, 100)               # horizons of the information check
+
 # -- Kronecker / moment utilities --------------------------------------------
 
 
@@ -159,18 +166,14 @@ def _timed(check):
 
 
 @_timed
-def check_psi_decay(
-    model: TdVarmaModel,
-    theta0,
-    n_probe: int = 500,
-    nu_grid: Sequence[int] = (1, 5, 10, 20, 40),
-) -> CheckResult:
-    """Geometric decay of MA-derivative tail sums (squared and fourth powers
-    for first/second-order weights; bounded totals for third order)."""
+def check_psi_decay(model: TdVarmaModel, theta0, n_probe: int = N_PROBE) -> CheckResult:
+    """Geometric decay of MA-derivative tail sums from each start in NU_GRID below
+    n_probe (squared and fourth powers for first/second-order weights; bounded
+    totals for third order)."""
     taus, norms = _norm_table(model, theta0, n_probe, 3, None)
     # weights whose norm sits at the roundoff floor count as exact zeros
     norms[~(norms > 1e-14)] = 0.0
-    nu_grid = [int(v) for v in nu_grid if v <= n_probe - 1]
+    nu_grid = [v for v in NU_GRID if v <= n_probe - 1]
     phis = []
     constants: dict = {}
     details: dict = {"nu_grid": nu_grid}
@@ -240,7 +243,7 @@ def _trend_ok(values: np.ndarray) -> bool:
 
 
 @_timed
-def check_sigma_bounds(model: TdVarmaModel, theta0, n_probe: int = 500) -> CheckResult:
+def check_sigma_bounds(model: TdVarmaModel, theta0, n_probe: int = N_PROBE) -> CheckResult:
     """Finiteness (and non-growth) of covariance / scale derivative norms."""
     theta0 = np.asarray(theta0, dtype=float)
     ts = np.arange(1, n_probe + 1)
@@ -278,10 +281,8 @@ def check_sigma_bounds(model: TdVarmaModel, theta0, n_probe: int = 500) -> Check
 
 
 @_timed
-def check_moment_bounds(sigma, dist: str = "gaussian") -> CheckResult:
-    """Innovation moment bounds; exact formulas for Gaussian noise."""
-    if dist != "gaussian":
-        raise ContractError("only Gaussian innovations are supported")
+def check_moment_bounds(sigma) -> CheckResult:
+    """Innovation moment bounds of Gaussian noise, from exact formulas."""
     s = np.asarray(sigma, dtype=float)
     kappa = gaussian_kappa(s)
     vs = vec(s)
@@ -299,9 +300,7 @@ def check_moment_bounds(sigma, dist: str = "gaussian") -> CheckResult:
 
 
 @_timed
-def check_information(
-    model: TdVarmaModel, theta0, n_grid: Sequence[int] = (25, 50, 100)
-) -> CheckResult:
+def check_information(model: TdVarmaModel, theta0, n_grid: Sequence[int] = INFO_GRID) -> CheckResult:
     """Positive definiteness of the finite-horizon information matrix."""
     reports = _information_pass(model, theta0, n_grid)
     min_eigs = {n: rep.min_eigenvalue for n, rep in reports.items()}
@@ -313,8 +312,8 @@ def check_information(
 def check_cross_sums(
     model: TdVarmaModel,
     theta0,
-    n_grid: Sequence[int] = (50, 100, 200, 400),
-    m_term_grid: Sequence[int] = (300, 600, 900, 1200),
+    n_grid: Sequence[int] = CROSS_GRID,
+    m_term_grid: Sequence[int] = CROSS_M_GRID,
     d_cap: int = 60,
 ) -> CheckResult:
     """O(1/n) behaviour of the cross-time coupling sums.
@@ -436,17 +435,16 @@ def _second_family_inner(whitened: np.ndarray, d_cap: int) -> np.ndarray:
 def run_all(
     model: TdVarmaModel,
     theta0=None,
-    n_probe: int = 500,
-    nu_grid: Sequence[int] = (1, 5, 10, 20, 40),
-    cross_grid: Sequence[int] = (50, 100, 200, 400),
-    cross_m_grid: Sequence[int] = (300, 600, 900, 1200),
-    info_grid: Sequence[int] = (25, 50, 100),
+    n_probe: int = N_PROBE,
+    cross_grid: Sequence[int] = CROSS_GRID,
+    cross_m_grid: Sequence[int] = CROSS_M_GRID,
+    info_grid: Sequence[int] = INFO_GRID,
 ) -> AssumptionReport:
     """Run every audit and assemble the report."""
     theta0 = model.layout.theta0_array() if theta0 is None else np.asarray(theta0, dtype=float)
     checks = {}
     for res in (
-        check_psi_decay(model, theta0, n_probe=n_probe, nu_grid=nu_grid),
+        check_psi_decay(model, theta0, n_probe=n_probe),
         check_sigma_bounds(model, theta0, n_probe=n_probe),
         check_moment_bounds(model.sigma),
         check_information(model, theta0, n_grid=info_grid),

@@ -158,39 +158,3 @@ def example1_v_closed(model: TdVarmaModel, theta0, n: int) -> InfoReport:
         v22 += np.sin(freq_b * t) ** 2 * s2
     v = np.diag([v11 / n, v22 / n])
     return _se_from_v(v, n)
-
-
-def example2_trace_terms(
-    theta0, sigma, c: float, t: int, phase: float = np.pi
-) -> tuple[float, float, float]:
-    """Per-time scale-block traces tr(Sigma_t^{-1} dSigma Sigma_t^{-1} dSigma)
-    for the heteroscedastic example, in closed form.
-
-    Returns the raw traces (the assembled information matrix carries the
-    extra factor 1/2).  The two diagonal terms are *not* symmetric in the
-    two rate parameters: the fixed +1/-1 off-diagonal of the scale matrix
-    breaks the exchange symmetry, flipping one sign in the numerator.  The
-    default phase matches the shipped example2 model (diagonals
-    exp(eta sin(ct))); phase 0 covers scale diagonals exp(-eta sin(ct)).
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    s11, s12, s22 = sigma[0, 0], sigma[0, 1], sigma[1, 1]
-    det = s11 * s22 - s12 * s12
-    if det <= 0:
-        raise ContractError("innovation covariance must be positive definite")
-    eta1, eta2 = float(theta0[-2]), float(theta0[-1])
-    u = np.sin(c * t + phase)
-    denom = (1.0 + np.exp((eta1 + eta2) * u)) ** 2 * det
-    v33 = 2.0 * u * u * ((np.exp(eta2 * u) * s11 - s12) ** 2 + 2.0 * det) / denom
-    v44 = 2.0 * u * u * ((np.exp(eta1 * u) * s22 + s12) ** 2 + 2.0 * det) / denom
-    v34 = (
-        2.0
-        * u
-        * u
-        * (
-            s12 * (np.exp(eta2 * u) * s11 - s12 - np.exp(eta1 * u) * s22)
-            - np.exp((eta1 + eta2) * u) * (s11 * s22 - 2.0 * s12 * s12)
-        )
-        / denom
-    )
-    return float(v33), float(v34), float(v44)

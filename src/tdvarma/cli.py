@@ -19,13 +19,13 @@ import numpy as np
 
 from . import __version__, config
 from .errors import ConfigError, ContractError, NumericalError
-from .estimate import FitOptions, fit
+from .estimate import fit, fit_options
 from .examples import EXAMPLE_IDS, build, paper_run
 from .mc import McPlan, estimates_to_csv, run_mc, summary_to_csv
 from .model import Series
 from .simulate import RNG_ALGORITHM, SimPlan, simulate
 from .asymptotics import theoretical_v
-from .assumptions import run_all
+from .assumptions import CROSS_GRID, CROSS_M_GRID, N_PROBE, run_all
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
@@ -69,6 +69,11 @@ def _series_from_csv(path: str) -> Series:
     return Series(values=np.asarray(rows))
 
 
+def _int_list(text: str) -> list:
+    """A comma-separated list of integers; the empty string is the empty list."""
+    return [int(v) for v in text.split(",")] if text else []
+
+
 def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -110,18 +115,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     model, run = config.load(args.config)
     series = _series_from_csv(args.series)
-    theta_init = run.theta_init if run.theta_init is not None else model.layout.theta0
-    if theta_init is None:
-        raise ConfigError("no theta_init in the run block and no true value in the layout")
-    opts = FitOptions(
-        theta_init=theta_init,
-        max_iters=run.max_iters,
-        grad_tol=run.grad_tol,
-        step_tol=run.step_tol,
-        estimate_sigma=run.estimate_sigma,
-        sigma_iters=run.sigma_iters,
-    )
-    result = fit(model, series, opts)
+    result = fit(model, series, fit_options(run, model.layout.theta0))
     payload = {
         "names": list(model.layout.names),
         "theta": result.theta,
@@ -160,11 +154,7 @@ def _cmd_asymptotics(args) -> int:
 
 def _cmd_check(args) -> int:
     model, _ = config.load(args.config)
-    probe = {
-        "n_probe": args.n_probe,
-        "cross_grid": [int(v) for v in args.cross_grid.split(",")],
-        "cross_m_grid": [int(v) for v in args.cross_m_grid.split(",")] if args.cross_m_grid else [],
-    }
+    probe = {"n_probe": args.n_probe, "cross_grid": args.cross_grid, "cross_m_grid": args.cross_m_grid}
     report = run_all(model, **probe)
     lines = ["assumption audit:"]
     for name, verdict in report.verdicts.items():
@@ -188,7 +178,7 @@ def _cmd_mc(args) -> int:
     plan = McPlan.from_run(
         model,
         run,
-        n_list=tuple(int(v) for v in args.n_list.split(",")) if args.n_list else None,
+        n_list=tuple(args.n_list) if args.n_list else None,
         replications=args.replications,
         seed=args.seed,
     )
@@ -254,9 +244,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="audit the regularity conditions")
     p.add_argument("--config", required=True)
-    p.add_argument("--n-probe", type=int, default=500)
-    p.add_argument("--cross-grid", default="50,100,200,400")
-    p.add_argument("--cross-m-grid", default="300,600,900,1200")
+    p.add_argument("--n-probe", type=int, default=N_PROBE)
+    p.add_argument("--cross-grid", type=_int_list, default=list(CROSS_GRID))
+    p.add_argument("--cross-m-grid", type=_int_list, default=list(CROSS_M_GRID))
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_check)
 
@@ -265,7 +255,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.add_argument("--estimates", default=None, help="also write per-replication rows")
     p.add_argument("--replications", type=int, default=None)
-    p.add_argument("--n-list", default=None, help="comma-separated series lengths")
+    p.add_argument("--n-list", type=_int_list, default=None, help="comma-separated series lengths")
     p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_mc)

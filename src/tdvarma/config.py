@@ -12,13 +12,14 @@ A configuration document has two blocks::
         "layout": {"names": [...], "n_ar": 3, "n_ma": 0,
                    "theta0": [...] | null, "bounds": [[lo, hi] | null, ...] | null}
       },
-      "run": {"seed": 1, "n": 100, "replications": 1000, "n_list": [...],
-              "theta_init": [...], "estimate_sigma": false, "sigma_iters": 3,
-              "max_iters": 200, "grad_tol": 1e-6, "step_tol": 1e-10}
+      "run": {"seed": int, "n": int, "replications": int, "n_list": [int, ...],
+              "theta_init": [float, ...] | null, "estimate_sigma": bool,
+              "sigma_iters": int, "max_iters": int, "grad_tol": float, "step_tol": float}
     }
 
 where each coefficient entry is a {kind, constants, param_slots} record.
-Unknown keys anywhere are rejected.
+Unknown keys anywhere are rejected, and so are run values of another JSON type;
+every run key is optional, with RunConfig's defaults.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
+from .estimate import FitOptions
 from .model import ParamLayout, TdVarmaModel
 from .timefn import MatrixTimeFunction
 
@@ -43,16 +45,18 @@ _ENTRY_KEYS = {"kind", "constants", "param_slots", "terms"}
 
 @dataclass
 class RunConfig:
+    """A configuration's run block; its fit settings default to FitOptions'."""
+
     seed: int = 20240501
     n: int = 100
     replications: int = 1000
     n_list: tuple = (25, 50, 100, 200, 400)
     theta_init: Optional[tuple] = None
-    estimate_sigma: bool = False
-    sigma_iters: int = 3
-    max_iters: int = 200
-    grad_tol: float = 1e-6
-    step_tol: float = 1e-10
+    estimate_sigma: bool = FitOptions.estimate_sigma
+    sigma_iters: int = FitOptions.sigma_iters
+    max_iters: int = FitOptions.max_iters
+    grad_tol: float = FitOptions.grad_tol
+    step_tol: float = FitOptions.step_tol
 
 
 _RUN_KEYS = {f.name for f in fields(RunConfig)}
@@ -120,6 +124,23 @@ def model_from_config(block: dict) -> TdVarmaModel:
     return TdVarmaModel(r=r, a_funcs=a_funcs, b_funcs=b_funcs, g_func=g_func, sigma=sigma, layout=layout)
 
 
+def _run_value(key: str, value, kind: type):
+    """value as a run setting of kind bool, int or float; any other JSON type is a
+    ConfigError, and so is a boolean or a non-integral number for an int."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    integral = number and (isinstance(value, int) or value.is_integer())
+    if not {bool: isinstance(value, bool), int: integral, float: number}[kind]:
+        expected = {bool: "a boolean", int: "an integer", float: "a number"}[kind]
+        raise ConfigError(f"run key '{key}' must be {expected}, got {value!r}")
+    return kind(value)
+
+
+def _run_list(key: str, value, kind: type) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"run key '{key}' must be a list, got {value!r}")
+    return tuple(_run_value(key, v, kind) for v in value)
+
+
 def run_from_config(block: Optional[dict]) -> RunConfig:
     if block is None:
         return RunConfig()
@@ -127,21 +148,14 @@ def run_from_config(block: Optional[dict]) -> RunConfig:
         raise ConfigError("'run' must be an object")
     _reject_unknown(block, _RUN_KEYS, "run")
     cfg = RunConfig()
-    for key in _RUN_KEYS:
-        if key in block:
-            default = getattr(cfg, key)
-            value = block[key]
-            if key == "n_list":
-                value = tuple(int(v) for v in value)
-            elif key == "theta_init":
-                value = tuple(float(v) for v in value) if value is not None else None
-            elif isinstance(default, bool):
-                value = bool(value)
-            elif isinstance(default, int):
-                value = int(value)
-            elif isinstance(default, float):
-                value = float(value)
-            setattr(cfg, key, value)
+    for key, value in block.items():
+        if key == "n_list":
+            value = _run_list(key, value, int)
+        elif key == "theta_init":
+            value = None if value is None else _run_list(key, value, float)
+        else:
+            value = _run_value(key, value, type(getattr(cfg, key)))
+        setattr(cfg, key, value)
     return cfg
 
 

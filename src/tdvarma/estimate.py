@@ -17,13 +17,13 @@ score outer-product matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from . import likelihood
-from .errors import ContractError, NumericalError
+from .errors import ConfigError, ContractError, NumericalError
 from .model import Series, TdVarmaModel
 
 NORMAL_CRIT_5PCT = 1.959964
@@ -35,7 +35,9 @@ MIN_STEP = 1e-14
 
 @dataclass
 class FitOptions:
-    """Optimizer and nuisance-estimation settings for one fit."""
+    """Optimizer and nuisance-estimation settings for one fit.  The defaults
+    here are the only ones: run blocks and Monte Carlo plans take theirs from
+    this class.  The fit is bounded by the model layout's bounds."""
 
     theta_init: tuple
     max_iters: int = 200
@@ -43,12 +45,23 @@ class FitOptions:
     step_tol: float = 1e-10
     estimate_sigma: bool = False
     sigma_iters: int = 3
-    bounds: Optional[tuple] = None  # falls back to the model layout bounds
 
     def __post_init__(self):
         object.__setattr__(self, "theta_init", tuple(float(v) for v in self.theta_init))
         if self.max_iters < 1 or self.grad_tol <= 0 or self.step_tol <= 0 or self.sigma_iters < 1:
             raise ContractError("fit options require positive tolerances and iteration counts")
+
+
+FIT_SETTINGS = tuple(f.name for f in fields(FitOptions) if f.name != "theta_init")
+
+
+def fit_options(settings, theta0) -> FitOptions:
+    """The FitOptions of a run block or Monte Carlo plan: its FIT_SETTINGS,
+    starting from its theta_init or, where it has none, from the true value theta0."""
+    theta_init = settings.theta_init if settings.theta_init is not None else theta0
+    if theta_init is None:
+        raise ConfigError("no theta_init in the run block and no true value in the layout")
+    return FitOptions(theta_init=theta_init, **{name: getattr(settings, name) for name in FIT_SETTINGS})
 
 
 @dataclass
@@ -109,10 +122,11 @@ def _inverse_info(info: np.ndarray) -> np.ndarray:
     return li.T @ li
 
 
-def _minimize(model: TdVarmaModel, series: Series, theta0, opts: FitOptions, bounds):
-    """BFGS from the inverse Gauss-Newton information, with Armijo backtracking;
-    monotone in the objective."""
+def _minimize(model: TdVarmaModel, series: Series, theta0, opts: FitOptions):
+    """BFGS from the inverse Gauss-Newton information, with Armijo backtracking,
+    projected onto the layout's bounds; monotone in the objective."""
     n = series.n
+    bounds = model.layout.bounds
     theta = _project(np.asarray(theta0, dtype=float).copy(), bounds)
     rep = likelihood.objective(model, series, theta)
     n_evals = 1
@@ -183,14 +197,14 @@ def estimate_noise_cov(model: TdVarmaModel, series: Series, theta, e=None) -> np
 
 
 def fit(model: TdVarmaModel, series: Series, options: FitOptions) -> FitResult:
-    """Minimize the objective; optionally alternate with noise-covariance updates."""
+    """Minimize the objective within the layout's bounds; optionally alternate
+    with noise-covariance updates."""
     if series.n < model.m:
         raise ContractError(
             f"series length {series.n} is smaller than the parameter count {model.m}"
         )
     if len(options.theta_init) != model.m:
         raise ContractError(f"theta_init has {len(options.theta_init)} entries for {model.m} parameters")
-    bounds = options.bounds if options.bounds is not None else model.layout.bounds
     work = model
     theta = np.asarray(options.theta_init, dtype=float)
     sigma_hat = None
@@ -198,9 +212,7 @@ def fit(model: TdVarmaModel, series: Series, options: FitOptions) -> FitResult:
     history: list = []
     per_round: list = []
     for rnd in range(rounds):
-        theta, rep, iters, n_evals, converged, termination, hist = _minimize(
-            work, series, theta, options, bounds
-        )
+        theta, rep, iters, n_evals, converged, termination, hist = _minimize(work, series, theta, options)
         per_round.append((iters, n_evals, termination))
         history.extend(hist if not history else hist[1:])
         if options.estimate_sigma:

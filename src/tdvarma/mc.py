@@ -2,15 +2,19 @@
 
 Each (n, replication) cell draws its innovations from an independent
 Philox stream keyed by (master seed, n, replication index), so enlarging
-the n-grid or the replication count never perturbs existing cells, and
-aggregation is performed in fixed order for bit-reproducibility whatever
-the worker pool size.
+the n-grid or the replication count never perturbs existing cells.  With
+more than one thread, one worker pool serves every series length of a run;
+its results come back in replication order, so the aggregates are
+bit-identical whatever the pool size.  Each replication is fitted with the
+plan's fit settings, bounded by the model layout's bounds, and its Wald
+tests are of the true value theta0.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import io
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
@@ -19,7 +23,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigError, NumericalError
-from .estimate import FitOptions, FitResult, fit, wald_test
+from .estimate import FitOptions, fit, fit_options, wald_test
 from .model import TdVarmaModel
 from .simulate import SimPlan, replication_stream, simulate
 
@@ -28,25 +32,25 @@ NONCONVERGENCE_FLAG_SHARE = 0.05
 
 @dataclass(frozen=True)
 class McPlan:
-    """Design of one Monte Carlo experiment."""
+    """Design of one Monte Carlo experiment; its defaults are RunConfig's and
+    FitOptions'."""
 
     model: TdVarmaModel
     theta0: tuple
-    n_list: tuple = (25, 50, 100, 200, 400)
-    replications: int = 1000
-    seed: int = 20240501
+    n_list: tuple = RunConfig.n_list
+    replications: int = RunConfig.replications
+    seed: int = RunConfig.seed
     theta_init: Optional[tuple] = None
-    h0: Optional[tuple] = None            # defaults to theta0
-    estimate_sigma: bool = False
-    sigma_iters: int = 3
-    max_iters: int = 200
+    estimate_sigma: bool = FitOptions.estimate_sigma
+    sigma_iters: int = FitOptions.sigma_iters
+    max_iters: int = FitOptions.max_iters
     grad_tol: float = FitOptions.grad_tol
     step_tol: float = FitOptions.step_tol
 
     def __post_init__(self):
         if self.theta0 is None:
             raise ConfigError("a Monte Carlo study needs the true parameter theta0")
-        for name in ("theta0", "theta_init", "h0"):
+        for name in ("theta0", "theta_init"):
             if getattr(self, name) is not None:
                 value = tuple(float(v) for v in getattr(self, name))
                 object.__setattr__(self, name, value)
@@ -98,99 +102,70 @@ class McSummary:
         return self.cells[n]
 
 
-_WORKER: dict = {}
-
-
-def _init_worker(plan: McPlan):
-    _WORKER["plan"] = plan
-
-
-def _run_rep(args):
-    n, rep = args
-    plan: McPlan = _WORKER["plan"]
-    return _one_replication(plan, n, rep)
-
-
 def _one_replication(plan: McPlan, n: int, rep: int):
+    """(theta, se, rejects, ok) of replication rep at length n."""
     series = simulate(
         SimPlan(plan.model, plan.theta0, n, plan.seed, replication_stream(n, rep))
     )
-    theta_init = plan.theta_init if plan.theta_init is not None else plan.theta0
-    opts = FitOptions(
-        theta_init=theta_init,
-        estimate_sigma=plan.estimate_sigma,
-        sigma_iters=plan.sigma_iters,
-        max_iters=plan.max_iters,
-        grad_tol=plan.grad_tol,
-        step_tol=plan.step_tol,
-    )
+    opts = fit_options(plan, plan.theta0)
     m = plan.model.m
     try:
         result = fit(plan.model, series, opts)
     except (NumericalError, ConfigError):
         # a replication whose fit breaks down counts as excluded
         nan = np.full(m, np.nan)
-        return rep, nan, nan, nan, False
-    h0 = plan.h0 if plan.h0 is not None else plan.theta0
+        return nan, nan, nan, False
     ok = bool(result.converged and result.covariance_ok)
     if ok:
         rejects = np.array(
-            [float(wald_test(result, i, h0[i]).reject_5pct) for i in range(m)]
+            [float(wald_test(result, i, plan.theta0[i]).reject_5pct) for i in range(m)]
         )
         se = result.se
     else:
         rejects = np.full(m, np.nan)
         se = np.full(m, np.nan)
-    return rep, result.theta, se, rejects, ok
+    return result.theta, se, rejects, ok
+
+
+def _cell(n: int, thetas: np.ndarray, ses: np.ndarray, rejects: np.ndarray, oks: np.ndarray) -> McCell:
+    """Aggregates of the replications at length n that converged."""
+    R, m = thetas.shape
+    n_conv = int(oks.sum())
+    if not n_conv:
+        nanv = np.full(m, np.nan)
+        return McCell(n, nanv, nanv, nanv, nanv, 0, R)
+    return McCell(
+        n=n,
+        mean_estimate=thetas[oks].mean(axis=0),
+        mean_se=ses[oks].mean(axis=0),
+        std_estimate=thetas[oks].std(axis=0, ddof=1) if n_conv > 1 else np.zeros(m),
+        reject_pct=100.0 * rejects[oks].mean(axis=0),
+        n_converged=n_conv,
+        n_total=R,
+    )
 
 
 def run_mc(plan: McPlan, threads: int = 1, collect_estimates: bool = False):
-    """Execute the experiment; returns McSummary (and per-replication rows)."""
-    m = plan.model.m
+    """Execute the experiment; returns McSummary (and per-replication rows).
+    More than one thread runs the replications in one pool of that many worker
+    processes."""
     R = plan.replications
     summary = McSummary(param_names=tuple(plan.model.layout.names), replications=R)
     rows = []
-    for n in plan.n_list:
-        thetas = np.empty((R, m))
-        ses = np.empty((R, m))
-        rejects = np.empty((R, m))
-        oks = np.zeros(R, dtype=bool)
-        tasks = [(n, rep) for rep in range(R)]
-        if threads and threads > 1:
-            with ProcessPoolExecutor(
-                max_workers=threads, initializer=_init_worker, initargs=(plan,)
-            ) as pool:
-                results = list(pool.map(_run_rep, tasks, chunksize=max(1, R // (8 * threads))))
-        else:
-            _init_worker(plan)
-            results = [_run_rep(t) for t in tasks]
-        for rep, theta, se, rej, ok in results:
-            thetas[rep] = theta
-            ses[rep] = se
-            rejects[rep] = rej
-            oks[rep] = ok
-        mask = oks
-        n_conv = int(mask.sum())
-        if n_conv:
-            cell = McCell(
-                n=n,
-                mean_estimate=thetas[mask].mean(axis=0),
-                mean_se=ses[mask].mean(axis=0),
-                std_estimate=thetas[mask].std(axis=0, ddof=1) if n_conv > 1 else np.zeros(m),
-                reject_pct=100.0 * rejects[mask].mean(axis=0),
-                n_converged=n_conv,
-                n_total=R,
-            )
-        else:
-            nanv = np.full(m, np.nan)
-            cell = McCell(n, nanv, nanv, nanv, nanv, 0, R)
-        summary.cells[n] = cell
-        if n_conv < (1.0 - NONCONVERGENCE_FLAG_SHARE) * R:
-            summary.flagged = True
-        if collect_estimates:
-            for rep in range(R):
-                for i in range(m):
-                    rows.append((n, rep, summary.param_names[i], thetas[rep, i], ses[rep, i], oks[rep]))
+    parallel = bool(threads and threads > 1)
+    with ProcessPoolExecutor(max_workers=threads) if parallel else contextlib.nullcontext() as pool:
+        mapper = functools.partial(pool.map, chunksize=max(1, R // (8 * threads))) if parallel else map
+        for n in plan.n_list:
+            results = mapper(functools.partial(_one_replication, plan, n), range(R))
+            thetas, ses, rejects, oks = map(np.array, zip(*results))
+            cell = summary.cells[n] = _cell(n, thetas, ses, rejects, oks)
+            summary.flagged |= cell.n_converged < (1.0 - NONCONVERGENCE_FLAG_SHARE) * R
+            if collect_estimates:
+                rows.extend(
+                    (n, rep, name, thetas[rep, i], ses[rep, i], oks[rep])
+                    for rep in range(R)
+                    for i, name in enumerate(summary.param_names)
+                )
     if collect_estimates:
         return summary, rows
     return summary

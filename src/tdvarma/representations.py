@@ -212,45 +212,6 @@ def varma11_psi_closed(model: TdVarmaModel, theta, t: int, k: int) -> np.ndarray
     return out @ tail
 
 
-def varma11_pi_closed(model: TdVarmaModel, theta, t: int, k: int) -> np.ndarray:
-    """Product form of the AR weights for orders (1, 1):
-    pi_{tk} = (-1)^{k-1} B_t ... B_{t-k+2} (A_{t-k+1} + B_{t-k+1})."""
-    if (model.p, model.q) != (1, 1):
-        raise ContractError("closed-form AR weight requires orders (1, 1)")
-    if not 1 <= k <= t - 1:
-        raise ContractError("closed-form AR weight requires 1 <= k <= t-1")
-    out = np.eye(model.r)
-    for l in range(0, k - 1):
-        out = out @ model.b_funcs[0].value(t - l, theta)
-    tail = model.a_funcs[0].value(t - k + 1, theta) + model.b_funcs[0].value(t - k + 1, theta)
-    return float((-1) ** (k - 1)) * (out @ tail)
-
-
-def varma11_pi_deriv_closed(model: TdVarmaModel, theta, t: int, k: int, i: int) -> np.ndarray:
-    """First derivative of the (1,1) AR weight via the factor-by-factor rule."""
-    if (model.p, model.q) != (1, 1):
-        raise ContractError("closed-form AR weight derivative requires orders (1, 1)")
-    a, b = model.a_funcs[0], model.b_funcs[0]
-
-    def factor(h: int, differentiate: bool) -> np.ndarray:
-        th = t + 1 - h
-        if h < k:
-            return b.deriv(th, theta, (i,)) if differentiate else b.value(th, theta)
-        return (
-            a.deriv(th, theta, (i,)) + b.deriv(th, theta, (i,))
-            if differentiate
-            else a.value(th, theta) + b.value(th, theta)
-        )
-
-    total = np.zeros((model.r, model.r))
-    for l in range(1, k + 1):
-        prod = np.eye(model.r)
-        for h in range(1, k + 1):
-            prod = prod @ factor(h, differentiate=(h == l))
-        total = total + prod
-    return float((-1) ** (k - 1)) * total
-
-
 def triangular_var1_product(
     a11: float,
     a22: float,
@@ -279,13 +240,6 @@ def triangular_var1_product(
                 term *= np.sin(freq_b * (t - f - 1))
         off += term
     return np.array([[top, coupling * off], [0.0, bot]])
-
-
-def var1_transition_power(model: TdVarmaModel, theta0, t: int, k: int) -> np.ndarray:
-    """Matrix product prod_{l=1}^{k-1} A_{t-l}(theta0) for upper-triangular
-    sinusoidal VAR(1) models, via the closed form."""
-    a11, a22, freq_a, freq_b, coupling = _triangular_var1_params(model, theta0)
-    return triangular_var1_product(a11, a22, freq_a, freq_b, coupling, t, k)
 
 
 def _triangular_var1_params(model: TdVarmaModel, theta0):

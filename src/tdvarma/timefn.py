@@ -432,10 +432,11 @@ def scalar_from_config(rec: Mapping) -> ScalarTimeFunction:
 class MatrixTimeFunction:
     """An r x r matrix of scalar time functions, evaluated and differentiated jointly.
 
-    `value` and `deriv` work entry by entry at any times.  `head`, `head_grad`
-    and `deriv_map` at t = 1..n read one table: the entries' closed forms packed
-    over t = 1..N, built on first use and rebuilt at twice the length when a
-    longer n comes.  Every derivative up to order 3 follows from the table.  For
+    Every evaluation packs the entries' closed forms over its times into one
+    form.  `value`, `deriv` and `deriv_map` pack them at the times they are
+    given; `head`, `head_grad` and `deriv_map` at t = 1..n read one table, the
+    form over t = 1..N, built on first use and rebuilt at twice the length when
+    a longer n comes.  Every derivative up to order 3 follows from the table.  For
     an affine matrix the table is (C, F), one term without exponent: the value
     is C + theta_slots . F and the first derivatives are slices of F.
     """
@@ -469,8 +470,7 @@ class MatrixTimeFunction:
         tab = self._table
         if tab is None or tab.shape[0] < n:
             big_n = n if tab is None else max(n, 2 * tab.shape[0])
-            cells = [((i, j), f) for i, row in enumerate(self.entries) for j, f in enumerate(row)]
-            tab = _Form.pack(cells, np.arange(1.0, big_n + 1), (self.rows, self.cols))
+            tab = self._form(np.arange(1.0, big_n + 1))
             for arr in tab.arrays():
                 arr.setflags(write=False)
             self._table = tab
@@ -492,26 +492,22 @@ class MatrixTimeFunction:
         grads = tab.derivs(theta, [(k,) for k in tab.slots])
         return tab.slots, np.stack(list(grads.values()))
 
+    def _form(self, tt: np.ndarray) -> _Form:
+        """The entries' closed forms packed over the time array tt."""
+        cells = [((i, j), f) for i, row in enumerate(self.entries) for j, f in enumerate(row)]
+        return _Form.pack(cells, tt, (self.rows, self.cols))
+
     def value(self, t, theta) -> np.ndarray:
         """Matrix value at time(s) t; shape (r, r) for scalar t, (len(t), r, r) otherwise."""
-        tt = _as_time(t)
-        out = np.zeros(tt.shape + (self.rows, self.cols))
-        for i, row in enumerate(self.entries):
-            for j, f in enumerate(row):
-                out[..., i, j] = f.value(tt, theta)
-        return out
+        return self._form(_as_time(t)).derivs(theta, [()])[()]
 
     def deriv(self, t, theta, indices: Sequence[int]) -> np.ndarray:
         """Exact partial derivative of the matrix w.r.t. theta[indices]."""
-        idx = _check_indices(indices)
+        tau = tuple(sorted(_check_indices(indices)))
         tt = _as_time(t)
-        out = np.zeros(tt.shape + (self.rows, self.cols))
-        if not set(idx) <= self.param_slots():
-            return out
-        for i, row in enumerate(self.entries):
-            for j, f in enumerate(row):
-                out[..., i, j] = f.deriv(tt, theta, idx)
-        return out
+        if not set(tau) <= self._slots:
+            return np.zeros(tt.shape + (self.rows, self.cols))
+        return self._form(tt).derivs(theta, [tau])[tau]
 
     def deriv_map(self, t, theta, tuples: Iterable[tuple[int, ...]]) -> dict:
         """Evaluate several derivative tuples at once; omits the tuples with a slot the
@@ -519,10 +515,8 @@ class MatrixTimeFunction:
         range, which is recognized without a scan) it reads the table."""
         taus = [tau for tau in tuples if set(tau) <= self._slots]
         n = _head_length(t)
-        if n:
-            return self._head_table(n).derivs(theta, taus)
-        tt = _as_time(t)
-        return {tau: self.deriv(tt, theta, tau) if tau else self.value(tt, theta) for tau in taus}
+        form = self._head_table(n) if n else self._form(_as_time(t))
+        return form.derivs(theta, taus)
 
     def to_config(self):
         return [[f.to_config() for f in row] for row in self.entries]

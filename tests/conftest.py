@@ -191,22 +191,32 @@ def dense_residual_operator(model, theta, n):
     return big_m, dms
 
 
+def entrywise(f, t, theta, tau=()):
+    """The matrix time function f (tau = ()) or its derivative tau at the times t,
+    from each entry's own scalar value / deriv, one entry at a time."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape + (f.rows, f.cols))
+    for i, row in enumerate(f.entries):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry.deriv(t, theta, tau) if tau else entry.value(t, theta)
+    return out
+
+
 def assert_heads_match_entrywise(f, n, theta, rtol=0.0):
     """head / head_grad / deriv_map at t = 1..n against the entry-by-entry value and
     deriv; deriv_map on every sorted derivative tuple up to order 3."""
     ts = np.arange(1, n + 1)
-    np.testing.assert_allclose(f.head(n, theta), f.value(ts, theta), rtol=rtol, atol=0)
+    np.testing.assert_allclose(f.head(n, theta), entrywise(f, ts, theta), rtol=rtol, atol=0)
     slots, grad = f.head_grad(n, theta)
     assert slots == tuple(sorted(f.param_slots()))
     assert grad.shape == (len(slots), n, f.rows, f.cols)
     for k, d in zip(slots, grad):
-        np.testing.assert_allclose(d, f.deriv(ts, theta, (k,)), rtol=rtol, atol=0)
+        np.testing.assert_allclose(d, entrywise(f, ts, theta, (k,)), rtol=rtol, atol=0)
     taus = sorted_tuples(slots, 3)
     got = f.deriv_map(ts, theta, taus)
     assert list(got) == taus
     for tau in taus:
-        want = f.deriv(ts, theta, tau) if tau else f.value(ts, theta)
-        np.testing.assert_allclose(got[tau], want, rtol=rtol, atol=0, err_msg=str(tau))
+        np.testing.assert_allclose(got[tau], entrywise(f, ts, theta, tau), rtol=rtol, atol=0, err_msg=str(tau))
 
 
 def kind_oracle(f, t, theta, idx=()):

@@ -5,12 +5,13 @@ import warnings
 import numpy as np
 import pytest
 from conftest import make_random_varma, make_random_varma22
+from oracles import example2_trace_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdvarma import examples
 from tdvarma.assumptions import check_information
-from tdvarma.asymptotics import _information_pass, example1_v_closed, example2_trace_terms, theoretical_v
+from tdvarma.asymptotics import _information_pass, example1_v_closed, theoretical_v
 from tdvarma.errors import ContractError, NumericalError
 from tdvarma.likelihood import _add_scale_info
 from tdvarma.mc import McPlan, run_mc

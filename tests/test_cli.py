@@ -167,6 +167,9 @@ def test_usage_errors_exit_one(cfg_dir):
     assert res.returncode == 1
     res = run_cli("simulate")  # missing required --config
     assert res.returncode == 1
+    for command, flag in (("mc", "--n-list"), ("check", "--cross-grid")):
+        res = run_cli(command, "--config", str(cfg_dir / "example1_sim.json"), flag, "25,x")
+        assert res.returncode == 1 and "Traceback" not in res.stderr, res.stderr
 
 
 def _edited_config(cfg_dir, tmp_path, edit):
@@ -177,7 +180,7 @@ def _edited_config(cfg_dir, tmp_path, edit):
     return str(path)
 
 
-def test_mc_honours_run_block_tolerances(cfg_dir, tmp_path):
+def test_mc_honours_run_block_tolerances(cfg_dir, tmp_path, monkeypatch):
     loose = _edited_config(cfg_dir, tmp_path, lambda doc: doc["run"].update(grad_tol=1e-2))
     outs = []
     for cfg in (str(cfg_dir / "example1_sim.json"), loose):
@@ -185,6 +188,30 @@ def test_mc_honours_run_block_tolerances(cfg_dir, tmp_path):
         res = run_cli("mc", "--config", cfg, "--n-list", "25", "--replications", "5", "--out", str(outs[-1]))
         assert res.returncode == 0, res.stderr
     assert outs[0].read_bytes() != outs[1].read_bytes()
+
+    # every fit setting of the run block, each off its default, reaches fit
+    # through both `tdvarma fit` and `tdvarma mc`
+    from tdvarma import cli, mc
+    from tdvarma.estimate import FIT_SETTINGS, FitOptions, fit
+
+    block = dict(max_iters=17, grad_tol=1e-3, step_tol=1e-7, estimate_sigma=True, sigma_iters=5)
+    assert set(block) == set(FIT_SETTINGS)
+    assert all(value != getattr(FitOptions, key) for key, value in block.items())
+    cfg = _edited_config(cfg_dir, tmp_path, lambda doc: doc["run"].update(block, theta_init=[0.2, 0.3, -0.4]))
+    seen = []
+
+    def spy(model, series, opts):
+        seen.append(opts)
+        return fit(model, series, opts)
+
+    monkeypatch.setattr(cli, "fit", spy)
+    monkeypatch.setattr(mc, "fit", spy)
+    series, out = str(tmp_path / "x.csv"), str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", cfg, "--n", "40", "--out", series]) == 0
+    assert cli.main(["fit", "--config", cfg, "--series", series, "--out", out]) == 0
+    argv = ["mc", "--config", cfg, "--n-list", "25", "--replications", "2", "--threads", "1", "--out", out]
+    assert cli.main(argv) == 0
+    assert seen == [FitOptions(theta_init=(0.2, 0.3, -0.4), **block)] * 3
 
 
 def test_config_without_true_value_is_a_usage_error(cfg_dir, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -93,10 +94,13 @@ def test_nonconvergence_returns_result():
 def test_bounds_projection_respected():
     m = examples.example1_sim_model()
     series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
-    bounds = ((0.0, 0.75), (None), (-0.75, 0.0))
-    res = fit(m, series, FitOptions(theta_init=(0.1, 0.1, 0.1), bounds=bounds))
+    layout = dataclasses.replace(m.layout, bounds=((0.0, 0.75), None, (-0.75, 0.0)))
+    bounded = TdVarmaModel(m.r, m.a_funcs, m.b_funcs, m.g_func, m.sigma, layout)
+    res = fit(bounded, series, FitOptions(theta_init=(0.1, 0.1, 0.1)))
     assert 0.0 <= res.theta[0] <= 0.75
     assert -0.75 <= res.theta[2] <= 0.0
+    # the unbounded estimate lies above the first upper bound, so that bound binds
+    assert fit(m, series, FitOptions(theta_init=(0.1, 0.1, 0.1))).theta[0] > 0.75 == res.theta[0]
 
 
 def test_too_short_series_rejected():

@@ -58,3 +58,33 @@ def test_example2_correlation_range():
 def test_unknown_example_id_rejected():
     with pytest.raises(ConfigError):
         examples.build("example3")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("estimate_sigma", "false"),
+        ("estimate_sigma", 0),
+        ("max_iters", 2.7),
+        ("sigma_iters", True),
+        ("replications", True),
+        ("seed", "12"),
+        ("n", None),
+        ("n_list", [25, 50.5]),
+        ("n_list", [25, False]),
+        ("n_list", 25),
+        ("grad_tol", "1e-3"),
+        ("step_tol", False),
+        ("theta_init", [0.1, "0.1", 0.1]),
+    ],
+)
+def test_malformed_run_value_rejected(key, value):
+    # each was once cast to the type of its default ("false" loaded as True)
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        config.run_from_config({key: value})
+
+
+def test_integral_run_values_accepted():
+    run = config.run_from_config({"max_iters": 17.0, "n_list": [25, 50.0], "grad_tol": 1, "theta_init": [1, 0.5]})
+    assert (run.max_iters, run.n_list, run.grad_tol, run.theta_init) == (17, (25, 50), 1.0, (1.0, 0.5))
+    assert type(run.max_iters) is int and type(run.grad_tol) is float

@@ -59,6 +59,21 @@ def test_worker_pool_matches_serial():
     assert summary_to_csv(s1) == summary_to_csv(s2)
 
 
+def test_one_pool_serves_every_length(monkeypatch):
+    pools = []
+
+    class CountingPool(mc.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", CountingPool)
+    plan = _small_plan(n_list=(25, 50), replications=6)
+    texts = [summary_to_csv(run_mc(plan, threads=threads)) for threads in (1, 2, 3)]
+    assert pools == [2, 3]
+    assert texts[0] == texts[1] == texts[2]
+
+
 def test_adding_lengths_does_not_perturb_existing_cells():
     s1 = run_mc(_small_plan(n_list=(25,)))
     s2 = run_mc(_small_plan(n_list=(25, 50)))
@@ -169,7 +184,7 @@ def test_plan_validation():
 
 @pytest.mark.parametrize(
     "name, value",
-    [("theta0", (0.1, 0.1)), ("theta_init", (0.1, 0.1)), ("theta_init", (0.1,) * 5), ("h0", (0.0,))],
+    [("theta0", (0.1, 0.1)), ("theta_init", (0.1, 0.1)), ("theta_init", (0.1,) * 5)],
 )
 def test_plan_rejects_wrong_length_vectors(name, value):
     # each would otherwise fail every replication or raise in the middle of the run

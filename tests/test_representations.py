@@ -4,18 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import dense_residual_operator, make_random_varma22, make_scalar_arma11, make_sin_varma11
+from oracles import var1_transition_power, varma11_pi_closed, varma11_pi_deriv_closed
 from tdvarma.errors import ContractError
 from tdvarma.examples import FREQ_A, FREQ_B, example1_sim_model, example1_theory_model
 from tdvarma.model import ParamLayout, TdVarmaModel
-from tdvarma.representations import (
-    build_pi,
-    build_psi,
-    triangular_var1_product,
-    var1_transition_power,
-    varma11_pi_closed,
-    varma11_pi_deriv_closed,
-    varma11_psi_closed,
-)
+from tdvarma.representations import build_pi, build_psi, triangular_var1_product, varma11_psi_closed
 from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Product
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_heads_match_entrywise, kind_oracle
+from conftest import assert_heads_match_entrywise, entrywise, kind_oracle
+from tdvarma import examples
 from tdvarma.errors import ConfigError, ContractError
 from tdvarma.timefn import (
     Constant,
@@ -277,9 +278,47 @@ def test_slot_free_entry_is_constant_in_the_table():
     np.testing.assert_array_equal(tab.terms[0].lin[0, :, 0, 0], np.zeros(30))
 
 
+_AT_ANY_TIMES = {
+    "example2_g": (examples.example2_model().g_func, (0.8, -0.9, 1.0, -1.0)),
+    "example1_sim_a": (examples.example1_sim_model().a_funcs[0], (0.8, 0.5, -0.9)),
+    "product_sum_exp_trend": (
+        MatrixTimeFunction(
+            [
+                [Product(Sine(0, 0.3, 0.2), Param(1)), Sum(ExpTrend(0.01), LinearTrend(2))],
+                [Sum(ExpSine(1, 0.2), Sine(2, 0.7, 0.3)), Product(ExpSine(0, 0.5), ExpSine(2, 0.1))],
+            ]
+        ),
+        (0.7, -0.4, 0.9),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_AT_ANY_TIMES))
+@pytest.mark.parametrize("t", [7, 3.5, np.array([2.0, 5.0, 11.0]), np.arange(2.0, 300.0)], ids=["int", "float", "array", "long"])
+def test_matrix_at_any_times_matches_its_entries(name, t):
+    # value, deriv and deriv_map off the table pack the whole grid at once; each
+    # entry of the result equals the entry's own scalar evaluation
+    f, theta = _AT_ANY_TIMES[name]
+    theta = np.array(theta)
+    taus = sorted_tuples(range(theta.size), 3)
+    got = f.deriv_map(t, theta, taus)
+    assert list(got) == [tau for tau in taus if set(tau) <= f.param_slots()]
+    for tau in taus:
+        want = entrywise(f, t, theta, tau)
+        np.testing.assert_array_equal(f.deriv(t, theta, tau) if tau else f.value(t, theta), want, err_msg=str(tau))
+        if tau in got:
+            np.testing.assert_array_equal(got[tau], want, err_msg=str(tau))
+    with pytest.raises(ContractError):
+        f.value(np.asarray(t) - 10.0, theta)
+    last = (max(f.param_slots()),)
+    for call in (f.value, lambda t, th: f.deriv(t, th, last), lambda t, th: f.deriv_map(t, th, [(), last])):
+        with pytest.raises(ConfigError):
+            call(t, theta[: last[0]])
+
+
 @pytest.mark.parametrize("path", ["table", "generic"])
 def test_short_theta_raises_on_both_paths(path):
-    # the table at t = 1..n, and entry by entry at other times
+    # the table at t = 1..n, and the grid packed at the given times otherwise
     f = MatrixTimeFunction([[ExpSine(2, 0.3), Sine(2, 0.3)], [Param(0), Constant(1.0)]])
     ts = np.arange(1, 11) if path == "table" else np.arange(1, 11) + 0.5
     f.deriv_map(ts, np.zeros(3), [(), (2,)])
