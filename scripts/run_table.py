@@ -18,6 +18,8 @@ import time
 import numpy as np
 
 from tdvarma import examples
+from tdvarma.cli import _int_list
+from tdvarma.errors import ConfigError
 from tdvarma.mc import McPlan, estimates_to_csv, run_mc, summary_to_csv
 
 # table -> example, default seed, the lines the paper's table shows, and its
@@ -53,20 +55,23 @@ def main() -> int:
     ap.add_argument("--table", type=int, choices=sorted(TABLES), required=True)
     ap.add_argument("--out", default=None, help="output directory (default tableT_out)")
     ap.add_argument("--replications", type=int, default=None, help="default from the example's run (1000)")
-    ap.add_argument("--n-list", default=None, help="default from the example's run (25,50,100,200,400)")
+    ap.add_argument("--n-list", type=_int_list, default=None, help="default from the example's run (25,50,100,200,400)")
     ap.add_argument("--seed", type=int, default=None, help="default 1234567 for table 1, 7 for table 2")
     ap.add_argument("--threads", type=int, default=max(1, (os.cpu_count() or 2) - 1))
     args = ap.parse_args()
 
     which, seed, shown, published = TABLES[args.table]
     out = args.out or f"table{args.table}_out"
-    plan = McPlan.from_run(
-        examples.build(which),
-        examples.paper_run(which),
-        n_list=tuple(int(v) for v in args.n_list.split(",")) if args.n_list else None,
-        replications=args.replications,
-        seed=seed if args.seed is None else args.seed,
-    )
+    try:
+        plan = McPlan.from_run(
+            examples.build(which),
+            examples.paper_run(which),
+            n_list=None if args.n_list is None else tuple(args.n_list),
+            replications=args.replications,
+            seed=seed if args.seed is None else args.seed,
+        )
+    except ConfigError as exc:
+        ap.error(str(exc))
     t0 = time.time()
     summary, rows = run_mc(plan, threads=args.threads, collect_estimates=True)
     os.makedirs(out, exist_ok=True)

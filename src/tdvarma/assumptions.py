@@ -331,11 +331,14 @@ def check_cross_sums(
     n * value transients stretching over hundreds of observations, so the
     verdict uses the slope between the two largest grid points.  details also
     record the maximum of the second family's n * value curve over
-    n = 1..max(m_term_grid) and where it occurs.
+    n = 1..max(m_term_grid) and where it occurs.  An empty m_term_grid skips the
+    second family.
     """
     theta0 = np.asarray(theta0, dtype=float)
     n_grid = sorted(int(v) for v in n_grid)
     m_term_grid = sorted(int(v) for v in m_term_grid)
+    if not n_grid or min(n_grid + m_term_grid) < 1:
+        raise ContractError("cross-sum lengths must be integers >= 1, with at least one in n_grid")
     n_max, n2 = max(n_grid), max(m_term_grid, default=0)
     horizon = max(n_max, n2)
     kcap = min(horizon - 1, 2 * d_cap)
@@ -349,7 +352,7 @@ def check_cross_sums(
     if n2 and taus:
         evals, evecs = np.linalg.eigh(model.sigma_t_all(n2, theta0))
         inv_sqrt = np.einsum("tab,tb,tcb->tac", evecs, 1.0 / np.sqrt(evals), evecs)
-        g_chol = g_all @ np.linalg.cholesky(model.sigma)
+        g_chol = g_all @ model.sigma_chol
     for t, stack in enumerate(rows, 1):
         lags = stack.shape[1] - 1
         if t <= n_max:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError, NumericalError
+from .errors import ContractError
 from .model import TdVarmaModel
 from .likelihood import _add_scale_info, _lag_coefs
 from .representations import _triangular_var1_params, triangular_var1_product
@@ -71,11 +71,7 @@ def _information_pass(model: TdVarmaModel, theta0, n_grid: Sequence[int]) -> dic
     if not n_grid or min(n_grid) < 1:
         raise ContractError("information horizons must be a non-empty list of integers >= 1")
     n_max = max(n_grid)
-    sig, _, dsig = model.sigma_chol_all(n_max, theta0, derivs=True)
-    try:
-        siginv = np.linalg.inv(sig)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular residual covariance in the information sum") from exc
+    sig, siginv, _, dsig = model.sigma_factors(n_max, theta0, derivs=True)
 
     trans, readout, noise = _state_system(model, theta0, n_max)
     dim = trans.shape[-1]

@@ -178,7 +178,7 @@ def _cmd_mc(args) -> int:
     plan = McPlan.from_run(
         model,
         run,
-        n_list=tuple(args.n_list) if args.n_list else None,
+        n_list=None if args.n_list is None else tuple(args.n_list),
         replications=args.replications,
         seed=args.seed,
     )

@@ -18,7 +18,8 @@ A configuration document has two blocks::
     }
 
 where each coefficient entry is a {kind, constants, param_slots} record.
-Unknown keys anywhere are rejected, and so are run values of another JSON type;
+Unknown keys anywhere are rejected, and so are values of another JSON type: a
+string number, a boolean or a non-integral number where an integer belongs;
 every run key is optional, with RunConfig's defaults.
 """
 
@@ -27,8 +28,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
-
-import numpy as np
 
 from .errors import ConfigError
 from .estimate import FitOptions
@@ -71,11 +70,15 @@ def _reject_unknown(block: dict, allowed: set, where: str):
 def _check_entries(rows, where: str):
     for i, row in enumerate(rows):
         for j, rec in enumerate(row):
+            at = f"{where}[{i}][{j}]"
             if not isinstance(rec, dict):
-                raise ConfigError(f"{where}[{i}][{j}] must be an object")
-            _reject_unknown(rec, _ENTRY_KEYS, f"{where}[{i}][{j}]")
+                raise ConfigError(f"{at} must be an object")
+            _reject_unknown(rec, _ENTRY_KEYS, at)
+            for name, value in _checked(at, "constants", rec.get("constants", {}), dict).items():
+                _checked(at, name, value, float)
+            _checked_list(at, "param_slots", rec.get("param_slots", []), int)
             if "terms" in rec:
-                _check_entries([rec["terms"]], f"{where}[{i}][{j}].terms")
+                _check_entries([rec["terms"]], f"{at}.terms")
 
 
 def model_from_config(block: dict) -> TdVarmaModel:
@@ -83,27 +86,29 @@ def model_from_config(block: dict) -> TdVarmaModel:
         raise ConfigError("'model' must be an object")
     _reject_unknown(block, _MODEL_KEYS, "model")
     try:
-        r = int(block["r"])
-        p = int(block["p"])
-        q = int(block["q"])
-        sigma = np.asarray(block["sigma"], dtype=float)
-        layout_block = block["layout"]
+        r, p, q = (_checked("model", key, block[key], int) for key in ("r", "p", "q"))
+        sigma = [_checked_list("model", "sigma", row, float) for row in _checked("model", "sigma", block["sigma"], list)]
+        layout_block = _checked("model", "layout", block["layout"], dict)
     except KeyError as exc:
         raise ConfigError(f"missing model key {exc}") from exc
     if not 1 <= r <= MAX_DIM:
         raise ConfigError(f"dimension r={r} outside 1..{MAX_DIM}")
     if not 0 <= p <= MAX_ORDER or not 0 <= q <= MAX_ORDER:
         raise ConfigError(f"orders (p={p}, q={q}) outside 0..{MAX_ORDER}")
+    if len(sigma) != r or any(len(row) != r for row in sigma):
+        raise ConfigError(f"model key 'sigma' must be an r x r matrix (r={r})")
     _reject_unknown(layout_block, _LAYOUT_KEYS, "model.layout")
+    at = "model.layout"
+    theta0, bounds = layout_block.get("theta0"), layout_block.get("bounds")
     try:
         layout = ParamLayout(
-            names=tuple(str(n) for n in layout_block["names"]),
-            n_ar=int(layout_block["n_ar"]),
-            n_ma=int(layout_block["n_ma"]),
-            theta0=tuple(layout_block["theta0"]) if layout_block.get("theta0") is not None else None,
-            bounds=tuple(tuple(b) if b is not None else None for b in layout_block["bounds"])
-            if layout_block.get("bounds") is not None
-            else None,
+            names=_checked_list(at, "names", layout_block["names"], str),
+            n_ar=_checked(at, "n_ar", layout_block["n_ar"], int),
+            n_ma=_checked(at, "n_ma", layout_block["n_ma"], int),
+            theta0=None if theta0 is None else _checked_list(at, "theta0", theta0, float),
+            bounds=None if bounds is None else tuple(
+                b if b is None else _checked_list(at, "bounds", b, float) for b in _checked(at, "bounds", bounds, list)
+            ),
         )
     except KeyError as exc:
         raise ConfigError(f"missing layout key {exc}") from exc
@@ -124,21 +129,22 @@ def model_from_config(block: dict) -> TdVarmaModel:
     return TdVarmaModel(r=r, a_funcs=a_funcs, b_funcs=b_funcs, g_func=g_func, sigma=sigma, layout=layout)
 
 
-def _run_value(key: str, value, kind: type):
-    """value as a run setting of kind bool, int or float; any other JSON type is a
-    ConfigError, and so is a boolean or a non-integral number for an int."""
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def _checked(where: str, key: str, value, kind: type):
+    """value as a config value of kind bool, int, float, str, list or dict; any other
+    JSON type is a ConfigError naming where and key, and so is a boolean or a
+    non-integral number for an int.  Numbers are converted to kind."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    integral = number and (isinstance(value, int) or value.is_integer())
-    if not {bool: isinstance(value, bool), int: integral, float: number}[kind]:
-        expected = {bool: "a boolean", int: "an integer", float: "a number"}[kind]
-        raise ConfigError(f"run key '{key}' must be {expected}, got {value!r}")
-    return kind(value)
+    ok = {bool: isinstance(value, bool), int: number and (isinstance(value, int) or value.is_integer()), float: number}
+    if not ok.get(kind, isinstance(value, kind)):
+        raise ConfigError(f"{where} key '{key}' must be {_EXPECTED[kind]}, got {value!r}")
+    return kind(value) if kind in ok else value
 
 
-def _run_list(key: str, value, kind: type) -> tuple:
-    if not isinstance(value, list):
-        raise ConfigError(f"run key '{key}' must be a list, got {value!r}")
-    return tuple(_run_value(key, v, kind) for v in value)
+def _checked_list(where: str, key: str, value, kind: type) -> tuple:
+    return tuple(_checked(where, key, v, kind) for v in _checked(where, key, value, list))
 
 
 def run_from_config(block: Optional[dict]) -> RunConfig:
@@ -150,11 +156,11 @@ def run_from_config(block: Optional[dict]) -> RunConfig:
     cfg = RunConfig()
     for key, value in block.items():
         if key == "n_list":
-            value = _run_list(key, value, int)
+            value = _checked_list("run", key, value, int)
         elif key == "theta_init":
-            value = None if value is None else _run_list(key, value, float)
+            value = None if value is None else _checked_list("run", key, value, float)
         else:
-            value = _run_value(key, value, type(getattr(cfg, key)))
+            value = _checked("run", key, value, type(getattr(cfg, key)))
         setattr(cfg, key, value)
     return cfg
 

@@ -19,6 +19,8 @@ The Gauss-Newton (expected) Hessian of Q_n,
     sum_t de_t' Sigma_t^{-1} de_t + 0.5 tr(Sigma_t^{-1} dSigma_t Sigma_t^{-1} dSigma_t),
 
 is n times the plug-in curvature V_hat; the optimizer scales its steps by it.
+Sigma_t, Sigma_t^{-1} and log det Sigma_t come from the model, which factors each
+Sigma_t once; nothing here solves or inverts a covariance.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ from .model import Series, TdVarmaModel
 
 @dataclass
 class ResidualSet:
-    """Residuals, per-time covariances, Cholesky factors, optional derivatives."""
+    """Residuals, per-time covariances, their inverses and log-determinants, optional derivatives."""
 
     e: np.ndarray            # (n, r)
     sigma: np.ndarray        # (n, r, r)
-    chol: np.ndarray         # (n, r, r)
+    siginv: np.ndarray       # (n, r, r)
+    logdet: np.ndarray       # (n,)
     de: Optional[np.ndarray]  # (m, n, r) or None
     dsig: Optional[np.ndarray]  # (n_scale, n, r, r), d sigma by the scale slots, or None
 
@@ -129,17 +132,15 @@ def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = Fa
     solve = _lag_solver(_lag_coefs(model.b_funcs, n, r, theta), n)  # shared by e and de
     e = solve(x - _lag_sum(_lag_coefs(model.a_funcs, n, r, theta), x))
     if not with_derivs:
-        sigma_all, chol = model.sigma_chol_all(n, theta)
-        return ResidualSet(e=e, sigma=sigma_all, chol=chol, de=None, dsig=None)
+        return ResidualSet(e, *model.sigma_factors(n, theta), de=None, dsig=None)
     # row k: -(sum_i d_k A_ti x_{t-i} + sum_j d_k B_tj e_{t-j}), then the same solve as e
     de = np.zeros((model.m, n, r))
     for funcs, y in ((model.a_funcs, x), (model.b_funcs, e)):
         for lag, f in enumerate(funcs, 1):
             slots, d = f.head_grad(n, theta)
             de[list(slots)] -= np.einsum("ktrs,ts->ktr", d, _lagged(y, lag))
-    de = solve(de)
-    sigma_all, chol, dsig = model.sigma_chol_all(n, theta, derivs=True)
-    return ResidualSet(e=e, sigma=sigma_all, chol=chol, de=de, dsig=dsig)
+    sigma_all, siginv, logdet, dsig = model.sigma_factors(n, theta, derivs=True)
+    return ResidualSet(e, sigma_all, siginv, logdet, de=solve(de), dsig=dsig)
 
 
 def objective_value(model: TdVarmaModel, series: Series, theta) -> float:
@@ -150,22 +151,21 @@ def objective_value(model: TdVarmaModel, series: Series, theta) -> float:
 
 def _alphas(res: ResidualSet) -> tuple[np.ndarray, np.ndarray]:
     """Per-observation terms alpha_t and the whitened residuals Sigma_t^{-1} e_t."""
-    logdets = 2.0 * np.sum(np.log(np.diagonal(res.chol, axis1=1, axis2=2)), axis=1)
-    w = np.linalg.solve(res.sigma, res.e[..., None])[..., 0]
-    return logdets + np.einsum("tr,tr->t", res.e, w), w
+    w = np.einsum("trs,ts->tr", res.siginv, res.e)
+    return res.logdet + np.einsum("tr,tr->t", res.e, w), w
 
 
 def _q(alphas: np.ndarray, r: int) -> float:
     return 0.5 * float(np.sum(alphas)) + 0.5 * r * alphas.shape[0] * math.log(2.0 * math.pi)
 
 
-def _score_rows(res: ResidualSet, w: np.ndarray, siginv: np.ndarray) -> np.ndarray:
+def _score_rows(res: ResidualSet, w: np.ndarray) -> np.ndarray:
     """Rows d alpha_t / d theta, shape (n, m), given w_t = Sigma_t^{-1} e_t."""
     rows = 2.0 * np.einsum("tr,itr->ti", w, res.de)
     dsig = res.dsig
     k = dsig.shape[0]  # the scale slots come last, and the residuals do not depend on them
     if k:
-        rows[:, -k:] += np.einsum("tsr,itrs->ti", siginv, dsig) - np.einsum("tr,itrs,ts->ti", w, dsig, w)
+        rows[:, -k:] += np.einsum("tsr,itrs->ti", res.siginv, dsig) - np.einsum("tr,itrs,ts->ti", w, dsig, w)
     return rows
 
 
@@ -177,12 +177,12 @@ def _add_scale_info(info: np.ndarray, siginv: np.ndarray, dsig: np.ndarray) -> N
         info[-dsig.shape[0]:, -dsig.shape[0]:] += 0.5 * np.einsum("itab,jtba->ij", rel, rel)
 
 
-def _info(res: ResidualSet, siginv: np.ndarray) -> np.ndarray:
+def _info(res: ResidualSet) -> np.ndarray:
     """Gauss-Newton Hessian sum_t de_t' Sigma_t^{-1} de_t plus the scale term, shape (m, m)."""
     m = res.de.shape[0]
-    wde = np.einsum("trs,jts->jtr", siginv, res.de)
+    wde = np.einsum("trs,jts->jtr", res.siginv, res.de)
     info = res.de.reshape(m, -1) @ wde.reshape(m, -1).T
-    _add_scale_info(info, siginv, res.dsig)
+    _add_scale_info(info, res.siginv, res.dsig)
     return 0.5 * (info + info.T)
 
 
@@ -199,14 +199,13 @@ def _evaluate(model: TdVarmaModel, series: Series, theta) -> ObjectiveReport:
     res = residuals(model, series, theta, with_derivs=True)
     r = res.e.shape[1]
     alphas, w = _alphas(res)
-    siginv = np.linalg.inv(res.sigma)
-    score_rows = _score_rows(res, w, siginv)
+    score_rows = _score_rows(res, w)
     grad = 0.5 * score_rows.sum(axis=0)
     if not np.all(np.isfinite(score_rows)):
         raise NumericalError("non-finite entries in the score")
     return ObjectiveReport(
         q=_q(alphas, r), alphas=alphas, grad=grad, score_rows=score_rows,
-        info=_info(res, siginv), e=res.e,
+        info=_info(res), e=res.e,
     )
 
 

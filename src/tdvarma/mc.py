@@ -59,8 +59,8 @@ class McPlan:
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if self.replications < 1:
             raise ConfigError("replication count must be at least 1")
-        if any(n < self.model.m for n in self.n_list):
-            raise ConfigError("every series length must be at least the parameter count")
+        if not self.n_list or any(n < self.model.m for n in self.n_list):
+            raise ConfigError("a Monte Carlo study needs at least one series length, each at least the parameter count")
 
     @classmethod
     def from_run(

@@ -3,13 +3,14 @@
 The process is an r-vector ARMA(p, q) whose coefficient matrices and
 innovation scale are deterministic functions of t, driven by independent
 innovations with covariance `sigma`.  The per-time residual covariance is
-Sigma_t(theta) = g_t(theta) Sigma g_t(theta)^T.
+Sigma_t(theta) = g_t(theta) Sigma g_t(theta)^T.  Covariances are checked and
+factored here only: Sigma when it is set, each Sigma_t stack by one batched Cholesky.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,16 +48,10 @@ class ParamLayout:
         if self.bounds is not None:
             if len(self.bounds) != m:
                 raise ConfigError("bounds length does not match the number of parameters")
-            norm = []
-            for b in self.bounds:
-                if b is None:
-                    norm.append(None)
-                else:
-                    lo, hi = float(b[0]), float(b[1])
-                    if not lo < hi:
-                        raise ConfigError("each bound must satisfy lo < hi")
-                    norm.append((lo, hi))
-            object.__setattr__(self, "bounds", tuple(norm))
+            norm = tuple(None if b is None else tuple(float(v) for v in b) for b in self.bounds)
+            if any(b is not None and not (len(b) == 2 and b[0] < b[1]) for b in norm):
+                raise ConfigError("each bound must be None or a pair (lo, hi) with lo < hi")
+            object.__setattr__(self, "bounds", norm)
 
     @property
     def m(self) -> int:
@@ -111,6 +106,38 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + np.swapaxes(mat, -1, -2))
 
 
+def _checked_sigma(sigma, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Sigma, its Cholesky factor), both read-only, for a finite, symmetric positive
+    definite r x r innovation covariance; Sigma is symmetrized."""
+    sig = np.asarray(sigma, dtype=float)
+    if sig.shape != (r, r) or not np.all(np.isfinite(sig)):
+        raise ConfigError(f"innovation covariance must be a finite {r} x {r} matrix")
+    sig = _sym(sig)
+    try:
+        chol = np.linalg.cholesky(sig)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigError("innovation covariance is not positive definite") from exc
+    sig.setflags(write=False)
+    chol.setflags(write=False)
+    return sig, chol
+
+
+def _inv_logdet(sig: np.ndarray, t, theta) -> tuple[np.ndarray, np.ndarray]:
+    """(Sigma_t^{-1}, log det Sigma_t) for the residual covariances sig at the times t,
+    from one batched Cholesky; a Sigma_t that is not positive definite raises
+    SingularCovarianceError naming the first such t."""
+    try:
+        chol = np.linalg.cholesky(sig)
+    except np.linalg.LinAlgError:
+        for ti, st in zip(np.ravel(t), sig.reshape((-1,) + sig.shape[-2:])):
+            try:
+                np.linalg.cholesky(st)
+            except np.linalg.LinAlgError:
+                raise SingularCovarianceError(ti.item(), theta) from None
+        raise NumericalError("batched Cholesky failed without an identifiable time index")
+    return np.linalg.inv(sig), 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+
+
 class TdVarmaModel:
     """A vector ARMA(p, q) model with time-dependent coefficients.
 
@@ -120,7 +147,8 @@ class TdVarmaModel:
     a_funcs, b_funcs : autoregressive / moving-average coefficient matrices
         (length p and q respectively), each an r x r MatrixTimeFunction.
     g_func : innovation scale matrix g_t(theta); identity when None.
-    sigma : innovation covariance (symmetric positive definite, r x r).
+    sigma : innovation covariance (symmetric positive definite, r x r); its
+        Cholesky factor is kept as `sigma_chol`.
     layout : parameter names / blocks / optional true value and bounds.
 
     When the layout supplies a true value, g_t is checked to be invertible
@@ -140,10 +168,10 @@ class TdVarmaModel:
         self.a_funcs = tuple(a_funcs)
         self.b_funcs = tuple(b_funcs)
         self.g_func = MatrixTimeFunction.identity(r) if g_func is None else g_func
-        self.sigma = _sym(np.asarray(sigma, dtype=float))
         self.layout = layout
         self._fixed_scale: Optional[tuple] = None
         self._validate()
+        self.sigma, self.sigma_chol = _checked_sigma(sigma, self.r)
 
     @property
     def p(self) -> int:
@@ -160,18 +188,8 @@ class TdVarmaModel:
     def _validate(self):
         if self.r < 1:
             raise ConfigError("dimension r must be at least 1")
-        for name, funcs in (("autoregressive", self.a_funcs), ("moving-average", self.b_funcs)):
-            for f in funcs:
-                if f.rows != self.r:
-                    raise ConfigError(f"{name} coefficient matrix has wrong dimension")
-        if self.g_func.rows != self.r:
-            raise ConfigError("scale matrix has wrong dimension")
-        if self.sigma.shape != (self.r, self.r):
-            raise ConfigError("innovation covariance has wrong shape")
-        try:
-            np.linalg.cholesky(self.sigma)
-        except np.linalg.LinAlgError as exc:
-            raise ConfigError("innovation covariance is not positive definite") from exc
+        if any(f.rows != self.r for f in self.a_funcs + self.b_funcs + (self.g_func,)):
+            raise ConfigError(f"coefficient and scale matrices must be {self.r} x {self.r}")
 
         lay = self.layout
         blocks = (
@@ -183,9 +201,7 @@ class TdVarmaModel:
             for f in funcs:
                 extra = f.param_slots() - allowed
                 if extra:
-                    raise ConfigError(
-                        f"{name} coefficients reference slots {sorted(extra)} outside their block"
-                    )
+                    raise ConfigError(f"{name} coefficients reference slots {sorted(extra)} outside their block")
         if lay.theta0 is not None:
             ts = np.arange(1, DEFAULT_CHECK_HORIZON + 1)
             dets = np.linalg.det(self.g_func.value(ts, lay.theta0_array()))
@@ -197,12 +213,8 @@ class TdVarmaModel:
         """Copy of the model with a replaced innovation covariance; it shares the
         coefficient functions and their tables."""
         new = copy.copy(self)
-        new.sigma = _sym(np.asarray(sigma, dtype=float))
+        new.sigma, new.sigma_chol = _checked_sigma(sigma, self.r)
         new._fixed_scale = None
-        try:
-            np.linalg.cholesky(new.sigma)
-        except np.linalg.LinAlgError as exc:
-            raise ConfigError("innovation covariance is not positive definite") from exc
         return new
 
     # -- per-time evaluations -------------------------------------------------
@@ -223,49 +235,37 @@ class TdVarmaModel:
 
     def sigma_t(self, t, theta) -> np.ndarray:
         """Residual covariance Sigma_t = g_t Sigma g_t^T (symmetrized)."""
-        g = self.g_func.value(t, theta)
-        return _sym(g @ self.sigma @ np.swapaxes(g, -1, -2))
+        return self._sigma_t_table(t, theta, [()])[0][()]
 
     def sigma_t_all(self, n: int, theta) -> np.ndarray:
         """Residual covariances for t = 1..n, shape (n, r, r)."""
-        g = self.g_func.head(n, theta)
-        return _sym(g @ self.sigma @ np.swapaxes(g, -1, -2))
+        return self._sigma_t_table(range(1, n + 1), theta, [()])[0][()]
 
-    def sigma_chol_all(self, n: int, theta, derivs: bool = False) -> tuple:
-        """(Sigma_t, chol) for t = 1..n: the residual covariances and their Cholesky
-        factors.  With derivs a third element, the first derivatives by the scale
-        slots (which come last in theta) as an (n_scale, n, r, r) stack, zero for a
-        slot g_t does not use; one evaluation of g_t serves all three.  When g_t has
-        no parameter slots Sigma_t does not depend on theta: Sigma_t and chol are
-        kept, read-only, for the longest n asked so far and read by prefix."""
+    def sigma_factors(self, n: int, theta, derivs: bool = False) -> tuple:
+        """(Sigma_t, Sigma_t^{-1}, log det Sigma_t) for t = 1..n, shapes (n, r, r),
+        (n, r, r) and (n,).  With derivs a fourth element, the first derivatives of
+        Sigma_t by the scale slots (which come last in theta) as an (n_scale, n, r, r)
+        stack, zero for a slot g_t does not use; one evaluation of g_t serves all four.
+        When g_t has no parameter slots Sigma_t does not depend on theta: the three
+        arrays are kept, read-only, for the longest n asked so far and read by prefix."""
         fixed = self._fixed_scale
         slots = self.layout.scale_slots if derivs else ()
         table: dict = {}  # d Sigma_t by the scale slots g_t uses; none when it is fixed
         if fixed is not None and fixed[0].shape[0] >= n:
-            sig, chol = fixed[0][:n], fixed[1][:n]
+            factors = tuple(a[:n] for a in fixed)
         else:
-            table, _ = self._sigma_t_table(range(1, n + 1), theta, [()] + [(s,) for s in slots])
-            sig = table[()]
-            try:
-                chol = np.linalg.cholesky(sig)
-            except np.linalg.LinAlgError:
-                for t0, st in enumerate(sig):
-                    try:
-                        np.linalg.cholesky(st)
-                    except np.linalg.LinAlgError:
-                        raise SingularCovarianceError(t0 + 1, theta) from None
-                raise NumericalError("batched Cholesky failed without an identifiable time index")
+            ts = range(1, n + 1)
+            table, _ = self._sigma_t_table(ts, theta, [()] + [(s,) for s in slots])
+            factors = (table[()],) + _inv_logdet(table[()], ts, theta)
             if not self.g_func.param_slots():
-                sig.setflags(write=False)
-                chol.setflags(write=False)
-                self._fixed_scale = sig, chol
+                for a in factors:
+                    a.setflags(write=False)
+                self._fixed_scale = factors
         if not derivs:
-            return sig, chol
-        dsig = np.zeros((len(slots), n, self.r, self.r))
-        for i, slot in enumerate(slots):
-            if (slot,) in table:
-                dsig[i] = table[(slot,)]
-        return sig, chol, dsig
+            return factors
+        zero = np.zeros((n, self.r, self.r))  # for a slot g_t does not use
+        dsig = np.array([table.get((s,), zero) for s in slots]).reshape(len(slots), n, self.r, self.r)
+        return factors + (dsig,)
 
     def sigma_t_deriv(self, t, theta, indices) -> np.ndarray:
         """Exact derivative of Sigma_t of order 1 or 2 w.r.t. theta[indices]."""
@@ -307,10 +307,7 @@ class TdVarmaModel:
         inv: dict = {}
         if not inverse:
             return sig, inv
-        try:
-            inv[()] = _sym(np.linalg.inv(sig[()]))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"residual covariance singular at t={t}") from exc
+        inv[()] = _sym(_inv_logdet(sig[()], t, theta)[0])
         for tau in list(sig)[1:]:
             # differentiate -M^-1 (d_head M) M^-1 by the remaining indices, split three ways
             head, rest = tau[0], tau[1:]

@@ -10,7 +10,6 @@ identifier is exposed for reproducibility audits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -64,8 +63,7 @@ def simulate(plan: SimPlan, return_innovations: bool = False):
     r = model.r
     theta0 = np.asarray(plan.theta0, dtype=float)
     rng = make_rng(plan.seed, plan.stream)
-    chol = np.linalg.cholesky(model.sigma)
-    eps = rng.standard_normal((n, r)) @ chol.T
+    eps = rng.standard_normal((n, r)) @ model.sigma_chol.T
 
     scaled = np.einsum("trs,ts->tr", model.g_func.head(n, theta0), eps)
     a_all, b_all = (_lag_coefs(funcs, n, r, theta0) for funcs in (model.a_funcs, model.b_funcs))

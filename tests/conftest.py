@@ -64,6 +64,18 @@ def make_scalar_arma11(a=0.5, b=0.4):
     )
 
 
+def make_scale_singular_at(t0):
+    """VAR(1) with scale g_t = diag(theta_1 t - t0, 1): at theta_1 = 1 the residual
+    covariance is singular at t = t0 only.  Its layout's true value theta_1 = 2 keeps
+    g_t invertible at every integer t."""
+    layout = ParamLayout(names=("a", "s"), n_ar=1, n_ma=0, theta0=(0.5, 2.0))
+    a = MatrixTimeFunction([[Param(0), Constant(0.0)], [Constant(0.0), Constant(0.3)]])
+    g = MatrixTimeFunction(
+        [[Sum(LinearTrend(1), Constant(-float(t0))), Constant(0.0)], [Constant(0.0), Constant(1.0)]]
+    )
+    return TdVarmaModel(2, [a], [], g, np.eye(2), layout)
+
+
 def make_sin_varma11(rng, r=2):
     """Random sinusoidal bivariate ARMA(1,1): every entry amplitude * sin(w t + phi)."""
     slots = iter(range(2 * r * r))

@@ -24,6 +24,7 @@ from tdvarma.assumptions import (
     vec,
 )
 from tdvarma.asymptotics import theoretical_v
+from tdvarma.errors import ContractError
 from tdvarma.model import ParamLayout, TdVarmaModel
 from tdvarma.representations import _resid_rows
 from tdvarma.simulate import make_rng
@@ -205,6 +206,18 @@ def test_cross_sums_zero_model_exactly_zero():
     res = check_cross_sums(m, np.array([1.0]), n_grid=(20, 40), m_term_grid=(20,))
     assert res.verdict == "pass"
     assert all(v == 0.0 for v in res.details["ratios"].values())
+
+
+@pytest.mark.parametrize("n_grid, m_term_grid", [((), (20,)), ((), ()), ((0, 20), ()), ((20,), (-5, 20))])
+def test_cross_sums_reject_empty_or_nonpositive_lengths(example1_sim, n_grid, m_term_grid):
+    with pytest.raises(ContractError, match="integers >= 1"):
+        check_cross_sums(example1_sim, np.array(example1_sim.layout.theta0), n_grid, m_term_grid)
+
+
+def test_cross_sums_without_second_family(example1_sim):
+    res = check_cross_sums(example1_sim, np.array(example1_sim.layout.theta0), n_grid=(20, 40), m_term_grid=())
+    assert set(res.details["ratios"]) == {"first_n20", "first_n40"}
+    assert "second_curve_max" not in res.details
 
 
 def test_run_all_examples_pass():

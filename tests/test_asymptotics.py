@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import make_random_varma, make_random_varma22
+from conftest import make_random_varma, make_random_varma22, make_scale_singular_at
 from oracles import example2_trace_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from tdvarma import examples
 from tdvarma.assumptions import check_information
 from tdvarma.asymptotics import _information_pass, example1_v_closed, theoretical_v
-from tdvarma.errors import ContractError, NumericalError
+from tdvarma.errors import ContractError, NumericalError, SingularCovarianceError
 from tdvarma.likelihood import _add_scale_info
 from tdvarma.mc import McPlan, run_mc
 from tdvarma.model import ParamLayout, TdVarmaModel
@@ -63,7 +63,7 @@ def ma_expansion_v(model, theta0, n_grid):
         v += np.einsum("ab,ikbc,kcd,jkad->ij", siginv[t - 1], psi, lagged, psi, optimize=True)
         if t in n_grid:
             out[t] = v.copy()
-    dsig = model.sigma_chol_all(n_max, th, derivs=True)[2]
+    dsig = model.sigma_factors(n_max, th, derivs=True)[3]
     for n, vn in out.items():
         _add_scale_info(vn, siginv[:n], dsig[:, :n])
         vn /= n
@@ -130,6 +130,16 @@ def test_information_reports_singular_residual_covariance():
     model = TdVarmaModel(2, [a], [], g, np.eye(2), layout)
     with pytest.raises(NumericalError):
         theoretical_v(model, np.array([0.5, 0.0]), 10)
+
+
+def test_information_names_the_first_singular_time():
+    model = make_scale_singular_at(3)
+    theta = np.array([0.5, 1.0])
+    for call in (lambda: theoretical_v(model, theta, 10), lambda: check_information(model, theta, (2, 10))):
+        with pytest.raises(SingularCovarianceError) as err:
+            call()
+        assert err.value.t == 3
+    assert theoretical_v(model, theta, 2).positive_definite
 
 
 @pytest.mark.parametrize("which", ["example1_sim", "example1_theory", "example2"])

@@ -159,7 +159,7 @@ def _assert_check_details(doc):
     assert cross["ratios"] == doc["ratios"]
 
 
-def test_usage_errors_exit_one(cfg_dir):
+def test_usage_errors_exit_one(cfg_dir, tmp_path):
     res = run_cli("simulate", "--config", str(cfg_dir / "example1_sim.json"), "--n", "0")
     assert res.returncode == 1
     assert "at least 1" in res.stderr
@@ -167,9 +167,21 @@ def test_usage_errors_exit_one(cfg_dir):
     assert res.returncode == 1
     res = run_cli("simulate")  # missing required --config
     assert res.returncode == 1
-    for command, flag in (("mc", "--n-list"), ("check", "--cross-grid")):
-        res = run_cli(command, "--config", str(cfg_dir / "example1_sim.json"), flag, "25,x")
-        assert res.returncode == 1 and "Traceback" not in res.stderr, res.stderr
+    for command, flag, value in (
+        ("mc", "--n-list", "25,x"),
+        ("mc", "--n-list", ""),
+        ("check", "--cross-grid", "25,x"),
+        ("check", "--cross-grid", ""),
+        ("check", "--cross-grid", "0,5"),
+        ("check", "--cross-m-grid", "0,5"),
+    ):
+        res = run_cli(command, "--config", str(cfg_dir / "example1_sim.json"), flag, value)
+        assert res.returncode == 1 and "Traceback" not in res.stderr, (flag, value, res.stderr)
+    # an empty n_list in the run block is no study either, not a header-only summary
+    cfg = _edited_config(cfg_dir, tmp_path, lambda doc: doc["run"].update(n_list=[]))
+    res = run_cli("mc", "--config", cfg, "--replications", "2", "--out", str(tmp_path / "s.csv"))
+    assert res.returncode == 1 and "series length" in res.stderr, res.stderr
+    assert not (tmp_path / "s.csv").exists()
 
 
 def _edited_config(cfg_dir, tmp_path, edit):
@@ -236,6 +248,15 @@ def test_table_script_writes_outputs_and_cell_lines(table, tmp_path):
     assert len(lines) == len(expected) + 1 and lines[-1].startswith("elapsed ")
     for got, want in zip(lines, expected):
         assert got.startswith(want), (got, want)
+
+
+@pytest.mark.parametrize("n_list", ["25,x", ""])
+def test_table_script_rejects_malformed_lengths(n_list, tmp_path):
+    script = os.path.join(os.path.dirname(SRC), "scripts", "run_table.py")
+    res = run_cli("--table", "1", "--n-list", n_list, "--replications", "2", "--out", str(tmp_path),
+                  command=[sys.executable, script])
+    assert res.returncode == 2 and "Traceback" not in res.stderr, res.stderr
+    assert "usage:" in res.stderr and not (tmp_path / "summary.csv").exists()
 
 
 def test_malformed_config_names_offending_key(tmp_path):

@@ -88,3 +88,47 @@ def test_integral_run_values_accepted():
     run = config.run_from_config({"max_iters": 17.0, "n_list": [25, 50.0], "grad_tol": 1, "theta_init": [1, 0.5]})
     assert (run.max_iters, run.n_list, run.grad_tol, run.theta_init) == (17, (25, 50), 1.0, (1.0, 0.5))
     assert type(run.max_iters) is int and type(run.grad_tol) is float
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, key",
+    [
+        (("r",), 2.7, "r"),
+        (("r",), "2", "r"),
+        (("q",), True, "q"),
+        (("layout", "n_ar"), 3.9, "n_ar"),
+        (("layout", "n_ma"), "0", "n_ma"),
+        (("layout", "names"), ["a11_amp", 2, "eta11", "eta22"], "names"),
+        (("layout", "theta0", 1), "-0.9", "theta0"),
+        (("layout", "bounds"), [None, ["0", 1], None, None], "bounds"),
+        (("layout", "bounds"), [None, [0, 1, 2], None, None], "pair"),
+        (("layout", "bounds"), "none", "bounds"),
+        (("sigma", 0, 1), "0.5", "sigma"),
+        (("sigma",), [[1.0, 0.5], [0.5]], "sigma"),
+        (("layout",), "x", "layout"),
+        (("g_func", 0, 0, "constants", "omega"), "0.1", "omega"),
+        (("g_func", 0, 0, "constants"), [0.1], "constants"),
+        (("a_funcs", 0, 0, 0, "param_slots"), [0.5], "param_slots"),
+        (("a_funcs", 0, 0, 0, "param_slots"), ["0"], "param_slots"),
+        (("a_funcs", 0, 0, 0, "param_slots"), 0, "param_slots"),
+    ],
+)
+def test_malformed_model_value_rejected(path, value, key):
+    # each was once cast or truncated ("r": 2.7 loaded as 2, "omega": "0.1" as 0.1)
+    doc = config.model_to_config(examples.build("example2"))
+    _set(doc, path, value)
+    with pytest.raises(ConfigError, match=key):
+        config.model_from_config(doc)
+
+
+def test_integral_model_values_accepted():
+    doc = config.model_to_config(examples.build("example2"))
+    for path, value in (("r",), 2.0), (("layout", "n_ar"), 2.0), (("sigma", 0, 0), 1), (("layout", "theta0", 2), 1):
+        _set(doc, path, value)
+    assert config.model_from_config(doc) == examples.build("example2")

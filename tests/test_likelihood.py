@@ -231,6 +231,18 @@ def test_singular_covariance_names_time_index():
     assert err.value.t == 1
 
 
+@pytest.mark.parametrize("which", ["example1_sim", "example2"])
+@pytest.mark.parametrize("with_derivs", [False, True])
+def test_residuals_carry_the_inverse_and_log_determinant(which, with_derivs):
+    m = examples.build(which)
+    theta = np.array(m.layout.theta0) + 0.05
+    res = residuals(m, simulate(SimPlan(m, m.layout.theta0, 40, 5)), theta, with_derivs=with_derivs)
+    np.testing.assert_array_equal(res.siginv, np.linalg.inv(res.sigma))
+    sign, logdet = np.linalg.slogdet(res.sigma)
+    assert np.all(sign == 1.0)
+    np.testing.assert_allclose(res.logdet, logdet, rtol=0, atol=1e-13)
+
+
 def test_dimension_mismatch_rejected():
     m = examples.example1_sim_model()
     with pytest.raises(ContractError):
@@ -332,7 +344,7 @@ def test_objective_builds_the_scale_once_per_evaluation(monkeypatch):
     assert len(calls) == 1
     ts = np.arange(1, 61)
     per_slot = [m.sigma_t_deriv(ts, theta, (s,)) for s in m.layout.scale_slots]
-    np.testing.assert_array_equal(m.sigma_chol_all(60, theta, derivs=True)[2], np.stack(per_slot))
+    np.testing.assert_array_equal(m.sigma_factors(60, theta, derivs=True)[3], np.stack(per_slot))
 
 
 def _entrywise_objective(m, series, theta):

@@ -180,6 +180,8 @@ def test_plan_validation():
         McPlan(model=m, theta0=m.layout.theta0, n_list=(2,), replications=10)
     with pytest.raises(ConfigError):
         McPlan(model=m, theta0=m.layout.theta0, replications=0)
+    with pytest.raises(ConfigError, match="at least one series length"):
+        McPlan(model=m, theta0=m.layout.theta0, n_list=())
 
 
 @pytest.mark.parametrize(

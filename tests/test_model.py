@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdvarma.errors import ConfigError, ContractError
+from conftest import make_scale_singular_at
+
+from tdvarma.errors import ConfigError, ContractError, SingularCovarianceError
 from tdvarma.examples import FREQ_C, example1_sim_model, example2_model
 from tdvarma.model import ParamLayout, Series, TdVarmaModel
 from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Sine
@@ -147,6 +149,50 @@ def test_sigma_must_be_positive_definite():
         TdVarmaModel(1, [a], [], None, [[-1.0]], layout)
 
 
+@pytest.mark.parametrize(
+    "sigma,match",
+    [
+        (np.eye(3), "finite 2 x 2"),
+        (np.ones(2), "finite 2 x 2"),
+        ([[1.0, 0.0], [0.0, np.nan]], "finite 2 x 2"),
+        ([[1.0, np.inf], [np.inf, 1.0]], "finite 2 x 2"),
+        ([[1.0, 2.0], [2.0, 1.0]], "not positive definite"),
+    ],
+)
+def test_innovation_covariance_is_checked_once_on_every_path(example1_sim, sigma, match):
+    layout = example1_sim.layout
+    parts = (example1_sim.a_funcs, example1_sim.b_funcs, example1_sim.g_func)
+    with pytest.raises(ConfigError, match=match):
+        TdVarmaModel(2, *parts, sigma, layout)
+    with pytest.raises(ConfigError, match=match):
+        example1_sim.with_sigma(sigma)
+
+
+def test_innovation_covariance_keeps_its_cholesky_factor(example2):
+    m = example2.with_sigma([[2.0, 0.5], [0.5, 1.0]])
+    for model in (example2, m):  # the copy has its own factor, and the original keeps its one
+        np.testing.assert_array_equal(model.sigma_chol, np.linalg.cholesky(model.sigma))
+        assert not (model.sigma.flags.writeable or model.sigma_chol.flags.writeable)
+
+
+@pytest.mark.parametrize("path", ["sigma_t_inv", "sigma_t_inv_deriv", "sigma_factors"])
+def test_singular_residual_covariance_names_its_first_time(path):
+    m = make_scale_singular_at(3)
+    theta = np.array([0.5, 1.0])
+    calls = {
+        "sigma_t_inv": lambda: m.sigma_t_inv(np.arange(1, 11), theta),
+        "sigma_t_inv_deriv": lambda: m.sigma_t_inv_deriv(np.arange(1, 11), theta, (1, 1)),
+        "sigma_factors": lambda: m.sigma_factors(10, theta, derivs=True),
+    }
+    with pytest.raises(SingularCovarianceError) as err:
+        calls[path]()
+    assert err.value.t == 3 and err.value.theta == (0.5, 1.0)
+    with pytest.raises(SingularCovarianceError) as err:
+        m.sigma_t_inv(3, theta)
+    assert err.value.t == 3
+    np.testing.assert_array_equal(m.sigma_t_inv(np.arange(4, 8), theta), np.linalg.inv(m.sigma_t_all(7, theta)[3:]))
+
+
 def test_singular_scale_detected_eagerly():
     layout = ParamLayout(names=("a", "g"), n_ar=1, n_ma=0, theta0=(0.5, 0.0))
     a = MatrixTimeFunction([[Param(0)]])
@@ -177,19 +223,23 @@ def test_layout_blocks():
 def test_parameter_free_scale_is_built_once_and_read_by_prefix(example1_sim, example2):
     th = np.array(example1_sim.layout.theta0)
     m = example1_sim.with_sigma(example1_sim.sigma)
-    sig, chol = m.sigma_chol_all(30, th)
-    assert not (sig.flags.writeable or chol.flags.writeable)
+    factors = m.sigma_factors(30, th)
+    sig, siginv, logdet = factors
+    assert not any(a.flags.writeable for a in factors)
     np.testing.assert_array_equal(sig, example1_sim.sigma_t_all(30, th))
-    np.testing.assert_array_equal(chol, np.linalg.cholesky(sig))
-    again = m.sigma_chol_all(30, th + 0.3)
-    assert np.shares_memory(again[0], sig) and np.shares_memory(again[1], chol)
-    short = m.sigma_chol_all(12, th)
-    assert np.shares_memory(short[0], sig) and short[0].shape == (12, 2, 2)
-    longer = m.sigma_chol_all(45, th)
-    np.testing.assert_array_equal(longer[0][:30], sig)
-    np.testing.assert_array_equal(m.with_sigma(2.0 * np.eye(2)).sigma_chol_all(30, th)[0], 2.0 * sig)
+    np.testing.assert_array_equal(siginv, np.linalg.inv(sig))
+    np.testing.assert_allclose(logdet, np.linalg.slogdet(sig)[1], rtol=0, atol=1e-13)
+    again = m.sigma_factors(30, th + 0.3)
+    assert all(np.shares_memory(a, b) for a, b in zip(again, factors))
+    short = m.sigma_factors(12, th)
+    assert all(np.shares_memory(a, b) for a, b in zip(short, factors))
+    assert [a.shape for a in short] == [(12, 2, 2), (12, 2, 2), (12,)]
+    longer = m.sigma_factors(45, th)
+    for a, b in zip(longer, factors):
+        np.testing.assert_array_equal(a[:30], b)
+    np.testing.assert_array_equal(m.with_sigma(2.0 * np.eye(2)).sigma_factors(30, th)[0], 2.0 * sig)
     # a scale with parameters is rebuilt at every theta
     th2 = np.array(example2.layout.theta0)
-    sig2 = example2.sigma_chol_all(30, th2)[0]
+    sig2 = example2.sigma_factors(30, th2)[0]
     assert sig2.flags.writeable
-    assert not np.array_equal(sig2, example2.sigma_chol_all(30, th2 + 0.1)[0])
+    assert not np.array_equal(sig2, example2.sigma_factors(30, th2 + 0.1)[0])
