@@ -13,7 +13,6 @@ proof.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -110,25 +109,15 @@ class AssumptionReport:
 # -- MA-derivative weight tables ---------------------------------------------
 
 
-def _weight_rows(model: TdVarmaModel, theta0, n: int, max_order: int, kmax) -> tuple:
-    """(taus, rows): the tuples of order 1..max_order whose residual-derivative MA
-    weights d^tau (M Psi)_t[k] are not identically zero, and an iterator over
-    t = 1..n of those weights stacked as (len(taus), K_t + 1, r, r)."""
-    rows = (row for _, row in _resid_rows(model, theta0, theta0, n, max_order, kmax))
-    first = next(rows)
-    taus = [tau for tau in first if tau]
-    stacks = (np.stack([row[tau] for tau in taus]) for row in itertools.chain([first], rows))
-    return taus, stacks if taus else iter(())
-
-
 def _norm_table(model: TdVarmaModel, theta0, n: int, max_order: int, kmax) -> tuple:
-    """(taus, table): Frobenius norms of the _weight_rows, zero-padded over
-    k = 0..K into table[j, t-1, k]; each row is reduced as it is produced."""
-    taus, rows = _weight_rows(model, theta0, n, max_order, kmax)
-    table = np.zeros((len(taus), n, (n - 1 if kmax is None else min(n - 1, int(kmax))) + 1))
-    for t, stack in enumerate(rows):
-        table[:, t, : stack.shape[1]] = np.sqrt(np.einsum("jkrs,jkrs->jk", stack, stack))
-    return taus, table
+    """(taus, table): the tuples of order 1..max_order whose residual-derivative MA weights
+    d^tau (M Psi)_t[k] are not identically zero, and their Frobenius norms, zero-padded
+    over k = 0..K into table[j, t-1, k]; each row is reduced as it is produced."""
+    taus, rows = _resid_rows(model, theta0, theta0, n, max_order, kmax)
+    table = np.zeros((len(taus) - 1, n, (n - 1 if kmax is None else min(n - 1, int(kmax))) + 1))
+    for t, (_, stack) in enumerate(rows if len(taus) > 1 else ()):
+        table[:, t, : stack.shape[1]] = np.sqrt(np.einsum("jkrs,jkrs->jk", stack[1:], stack[1:]))
+    return taus[1:], table
 
 
 def psi_deriv_norms(
@@ -346,19 +335,20 @@ def check_cross_sums(
     # one pass over the weights: their norms up to n_max, and up to n2 the
     # whitened lag-k weights V_t[i, :, k-1, :] = Sigma_t^{-1/2} w_{t,i,k} g_{t-k} L
     # with Sigma = L L^T, so that V_t V_{t+d}^T carries the Sigma sandwich
-    taus, rows = _weight_rows(model, theta0, horizon, 1, kcap)
+    taus, rows = _resid_rows(model, theta0, theta0, horizon, 1, kcap)
+    taus = taus[1:]
     norms = np.zeros((len(taus), n_max, kcap + 1))
     whitened = np.zeros((n2, len(taus), model.r, kcap, model.r))
     if n2 and taus:
         evals, evecs = np.linalg.eigh(model.sigma_t_all(n2, theta0))
         inv_sqrt = np.einsum("tab,tb,tcb->tac", evecs, 1.0 / np.sqrt(evals), evecs)
         g_chol = g_all @ model.sigma_chol
-    for t, stack in enumerate(rows, 1):
+    for t, (_, stack) in enumerate(rows if taus else (), 1):  # stack[0] is the residual itself
         lags = stack.shape[1] - 1
         if t <= n_max:
-            norms[:, t - 1, : lags + 1] = np.sqrt(np.einsum("jkrs,jkrs->jk", stack, stack))
+            norms[:, t - 1, : lags + 1] = np.sqrt(np.einsum("jkrs,jkrs->jk", stack[1:], stack[1:]))
         if 2 <= t <= n2:
-            white = inv_sqrt[t - 1] @ stack[:, 1:] @ g_chol[t - 2 :: -1][:lags]
+            white = inv_sqrt[t - 1] @ stack[1:, 1:] @ g_chol[t - 2 :: -1][:lags]
             whitened[t - 1, :, :, :lags] = white.transpose(0, 2, 1, 3)
     drop = [j for j in range(len(taus)) if not norms[j].any()]  # slots that vanish up to n_max
     details: dict = {}

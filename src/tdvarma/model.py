@@ -124,14 +124,17 @@ def _checked_sigma(sigma, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _inv_logdet(sig: np.ndarray, t, theta) -> tuple[np.ndarray, np.ndarray]:
     """(Sigma_t^{-1}, log det Sigma_t) for the residual covariances sig at the times t,
-    from one batched Cholesky; a Sigma_t that is not positive definite raises
-    SingularCovarianceError naming the first such t."""
+    from one batched Cholesky; a Sigma_t that is not finite and positive definite
+    raises SingularCovarianceError naming the first such t.  NaN and inf pass through
+    numpy's Cholesky without raising, so a non-finite Sigma_t is factored as zero."""
     try:
         chol = np.linalg.cholesky(sig)
+        if not np.isfinite(sig).all():
+            raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         for ti, st in zip(np.ravel(t), sig.reshape((-1,) + sig.shape[-2:])):
             try:
-                np.linalg.cholesky(st)
+                np.linalg.cholesky(st if np.isfinite(st).all() else np.zeros_like(st))
             except np.linalg.LinAlgError:
                 raise SingularCovarianceError(ti.item(), theta) from None
         raise NumericalError("batched Cholesky failed without an identifiable time index")

@@ -32,11 +32,12 @@ from .timefn import index_splits, sorted_tuples
 
 def _row_recurrence(
     r: int, u_funcs, v_funcs, sign: float, theta, n: int, kmax, tuples, basis=None
-) -> Iterator[dict]:
-    """Rows {tau: (K_t+1, r, r) array}, t = 1..n, of the recurrence in the module
-    docstring with U = sign u_funcs and V = sign v_funcs.  Tuples (sorted by order,
-    from ()) that are identically zero are left out.  basis iterates theta-free rows
-    (None: identity at lag 0).  Only the rows the recurrence still reads are kept."""
+) -> tuple[list, Iterator[np.ndarray]]:
+    """(taus, rows) of the recurrence in the module docstring with U = sign u_funcs and
+    V = sign v_funcs: the tuples (sorted by order, from ()) that are not identically
+    zero, and for t = 1..n their rows stacked as (len(taus), K_t + 1, r, r).  basis
+    iterates theta-free rows (None: identity at lag 0).  Only the rows the
+    recurrence still reads are kept."""
     if n < 1:
         raise ContractError("horizon must be at least 1")
     if kmax is not None and kmax < 0:
@@ -49,132 +50,120 @@ def _row_recurrence(
         for fs in (u_funcs, v_funcs)
     )
     # terms (lag, coefficient, source) of each tuple that is not identically zero;
-    # source None is the basis, otherwise the tuple of the earlier row R_{t-lag}
-    terms: dict = {}
+    # source None is the basis, otherwise the stack position of the earlier row R_{t-lag}
+    taus, terms = [], []
     for tau in tuples:
+        here = len(taus)
         tau_terms = [(i, c[tau], None) for i, c in enumerate(u, 1) if tau in c] + [
-            (j, c[sig], rho)
+            (j, c[sig], here if rho == tau else taus.index(rho))
             for j, c in enumerate(v, 1)
             for sig, rho in index_splits(tau)
-            if sig in c and (rho in terms or rho == tau)
+            if sig in c and (rho in taus or rho == tau)
         ]
-        if not tau or any(src != tau for _, _, src in tau_terms):
-            terms[tau] = tau_terms
-    unit = np.eye(r)[None]
-    past_basis: deque = deque(maxlen=len(u) + 1)
-    past: deque = deque(maxlen=len(v))
-    for t in range(1, n + 1):
-        K = min(t - 1, kcap)
-        past_basis.appendleft(unit if basis is None else next(basis))
-        row = {}
-        for tau, tau_terms in terms.items():
-            acc = np.zeros((K + 1, r, r))
-            if not tau:
-                acc[: len(past_basis[0])] += past_basis[0]
-            for lag, c, src in tau_terms:
-                if lag <= K:
-                    seg = (past_basis[lag] if src is None else past[lag - 1][src])[: K - lag + 1]
-                    acc[lag : lag + len(seg)] += c[t - 1] @ seg
-            row[tau] = acc
-        past.appendleft(row)
-        yield row
+        if not tau or any(src != here for _, _, src in tau_terms):
+            taus.append(tau)
+            terms.append(tau_terms)
+
+    def rows() -> Iterator[np.ndarray]:
+        unit = np.eye(r)[None]
+        past_basis: deque = deque(maxlen=len(u) + 1)
+        past: deque = deque(maxlen=len(v))
+        for t in range(1, n + 1):
+            K = min(t - 1, kcap)
+            past_basis.appendleft(unit if basis is None else next(basis))
+            acc = np.zeros((len(taus), K + 1, r, r))
+            acc[0, : len(past_basis[0])] += past_basis[0]
+            for row, tau_terms in zip(acc, terms):
+                for lag, c, src in tau_terms:
+                    if lag <= K:
+                        seg = (past_basis[lag] if src is None else past[lag - 1][src])[: K - lag + 1]
+                        row[lag : lag + len(seg)] += c[t - 1] @ seg
+            past.appendleft(acc)
+            yield acc
+
+    return taus, rows()
 
 
-def _resid_rows(model: TdVarmaModel, theta, theta0, n: int, max_order: int, kmax) -> Iterator[tuple]:
-    """Pairs (Psi_t(theta0), {tau: d^tau (M(theta) Psi(theta0))_t}) for t = 1..n and
-    every tau up to max_order; the () entry holds the residual weights."""
+def _resid_rows(model: TdVarmaModel, theta, theta0, n: int, max_order: int, kmax) -> tuple:
+    """(taus, pairs): the _row_recurrence tuples up to max_order of M(theta) Psi(theta0),
+    and per t the row stacks of Psi(theta0), (1, K_t + 1, r, r), and of d^taus (M Psi)."""
     r, a, b = model.r, model.a_funcs, model.b_funcs
-    psi, basis = itertools.tee(row[()] for row in _row_recurrence(r, b, a, 1.0, theta0, n, kmax, [()]))
+    psi, basis = itertools.tee(_row_recurrence(r, b, a, 1.0, theta0, n, kmax, [()])[1])
     tuples = sorted_tuples(range(model.m), max_order)
-    return zip(psi, _row_recurrence(r, a, b, -1.0, theta, n, kmax, tuples, basis))
-
-
-def _lag(arr: np.ndarray, k: int, r: int) -> np.ndarray:
-    return arr[k] if k < arr.shape[0] else np.zeros((r, r))
+    taus, rows = _row_recurrence(r, a, b, -1.0, theta, n, kmax, tuples, (s[0] for s in basis))
+    return taus, zip(psi, rows)
 
 
 @dataclass
-class ArWeightTable:
-    """AR weights pi_{tk} and their theta-derivatives for t = 1..n.
-
-    rows[t-1] maps a sorted derivative index tuple (() for the weight itself)
-    to an array of shape (count[t-1], r, r) holding k = 1..count entries;
-    weights beyond the stored count, and tuples without an entry, are
-    exactly zero.
-    """
+class _StackedRows:
+    """Rows t = 1..n as _row_recurrence stacks them: rows[t-1][index[tau], k] is the
+    lag-k entry for tuple tau.  index holds every sorted tuple of order up to
+    max_order; one mapped to None (identically zero) and a lag beyond the row read
+    as zero, and any other tuple is an error."""
 
     n: int
     r: int
+    index: dict
     rows: list
-    counts: np.ndarray
     max_order: int
+
+    @classmethod
+    def _build(cls, model: TdVarmaModel, max_order: int, taus: list, rows: list, **more):
+        index = {tau: taus.index(tau) if tau in taus else None for tau in sorted_tuples(range(model.m), max_order)}
+        return cls(n=len(rows), r=model.r, index=index, rows=rows, max_order=max_order, **more)
+
+    def _entry(self, t: int, k: int, indices: Sequence[int], rows=None) -> np.ndarray:
+        if not 1 <= t <= self.n or k < 0:
+            raise ContractError("weight requested outside the table")
+        tau = tuple(sorted(int(i) for i in indices))
+        if tau not in self.index:
+            raise ContractError(f"derivative tuple {tau} was not built (max_order={self.max_order})")
+        j, row = self.index[tau], (self.rows if rows is None else rows)[t - 1]
+        return np.zeros((self.r, self.r)) if j is None or k >= row.shape[1] else row[j, k]
+
+
+@dataclass
+class ArWeightTable(_StackedRows):
+    """AR weights pi_{tk} and their theta-derivatives: rows[t-1][j, k-1] is the
+    pi_{tk} entry, k >= 1 (the rows of -M without lag 0)."""
 
     def weight(self, t: int, k: int, indices: Sequence[int] = ()) -> np.ndarray:
-        if not 1 <= t <= self.n or k < 1:
-            raise ContractError("AR weight requested outside the table")
-        arr = self.rows[t - 1].get(tuple(sorted(int(i) for i in indices)))
-        return np.zeros((self.r, self.r)) if arr is None else _lag(arr, k - 1, self.r)
+        return self._entry(t, k - 1, indices)
 
 
 @dataclass
-class MaWeightTable:
+class MaWeightTable(_StackedRows):
     """MA weights and the MA expansion coefficients of residual derivatives.
 
-    weights[t-1][k] is psi_{tk} at the data-generating parameter (k = 0
-    entry is the identity).  resid[t-1][k] is the weight of g_{t-k} eps_{t-k}
-    in e_t(theta); it vanishes for k >= 1 when theta equals the
-    data-generating value.  derivs[tau][t-1][k] is the analogous weight in
-    the derivative of e_t(theta) for the sorted index tuple tau.
+    weights[t-1][0, k] is psi_{tk} at the data-generating parameter (the k = 0
+    entry is the identity).  rows[t-1][index[tau], k] is the weight of
+    g_{t-k} eps_{t-k} in d^tau e_t(theta); for tau = () it vanishes for k >= 1
+    when theta equals the data-generating value.
     """
 
-    n: int
-    r: int
     weights: list
-    resid: list
-    derivs: dict
-    max_order: int
-
-    def _entry(self, rows: list, t: int, k: int) -> np.ndarray:
-        if not 1 <= t <= self.n or k < 0:
-            raise ContractError("MA weight requested outside the table")
-        return _lag(rows[t - 1], k, self.r)
 
     def weight(self, t: int, k: int) -> np.ndarray:
-        return self._entry(self.weights, t, k)
+        return self._entry(t, k, (), self.weights)
 
     def resid_weight(self, t: int, k: int) -> np.ndarray:
-        return self._entry(self.resid, t, k)
+        return self._entry(t, k, ())
 
     def deriv_weight(self, t: int, k: int, indices: Sequence[int]) -> np.ndarray:
-        tau = tuple(sorted(int(i) for i in indices))
-        rows = self.derivs.get(tau)
-        if rows is None:
-            raise ContractError(f"derivative tuple {tau} was not built (max_order={self.max_order})")
-        return self._entry(rows, t, k)
+        return self._entry(t, k, indices)
 
 
 def build_pi(
-    model: TdVarmaModel,
-    theta,
-    n: int,
-    max_deriv_order: int = 0,
-    kmax: Optional[int] = None,
+    model: TdVarmaModel, theta, n: int, max_deriv_order: int = 0, kmax: Optional[int] = None
 ) -> ArWeightTable:
     """AR weight table for t = 1..n with derivative layers up to max_deriv_order."""
     tuples = sorted_tuples(range(model.m), max_deriv_order)
-    m_rows = _row_recurrence(model.r, model.a_funcs, model.b_funcs, -1.0, theta, n, kmax, tuples)
-    rows = [{tau: -arr[1:] for tau, arr in row.items()} for row in m_rows]
-    counts = np.array([row[()].shape[0] for row in rows])
-    return ArWeightTable(n=n, r=model.r, rows=rows, counts=counts, max_order=max_deriv_order)
+    taus, rows = _row_recurrence(model.r, model.a_funcs, model.b_funcs, -1.0, theta, n, kmax, tuples)
+    return ArWeightTable._build(model, max_deriv_order, taus, [-row[:, 1:] for row in rows])
 
 
 def build_psi(
-    model: TdVarmaModel,
-    theta_eval,
-    theta_truth,
-    n: int,
-    max_deriv_order: int = 0,
-    kmax: Optional[int] = None,
+    model: TdVarmaModel, theta_eval, theta_truth, n: int, max_deriv_order: int = 0, kmax: Optional[int] = None
 ) -> MaWeightTable:
     """MA weight table plus residual-derivative expansion coefficients.
 
@@ -182,17 +171,9 @@ def build_psi(
     theta_eval drives the AR weights and their derivatives.  The two
     coincide when expanding at the data-generating parameter.
     """
-    weights: list = []
-    resid: list = []
-    derivs: dict = {tau: [] for tau in sorted_tuples(range(model.m), max_deriv_order)[1:]}
-    for psi_row, row in _resid_rows(model, theta_eval, theta_truth, n, max_deriv_order, kmax):
-        weights.append(psi_row)
-        resid.append(row[()])
-        for tau, rows in derivs.items():
-            rows.append(row[tau] if tau in row else np.zeros_like(row[()]))
-    return MaWeightTable(
-        n=n, r=model.r, weights=weights, resid=resid, derivs=derivs, max_order=max_deriv_order
-    )
+    taus, pairs = _resid_rows(model, theta_eval, theta_truth, n, max_deriv_order, kmax)
+    weights, rows = (list(side) for side in zip(*pairs))
+    return MaWeightTable._build(model, max_deriv_order, taus, rows, weights=weights)
 
 
 # -- closed forms used as oracles -------------------------------------------

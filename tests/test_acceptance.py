@@ -297,12 +297,10 @@ def test_criterion_07_cross_representation_residual_derivatives():
     scaled = np.einsum("trs,ts->tr", g_all, eps)
     worst = 0.0
     for i in range(m.m):
-        rows = psi.derivs[(i,)]
         for t in range(1, n + 1):
             acc = np.zeros(2)
-            row = rows[t - 1]
-            for k in range(1, row.shape[0]):
-                acc += row[k] @ scaled[t - 1 - k]
+            for k in range(1, t):
+                acc += psi.deriv_weight(t, k, (i,)) @ scaled[t - 1 - k]
             worst = max(worst, float(np.abs(acc - res.de[i, t - 1]).max()))
     record("criterion 7 (recursive vs MA-form residual derivatives)", worst < 1e-9, f"max {worst:.2e}")
 

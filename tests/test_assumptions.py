@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,9 +289,10 @@ def _ref_cross_sums(model, theta0, n_grid, m_term_grid, d_cap):
         evals, evecs = np.linalg.eigh(model.sigma_t_all(n2_max, theta0))
         inv_sqrt = np.einsum("tab,tb,tcb->tac", evecs, 1.0 / np.sqrt(evals), evecs)
         urows = []
-        for t, (_, row) in enumerate(_resid_rows(model, theta0, theta0, n2_max, 1, kcap), 1):
-            zero = np.zeros_like(row[()])
-            rows = np.stack([row.get((i,), zero)[1:] for i in slots])
+        taus, stacks = _resid_rows(model, theta0, theta0, n2_max, 1, kcap)
+        keep = [taus.index((i,)) for i in slots]
+        for t, (_, stack) in enumerate(stacks, 1):
+            rows = stack[keep, 1:]
             gseg = g_all[t - 2 :: -1][: rows.shape[1]] if t >= 2 else g_all[:0]
             urows.append(np.einsum("ab,ikbc,kcd->ikad", inv_sqrt[t - 1], rows, gseg))
         for t in range(2, n2_max + 1):
@@ -363,3 +366,21 @@ def test_tail_sums_match_looped_oracle(which, n_probe, nu_grid):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
             checked += int(np.count_nonzero(ref))
     assert checked > 0
+
+
+def test_verify_assumptions_script_reports_every_example(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "verify_assumptions.py"
+    spec = importlib.util.spec_from_file_location("verify_assumptions", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    checks = ["psi_decay", "covariance_bounds", "moment_bounds", "information_pd", "cross_sums"]
+    assert len(lines) == 3 * 9 + 1
+    for block, which in enumerate(("example1_sim", "example1_theory", "example2")):
+        head, verdicts, ses = lines[9 * block], lines[9 * block + 1 : 9 * block + 6], lines[9 * block + 6 : 9 * block + 9]
+        assert head.startswith(f"{which}: decay base = ")
+        assert [line.split()[0] for line in verdicts] == checks
+        assert all(line.split()[1:] in (["pass"], ["fail"], ["inconclusive"]) for line in verdicts)
+        assert [line.split(":")[0] for line in ses] == [f"  theoretical se (n={n:3d})" for n in (25, 50, 100)]
+    assert lines[-1] == "explosive control: psi_decay fail (expected fail)"

@@ -55,12 +55,12 @@ def ma_expansion_v(model, theta0, n_grid):
     siginv = np.linalg.inv(sig)
     v = np.zeros((model.m, model.m))
     out = {}
-    for t, (_, row) in enumerate(_resid_rows(model, th, th, n_max, 1, None), 1):
-        # psi[i, k-1] = psi_tik for k = 1..t-1, zero for slots the residuals do not use
-        zero = np.zeros_like(row[()][1:])
-        psi = np.stack([row[(i,)][1:] if (i,) in row else zero for i in range(model.m)])
+    taus, rows = _resid_rows(model, th, th, n_max, 1, None)
+    slots = [tau[0] for tau in taus[1:]]  # the slots the residuals use; V's first term is zero elsewhere
+    for t, (_, stack) in enumerate(rows, 1):
+        psi = stack[1:, 1:]  # psi[i, k-1] = psi_tik for k = 1..t-1
         lagged = sig[t - 2 :: -1][: t - 1]  # Sigma_{t-k} for k = 1..t-1
-        v += np.einsum("ab,ikbc,kcd,jkad->ij", siginv[t - 1], psi, lagged, psi, optimize=True)
+        v[np.ix_(slots, slots)] += np.einsum("ab,ikbc,kcd,jkad->ij", siginv[t - 1], psi, lagged, psi, optimize=True)
         if t in n_grid:
             out[t] = v.copy()
     dsig = model.sigma_factors(n_max, th, derivs=True)[3]

@@ -16,6 +16,7 @@ from conftest import (
 )
 from tdvarma import examples
 from tdvarma.errors import ContractError, SingularCovarianceError
+from tdvarma.estimate import _safe_value
 from tdvarma.likelihood import (
     _lag_coefs,
     _lag_solve,
@@ -149,12 +150,10 @@ def test_cross_representation_residual_derivatives_arma(rng):
     scaled = np.einsum("trs,ts->tr", g_all, eps)
     worst = 0.0
     for i in range(m.m):
-        rows = psi.derivs[(i,)]
         for t in range(1, n + 1):
             acc = np.zeros(m.r)
-            row = rows[t - 1]
-            for k in range(1, row.shape[0]):
-                acc += row[k] @ scaled[t - 1 - k]
+            for k in range(1, t):
+                acc += psi.deriv_weight(t, k, (i,)) @ scaled[t - 1 - k]
             worst = max(worst, float(np.abs(acc - res.de[i, t - 1]).max()))
     assert worst < 1e-9
 
@@ -229,6 +228,22 @@ def test_singular_covariance_names_time_index():
     with pytest.raises(SingularCovarianceError) as err:
         residuals(m, Series(values=np.ones((5, 2))), np.array([0.2, 1.0]))
     assert err.value.t == 1
+
+
+def test_non_finite_covariance_names_first_time_index():
+    # g_t overflows at eta11 = 800, so Sigma_t is inf or NaN from some t on; numpy's
+    # batched Cholesky passes such matrices through without raising
+    m = examples.build("example2")
+    theta = np.array([0.8, -0.9, 800.0, -1.0])
+    series = simulate(SimPlan(m, m.layout.theta0, 50, 1))
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(m.sigma_t_all(50, theta)).all(axis=(1, 2))
+        assert finite[0] and not finite.all()
+        for call in (residuals, objective_value, objective):
+            with pytest.raises(SingularCovarianceError) as err:
+                call(m, series, theta)
+            assert err.value.t == 1 + int(np.argmin(finite)) and err.value.theta == tuple(theta)
+        assert _safe_value(m, series, theta) == math.inf  # a rejected line-search trial
 
 
 @pytest.mark.parametrize("which", ["example1_sim", "example2"])

@@ -238,6 +238,26 @@ def test_ma_table_rejects_entries_outside_the_table(example1_sim, accessor, t, k
         getattr(psi, accessor)(*args)
 
 
+def test_tables_read_built_zero_tuples_as_zero_and_reject_unbuilt_ones(example1_sim, example2):
+    th = np.array(example1_sim.layout.theta0)
+    pi = build_pi(example1_sim, th, 10)
+    with pytest.raises(ContractError, match="not built"):
+        pi.weight(5, 1, (0,))  # above max_deriv_order
+    pi1 = build_pi(example1_sim, th, 10, 1)
+    for indices in ((3,), (0, 1)):  # no such slot; above max_deriv_order
+        with pytest.raises(ContractError, match="not built"):
+            pi1.weight(5, 1, indices)
+    # the scale slots of example2 do not enter its AR and MA weights
+    th2 = np.array(example2.layout.theta0)
+    pi2, psi2 = build_pi(example2, th2, 10, 1), build_psi(example2, th2, th2, 10, 1)
+    for t, k in ((5, 1), (10, 9)):
+        np.testing.assert_array_equal(pi2.weight(t, k, (2,)), np.zeros((2, 2)))
+        np.testing.assert_array_equal(psi2.deriv_weight(t, k, (3,)), np.zeros((2, 2)))
+    assert np.abs(psi2.deriv_weight(5, 1, (0,))).max() > 0.0
+    with pytest.raises(ContractError, match="not built"):
+        psi2.deriv_weight(5, 1, (4,))
+
+
 def test_tables_match_dense_operator_inverse():
     # e = M x with M = (I + B_op)^{-1} (I - A_op); pi = -M, psi = M(theta0)^{-1},
     # residual weights M(theta) psi, derivative weights d_i M(theta) psi with
