@@ -235,7 +235,7 @@ def _trend_ok(values: np.ndarray) -> bool:
 def check_sigma_bounds(model: TdVarmaModel, theta0, n_probe: int = N_PROBE) -> CheckResult:
     """Finiteness (and non-growth) of covariance / scale derivative norms."""
     theta0 = np.asarray(theta0, dtype=float)
-    ts = np.arange(1, n_probe + 1)
+    ts = range(1, n_probe + 1)
     constants: dict = {}
     verdict = "pass"
     details: dict = {}
@@ -246,7 +246,7 @@ def check_sigma_bounds(model: TdVarmaModel, theta0, n_probe: int = N_PROBE) -> C
     # every covariance and inverse derivative up to order 3 from one memo; the
     # tuples it leaves out are identically zero (_sym leaves sig's entries as they are)
     sig, inv = model._sigma_t_table(ts, theta0, sorted_tuples(range(model.m), 3), inverse=True)
-    quantities = {"scale_norm_bound": fro2(model.g_func.head(n_probe, theta0)), "covinv_norm_bound": fro2(inv[()])}
+    quantities = {"scale_norm_bound": fro2(model.g_func.value(ts, theta0)), "covinv_norm_bound": fro2(inv[()])}
     for key, table, order in (
         ("cov_d1_bound", sig, 1),
         ("cov_d2_bound", sig, 2),
@@ -331,7 +331,7 @@ def check_cross_sums(
     n_max, n2 = max(n_grid), max(m_term_grid, default=0)
     horizon = max(n_max, n2)
     kcap = min(horizon - 1, 2 * d_cap)
-    g_all = model.g_func.head(horizon, theta0)
+    g_all = model.g_func.value(range(1, horizon + 1), theta0)
     # one pass over the weights: their norms up to n_max, and up to n2 the
     # whitened lag-k weights V_t[i, :, k-1, :] = Sigma_t^{-1/2} w_{t,i,k} g_{t-k} L
     # with Sigma = L L^T, so that V_t V_{t+d}^T carries the Sigma sandwich

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``simulate``, ``fit``, ``asymptotics``, ``check``, ``mc`` and
-``examples``.  Exit codes: 0 success, 1 usage or configuration error,
-2 numerical failure.  All floating-point output uses shortest round-trip
-formatting, so re-running a subcommand with identical inputs produces
-byte-identical files.
+``examples``.  Exit codes: 0 success, 1 usage or configuration error or a
+file that cannot be read or written, 2 numerical failure.  All
+floating-point output uses shortest round-trip formatting, so re-running a
+subcommand with identical inputs produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -60,10 +60,16 @@ def _series_from_csv(path: str) -> Series:
         if not header or header[0] != "t":
             raise ConfigError(f"series file {path} must start with a 't,x1,...' header")
         rows = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")[1:]])
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.strip().split(",")
+            if cells == [""]:
+                continue
+            if len(cells) != len(header):
+                raise ConfigError(f"series file {path} line {lineno}: {len(cells)} fields, header has {len(header)}")
+            try:
+                rows.append([float(v) for v in cells[1:]])
+            except ValueError as exc:
+                raise ConfigError(f"series file {path} line {lineno}: {exc}") from None
     if not rows:
         raise ConfigError(f"series file {path} contains no observations")
     return Series(values=np.asarray(rows))
@@ -275,7 +281,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return code
-    except (ConfigError, ContractError) as exc:
+    except (ConfigError, ContractError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
     except NumericalError as exc:

@@ -68,8 +68,9 @@ def _reject_unknown(block: dict, allowed: set, where: str):
 
 
 def _check_entries(rows, where: str):
-    for i, row in enumerate(rows):
-        for j, rec in enumerate(row):
+    """rows as a list of rows, each a list of entry records, at the model key where."""
+    for i, row in enumerate(_checked("model", where, rows, list)):
+        for j, rec in enumerate(_checked("model", f"{where}[{i}]", row, list)):
             at = f"{where}[{i}][{j}]"
             if not isinstance(rec, dict):
                 raise ConfigError(f"{at} must be an object")
@@ -78,7 +79,7 @@ def _check_entries(rows, where: str):
                 _checked(at, name, value, float)
             _checked_list(at, "param_slots", rec.get("param_slots", []), int)
             if "terms" in rec:
-                _check_entries([rec["terms"]], f"{at}.terms")
+                _check_entries([_checked(at, "terms", rec["terms"], list)], f"{at}.terms")
 
 
 def model_from_config(block: dict) -> TdVarmaModel:
@@ -113,13 +114,12 @@ def model_from_config(block: dict) -> TdVarmaModel:
     except KeyError as exc:
         raise ConfigError(f"missing layout key {exc}") from exc
 
-    a_rows = block.get("a_funcs", [])
-    b_rows = block.get("b_funcs", [])
+    a_rows, b_rows = (_checked("model", key, block.get(key, []), list) for key in ("a_funcs", "b_funcs"))
     if len(a_rows) != p or len(b_rows) != q:
         raise ConfigError("a_funcs/b_funcs length must equal the declared orders")
     for mats, where in ((a_rows, "a_funcs"), (b_rows, "b_funcs")):
-        for mat in mats:
-            _check_entries(mat, where)
+        for k, mat in enumerate(mats):
+            _check_entries(mat, f"{where}[{k}]")
     a_funcs = [MatrixTimeFunction.from_config(mat) for mat in a_rows]
     b_funcs = [MatrixTimeFunction.from_config(mat) for mat in b_rows]
     g_block = block.get("g_func")

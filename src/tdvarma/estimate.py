@@ -190,7 +190,7 @@ def estimate_noise_cov(model: TdVarmaModel, series: Series, theta, e=None) -> np
     are computed unless given."""
     if e is None:
         e = likelihood.residuals(model, series, theta).e
-    g = model.g_func.head(series.n, theta)
+    g = model.g_func.value(range(1, series.n + 1), theta)
     z = np.linalg.solve(g, e[..., None])[..., 0]
     sig = z.T @ z / series.n
     return 0.5 * (sig + sig.T)

@@ -118,7 +118,7 @@ def _lag_solver(c: np.ndarray, n: int):
 
 def _lag_coefs(funcs, n: int, r: int, theta) -> np.ndarray:
     """Lag coefficients for t = 1..n stacked as (k, n, r, r)."""
-    return np.stack([f.head(n, theta) for f in funcs]) if funcs else np.zeros((0, n, r, r))
+    return np.stack([f.value(range(1, n + 1), theta) for f in funcs]) if funcs else np.zeros((0, n, r, r))
 
 
 def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = False) -> ResidualSet:

@@ -206,11 +206,10 @@ class TdVarmaModel:
                 if extra:
                     raise ConfigError(f"{name} coefficients reference slots {sorted(extra)} outside their block")
         if lay.theta0 is not None:
-            ts = np.arange(1, DEFAULT_CHECK_HORIZON + 1)
-            dets = np.linalg.det(self.g_func.value(ts, lay.theta0_array()))
+            dets = np.linalg.det(self.g_func.value(range(1, DEFAULT_CHECK_HORIZON + 1), lay.theta0_array()))
             bad = np.nonzero(np.abs(dets) < 1e-12)[0]
             if bad.size:
-                raise ConfigError(f"scale matrix g_t is singular at t={int(ts[bad[0]])}")
+                raise ConfigError(f"scale matrix g_t is singular at t={bad[0] + 1}")
 
     def with_sigma(self, sigma) -> "TdVarmaModel":
         """Copy of the model with a replaced innovation covariance; it shares the

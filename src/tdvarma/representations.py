@@ -43,7 +43,7 @@ def _row_recurrence(
     if kmax is not None and kmax < 0:
         raise ContractError("kmax must be non-negative")
     kcap = n - 1 if kmax is None else int(kmax)
-    ts = np.arange(1, n + 1)
+    ts = range(1, n + 1)
     # one evaluation per lag matrix for all t; exact zeros dropped
     u, v = (
         [{tau: sign * c for tau, c in f.deriv_map(ts, theta, tuples).items() if c.any()} for f in fs]

@@ -65,7 +65,7 @@ def simulate(plan: SimPlan, return_innovations: bool = False):
     rng = make_rng(plan.seed, plan.stream)
     eps = rng.standard_normal((n, r)) @ model.sigma_chol.T
 
-    scaled = np.einsum("trs,ts->tr", model.g_func.head(n, theta0), eps)
+    scaled = np.einsum("trs,ts->tr", model.g_func.value(range(1, n + 1), theta0), eps)
     a_all, b_all = (_lag_coefs(funcs, n, r, theta0) for funcs in (model.a_funcs, model.b_funcs))
     x = _lag_solve(-a_all, scaled + _lag_sum(b_all, scaled))
     series = Series(values=x)

@@ -21,7 +21,7 @@ every derivative follows from it by the product rule:
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -32,11 +32,19 @@ from .errors import ConfigError, ContractError
 MAX_DERIV_ORDER = 3
 
 
-def _as_time(t):
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 1):
+def _as_time(t) -> tuple:
+    """(rows, top): the table rows of the integer times t >= 1, a slice for a range
+    with a positive step and otherwise an index array (an int for a scalar t), and
+    the largest time (0 for none)."""
+    if isinstance(t, range) and t.step > 0 and t.start >= 1:
+        return slice(t.start - 1, t.stop - 1, t.step), t[-1] if t else 0
+    arr = np.asarray(t)
+    if not (np.isfinite(arr).all() and np.array_equal(np.floor(arr), arr)):
+        raise ContractError("time functions are only defined at integer t")
+    rows = arr.astype(np.intp)
+    if rows.size and rows.min() < 1:
         raise ContractError("time functions are only defined for t >= 1")
-    return arr
+    return (int(rows) if rows.ndim == 0 else rows) - 1, int(rows.max(initial=0))
 
 
 def _check_indices(indices: Sequence[int]) -> tuple[int, ...]:
@@ -72,15 +80,6 @@ def index_splits(idx: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, .
         )
         for mask in range(1 << npos)
     ]
-
-
-def _head_length(t) -> int:
-    """n when t holds the times 1, 2, ..., n, else 0; a range is told without a scan."""
-    if isinstance(t, range):
-        return len(t) if t.start == 1 and t.step == 1 else 0
-    tt = np.asarray(t)
-    n = tt.shape[0] if tt.ndim == 1 else 0
-    return n if n and tt[0] == 1 and tt[-1] == n and np.all(np.diff(tt) == 1) else 0
 
 
 # -- the closed form -------------------------------------------------------------
@@ -145,9 +144,10 @@ class _Term(NamedTuple):
 
 
 class _Form:
-    """The terms of a grid of entries at a time array t, packed as arrays of shape
-    t.shape + grid: term k of the form holds term k of every entry, zero where an
-    entry has fewer terms.  `derivs` evaluates the value and derivatives at a theta."""
+    """The terms of a grid of entries over t = 1..n, packed as arrays of shape
+    (n,) + grid: term k of the form holds term k of every entry, zero where an
+    entry has fewer terms.  `take` reads some of its rows, and `derivs` evaluates
+    the value and derivatives at a theta."""
 
     def __init__(self, slots: tuple[int, ...], shape: tuple, terms: list):
         self.slots = slots
@@ -157,10 +157,12 @@ class _Form:
         self._take = np.array(slots, dtype=np.intp)
 
     @classmethod
-    def pack(cls, cells: Sequence[tuple[tuple, ScalarTimeFunction]], tt: np.ndarray, grid: tuple) -> "_Form":
-        """The form of the entries at their grid positions, over the time array tt."""
+    def pack(cls, entries: Sequence[Sequence[ScalarTimeFunction]], n: int) -> "_Form":
+        """The form of a grid of entries over t = 1..n, with read-only arrays."""
+        cells = [((i, j), f) for i, row in enumerate(entries) for j, f in enumerate(row)]
         slots = tuple(sorted(frozenset().union(*(f.param_slots() for _, f in cells))))
-        shape = tt.shape + grid
+        tt = np.arange(1.0, n + 1)
+        shape = (n, len(entries), len(entries[0]))
         where = {slot: k for k, slot in enumerate(slots)}
         per_cell = [(pos, f.terms(tt)) for pos, f in cells]
         terms = []
@@ -186,6 +188,9 @@ class _Form:
                     expo = np.zeros((len(slots),) + shape) if expo is None else expo
                     expo[(where[slot],) + at] = g
                     expo_slots.add(slot)
+            for arr in (c, lin, expo, *higher.values()):
+                if arr is not None:
+                    arr.setflags(write=False)
             terms.append(_Term(c, lin, dict(sorted(higher.items())), expo, frozenset(expo_slots)))
         return cls(slots, shape, terms)
 
@@ -194,24 +199,19 @@ class _Form:
         """One term without exponent or monomials above degree one: c + theta . lin."""
         return len(self.terms) == 1 and self.terms[0].expo is None and not self.terms[0].higher
 
-    def arrays(self):
-        for term in self.terms:
-            yield from (a for a in (term.c, term.lin, term.expo) if a is not None)
-            yield from term.higher.values()
-
-    def prefix(self, n: int) -> "_Form":
-        """The same form over the first n times (views)."""
+    def take(self, rows) -> "_Form":
+        """The same form at the given rows: views for a slice, a gather for indices."""
         cut = [
             _Term(
-                term.c[:n],
-                None if term.lin is None else term.lin[:, :n],
-                {mono: coef[:n] for mono, coef in term.higher.items()},
-                None if term.expo is None else term.expo[:, :n],
+                term.c[rows],
+                None if term.lin is None else term.lin[:, rows],
+                {mono: coef[rows] for mono, coef in term.higher.items()},
+                None if term.expo is None else term.expo[:, rows],
                 term.expo_slots,
             )
             for term in self.terms
         ]
-        return _Form(self.slots, (n,) + self.shape[1:], cut)
+        return _Form(self.slots, cut[0].c.shape, cut)
 
     def _poly(self, term: _Term, theta, th, left) -> Optional[np.ndarray]:
         """d^left p of the term's polynomial, None where it vanishes identically."""
@@ -260,7 +260,7 @@ class ScalarTimeFunction:
     """One matrix entry: a scalar function of t with exact theta-derivatives.
 
     Each kind declares its closed form once, in `terms`; its value and
-    derivatives at any times follow from it.
+    derivatives are those of the entry as a 1 x 1 matrix.
     """
 
     kind: str = ""
@@ -273,19 +273,17 @@ class ScalarTimeFunction:
         """The (poly, expo) terms of the closed form over the time array t."""
         raise NotImplementedError
 
+    @cached_property
+    def _matrix(self) -> "MatrixTimeFunction":
+        return MatrixTimeFunction([[self]])
+
     def value(self, t, theta):
-        tt = _as_time(t)
-        return _Form.pack([((), self)], tt, ()).derivs(theta, [()])[()]
+        return self._matrix.value(t, theta)[..., 0, 0]
 
     def deriv(self, t, theta, indices: Sequence[int]):
         """Exact partial derivative of order len(indices); zero for foreign slots."""
-        idx = _check_indices(indices)
-        theta = _checked_theta(theta, self.param_slots())
-        tt = _as_time(t)
-        if not set(idx) <= self.param_slots():
-            return np.zeros_like(tt)
-        tau = tuple(sorted(idx))
-        return _Form.pack([((), self)], tt, ()).derivs(theta, [tau])[tau]
+        _checked_theta(theta, self.param_slots())
+        return self._matrix.deriv(t, theta, indices)[..., 0, 0]
 
     def to_config(self) -> dict:
         return {
@@ -432,13 +430,13 @@ def scalar_from_config(rec: Mapping) -> ScalarTimeFunction:
 class MatrixTimeFunction:
     """An r x r matrix of scalar time functions, evaluated and differentiated jointly.
 
-    Every evaluation packs the entries' closed forms over its times into one
-    form.  `value`, `deriv` and `deriv_map` pack them at the times they are
-    given; `head`, `head_grad` and `deriv_map` at t = 1..n read one table, the
-    form over t = 1..N, built on first use and rebuilt at twice the length when
-    a longer n comes.  Every derivative up to order 3 follows from the table.  For
-    an affine matrix the table is (C, F), one term without exponent: the value
-    is C + theta_slots . F and the first derivatives are slices of F.
+    Every evaluation reads rows of one table, the entries' closed forms packed
+    over t = 1..N, built on first use and rebuilt at twice the length (or up to
+    the latest time, if that is further) when a later time comes.  Times are
+    integers >= 1: a range reads a slice of the table and anything else a
+    gather.  Every derivative up to order 3 follows from the rows.  For an
+    affine matrix the table is (C, F), one term without exponent: the value is
+    C + theta_slots . F and the first derivatives are slices of F.
     """
 
     def __init__(self, entries: Sequence[Sequence[ScalarTimeFunction]]):
@@ -449,7 +447,7 @@ class MatrixTimeFunction:
         self.cols = self.rows
         self._slots = frozenset().union(*(f.param_slots() for row in self.entries for f in row))
         self._table: Optional[_Form] = None  # the form over t = 1..N once built, read-only
-        self._head: Optional[_Form] = None  # its prefix at the last n asked
+        self._cut: tuple = (None, None)  # (range, the table's rows there) at the last range asked
 
     @classmethod
     def constant(cls, mat) -> "MatrixTimeFunction":
@@ -463,28 +461,23 @@ class MatrixTimeFunction:
     def param_slots(self) -> frozenset[int]:
         return self._slots
 
-    def _head_table(self, n: int) -> _Form:
-        """The table's form over t = 1..n."""
-        if self._head is not None and self._head.shape[0] == n:
-            return self._head
+    def _rows(self, t) -> _Form:
+        """The table's form at the times t."""
+        if isinstance(t, range) and t == self._cut[0]:
+            return self._cut[1]
+        rows, top = _as_time(t)
         tab = self._table
-        if tab is None or tab.shape[0] < n:
-            big_n = n if tab is None else max(n, 2 * tab.shape[0])
-            tab = self._form(np.arange(1.0, big_n + 1))
-            for arr in tab.arrays():
-                arr.setflags(write=False)
-            self._table = tab
-        self._head = tab.prefix(n)
-        return self._head
-
-    def head(self, n: int, theta) -> np.ndarray:
-        """Values at t = 1..n, shape (n, r, r)."""
-        return self._head_table(n).derivs(theta, [()])[()]
+        if tab is None or tab.shape[0] < top:
+            tab = self._table = _Form.pack(self.entries, top if tab is None else max(top, 2 * tab.shape[0]))
+        form = tab.take(rows)
+        if isinstance(rows, slice):
+            self._cut = (t, form)
+        return form
 
     def head_grad(self, n: int, theta) -> tuple[tuple[int, ...], np.ndarray]:
         """(slots, D) with D[i] the derivative by theta[slots[i]] at t = 1..n, shape
         (len(slots), n, r, r); read-only for an affine matrix."""
-        tab = self._head_table(n)
+        tab = self._rows(range(1, n + 1))
         if tab.affine:
             _checked_theta(theta, tab.slots)
             lin = tab.terms[0].lin
@@ -492,31 +485,20 @@ class MatrixTimeFunction:
         grads = tab.derivs(theta, [(k,) for k in tab.slots])
         return tab.slots, np.stack(list(grads.values()))
 
-    def _form(self, tt: np.ndarray) -> _Form:
-        """The entries' closed forms packed over the time array tt."""
-        cells = [((i, j), f) for i, row in enumerate(self.entries) for j, f in enumerate(row)]
-        return _Form.pack(cells, tt, (self.rows, self.cols))
-
     def value(self, t, theta) -> np.ndarray:
         """Matrix value at time(s) t; shape (r, r) for scalar t, (len(t), r, r) otherwise."""
-        return self._form(_as_time(t)).derivs(theta, [()])[()]
+        return self._rows(t).derivs(theta, [()])[()]
 
     def deriv(self, t, theta, indices: Sequence[int]) -> np.ndarray:
         """Exact partial derivative of the matrix w.r.t. theta[indices]."""
         tau = tuple(sorted(_check_indices(indices)))
-        tt = _as_time(t)
-        if not set(tau) <= self._slots:
-            return np.zeros(tt.shape + (self.rows, self.cols))
-        return self._form(tt).derivs(theta, [tau])[tau]
+        form = self._rows(t)
+        return form.derivs(theta, [tau])[tau] if set(tau) <= self._slots else np.zeros(form.shape)
 
     def deriv_map(self, t, theta, tuples: Iterable[tuple[int, ...]]) -> dict:
         """Evaluate several derivative tuples at once; omits the tuples with a slot the
-        matrix does not use, whose derivatives vanish.  At t = 1..n (an array, or a
-        range, which is recognized without a scan) it reads the table."""
-        taus = [tau for tau in tuples if set(tau) <= self._slots]
-        n = _head_length(t)
-        form = self._head_table(n) if n else self._form(_as_time(t))
-        return form.derivs(theta, taus)
+        matrix does not use, whose derivatives vanish."""
+        return self._rows(t).derivs(theta, [tau for tau in tuples if set(tau) <= self._slots])
 
     def to_config(self):
         return [[f.to_config() for f in row] for row in self.entries]

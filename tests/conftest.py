@@ -215,10 +215,10 @@ def entrywise(f, t, theta, tau=()):
 
 
 def assert_heads_match_entrywise(f, n, theta, rtol=0.0):
-    """head / head_grad / deriv_map at t = 1..n against the entry-by-entry value and
+    """value / head_grad / deriv_map at t = 1..n against the entry-by-entry value and
     deriv; deriv_map on every sorted derivative tuple up to order 3."""
-    ts = np.arange(1, n + 1)
-    np.testing.assert_allclose(f.head(n, theta), entrywise(f, ts, theta), rtol=rtol, atol=0)
+    ts = range(1, n + 1)
+    np.testing.assert_allclose(f.value(ts, theta), entrywise(f, ts, theta), rtol=rtol, atol=0)
     slots, grad = f.head_grad(n, theta)
     assert slots == tuple(sorted(f.param_slots()))
     assert grad.shape == (len(slots), n, f.rows, f.cols)

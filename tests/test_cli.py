@@ -312,3 +312,30 @@ def test_thread_env_var_and_flag_precedence(cfg_dir, tmp_path):
     # a bogus env var without the overriding flag is a usage error
     res = run_cli(*common, "--out", str(tmp_path / "x.csv"), env_extra={"TDVARMA_THREADS": "bogus"})
     assert res.returncode == 1
+
+
+def _series_file(tmp_path, text):
+    path = tmp_path / "series.csv"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["missing_config", "missing_series", "out_dir_missing", "examples_out_is_file", "non_numeric_cell", "ragged_row"],
+)
+def test_input_and_output_errors_exit_one(case, cfg_dir, tmp_path):
+    # each once ended in a FileNotFoundError, FileExistsError or ValueError traceback
+    cfg = str(cfg_dir / "example1_sim.json")
+    good = _series_file(tmp_path, "t,x1,x2\n1,0.5,0.25\n2,0.1,-0.3\n")
+    args = {
+        "missing_config": ("simulate", "--config", str(tmp_path / "absent.json")),
+        "missing_series": ("fit", "--config", cfg, "--series", str(tmp_path / "absent.csv")),
+        "out_dir_missing": ("simulate", "--config", cfg, "--n", "5", "--out", str(tmp_path / "no" / "s.csv")),
+        "examples_out_is_file": ("examples", "--which", "2", "--out", good),
+        "non_numeric_cell": ("fit", "--config", cfg, "--series", _series_file(tmp_path, "t,x1,x2\n1,0.5,abc\n")),
+        "ragged_row": ("fit", "--config", cfg, "--series", _series_file(tmp_path, "t,x1,x2\n1,0.5,0.2\n2,0.1\n")),
+    }[case]
+    res = run_cli(*args)
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr, res.stderr

@@ -117,6 +117,13 @@ def _set(doc, path, value):
         (("a_funcs", 0, 0, 0, "param_slots"), [0.5], "param_slots"),
         (("a_funcs", 0, 0, 0, "param_slots"), ["0"], "param_slots"),
         (("a_funcs", 0, 0, 0, "param_slots"), 0, "param_slots"),
+        # blocks of the wrong JSON type once ended in a TypeError ("b_funcs": {} was accepted)
+        (("a_funcs",), [5], "a_funcs"),
+        (("a_funcs",), 5, "a_funcs"),
+        (("b_funcs",), {}, "b_funcs"),
+        (("a_funcs", 0, 0), 7, "a_funcs"),
+        (("g_func",), 3, "g_func"),
+        (("g_func", 0, 0), {"kind": "prod", "terms": 3}, "terms"),
     ],
 )
 def test_malformed_model_value_rejected(path, value, key):

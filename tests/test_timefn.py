@@ -19,6 +19,7 @@ from tdvarma.timefn import (
     Sine,
     Sum,
     scalar_from_config,
+    _Form,
     sorted_tuples,
 )
 
@@ -296,11 +297,17 @@ _AT_ANY_TIMES = {
 @pytest.mark.parametrize("name", list(_AT_ANY_TIMES))
 @pytest.mark.parametrize("t", [7, 3.5, np.array([2.0, 5.0, 11.0]), np.arange(2.0, 300.0)], ids=["int", "float", "array", "long"])
 def test_matrix_at_any_times_matches_its_entries(name, t):
-    # value, deriv and deriv_map off the table pack the whole grid at once; each
-    # entry of the result equals the entry's own scalar evaluation
+    # value, deriv and deriv_map gather rows of the table at integer times, past
+    # its end too; each entry of the result equals the entry's own scalar
+    # evaluation.  A time that is not an integer is refused.
     f, theta = _AT_ANY_TIMES[name]
     theta = np.array(theta)
     taus = sorted_tuples(range(theta.size), 3)
+    if np.any(np.asarray(t) % 1):
+        for call in (f.value, lambda t, th: f.deriv(t, th, taus[1]), lambda t, th: f.deriv_map(t, th, taus)):
+            with pytest.raises(ContractError, match="integer"):
+                call(t, theta)
+        return
     got = f.deriv_map(t, theta, taus)
     assert list(got) == [tau for tau in taus if set(tau) <= f.param_slots()]
     for tau in taus:
@@ -318,14 +325,14 @@ def test_matrix_at_any_times_matches_its_entries(name, t):
 
 @pytest.mark.parametrize("path", ["table", "generic"])
 def test_short_theta_raises_on_both_paths(path):
-    # the table at t = 1..n, and the grid packed at the given times otherwise
+    # the table read as a slice at t = 1..n, and as a gather at other times
     f = MatrixTimeFunction([[ExpSine(2, 0.3), Sine(2, 0.3)], [Param(0), Constant(1.0)]])
-    ts = np.arange(1, 11) if path == "table" else np.arange(1, 11) + 0.5
+    ts = range(1, 11) if path == "table" else np.arange(3, 13)
     f.deriv_map(ts, np.zeros(3), [(), (2,)])
     with pytest.raises(ConfigError):
         f.deriv_map(ts, np.zeros(2), [(), (2,)])
     if path == "table":
-        for call in (f.head, f.head_grad):
+        for call in (lambda n, th: f.value(range(1, n + 1), th), f.head_grad):
             with pytest.raises(ConfigError):
                 call(10, np.zeros(2))
     else:
@@ -333,12 +340,37 @@ def test_short_theta_raises_on_both_paths(path):
             f.value(ts, np.zeros(2))
 
 
+def test_every_evaluation_reads_rows_of_the_one_table(monkeypatch):
+    # once the table covers t = 1..50, value, deriv and deriv_map at integer times
+    # within it (a range, a scalar or an array) pack nothing; a later time packs once
+    entry = Product(Sine(0, 0.3, 0.2), Param(1))
+    f = MatrixTimeFunction([[entry, ExpSine(1, 0.2)], [Constant(1.0), LinearTrend(2)]])
+    theta = np.array([0.7, -0.4, 0.9])
+    f.head_grad(50, theta)
+    entry.value(range(1, 51), theta)
+    packs = []
+    pack = _Form.pack.__func__
+    monkeypatch.setattr(_Form, "pack", classmethod(lambda cls, *args: packs.append(args) or pack(cls, *args)))
+    for t in (7, range(1, 51), range(3, 40, 4), np.array([50, 2, 2, 9]), [1.0, 50.0]):
+        f.value(t, theta)
+        f.deriv(t, theta, (0, 1))
+        f.deriv_map(t, theta, sorted_tuples(range(3), 3))
+        f.head_grad(30, theta)
+        entry.value(t, theta)
+        entry.deriv(t, theta, (0, 1))
+    assert packs == []
+    f.deriv_map(np.array([3, 51]), theta, [()])
+    assert len(packs) == 1 and f._table.shape[0] == 100
+    entry.deriv(120, theta, (1,))
+    assert len(packs) == 2
+
+
 def test_table_is_read_only_and_values_are_fresh():
     f = MatrixTimeFunction([[Sine(0, 0.3), Param(1)], [Constant(0.0), Sine(1, 0.2)]])
     theta = np.array([0.5, -0.5])
-    first = f.head(20, theta)
+    first = f.value(range(1, 21), theta)
     first[:] = 99.0
-    np.testing.assert_array_equal(f.head(20, theta), f.value(np.arange(1, 21), theta))
+    np.testing.assert_array_equal(f.value(range(1, 21), theta), f.value(np.arange(1, 21), theta))
     _, grad = f.head_grad(20, theta)
     with pytest.raises(ValueError):
         grad[0, 0, 0, 0] = 1.0
