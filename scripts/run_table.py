@@ -5,9 +5,10 @@ lengths, 1000 replications each.
 Table 1 fits example1_sim with the noise covariance estimated; table 2 fits the
 heteroscedastic example2 with it held fixed.  Writes summary.csv and
 estimates.csv into --out and prints each cell against the published values.
-Single-threaded (--threads 1) on a 2-core x86 machine, table 1 takes about
-11 s and table 2 about 17 s; --threads runs the replications in one pool of
-that many worker processes.
+Single-threaded (--threads 1) on a shared 2-core x86 machine, table 1 took
+18-25 s and table 2 33-34 s over four and two runs, and 12-14 s and 21-25 s
+with --threads 2; --threads runs the replications in one pool of that many
+worker processes.  The last line printed is the elapsed wall time.
 """
 
 import argparse
@@ -72,7 +73,7 @@ def main() -> int:
         )
     except ConfigError as exc:
         ap.error(str(exc))
-    t0 = time.time()
+    t0 = time.perf_counter()
     summary, rows = run_mc(plan, threads=args.threads, collect_estimates=True)
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "summary.csv"), "w") as fh:
@@ -88,7 +89,7 @@ def main() -> int:
             pub = published.get(n, {}).get(line)
             print(f"  ({line}) {label:<14}: {np.round(getattr(cell, attr), decimals).tolist()}"
                   + (f"  published {pub}" if pub else ""))
-    print(f"elapsed {time.time() - t0:.0f}s; outputs in {out}/")
+    print(f"elapsed {time.perf_counter() - t0:.1f}s; outputs in {out}/")
     return 0
 
 

@@ -1,9 +1,13 @@
 """Quasi-maximum likelihood fitting and sandwich standard errors.
 
 The objective is minimized by a BFGS quasi-Newton iteration with a
-backtracking Armijo line search (c = 1e-4, shrink 0.5); trial points where
-the per-time covariance loses positive definiteness are treated as +inf so
-the search backtracks into the feasible region.  BFGS starts from the
+backtracking Armijo line search (c = 1e-4, shrink 0.5).  Each trial point is
+evaluated once, with its score and information, and an accepted trial's
+report is the next iterate's.  A trial whose evaluation raises
+NumericalError (a per-time covariance that is not positive definite,
+overflowing residuals, a non-finite score) or whose value is not finite
+counts as +inf, so the search backtracks into the region where the
+objective is defined.  BFGS starts from the
 inverse of the Gauss-Newton information at the start point, and resets to
 it at the current point when the curvature goes stale; it falls back to the
 identity where that information is not positive definite.  When the
@@ -69,8 +73,10 @@ class FitResult:
     """Point estimate, objective diagnostics, sandwich covariance and
     information-only standard errors.
 
-    iters and n_evals are totals over all noise-covariance rounds;
-    metadata["rounds"] lists (iters, n_evals, termination) per round.
+    n_evals counts objective evaluations: one at each round's start point
+    and one per line-search trial point, accepted or not.  iters and n_evals
+    are totals over all noise-covariance rounds; metadata["rounds"] lists
+    (iters, n_evals, termination) per round.
     """
 
     theta: np.ndarray
@@ -105,12 +111,13 @@ def _project(theta: np.ndarray, bounds) -> np.ndarray:
     return out
 
 
-def _safe_value(model, series, theta) -> float:
+def _safe_objective(model, series, theta) -> Optional[likelihood.ObjectiveReport]:
+    """The objective report at theta; None where it raises NumericalError or its value is not finite."""
     try:
-        val = likelihood.objective_value(model, series, theta)
+        rep = likelihood.objective(model, series, theta)
     except NumericalError:
-        return math.inf
-    return val if math.isfinite(val) else math.inf
+        return None
+    return rep if math.isfinite(rep.q) else None
 
 
 def _inverse_info(info: np.ndarray) -> np.ndarray:
@@ -151,9 +158,9 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, opts: FitOptions):
         gd = g @ d
         while step >= MIN_STEP:
             trial = _project(theta + step * d, bounds)
-            q_trial = _safe_value(model, series, trial)
+            trial_rep = _safe_objective(model, series, trial)
             n_evals += 1
-            if q_trial <= q + ARMIJO_C * step * gd:
+            if trial_rep is not None and trial_rep.q <= q + ARMIJO_C * step * gd:
                 accepted = True
                 break
             step *= ARMIJO_SHRINK
@@ -161,8 +168,7 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, opts: FitOptions):
             termination = "line_search"
             converged = np.max(np.abs(g)) / n <= 10 * opts.grad_tol
             break
-        rep = likelihood.objective(model, series, trial)
-        n_evals += 1
+        rep = trial_rep
         s = trial - theta
         y = rep.grad - g
         theta = trial

@@ -144,7 +144,7 @@ def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = Fa
 
 
 def objective_value(model: TdVarmaModel, series: Series, theta) -> float:
-    """Q_n(theta) alone; the cheap path for line searches."""
+    """Q_n(theta) alone, without the derivatives that `objective` adds."""
     res = residuals(model, series, theta, with_derivs=False)
     return _q(_alphas(res)[0], res.e.shape[1])
 

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import make_sin_varma11
 
 from tdvarma import examples, likelihood
 from tdvarma.errors import ContractError, NumericalError
-from tdvarma.estimate import FitOptions, _inverse_info, _safe_value, estimate_noise_cov, fit, wald_test
+from tdvarma.estimate import FitOptions, _inverse_info, _safe_objective, estimate_noise_cov, fit, wald_test
 from tdvarma.model import ParamLayout, Series, TdVarmaModel
 from tdvarma.simulate import SimPlan, replication_stream, simulate
 from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Sine
@@ -126,10 +127,10 @@ def test_exploding_moving_average_reads_as_inf(b, finite):
     series = Series(values=np.random.default_rng(8).standard_normal((2000, 2)))
     theta = np.array([b])
     if finite:
-        assert math.isfinite(_safe_value(m, series, theta))
+        assert math.isfinite(_safe_objective(m, series, theta).q)
         assert math.isfinite(likelihood.objective(m, series, theta).q)
     else:
-        assert _safe_value(m, series, theta) == math.inf
+        assert _safe_objective(m, series, theta) is None
         with pytest.raises(NumericalError):
             likelihood.objective(m, series, theta)
 
@@ -185,7 +186,7 @@ def test_first_step_is_the_gls_solution():
         rhs += z.T @ sig_inv[t - 1] @ y
     gls = np.linalg.solve(gram, rhs)
     res = fit(m, series, FitOptions(theta_init=(0.1, 0.1, 0.1)))
-    assert res.converged and res.n_evals <= 3
+    assert res.converged and res.n_evals == 2  # the start point and one trial
     np.testing.assert_allclose(res.theta, gls, atol=1e-8)
 
 
@@ -278,6 +279,56 @@ def test_fit_reuses_the_last_evaluation(monkeypatch, which, estimate_sigma):
     np.testing.assert_array_equal(res.what, what)
     if estimate_sigma:
         np.testing.assert_array_equal(res.sigma_hat, estimate_noise_cov(final, series, res.theta))
+
+
+@pytest.mark.parametrize(
+    "which, estimate_sigma",
+    [("example1_sim", True), ("example2", False), ("varma11", False)],
+)
+def test_each_point_is_evaluated_once(monkeypatch, which, estimate_sigma):
+    # the line search tests Armijo on the full evaluation of its trial, and an
+    # accepted trial's report is the next iterate's: no point is evaluated twice
+    thetas, objective = [], likelihood.objective
+
+    def recorded(model, series, theta):
+        thetas.append(np.array(theta, dtype=float).tobytes())
+        return objective(model, series, theta)
+
+    monkeypatch.setattr(likelihood, "objective", recorded)
+    monkeypatch.setattr(likelihood, "objective_value", lambda *a, **k: pytest.fail("objective_value called"))
+    m = make_sin_varma11(np.random.default_rng(909)) if which == "varma11" else examples.build(which)
+    start = (0.1,) * m.m if which == "example1_sim" else tuple(v + 0.1 for v in m.layout.theta0)
+    series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
+    res = fit(m, series, FitOptions(theta_init=start, estimate_sigma=estimate_sigma, sigma_iters=3))
+    rounds = res.metadata["rounds"]
+    assert len(rounds) == (3 if estimate_sigma else 1)
+    assert res.n_evals == len(thetas) == sum(r[1] for r in rounds)
+    first = 0
+    for _, evals, _ in rounds:
+        assert len(set(thetas[first:first + evals])) == evals
+        first += evals
+
+
+def test_a_raising_trial_point_backtracks(monkeypatch):
+    # the first trial point raises; the search halves its step instead of aborting the fit
+    m = examples.example2_model()
+    series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
+    opts = FitOptions(theta_init=tuple(v + 0.1 for v in m.layout.theta0))
+    clean = fit(m, series, opts)
+    objective, calls = likelihood.objective, []
+
+    def first_trial_raises(model, series, theta):
+        calls.append(np.array(theta, dtype=float))
+        if len(calls) == 2:
+            raise NumericalError("a bad trial point")
+        return objective(model, series, theta)
+
+    monkeypatch.setattr(likelihood, "objective", first_trial_raises)
+    res = fit(m, series, opts)
+    start, first_trial, second_trial = calls[:3]
+    np.testing.assert_allclose(second_trial - start, 0.5 * (first_trial - start), rtol=1e-12, atol=1e-15)
+    assert res.converged and res.termination == "gradient"
+    np.testing.assert_allclose(res.theta, clean.theta, rtol=0, atol=1e-5)
 
 
 def test_information_only_standard_errors():

@@ -16,7 +16,7 @@ from conftest import (
 )
 from tdvarma import examples
 from tdvarma.errors import ContractError, SingularCovarianceError
-from tdvarma.estimate import _safe_value
+from tdvarma.estimate import _safe_objective
 from tdvarma.likelihood import (
     _lag_coefs,
     _lag_solve,
@@ -243,7 +243,7 @@ def test_non_finite_covariance_names_first_time_index():
             with pytest.raises(SingularCovarianceError) as err:
                 call(m, series, theta)
             assert err.value.t == 1 + int(np.argmin(finite)) and err.value.theta == tuple(theta)
-        assert _safe_value(m, series, theta) == math.inf  # a rejected line-search trial
+        assert _safe_objective(m, series, theta) is None  # a rejected line-search trial
 
 
 @pytest.mark.parametrize("which", ["example1_sim", "example2"])

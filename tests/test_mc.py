@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import make_sin_varma11
 
 from tdvarma import examples, mc
 from tdvarma.config import RunConfig
@@ -320,14 +321,104 @@ TABLE2_REFERENCE_CELLS = """n,param,line,value
 """
 
 
-def test_table2_reference_cells_are_unchanged():
-    m = examples.example2_model()
-    plan = mc.McPlan.from_run(m, examples.paper_run("example2"), n_list=(25, 50), replications=20, seed=7)
-    got = mc.summary_from_csv(mc.summary_to_csv(mc.run_mc(plan, threads=1)), 20)
-    want = mc.summary_from_csv(TABLE2_REFERENCE_CELLS, 20)
-    for n in (25, 50):
+def _assert_cells_match(plan, reference_csv):
+    """Lines a-c within 1e-12 relative of the reference, line d and the excluded count exact."""
+    got = mc.summary_from_csv(mc.summary_to_csv(mc.run_mc(plan, threads=1)), plan.replications)
+    want = mc.summary_from_csv(reference_csv, plan.replications)
+    for n in plan.n_list:
         cell, ref = got.cell(n), want.cell(n)
         for line in ("mean_estimate", "mean_se", "std_estimate"):
             np.testing.assert_allclose(getattr(cell, line), getattr(ref, line), rtol=1e-12, atol=0)
         np.testing.assert_array_equal(cell.reject_pct, ref.reject_pct)
-        assert cell.n_total - cell.n_converged == ref.n_total - ref.n_converged == 0
+        assert cell.n_total - cell.n_converged == ref.n_total - ref.n_converged
+
+
+def test_table2_reference_cells_are_unchanged():
+    m = examples.example2_model()
+    plan = mc.McPlan.from_run(m, examples.paper_run("example2"), n_list=(25, 50), replications=20, seed=7)
+    _assert_cells_match(plan, TABLE2_REFERENCE_CELLS)
+
+
+# summary_to_csv of table 1's design (sigma estimated, three rounds) and of the
+# sinusoidal VARMA(1,1), written by the BFGS search that evaluated each accepted
+# trial point twice
+TABLE1_REFERENCE_CELLS = """n,param,line,value
+25,a11_amp,a,0.7873806028624251
+25,a11_amp,b,0.18656430590109546
+25,a11_amp,c,0.19068870443331912
+25,a11_amp,d,0.0
+25,a12,a,0.47911860505882026
+25,a12,b,0.15266469289311013
+25,a12,c,0.18393881211890334
+25,a12,d,10.0
+25,a22_amp,a,-0.817383152084604
+25,a22_amp,b,0.18484150858563392
+25,a22_amp,c,0.2118264365424377
+25,a22_amp,d,5.0
+25,all,excluded,0
+50,a11_amp,a,0.7545511017707099
+50,a11_amp,b,0.13049253817572107
+50,a11_amp,c,0.13886109567977745
+50,a11_amp,d,10.0
+50,a12,a,0.4622854254812605
+50,a12,b,0.10128278134963727
+50,a12,c,0.10222655216741701
+50,a12,d,0.0
+50,a22_amp,a,-0.8598614543894094
+50,a22_amp,b,0.12306251749318661
+50,a22_amp,c,0.18569189011207282
+50,a22_amp,d,10.0
+50,all,excluded,0
+"""
+
+VARMA11_REFERENCE_CELLS = """n,param,line,value
+100,p0,a,0.19515659993544326
+100,p0,b,0.11622648070471175
+100,p0,c,0.07862538867010578
+100,p0,d,0.0
+100,p1,a,0.14283295323519812
+100,p1,b,0.11053946642630615
+100,p1,c,0.07445081700651036
+100,p1,d,0.0
+100,p2,a,-0.23027460091749014
+100,p2,b,0.12667522729907654
+100,p2,c,0.1434325782011868
+100,p2,d,10.0
+100,p3,a,-0.4375014530611603
+100,p3,b,0.12308215094191166
+100,p3,c,0.0818824158257159
+100,p3,d,0.0
+100,p4,a,-0.4719701631674055
+100,p4,b,0.11935174487481463
+100,p4,c,0.12199528174775243
+100,p4,d,10.0
+100,p5,a,-0.14322450853277066
+100,p5,b,0.12075379998663383
+100,p5,c,0.14685085248395266
+100,p5,d,20.0
+100,p6,a,0.54338422935387
+100,p6,b,0.1458566446563814
+100,p6,c,0.10091831458184967
+100,p6,d,0.0
+100,p7,a,-0.394933491982196
+100,p7,b,0.14151905883899124
+100,p7,c,0.1449818289729602
+100,p7,d,10.0
+100,all,excluded,0
+"""
+
+
+def test_table1_reference_cells_are_unchanged():
+    m = examples.example1_sim_model()
+    run = examples.paper_run("example1_sim")
+    plan = mc.McPlan.from_run(m, run, n_list=(25, 50), replications=20, seed=1234567)
+    _assert_cells_match(plan, TABLE1_REFERENCE_CELLS)
+
+
+def test_varma11_reference_cell_is_unchanged():
+    m = make_sin_varma11(np.random.default_rng(909))
+    start = tuple(v + 0.1 for v in m.layout.theta0)
+    plan = mc.McPlan(
+        model=m, theta0=m.layout.theta0, n_list=(100,), replications=10, seed=4242, theta_init=start
+    )
+    _assert_cells_match(plan, VARMA11_REFERENCE_CELLS)
