@@ -5,10 +5,11 @@ lengths, 1000 replications each.
 Table 1 fits example1_sim with the noise covariance estimated; table 2 fits the
 heteroscedastic example2 with it held fixed.  Writes summary.csv and
 estimates.csv into --out and prints each cell against the published values.
-Single-threaded (--threads 1) on a shared 2-core x86 machine, table 1 took
-18-25 s and table 2 33-34 s over four and two runs, and 12-14 s and 21-25 s
-with --threads 2; --threads runs the replications in one pool of that many
-worker processes.  The last line printed is the elapsed wall time.
+Single-threaded (--threads 1, BLAS on one thread) on a shared 2-core x86
+machine, table 1 took 19-23 s and table 2 22-30 s over four runs each, and
+13-14 s and 16-19 s with --threads 2 over two; --threads runs the replications
+in one pool of that many worker processes.  The last line printed is the
+elapsed wall time.
 """
 
 import argparse

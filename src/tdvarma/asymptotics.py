@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ContractError
 from .model import TdVarmaModel
-from .likelihood import _add_scale_info, _lag_coefs
+from .likelihood import _lag_coefs, _scale_info
 from .representations import _triangular_var1_params, triangular_var1_product
 from .representations import build_psi  # unused here; perfbench/tracer.py wraps this name
 
@@ -71,24 +71,27 @@ def _information_pass(model: TdVarmaModel, theta0, n_grid: Sequence[int]) -> dic
     if not n_grid or min(n_grid) < 1:
         raise ContractError("information horizons must be a non-empty list of integers >= 1")
     n_max = max(n_grid)
-    sig, siginv, _, dsig = model.sigma_factors(n_max, theta0, derivs=True)
+    _, white, _, s = model.scale_factor(n_max, theta0, derivs=True)  # white' white = Sigma_t^{-1}
 
     trans, readout, noise = _state_system(model, theta0, n_max)
     dim = trans.shape[-1]
     m_arma, r = readout.shape[1:3]
     # P_t = F_t P_{t-1} F_t' + G Sigma_t G' from P_0 = 0; cov[t] holds P_t, t < n_max
     cov = np.zeros((n_max, dim, dim))
-    gsg = noise @ sig @ noise.T
+    gf = noise @ model.g_func.value(range(1, n_max + 1), theta0) @ model.sigma_chol  # G g_t L
+    gsg = gf @ np.swapaxes(gf, -1, -2)
     for t in range(1, n_max):
         cov[t] = trans[t - 1] @ cov[t - 1] @ trans[t - 1].T + gsg[t - 1]
     # tr(Sigma_t^{-1} H_ti P_{t-1} H_tj') for all slot pairs (i, j), summed over t
-    left = ((siginv[:, None] @ readout) @ cov[:, None]).reshape(n_max, m_arma, r * dim)
-    lag = np.cumsum(left @ readout.reshape(n_max, m_arma, r * dim).transpose(0, 2, 1), axis=0)
+    wr = white[:, None] @ readout
+    left = (wr @ cov[:, None]).reshape(n_max, m_arma, r * dim)
+    lag = np.cumsum(left @ wr.reshape(n_max, m_arma, r * dim).transpose(0, 2, 1), axis=0)
+    scale = slice(m_arma, model.m)  # the scale slots come last
     out = {}
     for n in n_grid:
         v = np.zeros((model.m, model.m))
         v[:m_arma, :m_arma] = lag[n - 1]
-        _add_scale_info(v, siginv[:n], dsig[:, :n])
+        v[scale, scale] = _scale_info(s[:, :n])
         out[n] = _se_from_v(v / n, n)
     return out
 

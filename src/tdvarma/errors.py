@@ -18,7 +18,7 @@ class NumericalError(TdvarmaError, RuntimeError):
 
 
 class SingularCovarianceError(NumericalError):
-    """A per-time residual covariance is not finite or failed its Cholesky factorization."""
+    """A per-time residual covariance is not finite or is singular."""
 
     def __init__(self, t, theta=None):
         self.t = t

@@ -192,12 +192,12 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, opts: FitOptions):
 
 def estimate_noise_cov(model: TdVarmaModel, series: Series, theta, e=None) -> np.ndarray:
     """Moment estimator of the innovation covariance: the average of
-    g_t^{-1} e_t e_t' g_t^{-T} at the supplied parameter, whose residuals e
-    are computed unless given."""
+    z_t z_t' with z_t = g_t^{-1} e_t at the supplied parameter, whose residuals
+    e are computed unless given; g_t^{-1} comes from the model's scale factor."""
     if e is None:
         e = likelihood.residuals(model, series, theta).e
-    g = model.g_func.value(range(1, series.n + 1), theta)
-    z = np.linalg.solve(g, e[..., None])[..., 0]
+    ginv = model.scale_factor(series.n, theta)[0]
+    z = (ginv @ e[..., None])[..., 0]
     sig = z.T @ z / series.n
     return 0.5 * (sig + sig.T)
 

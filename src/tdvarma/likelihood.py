@@ -12,15 +12,17 @@ the companion form; the same companion products give all residual derivatives, a
 The objective is
 
     Q_n(theta) = 0.5 * sum_t alpha_t + (r n / 2) log(2 pi),
-    alpha_t = log det Sigma_t + e_t' Sigma_t^{-1} e_t.
+    alpha_t = log det Sigma_t + e_t' Sigma_t^{-1} e_t = log det Sigma_t + |u_t|^2,
 
-The Gauss-Newton (expected) Hessian of Q_n,
+where u_t = H_t e_t is the residual whitened by the model's factor H_t of
+Sigma_t^{-1} = H_t' H_t.  The Gauss-Newton (expected) Hessian of Q_n, entry (i, j),
 
-    sum_t de_t' Sigma_t^{-1} de_t + 0.5 tr(Sigma_t^{-1} dSigma_t Sigma_t^{-1} dSigma_t),
+    sum_t du_ti' du_tj + 0.5 tr(D_ti D_tj),   du_ti = H_t de_t/di,
+    D_ti = H_t (dSigma_t/di) H_t' = S_ti + S_ti',
 
 is n times the plug-in curvature V_hat; the optimizer scales its steps by it.
-Sigma_t, Sigma_t^{-1} and log det Sigma_t come from the model, which factors each
-Sigma_t once; nothing here solves or inverts a covariance.
+H_t, log det Sigma_t and S_t come from the model; nothing here forms, solves or
+inverts a covariance.
 """
 
 from __future__ import annotations
@@ -37,14 +39,13 @@ from .model import Series, TdVarmaModel
 
 @dataclass
 class ResidualSet:
-    """Residuals, per-time covariances, their inverses and log-determinants, optional derivatives."""
+    """Residuals, the whitening factors of their covariances, log-determinants, optional derivatives."""
 
     e: np.ndarray            # (n, r)
-    sigma: np.ndarray        # (n, r, r)
-    siginv: np.ndarray       # (n, r, r)
+    h: np.ndarray            # (n, r, r), H_t with H_t' H_t = Sigma_t^{-1}
     logdet: np.ndarray       # (n,)
     de: Optional[np.ndarray]  # (m, n, r) or None
-    dsig: Optional[np.ndarray]  # (n_scale, n, r, r), d sigma by the scale slots, or None
+    s: Optional[np.ndarray]  # (n_scale, n, r, r), S_t = H_t dg_t L by the scale slots, or None
 
 
 @dataclass
@@ -66,11 +67,16 @@ def _lagged(x: np.ndarray, lag: int) -> np.ndarray:
     return out
 
 
+def _apply(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """C_t y_t for every t: c is a (..., n, r, r) stack and y an (n, r) or (..., n, r) one."""
+    return (c @ y[..., None])[..., 0]
+
+
 def _lag_sum(c: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sum_i C_ti y_{t-i} for all t; c stacks the lag-i coefficients as (k, n, r, r), y is (n, r)."""
     out = np.zeros_like(y)
     for i, ci in enumerate(c, 1):
-        out += np.einsum("trs,ts->tr", ci, _lagged(y, i))
+        out += _apply(ci, _lagged(y, i))
     return out
 
 
@@ -122,8 +128,8 @@ def _lag_coefs(funcs, n: int, r: int, theta) -> np.ndarray:
 
 
 def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = False) -> ResidualSet:
-    """One-step residuals e_t(theta), their covariances, and optionally d e_t / d theta
-    and d Sigma_t / d theta."""
+    """One-step residuals e_t(theta) with the whitening factors of their covariances, and
+    optionally d e_t / d theta and the scale-slot stack S_t."""
     if series.r != model.r:
         raise ContractError(f"series dimension {series.r} does not match model dimension {model.r}")
     theta = np.asarray(theta, dtype=float)
@@ -132,58 +138,33 @@ def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = Fa
     solve = _lag_solver(_lag_coefs(model.b_funcs, n, r, theta), n)  # shared by e and de
     e = solve(x - _lag_sum(_lag_coefs(model.a_funcs, n, r, theta), x))
     if not with_derivs:
-        return ResidualSet(e, *model.sigma_factors(n, theta), de=None, dsig=None)
+        return ResidualSet(e, *model.scale_factor(n, theta)[1:], de=None, s=None)
     # row k: -(sum_i d_k A_ti x_{t-i} + sum_j d_k B_tj e_{t-j}), then the same solve as e
     de = np.zeros((model.m, n, r))
     for funcs, y in ((model.a_funcs, x), (model.b_funcs, e)):
         for lag, f in enumerate(funcs, 1):
             slots, d = f.head_grad(n, theta)
-            de[list(slots)] -= np.einsum("ktrs,ts->ktr", d, _lagged(y, lag))
-    sigma_all, siginv, logdet, dsig = model.sigma_factors(n, theta, derivs=True)
-    return ResidualSet(e, sigma_all, siginv, logdet, de=solve(de), dsig=dsig)
+            de[list(slots)] -= _apply(d, _lagged(y, lag))
+    _, h, logdet, s = model.scale_factor(n, theta, derivs=True)
+    return ResidualSet(e, h, logdet, de=solve(de), s=s)
 
 
 def objective_value(model: TdVarmaModel, series: Series, theta) -> float:
     """Q_n(theta) alone, without the derivatives that `objective` adds."""
     res = residuals(model, series, theta, with_derivs=False)
-    return _q(_alphas(res)[0], res.e.shape[1])
-
-
-def _alphas(res: ResidualSet) -> tuple[np.ndarray, np.ndarray]:
-    """Per-observation terms alpha_t and the whitened residuals Sigma_t^{-1} e_t."""
-    w = np.einsum("trs,ts->tr", res.siginv, res.e)
-    return res.logdet + np.einsum("tr,tr->t", res.e, w), w
+    u = _apply(res.h, res.e)
+    return _q(res.logdet + np.sum(u * u, axis=-1), u.shape[1])
 
 
 def _q(alphas: np.ndarray, r: int) -> float:
     return 0.5 * float(np.sum(alphas)) + 0.5 * r * alphas.shape[0] * math.log(2.0 * math.pi)
 
 
-def _score_rows(res: ResidualSet, w: np.ndarray) -> np.ndarray:
-    """Rows d alpha_t / d theta, shape (n, m), given w_t = Sigma_t^{-1} e_t."""
-    rows = 2.0 * np.einsum("tr,itr->ti", w, res.de)
-    dsig = res.dsig
-    k = dsig.shape[0]  # the scale slots come last, and the residuals do not depend on them
-    if k:
-        rows[:, -k:] += np.einsum("tsr,itrs->ti", res.siginv, dsig) - np.einsum("tr,itrs,ts->ti", w, dsig, w)
-    return rows
-
-
-def _add_scale_info(info: np.ndarray, siginv: np.ndarray, dsig: np.ndarray) -> None:
-    """Adds sum_t 0.5 tr(Sigma_t^{-1} dSigma_t/di Sigma_t^{-1} dSigma_t/dj) to the
-    block of info over the scale slots, which come last."""
-    if dsig.shape[0]:
-        rel = np.einsum("tab,itbc->itac", siginv, dsig)
-        info[-dsig.shape[0]:, -dsig.shape[0]:] += 0.5 * np.einsum("itab,jtba->ij", rel, rel)
-
-
-def _info(res: ResidualSet) -> np.ndarray:
-    """Gauss-Newton Hessian sum_t de_t' Sigma_t^{-1} de_t plus the scale term, shape (m, m)."""
-    m = res.de.shape[0]
-    wde = np.einsum("trs,jts->jtr", res.siginv, res.de)
-    info = res.de.reshape(m, -1) @ wde.reshape(m, -1).T
-    _add_scale_info(info, res.siginv, res.dsig)
-    return 0.5 * (info + info.T)
+def _scale_info(s: np.ndarray) -> np.ndarray:
+    """sum_t 0.5 tr(D_ti D_tj) over the k scale slots of the stack s, shape (k, k), where
+    D_t = S_t + S_t' = H_t dSigma_t H_t' is symmetric."""
+    d = (s + np.swapaxes(s, -1, -2)).reshape(s.shape[0], math.prod(s.shape[1:]))
+    return 0.5 * d @ d.T
 
 
 def objective(model: TdVarmaModel, series: Series, theta) -> ObjectiveReport:
@@ -197,15 +178,25 @@ def _evaluate(model: TdVarmaModel, series: Series, theta) -> ObjectiveReport:
     # name count the optimizer's evaluations only
     theta = np.asarray(theta, dtype=float)
     res = residuals(model, series, theta, with_derivs=True)
-    r = res.e.shape[1]
-    alphas, w = _alphas(res)
-    score_rows = _score_rows(res, w)
+    # per t, the rows u_t, du_t1 .. du_tm whitened at once, and their Gram matrix
+    w = np.concatenate((res.e[None], res.de)).transpose(1, 0, 2) @ np.swapaxes(res.h, -1, -2)
+    gram = w @ np.swapaxes(w, -1, -2)
+    u, r = w[:, 0], w.shape[-1]
+    alphas = res.logdet + gram[:, 0, 0]
+    score_rows = 2.0 * gram[:, 1:, 0]  # rows d alpha_t / d theta, shape (n, m)
+    info = gram[:, 1:, 1:].sum(axis=0)
+    s = res.s
+    k = s.shape[0]  # the scale slots come last, and the residuals do not depend on them
+    if k:
+        # d alpha_t / d theta_s = tr D_ts - u_t' D_ts u_t = 2 <S_ts, I - u_t u_t'>
+        score_rows[:, -k:] += 2.0 * np.sum(s * (np.eye(r) - u[:, :, None] * u[:, None, :]), axis=(-2, -1)).T
+        info[-k:, -k:] += _scale_info(s)
     grad = 0.5 * score_rows.sum(axis=0)
     if not np.all(np.isfinite(score_rows)):
         raise NumericalError("non-finite entries in the score")
     return ObjectiveReport(
         q=_q(alphas, r), alphas=alphas, grad=grad, score_rows=score_rows,
-        info=_info(res), e=res.e,
+        info=0.5 * (info + info.T), e=res.e,
     )
 
 

@@ -3,8 +3,10 @@
 The process is an r-vector ARMA(p, q) whose coefficient matrices and
 innovation scale are deterministic functions of t, driven by independent
 innovations with covariance `sigma`.  The per-time residual covariance is
-Sigma_t(theta) = g_t(theta) Sigma g_t(theta)^T.  Covariances are checked and
-factored here only: Sigma when it is set, each Sigma_t stack by one batched Cholesky.
+Sigma_t(theta) = g_t(theta) Sigma g_t(theta)^T = F_t F_t^T with F_t = g_t L and
+Sigma = L L^T.  Covariances are checked and factored here only: Sigma by its
+Cholesky factor L when it is set, and each g_t stack by one batched inverse,
+which gives the whitening factors H_t = F_t^{-1} = L^{-1} g_t^{-1}.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericalError, SingularCovarianceError
+from .errors import ConfigError, ContractError, SingularCovarianceError
 from .timefn import MatrixTimeFunction, _check_indices, index_splits
 
 DEFAULT_CHECK_HORIZON = 400
@@ -106,9 +108,9 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + np.swapaxes(mat, -1, -2))
 
 
-def _checked_sigma(sigma, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Sigma, its Cholesky factor), both read-only, for a finite, symmetric positive
-    definite r x r innovation covariance; Sigma is symmetrized."""
+def _checked_sigma(sigma, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Sigma, its Cholesky factor L, L^{-1}), all read-only, for a finite, symmetric
+    positive definite r x r innovation covariance; Sigma is symmetrized."""
     sig = np.asarray(sigma, dtype=float)
     if sig.shape != (r, r) or not np.all(np.isfinite(sig)):
         raise ConfigError(f"innovation covariance must be a finite {r} x {r} matrix")
@@ -117,28 +119,16 @@ def _checked_sigma(sigma, r: int) -> tuple[np.ndarray, np.ndarray]:
         chol = np.linalg.cholesky(sig)
     except np.linalg.LinAlgError as exc:
         raise ConfigError("innovation covariance is not positive definite") from exc
-    sig.setflags(write=False)
-    chol.setflags(write=False)
-    return sig, chol
+    out = (sig, chol, np.linalg.inv(chol))
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
-def _inv_logdet(sig: np.ndarray, t, theta) -> tuple[np.ndarray, np.ndarray]:
-    """(Sigma_t^{-1}, log det Sigma_t) for the residual covariances sig at the times t,
-    from one batched Cholesky; a Sigma_t that is not finite and positive definite
-    raises SingularCovarianceError naming the first such t.  NaN and inf pass through
-    numpy's Cholesky without raising, so a non-finite Sigma_t is factored as zero."""
-    try:
-        chol = np.linalg.cholesky(sig)
-        if not np.isfinite(sig).all():
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        for ti, st in zip(np.ravel(t), sig.reshape((-1,) + sig.shape[-2:])):
-            try:
-                np.linalg.cholesky(st if np.isfinite(st).all() else np.zeros_like(st))
-            except np.linalg.LinAlgError:
-                raise SingularCovarianceError(ti.item(), theta) from None
-        raise NumericalError("batched Cholesky failed without an identifiable time index")
-    return np.linalg.inv(sig), 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+def _check_scale(ok: np.ndarray, t, theta) -> None:
+    """Raises SingularCovarianceError naming the first of the times t where ok is false."""
+    if not ok.all():
+        raise SingularCovarianceError(np.ravel(t)[np.argmin(ok)].item(), theta)
 
 
 class TdVarmaModel:
@@ -151,11 +141,14 @@ class TdVarmaModel:
         (length p and q respectively), each an r x r MatrixTimeFunction.
     g_func : innovation scale matrix g_t(theta); identity when None.
     sigma : innovation covariance (symmetric positive definite, r x r); its
-        Cholesky factor is kept as `sigma_chol`.
+        Cholesky factor L is kept as `sigma_chol`.
     layout : parameter names / blocks / optional true value and bounds.
 
     When the layout supplies a true value, g_t is checked to be invertible
-    for t = 1..DEFAULT_CHECK_HORIZON at construction.
+    for t = 1..DEFAULT_CHECK_HORIZON at construction.  The likelihood reads
+    Sigma_t = F_t F_t' (F_t = g_t L) only through `scale_factor`'s g_t^{-1},
+    H_t = F_t^{-1} and log det Sigma_t; `sigma_t`, `sigma_t_all` and the
+    derivative methods form Sigma_t and Sigma_t^{-1} for the audits and the theory.
     """
 
     def __init__(
@@ -174,7 +167,7 @@ class TdVarmaModel:
         self.layout = layout
         self._fixed_scale: Optional[tuple] = None
         self._validate()
-        self.sigma, self.sigma_chol = _checked_sigma(sigma, self.r)
+        self.sigma, self.sigma_chol, self._chol_inv = _checked_sigma(sigma, self.r)
 
     @property
     def p(self) -> int:
@@ -215,7 +208,7 @@ class TdVarmaModel:
         """Copy of the model with a replaced innovation covariance; it shares the
         coefficient functions and their tables."""
         new = copy.copy(self)
-        new.sigma, new.sigma_chol = _checked_sigma(sigma, self.r)
+        new.sigma, new.sigma_chol, new._chol_inv = _checked_sigma(sigma, self.r)
         new._fixed_scale = None
         return new
 
@@ -243,31 +236,42 @@ class TdVarmaModel:
         """Residual covariances for t = 1..n, shape (n, r, r)."""
         return self._sigma_t_table(range(1, n + 1), theta, [()])[0][()]
 
-    def sigma_factors(self, n: int, theta, derivs: bool = False) -> tuple:
-        """(Sigma_t, Sigma_t^{-1}, log det Sigma_t) for t = 1..n, shapes (n, r, r),
-        (n, r, r) and (n,).  With derivs a fourth element, the first derivatives of
-        Sigma_t by the scale slots (which come last in theta) as an (n_scale, n, r, r)
-        stack, zero for a slot g_t does not use; one evaluation of g_t serves all four.
-        When g_t has no parameter slots Sigma_t does not depend on theta: the three
-        arrays are kept, read-only, for the longest n asked so far and read by prefix."""
+    def scale_factor(self, n: int, theta, derivs: bool = False) -> tuple:
+        """(g_t^{-1}, H_t, log det Sigma_t) for t = 1..n, shapes (n, r, r), (n, r, r) and
+        (n,), where H_t = L^{-1} g_t^{-1} inverts the factor F_t = g_t L of Sigma_t, so
+        H_t' H_t = Sigma_t^{-1}.  With derivs a fourth element, S_t = H_t (dg_t) L by the
+        scale slots (which come last in theta) as an (n_scale, n, r, r) stack, zero for a
+        slot g_t does not use, so that H_t dSigma_t H_t' = S_t + S_t'; one evaluation of
+        g_t serves all four.  A Sigma_t that is singular or not finite raises
+        SingularCovarianceError naming the first such t.  When g_t has no parameter
+        slots the first three are kept, read-only, for the longest n asked so far and
+        read by prefix."""
         fixed = self._fixed_scale
         slots = self.layout.scale_slots if derivs else ()
-        table: dict = {}  # d Sigma_t by the scale slots g_t uses; none when it is fixed
+        g: dict = {}  # g_t and its derivatives by the scale slots it uses; none when it is fixed
         if fixed is not None and fixed[0].shape[0] >= n:
             factors = tuple(a[:n] for a in fixed)
         else:
             ts = range(1, n + 1)
-            table, _ = self._sigma_t_table(ts, theta, [()] + [(s,) for s in slots])
-            factors = (table[()],) + _inv_logdet(table[()], ts, theta)
+            g = self.g_func.deriv_map(ts, theta, [()] + [(s,) for s in slots])
+            f = g[()] @ self.sigma_chol
+            _, logdet = np.linalg.slogdet(f)
+            # diag(F_t F_t') overflows where Sigma_t does; a singular F_t has log det -inf
+            if not np.isfinite(np.vdot(f, f) + np.sum(logdet)):
+                _check_scale(np.isfinite(logdet) & np.isfinite(np.sum(f * f, axis=-1)).all(axis=-1), ts, theta)
+            ginv = np.linalg.inv(g[()])
+            factors = (ginv, self._chol_inv @ ginv, 2.0 * logdet)
             if not self.g_func.param_slots():
                 for a in factors:
                     a.setflags(write=False)
                 self._fixed_scale = factors
         if not derivs:
             return factors
-        zero = np.zeros((n, self.r, self.r))  # for a slot g_t does not use
-        dsig = np.array([table.get((s,), zero) for s in slots]).reshape(len(slots), n, self.r, self.r)
-        return factors + (dsig,)
+        s = np.zeros((len(slots), n, self.r, self.r))
+        for i, slot in enumerate(slots):
+            if (slot,) in g:
+                s[i] = factors[1] @ g[(slot,)] @ self.sigma_chol
+        return factors + (s,)
 
     def sigma_t_deriv(self, t, theta, indices) -> np.ndarray:
         """Exact derivative of Sigma_t of order 1 or 2 w.r.t. theta[indices]."""
@@ -309,7 +313,9 @@ class TdVarmaModel:
         inv: dict = {}
         if not inverse:
             return sig, inv
-        inv[()] = _sym(_inv_logdet(sig[()], t, theta)[0])
+        sign, logdet = np.linalg.slogdet(sig[()])
+        _check_scale((sign > 0) & np.isfinite(logdet) & np.isfinite(sig[()]).all(axis=(-2, -1)), t, theta)
+        inv[()] = _sym(np.linalg.inv(sig[()]))
         for tau in list(sig)[1:]:
             # differentiate -M^-1 (d_head M) M^-1 by the remaining indices, split three ways
             head, rest = tau[0], tau[1:]

@@ -13,7 +13,6 @@ from tdvarma import examples
 from tdvarma.assumptions import check_information
 from tdvarma.asymptotics import _information_pass, example1_v_closed, theoretical_v
 from tdvarma.errors import ContractError, NumericalError, SingularCovarianceError
-from tdvarma.likelihood import _add_scale_info
 from tdvarma.mc import McPlan, run_mc
 from tdvarma.model import ParamLayout, TdVarmaModel
 from tdvarma.representations import _resid_rows
@@ -63,9 +62,12 @@ def ma_expansion_v(model, theta0, n_grid):
         v[np.ix_(slots, slots)] += np.einsum("ab,ikbc,kcd,jkad->ij", siginv[t - 1], psi, lagged, psi, optimize=True)
         if t in n_grid:
             out[t] = v.copy()
-    dsig = model.sigma_factors(n_max, th, derivs=True)[3]
+    # 0.5 tr(Sigma_t^{-1} dSigma_t/di Sigma_t^{-1} dSigma_t/dj) over the scale slots, per t
+    scale = list(model.layout.scale_slots)
+    rel = [siginv @ model.sigma_t_deriv(np.arange(1, n_max + 1), th, (i,)) for i in scale]
+    per_t = 0.5 * np.array([[np.trace(a @ b, axis1=-2, axis2=-1) for b in rel] for a in rel])
     for n, vn in out.items():
-        _add_scale_info(vn, siginv[:n], dsig[:, :n])
+        vn[np.ix_(scale, scale)] += per_t[..., :n].sum(axis=-1)
         vn /= n
     return out
 

@@ -208,8 +208,8 @@ def test_objective_info_matches_reference_and_vhat(name, request):
         up = likelihood.residuals(m, series, theta + step)
         dn = likelihood.residuals(m, series, theta - step)
         de.append((up.e - dn.e) / (2 * h))
-        dsig.append((up.sigma - dn.sigma) / (2 * h))
-    siginv = np.linalg.inv(likelihood.residuals(m, series, theta).sigma)
+        dsig.append((m.sigma_t_all(n, theta + step) - m.sigma_t_all(n, theta - step)) / (2 * h))
+    siginv = np.linalg.inv(m.sigma_t_all(n, theta))
     ref = np.zeros((m.m, m.m))
     for t in range(n):
         for i in range(m.m):

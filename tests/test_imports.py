@@ -1,8 +1,11 @@
-"""Every module of the package uses each name it imports.  The package __init__
-re-exports its imports and is left out; a module may import a name only the
-benchmark's tracer reads when perfbench/tracer.py wraps that name there."""
+"""Every module of the package uses each name it imports, and every private
+function, class and method is referenced outside its own definition.  The package
+__init__ re-exports its imports and is left out of the first check; a module may
+import a name, or define a private one, that only the benchmark's tracer reads
+when perfbench/tracer.py wraps that name."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,3 +30,29 @@ def _unused_imports(path: Path) -> set:
 def test_module_uses_its_imports(path):
     wrapped = {attr for module, cls, attr, _ in _span_targets() if module == f"tdvarma.{path.stem}" and cls is None}
     assert _unused_imports(path) - wrapped == set()
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    """Module-level functions and classes, and methods of module-level classes, whose
+    names start with one underscore."""
+    nodes = list(tree.body)
+    nodes += [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node for node in nodes if isinstance(node, kinds) and node.name.startswith("_")
+            and not node.name.startswith("__")]
+
+
+def _references(tree: ast.AST) -> list:
+    return [node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_private_definitions_are_referenced(path):
+    # a private helper no code of the package reaches, outside its own body, is dead
+    trees = {p: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    everywhere = Counter(name for tree in trees.values() for name in _references(tree))
+    wrapped = {attr for _, _, attr, _ in _span_targets()}
+    dead = [node.name for node in _private_definitions(trees[path])
+            if node.name not in wrapped and everywhere[node.name] == _references(node).count(node.name)]
+    assert dead == []

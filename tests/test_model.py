@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from conftest import make_scale_singular_at
 
 from tdvarma.errors import ConfigError, ContractError, SingularCovarianceError
+from tdvarma.estimate import _safe_objective
 from tdvarma.examples import FREQ_C, example1_sim_model, example2_model
+from tdvarma.likelihood import objective, objective_value, residuals
 from tdvarma.model import ParamLayout, Series, TdVarmaModel
+from tdvarma.simulate import SimPlan, simulate
 from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Sine
 
 
@@ -175,18 +178,25 @@ def test_innovation_covariance_keeps_its_cholesky_factor(example2):
         assert not (model.sigma.flags.writeable or model.sigma_chol.flags.writeable)
 
 
-@pytest.mark.parametrize("path", ["sigma_t_inv", "sigma_t_inv_deriv", "sigma_factors"])
+@pytest.mark.parametrize(
+    "path", ["sigma_t_inv", "sigma_t_inv_deriv", "scale_factor", "residuals", "objective_value", "objective"]
+)
 def test_singular_residual_covariance_names_its_first_time(path):
     m = make_scale_singular_at(3)
     theta = np.array([0.5, 1.0])
+    series = simulate(SimPlan(m, m.layout.theta0, 10, 4))
     calls = {
         "sigma_t_inv": lambda: m.sigma_t_inv(np.arange(1, 11), theta),
         "sigma_t_inv_deriv": lambda: m.sigma_t_inv_deriv(np.arange(1, 11), theta, (1, 1)),
-        "sigma_factors": lambda: m.sigma_factors(10, theta, derivs=True),
+        "scale_factor": lambda: m.scale_factor(10, theta, derivs=True),
+        "residuals": lambda: residuals(m, series, theta),
+        "objective_value": lambda: objective_value(m, series, theta),
+        "objective": lambda: objective(m, series, theta),
     }
     with pytest.raises(SingularCovarianceError) as err:
         calls[path]()
     assert err.value.t == 3 and err.value.theta == (0.5, 1.0)
+    assert _safe_objective(m, series, theta) is None  # a rejected line-search trial
     with pytest.raises(SingularCovarianceError) as err:
         m.sigma_t_inv(3, theta)
     assert err.value.t == 3
@@ -222,24 +232,24 @@ def test_layout_blocks():
 
 def test_parameter_free_scale_is_built_once_and_read_by_prefix(example1_sim, example2):
     th = np.array(example1_sim.layout.theta0)
-    m = example1_sim.with_sigma(example1_sim.sigma)
-    factors = m.sigma_factors(30, th)
-    sig, siginv, logdet = factors
+    m = example1_sim.with_sigma([[1.0, 0.5], [0.5, 2.0]])
+    factors = m.scale_factor(30, th)
+    ginv, h, logdet = factors
     assert not any(a.flags.writeable for a in factors)
-    np.testing.assert_array_equal(sig, example1_sim.sigma_t_all(30, th))
-    np.testing.assert_array_equal(siginv, np.linalg.inv(sig))
-    np.testing.assert_allclose(logdet, np.linalg.slogdet(sig)[1], rtol=0, atol=1e-13)
-    again = m.sigma_factors(30, th + 0.3)
+    np.testing.assert_array_equal(ginv, np.broadcast_to(np.eye(2), (30, 2, 2)))  # g_t = I
+    np.testing.assert_array_equal(h, np.broadcast_to(np.linalg.inv(m.sigma_chol), (30, 2, 2)))
+    np.testing.assert_allclose(logdet, np.linalg.slogdet(m.sigma)[1], rtol=0, atol=1e-13)
+    again = m.scale_factor(30, th + 0.3)
     assert all(np.shares_memory(a, b) for a, b in zip(again, factors))
-    short = m.sigma_factors(12, th)
+    short = m.scale_factor(12, th)
     assert all(np.shares_memory(a, b) for a, b in zip(short, factors))
     assert [a.shape for a in short] == [(12, 2, 2), (12, 2, 2), (12,)]
-    longer = m.sigma_factors(45, th)
+    longer = m.scale_factor(45, th)
     for a, b in zip(longer, factors):
         np.testing.assert_array_equal(a[:30], b)
-    np.testing.assert_array_equal(m.with_sigma(2.0 * np.eye(2)).sigma_factors(30, th)[0], 2.0 * sig)
+    np.testing.assert_array_equal(m.with_sigma(4.0 * m.sigma).scale_factor(30, th)[1], 0.5 * h)
     # a scale with parameters is rebuilt at every theta
     th2 = np.array(example2.layout.theta0)
-    sig2 = example2.sigma_factors(30, th2)[0]
-    assert sig2.flags.writeable
-    assert not np.array_equal(sig2, example2.sigma_factors(30, th2 + 0.1)[0])
+    h2 = example2.scale_factor(30, th2)[1]
+    assert h2.flags.writeable
+    assert not np.array_equal(h2, example2.scale_factor(30, th2 + 0.1)[1])
