@@ -32,6 +32,7 @@ N_PROBE = 500
 NU_GRID = (1, 5, 10, 20, 40)            # starts of the tail sums the decay fit uses
 CROSS_GRID = (50, 100, 200, 400)        # lengths n of the first cross-time family
 CROSS_M_GRID = (300, 600, 900, 1200)    # and of the second
+D_CAP = 60                              # largest shift of the cross-time sums; lags stop at 2 * D_CAP
 INFO_GRID = (25, 50, 100)               # horizons of the information check
 
 # -- Kronecker / moment utilities --------------------------------------------
@@ -303,17 +304,17 @@ def check_cross_sums(
     theta0,
     n_grid: Sequence[int] = CROSS_GRID,
     m_term_grid: Sequence[int] = CROSS_M_GRID,
-    d_cap: int = 60,
 ) -> CheckResult:
     """O(1/n) behaviour of the cross-time coupling sums.
 
     The first family couples MA-derivative norms along shifted diagonals;
     the second couples vectorized weight sandwiches through the innovation
     fourth-moment structure.  For Gaussian innovations the fourth-cumulant
-    residual vanishes, so its term is skipped exactly.
+    residual vanishes, so its term is skipped exactly.  The second family's
+    weights are whitened by the model's scale factor H_t = (g_t L)^{-1}.
 
-    Lags are capped at 2 * d_cap and shifts at d_cap: geometric weight decay
-    makes the discarded tail negligible (VALIDATION.md compares d_cap 60 and
+    Lags are capped at 2 * D_CAP and shifts at D_CAP: geometric weight decay
+    makes the discarded tail negligible (VALIDATION.md compares D_CAP 60 and
     120).  Both families run as array kernels (cumulative sums along the
     diagonals, one batched matmul per shift), so the default grid costs well
     under a second for the shipped examples.  Quasi-periodic models can have
@@ -330,25 +331,26 @@ def check_cross_sums(
         raise ContractError("cross-sum lengths must be integers >= 1, with at least one in n_grid")
     n_max, n2 = max(n_grid), max(m_term_grid, default=0)
     horizon = max(n_max, n2)
-    kcap = min(horizon - 1, 2 * d_cap)
+    kcap = min(horizon - 1, 2 * D_CAP)
     g_all = model.g_func.value(range(1, horizon + 1), theta0)
     # one pass over the weights: their norms up to n_max, and up to n2 the
-    # whitened lag-k weights V_t[i, :, k-1, :] = Sigma_t^{-1/2} w_{t,i,k} g_{t-k} L
-    # with Sigma = L L^T, so that V_t V_{t+d}^T carries the Sigma sandwich
+    # whitened lag-k weights V_t[i, :, k-1, :] = H_t w_{t,i,k} g_{t-k} L with
+    # Sigma = L L^T and H_t' H_t = Sigma_t^{-1}, so that V_t V_{t+d}^T carries the
+    # Sigma sandwich; both terms of the second family are Frobenius products, which
+    # an orthogonal Q_t in H_t = Q_t Sigma_t^{-1/2} leaves unchanged
     taus, rows = _resid_rows(model, theta0, theta0, horizon, 1, kcap)
     taus = taus[1:]
     norms = np.zeros((len(taus), n_max, kcap + 1))
     whitened = np.zeros((n2, len(taus), model.r, kcap, model.r))
     if n2 and taus:
-        evals, evecs = np.linalg.eigh(model.sigma_t_all(n2, theta0))
-        inv_sqrt = np.einsum("tab,tb,tcb->tac", evecs, 1.0 / np.sqrt(evals), evecs)
+        h = model.scale_factor(n2, theta0)[1]
         g_chol = g_all @ model.sigma_chol
     for t, (_, stack) in enumerate(rows if taus else (), 1):  # stack[0] is the residual itself
         lags = stack.shape[1] - 1
         if t <= n_max:
             norms[:, t - 1, : lags + 1] = np.sqrt(np.einsum("jkrs,jkrs->jk", stack[1:], stack[1:]))
         if 2 <= t <= n2:
-            white = inv_sqrt[t - 1] @ stack[1:, 1:] @ g_chol[t - 2 :: -1][:lags]
+            white = h[t - 1] @ stack[1:, 1:] @ g_chol[t - 2 :: -1][:lags]
             whitened[t - 1, :, :, :lags] = white.transpose(0, 2, 1, 3)
     drop = [j for j in range(len(taus)) if not norms[j].any()]  # slots that vanish up to n_max
     details: dict = {}
@@ -375,7 +377,7 @@ def check_cross_sums(
         inner = np.zeros(n2 + 1)
         if len(drop) < len(taus):
             whitened[:, drop] = 0.0  # as in the first family
-            inner[1:] = _second_family_inner(whitened, d_cap)
+            inner[1:] = _second_family_inner(whitened)
         csum = np.cumsum(inner)
         for n in m_term_grid:
             second_vals[n] = float(csum[n]) / (n * n)
@@ -401,11 +403,11 @@ def check_cross_sums(
     return CheckResult("cross_sums", verdict, {}, {**details, "ratios": ratios})
 
 
-def _second_family_inner(whitened: np.ndarray, d_cap: int) -> np.ndarray:
+def _second_family_inner(whitened: np.ndarray) -> np.ndarray:
     """Per-t summands, t = 1..T, of the second cross-time family.
 
     whitened[t-1] holds the lag-k weights V_t[i, a, k-1, b] of slot i,
-    zero-padded over k, shape (T, S, r, K, r).  For each shift d <= d_cap the
+    zero-padded over k, shape (T, S, r, K, r).  For each shift d <= D_CAP the
     slot-pair sandwiches S_t[i, j] = sum_k V_t[i, :, k] V_{t+d}[j, :, k+d]^T are
     one batched (S r, K r) @ (K r, S r) product over t; the summand adds
     max_ij |<D_i, D_j> + <S_t[j, i], S_t[i, j]>| (Frobenius products,
@@ -414,7 +416,7 @@ def _second_family_inner(whitened: np.ndarray, d_cap: int) -> np.ndarray:
     T, n_slots, r, K, _ = whitened.shape
     flat = whitened.reshape(T, n_slots * r, K * r)  # rows (slot, a), columns (lag, b)
     inner = np.zeros(T)
-    for d in range(1, min(d_cap, T - 1) + 1):
+    for d in range(1, min(D_CAP, T - 1) + 1):
         width = max(K - d, 0) * r
         s_all = flat[: T - d, :, :width] @ flat[d:, :, d * r : d * r + width].transpose(0, 2, 1)
         s_all = s_all.reshape(T - d, n_slots, r, n_slots, r)  # [t, i, a, j, b] = S_t[i, j][a, b]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, config
 from .errors import ConfigError, ContractError, NumericalError
-from .estimate import fit, fit_options
+from .estimate import fit
 from .examples import EXAMPLE_IDS, build, paper_run
 from .mc import McPlan, estimates_to_csv, run_mc, summary_to_csv
 from .model import Series
@@ -121,7 +121,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     model, run = config.load(args.config)
     series = _series_from_csv(args.series)
-    result = fit(model, series, fit_options(run, model.layout.theta0))
+    start = model.layout.theta0 if run.theta_init is None else run.theta_init
+    if start is None:
+        raise ConfigError("no theta_init in the run block and no true value in the layout")
+    result = fit(model, series, start, run.estimate_sigma)
     payload = {
         "names": list(model.layout.names),
         "theta": result.theta,

@@ -13,24 +13,24 @@ A configuration document has two blocks::
                    "theta0": [...] | null, "bounds": [[lo, hi] | null, ...] | null}
       },
       "run": {"seed": int, "n": int, "replications": int, "n_list": [int, ...],
-              "theta_init": [float, ...] | null, "estimate_sigma": bool,
-              "sigma_iters": int, "max_iters": int, "grad_tol": float, "step_tol": float}
+              "theta_init": [float, ...] | null, "estimate_sigma": bool}
     }
 
 where each coefficient entry is a {kind, constants, param_slots} record.
 Unknown keys anywhere are rejected, and so are values of another JSON type: a
-string number, a boolean or a non-integral number where an integer belongs;
-every run key is optional, with RunConfig's defaults.
+string number, a boolean or a non-integral number where an integer belongs.
+NaN is rejected everywhere, and +-Infinity everywhere but at an end of a
+layout bound.  Every run key is optional, with RunConfig's defaults.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from .errors import ConfigError
-from .estimate import FitOptions
 from .model import ParamLayout, TdVarmaModel
 from .timefn import MatrixTimeFunction
 
@@ -44,18 +44,15 @@ _ENTRY_KEYS = {"kind", "constants", "param_slots", "terms"}
 
 @dataclass
 class RunConfig:
-    """A configuration's run block; its fit settings default to FitOptions'."""
+    """A configuration's run block: the simulation and Monte Carlo design, and
+    the start and noise-covariance treatment of each fit."""
 
     seed: int = 20240501
     n: int = 100
     replications: int = 1000
     n_list: tuple = (25, 50, 100, 200, 400)
     theta_init: Optional[tuple] = None
-    estimate_sigma: bool = FitOptions.estimate_sigma
-    sigma_iters: int = FitOptions.sigma_iters
-    max_iters: int = FitOptions.max_iters
-    grad_tol: float = FitOptions.grad_tol
-    step_tol: float = FitOptions.step_tol
+    estimate_sigma: bool = False
 
 
 _RUN_KEYS = {f.name for f in fields(RunConfig)}
@@ -108,7 +105,8 @@ def model_from_config(block: dict) -> TdVarmaModel:
             n_ma=_checked(at, "n_ma", layout_block["n_ma"], int),
             theta0=None if theta0 is None else _checked_list(at, "theta0", theta0, float),
             bounds=None if bounds is None else tuple(
-                b if b is None else _checked_list(at, "bounds", b, float) for b in _checked(at, "bounds", bounds, list)
+                b if b is None else _checked_list(at, "bounds", b, float, infinite_ok=True)
+                for b in _checked(at, "bounds", bounds, list)
             ),
         )
     except KeyError as exc:
@@ -132,19 +130,23 @@ def model_from_config(block: dict) -> TdVarmaModel:
 _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
 
 
-def _checked(where: str, key: str, value, kind: type):
+def _checked(where: str, key: str, value, kind: type, infinite_ok: bool = False):
     """value as a config value of kind bool, int, float, str, list or dict; any other
     JSON type is a ConfigError naming where and key, and so is a boolean or a
-    non-integral number for an int.  Numbers are converted to kind."""
+    non-integral number for an int, NaN, and an infinite float unless infinite_ok
+    (an end of a layout bound).  Numbers are converted to kind."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     ok = {bool: isinstance(value, bool), int: number and (isinstance(value, int) or value.is_integer()), float: number}
     if not ok.get(kind, isinstance(value, kind)):
         raise ConfigError(f"{where} key '{key}' must be {_EXPECTED[kind]}, got {value!r}")
+    if kind is float and not (math.isfinite(value) or infinite_ok and not math.isnan(value)):
+        wanted = "a number" if infinite_ok else "finite"
+        raise ConfigError(f"{where} key '{key}' must be {wanted}, got {value!r}")
     return kind(value) if kind in ok else value
 
 
-def _checked_list(where: str, key: str, value, kind: type) -> tuple:
-    return tuple(_checked(where, key, v, kind) for v in _checked(where, key, value, list))
+def _checked_list(where: str, key: str, value, kind: type, infinite_ok: bool = False) -> tuple:
+    return tuple(_checked(where, key, v, kind, infinite_ok) for v in _checked(where, key, value, list))
 
 
 def run_from_config(block: Optional[dict]) -> RunConfig:

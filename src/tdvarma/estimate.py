@@ -21,13 +21,13 @@ score outer-product matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import likelihood
-from .errors import ConfigError, ContractError, NumericalError
+from .errors import ContractError, NumericalError
 from .model import Series, TdVarmaModel
 
 NORMAL_CRIT_5PCT = 1.959964
@@ -35,37 +35,10 @@ NORMAL_CRIT_5PCT = 1.959964
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 MIN_STEP = 1e-14
-
-
-@dataclass
-class FitOptions:
-    """Optimizer and nuisance-estimation settings for one fit.  The defaults
-    here are the only ones: run blocks and Monte Carlo plans take theirs from
-    this class.  The fit is bounded by the model layout's bounds."""
-
-    theta_init: tuple
-    max_iters: int = 200
-    grad_tol: float = 1e-6          # on max_i |dQ/dtheta_i| / n
-    step_tol: float = 1e-10
-    estimate_sigma: bool = False
-    sigma_iters: int = 3
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta_init", tuple(float(v) for v in self.theta_init))
-        if self.max_iters < 1 or self.grad_tol <= 0 or self.step_tol <= 0 or self.sigma_iters < 1:
-            raise ContractError("fit options require positive tolerances and iteration counts")
-
-
-FIT_SETTINGS = tuple(f.name for f in fields(FitOptions) if f.name != "theta_init")
-
-
-def fit_options(settings, theta0) -> FitOptions:
-    """The FitOptions of a run block or Monte Carlo plan: its FIT_SETTINGS,
-    starting from its theta_init or, where it has none, from the true value theta0."""
-    theta_init = settings.theta_init if settings.theta_init is not None else theta0
-    if theta_init is None:
-        raise ConfigError("no theta_init in the run block and no true value in the layout")
-    return FitOptions(theta_init=theta_init, **{name: getattr(settings, name) for name in FIT_SETTINGS})
+MAX_ITERS = 200        # iterations per optimization
+GRAD_TOL = 1e-6        # on max_i |dQ/dtheta_i| / n
+STEP_TOL = 1e-10       # on |step| / (1 + |theta|)
+SIGMA_ROUNDS = 3       # optimizations alternated with noise-covariance updates
 
 
 @dataclass
@@ -129,7 +102,7 @@ def _inverse_info(info: np.ndarray) -> np.ndarray:
     return li.T @ li
 
 
-def _minimize(model: TdVarmaModel, series: Series, theta0, opts: FitOptions):
+def _minimize(model: TdVarmaModel, series: Series, theta0):
     """BFGS from the inverse Gauss-Newton information, with Armijo backtracking,
     projected onto the layout's bounds; monotone in the objective."""
     n = series.n
@@ -143,9 +116,9 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, opts: FitOptions):
     termination = "max_iters"
     converged = False
     it = 0
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         q, g = rep.q, rep.grad
-        if np.max(np.abs(g)) / n <= opts.grad_tol:
+        if np.max(np.abs(g)) / n <= GRAD_TOL:
             termination = "gradient"
             converged = True
             break
@@ -166,15 +139,15 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, opts: FitOptions):
             step *= ARMIJO_SHRINK
         if not accepted:
             termination = "line_search"
-            converged = np.max(np.abs(g)) / n <= 10 * opts.grad_tol
+            converged = np.max(np.abs(g)) / n <= 10 * GRAD_TOL
             break
         rep = trial_rep
         s = trial - theta
         y = rep.grad - g
         theta = trial
         history.append(rep.q)
-        if np.linalg.norm(s) <= opts.step_tol * (1.0 + np.linalg.norm(theta)):
-            converged = np.max(np.abs(rep.grad)) / n <= 10 * opts.grad_tol
+        if np.linalg.norm(s) <= STEP_TOL * (1.0 + np.linalg.norm(theta)):
+            converged = np.max(np.abs(rep.grad)) / n <= 10 * GRAD_TOL
             termination = "step"
             break
         sy = s @ y
@@ -183,8 +156,8 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, opts: FitOptions):
             v = np.eye(m) - rho * np.outer(s, y)
             h = v @ h @ v.T + rho * np.outer(s, s)
     else:
-        it = opts.max_iters
-    if not converged and np.max(np.abs(rep.grad)) / n <= opts.grad_tol:
+        it = MAX_ITERS
+    if not converged and np.max(np.abs(rep.grad)) / n <= GRAD_TOL:
         converged = True
         termination = "gradient"
     return theta, rep, it, n_evals, converged, termination, history
@@ -202,26 +175,26 @@ def estimate_noise_cov(model: TdVarmaModel, series: Series, theta, e=None) -> np
     return 0.5 * (sig + sig.T)
 
 
-def fit(model: TdVarmaModel, series: Series, options: FitOptions) -> FitResult:
-    """Minimize the objective within the layout's bounds; optionally alternate
-    with noise-covariance updates."""
+def fit(model: TdVarmaModel, series: Series, theta_init, estimate_sigma: bool = False) -> FitResult:
+    """Minimize the objective from theta_init within the layout's bounds; with
+    estimate_sigma, alternate SIGMA_ROUNDS optimizations with noise-covariance updates."""
     if series.n < model.m:
         raise ContractError(
             f"series length {series.n} is smaller than the parameter count {model.m}"
         )
-    if len(options.theta_init) != model.m:
-        raise ContractError(f"theta_init has {len(options.theta_init)} entries for {model.m} parameters")
+    theta = np.asarray(theta_init, dtype=float)
+    if theta.shape != (model.m,):
+        raise ContractError(f"theta_init has {theta.size} entries for {model.m} parameters")
     work = model
-    theta = np.asarray(options.theta_init, dtype=float)
     sigma_hat = None
-    rounds = options.sigma_iters if options.estimate_sigma else 1
+    rounds = SIGMA_ROUNDS if estimate_sigma else 1
     history: list = []
     per_round: list = []
     for rnd in range(rounds):
-        theta, rep, iters, n_evals, converged, termination, hist = _minimize(work, series, theta, options)
+        theta, rep, iters, n_evals, converged, termination, hist = _minimize(work, series, theta)
         per_round.append((iters, n_evals, termination))
         history.extend(hist if not history else hist[1:])
-        if options.estimate_sigma:
+        if estimate_sigma:
             sigma_hat = estimate_noise_cov(work, series, theta, rep.e)
             work = work.with_sigma(sigma_hat)
 
@@ -229,7 +202,7 @@ def fit(model: TdVarmaModel, series: Series, options: FitOptions) -> FitResult:
     covariance_ok = False
     try:
         # the last report holds V_hat and W_hat unless sigma was replaced after it
-        vhat, what = (likelihood.empirical_vw(work, series, theta) if options.estimate_sigma
+        vhat, what = (likelihood.empirical_vw(work, series, theta) if estimate_sigma
                       else likelihood.report_vw(rep))
         se_info = np.sqrt(np.diag(np.linalg.inv(vhat)) / series.n)
         sol = np.linalg.solve(vhat, what)
@@ -246,9 +219,9 @@ def fit(model: TdVarmaModel, series: Series, options: FitOptions) -> FitResult:
 
     metadata = {
         "names": tuple(model.layout.names),
-        "sigma_estimated": bool(options.estimate_sigma),
+        "sigma_estimated": bool(estimate_sigma),
         "sigma_estimation": "two-stage moment update; sandwich conditional on the final estimate"
-        if options.estimate_sigma
+        if estimate_sigma
         else "noise covariance held fixed",
         "score_rows_centered": False,
         "rounds": per_round,

@@ -5,9 +5,9 @@ Philox stream keyed by (master seed, n, replication index), so enlarging
 the n-grid or the replication count never perturbs existing cells.  With
 more than one thread, one worker pool serves every series length of a run;
 its results come back in replication order, so the aggregates are
-bit-identical whatever the pool size.  Each replication is fitted with the
-plan's fit settings, bounded by the model layout's bounds, and its Wald
-tests are of the true value theta0.
+bit-identical whatever the pool size.  Each replication is fitted from the
+plan's theta_init (the true value theta0 where it has none), bounded by the
+model layout's bounds, and its Wald tests are of theta0.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigError, NumericalError
-from .estimate import FitOptions, fit, fit_options, wald_test
+from .estimate import fit, wald_test
 from .model import TdVarmaModel
 from .simulate import SimPlan, replication_stream, simulate
 
@@ -32,20 +32,15 @@ NONCONVERGENCE_FLAG_SHARE = 0.05
 
 @dataclass(frozen=True)
 class McPlan:
-    """Design of one Monte Carlo experiment; its defaults are RunConfig's and
-    FitOptions'."""
+    """Design of one Monte Carlo experiment; its defaults are RunConfig's."""
 
     model: TdVarmaModel
     theta0: tuple
     n_list: tuple = RunConfig.n_list
     replications: int = RunConfig.replications
     seed: int = RunConfig.seed
-    theta_init: Optional[tuple] = None
-    estimate_sigma: bool = FitOptions.estimate_sigma
-    sigma_iters: int = FitOptions.sigma_iters
-    max_iters: int = FitOptions.max_iters
-    grad_tol: float = FitOptions.grad_tol
-    step_tol: float = FitOptions.step_tol
+    theta_init: Optional[tuple] = RunConfig.theta_init
+    estimate_sigma: bool = RunConfig.estimate_sigma
 
     def __post_init__(self):
         if self.theta0 is None:
@@ -107,10 +102,10 @@ def _one_replication(plan: McPlan, n: int, rep: int):
     series = simulate(
         SimPlan(plan.model, plan.theta0, n, plan.seed, replication_stream(n, rep))
     )
-    opts = fit_options(plan, plan.theta0)
     m = plan.model.m
+    start = plan.theta0 if plan.theta_init is None else plan.theta_init
     try:
-        result = fit(plan.model, series, opts)
+        result = fit(plan.model, series, start, plan.estimate_sigma)
     except (NumericalError, ConfigError):
         # a replication whose fit breaks down counts as excluded
         nan = np.full(m, np.nan)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -153,25 +153,21 @@ class MaWeightTable(_StackedRows):
         return self._entry(t, k, indices)
 
 
-def build_pi(
-    model: TdVarmaModel, theta, n: int, max_deriv_order: int = 0, kmax: Optional[int] = None
-) -> ArWeightTable:
+def build_pi(model: TdVarmaModel, theta, n: int, max_deriv_order: int = 0) -> ArWeightTable:
     """AR weight table for t = 1..n with derivative layers up to max_deriv_order."""
     tuples = sorted_tuples(range(model.m), max_deriv_order)
-    taus, rows = _row_recurrence(model.r, model.a_funcs, model.b_funcs, -1.0, theta, n, kmax, tuples)
+    taus, rows = _row_recurrence(model.r, model.a_funcs, model.b_funcs, -1.0, theta, n, None, tuples)
     return ArWeightTable._build(model, max_deriv_order, taus, [-row[:, 1:] for row in rows])
 
 
-def build_psi(
-    model: TdVarmaModel, theta_eval, theta_truth, n: int, max_deriv_order: int = 0, kmax: Optional[int] = None
-) -> MaWeightTable:
+def build_psi(model: TdVarmaModel, theta_eval, theta_truth, n: int, max_deriv_order: int = 0) -> MaWeightTable:
     """MA weight table plus residual-derivative expansion coefficients.
 
     theta_truth drives the order-0 MA weights of the observed process;
     theta_eval drives the AR weights and their derivatives.  The two
     coincide when expanding at the data-generating parameter.
     """
-    taus, pairs = _resid_rows(model, theta_eval, theta_truth, n, max_deriv_order, kmax)
+    taus, pairs = _resid_rows(model, theta_eval, theta_truth, n, max_deriv_order, None)
     weights, rows = (list(side) for side in zip(*pairs))
     return MaWeightTable._build(model, max_deriv_order, taus, rows, weights=weights)
 

@@ -8,7 +8,7 @@ from conftest import make_random_varma22, make_sin_varma11
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdvarma import examples
+from tdvarma import assumptions, examples
 from tdvarma.assumptions import (
     _norm_table,
     _tail_sums,
@@ -257,8 +257,10 @@ def _ref_tail_stats(rows, nu_grid, power):
     return np.array(tails)
 
 
-def _ref_cross_sums(model, theta0, n_grid, m_term_grid, d_cap):
-    """(ratios, per-t second-family summands) of check_cross_sums, looped."""
+def _ref_cross_sums(model, theta0, n_grid, m_term_grid):
+    """(ratios, per-t second-family summands) of check_cross_sums, looped and
+    whitened by the symmetric Sigma_t^{-1/2}."""
+    d_cap = assumptions.D_CAP
     n_grid = sorted(n_grid)
     m_term_grid = sorted(m_term_grid)
     n_max = max(n_grid)
@@ -316,20 +318,21 @@ def _ref_cross_sums(model, theta0, n_grid, m_term_grid, d_cap):
 
 
 def _oracle_cases():
-    crit9 = dict(n_grid=(50, 100, 200), m_term_grid=(50, 100), d_cap=60)
-    short = dict(n_grid=(10, 20, 40), m_term_grid=(5, 20, 40), d_cap=60)  # max(m) < d_cap
-    yield "example1_sim", examples.build("example1_sim"), crit9
-    yield "example2", examples.build("example2"), crit9
-    yield "example2_short", examples.build("example2"), short
-    yield "example2_tiny", examples.build("example2"), dict(n_grid=(2, 3), m_term_grid=(1, 2, 3), d_cap=60)
-    # q > 0; rows are shorter than the lag cap up to t = 2 d_cap
-    yield "varma22", make_random_varma22(np.random.default_rng(3)), dict(n_grid=(30, 60), m_term_grid=(40, 80), d_cap=25)
-    yield "varma11_short", make_sin_varma11(np.random.default_rng(7)), short
+    crit9 = dict(n_grid=(50, 100, 200), m_term_grid=(50, 100))
+    short = dict(n_grid=(10, 20, 40), m_term_grid=(5, 20, 40))  # max(m) < D_CAP
+    yield "example1_sim", examples.build("example1_sim"), crit9, 60
+    yield "example2", examples.build("example2"), crit9, 60
+    yield "example2_short", examples.build("example2"), short, 60
+    yield "example2_tiny", examples.build("example2"), dict(n_grid=(2, 3), m_term_grid=(1, 2, 3)), 60
+    # q > 0; rows are shorter than the lag cap up to t = 2 D_CAP
+    yield "varma22", make_random_varma22(np.random.default_rng(3)), dict(n_grid=(30, 60), m_term_grid=(40, 80)), 25
+    yield "varma11_short", make_sin_varma11(np.random.default_rng(7)), short, 60
 
 
 @pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
-def test_cross_sum_kernels_match_looped_oracle(case):
-    _, model, grid = case
+def test_cross_sum_kernels_match_looped_oracle(case, monkeypatch):
+    _, model, grid, d_cap = case
+    monkeypatch.setattr(assumptions, "D_CAP", d_cap)
     theta0 = model.layout.theta0_array()
     res = check_cross_sums(model, theta0, **grid)
     ref, inner = _ref_cross_sums(model, theta0, **grid)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -36,6 +37,15 @@ def test_examples_materializes_configs(cfg_dir):
     doc = json.load(open(cfg_dir / "example1_sim.json"))
     assert doc["model"]["layout"]["theta0"] == [0.8, 0.5, -0.9]
     assert doc["run"]["theta_init"] == [0.1, 0.1, 0.1]
+
+
+def test_shipped_configs_are_the_examples_output(cfg_dir):
+    # configs/ is what `tdvarma examples --which all` writes, byte for byte
+    shipped = os.path.join(os.path.dirname(SRC), "configs")
+    assert sorted(os.listdir(shipped)) == sorted(os.listdir(cfg_dir))
+    for name in os.listdir(shipped):
+        with open(os.path.join(shipped, name), "rb") as fh:
+            assert fh.read() == (cfg_dir / name).read_bytes(), name
 
 
 def test_examples_round_trip_model(cfg_dir):
@@ -193,28 +203,22 @@ def _edited_config(cfg_dir, tmp_path, edit):
 
 
 def test_mc_honours_run_block_tolerances(cfg_dir, tmp_path, monkeypatch):
-    loose = _edited_config(cfg_dir, tmp_path, lambda doc: doc["run"].update(grad_tol=1e-2))
-    outs = []
-    for cfg in (str(cfg_dir / "example1_sim.json"), loose):
-        outs.append(tmp_path / f"{len(outs)}.csv")
-        res = run_cli("mc", "--config", cfg, "--n-list", "25", "--replications", "5", "--out", str(outs[-1]))
-        assert res.returncode == 0, res.stderr
-    assert outs[0].read_bytes() != outs[1].read_bytes()
-
-    # every fit setting of the run block, each off its default, reaches fit
+    # the optimizer's tolerances are constants of estimate; what a run block sets
+    # of a fit, theta_init and estimate_sigma, each off its default, reaches fit
     # through both `tdvarma fit` and `tdvarma mc`
     from tdvarma import cli, mc
-    from tdvarma.estimate import FIT_SETTINGS, FitOptions, fit
+    from tdvarma.config import RunConfig
+    from tdvarma.estimate import fit
 
-    block = dict(max_iters=17, grad_tol=1e-3, step_tol=1e-7, estimate_sigma=True, sigma_iters=5)
-    assert set(block) == set(FIT_SETTINGS)
-    assert all(value != getattr(FitOptions, key) for key, value in block.items())
-    cfg = _edited_config(cfg_dir, tmp_path, lambda doc: doc["run"].update(block, theta_init=[0.2, 0.3, -0.4]))
+    assert RunConfig.estimate_sigma is False
+    cfg = _edited_config(
+        cfg_dir, tmp_path, lambda doc: doc["run"].update(theta_init=[0.2, 0.3, -0.4], estimate_sigma=True)
+    )
     seen = []
 
-    def spy(model, series, opts):
-        seen.append(opts)
-        return fit(model, series, opts)
+    def spy(model, series, theta_init, estimate_sigma=False):
+        seen.append((tuple(theta_init), estimate_sigma))
+        return fit(model, series, theta_init, estimate_sigma)
 
     monkeypatch.setattr(cli, "fit", spy)
     monkeypatch.setattr(mc, "fit", spy)
@@ -223,12 +227,46 @@ def test_mc_honours_run_block_tolerances(cfg_dir, tmp_path, monkeypatch):
     assert cli.main(["fit", "--config", cfg, "--series", series, "--out", out]) == 0
     argv = ["mc", "--config", cfg, "--n-list", "25", "--replications", "2", "--threads", "1", "--out", out]
     assert cli.main(argv) == 0
-    assert seen == [FitOptions(theta_init=(0.2, 0.3, -0.4), **block)] * 3
+    assert seen == [((0.2, 0.3, -0.4), True)] * 3
+
+
+def test_non_finite_config_numbers_rejected(cfg_dir, tmp_path):
+    # JSON's NaN and Infinity load as floats; each of these once reached the numerics
+    from tdvarma import config
+    from tdvarma.errors import ConfigError
+
+    def layout(**keys):
+        return lambda doc: doc["model"]["layout"].update(keys)
+
+    def constant(value):
+        return lambda doc: doc["model"]["a_funcs"][0][0][0]["constants"].update(omega=value)
+
+    for edit, key in (
+        (lambda doc: doc["run"].update(theta_init=[math.nan, 0.1, 0.1]), "run key 'theta_init'"),
+        (layout(theta0=[math.inf, 0.5, -0.9]), "model.layout key 'theta0'"),
+        (constant(-math.inf), r"a_funcs\[0\]\[0\]\[0\] key 'omega'"),
+        (layout(bounds=[[math.nan, 1.0], None, None]), "model.layout key 'bounds'"),
+    ):
+        with pytest.raises(ConfigError, match=key):
+            config.load(_edited_config(cfg_dir, tmp_path, edit))
+    # an infinite end of a bound is no bound on that side
+    unbounded = _edited_config(cfg_dir, tmp_path, layout(bounds=[[-math.inf, 1.0], None, None]))
+    assert config.load(unbounded)[0].layout.bounds[0] == (-math.inf, 1.0)
+    cfg = _edited_config(cfg_dir, tmp_path, layout(theta0=[math.inf, 0.5, -0.9]))
+    res = run_cli("asymptotics", "--config", cfg, "--n", "50")
+    assert res.returncode == 1 and res.stderr.startswith("error:") and "Traceback" not in res.stderr, res.stderr
 
 
 def test_config_without_true_value_is_a_usage_error(cfg_dir, tmp_path):
-    cfg = _edited_config(cfg_dir, tmp_path, lambda doc: doc["model"]["layout"].update(theta0=None))
-    for args in (("simulate", "--n", "10"), ("mc", "--n-list", "25", "--replications", "2")):
+    def no_start(doc):
+        doc["model"]["layout"].update(theta0=None)
+        doc["run"].update(theta_init=None)
+
+    cfg = _edited_config(cfg_dir, tmp_path, no_start)
+    series = tmp_path / "x.csv"
+    series.write_text("t,x1,x2\n" + "".join(f"{t},0.{t},-0.{t}\n" for t in range(1, 11)))
+    for args in (("simulate", "--n", "10"), ("mc", "--n-list", "25", "--replications", "2"),
+                 ("fit", "--series", str(series))):
         res = run_cli(*args, "--config", cfg)
         assert res.returncode == 1
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from conftest import make_sin_varma11
 
-from tdvarma import examples, likelihood
+from tdvarma import estimate, examples, likelihood
 from tdvarma.errors import ContractError, NumericalError
-from tdvarma.estimate import FitOptions, _inverse_info, _safe_objective, estimate_noise_cov, fit, wald_test
+from tdvarma.estimate import SIGMA_ROUNDS, _inverse_info, _safe_objective, estimate_noise_cov, fit, wald_test
 from tdvarma.model import ParamLayout, Series, TdVarmaModel
 from tdvarma.simulate import SimPlan, replication_stream, simulate
 from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Sine
@@ -19,7 +19,7 @@ def test_white_noise_scale_closed_form(rng):
     g = MatrixTimeFunction([[Param(0), Constant(0.0)], [Constant(0.0), Param(0)]])
     m = TdVarmaModel(2, [], [], g, np.eye(2), layout)
     x = rng.standard_normal((400, 2)) * 1.4
-    res = fit(m, Series(values=x), FitOptions(theta_init=(1.0,)))
+    res = fit(m, Series(values=x), (1.0,))
     closed = math.sqrt(float(np.sum(x * x)) / (2 * 400))
     assert res.converged
     assert float(res.theta[0]) == pytest.approx(closed, rel=1e-6)
@@ -28,7 +28,7 @@ def test_white_noise_scale_closed_form(rng):
 def test_fit_recovers_truth_at_n400():
     m = examples.example1_sim_model()
     series = simulate(SimPlan(m, m.layout.theta0, 400, 99))
-    res = fit(m, series, FitOptions(theta_init=(0.1, 0.1, 0.1), estimate_sigma=True))
+    res = fit(m, series, (0.1, 0.1, 0.1), estimate_sigma=True)
     assert res.converged
     # within sampling error (about 3 asymptotic standard errors)
     np.testing.assert_allclose(res.theta, [0.8, 0.5, -0.9], atol=0.15)
@@ -40,7 +40,7 @@ def test_fit_recovers_truth_at_n400():
 def test_monotone_descent():
     m = examples.example1_sim_model()
     series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
-    res = fit(m, series, FitOptions(theta_init=(0.1, 0.1, 0.1)))
+    res = fit(m, series, (0.1, 0.1, 0.1))
     hist = np.array(res.q_history)
     assert np.all(np.diff(hist) <= 1e-12)
 
@@ -48,7 +48,7 @@ def test_monotone_descent():
 def test_permutation_invariance():
     m = examples.example1_sim_model()
     series = simulate(SimPlan(m, m.layout.theta0, 150, 17))
-    res = fit(m, series, FitOptions(theta_init=(0.1, 0.1, 0.1)))
+    res = fit(m, series, (0.1, 0.1, 0.1))
 
     perm_layout = ParamLayout(
         names=("a22_amp", "a11_amp", "a12"), n_ar=3, n_ma=0, theta0=(-0.9, 0.8, 0.5)
@@ -60,7 +60,7 @@ def test_permutation_invariance():
         ]
     )
     m2 = TdVarmaModel(2, [a], [], None, np.eye(2), perm_layout)
-    res2 = fit(m2, series, FitOptions(theta_init=(0.1, 0.1, 0.1)))
+    res2 = fit(m2, series, (0.1, 0.1, 0.1))
     np.testing.assert_allclose(
         res.theta, np.array([res2.theta[1], res2.theta[2], res2.theta[0]]), atol=1e-8
     )
@@ -74,19 +74,20 @@ def test_consistency_improves_with_n():
         errs = []
         for rep in range(200):
             series = simulate(SimPlan(m, m.layout.theta0, n, 1000, replication_stream(n, rep)))
-            res = fit(m, series, FitOptions(theta_init=(0.1, 0.1, 0.1)))
+            res = fit(m, series, (0.1, 0.1, 0.1))
             errs.append(float(np.linalg.norm(res.theta - th0)))
         medians[n] = float(np.median(errs))
     assert medians[400] < medians[100] < medians[25]
 
 
-def test_nonconvergence_returns_result():
+def test_nonconvergence_returns_result(monkeypatch):
     # example2's exp-sine scale block keeps the objective non-quadratic, so one
     # iteration cannot reach the minimum
     m = examples.example2_model()
     series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
     start = tuple(v + 0.1 for v in m.layout.theta0)
-    res = fit(m, series, FitOptions(theta_init=start, max_iters=1))
+    monkeypatch.setattr(estimate, "MAX_ITERS", 1)
+    res = fit(m, series, start)
     assert not res.converged
     assert res.termination == "max_iters"
     assert np.all(np.isfinite(res.theta))
@@ -97,24 +98,24 @@ def test_bounds_projection_respected():
     series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
     layout = dataclasses.replace(m.layout, bounds=((0.0, 0.75), None, (-0.75, 0.0)))
     bounded = TdVarmaModel(m.r, m.a_funcs, m.b_funcs, m.g_func, m.sigma, layout)
-    res = fit(bounded, series, FitOptions(theta_init=(0.1, 0.1, 0.1)))
+    res = fit(bounded, series, (0.1, 0.1, 0.1))
     assert 0.0 <= res.theta[0] <= 0.75
     assert -0.75 <= res.theta[2] <= 0.0
     # the unbounded estimate lies above the first upper bound, so that bound binds
-    assert fit(m, series, FitOptions(theta_init=(0.1, 0.1, 0.1))).theta[0] > 0.75 == res.theta[0]
+    assert fit(m, series, (0.1, 0.1, 0.1)).theta[0] > 0.75 == res.theta[0]
 
 
 def test_too_short_series_rejected():
     m = examples.example1_sim_model()
     with pytest.raises(ContractError):
-        fit(m, Series(values=np.ones((2, 2))), FitOptions(theta_init=(0.1, 0.1, 0.1)))
+        fit(m, Series(values=np.ones((2, 2))), (0.1, 0.1, 0.1))
 
 
 @pytest.mark.parametrize("theta_init", [(0.1, 0.1), (0.1,) * 4])
 def test_wrong_length_start_rejected(theta_init):
     m = examples.example1_sim_model()
     with pytest.raises(ContractError, match="theta_init"):
-        fit(m, simulate(SimPlan(m, m.layout.theta0, 30, 1)), FitOptions(theta_init=theta_init))
+        fit(m, simulate(SimPlan(m, m.layout.theta0, 30, 1)), theta_init)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -156,7 +157,7 @@ def test_noise_cov_moment_estimator_matches_direct(rng):
 def test_wald_trivials():
     m = examples.example1_sim_model()
     series = simulate(SimPlan(m, m.layout.theta0, 200, 3))
-    res = fit(m, series, FitOptions(theta_init=(0.1, 0.1, 0.1)))
+    res = fit(m, series, (0.1, 0.1, 0.1))
     t0 = wald_test(res, 0, float(res.theta[0]))
     assert t0.statistic == 0.0 and not t0.reject_5pct
     t3 = wald_test(res, 0, float(res.theta[0] - 3.0 * res.se[0]))
@@ -185,7 +186,7 @@ def test_first_step_is_the_gls_solution():
         gram += z.T @ sig_inv[t - 1] @ z
         rhs += z.T @ sig_inv[t - 1] @ y
     gls = np.linalg.solve(gram, rhs)
-    res = fit(m, series, FitOptions(theta_init=(0.1, 0.1, 0.1)))
+    res = fit(m, series, (0.1, 0.1, 0.1))
     assert res.converged and res.n_evals == 2  # the start point and one trial
     np.testing.assert_allclose(res.theta, gls, atol=1e-8)
 
@@ -230,7 +231,7 @@ def test_singular_info_falls_back_to_identity(rng):
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(info)
     np.testing.assert_array_equal(_inverse_info(info), np.eye(2))
-    res = fit(m, series, FitOptions(theta_init=(0.1, 0.3)))
+    res = fit(m, series, (0.1, 0.3))
     assert res.converged
     assert float(res.theta[1]) == 0.3
 
@@ -248,9 +249,9 @@ def test_counts_are_totals_over_sigma_rounds(monkeypatch):
     m = examples.example2_model()
     series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
     start = tuple(v + 0.1 for v in m.layout.theta0)
-    res = fit(m, series, FitOptions(theta_init=start, estimate_sigma=True, sigma_iters=3))
+    res = fit(m, series, start, estimate_sigma=True)
     rounds = res.metadata["rounds"]
-    assert len(rounds) == 3
+    assert len(rounds) == SIGMA_ROUNDS
     assert res.n_evals == calls["n"] == sum(r[1] for r in rounds)
     assert res.iters == sum(r[0] for r in rounds)
     assert res.termination == rounds[-1][2]
@@ -271,7 +272,7 @@ def test_fit_reuses_the_last_evaluation(monkeypatch, which, estimate_sigma):
     m = examples.build(which)
     series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
     start = tuple(v + 0.1 for v in m.layout.theta0)
-    res = fit(m, series, FitOptions(theta_init=start, estimate_sigma=estimate_sigma, sigma_iters=3))
+    res = fit(m, series, start, estimate_sigma=estimate_sigma)
     assert calls["n"] == res.n_evals + estimate_sigma
     final = m.with_sigma(res.sigma_hat) if estimate_sigma else m
     vhat, what = likelihood.empirical_vw(final, series, res.theta)
@@ -299,9 +300,9 @@ def test_each_point_is_evaluated_once(monkeypatch, which, estimate_sigma):
     m = make_sin_varma11(np.random.default_rng(909)) if which == "varma11" else examples.build(which)
     start = (0.1,) * m.m if which == "example1_sim" else tuple(v + 0.1 for v in m.layout.theta0)
     series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
-    res = fit(m, series, FitOptions(theta_init=start, estimate_sigma=estimate_sigma, sigma_iters=3))
+    res = fit(m, series, start, estimate_sigma=estimate_sigma)
     rounds = res.metadata["rounds"]
-    assert len(rounds) == (3 if estimate_sigma else 1)
+    assert len(rounds) == (SIGMA_ROUNDS if estimate_sigma else 1)
     assert res.n_evals == len(thetas) == sum(r[1] for r in rounds)
     first = 0
     for _, evals, _ in rounds:
@@ -313,8 +314,8 @@ def test_a_raising_trial_point_backtracks(monkeypatch):
     # the first trial point raises; the search halves its step instead of aborting the fit
     m = examples.example2_model()
     series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
-    opts = FitOptions(theta_init=tuple(v + 0.1 for v in m.layout.theta0))
-    clean = fit(m, series, opts)
+    start = tuple(v + 0.1 for v in m.layout.theta0)
+    clean = fit(m, series, start)
     objective, calls = likelihood.objective, []
 
     def first_trial_raises(model, series, theta):
@@ -324,7 +325,7 @@ def test_a_raising_trial_point_backtracks(monkeypatch):
         return objective(model, series, theta)
 
     monkeypatch.setattr(likelihood, "objective", first_trial_raises)
-    res = fit(m, series, opts)
+    res = fit(m, series, start)
     start, first_trial, second_trial = calls[:3]
     np.testing.assert_allclose(second_trial - start, 0.5 * (first_trial - start), rtol=1e-12, atol=1e-15)
     assert res.converged and res.termination == "gradient"
@@ -335,7 +336,7 @@ def test_information_only_standard_errors():
     m = examples.example2_model()
     n = 150
     series = simulate(SimPlan(m, m.layout.theta0, n, 8))
-    res = fit(m, series, FitOptions(theta_init=m.layout.theta0))
+    res = fit(m, series, m.layout.theta0)
     assert res.covariance_ok
     expected = np.sqrt(np.diag(np.linalg.inv(res.vhat)) / n)
     np.testing.assert_allclose(res.se_info, expected, rtol=1e-14, atol=0)
@@ -347,5 +348,5 @@ def test_information_only_errors_absent_without_vhat(rng):
     layout = ParamLayout(names=("a", "unused"), n_ar=2, n_ma=0, theta0=(0.4, 0.0))
     a = MatrixTimeFunction([[Param(0), Constant(0.0)], [Constant(0.0), Param(0)]])
     m = TdVarmaModel(2, [a], [], None, np.eye(2), layout)
-    res = fit(m, Series(values=rng.standard_normal((200, 2))), FitOptions(theta_init=(0.1, 0.3)))
+    res = fit(m, Series(values=rng.standard_normal((200, 2))), (0.1, 0.3))
     assert res.vhat is None and res.se_info is None and res.se is None

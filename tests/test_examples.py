@@ -65,16 +65,16 @@ def test_unknown_example_id_rejected():
     [
         ("estimate_sigma", "false"),
         ("estimate_sigma", 0),
-        ("max_iters", 2.7),
-        ("sigma_iters", True),
+        ("n", 2.5),
+        ("seed", True),
         ("replications", True),
         ("seed", "12"),
         ("n", None),
         ("n_list", [25, 50.5]),
         ("n_list", [25, False]),
         ("n_list", 25),
-        ("grad_tol", "1e-3"),
-        ("step_tol", False),
+        ("replications", 2.5),
+        ("theta_init", [0.1, True, 0.1]),
         ("theta_init", [0.1, "0.1", 0.1]),
     ],
 )
@@ -84,10 +84,23 @@ def test_malformed_run_value_rejected(key, value):
         config.run_from_config({key: value})
 
 
+@pytest.mark.parametrize("key", ["max_iters", "grad_tol", "step_tol", "sigma_iters"])
+def test_removed_fit_setting_rejected(key, tmp_path):
+    # the optimizer's settings are constants of estimate; a config naming one,
+    # even at its old default, names an unknown key
+    old_default = {"max_iters": 200, "grad_tol": 1e-6, "step_tol": 1e-10, "sigma_iters": 3}[key]
+    path = tmp_path / "cfg.json"
+    model = config.model_to_config(examples.build("example1_sim"))
+    path.write_text(json.dumps({"model": model, "run": {key: old_default}}))
+    with pytest.raises(ConfigError, match=f"unknown key '{key}' in run"):
+        config.load(str(path))
+
+
 def test_integral_run_values_accepted():
-    run = config.run_from_config({"max_iters": 17.0, "n_list": [25, 50.0], "grad_tol": 1, "theta_init": [1, 0.5]})
-    assert (run.max_iters, run.n_list, run.grad_tol, run.theta_init) == (17, (25, 50), 1.0, (1.0, 0.5))
-    assert type(run.max_iters) is int and type(run.grad_tol) is float
+    run = config.run_from_config({"seed": 12.0, "replications": 3.0, "n_list": [25, 50.0], "theta_init": [1, 0.5]})
+    assert (run.seed, run.replications, run.n_list, run.theta_init) == (12, 3, (25, 50), (1.0, 0.5))
+    assert type(run.seed) is int and type(run.replications) is int and type(run.n_list[1]) is int
+    assert all(type(v) is float for v in run.theta_init)
 
 
 def _set(doc, path, value):

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from conftest import make_sin_varma11
 
-from tdvarma import examples, mc
+from tdvarma import estimate, examples, mc
 from tdvarma.config import RunConfig
 from tdvarma.errors import ConfigError
-from tdvarma.estimate import FitOptions
 from tdvarma.model import ParamLayout, TdVarmaModel
 from tdvarma.timefn import Constant, MatrixTimeFunction, Param
 from tdvarma.mc import (
@@ -119,15 +118,15 @@ def test_estimates_csv_shape():
     assert len(lines) == 1 + 10 * 3
 
 
-def test_nonconvergence_excluded_and_flagged():
+def test_nonconvergence_excluded_and_flagged(monkeypatch):
     # example2's exp-sine scale block keeps the objective non-quadratic, so one
     # iteration cannot reach the minimum
     m = examples.example2_model()
+    monkeypatch.setattr(estimate, "MAX_ITERS", 1)
     plan = _small_plan(
         model=m,
         theta0=m.layout.theta0,
         theta_init=tuple(v + 0.1 for v in m.layout.theta0),
-        max_iters=1,
     )
     summary = run_mc(plan)
     cell = summary.cell(25)
@@ -195,20 +194,6 @@ def test_plan_rejects_wrong_length_vectors(name, value):
         _small_plan(**{name: value})
 
 
-def test_plan_tolerances_reach_each_fit(monkeypatch):
-    assert (_small_plan().grad_tol, _small_plan().step_tol) == (FitOptions.grad_tol, FitOptions.step_tol)
-    seen = []
-    real_fit = mc.fit
-
-    def spy(model, series, opts):
-        seen.append((opts.grad_tol, opts.step_tol))
-        return real_fit(model, series, opts)
-
-    monkeypatch.setattr(mc, "fit", spy)
-    run_mc(_small_plan(replications=2, grad_tol=1e-3, step_tol=1e-8))
-    assert seen == [(1e-3, 1e-8)] * 2
-
-
 def test_plan_without_true_value_rejected():
     with pytest.raises(ConfigError, match="theta0"):
         _small_plan(theta0=None)
@@ -231,10 +216,7 @@ def _capture_plan(monkeypatch, namespace) -> list:
 
 
 # every run key except n, which sets the length of a single simulate or fit
-_RUN_BLOCK = dict(
-    seed=11, replications=3, n_list=(30, 40), theta_init=(0.2, 0.3, -0.4), estimate_sigma=True,
-    sigma_iters=5, max_iters=17, grad_tol=1e-3, step_tol=1e-7,
-)
+_RUN_BLOCK = dict(seed=11, replications=3, n_list=(30, 40), theta_init=(0.2, 0.3, -0.4), estimate_sigma=True)
 
 
 def _assert_run_reaches_plan(plan, run, **overrides):

@@ -5,10 +5,11 @@ import pytest
 
 from conftest import dense_residual_operator, make_random_varma22, make_scalar_arma11, make_sin_varma11
 from oracles import var1_transition_power, varma11_pi_closed, varma11_pi_deriv_closed
+from tdvarma.assumptions import psi_deriv_norms
 from tdvarma.errors import ContractError
 from tdvarma.examples import FREQ_A, FREQ_B, example1_sim_model, example1_theory_model
 from tdvarma.model import ParamLayout, TdVarmaModel
-from tdvarma.representations import build_pi, build_psi, triangular_var1_product, varma11_psi_closed
+from tdvarma.representations import _resid_rows, build_pi, build_psi, triangular_var1_product, varma11_psi_closed
 from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Product
 
 
@@ -159,14 +160,15 @@ def test_ar_second_and_third_derivative_layers():
 
 
 def test_kmax_truncation_prefix_agrees(rng):
+    # the audits cap the lags; the recurrence at lag k reads only lags <= k
     m = make_sin_varma11(rng)
     th = np.array(m.layout.theta0)
-    full = build_psi(m, th, th, 30)
-    trunc = build_psi(m, th, th, 30, kmax=5)
-    for t in (10, 30):
-        for k in range(0, 6):
-            np.testing.assert_allclose(trunc.weight(t, k), full.weight(t, k), atol=1e-14)
-        np.testing.assert_array_equal(trunc.weight(t, 6), np.zeros((2, 2)))
+    (taus, full), (taus5, trunc) = (_resid_rows(m, th, th, 30, 1, kmax) for kmax in (None, 5))
+    assert taus5 == taus
+    for t, ((psi, rows), (psi5, rows5)) in enumerate(zip(full, trunc), 1):
+        assert psi5.shape[1] == rows5.shape[1] == min(t, 6)
+        np.testing.assert_allclose(psi5, psi[:, :6], atol=1e-14)
+        np.testing.assert_allclose(rows5, rows[:, :6], atol=1e-14)
 
 
 def test_transition_power_identity_at_k1(example1_theory):
@@ -222,10 +224,10 @@ def test_varma11_psi_k1_trivial():
 def test_negative_kmax_rejected(rng):
     m = make_sin_varma11(rng)
     th = np.array(m.layout.theta0)
-    with pytest.raises(ContractError):
-        build_psi(m, th, th, 10, kmax=-1)
-    with pytest.raises(ContractError):
-        build_pi(m, th, 10, kmax=-1)
+    with pytest.raises(ContractError, match="kmax"):
+        _resid_rows(m, th, th, 10, 1, -1)
+    with pytest.raises(ContractError, match="kmax"):
+        psi_deriv_norms(m, th, 10, kmax=-1)
 
 
 @pytest.mark.parametrize("accessor", ["weight", "resid_weight", "deriv_weight"])
