@@ -3,8 +3,10 @@
 lengths, 1000 replications each.
 
 Table 1 fits example1_sim with the noise covariance estimated; table 2 fits the
-heteroscedastic example2 with it held fixed.  Writes summary.csv and
-estimates.csv into --out and prints each cell against the published values.
+heteroscedastic example2 with it held fixed.  Writes the run's summary lines
+(summary.csv) and every replication's estimate, error and convergence flag
+(estimates.csv), both from the one McSummary that run_mc returns, into --out,
+and prints each cell against the published values.
 Single-threaded (--threads 1, BLAS on one thread) on a shared 2-core x86
 machine, table 1 took 19-23 s and table 2 22-30 s over four runs each, and
 13-14 s and 16-19 s with --threads 2 over two; --threads runs the replications
@@ -75,12 +77,12 @@ def main() -> int:
     except ConfigError as exc:
         ap.error(str(exc))
     t0 = time.perf_counter()
-    summary, rows = run_mc(plan, threads=args.threads, collect_estimates=True)
+    summary = run_mc(plan, threads=args.threads)
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "summary.csv"), "w") as fh:
         fh.write(summary_to_csv(summary))
     with open(os.path.join(out, "estimates.csv"), "w") as fh:
-        fh.write(estimates_to_csv(rows))
+        fh.write(estimates_to_csv(summary))
 
     for n in plan.n_list:
         cell = summary.cell(n)

@@ -26,7 +26,7 @@ from .likelihood import ObjectiveReport, ResidualSet, empirical_vw, objective, o
 from .estimate import FitResult, WaldTest, estimate_noise_cov, fit, wald_test
 from .simulate import RNG_ALGORITHM, SimPlan, innovation_correlation, make_rng, replication_stream, simulate
 from .asymptotics import InfoReport, example1_v_closed, theoretical_v
-from .mc import McCell, McPlan, McSummary, run_mc, summary_from_csv, summary_to_csv
+from .mc import McCell, McPlan, McSummary, run_mc, summary_to_csv
 from .representations import (
     ArWeightTable,
     MaWeightTable,

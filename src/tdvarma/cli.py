@@ -94,18 +94,6 @@ def _emit_json(payload: dict, out: Optional[str]):
     _write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n", out)
 
 
-def _effective_threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, int(args.threads))
-    env = os.environ.get("TDVARMA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"TDVARMA_THREADS must be an integer, got '{env}'")
-    return 1
-
-
 def _cmd_simulate(args) -> int:
     model, run = config.load(args.config)
     n = args.n if args.n is not None else run.n
@@ -191,12 +179,9 @@ def _cmd_mc(args) -> int:
         replications=args.replications,
         seed=args.seed,
     )
-    threads = _effective_threads(args)
+    summary = run_mc(plan, threads=args.threads)
     if args.estimates:
-        summary, rows = run_mc(plan, threads=threads, collect_estimates=True)
-        _write_text(estimates_to_csv(rows), args.estimates)
-    else:
-        summary = run_mc(plan, threads=threads)
+        _write_text(estimates_to_csv(summary), args.estimates)
     _write_text(summary_to_csv(summary), args.out)
     if summary.flagged:
         sys.stderr.write("warning: more than 5% of replications failed to converge\n")
@@ -266,7 +251,7 @@ def build_parser() -> _Parser:
     p.add_argument("--replications", type=int, default=None)
     p.add_argument("--n-list", type=_int_list, default=None, help="comma-separated series lengths")
     p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("examples", help="materialize the built-in example configs")

@@ -1,10 +1,12 @@
 """Monte Carlo harness: replicate simulate-fit cycles and tabulate them.
 
-Each (n, replication) cell draws its innovations from an independent
-Philox stream keyed by (master seed, n, replication index), so enlarging
-the n-grid or the replication count never perturbs existing cells.  With
-more than one thread, one worker pool serves every series length of a run;
-its results come back in replication order, so the aggregates are
+A run gives one McSummary with a cell per series length: every replication's
+estimate, standard error and convergence flag, and the summary lines (a)-(d)
+of those that converged.  Each replication draws its innovations from an
+independent Philox stream keyed by (master seed, n, replication index), so
+enlarging the n-grid or the replication count never perturbs existing cells.
+With more than one thread, one worker pool serves every series length of a
+run; its results come back in replication order, so the cells are
 bit-identical whatever the pool size.  Each replication is fitted from the
 plan's theta_init (the true value theta0 where it has none), bounded by the
 model layout's bounds, and its Wald tests are of theta0.
@@ -56,6 +58,9 @@ class McPlan:
             raise ConfigError("replication count must be at least 1")
         if not self.n_list or any(n < self.model.m for n in self.n_list):
             raise ConfigError("a Monte Carlo study needs at least one series length, each at least the parameter count")
+        for i, n in enumerate(self.n_list):
+            if n in self.n_list[:i]:
+                raise ConfigError(f"series length {n} appears more than once in n_list")
 
     @classmethod
     def from_run(
@@ -73,20 +78,32 @@ class McPlan:
 
 @dataclass
 class McCell:
-    """Aggregates for one series length."""
+    """One series length: every replication's estimate, standard error and
+    convergence flag, in replication order, and the summary lines of those
+    that converged."""
 
     n: int
+    estimates: np.ndarray          # (R, m), NaN where the fit raised
+    ses: np.ndarray                # (R, m), NaN where the replication is excluded
+    converged: np.ndarray          # (R,) converged with a usable covariance
     mean_estimate: np.ndarray      # line (a)
     mean_se: np.ndarray            # line (b)
     std_estimate: np.ndarray       # line (c)
     reject_pct: np.ndarray         # line (d)
-    n_converged: int
-    n_total: int
+
+    @property
+    def n_converged(self) -> int:
+        return int(self.converged.sum())
+
+    @property
+    def n_total(self) -> int:
+        return len(self.converged)
 
 
 @dataclass
 class McSummary:
-    """Per-(n, parameter) summary lines plus censoring diagnostics."""
+    """The cells of a run, in the order of its series lengths, plus the
+    censoring flag."""
 
     param_names: tuple
     replications: int
@@ -123,46 +140,37 @@ def _one_replication(plan: McPlan, n: int, rep: int):
 
 
 def _cell(n: int, thetas: np.ndarray, ses: np.ndarray, rejects: np.ndarray, oks: np.ndarray) -> McCell:
-    """Aggregates of the replications at length n that converged."""
-    R, m = thetas.shape
+    """The replications at length n and the aggregates of those that converged."""
+    m = thetas.shape[1]
     n_conv = int(oks.sum())
     if not n_conv:
         nanv = np.full(m, np.nan)
-        return McCell(n, nanv, nanv, nanv, nanv, 0, R)
+        return McCell(n, thetas, ses, oks, nanv, nanv, nanv, nanv)
     return McCell(
         n=n,
+        estimates=thetas,
+        ses=ses,
+        converged=oks,
         mean_estimate=thetas[oks].mean(axis=0),
         mean_se=ses[oks].mean(axis=0),
         std_estimate=thetas[oks].std(axis=0, ddof=1) if n_conv > 1 else np.zeros(m),
         reject_pct=100.0 * rejects[oks].mean(axis=0),
-        n_converged=n_conv,
-        n_total=R,
     )
 
 
-def run_mc(plan: McPlan, threads: int = 1, collect_estimates: bool = False):
-    """Execute the experiment; returns McSummary (and per-replication rows).
-    More than one thread runs the replications in one pool of that many worker
-    processes."""
+def run_mc(plan: McPlan, threads: int = 1) -> McSummary:
+    """Execute the experiment: one cell per series length, each with every
+    replication and its summary lines.  More than one thread runs the
+    replications in one pool of that many worker processes."""
     R = plan.replications
     summary = McSummary(param_names=tuple(plan.model.layout.names), replications=R)
-    rows = []
     parallel = bool(threads and threads > 1)
     with ProcessPoolExecutor(max_workers=threads) if parallel else contextlib.nullcontext() as pool:
         mapper = functools.partial(pool.map, chunksize=max(1, R // (8 * threads))) if parallel else map
         for n in plan.n_list:
             results = mapper(functools.partial(_one_replication, plan, n), range(R))
-            thetas, ses, rejects, oks = map(np.array, zip(*results))
-            cell = summary.cells[n] = _cell(n, thetas, ses, rejects, oks)
+            cell = summary.cells[n] = _cell(n, *map(np.array, zip(*results)))
             summary.flagged |= cell.n_converged < (1.0 - NONCONVERGENCE_FLAG_SHARE) * R
-            if collect_estimates:
-                rows.extend(
-                    (n, rep, name, thetas[rep, i], ses[rep, i], oks[rep])
-                    for rep in range(R)
-                    for i, name in enumerate(summary.param_names)
-                )
-    if collect_estimates:
-        return summary, rows
     return summary
 
 
@@ -189,47 +197,12 @@ def summary_to_csv(summary: McSummary) -> str:
     return buf.getvalue()
 
 
-def summary_from_csv(text: str, replications: int = 0) -> McSummary:
-    """Inverse of summary_to_csv (used for round-trip verification)."""
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != "n,param,line,value":
-        raise ConfigError("unrecognized summary CSV header")
-    staged: dict = {}
-    excluded: dict = {}
-    names: list = []
-    for row in lines[1:]:
-        n_s, param, line, value = row.split(",")
-        n = int(n_s)
-        if line == "excluded":
-            excluded[n] = int(value)
-            if not 0 <= excluded[n] <= replications:
-                raise ConfigError(f"cell n={n}: {value} excluded of {replications} replications")
-            continue
-        if param not in names:
-            names.append(param)
-        staged.setdefault(n, {}).setdefault(line, {})[param] = float(value)
-    summary = McSummary(param_names=tuple(names), replications=replications)
-    for n, per_line in sorted(staged.items()):
-        arrs = {
-            line: np.array([per_line[line][p] for p in names]) for line in per_line
-        }
-        n_total = replications
-        cell = McCell(
-            n=n,
-            mean_estimate=arrs.get("a"),
-            mean_se=arrs.get("b"),
-            std_estimate=arrs.get("c"),
-            reject_pct=arrs.get("d"),
-            n_converged=n_total - excluded.get(n, 0),
-            n_total=n_total,
-        )
-        summary.cells[n] = cell
-    return summary
-
-
-def estimates_to_csv(rows) -> str:
+def estimates_to_csv(summary: McSummary) -> str:
+    """One row per (n, replication, parameter) in run order, shortest round-trip floats."""
     buf = io.StringIO()
     buf.write("n,rep,param,estimate,se,converged\n")
-    for n, rep, param, est, se, ok in rows:
-        buf.write(f"{n},{rep},{param},{float(est)!r},{float(se)!r},{int(ok)}\n")
+    for cell in summary.cells.values():
+        for rep, (thetas, ses, ok) in enumerate(zip(cell.estimates, cell.ses, cell.converged)):
+            for name, est, se in zip(summary.param_names, thetas, ses):
+                buf.write(f"{cell.n},{rep},{name},{float(est)!r},{float(se)!r},{int(ok)}\n")
     return buf.getvalue()

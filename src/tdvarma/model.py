@@ -30,7 +30,9 @@ class ParamLayout:
     The vector is split into three functionally independent blocks: the
     autoregressive block (size n_ar), the moving-average block (size n_ma)
     and the scale block (the rest).  Coefficient functions may only
-    reference slots of their own block.
+    reference slots of their own block.  There is at least one name, and
+    the names are distinct and hold no comma or line break, so each is one
+    field of a CSV row.
     """
 
     names: tuple[str, ...]
@@ -41,6 +43,13 @@ class ParamLayout:
 
     def __post_init__(self):
         m = len(self.names)
+        if not m:
+            raise ConfigError("a layout needs at least one parameter name")
+        for i, name in enumerate(self.names):
+            if name in self.names[:i]:
+                raise ConfigError(f"parameter name {name!r} appears more than once")
+            if any(c in name for c in ",\r\n"):
+                raise ConfigError(f"parameter name {name!r} contains a comma or a line break")
         if self.n_ar < 0 or self.n_ma < 0 or self.n_ar + self.n_ma > m:
             raise ConfigError("parameter block sizes must be non-negative and sum to at most m")
         if self.theta0 is not None:

@@ -12,12 +12,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 CHECKS = {"psi_decay", "covariance_bounds", "moment_bounds", "information_pd", "cross_sums"}
 
 
-def run_cli(*args, env_extra=None, command=CLI):
+def run_cli(*args, command=CLI):
     env = os.environ.copy()
     # the child interpreter imports the package from this checkout, installed or not
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         command + list(args), capture_output=True, text=True, env=env, timeout=300
     )
@@ -334,22 +332,28 @@ def test_version_prints_rng_identifier():
     assert "philox" in res.stdout.lower()
 
 
-def test_thread_env_var_and_flag_precedence(cfg_dir, tmp_path):
-    # results are identical regardless of the worker count; the env var sets
-    # the default and --threads overrides it
-    base = tmp_path / "base.csv"
-    env = tmp_path / "env.csv"
-    flag = tmp_path / "flag.csv"
-    common = ["mc", "--config", str(cfg_dir / "example1_sim.json"),
-              "--replications", "6", "--n-list", "25"]
-    assert run_cli(*common, "--out", str(base)).returncode == 0
-    assert run_cli(*common, "--out", str(env), env_extra={"TDVARMA_THREADS": "3"}).returncode == 0
-    assert run_cli(*common, "--threads", "2", "--out", str(flag),
-                   env_extra={"TDVARMA_THREADS": "bogus"}).returncode == 0
-    assert base.read_bytes() == env.read_bytes() == flag.read_bytes()
-    # a bogus env var without the overriding flag is a usage error
-    res = run_cli(*common, "--out", str(tmp_path / "x.csv"), env_extra={"TDVARMA_THREADS": "bogus"})
-    assert res.returncode == 1
+def test_mc_output_does_not_depend_on_threads(cfg_dir, tmp_path):
+    outputs = []
+    for threads in ("1", "2"):
+        summary, estimates = tmp_path / f"summary{threads}.csv", tmp_path / f"estimates{threads}.csv"
+        res = run_cli("mc", "--config", str(cfg_dir / "example1_sim.json"), "--replications", "6",
+                      "--n-list", "25,30", "--threads", threads, "--out", str(summary), "--estimates", str(estimates))
+        assert res.returncode == 0, res.stderr
+        outputs.append((summary.read_bytes(), estimates.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1].splitlines()) == 1 + 2 * 6 * 3
+
+
+@pytest.mark.parametrize("names", [[], ["a", "a", "b"], ["a", "b,c", "d"], ["a", "b\nc", "d"]])
+def test_unusable_parameter_names_are_a_usage_error(cfg_dir, tmp_path, names):
+    # each once wrote CSVs a reader cannot split, or ended in a traceback
+    doc = json.loads((cfg_dir / "example1_sim.json").read_text())
+    doc["model"]["layout"]["names"] = names
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli("mc", "--config", str(bad), "--replications", "2", "--n-list", "25")
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("error:") and "parameter name" in res.stderr, res.stderr
 
 
 def _series_file(tmp_path, text):

@@ -17,7 +17,6 @@ from tdvarma.mc import (
     McSummary,
     estimates_to_csv,
     run_mc,
-    summary_from_csv,
     summary_to_csv,
 )
 
@@ -82,22 +81,6 @@ def test_adding_lengths_does_not_perturb_existing_cells():
     np.testing.assert_array_equal(c1.reject_pct, c2.reject_pct)
 
 
-def test_csv_round_trip_is_stable():
-    summary = run_mc(_small_plan())
-    text = summary_to_csv(summary)
-    parsed = summary_from_csv(text, replications=summary.replications)
-    assert summary_to_csv(parsed) == text
-    cell = parsed.cell(25)
-    np.testing.assert_array_equal(cell.mean_estimate, summary.cell(25).mean_estimate)
-
-
-def test_csv_excluded_count_beyond_replications_rejected():
-    text = "n,param,line,value\n25,a,a,0.5\n25,all,excluded,3\n"
-    with pytest.raises(ConfigError):
-        summary_from_csv(text)
-    assert summary_from_csv(text, replications=3).cell(25).n_converged == 0
-
-
 def test_empty_summary_emits_header_only():
     empty = McSummary(param_names=("a",), replications=0)
     assert summary_to_csv(empty) == "n,param,line,value\n"
@@ -111,11 +94,27 @@ def test_single_cell_row_count():
 
 
 def test_estimates_csv_shape():
-    summary, rows = run_mc(_small_plan(), collect_estimates=True)
-    text = estimates_to_csv(rows)
+    text = estimates_to_csv(run_mc(_small_plan()))
     lines = text.strip().splitlines()
     assert lines[0] == "n,rep,param,estimate,se,converged"
     assert len(lines) == 1 + 10 * 3
+
+
+def test_cell_keeps_its_replications():
+    plan = _small_plan(n_list=(25, 50), replications=6)
+    summary = run_mc(plan)
+    for n in plan.n_list:
+        cell = summary.cell(n)
+        assert cell.estimates.shape == cell.ses.shape == (6, 3) and cell.converged.shape == (6,)
+        assert cell.n_converged > 0
+        np.testing.assert_array_equal(cell.mean_estimate, cell.estimates[cell.converged].mean(axis=0))
+        assert np.all(np.isnan(cell.ses[~cell.converged]))
+    rows = [row.split(",") for row in estimates_to_csv(summary).strip().splitlines()[1:]]
+    assert [(int(n), int(rep), p) for n, rep, p, *_ in rows] == [
+        (n, rep, p) for n in plan.n_list for rep in range(6) for p in summary.param_names
+    ]
+    estimates = np.array([float(row[3]) for row in rows]).reshape(2, 6, 3)
+    np.testing.assert_array_equal(estimates, [summary.cell(n).estimates for n in plan.n_list])
 
 
 def test_nonconvergence_excluded_and_flagged(monkeypatch):
@@ -182,6 +181,12 @@ def test_plan_validation():
         McPlan(model=m, theta0=m.layout.theta0, replications=0)
     with pytest.raises(ConfigError, match="at least one series length"):
         McPlan(model=m, theta0=m.layout.theta0, n_list=())
+
+
+def test_plan_rejects_repeated_lengths():
+    # the repeat was fitted twice and wrote its estimates.csv rows twice under one summary cell
+    with pytest.raises(ConfigError, match="series length 25 appears more than once"):
+        _small_plan(n_list=(25, 50, 25))
 
 
 @pytest.mark.parametrize(
@@ -303,16 +308,23 @@ TABLE2_REFERENCE_CELLS = """n,param,line,value
 """
 
 
+def _summary_rows(text: str) -> dict:
+    """{(n, param, line): value} of a summary CSV."""
+    lines = text.strip().splitlines()
+    assert lines[0] == "n,param,line,value"
+    return {tuple(row.split(",")[:3]): float(row.split(",")[3]) for row in lines[1:]}
+
+
 def _assert_cells_match(plan, reference_csv):
     """Lines a-c within 1e-12 relative of the reference, line d and the excluded count exact."""
-    got = mc.summary_from_csv(mc.summary_to_csv(mc.run_mc(plan, threads=1)), plan.replications)
-    want = mc.summary_from_csv(reference_csv, plan.replications)
-    for n in plan.n_list:
-        cell, ref = got.cell(n), want.cell(n)
-        for line in ("mean_estimate", "mean_se", "std_estimate"):
-            np.testing.assert_allclose(getattr(cell, line), getattr(ref, line), rtol=1e-12, atol=0)
-        np.testing.assert_array_equal(cell.reject_pct, ref.reject_pct)
-        assert cell.n_total - cell.n_converged == ref.n_total - ref.n_converged
+    got = _summary_rows(mc.summary_to_csv(mc.run_mc(plan, threads=1)))
+    want = _summary_rows(reference_csv)
+    assert got.keys() == want.keys()
+    for key, ref in want.items():
+        if key[2] in ("a", "b", "c"):
+            np.testing.assert_allclose(got[key], ref, rtol=1e-12, atol=0, err_msg=str(key))
+        else:
+            np.testing.assert_array_equal(got[key], ref, err_msg=str(key))
 
 
 def test_table2_reference_cells_are_unchanged():

@@ -230,6 +230,23 @@ def test_layout_blocks():
         ParamLayout(names=("a",), n_ar=2, n_ma=0)
 
 
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ((), "at least one parameter name"),
+        (("a", "b", "a"), "'a' appears more than once"),
+        (("a", "b,c"), "'b,c' contains a comma"),
+        (("a", "b\nc"), "line break"),
+        (("a\r", "b"), "line break"),
+    ],
+)
+def test_layout_rejects_names_the_outputs_cannot_hold(names, message):
+    # an empty layout broke fit, mc, asymptotics and check; a repeated name or one
+    # with a comma or line break wrote CSV rows a reader cannot tell apart
+    with pytest.raises(ConfigError, match=message):
+        ParamLayout(names=names, n_ar=0, n_ma=0)
+
+
 def test_parameter_free_scale_is_built_once_and_read_by_prefix(example1_sim, example2):
     th = np.array(example1_sim.layout.theta0)
     m = example1_sim.with_sigma([[1.0, 0.5], [0.5, 2.0]])
