@@ -23,7 +23,7 @@ import numpy as np
 
 from tdvarma import examples
 from tdvarma.cli import _int_list
-from tdvarma.errors import ConfigError
+from tdvarma.errors import ConfigError, ContractError
 from tdvarma.mc import McPlan, estimates_to_csv, run_mc, summary_to_csv
 
 # table -> example, default seed, the lines the paper's table shows, and its
@@ -66,6 +66,7 @@ def main() -> int:
 
     which, seed, shown, published = TABLES[args.table]
     out = args.out or f"table{args.table}_out"
+    t0 = time.perf_counter()
     try:
         plan = McPlan.from_run(
             examples.build(which),
@@ -74,10 +75,9 @@ def main() -> int:
             replications=args.replications,
             seed=seed if args.seed is None else args.seed,
         )
-    except ConfigError as exc:
+        summary = run_mc(plan, threads=args.threads)
+    except (ConfigError, ContractError) as exc:
         ap.error(str(exc))
-    t0 = time.perf_counter()
-    summary = run_mc(plan, threads=args.threads)
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "summary.csv"), "w") as fh:
         fh.write(summary_to_csv(summary))

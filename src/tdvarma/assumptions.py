@@ -247,7 +247,7 @@ def check_sigma_bounds(model: TdVarmaModel, theta0, n_probe: int = N_PROBE) -> C
     # every covariance and inverse derivative up to order 3 from one memo; the
     # tuples it leaves out are identically zero (_sym leaves sig's entries as they are)
     sig, inv = model._sigma_t_table(ts, theta0, sorted_tuples(range(model.m), 3), inverse=True)
-    quantities = {"scale_norm_bound": fro2(model.g_func.value(ts, theta0)), "covinv_norm_bound": fro2(inv[()])}
+    quantities = {"scale_norm_bound": fro2(model.g_values(ts, theta0)), "covinv_norm_bound": fro2(inv[()])}
     for key, table, order in (
         ("cov_d1_bound", sig, 1),
         ("cov_d2_bound", sig, 2),
@@ -332,7 +332,7 @@ def check_cross_sums(
     n_max, n2 = max(n_grid), max(m_term_grid, default=0)
     horizon = max(n_max, n2)
     kcap = min(horizon - 1, 2 * D_CAP)
-    g_all = model.g_func.value(range(1, horizon + 1), theta0)
+    g_all = model.g_values(range(1, horizon + 1), theta0)
     # one pass over the weights: their norms up to n_max, and up to n2 the
     # whitened lag-k weights V_t[i, :, k-1, :] = H_t w_{t,i,k} g_{t-k} L with
     # Sigma = L L^T and H_t' H_t = Sigma_t^{-1}, so that V_t V_{t+d}^T carries the

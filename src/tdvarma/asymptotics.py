@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ContractError
 from .model import TdVarmaModel
-from .likelihood import _lag_coefs, _scale_info
+from .likelihood import _scale_info
 from .representations import _triangular_var1_params, triangular_var1_product
 from .representations import build_psi  # unused here; perfbench/tracer.py wraps this name
 
@@ -78,7 +78,7 @@ def _information_pass(model: TdVarmaModel, theta0, n_grid: Sequence[int]) -> dic
     m_arma, r = readout.shape[1:3]
     # P_t = F_t P_{t-1} F_t' + G Sigma_t G' from P_0 = 0; cov[t] holds P_t, t < n_max
     cov = np.zeros((n_max, dim, dim))
-    gf = noise @ model.g_func.value(range(1, n_max + 1), theta0) @ model.sigma_chol  # G g_t L
+    gf = noise @ model.g_values(range(1, n_max + 1), theta0) @ model.sigma_chol  # G g_t L
     gsg = gf @ np.swapaxes(gf, -1, -2)
     for t in range(1, n_max):
         cov[t] = trans[t - 1] @ cov[t - 1] @ trans[t - 1].T + gsg[t - 1]
@@ -107,8 +107,8 @@ def _state_system(model: TdVarmaModel, theta0, n: int) -> tuple:
     """
     r, p, q = model.r, model.p, model.q
     m_arma = model.layout.n_ar + model.layout.n_ma
-    a_all = _lag_coefs(model.a_funcs, n, r, theta0)
-    b_all = _lag_coefs(model.b_funcs, n, r, theta0)
+    a_all = model.a_values(range(1, n + 1), theta0)
+    b_all = model.b_values(range(1, n + 1), theta0)
     nb = p + q + m_arma * q  # state blocks of size r; x, eta and each slot's de come in turn
     de_head = p + q + q * np.arange(m_arma)
     readout = np.zeros((m_arma, n, r, nb, r))

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import likelihood
-from .errors import ContractError, NumericalError
+from .errors import ConfigError, ContractError, NumericalError
 from .model import Series, TdVarmaModel
 
 NORMAL_CRIT_5PCT = 1.959964
@@ -68,10 +68,6 @@ class FitResult:
     covariance_ok: bool
     q_history: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def names(self):
-        return self.metadata.get("names")
 
 
 def _project(theta: np.ndarray, bounds) -> np.ndarray:
@@ -177,7 +173,8 @@ def estimate_noise_cov(model: TdVarmaModel, series: Series, theta, e=None) -> np
 
 def fit(model: TdVarmaModel, series: Series, theta_init, estimate_sigma: bool = False) -> FitResult:
     """Minimize the objective from theta_init within the layout's bounds; with
-    estimate_sigma, alternate SIGMA_ROUNDS optimizations with noise-covariance updates."""
+    estimate_sigma, alternate SIGMA_ROUNDS optimizations with noise-covariance updates.
+    An estimated noise covariance that is singular or not finite raises NumericalError."""
     if series.n < model.m:
         raise ContractError(
             f"series length {series.n} is smaller than the parameter count {model.m}"
@@ -196,7 +193,10 @@ def fit(model: TdVarmaModel, series: Series, theta_init, estimate_sigma: bool = 
         history.extend(hist if not history else hist[1:])
         if estimate_sigma:
             sigma_hat = estimate_noise_cov(work, series, theta, rep.e)
-            work = work.with_sigma(sigma_hat)
+            try:
+                work = work.with_sigma(sigma_hat)
+            except ConfigError as exc:  # the data, not the caller, made sigma_hat unusable
+                raise NumericalError(f"estimated {exc}") from exc
 
     vhat = what = cov = se = se_info = None
     covariance_ok = False

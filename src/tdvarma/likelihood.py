@@ -122,11 +122,6 @@ def _lag_solver(c: np.ndarray, n: int):
     return solve
 
 
-def _lag_coefs(funcs, n: int, r: int, theta) -> np.ndarray:
-    """Lag coefficients for t = 1..n stacked as (k, n, r, r)."""
-    return np.stack([f.value(range(1, n + 1), theta) for f in funcs]) if funcs else np.zeros((0, n, r, r))
-
-
 def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = False) -> ResidualSet:
     """One-step residuals e_t(theta) with the whitening factors of their covariances, and
     optionally d e_t / d theta and the scale-slot stack S_t."""
@@ -135,8 +130,9 @@ def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = Fa
     theta = np.asarray(theta, dtype=float)
     x = series.values
     n, r = x.shape
-    solve = _lag_solver(_lag_coefs(model.b_funcs, n, r, theta), n)  # shared by e and de
-    e = solve(x - _lag_sum(_lag_coefs(model.a_funcs, n, r, theta), x))
+    ts = range(1, n + 1)
+    solve = _lag_solver(model.b_values(ts, theta), n)  # shared by e and de
+    e = solve(x - _lag_sum(model.a_values(ts, theta), x))
     if not with_derivs:
         return ResidualSet(e, *model.scale_factor(n, theta)[1:], de=None, s=None)
     # row k: -(sum_i d_k A_ti x_{t-i} + sum_j d_k B_tj e_{t-j}), then the same solve as e

@@ -1,15 +1,17 @@
 """Monte Carlo harness: replicate simulate-fit cycles and tabulate them.
 
-A run gives one McSummary with a cell per series length: every replication's
-estimate, standard error and convergence flag, and the summary lines (a)-(d)
-of those that converged.  Each replication draws its innovations from an
-independent Philox stream keyed by (master seed, n, replication index), so
-enlarging the n-grid or the replication count never perturbs existing cells.
-With more than one thread, one worker pool serves every series length of a
-run; its results come back in replication order, so the cells are
-bit-identical whatever the pool size.  Each replication is fitted from the
-plan's theta_init (the true value theta0 where it has none), bounded by the
-model layout's bounds, and its Wald tests are of theta0.
+A run gives one McSummary with a cell per series length.  A cell keeps what
+its replications produced: every replication's estimate, standard error and
+convergence flag, and the true value theta0; its summary lines (a)-(d) are
+read off those arrays over the replications that converged.  Each
+replication draws its innovations from an independent Philox stream keyed by
+(master seed, n, replication index), so enlarging the n-grid or the
+replication count never perturbs existing cells.  With more than one thread,
+one worker pool serves every series length of a run; its results come back
+in replication order, so the cells are bit-identical whatever the pool size.
+Each replication is fitted from the plan's theta_init (the true value theta0
+where it has none), bounded by the model layout's bounds; a fit that raises
+NumericalError counts as excluded.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, NumericalError
-from .estimate import fit, wald_test
+from .errors import ConfigError, ContractError, NumericalError
+from .estimate import NORMAL_CRIT_5PCT, fit
 from .model import TdVarmaModel
 from .simulate import SimPlan, replication_stream, simulate
 
@@ -79,17 +81,14 @@ class McPlan:
 @dataclass
 class McCell:
     """One series length: every replication's estimate, standard error and
-    convergence flag, in replication order, and the summary lines of those
-    that converged."""
+    convergence flag, in replication order.  The summary lines (a)-(d) are read
+    off the rows that converged; each is NaN when none did."""
 
     n: int
+    theta0: np.ndarray             # (m,) the true value that line (d) tests
     estimates: np.ndarray          # (R, m), NaN where the fit raised
     ses: np.ndarray                # (R, m), NaN where the replication is excluded
     converged: np.ndarray          # (R,) converged with a usable covariance
-    mean_estimate: np.ndarray      # line (a)
-    mean_se: np.ndarray            # line (b)
-    std_estimate: np.ndarray       # line (c)
-    reject_pct: np.ndarray         # line (d)
 
     @property
     def n_converged(self) -> int:
@@ -99,78 +98,78 @@ class McCell:
     def n_total(self) -> int:
         return len(self.converged)
 
+    def _line(self, rows: np.ndarray) -> np.ndarray:
+        return rows[self.converged].mean(axis=0) if self.n_converged else np.full(rows.shape[1], np.nan)
+
+    @property
+    def mean_estimate(self) -> np.ndarray:
+        """Line (a)."""
+        return self._line(self.estimates)
+
+    @property
+    def mean_se(self) -> np.ndarray:
+        """Line (b)."""
+        return self._line(self.ses)
+
+    @property
+    def std_estimate(self) -> np.ndarray:
+        """Line (c): the sample standard deviation, 0 for a single converged row."""
+        if self.n_converged < 2:
+            return np.where(self.converged.any(), 0.0, self.mean_estimate)
+        return self.estimates[self.converged].std(axis=0, ddof=1)
+
+    @property
+    def reject_pct(self) -> np.ndarray:
+        """Line (d): the percentage of two-sided 5% Wald tests of theta0 that reject,
+        |estimate - theta0| / se > NORMAL_CRIT_5PCT, as `wald_test` decides them."""
+        return 100.0 * self._line(np.abs((self.estimates - self.theta0) / self.ses) > NORMAL_CRIT_5PCT)
+
 
 @dataclass
 class McSummary:
-    """The cells of a run, in the order of its series lengths, plus the
-    censoring flag."""
+    """The cells of a run, in the order of its series lengths."""
 
     param_names: tuple
-    replications: int
     cells: dict = field(default_factory=dict)          # n -> McCell
-    flagged: bool = False                              # pervasive non-convergence
 
     def cell(self, n: int) -> McCell:
         return self.cells[n]
 
+    @property
+    def flagged(self) -> bool:
+        """Pervasive non-convergence: some cell keeps fewer than 95% of its replications."""
+        return any(c.n_converged < (1.0 - NONCONVERGENCE_FLAG_SHARE) * c.n_total for c in self.cells.values())
+
 
 def _one_replication(plan: McPlan, n: int, rep: int):
-    """(theta, se, rejects, ok) of replication rep at length n."""
-    series = simulate(
-        SimPlan(plan.model, plan.theta0, n, plan.seed, replication_stream(n, rep))
-    )
-    m = plan.model.m
+    """(theta, se, ok) of replication rep at length n."""
+    series = simulate(SimPlan(plan.model, plan.theta0, n, plan.seed, replication_stream(n, rep)))
+    nan = np.full(plan.model.m, np.nan)
     start = plan.theta0 if plan.theta_init is None else plan.theta_init
     try:
         result = fit(plan.model, series, start, plan.estimate_sigma)
-    except (NumericalError, ConfigError):
+    except NumericalError:
         # a replication whose fit breaks down counts as excluded
-        nan = np.full(m, np.nan)
-        return nan, nan, nan, False
+        return nan, nan, False
     ok = bool(result.converged and result.covariance_ok)
-    if ok:
-        rejects = np.array(
-            [float(wald_test(result, i, plan.theta0[i]).reject_5pct) for i in range(m)]
-        )
-        se = result.se
-    else:
-        rejects = np.full(m, np.nan)
-        se = np.full(m, np.nan)
-    return result.theta, se, rejects, ok
-
-
-def _cell(n: int, thetas: np.ndarray, ses: np.ndarray, rejects: np.ndarray, oks: np.ndarray) -> McCell:
-    """The replications at length n and the aggregates of those that converged."""
-    m = thetas.shape[1]
-    n_conv = int(oks.sum())
-    if not n_conv:
-        nanv = np.full(m, np.nan)
-        return McCell(n, thetas, ses, oks, nanv, nanv, nanv, nanv)
-    return McCell(
-        n=n,
-        estimates=thetas,
-        ses=ses,
-        converged=oks,
-        mean_estimate=thetas[oks].mean(axis=0),
-        mean_se=ses[oks].mean(axis=0),
-        std_estimate=thetas[oks].std(axis=0, ddof=1) if n_conv > 1 else np.zeros(m),
-        reject_pct=100.0 * rejects[oks].mean(axis=0),
-    )
+    return result.theta, result.se if ok else nan, ok
 
 
 def run_mc(plan: McPlan, threads: int = 1) -> McSummary:
     """Execute the experiment: one cell per series length, each with every
-    replication and its summary lines.  More than one thread runs the
-    replications in one pool of that many worker processes."""
+    replication.  More than one thread runs the replications in one pool of
+    that many worker processes."""
+    if threads < 1:
+        raise ContractError(f"worker count must be at least 1, not {threads}")
     R = plan.replications
-    summary = McSummary(param_names=tuple(plan.model.layout.names), replications=R)
-    parallel = bool(threads and threads > 1)
+    summary = McSummary(param_names=tuple(plan.model.layout.names))
+    theta0 = np.array(plan.theta0)
+    parallel = threads > 1
     with ProcessPoolExecutor(max_workers=threads) if parallel else contextlib.nullcontext() as pool:
         mapper = functools.partial(pool.map, chunksize=max(1, R // (8 * threads))) if parallel else map
         for n in plan.n_list:
             results = mapper(functools.partial(_one_replication, plan, n), range(R))
-            cell = summary.cells[n] = _cell(n, *map(np.array, zip(*results)))
-            summary.flagged |= cell.n_converged < (1.0 - NONCONVERGENCE_FLAG_SHARE) * R
+            summary.cells[n] = McCell(n, theta0, *map(np.array, zip(*results)))
     return summary
 
 

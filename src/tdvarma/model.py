@@ -208,7 +208,7 @@ class TdVarmaModel:
                 if extra:
                     raise ConfigError(f"{name} coefficients reference slots {sorted(extra)} outside their block")
         if lay.theta0 is not None:
-            dets = np.linalg.det(self.g_func.value(range(1, DEFAULT_CHECK_HORIZON + 1), lay.theta0_array()))
+            dets = np.linalg.det(self.g_values(range(1, DEFAULT_CHECK_HORIZON + 1), lay.theta0_array()))
             bad = np.nonzero(np.abs(dets) < 1e-12)[0]
             if bad.size:
                 raise ConfigError(f"scale matrix g_t is singular at t={bad[0] + 1}")
@@ -224,15 +224,17 @@ class TdVarmaModel:
     # -- per-time evaluations -------------------------------------------------
 
     def a_values(self, ts, theta) -> np.ndarray:
-        """Stacked AR coefficients, shape (p, len(ts), r, r)."""
-        return np.stack([f.value(ts, theta) for f in self.a_funcs]) if self.p else np.zeros(
-            (0, len(np.atleast_1d(ts)), self.r, self.r)
-        )
+        """Stacked AR coefficients A_t1..A_tp, shape (p, len(ts), r, r)."""
+        return self._stack(self.a_funcs, ts, theta)
 
     def b_values(self, ts, theta) -> np.ndarray:
-        return np.stack([f.value(ts, theta) for f in self.b_funcs]) if self.q else np.zeros(
-            (0, len(np.atleast_1d(ts)), self.r, self.r)
-        )
+        """Stacked MA coefficients B_t1..B_tq, shape (q, len(ts), r, r)."""
+        return self._stack(self.b_funcs, ts, theta)
+
+    def _stack(self, funcs, ts, theta) -> np.ndarray:
+        if not funcs:
+            return np.zeros((0, len(ts), self.r, self.r))
+        return np.stack([f.value(ts, theta) for f in funcs])
 
     def g_values(self, ts, theta) -> np.ndarray:
         return self.g_func.value(ts, theta)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .likelihood import _lag_coefs, _lag_solve, _lag_sum
+from .likelihood import _lag_solve, _lag_sum
 from .model import Series, TdVarmaModel
 
 RNG_ALGORITHM = f"philox4x64+ziggurat-standard-normal (numpy {np.__version__})"
@@ -65,9 +65,9 @@ def simulate(plan: SimPlan, return_innovations: bool = False):
     rng = make_rng(plan.seed, plan.stream)
     eps = rng.standard_normal((n, r)) @ model.sigma_chol.T
 
-    scaled = np.einsum("trs,ts->tr", model.g_func.value(range(1, n + 1), theta0), eps)
-    a_all, b_all = (_lag_coefs(funcs, n, r, theta0) for funcs in (model.a_funcs, model.b_funcs))
-    x = _lag_solve(-a_all, scaled + _lag_sum(b_all, scaled))
+    ts = range(1, n + 1)
+    scaled = np.einsum("trs,ts->tr", model.g_values(ts, theta0), eps)
+    x = _lag_solve(-model.a_values(ts, theta0), scaled + _lag_sum(model.b_values(ts, theta0), scaled))
     series = Series(values=x)
     if return_innovations:
         return series, eps

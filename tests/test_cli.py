@@ -112,6 +112,27 @@ def test_fit_round_trip(cfg_dir, tmp_path):
     assert len(doc["se_info"]) == 3 and all(v > 0 for v in doc["se_info"])
 
 
+def test_singular_noise_covariance_estimate_exits_two(cfg_dir, tmp_path):
+    # at sigma_hat's singularity `fit` once reported a usage error and exited 1
+    series = tmp_path / "series.csv"
+    rows = "".join(f"{t},{0.5 * math.sin(t)},0.0\n" for t in range(1, 61))
+    series.write_text("t,x1,x2\n" + rows)
+    res = run_cli("fit", "--config", str(cfg_dir / "example1_sim.json"), "--series", str(series))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("numerical failure:") and "Traceback" not in res.stderr, res.stderr
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_mc_rejects_fewer_than_one_thread(cfg_dir, tmp_path, threads):
+    # both once ran serially and exited 0
+    out = tmp_path / "s.csv"
+    res = run_cli("mc", "--config", str(cfg_dir / "example1_sim.json"), "--replications", "2",
+                  "--n-list", "25", "--threads", threads, "--out", str(out))
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("error:") and "worker count" in res.stderr, res.stderr
+    assert not out.exists()
+
+
 def test_mc_smoke_and_determinism(cfg_dir, tmp_path):
     s1 = tmp_path / "m1.csv"
     s2 = tmp_path / "m2.csv"
@@ -293,6 +314,15 @@ def test_table_script_rejects_malformed_lengths(n_list, tmp_path):
                   command=[sys.executable, script])
     assert res.returncode == 2 and "Traceback" not in res.stderr, res.stderr
     assert "usage:" in res.stderr and not (tmp_path / "summary.csv").exists()
+
+
+def test_table_script_rejects_fewer_than_one_thread(tmp_path):
+    # it once ran serially and exited 0
+    script = os.path.join(os.path.dirname(SRC), "scripts", "run_table.py")
+    res = run_cli("--table", "1", "--n-list", "25", "--replications", "2", "--threads", "0",
+                  "--out", str(tmp_path), command=[sys.executable, script])
+    assert res.returncode == 2 and "Traceback" not in res.stderr, res.stderr
+    assert "worker count" in res.stderr and not (tmp_path / "summary.csv").exists()
 
 
 def test_malformed_config_names_offending_key(tmp_path):

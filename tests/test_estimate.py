@@ -6,7 +6,7 @@ import pytest
 from conftest import make_sin_varma11
 
 from tdvarma import estimate, examples, likelihood
-from tdvarma.errors import ContractError, NumericalError
+from tdvarma.errors import ConfigError, ContractError, NumericalError
 from tdvarma.estimate import SIGMA_ROUNDS, _inverse_info, _safe_objective, estimate_noise_cov, fit, wald_test
 from tdvarma.model import ParamLayout, Series, TdVarmaModel
 from tdvarma.simulate import SimPlan, replication_stream, simulate
@@ -109,6 +109,17 @@ def test_too_short_series_rejected():
     m = examples.example1_sim_model()
     with pytest.raises(ContractError):
         fit(m, Series(values=np.ones((2, 2))), (0.1, 0.1, 0.1))
+
+
+def test_singular_noise_covariance_estimate_is_a_numerical_failure():
+    # a second component that is identically zero leaves sigma_hat singular; that is
+    # a breakdown of the fit on these data, not a malformed configuration
+    m = examples.example1_sim_model()
+    x = simulate(SimPlan(m, m.layout.theta0, 60, 3)).values.copy()
+    x[:, 1] = 0.0
+    with pytest.raises(NumericalError, match="not positive definite") as info:
+        fit(m, Series(values=x), (0.1, 0.1, 0.1), estimate_sigma=True)
+    assert isinstance(info.value.__cause__, ConfigError)
 
 
 @pytest.mark.parametrize("theta_init", [(0.1, 0.1), (0.1,) * 4])

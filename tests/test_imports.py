@@ -1,8 +1,10 @@
-"""Every module of the package uses each name it imports, and every private
-function, class and method is referenced outside its own definition.  The package
-__init__ re-exports its imports and is left out of the first check; a module may
-import a name, or define a private one, that only the benchmark's tracer reads
-when perfbench/tracer.py wraps that name."""
+"""Every module of the package uses each name it imports, and every function,
+class and method is referenced outside its own definition: a private one by the
+package, a public one by the package, its tests, scripts or benchmark.  The
+package __init__ re-exports its imports and is left out of the first check; a
+module may import a name, or define a private one, that only the benchmark's
+tracer reads when perfbench/tracer.py wraps that name.  The tracer's string
+targets do not count as references of a public name."""
 
 import ast
 from collections import Counter
@@ -11,7 +13,8 @@ from pathlib import Path
 import pytest
 from test_span_targets import _span_targets
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tdvarma"
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "tdvarma"
 
 
 def _unused_imports(path: Path) -> set:
@@ -32,14 +35,13 @@ def test_module_uses_its_imports(path):
     assert _unused_imports(path) - wrapped == set()
 
 
-def _private_definitions(tree: ast.Module) -> list:
-    """Module-level functions and classes, and methods of module-level classes, whose
-    names start with one underscore."""
+def _definitions(tree: ast.Module) -> list:
+    """Module-level functions and classes, and methods of module-level classes, other
+    than dunder methods."""
     nodes = list(tree.body)
     nodes += [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [node for node in nodes if isinstance(node, kinds) and node.name.startswith("_")
-            and not node.name.startswith("__")]
+    return [node for node in nodes if isinstance(node, kinds) and not node.name.startswith("__")]
 
 
 def _references(tree: ast.AST) -> list:
@@ -53,6 +55,16 @@ def test_private_definitions_are_referenced(path):
     trees = {p: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
     everywhere = Counter(name for tree in trees.values() for name in _references(tree))
     wrapped = {attr for _, _, attr, _ in _span_targets()}
-    dead = [node.name for node in _private_definitions(trees[path])
-            if node.name not in wrapped and everywhere[node.name] == _references(node).count(node.name)]
+    dead = [node.name for node in _definitions(trees[path]) if node.name.startswith("_")
+            and node.name not in wrapped and everywhere[node.name] == _references(node).count(node.name)]
+    assert dead == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_public_definitions_are_referenced(path):
+    # a public name that no code of the project calls, tests or runs is dead
+    readers = [p for d in ("src", "tests", "scripts", "perfbench") for p in (REPO / d).rglob("*.py")]
+    everywhere = Counter(name for p in readers for name in _references(ast.parse(p.read_text())))
+    dead = [node.name for node in _definitions(ast.parse(path.read_text())) if not node.name.startswith("_")
+            and everywhere[node.name] == _references(node).count(node.name)]
     assert dead == []

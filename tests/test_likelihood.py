@@ -18,7 +18,6 @@ from tdvarma import examples
 from tdvarma.errors import ContractError, SingularCovarianceError
 from tdvarma.estimate import _safe_objective
 from tdvarma.likelihood import (
-    _lag_coefs,
     _lag_solve,
     _lag_sum,
     _lagged,
@@ -347,8 +346,8 @@ def test_residual_solves_share_companion_products(q):
     theta = np.array(m.layout.theta0) + rng.uniform(-0.05, 0.05, size=m.m)
     res = residuals(m, series, theta, with_derivs=True)
     x, (n, r) = series.values, series.values.shape
-    b_all = _lag_coefs(m.b_funcs, n, r, theta)
-    rhs = x - _lag_sum(_lag_coefs(m.a_funcs, n, r, theta), x)
+    b_all = m.b_values(range(1, n + 1), theta)
+    rhs = x - _lag_sum(m.a_values(range(1, n + 1), theta), x)
     e = _lag_solve(b_all, rhs)
     de_rhs = np.zeros((m.m, n, r))
     for funcs, y in ((m.a_funcs, x), (m.b_funcs, e)):
@@ -429,3 +428,27 @@ def test_example2_tables_match_entrywise_reference(n):
             eye = np.broadcast_to(np.eye(m.r) * (not tau), (n, m.r, m.r))
             product = sum(sig[a] @ inv[b] for a, b in index_splits(tau))
             np.testing.assert_allclose(product, eye, rtol=0, atol=1e-12 * max(1.0, np.abs(inv[tau]).max()))
+
+
+def test_objective_reads_coefficients_through_the_model(monkeypatch):
+    # the AR and MA stacks come from the model's a_values / b_values, where a
+    # tracer or a subclass sees them, and nowhere else
+    m = make_sin_varma11(np.random.default_rng(3))
+    series = simulate(SimPlan(m, m.layout.theta0, 40, 9))
+    want = objective(m, series, m.layout.theta0)
+    calls = []
+
+    def spy(name):
+        original = getattr(TdVarmaModel, name)
+
+        def read(self, ts, theta):
+            calls.append((name, list(ts)))
+            return original(self, ts, theta)
+
+        return read
+
+    for name in ("a_values", "b_values"):
+        monkeypatch.setattr(TdVarmaModel, name, spy(name))
+    got = objective(m, series, m.layout.theta0)
+    assert sorted(calls) == [("a_values", list(range(1, 41))), ("b_values", list(range(1, 41)))]
+    assert got.q == want.q

@@ -10,9 +10,11 @@ from conftest import make_sin_varma11
 from tdvarma import estimate, examples, mc
 from tdvarma.config import RunConfig
 from tdvarma.errors import ConfigError
+from tdvarma.estimate import NORMAL_CRIT_5PCT
 from tdvarma.model import ParamLayout, TdVarmaModel
 from tdvarma.timefn import Constant, MatrixTimeFunction, Param
 from tdvarma.mc import (
+    McCell,
     McPlan,
     McSummary,
     estimates_to_csv,
@@ -82,7 +84,7 @@ def test_adding_lengths_does_not_perturb_existing_cells():
 
 
 def test_empty_summary_emits_header_only():
-    empty = McSummary(param_names=("a",), replications=0)
+    empty = McSummary(param_names=("a",))
     assert summary_to_csv(empty) == "n,param,line,value\n"
 
 
@@ -106,8 +108,15 @@ def test_cell_keeps_its_replications():
     for n in plan.n_list:
         cell = summary.cell(n)
         assert cell.estimates.shape == cell.ses.shape == (6, 3) and cell.converged.shape == (6,)
-        assert cell.n_converged > 0
-        np.testing.assert_array_equal(cell.mean_estimate, cell.estimates[cell.converged].mean(axis=0))
+        assert cell.n_converged > 1
+        kept, ses = cell.estimates[cell.converged], cell.ses[cell.converged]
+        np.testing.assert_array_equal(cell.mean_estimate, kept.mean(axis=0))
+        np.testing.assert_array_equal(cell.mean_se, ses.mean(axis=0))
+        np.testing.assert_array_equal(cell.std_estimate, kept.std(axis=0, ddof=1))
+        # line (d): the share of replications whose Wald test of theta0 rejects
+        rejects = [[abs((float(est[i]) - plan.theta0[i]) / se[i]) > NORMAL_CRIT_5PCT for i in range(3)]
+                   for est, se in zip(kept, ses)]
+        np.testing.assert_array_equal(cell.reject_pct, 100.0 * np.mean(rejects, axis=0))
         assert np.all(np.isnan(cell.ses[~cell.converged]))
     rows = [row.split(",") for row in estimates_to_csv(summary).strip().splitlines()[1:]]
     assert [(int(n), int(rep), p) for n, rep, p, *_ in rows] == [
@@ -115,6 +124,45 @@ def test_cell_keeps_its_replications():
     ]
     estimates = np.array([float(row[3]) for row in rows]).reshape(2, 6, 3)
     np.testing.assert_array_equal(estimates, [summary.cell(n).estimates for n in plan.n_list])
+
+
+def _cell_of(estimates, ses, converged, theta0=(0.0, 1.0)):
+    return McCell(25, np.array(theta0), np.array(estimates, dtype=float), np.array(ses, dtype=float),
+                  np.array(converged))
+
+
+def test_cell_lines_without_a_converged_replication_are_nan():
+    cell = _cell_of([[0.5, 1.5], [np.nan, np.nan]], [[np.nan, np.nan]] * 2, [False, False])
+    for line in (cell.mean_estimate, cell.mean_se, cell.std_estimate, cell.reject_pct):
+        assert line.shape == (2,) and np.all(np.isnan(line))
+    summary = McSummary(param_names=("a", "b"), cells={25: cell})
+    assert summary.flagged
+    assert summary_to_csv(summary).splitlines()[1:3] == ["25,a,a,nan", "25,a,b,nan"]
+
+
+def test_cell_lines_of_a_single_converged_replication():
+    # its one estimate is the mean, and the dispersion of one value is 0
+    cell = _cell_of([[0.5, 1.25], [9.0, 9.0]], [[0.1, 0.25], [np.nan, np.nan]], [True, False])
+    np.testing.assert_array_equal(cell.mean_estimate, [0.5, 1.25])
+    np.testing.assert_array_equal(cell.mean_se, [0.1, 0.25])
+    np.testing.assert_array_equal(cell.std_estimate, [0.0, 0.0])
+    np.testing.assert_array_equal(cell.reject_pct, [100.0, 0.0])  # statistics 5 and 1
+
+
+def test_summary_csv_is_rebuilt_from_estimates_csv():
+    # estimates.csv and theta0 hold all a summary is: its lines are readings of them
+    plan = _small_plan(n_list=(25, 50), replications=6)
+    summary = run_mc(plan)
+    rows = [row.split(",") for row in estimates_to_csv(summary).splitlines()[1:]]
+    m = len(summary.param_names)
+    cells = {}
+    for n in plan.n_list:
+        mine = [row for row in rows if int(row[0]) == n]
+        est, ses = (np.array([float(row[k]) for row in mine]).reshape(-1, m) for k in (3, 4))
+        converged = np.array([row[5] == "1" for row in mine[::m]])
+        cells[n] = McCell(n, np.array(plan.theta0), est, ses, converged)
+    rebuilt = McSummary(param_names=summary.param_names, cells=cells)
+    assert summary_to_csv(rebuilt) == summary_to_csv(summary)
 
 
 def test_nonconvergence_excluded_and_flagged(monkeypatch):
