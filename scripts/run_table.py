@@ -7,10 +7,11 @@ heteroscedastic example2 with it held fixed.  Writes the run's summary lines
 (summary.csv) and every replication's estimate, error and convergence flag
 (estimates.csv), both from the one McSummary that run_mc returns, into --out,
 and prints each cell against the published values.
-Single-threaded (--threads 1, BLAS on one thread) on a shared 2-core x86
-machine, table 1 took 19-23 s and table 2 22-30 s over four runs each, and
-13-14 s and 16-19 s with --threads 2 over two; --threads runs the replications
-in one pool of that many worker processes.  The last line printed is the
+Single-threaded (--threads 1, BLAS on one thread) on a shared 2-core Intel
+Xeon VM (Python 3.11.7, numpy 2.4.6), table 1 took 13.8-15.8 s and table 2
+26.7-28.4 s over two runs each, and 9.6-12.5 s and 14.1-18.5 s with
+--threads 2 over four; --threads runs the replications in one pool of that
+many worker processes.  The last line printed is the
 elapsed wall time.
 """
 

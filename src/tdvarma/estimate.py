@@ -1,21 +1,19 @@
 """Quasi-maximum likelihood fitting and sandwich standard errors.
 
-The objective is minimized by a BFGS quasi-Newton iteration with a
-backtracking Armijo line search (c = 1e-4, shrink 0.5).  Each trial point is
-evaluated once, with its score and information, and an accepted trial's
-report is the next iterate's.  A trial whose evaluation raises
-NumericalError (a per-time covariance that is not positive definite,
-overflowing residuals, a non-finite score) or whose value is not finite
-counts as +inf, so the search backtracks into the region where the
-objective is defined.  BFGS starts from the
-inverse of the Gauss-Newton information at the start point, and resets to
-it at the current point when the curvature goes stale; it falls back to the
-identity where that information is not positive definite.  When the
-objective is quadratic in theta (no MA part, no scale parameters) the
-information is its Hessian, so the first step lands on the GLS solution.
-The asymptotic covariance of the estimate is the sandwich
-V_hat^{-1} W_hat V_hat^{-1} / n built from the empirical curvature and
-score outer-product matrices.
+The objective, or with estimate_sigma the profile objective, is minimized in
+one quasi-Newton run with a backtracking Armijo line search (c = 1e-4, shrink
+0.5).  Each trial point is evaluated once, with its score and information, and
+an accepted trial's report is the next iterate's.  A trial whose evaluation
+raises NumericalError (a per-time or estimated covariance that is not positive
+definite, overflowing residuals, a non-finite score) or whose value is not
+finite counts as +inf, so the search backtracks.  The Hessian model B starts at
+the Gauss-Newton information; after each accepted step it takes the change in
+the information, B += info_+ - info, then the BFGS secant update where s'y > 0
+and s'Bs > 0.  The direction is -B^{-1} g, else -info^{-1} g, else -g, the
+first that descends.  With a fixed noise covariance and no MA part or scale
+parameters the information is the exact, constant Hessian, so this is plain
+BFGS and the first step lands on the GLS solution.  The asymptotic covariance
+is the sandwich V_hat^{-1} W_hat V_hat^{-1} / n from the last evaluation.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import likelihood
-from .errors import ConfigError, ContractError, NumericalError
+from .errors import ContractError, NumericalError
 from .model import Series, TdVarmaModel
 
 NORMAL_CRIT_5PCT = 1.959964
@@ -38,7 +36,6 @@ MIN_STEP = 1e-14
 MAX_ITERS = 200        # iterations per optimization
 GRAD_TOL = 1e-6        # on max_i |dQ/dtheta_i| / n
 STEP_TOL = 1e-10       # on |step| / (1 + |theta|)
-SIGMA_ROUNDS = 3       # optimizations alternated with noise-covariance updates
 
 
 @dataclass
@@ -46,10 +43,10 @@ class FitResult:
     """Point estimate, objective diagnostics, sandwich covariance and
     information-only standard errors.
 
-    n_evals counts objective evaluations: one at each round's start point
-    and one per line-search trial point, accepted or not.  iters and n_evals
-    are totals over all noise-covariance rounds; metadata["rounds"] lists
-    (iters, n_evals, termination) per round.
+    n_evals counts every objective evaluation the fit made: one at the start
+    point and one per line-search trial point, accepted or not.  sigma_hat is
+    Sigma_hat(theta) at the estimate when the noise covariance is estimated,
+    and V_hat and W_hat are taken at it.
     """
 
     theta: np.ndarray
@@ -80,34 +77,38 @@ def _project(theta: np.ndarray, bounds) -> np.ndarray:
     return out
 
 
-def _safe_objective(model, series, theta) -> Optional[likelihood.ObjectiveReport]:
-    """The objective report at theta; None where it raises NumericalError or its value is not finite."""
+def _safe_objective(model, series, theta, estimate_sigma: bool = False) -> Optional[likelihood.ObjectiveReport]:
+    """The objective report at theta; None where it raises NumericalError or its value is
+    not finite.  Overflow and invalid values are rejected that way, so numpy does not warn."""
     try:
-        rep = likelihood.objective(model, series, theta)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rep = likelihood.objective(model, series, theta, estimate_sigma)
     except NumericalError:
         return None
     return rep if math.isfinite(rep.q) else None
 
 
-def _inverse_info(info: np.ndarray) -> np.ndarray:
-    """inv(info) through its Cholesky factor; the identity where info is not positive definite."""
-    try:
-        li = np.linalg.inv(np.linalg.cholesky(info))
-    except np.linalg.LinAlgError:
-        return np.eye(info.shape[0])
-    return li.T @ li
+def _descent(mats, g: np.ndarray) -> np.ndarray:
+    """-M^{-1} g for the first M of mats that gives a descent direction; -g if none does."""
+    for mat in mats:
+        try:
+            d = -np.linalg.solve(mat, g)
+        except np.linalg.LinAlgError:
+            continue
+        if d @ g < 0:
+            return d
+    return -g
 
 
-def _minimize(model: TdVarmaModel, series: Series, theta0):
-    """BFGS from the inverse Gauss-Newton information, with Armijo backtracking,
-    projected onto the layout's bounds; monotone in the objective."""
+def _minimize(model: TdVarmaModel, series: Series, theta0, estimate_sigma: bool):
+    """The quasi-Newton run of the module docstring, projected onto the layout's
+    bounds; monotone in the objective."""
     n = series.n
     bounds = model.layout.bounds
     theta = _project(np.asarray(theta0, dtype=float).copy(), bounds)
-    rep = likelihood.objective(model, series, theta)
+    rep = likelihood.objective(model, series, theta, estimate_sigma)
     n_evals = 1
-    m = theta.size
-    h = _inverse_info(rep.info)
+    b = rep.info.copy()
     history = [rep.q]
     termination = "max_iters"
     converged = False
@@ -118,16 +119,13 @@ def _minimize(model: TdVarmaModel, series: Series, theta0):
             termination = "gradient"
             converged = True
             break
-        d = -h @ g
-        if d @ g >= 0:          # stale curvature: reset to the current information
-            h = _inverse_info(rep.info)
-            d = -h @ g
+        d = _descent((b, rep.info), g)
         step = 1.0
         accepted = False
         gd = g @ d
         while step >= MIN_STEP:
             trial = _project(theta + step * d, bounds)
-            trial_rep = _safe_objective(model, series, trial)
+            trial_rep = _safe_objective(model, series, trial, estimate_sigma)
             n_evals += 1
             if trial_rep is not None and trial_rep.q <= q + ARMIJO_C * step * gd:
                 accepted = True
@@ -137,6 +135,7 @@ def _minimize(model: TdVarmaModel, series: Series, theta0):
             termination = "line_search"
             converged = np.max(np.abs(g)) / n <= 10 * GRAD_TOL
             break
+        b += trial_rep.info - rep.info
         rep = trial_rep
         s = trial - theta
         y = rep.grad - g
@@ -146,11 +145,10 @@ def _minimize(model: TdVarmaModel, series: Series, theta0):
             converged = np.max(np.abs(rep.grad)) / n <= 10 * GRAD_TOL
             termination = "step"
             break
-        sy = s @ y
-        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            rho = 1.0 / sy
-            v = np.eye(m) - rho * np.outer(s, y)
-            h = v @ h @ v.T + rho * np.outer(s, s)
+        bs = b @ s
+        sy, sbs = s @ y, s @ bs
+        if sy > 0 and sbs > 0:
+            b += np.outer(y, y) / sy - np.outer(bs, bs) / sbs
     else:
         it = MAX_ITERS
     if not converged and np.max(np.abs(rep.grad)) / n <= GRAD_TOL:
@@ -159,22 +157,19 @@ def _minimize(model: TdVarmaModel, series: Series, theta0):
     return theta, rep, it, n_evals, converged, termination, history
 
 
-def estimate_noise_cov(model: TdVarmaModel, series: Series, theta, e=None) -> np.ndarray:
-    """Moment estimator of the innovation covariance: the average of
-    z_t z_t' with z_t = g_t^{-1} e_t at the supplied parameter, whose residuals
-    e are computed unless given; g_t^{-1} comes from the model's scale factor."""
-    if e is None:
-        e = likelihood.residuals(model, series, theta).e
-    ginv = model.scale_factor(series.n, theta)[0]
-    z = (ginv @ e[..., None])[..., 0]
-    sig = z.T @ z / series.n
-    return 0.5 * (sig + sig.T)
+def estimate_noise_cov(model: TdVarmaModel, series: Series, theta) -> np.ndarray:
+    """Sigma_hat(theta), the moment estimator of the innovation covariance that the
+    profile objective uses: the average of z_t z_t' with z_t = g_t^{-1} e_t at the
+    supplied parameter.  One that is not positive definite raises NumericalError."""
+    res = likelihood.residuals(model, series, theta)
+    return likelihood.noise_cov(model, (res.h @ res.e[..., None])[..., 0])[0]
 
 
 def fit(model: TdVarmaModel, series: Series, theta_init, estimate_sigma: bool = False) -> FitResult:
     """Minimize the objective from theta_init within the layout's bounds; with
-    estimate_sigma, alternate SIGMA_ROUNDS optimizations with noise-covariance updates.
-    An estimated noise covariance that is singular or not finite raises NumericalError."""
+    estimate_sigma, the profile objective over theta, the noise covariance taken
+    as Sigma_hat(theta) at each evaluation.  A Sigma_hat that is singular or not
+    finite at the start point raises NumericalError."""
     if series.n < model.m:
         raise ContractError(
             f"series length {series.n} is smaller than the parameter count {model.m}"
@@ -182,28 +177,12 @@ def fit(model: TdVarmaModel, series: Series, theta_init, estimate_sigma: bool = 
     theta = np.asarray(theta_init, dtype=float)
     if theta.shape != (model.m,):
         raise ContractError(f"theta_init has {theta.size} entries for {model.m} parameters")
-    work = model
-    sigma_hat = None
-    rounds = SIGMA_ROUNDS if estimate_sigma else 1
-    history: list = []
-    per_round: list = []
-    for rnd in range(rounds):
-        theta, rep, iters, n_evals, converged, termination, hist = _minimize(work, series, theta)
-        per_round.append((iters, n_evals, termination))
-        history.extend(hist if not history else hist[1:])
-        if estimate_sigma:
-            sigma_hat = estimate_noise_cov(work, series, theta, rep.e)
-            try:
-                work = work.with_sigma(sigma_hat)
-            except ConfigError as exc:  # the data, not the caller, made sigma_hat unusable
-                raise NumericalError(f"estimated {exc}") from exc
+    theta, rep, iters, n_evals, converged, termination, history = _minimize(model, series, theta, estimate_sigma)
 
     vhat = what = cov = se = se_info = None
     covariance_ok = False
     try:
-        # the last report holds V_hat and W_hat unless sigma was replaced after it
-        vhat, what = (likelihood.empirical_vw(work, series, theta) if estimate_sigma
-                      else likelihood.report_vw(rep))
+        vhat, what = likelihood.report_vw(rep)
         se_info = np.sqrt(np.diag(np.linalg.inv(vhat)) / series.n)
         sol = np.linalg.solve(vhat, what)
         cov = np.linalg.solve(vhat, sol.T).T / series.n
@@ -220,24 +199,23 @@ def fit(model: TdVarmaModel, series: Series, theta_init, estimate_sigma: bool = 
     metadata = {
         "names": tuple(model.layout.names),
         "sigma_estimated": bool(estimate_sigma),
-        "sigma_estimation": "two-stage moment update; sandwich conditional on the final estimate"
+        "sigma_estimation": "profile likelihood; sandwich conditional on the final estimate"
         if estimate_sigma
         else "noise covariance held fixed",
         "score_rows_centered": False,
-        "rounds": per_round,
     }
     return FitResult(
         theta=theta,
         objective=rep.q,
         grad=rep.grad,
-        sigma_hat=sigma_hat,
+        sigma_hat=rep.sigma_hat,
         vhat=vhat,
         what=what,
         cov=cov,
         se=se,
         se_info=se_info,
-        iters=sum(r[0] for r in per_round),
-        n_evals=sum(r[1] for r in per_round),
+        iters=iters,
+        n_evals=n_evals,
         converged=converged,
         termination=termination,
         covariance_ok=covariance_ok,

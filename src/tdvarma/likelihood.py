@@ -22,7 +22,12 @@ Sigma_t^{-1} = H_t' H_t.  The Gauss-Newton (expected) Hessian of Q_n, entry (i, 
 
 is n times the plug-in curvature V_hat; the optimizer scales its steps by it.
 H_t, log det Sigma_t and S_t come from the model; nothing here forms, solves or
-inverts a covariance.
+inverts a per-time covariance.  The profile objective Q_n(theta, Sigma_hat(theta))
+takes the minimizing Sigma_hat(theta) = (1/n) sum_t z_t z_t', z_t = g_t^{-1} e_t =
+L u_t, from the same residuals; its Cholesky factor is L K with K K' = (1/n)
+sum_t u_t u_t', so H_t <- K^{-1} H_t, S_t <- K^{-1} S_t K and log det Sigma_t
+gains 2 log det K.  By the envelope theorem the fixed-Sigma score and
+information at Sigma_hat(theta) are used as they are.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ class ObjectiveReport:
     grad: np.ndarray         # (m,)
     score_rows: np.ndarray   # (n, m), rows d alpha_t / d theta
     info: np.ndarray         # (m, m), Gauss-Newton Hessian of q (n * V_hat)
-    e: np.ndarray            # (n, r), the residuals at theta
+    sigma_hat: Optional[np.ndarray]  # (r, r), Sigma_hat(theta) of the profile objective, or None
 
 
 def _lagged(x: np.ndarray, lag: int) -> np.ndarray:
@@ -163,25 +168,38 @@ def _scale_info(s: np.ndarray) -> np.ndarray:
     return 0.5 * d @ d.T
 
 
-def objective(model: TdVarmaModel, series: Series, theta) -> ObjectiveReport:
+def noise_cov(model: TdVarmaModel, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Sigma_hat, K) from the residuals u_t = H_t e_t whitened by the model's Sigma = L L',
+    with K K' = (1/n) sum_t u_t u_t'; one not positive definite raises NumericalError."""
+    c = u.T @ u / u.shape[0]
+    try:
+        k = np.linalg.cholesky(0.5 * (c + c.T))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("estimated innovation covariance is not positive definite") from exc
+    lk = model.sigma_chol @ k
+    return lk @ lk.T, k
+
+
+def objective(model: TdVarmaModel, series: Series, theta, estimate_sigma: bool = False) -> ObjectiveReport:
     """Objective, per-observation terms, analytic score rows, gradient and
-    Gauss-Newton Hessian."""
-    return _evaluate(model, series, theta)
-
-
-def _evaluate(model: TdVarmaModel, series: Series, theta) -> ObjectiveReport:
-    # objective's body; empirical_vw calls it directly, so that calls of the public
-    # name count the optimizer's evaluations only
+    Gauss-Newton Hessian; with estimate_sigma, those of the profile objective at
+    Sigma_hat(theta), which the report carries."""
     theta = np.asarray(theta, dtype=float)
     res = residuals(model, series, theta, with_derivs=True)
     # per t, the rows u_t, du_t1 .. du_tm whitened at once, and their Gram matrix
     w = np.concatenate((res.e[None], res.de)).transpose(1, 0, 2) @ np.swapaxes(res.h, -1, -2)
+    logdet, s, sigma_hat = res.logdet, res.s, None
+    if estimate_sigma:
+        sigma_hat, chol = noise_cov(model, w[:, 0])
+        t = np.linalg.inv(chol)
+        w = w @ t.T
+        s = t @ s @ chol
+        logdet = logdet + 2.0 * float(np.sum(np.log(np.diag(chol))))
     gram = w @ np.swapaxes(w, -1, -2)
     u, r = w[:, 0], w.shape[-1]
-    alphas = res.logdet + gram[:, 0, 0]
+    alphas = logdet + gram[:, 0, 0]
     score_rows = 2.0 * gram[:, 1:, 0]  # rows d alpha_t / d theta, shape (n, m)
     info = gram[:, 1:, 1:].sum(axis=0)
-    s = res.s
     k = s.shape[0]  # the scale slots come last, and the residuals do not depend on them
     if k:
         # d alpha_t / d theta_s = tr D_ts - u_t' D_ts u_t = 2 <S_ts, I - u_t u_t'>
@@ -192,14 +210,14 @@ def _evaluate(model: TdVarmaModel, series: Series, theta) -> ObjectiveReport:
         raise NumericalError("non-finite entries in the score")
     return ObjectiveReport(
         q=_q(alphas, r), alphas=alphas, grad=grad, score_rows=score_rows,
-        info=0.5 * (info + info.T), e=res.e,
+        info=0.5 * (info + info.T), sigma_hat=sigma_hat,
     )
 
 
 def empirical_vw(model: TdVarmaModel, series: Series, theta) -> tuple[np.ndarray, np.ndarray]:
     """Plug-in estimates of the curvature matrix V and score outer-product W at theta;
     see `report_vw`."""
-    return report_vw(_evaluate(model, series, theta))
+    return report_vw(objective(model, series, theta))
 
 
 def report_vw(rep: ObjectiveReport) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from conftest import (
 )
 from tdvarma import examples
 from tdvarma.errors import ContractError, SingularCovarianceError
-from tdvarma.estimate import _safe_objective
+from tdvarma.estimate import _safe_objective, estimate_noise_cov
 from tdvarma.likelihood import (
     _lag_solve,
     _lag_sum,
@@ -84,6 +84,30 @@ def test_gradient_matches_finite_differences(which):
     rng = np.random.default_rng(5)
     worst = max(_worst_fd_error(m, series, th0 + rng.uniform(-0.05, 0.05, size=th0.size)) for _ in range(20))
     assert worst < 1e-6
+
+
+def _profile_value(m, series, th):
+    """Q(theta, Sigma_hat(theta)) through the fixed-Sigma objective of a model that holds Sigma_hat."""
+    return objective_value(m.with_sigma(estimate_noise_cov(m, series, th)), series, th)
+
+
+@pytest.mark.parametrize("which", ["example1_sim", "example2"])
+def test_profile_gradient_matches_finite_differences(which):
+    # example2's scale slots exercise the re-whitened S_t; its model Sigma is not
+    # Sigma_hat, so the re-whitening is not the identity
+    m = examples.build(which)
+    series = simulate(SimPlan(m, m.layout.theta0, 50, 2024))
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        th = np.array(m.layout.theta0) + rng.uniform(-0.05, 0.05, size=m.m)
+        rep = objective(m, series, th, estimate_sigma=True)
+        assert rep.q == pytest.approx(_profile_value(m, series, th), rel=1e-12)
+        np.testing.assert_allclose(rep.sigma_hat, estimate_noise_cov(m, series, th), rtol=1e-12)
+        for i in range(m.m):
+            h = 1e-6 * (1.0 + abs(th[i]))
+            step = h * np.eye(m.m)[i]
+            fd = (_profile_value(m, series, th + step) - _profile_value(m, series, th - step)) / (2 * h)
+            assert abs(rep.grad[i] - fd) / max(1.0, abs(fd)) < 1e-6
 
 
 def test_gradient_matches_fd_with_moving_average_part(rng):

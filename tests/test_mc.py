@@ -316,41 +316,41 @@ def test_every_run_key_reaches_the_plan_from_the_table_script(monkeypatch, tmp_p
     _assert_run_reaches_plan(plans[0], run, **{"seed": script.TABLES[1][1], **overrides})
 
 
-# summary_to_csv of the table-2 cells below, written by the entry-by-entry scale
-# evaluation that the time-function tables replaced
+# summary_to_csv of the table-2 cells below, written by the structured BFGS run
+# (Hessian model started at the Gauss-Newton information)
 TABLE2_REFERENCE_CELLS = """n,param,line,value
-25,a11_amp,a,0.7617714309267146
-25,a11_amp,b,0.12688332813677786
-25,a11_amp,c,0.1424864261004958
+25,a11_amp,a,0.7617715185591669
+25,a11_amp,b,0.12688334016715982
+25,a11_amp,c,0.14248646798727185
 25,a11_amp,d,0.0
-25,a22_amp,a,-0.8269042836550456
-25,a22_amp,b,0.152157428059918
-25,a22_amp,c,0.1386203065590305
+25,a22_amp,a,-0.8269042593212885
+25,a22_amp,b,0.1521574196029665
+25,a22_amp,c,0.13862025472744632
 25,a22_amp,d,10.0
-25,eta11,a,1.109571570739274
-25,eta11,b,0.19418371440649398
-25,eta11,c,0.2796680549778725
+25,eta11,a,1.1095714785896027
+25,eta11,b,0.19418368747099177
+25,eta11,c,0.2796678703750907
 25,eta11,d,35.0
-25,eta22,a,-0.9814163076442333
-25,eta22,b,0.1385190904838126
-25,eta22,c,0.2048513055498164
+25,eta22,a,-0.9814162255240895
+25,eta22,b,0.13851911009959358
+25,eta22,c,0.20485133932998764
 25,eta22,d,25.0
 25,all,excluded,0
-50,a11_amp,a,0.7614398665938148
-50,a11_amp,b,0.09153359711922424
-50,a11_amp,c,0.09879462365679456
+50,a11_amp,a,0.7614398962740238
+50,a11_amp,b,0.09153359406367134
+50,a11_amp,c,0.09879459384940442
 50,a11_amp,d,15.0
-50,a22_amp,a,-0.8612135216984977
-50,a22_amp,b,0.1224473044328658
-50,a22_amp,c,0.17538406194078252
+50,a22_amp,a,-0.8612135472635778
+50,a22_amp,b,0.1224473108912213
+50,a22_amp,c,0.17538414559217166
 50,a22_amp,d,5.0
-50,eta11,a,0.9741659394751746
-50,eta11,b,0.1600633726216774
-50,eta11,c,0.24818524902951386
+50,eta11,a,0.9741655989616019
+50,eta11,b,0.16006341654631467
+50,eta11,c,0.24818530970213154
 50,eta11,d,25.0
-50,eta22,a,-1.0286049206513366
-50,eta22,b,0.13093493398598208
-50,eta22,c,0.12421918894447442
+50,eta22,a,-1.0286047822519788
+50,eta22,b,0.13093496621743278
+50,eta22,c,0.12421928301674617
 50,eta22,d,10.0
 50,all,excluded,0
 """
@@ -381,70 +381,69 @@ def test_table2_reference_cells_are_unchanged():
     _assert_cells_match(plan, TABLE2_REFERENCE_CELLS)
 
 
-# summary_to_csv of table 1's design (sigma estimated, three rounds) and of the
-# sinusoidal VARMA(1,1), written by the BFGS search that evaluated each accepted
-# trial point twice
+# summary_to_csv of table 1's design (sigma estimated: one run on the profile
+# objective) and of the sinusoidal VARMA(1,1), written by the same search
 TABLE1_REFERENCE_CELLS = """n,param,line,value
-25,a11_amp,a,0.7873806028624251
-25,a11_amp,b,0.18656430590109546
-25,a11_amp,c,0.19068870443331912
+25,a11_amp,a,0.7874043589890072
+25,a11_amp,b,0.18654466819959808
+25,a11_amp,c,0.19162128007810303
 25,a11_amp,d,0.0
-25,a12,a,0.47911860505882026
-25,a12,b,0.15266469289311013
-25,a12,c,0.18393881211890334
+25,a12,a,0.4790193069689927
+25,a12,b,0.15270934397266928
+25,a12,c,0.18393373362102022
 25,a12,d,10.0
-25,a22_amp,a,-0.817383152084604
-25,a22_amp,b,0.18484150858563392
-25,a22_amp,c,0.2118264365424377
+25,a22_amp,a,-0.8173991679020446
+25,a22_amp,b,0.18484223837394959
+25,a22_amp,c,0.21184732479580407
 25,a22_amp,d,5.0
 25,all,excluded,0
-50,a11_amp,a,0.7545511017707099
-50,a11_amp,b,0.13049253817572107
-50,a11_amp,c,0.13886109567977745
+50,a11_amp,a,0.7545399378305714
+50,a11_amp,b,0.13049176381276398
+50,a11_amp,c,0.13881205747688738
 50,a11_amp,d,10.0
-50,a12,a,0.4622854254812605
-50,a12,b,0.10128278134963727
-50,a12,c,0.10222655216741701
+50,a12,a,0.46227544631535544
+50,a12,b,0.10128191558578195
+50,a12,c,0.10220611196020696
 50,a12,d,0.0
-50,a22_amp,a,-0.8598614543894094
-50,a22_amp,b,0.12306251749318661
-50,a22_amp,c,0.18569189011207282
+50,a22_amp,a,-0.8598593451020212
+50,a22_amp,b,0.12306303033023185
+50,a22_amp,c,0.18570583362868207
 50,a22_amp,d,10.0
 50,all,excluded,0
 """
 
 VARMA11_REFERENCE_CELLS = """n,param,line,value
-100,p0,a,0.19515659993544326
-100,p0,b,0.11622648070471175
-100,p0,c,0.07862538867010578
+100,p0,a,0.1951565890868267
+100,p0,b,0.11622648265569224
+100,p0,c,0.07862545288867868
 100,p0,d,0.0
-100,p1,a,0.14283295323519812
-100,p1,b,0.11053946642630615
-100,p1,c,0.07445081700651036
+100,p1,a,0.14283281309606546
+100,p1,b,0.11053946620165986
+100,p1,c,0.07445080968034366
 100,p1,d,0.0
-100,p2,a,-0.23027460091749014
-100,p2,b,0.12667522729907654
-100,p2,c,0.1434325782011868
+100,p2,a,-0.23027458041547547
+100,p2,b,0.12667520688737355
+100,p2,c,0.14343264203870373
 100,p2,d,10.0
-100,p3,a,-0.4375014530611603
-100,p3,b,0.12308215094191166
-100,p3,c,0.0818824158257159
+100,p3,a,-0.43750139177509767
+100,p3,b,0.12308214121789725
+100,p3,c,0.08188235343878507
 100,p3,d,0.0
-100,p4,a,-0.4719701631674055
-100,p4,b,0.11935174487481463
-100,p4,c,0.12199528174775243
+100,p4,a,-0.4719702532483656
+100,p4,b,0.11935172914779735
+100,p4,c,0.12199515072020517
 100,p4,d,10.0
-100,p5,a,-0.14322450853277066
-100,p5,b,0.12075379998663383
-100,p5,c,0.14685085248395266
+100,p5,a,-0.14322454006377033
+100,p5,b,0.1207538035799752
+100,p5,c,0.14685120195253892
 100,p5,d,20.0
-100,p6,a,0.54338422935387
-100,p6,b,0.1458566446563814
-100,p6,c,0.10091831458184967
+100,p6,a,0.5433844328941768
+100,p6,b,0.145856632561991
+100,p6,c,0.10091825330513118
 100,p6,d,0.0
-100,p7,a,-0.394933491982196
-100,p7,b,0.14151905883899124
-100,p7,c,0.1449818289729602
+100,p7,a,-0.3949336148030365
+100,p7,b,0.14151904438411667
+100,p7,c,0.14498173272576753
 100,p7,d,10.0
 100,all,excluded,0
 """
