@@ -10,10 +10,14 @@ finite counts as +inf, so the search backtracks.  The Hessian model B starts at
 the Gauss-Newton information; after each accepted step it takes the change in
 the information, B += info_+ - info, then the BFGS secant update where s'y > 0
 and s'Bs > 0.  The direction is -B^{-1} g, else -info^{-1} g, else -g, the
-first that descends.  With a fixed noise covariance and no MA part or scale
-parameters the information is the exact, constant Hessian, so this is plain
-BFGS and the first step lands on the GLS solution.  The asymptotic covariance
-is the sandwich V_hat^{-1} W_hat V_hat^{-1} / n from the last evaluation.
+first that descends.  Steps are clipped to the layout's bounds; a coordinate on
+a bound whose gradient points out of the box is left out of the step, and
+convergence is tested on the projected gradient, which leaves it out too.  With
+a fixed noise covariance and no MA part or scale parameters the information is
+the exact, constant Hessian, so this is plain BFGS and the first step lands on
+the GLS solution.  Every evaluation of a fit reads the series' AR products,
+formed once at its start.  The asymptotic covariance is the sandwich
+V_hat^{-1} W_hat V_hat^{-1} / n from the last evaluation.
 """
 
 from __future__ import annotations
@@ -77,12 +81,26 @@ def _project(theta: np.ndarray, bounds) -> np.ndarray:
     return out
 
 
-def _safe_objective(model, series, theta, estimate_sigma: bool = False) -> Optional[likelihood.ObjectiveReport]:
+def _blocked(theta: np.ndarray, g: np.ndarray, bounds) -> list:
+    """The coordinates on a bound whose gradient points out of the box; a step
+    leaves them where they are."""
+    return [i for i, b in enumerate(bounds or ())
+            if b is not None and ((theta[i] <= b[0] and g[i] > 0) or (theta[i] >= b[1] and g[i] < 0))]
+
+
+def _grad_max(g: np.ndarray, blocked: list) -> float:
+    """max |g_i| over the coordinates that are not blocked: the largest entry of the
+    projected gradient."""
+    return np.max(np.abs(np.delete(g, blocked) if blocked else g), initial=0.0)
+
+
+def _safe_objective(model, series, theta, estimate_sigma: bool = False,
+                    ar_products: Optional[tuple] = None) -> Optional[likelihood.ObjectiveReport]:
     """The objective report at theta; None where it raises NumericalError or its value is
     not finite.  Overflow and invalid values are rejected that way, so numpy does not warn."""
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rep = likelihood.objective(model, series, theta, estimate_sigma)
+            rep = likelihood.objective(model, series, theta, estimate_sigma, ar_products)
     except NumericalError:
         return None
     return rep if math.isfinite(rep.q) else None
@@ -106,7 +124,8 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, estimate_sigma: bool)
     n = series.n
     bounds = model.layout.bounds
     theta = _project(np.asarray(theta0, dtype=float).copy(), bounds)
-    rep = likelihood.objective(model, series, theta, estimate_sigma)
+    ar_products = model.ar_products(series.values)  # fixed for the fit; every evaluation reads them
+    rep = likelihood.objective(model, series, theta, estimate_sigma, ar_products)
     n_evals = 1
     b = rep.info.copy()
     history = [rep.q]
@@ -115,17 +134,24 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, estimate_sigma: bool)
     it = 0
     for it in range(1, MAX_ITERS + 1):
         q, g = rep.q, rep.grad
-        if np.max(np.abs(g)) / n <= GRAD_TOL:
+        blocked = _blocked(theta, g, bounds)
+        g_max = _grad_max(g, blocked) / n
+        if g_max <= GRAD_TOL:
             termination = "gradient"
             converged = True
             break
-        d = _descent((b, rep.info), g)
+        if blocked:  # the step moves the other coordinates only
+            free = np.delete(np.arange(g.size), blocked)
+            d = np.zeros_like(g)
+            d[free] = _descent([mat[np.ix_(free, free)] for mat in (b, rep.info)], g[free])
+        else:
+            d = _descent((b, rep.info), g)
         step = 1.0
         accepted = False
         gd = g @ d
         while step >= MIN_STEP:
             trial = _project(theta + step * d, bounds)
-            trial_rep = _safe_objective(model, series, trial, estimate_sigma)
+            trial_rep = _safe_objective(model, series, trial, estimate_sigma, ar_products)
             n_evals += 1
             if trial_rep is not None and trial_rep.q <= q + ARMIJO_C * step * gd:
                 accepted = True
@@ -133,7 +159,7 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, estimate_sigma: bool)
             step *= ARMIJO_SHRINK
         if not accepted:
             termination = "line_search"
-            converged = np.max(np.abs(g)) / n <= 10 * GRAD_TOL
+            converged = g_max <= 10 * GRAD_TOL
             break
         b += trial_rep.info - rep.info
         rep = trial_rep
@@ -142,7 +168,7 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, estimate_sigma: bool)
         theta = trial
         history.append(rep.q)
         if np.linalg.norm(s) <= STEP_TOL * (1.0 + np.linalg.norm(theta)):
-            converged = np.max(np.abs(rep.grad)) / n <= 10 * GRAD_TOL
+            converged = _grad_max(rep.grad, _blocked(theta, rep.grad, bounds)) / n <= 10 * GRAD_TOL
             termination = "step"
             break
         bs = b @ s
@@ -151,7 +177,7 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, estimate_sigma: bool)
             b += np.outer(y, y) / sy - np.outer(bs, bs) / sbs
     else:
         it = MAX_ITERS
-    if not converged and np.max(np.abs(rep.grad)) / n <= GRAD_TOL:
+    if not converged and _grad_max(rep.grad, _blocked(theta, rep.grad, bounds)) / n <= GRAD_TOL:
         converged = True
         termination = "gradient"
     return theta, rep, it, n_evals, converged, termination, history

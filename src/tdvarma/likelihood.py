@@ -8,8 +8,12 @@ block-lower-triangular operator applied to the series,
 so the exact likelihood needs no state-space filtering.  `_lag_sum` applies a
 lag operator and `_lag_solve` applies (I + C_op)^{-1} by recursive doubling over
 the companion form; the same companion products give all residual derivatives, and
-`simulate` applies the inverse operator to the scaled innovations.
-The objective is
+`simulate` applies the inverse operator to the scaled innovations.  A_op x and
+the AR rows d_k A_op x of de are linear in the fixed series, so the products of
+x_{t-i} with the AR coefficient tables are formed once per series (the model's
+`ar_products`, once per fit in `estimate`) and each evaluation only combines
+them at theta.  The MA side, B_t and d_k B_tj e_{t-j}, moves with e and is
+formed at every evaluation.  The objective is
 
     Q_n(theta) = 0.5 * sum_t alpha_t + (r n / 2) log(2 pi),
     alpha_t = log det Sigma_t + e_t' Sigma_t^{-1} e_t = log det Sigma_t + |u_t|^2,
@@ -39,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, NumericalError
-from .model import Series, TdVarmaModel
+from .model import Series, TdVarmaModel, _lagged
 
 
 @dataclass
@@ -63,13 +67,6 @@ class ObjectiveReport:
     score_rows: np.ndarray   # (n, m), rows d alpha_t / d theta
     info: np.ndarray         # (m, m), Gauss-Newton Hessian of q (n * V_hat)
     sigma_hat: Optional[np.ndarray]  # (r, r), Sigma_hat(theta) of the profile objective, or None
-
-
-def _lagged(x: np.ndarray, lag: int) -> np.ndarray:
-    """x shifted down by `lag` rows, zero-padded (x_s = 0 for s < 1)."""
-    out = np.zeros_like(x)
-    out[lag:] = x[:-lag]
-    return out
 
 
 def _apply(c: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -127,25 +124,33 @@ def _lag_solver(c: np.ndarray, n: int):
     return solve
 
 
-def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = False) -> ResidualSet:
+def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = False,
+              ar_products: Optional[tuple] = None) -> ResidualSet:
     """One-step residuals e_t(theta) with the whitening factors of their covariances, and
-    optionally d e_t / d theta and the scale-slot stack S_t."""
+    optionally d e_t / d theta and the scale-slot stack S_t.  ar_products must be the
+    model's `ar_products(series.values)`; they are formed here when not given."""
     if series.r != model.r:
         raise ContractError(f"series dimension {series.r} does not match model dimension {model.r}")
     theta = np.asarray(theta, dtype=float)
     x = series.values
     n, r = x.shape
-    ts = range(1, n + 1)
-    solve = _lag_solver(model.b_values(ts, theta), n)  # shared by e and de
-    e = solve(x - _lag_sum(model.a_values(ts, theta), x))
+    if ar_products is None:
+        ar_products = model.ar_products(x)
+    # z = x - sum_i A_ti x_{t-i}, and de row k starts at -sum_i d_k A_ti x_{t-i}
+    z, de = x, np.zeros((model.m, n, r)) if with_derivs else None
+    for prod in ar_products:
+        d = prod.derivs(theta, [()] + ([(k,) for k in prod.slots] if with_derivs else []))
+        z = z - d.pop(())
+        for (k,), dk in d.items():
+            de[k] -= dk
+    solve = _lag_solver(model.b_values(range(1, n + 1), theta), n)  # shared by e and de
+    e = solve(z)
     if not with_derivs:
         return ResidualSet(e, *model.scale_factor(n, theta)[1:], de=None, s=None)
-    # row k: -(sum_i d_k A_ti x_{t-i} + sum_j d_k B_tj e_{t-j}), then the same solve as e
-    de = np.zeros((model.m, n, r))
-    for funcs, y in ((model.a_funcs, x), (model.b_funcs, e)):
-        for lag, f in enumerate(funcs, 1):
-            slots, d = f.head_grad(n, theta)
-            de[list(slots)] -= _apply(d, _lagged(y, lag))
+    # then row k gains -sum_j d_k B_tj e_{t-j}, and takes the same solve as e
+    for lag, f in enumerate(model.b_funcs, 1):
+        slots, d = f.head_grad(n, theta)
+        de[list(slots)] -= _apply(d, _lagged(e, lag))
     _, h, logdet, s = model.scale_factor(n, theta, derivs=True)
     return ResidualSet(e, h, logdet, de=solve(de), s=s)
 
@@ -180,12 +185,14 @@ def noise_cov(model: TdVarmaModel, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return lk @ lk.T, k
 
 
-def objective(model: TdVarmaModel, series: Series, theta, estimate_sigma: bool = False) -> ObjectiveReport:
+def objective(model: TdVarmaModel, series: Series, theta, estimate_sigma: bool = False,
+              ar_products: Optional[tuple] = None) -> ObjectiveReport:
     """Objective, per-observation terms, analytic score rows, gradient and
     Gauss-Newton Hessian; with estimate_sigma, those of the profile objective at
-    Sigma_hat(theta), which the report carries."""
+    Sigma_hat(theta), which the report carries.  ar_products is passed on to
+    `residuals`."""
     theta = np.asarray(theta, dtype=float)
-    res = residuals(model, series, theta, with_derivs=True)
+    res = residuals(model, series, theta, with_derivs=True, ar_products=ar_products)
     # per t, the rows u_t, du_t1 .. du_tm whitened at once, and their Gram matrix
     w = np.concatenate((res.e[None], res.de)).transpose(1, 0, 2) @ np.swapaxes(res.h, -1, -2)
     logdet, s, sigma_hat = res.logdet, res.s, None

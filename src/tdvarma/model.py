@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, SingularCovarianceError
-from .timefn import MatrixTimeFunction, _check_indices, index_splits
+from .timefn import AppliedForm, MatrixTimeFunction, _check_indices, index_splits
 
 DEFAULT_CHECK_HORIZON = 400
 
@@ -111,6 +111,13 @@ class Series:
     @property
     def r(self) -> int:
         return self.values.shape[1]
+
+
+def _lagged(x: np.ndarray, lag: int) -> np.ndarray:
+    """x shifted down by `lag` rows, zero-padded (x_s = 0 for s < 1)."""
+    out = np.zeros_like(x)
+    out[lag:] = x[:-lag]
+    return out
 
 
 def _sym(mat: np.ndarray) -> np.ndarray:
@@ -226,6 +233,12 @@ class TdVarmaModel:
     def a_values(self, ts, theta) -> np.ndarray:
         """Stacked AR coefficients A_t1..A_tp, shape (p, len(ts), r, r)."""
         return self._stack(self.a_funcs, ts, theta)
+
+    def ar_products(self, x: np.ndarray) -> tuple[AppliedForm, ...]:
+        """A_ti x_{t-i} over t = 1..n for each lag i = 1..p, as forms in theta: the
+        products of the series x (n, r) with the AR coefficient tables, which do not
+        depend on theta, formed once for every theta (x_s = 0 for s < 1)."""
+        return tuple(f.applied_to(_lagged(x, lag)) for lag, f in enumerate(self.a_funcs, 1))
 
     def b_values(self, ts, theta) -> np.ndarray:
         """Stacked MA coefficients B_t1..B_tq, shape (q, len(ts), r, r)."""

@@ -146,8 +146,8 @@ class _Term(NamedTuple):
 class _Form:
     """The terms of a grid of entries over t = 1..n, packed as arrays of shape
     (n,) + grid: term k of the form holds term k of every entry, zero where an
-    entry has fewer terms.  `take` reads some of its rows, and `derivs` evaluates
-    the value and derivatives at a theta."""
+    entry has fewer terms.  `take` reads some of its rows, `applied_to` multiplies
+    a stack into it, and `derivs` evaluates the value and derivatives at a theta."""
 
     def __init__(self, slots: tuple[int, ...], shape: tuple, terms: list):
         self.slots = slots
@@ -213,6 +213,26 @@ class _Form:
         ]
         return _Form(self.slots, cut[0].c.shape, cut)
 
+    def applied_to(self, y: np.ndarray) -> "AppliedForm":
+        """This form times the fixed (n, r) stack y, row t the vector f_t y_t.  A term
+        without exponent is linear in its coefficient arrays, so they are contracted
+        with y here; a term with one keeps y_tj in its entry (i, j)."""
+        def scaled(term: _Term, times) -> _Term:
+            arrays = [times(term.c), None if term.lin is None else times(term.lin),
+                      *(times(coef) for coef in term.higher.values())]
+            for arr in arrays:
+                if arr is not None:
+                    arr.setflags(write=False)
+            return _Term(arrays[0], arrays[1], dict(zip(term.higher, arrays[2:])), term.expo, term.expo_slots)
+
+        flat = [scaled(term, lambda a: (a @ y[..., None])[..., 0]) for term in self.terms if term.expo is None]
+        entry = [scaled(term, lambda a: a * y[:, None, :]) for term in self.terms if term.expo is not None]
+        return AppliedForm(
+            self.slots,
+            _Form(self.slots, y.shape, flat) if flat else None,
+            _Form(self.slots, self.shape, entry) if entry else None,
+        )
+
     def _poly(self, term: _Term, theta, th, left) -> Optional[np.ndarray]:
         """d^left p of the term's polynomial, None where it vanishes identically."""
         if not left:
@@ -253,6 +273,25 @@ class _Form:
                 out[tau] = np.zeros(self.shape)
             elif not x.flags.writeable:
                 out[tau] = x.copy()
+        return out
+
+
+class AppliedForm(NamedTuple):
+    """A matrix's form over t = 1..n times a fixed (n, r) stack y: the terms without
+    exponent contracted with y, of shape (n, r), and those with one holding y_tj in
+    entry (i, j), summed over j once evaluated.  Either part is None when empty."""
+
+    slots: tuple[int, ...]
+    flat: Optional[_Form]
+    entry: Optional[_Form]
+
+    def derivs(self, theta, taus: Iterable[tuple[int, ...]]) -> dict:
+        """{tau: d^tau (f_t y_t)} at theta for every tau (() the value), shape (n, r)."""
+        taus = list(taus)
+        out = {} if self.flat is None else self.flat.derivs(theta, taus)
+        if self.entry is not None:
+            for tau, x in self.entry.derivs(theta, taus).items():
+                out[tau] = out[tau] + x.sum(axis=-1) if tau in out else x.sum(axis=-1)
         return out
 
 
@@ -436,7 +475,9 @@ class MatrixTimeFunction:
     integers >= 1: a range reads a slice of the table and anything else a
     gather.  Every derivative up to order 3 follows from the rows.  For an
     affine matrix the table is (C, F), one term without exponent: the value is
-    C + theta_slots . F and the first derivatives are slices of F.
+    C + theta_slots . F and the first derivatives are slices of F.  `applied_to`
+    multiplies a fixed (n, r) stack into the rows at t = 1..n once, for products
+    A_t y_t that are then evaluated at any theta.
     """
 
     def __init__(self, entries: Sequence[Sequence[ScalarTimeFunction]]):
@@ -484,6 +525,11 @@ class MatrixTimeFunction:
             return tab.slots, np.zeros((0,) + tab.shape) if lin is None else lin
         grads = tab.derivs(theta, [(k,) for k in tab.slots])
         return tab.slots, np.stack(list(grads.values()))
+
+    def applied_to(self, y) -> AppliedForm:
+        """The matrix at t = 1..n times the fixed (n, r) stack y, as a form to evaluate
+        and differentiate at any theta; y is multiplied in once, here."""
+        return self._rows(range(1, len(y) + 1)).applied_to(np.asarray(y, dtype=float))
 
     def value(self, t, theta) -> np.ndarray:
         """Matrix value at time(s) t; shape (r, r) for scalar t, (len(t), r, r) otherwise."""

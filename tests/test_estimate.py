@@ -99,11 +99,35 @@ def test_bounds_projection_respected():
     series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
     layout = dataclasses.replace(m.layout, bounds=((0.0, 0.75), None, (-0.75, 0.0)))
     bounded = TdVarmaModel(m.r, m.a_funcs, m.b_funcs, m.g_func, m.sigma, layout)
-    res = fit(bounded, series, (0.1, 0.1, 0.1))
-    assert 0.0 <= res.theta[0] <= 0.75
-    assert -0.75 <= res.theta[2] <= 0.0
-    # the unbounded estimate lies above the first upper bound, so that bound binds
-    assert fit(m, series, (0.1, 0.1, 0.1)).theta[0] > 0.75 == res.theta[0]
+    # clipped steps that kept the bound coordinate took 30 / 37 evaluations and
+    # stopped on the step test, not converged
+    for estimate_sigma, clipped_evals in ((False, 30), (True, 37)):
+        res = fit(bounded, series, (0.1, 0.1, 0.1), estimate_sigma=estimate_sigma)
+        assert 0.0 <= res.theta[0] <= 0.75
+        assert -0.75 <= res.theta[2] <= 0.0
+        # the unbounded estimate lies above the first upper bound, so that bound binds
+        assert fit(m, series, (0.1, 0.1, 0.1), estimate_sigma=estimate_sigma).theta[0] > 0.75 == res.theta[0]
+        # there the gradient points out of the box; the projected gradient, which
+        # leaves that coordinate out, passes the convergence test
+        assert res.grad[0] < 0
+        assert res.converged and res.termination == "gradient"
+        assert np.max(np.abs(res.grad[1:])) / series.n <= estimate.GRAD_TOL
+        assert res.n_evals < clipped_evals
+
+
+def test_a_lower_and_an_upper_bound_bind_at_once():
+    # theta[1] rests on its lower bound (gradient > 0) and theta[2] on its upper one
+    # (gradient < 0); the free theta[0] is fitted given both
+    m = examples.example1_sim_model()
+    series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
+    layout = dataclasses.replace(m.layout, bounds=(None, (0.6, 1.0), (-2.0, -0.7)))
+    bounded = TdVarmaModel(m.r, m.a_funcs, m.b_funcs, m.g_func, m.sigma, layout)
+    for estimate_sigma in (False, True):
+        res = fit(bounded, series, (0.1, 0.7, -1.0), estimate_sigma=estimate_sigma)
+        assert res.theta[1] == 0.6 and res.theta[2] == -0.7
+        assert res.grad[1] > 0 > res.grad[2]
+        assert res.converged and res.termination == "gradient"
+        assert abs(res.grad[0]) / series.n <= estimate.GRAD_TOL
 
 
 def test_too_short_series_rejected():
@@ -319,9 +343,9 @@ def test_each_point_is_evaluated_once(monkeypatch, which, estimate_sigma):
     # accepted trial's report is the next iterate's: no point is evaluated twice
     thetas, objective = [], likelihood.objective
 
-    def recorded(model, series, theta, estimate_sigma=False):
+    def recorded(model, series, theta, estimate_sigma=False, ar_products=None):
         thetas.append(np.array(theta, dtype=float).tobytes())
-        return objective(model, series, theta, estimate_sigma)
+        return objective(model, series, theta, estimate_sigma, ar_products)
 
     monkeypatch.setattr(likelihood, "objective", recorded)
     monkeypatch.setattr(likelihood, "objective_value", lambda *a, **k: pytest.fail("objective_value called"))
@@ -332,6 +356,37 @@ def test_each_point_is_evaluated_once(monkeypatch, which, estimate_sigma):
     assert res.n_evals == len(thetas) == len(set(thetas))
 
 
+@pytest.mark.parametrize("which, estimate_sigma", [("example1_sim", True), ("example2", False)])
+def test_a_fit_forms_the_ar_products_once(monkeypatch, which, estimate_sigma):
+    # the series' AR products are formed once per fit and read by every evaluation,
+    # which still goes through likelihood.objective; prepared products give the same
+    # report as products formed inside the call, bit for bit
+    m = examples.build(which)
+    series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
+    start = tuple(v + 0.1 for v in m.layout.theta0)
+    built, prepared, objective = [], [], likelihood.objective
+    ar_products = TdVarmaModel.ar_products
+
+    def ar_spy(self, x):
+        built.append(ar_products(self, x))
+        return built[-1]
+
+    def recorded(model, series, theta, estimate_sigma=False, ar_products=None):
+        prepared.append(ar_products)
+        return objective(model, series, theta, estimate_sigma, ar_products)
+
+    monkeypatch.setattr(TdVarmaModel, "ar_products", ar_spy)
+    monkeypatch.setattr(likelihood, "objective", recorded)
+    res = fit(m, series, start, estimate_sigma=estimate_sigma)
+    assert len(built) == 1 and res.n_evals == len(prepared) > 1
+    assert all(products is built[0] for products in prepared)
+    want = objective(m, series, res.theta, estimate_sigma)
+    got = objective(m, series, res.theta, estimate_sigma, built[0])
+    assert len(built) == 2
+    for field in dataclasses.fields(want):
+        np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name), err_msg=field.name)
+
+
 def test_a_raising_trial_point_backtracks(monkeypatch):
     # the first trial point raises; the search halves its step instead of aborting the fit
     m = examples.example2_model()
@@ -340,11 +395,11 @@ def test_a_raising_trial_point_backtracks(monkeypatch):
     clean = fit(m, series, start)
     objective, calls = likelihood.objective, []
 
-    def first_trial_raises(model, series, theta, estimate_sigma=False):
+    def first_trial_raises(model, series, theta, estimate_sigma=False, ar_products=None):
         calls.append(np.array(theta, dtype=float))
         if len(calls) == 2:
             raise NumericalError("a bad trial point")
-        return objective(model, series, theta, estimate_sigma)
+        return objective(model, series, theta, estimate_sigma, ar_products)
 
     monkeypatch.setattr(likelihood, "objective", first_trial_raises)
     res = fit(m, series, start)
@@ -365,9 +420,9 @@ def test_a_singular_noise_covariance_trial_backtracks(monkeypatch):
     def first_trial_singular(model, u):
         return noise_cov(model, u * np.array([1.0, 0.0]) if len(thetas) == 2 else u)
 
-    def recorded(model, series, theta, estimate_sigma=False):
+    def recorded(model, series, theta, estimate_sigma=False, ar_products=None):
         thetas.append(np.array(theta, dtype=float))
-        return objective(model, series, theta, estimate_sigma)
+        return objective(model, series, theta, estimate_sigma, ar_products)
 
     monkeypatch.setattr(likelihood, "noise_cov", first_trial_singular)
     monkeypatch.setattr(likelihood, "objective", recorded)

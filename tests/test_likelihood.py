@@ -29,7 +29,17 @@ from tdvarma.likelihood import (
 from tdvarma.model import ParamLayout, Series, TdVarmaModel
 from tdvarma.representations import build_psi
 from tdvarma.simulate import SimPlan, simulate
-from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Sine, index_splits, sorted_tuples
+from tdvarma.timefn import (
+    Constant,
+    ExpSine,
+    MatrixTimeFunction,
+    Param,
+    Product,
+    Sine,
+    Sum,
+    index_splits,
+    sorted_tuples,
+)
 
 
 def test_zero_model_residuals_equal_series(rng):
@@ -123,6 +133,27 @@ def test_gradient_matches_fd_with_moving_average_part(rng):
         tm[i] -= h
         fd = (objective_value(m, series, tp) - objective_value(m, series, tm)) / (2 * h)
         assert rep.grad[i] == pytest.approx(fd, rel=2e-6, abs=1e-6)
+
+
+def test_gradient_matches_fd_with_an_exponent_in_the_ar_part():
+    # ExpSine factors in AR entries put exponent terms in the series' AR products,
+    # which are evaluated entry by entry and summed; the score reaches them through
+    # residuals, over two lags
+    layout = ParamLayout(names=("a", "b", "c"), n_ar=3, n_ma=0, theta0=(0.4, 0.3, 0.5))
+    a1 = MatrixTimeFunction([[Product(Sine(0, 0.7), ExpSine(1, 0.3)), Constant(0.1)],
+                             [Constant(0.0), Sine(2, 0.4, 1.0)]])
+    a2 = MatrixTimeFunction([[Constant(0.0), Sum(Param(2), ExpSine(0, 0.9, 1.0))],
+                             [Constant(0.0), Constant(0.0)]])
+    m = TdVarmaModel(2, [a1, a2], [], None, np.eye(2), layout)
+    assert [prod.entry is not None for prod in m.ar_products(np.ones((5, 2)))] == [True, True]
+    series = simulate(SimPlan(m, m.layout.theta0, 60, 41))
+    x, rng = series.values, np.random.default_rng(8)
+    for _ in range(5):
+        th = np.array(m.layout.theta0) + rng.uniform(-0.05, 0.05, 3)
+        # without an MA part e = x - A_op x, here from the coefficient matrices
+        want = x - _lag_sum(m.a_values(range(1, 61), th), x)
+        assert np.max(np.abs(residuals(m, series, th).e - want)) <= 1e-13 * np.max(np.abs(want))
+        assert _worst_fd_error(m, series, th) < 1e-6
 
 
 @settings(max_examples=25, deadline=None)
@@ -371,13 +402,17 @@ def test_residual_solves_share_companion_products(q):
     res = residuals(m, series, theta, with_derivs=True)
     x, (n, r) = series.values, series.values.shape
     b_all = m.b_values(range(1, n + 1), theta)
-    rhs = x - _lag_sum(m.a_values(range(1, n + 1), theta), x)
+    # the AR side from the series' products with the coefficient tables, the MA side per theta
+    rhs, de_rhs = x, np.zeros((m.m, n, r))
+    for prod in m.ar_products(x):
+        d = prod.derivs(theta, [()] + [(k,) for k in prod.slots])
+        rhs = rhs - d.pop(())
+        for (k,), dk in d.items():
+            de_rhs[k] -= dk
     e = _lag_solve(b_all, rhs)
-    de_rhs = np.zeros((m.m, n, r))
-    for funcs, y in ((m.a_funcs, x), (m.b_funcs, e)):
-        for lag, f in enumerate(funcs, 1):
-            slots, d = f.head_grad(n, theta)
-            de_rhs[list(slots)] -= (d @ _lagged(y, lag)[:, :, None])[..., 0]
+    for lag, f in enumerate(m.b_funcs, 1):
+        slots, d = f.head_grad(n, theta)
+        de_rhs[list(slots)] -= (d @ _lagged(e, lag)[:, :, None])[..., 0]
     np.testing.assert_array_equal(res.e, e)
     np.testing.assert_array_equal(res.de, _lag_solve(b_all, de_rhs))
     for got, ref in ((res.e, lag_solve_loop(b_all, rhs)), (res.de, lag_solve_loop(b_all, de_rhs))):
@@ -455,24 +490,24 @@ def test_example2_tables_match_entrywise_reference(n):
 
 
 def test_objective_reads_coefficients_through_the_model(monkeypatch):
-    # the AR and MA stacks come from the model's a_values / b_values, where a
-    # tracer or a subclass sees them, and nowhere else
+    # the AR side comes from the model's ar_products of the series and the MA stack
+    # from its b_values, where a tracer or a subclass sees them, and nowhere else
     m = make_sin_varma11(np.random.default_rng(3))
     series = simulate(SimPlan(m, m.layout.theta0, 40, 9))
     want = objective(m, series, m.layout.theta0)
     calls = []
+    ar_products, b_values = TdVarmaModel.ar_products, TdVarmaModel.b_values
 
-    def spy(name):
-        original = getattr(TdVarmaModel, name)
+    def ar_spy(self, x):
+        calls.append(("ar_products", x.tobytes()))
+        return ar_products(self, x)
 
-        def read(self, ts, theta):
-            calls.append((name, list(ts)))
-            return original(self, ts, theta)
+    def b_spy(self, ts, theta):
+        calls.append(("b_values", list(ts)))
+        return b_values(self, ts, theta)
 
-        return read
-
-    for name in ("a_values", "b_values"):
-        monkeypatch.setattr(TdVarmaModel, name, spy(name))
+    monkeypatch.setattr(TdVarmaModel, "ar_products", ar_spy)
+    monkeypatch.setattr(TdVarmaModel, "b_values", b_spy)
     got = objective(m, series, m.layout.theta0)
-    assert sorted(calls) == [("a_values", list(range(1, 41))), ("b_values", list(range(1, 41)))]
+    assert sorted(calls) == [("ar_products", series.values.tobytes()), ("b_values", list(range(1, 41)))]
     assert got.q == want.q

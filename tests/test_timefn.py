@@ -266,6 +266,47 @@ def test_random_compositions_table_matches_entrywise_and_kind_formulas(entries, 
             np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-12 * (1.0 + np.abs(want).max()))
 
 
+_SLOT = st.integers(0, 2)
+_OMEGA, _PHASE = st.floats(0.05, 2.0), st.floats(0.0, 6.3)
+_EXP_SINE = st.builds(ExpSine, _SLOT, _OMEGA, _PHASE)
+_WITH_EXPONENT = st.one_of(
+    _EXP_SINE,
+    st.builds(Product, _EXP_SINE, st.builds(Sine, _SLOT, _OMEGA, _PHASE)),
+    st.builds(Sum, st.builds(Param, _SLOT), _EXP_SINE),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.sampled_from([1, 2, 3]),
+    data=st.data(),
+    lag=st.integers(1, 3),
+    n=st.sampled_from([2, 7, 50]),
+    theta=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_applied_form_matches_deriv_map_rows_times_the_stack(r, data, lag, n, theta, seed):
+    # every kind, exponent terms among them, applied to a lagged stack y: the form's
+    # value and derivatives up to order 3 against deriv_map's rows times y_t
+    entries = data.draw(st.lists(st.one_of(_DEPTH2, _WITH_EXPONENT), min_size=r * r, max_size=r * r))
+    f = MatrixTimeFunction([entries[i * r:(i + 1) * r] for i in range(r)])
+    theta = np.array(theta)
+    x = np.random.default_rng(seed).standard_normal((n, r))
+    y = np.zeros_like(x)
+    y[lag:] = x[:n - lag]
+    applied = f.applied_to(y)
+    taus = sorted_tuples(sorted(f.param_slots()), 3)
+    want = f.deriv_map(range(1, n + 1), theta, taus)
+    got = applied.derivs(theta, taus)
+    assert list(got) == taus
+    for tau in taus:
+        ref = (want[tau] @ y[:, :, None])[..., 0]
+        assert got[tau].shape == (n, r) and got[tau].flags.writeable
+        # relative to the largest entry; below the smallest normal float, to that
+        scale = max(np.max(np.abs(ref)), np.finfo(float).tiny)
+        assert np.max(np.abs(got[tau] - ref)) <= 1e-13 * scale, tau
+
+
 def test_slot_free_entry_is_constant_in_the_table():
     grow = ExpTrend(0.01)
     assert grow.terms(_T[:30])[0][1] == {}  # no exponent in theta
