@@ -14,12 +14,19 @@ A_t = [[a11 sin(freq_a t), a12], [0, a22 sin(freq_b t)]] of irrational periods:
   (rates 1 and -1, period 25) and innovation covariance [[1, .5], [.5, 1]];
   four parameters.  The innovation correlation sweeps [-0.8, 0.8].
 
-`paper_run` gives each example's run as the paper's Monte Carlo study fits it.
+The paper's Monte Carlo study and every number it prints are recorded here
+once.  `PAPER_TABLES` holds one `PaperTable` per printed table: the example it
+fits, the seed of its replications, R, the lines it shows and each printed
+value per (n, line), its lengths being the printed n.  `PRINTED_THEORY_SE`
+holds the printed theoretical standard errors (VALIDATION.md explains why
+neither set is reproducible as stated).  `paper_run` gives each example's run
+as the study fits it, with its table's design where it has one.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,11 +101,59 @@ def build(which: str) -> TdVarmaModel:
     return _MODELS[which]()
 
 
+@dataclass(frozen=True)
+class PaperTable:
+    """One printed Monte Carlo table: the example it fits, the seed and count of
+    its replications, the lines it shows, and its printed values as
+    {n: {line: one value per parameter}}."""
+
+    which: str
+    seed: int
+    replications: int
+    shown: str
+    printed: dict
+
+    @property
+    def n_list(self) -> tuple:
+        """The series lengths, those of the printed cells."""
+        return tuple(self.printed)
+
+
+PAPER_TABLES = {
+    1: PaperTable("example1_sim", 1234567, 1000, "abcd", {
+        25: {"a": (0.7481, 0.5014, -0.8036), "b": (0.2023, 0.1543, 0.2118), "d": (7.1, 7.7, 4.8)},
+        50: {"a": (0.7714, 0.5035, -0.8410), "b": (0.1397, 0.1049, 0.1355), "d": (4.5, 6.0, 6.6)},
+        100: {"a": (0.7855, 0.4975, -0.8650), "b": (0.0963, 0.0735, 0.0926), "d": (5.4, 4.8, 5.0)},
+        200: {"a": (0.7905, 0.4984, -0.8905), "b": (0.0677, 0.0510, 0.0628), "d": (5.4, 5.7, 4.2)},
+        400: {"a": (0.7976, 0.5000, -0.8932), "b": (0.0474, 0.0358, 0.0440), "d": (5.2, 4.7, 5.1)},
+    }),
+    2: PaperTable("example2", 7, 1000, "acd", {
+        25: {"a": (0.7671, -0.8567, 0.9897, -0.9848), "d": (3.8, 4.5, 3.2, 5.1)},
+        50: {"a": (0.7808, -0.8766, 0.9913, -0.9964), "c": (0.0917, 0.1227, 0.1879, 0.1587),
+             "d": (4.2, 5.0, 2.9, 5.8)},
+        100: {"a": (0.7910, -0.8864, 0.9977, -0.9975), "d": (4.4, 5.8, 4.1, 6.7)},
+        200: {"a": (0.7963, -0.8931, 0.9997, -1.0000), "d": (5.3, 5.1, 5.3, 6.4)},
+        400: {"a": (0.7972, -0.8970, 0.9980, -0.9984), "d": (6.3, 4.2, 4.7, 5.6)},
+    }),
+}
+
+# example -> {n: printed theoretical standard errors}
+PRINTED_THEORY_SE = {
+    "example1_theory": {25: (0.2175, 0.2303)},
+    "example2": {50: (0.0905, 0.0908, 0.1995, 0.1995)},
+}
+
+
 def paper_run(which: str) -> RunConfig:
     """The paper's fits of one example: example 1 starts every coordinate at 0.1
     and estimates the innovation covariance; example 2 starts at the true value
-    shifted by +0.1 per coordinate and holds the covariance fixed."""
+    shifted by +0.1 per coordinate and holds the covariance fixed.  An example
+    that a table fits takes the table's seed, lengths and replication count."""
     theta0 = build(which).layout.theta0
+    design = {}
+    for table in PAPER_TABLES.values():
+        if table.which == which:
+            design = dict(seed=table.seed, n_list=table.n_list, replications=table.replications)
     if which.startswith("example1"):
-        return RunConfig(theta_init=(0.1,) * len(theta0), estimate_sigma=True)
-    return RunConfig(theta_init=tuple(v + 0.1 for v in theta0))
+        return RunConfig(theta_init=(0.1,) * len(theta0), estimate_sigma=True, **design)
+    return RunConfig(theta_init=tuple(v + 0.1 for v in theta0), **design)

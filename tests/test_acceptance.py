@@ -48,9 +48,9 @@ def test_criterion_01_example2_theoretical_errors():
     elapsed = time.time() - t0
     # printed theoretical quadruple: its symmetric scale pair needs V33 = V44,
     # which the documented model does not give (see VALIDATION.md)
-    published = np.array([0.0905, 0.0908, 0.1995, 0.1995])
+    published = np.array(examples.PRINTED_THEORY_SE["example2"][50])
     # table 2, n = 50, line (c): sample standard deviations of the estimates
-    table2_c50 = np.array([0.0917, 0.1227, 0.1879, 0.1587])
+    table2_c50 = np.array(examples.PAPER_TABLES[2].printed[50]["c"])
 
     def near_table2(se):
         return bool(np.all(np.abs(se / table2_c50 - 1.0) <= 0.15))
@@ -88,7 +88,7 @@ def test_criterion_02_example1_theoretical_errors():
     rep = theoretical_v(m, np.array(m.layout.theta0), 25)
     # the printed pair is sqrt(diag(V)/n), not sqrt(diag(V^{-1})/n): it still
     # pins V down to four digits
-    published = np.array([0.2175, 0.2303])
+    published = np.array(examples.PRINTED_THEORY_SE["example1_theory"][25])
     diag_v_se = np.sqrt(np.diag(rep.v) / 25)
     ok_v = bool(np.all(np.abs(diag_v_se - published) <= 5e-4))
     ok_inv = rep.se is not None and np.allclose(
@@ -99,7 +99,7 @@ def test_criterion_02_example1_theoretical_errors():
     # settle the convention: only the inverted information matches them
     ms = examples.example1_sim_model()
     rep400 = theoretical_v(ms, np.array(ms.layout.theta0), 400)
-    table1_b400 = np.array([0.0474, 0.0358, 0.0440])
+    table1_b400 = np.array(examples.PAPER_TABLES[1].printed[400]["b"])
 
     def near_table1(se):
         return bool(np.all(np.abs(se / table1_b400 - 1.0) <= 0.05))
@@ -134,21 +134,13 @@ def test_criterion_02_offdiagonal_and_runtime():
 
 
 def test_criterion_03_table1_n100_cell():
-    m = examples.example1_sim_model()
-    plan = McPlan(
-        model=m,
-        theta0=m.layout.theta0,
-        n_list=(100,),
-        replications=1000,
-        seed=1234567,
-        theta_init=(0.1, 0.1, 0.1),
-        estimate_sigma=True,
-    )
+    table = examples.PAPER_TABLES[1]
+    plan = McPlan.from_run(examples.build(table.which), examples.paper_run(table.which), n_list=(100,))
     t0 = time.time()
     cell = run_mc(plan, threads=THREADS).cell(100)
     elapsed = time.time() - t0
-    pub_a = np.array([0.7855, 0.4975, -0.8650])
-    pub_b = np.array([0.0963, 0.0735, 0.0926])
+    pub_a = np.array(table.printed[100]["a"])
+    pub_b = np.array(table.printed[100]["b"])
     ok_a = bool(np.all(np.abs(cell.mean_estimate - pub_a) <= 0.012))
     ok_b = bool(np.all(np.abs(cell.mean_se / pub_b - 1.0) <= 0.10))
     ok_d = bool(np.all((cell.reject_pct >= 2.5) & (cell.reject_pct <= 8.0)))
@@ -167,19 +159,11 @@ def test_criterion_03_table1_n100_cell():
 
 
 def test_criterion_04_table2_n50_cell():
-    m = examples.example2_model()
-    plan = McPlan(
-        model=m,
-        theta0=m.layout.theta0,
-        n_list=(50,),
-        replications=1000,
-        seed=7,
-        theta_init=tuple(v + 0.1 for v in m.layout.theta0),
-        estimate_sigma=False,
-    )
+    table = examples.PAPER_TABLES[2]
+    plan = McPlan.from_run(examples.build(table.which), examples.paper_run(table.which), n_list=(50,))
     cell = run_mc(plan, threads=THREADS).cell(50)
-    pub_a = np.array([0.7808, -0.8766, 0.9913, -0.9964])
-    pub_c = np.array([0.0917, 0.1227, 0.1879, 0.1587])
+    pub_a = np.array(table.printed[50]["a"])
+    pub_c = np.array(table.printed[50]["c"])
     ok_a = bool(np.all(np.abs(cell.mean_estimate - pub_a) <= 0.02))
     ok_c = bool(np.all(np.abs(cell.std_estimate / pub_c - 1.0) <= 0.15))
     record(

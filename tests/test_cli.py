@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from tdvarma.examples import PAPER_TABLES
+
 CLI = [sys.executable, "-m", "tdvarma.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 CHECKS = {"psi_decay", "covariance_bounds", "moment_bounds", "information_pd", "cross_sums"}
@@ -294,17 +296,38 @@ def test_config_without_true_value_is_a_usage_error(cfg_dir, tmp_path):
 @pytest.mark.parametrize("table", [1, 2])
 def test_table_script_writes_outputs_and_cell_lines(table, tmp_path):
     script = os.path.join(os.path.dirname(SRC), "scripts", "run_table.py")
-    res = run_cli("--table", str(table), "--n-list", "25", "--replications", "2", "--threads", "1",
+    res = run_cli("--table", str(table), "--n-list", "25,50", "--replications", "2", "--threads", "1",
                   "--out", str(tmp_path), command=[sys.executable, script])
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "summary.csv").is_file() and (tmp_path / "estimates.csv").is_file()
     shown = "abcd" if table == 1 else "acd"
     labels = {"a": "mean estimate", "b": "mean est. se", "c": "sample std", "d": "rejection %"}
-    expected = ["n=25 (converged "] + [f"  ({line}) {labels[line]}" for line in shown]
+    expected = []
+    for n in (25, 50):
+        printed = PAPER_TABLES[table].printed[n]
+        expected += [(f"n={n} (converged ", None)]
+        expected += [(f"  ({line}) {labels[line]}", printed.get(line)) for line in shown]
     lines = res.stdout.splitlines()
     assert len(lines) == len(expected) + 1 and lines[-1].startswith("elapsed ")
-    for got, want in zip(lines, expected):
+    for got, (want, pub) in zip(lines, expected):
         assert got.startswith(want), (got, want)
+        # every printed value is shown, table 2's line (c) at n = 50 too
+        assert got.endswith(f"  published {pub}") if pub else "published" not in got, got
+
+
+@pytest.mark.parametrize("table", [1, 2])
+def test_shipped_config_runs_the_table_of_the_script(table, tmp_path):
+    # tdvarma mc on the shipped config is the table script's run, byte for byte
+    script = os.path.join(os.path.dirname(SRC), "scripts", "run_table.py")
+    cfg = os.path.join(os.path.dirname(SRC), "configs", f"{PAPER_TABLES[table].which}.json")
+    res = run_cli("mc", "--config", cfg, "--n-list", "25", "--replications", "3",
+                  "--out", str(tmp_path / "s.csv"), "--estimates", str(tmp_path / "e.csv"))
+    assert res.returncode == 0, res.stderr
+    res = run_cli("--table", str(table), "--n-list", "25", "--replications", "3", "--out", str(tmp_path / "d"),
+                  command=[sys.executable, script])
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "d" / "summary.csv").read_bytes()
+    assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "d" / "estimates.csv").read_bytes()
 
 
 @pytest.mark.parametrize("n_list", ["25,x", ""])

@@ -443,10 +443,10 @@ def test_profile_fit_is_the_fixed_point_of_the_alternation(monkeypatch, n):
     # table-1 design
     monkeypatch.setattr(estimate, "GRAD_TOL", 1e-11)
     m = examples.example1_sim_model()
-    start = examples.paper_run("example1_sim").theta_init
+    run = examples.paper_run("example1_sim")
     for rep in range(5):
-        series = simulate(SimPlan(m, m.layout.theta0, n, 1234567, replication_stream(n, rep)))
-        theta, work = np.array(start), m
+        series = simulate(SimPlan(m, m.layout.theta0, n, run.seed, replication_stream(n, rep)))
+        theta, work = np.array(run.theta_init), m
         for _ in range(200):
             new = fit(work, series, theta).theta
             work = m.with_sigma(estimate_noise_cov(m, series, new))
@@ -455,7 +455,7 @@ def test_profile_fit_is_the_fixed_point_of_the_alternation(monkeypatch, n):
                 break
         else:
             pytest.fail(f"the alternation did not settle (replication {rep})")
-        res = fit(m, series, start, estimate_sigma=True)
+        res = fit(m, series, run.theta_init, estimate_sigma=True)
         assert res.converged
         np.testing.assert_allclose(res.theta, theta, rtol=0, atol=1e-8)
         np.testing.assert_allclose(res.sigma_hat, work.sigma, rtol=0, atol=1e-8)
@@ -465,7 +465,8 @@ def test_rejected_trial_points_do_not_warn():
     # example2 from 0.1 meets trial points where g_t overflows; they are rejected
     # without numpy warnings, and the results are those of an unfiltered run
     m = examples.example2_model()
-    series = [simulate(SimPlan(m, m.layout.theta0, 25, 7, replication_stream(25, rep))) for rep in range(200)]
+    seed = examples.paper_run("example2").seed
+    series = [simulate(SimPlan(m, m.layout.theta0, 25, seed, replication_stream(25, rep))) for rep in range(200)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         strict = [fit(m, x, (0.1,) * m.m) for x in series]

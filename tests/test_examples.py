@@ -1,10 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tdvarma import config, examples
+from tdvarma.config import RunConfig
 from tdvarma.errors import ConfigError
 from tdvarma.simulate import innovation_correlation
 
@@ -45,6 +47,37 @@ def test_shipped_config_matches_model_and_paper_run(which):
     doc = json.loads(path.read_text())
     assert doc["model"] == json.loads(json.dumps(config.model_to_config(examples.build(which))))
     assert config.load(str(path))[1] == examples.paper_run(which)
+
+
+def test_paper_run_takes_its_table_design():
+    for table in examples.PAPER_TABLES.values():
+        run = examples.paper_run(table.which)
+        assert (run.seed, run.n_list, run.replications) == (table.seed, table.n_list, table.replications)
+        assert all(set(cells) <= set(table.shown) for cells in table.printed.values())
+    # in no table: the default design
+    run = examples.paper_run("example1_theory")
+    assert (run.seed, run.n_list, run.replications) == (RunConfig.seed, RunConfig.n_list, RunConfig.replications)
+
+
+def test_no_printed_value_outside_the_record():
+    # the record in examples is the only copy of the paper's printed (a)-(c) and
+    # theoretical values, bar round ones (at most two decimals) that ordinary
+    # constants share, and of the tables' seeds of four digits or more
+    values = [v for table in examples.PAPER_TABLES.values() for cells in table.printed.values()
+              for line, row in cells.items() if line in "abc" for v in row]
+    values += [v for by_n in examples.PRINTED_THEORY_SE.values() for row in by_n.values() for v in row]
+    wanted = {abs(v) for v in values if not f"{v:.4f}".endswith("00")}
+    wanted |= {t.seed for t in examples.PAPER_TABLES.values() if t.seed >= 1000}
+    root = Path(__file__).resolve().parents[1]
+    record = root / "src" / "tdvarma" / "examples.py"
+    sources = [*root.glob("scripts/*.py"), *root.glob("tests/*.py"), *root.glob("src/tdvarma/*.py")]
+    found = []
+    for path in sorted(set(sources) - {record}):
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            for tok in re.findall(r"(?<![\w.])\d+(?:\.\d+)?(?![\w.])", line):
+                if float(tok) in wanted:
+                    found.append(f"{path.relative_to(root)}:{lineno}: {tok}")
+    assert not found, "\n".join(found)
 
 
 def test_example2_correlation_range():

@@ -312,8 +312,7 @@ def test_every_run_key_reaches_the_plan_from_the_table_script(monkeypatch, tmp_p
     monkeypatch.setattr(sys, "argv", argv)
     with pytest.raises(_Captured):
         script.main()
-    # the table fixes its own seed; the rest of the run block reaches the plan
-    _assert_run_reaches_plan(plans[0], run, **{"seed": script.TABLES[1][1], **overrides})
+    _assert_run_reaches_plan(plans[0], run, **overrides)
 
 
 # summary_to_csv of the table-2 cells below, written by the structured BFGS run
@@ -377,7 +376,7 @@ def _assert_cells_match(plan, reference_csv):
 
 def test_table2_reference_cells_are_unchanged():
     m = examples.example2_model()
-    plan = mc.McPlan.from_run(m, examples.paper_run("example2"), n_list=(25, 50), replications=20, seed=7)
+    plan = mc.McPlan.from_run(m, examples.paper_run("example2"), n_list=(25, 50), replications=20)
     _assert_cells_match(plan, TABLE2_REFERENCE_CELLS)
 
 
@@ -451,8 +450,7 @@ VARMA11_REFERENCE_CELLS = """n,param,line,value
 
 def test_table1_reference_cells_are_unchanged():
     m = examples.example1_sim_model()
-    run = examples.paper_run("example1_sim")
-    plan = mc.McPlan.from_run(m, run, n_list=(25, 50), replications=20, seed=1234567)
+    plan = mc.McPlan.from_run(m, examples.paper_run("example1_sim"), n_list=(25, 50), replications=20)
     _assert_cells_match(plan, TABLE1_REFERENCE_CELLS)
 
 
