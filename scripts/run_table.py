@@ -21,15 +21,7 @@ import numpy as np
 from tdvarma import examples
 from tdvarma.cli import _int_list
 from tdvarma.errors import ConfigError, ContractError
-from tdvarma.mc import McPlan, estimates_to_csv, run_mc, summary_to_csv
-
-# line -> (label, McCell attribute, printed decimals)
-LINES = {
-    "a": ("mean estimate", "mean_estimate", 4),
-    "b": ("mean est. se", "mean_se", 4),
-    "c": ("sample std", "std_estimate", 4),
-    "d": ("rejection %", "reject_pct", 1),
-}
+from tdvarma.mc import LINES, McPlan, estimates_to_csv, run_mc, summary_to_csv
 
 
 def main() -> int:

@@ -188,7 +188,7 @@ def estimate_noise_cov(model: TdVarmaModel, series: Series, theta) -> np.ndarray
     profile objective uses: the average of z_t z_t' with z_t = g_t^{-1} e_t at the
     supplied parameter.  One that is not positive definite raises NumericalError."""
     res = likelihood.residuals(model, series, theta)
-    return likelihood.noise_cov(model, (res.h @ res.e[..., None])[..., 0])[0]
+    return likelihood.noise_cov(model, res.whitened()[0])[0]
 
 
 def fit(model: TdVarmaModel, series: Series, theta_init, estimate_sigma: bool = False) -> FitResult:

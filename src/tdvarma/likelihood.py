@@ -13,7 +13,10 @@ the AR rows d_k A_op x of de are linear in the fixed series, so the products of
 x_{t-i} with the AR coefficient tables are formed once per series (the model's
 `ar_products`, once per fit in `estimate`) and each evaluation only combines
 them at theta.  The MA side, B_t and d_k B_tj e_{t-j}, moves with e and is
-formed at every evaluation.  The objective is
+formed at every evaluation; without one (q = 0) there is nothing to solve.  An
+evaluation keeps e and every de_k as the rows of one contiguous (1 + m, n, r)
+stack, written in place by the AR products, the MA rows and the solve, so every
+reduction below runs on whole arrays.  The objective is
 
     Q_n(theta) = 0.5 * sum_t alpha_t + (r n / 2) log(2 pi),
     alpha_t = log det Sigma_t + e_t' Sigma_t^{-1} e_t = log det Sigma_t + |u_t|^2,
@@ -25,13 +28,18 @@ Sigma_t^{-1} = H_t' H_t.  The Gauss-Newton (expected) Hessian of Q_n, entry (i, 
     D_ti = H_t (dSigma_t/di) H_t' = S_ti + S_ti',
 
 is n times the plug-in curvature V_hat; the optimizer scales its steps by it.
-H_t, log det Sigma_t and S_t come from the model; nothing here forms, solves or
-inverts a per-time covariance.  The profile objective Q_n(theta, Sigma_hat(theta))
-takes the minimizing Sigma_hat(theta) = (1/n) sum_t z_t z_t', z_t = g_t^{-1} e_t =
-L u_t, from the same residuals; its Cholesky factor is L K with K K' = (1/n)
-sum_t u_t u_t', so H_t <- K^{-1} H_t, S_t <- K^{-1} S_t K and log det Sigma_t
-gains 2 log det K.  By the envelope theorem the fixed-Sigma score and
-information at Sigma_hat(theta) are used as they are.
+The stack is whitened by H_t in one pass; then alpha_t and the score rows
+d alpha_t / d theta_k = 2 du_tk' u_t are dot products along its last axis, and
+the first term of the information is one (m, n r) @ (n r, m) matrix product of
+the whitened derivative rows, with no per-t Gram matrix.  H_t, log det Sigma_t
+and S_t come from the model; nothing here forms, solves or inverts a per-time
+covariance.  The profile objective Q_n(theta, Sigma_hat(theta)) takes the
+minimizing Sigma_hat(theta) = (1/n) sum_t z_t z_t', z_t = g_t^{-1} e_t = L u_t,
+from the same residuals; its Cholesky factor is L K with K K' = (1/n)
+sum_t u_t u_t', so H_t <- K^{-1} H_t, which re-whitens the whole stack by one
+(rows, r) @ (r, r) product, S_t <- K^{-1} S_t K where there are scale slots, and
+log det Sigma_t gains 2 log det K.  By the envelope theorem the fixed-Sigma
+score and information at Sigma_hat(theta) are used as they are.
 """
 
 from __future__ import annotations
@@ -48,13 +56,33 @@ from .model import Series, TdVarmaModel, _lagged
 
 @dataclass
 class ResidualSet:
-    """Residuals, the whitening factors of their covariances, log-determinants, optional derivatives."""
+    """Residuals and, optionally, their derivatives in one stack, with the whitening
+    factors of their covariances and the log-determinants."""
 
-    e: np.ndarray            # (n, r)
+    stack: np.ndarray        # (1, n, r), or (1 + m, n, r) with derivatives: e, then de/d theta_k
     h: np.ndarray            # (n, r, r), H_t with H_t' H_t = Sigma_t^{-1}
     logdet: np.ndarray       # (n,)
-    de: Optional[np.ndarray]  # (m, n, r) or None
     s: Optional[np.ndarray]  # (n_scale, n, r, r), S_t = H_t dg_t L by the scale slots, or None
+
+    @property
+    def e(self) -> np.ndarray:
+        """(n, r), a view of the stack."""
+        return self.stack[0]
+
+    @property
+    def de(self) -> Optional[np.ndarray]:
+        """(m, n, r), a view of the stack, or None without derivatives."""
+        return self.stack[1:] if len(self.stack) > 1 else None
+
+    def whitened(self) -> np.ndarray:
+        """H_t times every row of the stack, u_t = H_t e_t then du_tk = H_t de_t/d theta_k,
+        as a sum over the columns of H_t that each scale a whole (rows, n) slice: no r x r
+        block is multiplied on its own."""
+        x, h = self.stack, self.h
+        out = x[..., :1] * h[:, :, 0]
+        for b in range(1, h.shape[-1]):
+            out += x[..., b:b + 1] * h[:, :, b]
+        return out
 
 
 @dataclass
@@ -136,30 +164,41 @@ def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = Fa
     n, r = x.shape
     if ar_products is None:
         ar_products = model.ar_products(x)
-    # z = x - sum_i A_ti x_{t-i}, and de row k starts at -sum_i d_k A_ti x_{t-i}
-    z, de = x, np.zeros((model.m, n, r)) if with_derivs else None
+    # e starts at z = x - sum_i A_ti x_{t-i}, and de row k at -sum_i d_k A_ti x_{t-i}
+    stack = np.zeros((1 + model.m if with_derivs else 1, n, r))
+    e, de = stack[0], stack[1:]
+    e[:] = x
     for prod in ar_products:
         d = prod.derivs(theta, [()] + ([(k,) for k in prod.slots] if with_derivs else []))
-        z = z - d.pop(())
+        e -= d.pop(())
         for (k,), dk in d.items():
             de[k] -= dk
-    solve = _lag_solver(model.b_values(range(1, n + 1), theta), n)  # shared by e and de
-    e = solve(z)
+    if model.q:  # without an MA part the residuals are z and its derivatives as they stand
+        solve = _lag_solver(model.b_values(range(1, n + 1), theta), n)  # shared by e and de
+        e[:] = solve(e)
+        if with_derivs:
+            # then row k gains -sum_j d_k B_tj e_{t-j}, and takes the same solve as e
+            for lag, f in enumerate(model.b_funcs, 1):
+                slots, d = f.head_grad(n, theta)
+                de[list(slots)] -= _apply(d, _lagged(e, lag))
+            de[:] = solve(de)
     if not with_derivs:
-        return ResidualSet(e, *model.scale_factor(n, theta)[1:], de=None, s=None)
-    # then row k gains -sum_j d_k B_tj e_{t-j}, and takes the same solve as e
-    for lag, f in enumerate(model.b_funcs, 1):
-        slots, d = f.head_grad(n, theta)
-        de[list(slots)] -= _apply(d, _lagged(e, lag))
+        return ResidualSet(stack, *model.scale_factor(n, theta)[1:], s=None)
     _, h, logdet, s = model.scale_factor(n, theta, derivs=True)
-    return ResidualSet(e, h, logdet, de=solve(de), s=s)
+    return ResidualSet(stack, h, logdet, s=s)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_t' b_t along the last axis, as one matrix-vector product: numpy's sum over a
+    short last axis is several times slower."""
+    return (a * b) @ np.ones(a.shape[-1])
 
 
 def objective_value(model: TdVarmaModel, series: Series, theta) -> float:
     """Q_n(theta) alone, without the derivatives that `objective` adds."""
     res = residuals(model, series, theta, with_derivs=False)
-    u = _apply(res.h, res.e)
-    return _q(res.logdet + np.sum(u * u, axis=-1), u.shape[1])
+    u = res.whitened()[0]
+    return _q(res.logdet + _rowdot(u, u), u.shape[1])
 
 
 def _q(alphas: np.ndarray, r: int) -> float:
@@ -193,24 +232,25 @@ def objective(model: TdVarmaModel, series: Series, theta, estimate_sigma: bool =
     `residuals`."""
     theta = np.asarray(theta, dtype=float)
     res = residuals(model, series, theta, with_derivs=True, ar_products=ar_products)
-    # per t, the rows u_t, du_t1 .. du_tm whitened at once, and their Gram matrix
-    w = np.concatenate((res.e[None], res.de)).transpose(1, 0, 2) @ np.swapaxes(res.h, -1, -2)
+    w = res.whitened()  # u_t, then du_t1 .. du_tm, shape (1 + m, n, r)
     logdet, s, sigma_hat = res.logdet, res.s, None
+    r, k = w.shape[-1], s.shape[0]  # the k scale slots come last, and the residuals do not depend on them
     if estimate_sigma:
-        sigma_hat, chol = noise_cov(model, w[:, 0])
+        sigma_hat, chol = noise_cov(model, w[0])
         t = np.linalg.inv(chol)
-        w = w @ t.T
-        s = t @ s @ chol
+        w = (w.reshape(-1, r) @ t.T).reshape(w.shape)
+        if k:
+            s = t @ s @ chol
         logdet = logdet + 2.0 * float(np.sum(np.log(np.diag(chol))))
-    gram = w @ np.swapaxes(w, -1, -2)
-    u, r = w[:, 0], w.shape[-1]
-    alphas = logdet + gram[:, 0, 0]
-    score_rows = 2.0 * gram[:, 1:, 0]  # rows d alpha_t / d theta, shape (n, m)
-    info = gram[:, 1:, 1:].sum(axis=0)
-    k = s.shape[0]  # the scale slots come last, and the residuals do not depend on them
+    u, dots = w[0], _rowdot(w, w[0])  # |u_t|^2, then du_tk' u_t
+    alphas = logdet + dots[0]
+    score_rows = 2.0 * dots[1:].T  # rows d alpha_t / d theta, shape (n, m)
+    du = w[1:].reshape(len(w) - 1, -1)  # the information sums du_tk' du_tl over t in one product
+    info = du @ du.T
     if k:
         # d alpha_t / d theta_s = tr D_ts - u_t' D_ts u_t = 2 <S_ts, I - u_t u_t'>
-        score_rows[:, -k:] += 2.0 * np.sum(s * (np.eye(r) - u[:, :, None] * u[:, None, :]), axis=(-2, -1)).T
+        resid = (np.eye(r) - u[:, :, None] * u[:, None, :]).reshape(-1, r * r)
+        score_rows[:, -k:] += 2.0 * _rowdot(s.reshape(k, -1, r * r), resid).T
         info[-k:, -k:] += _scale_info(s)
     grad = 0.5 * score_rows.sum(axis=0)
     if not np.all(np.isfinite(score_rows)):

@@ -3,7 +3,8 @@
 A run gives one McSummary with a cell per series length.  A cell keeps what
 its replications produced: every replication's estimate, standard error and
 convergence flag, and the true value theta0; its summary lines (a)-(d) are
-read off those arrays over the replications that converged.  Each
+read off those arrays over the replications that converged, and `LINES`
+names each line's label, attribute and printed decimals.  Each
 replication draws its innovations from an independent Philox stream keyed by
 (master seed, n, replication index), so enlarging the n-grid or the
 replication count never perturbs existing cells.  With more than one thread,
@@ -175,12 +176,13 @@ def run_mc(plan: McPlan, threads: int = 1) -> McSummary:
 
 # -- text serialization -------------------------------------------------------
 
-_LINES = (
-    ("a", "mean_estimate"),
-    ("b", "mean_se"),
-    ("c", "std_estimate"),
-    ("d", "reject_pct"),
-)
+# line letter -> (label, McCell attribute, decimals the paper prints)
+LINES = {
+    "a": ("mean estimate", "mean_estimate", 4),
+    "b": ("mean est. se", "mean_se", 4),
+    "c": ("sample std", "std_estimate", 4),
+    "d": ("rejection %", "reject_pct", 1),
+}
 
 
 def summary_to_csv(summary: McSummary) -> str:
@@ -190,7 +192,7 @@ def summary_to_csv(summary: McSummary) -> str:
     for n in sorted(summary.cells):
         cell = summary.cells[n]
         for i, name in enumerate(summary.param_names):
-            for line, attr in _LINES:
+            for line, (_, attr, _) in LINES.items():
                 buf.write(f"{n},{name},{line},{float(getattr(cell, attr)[i])!r}\n")
         buf.write(f"{n},all,excluded,{cell.n_total - cell.n_converged}\n")
     return buf.getvalue()

@@ -14,7 +14,7 @@ from conftest import (
     make_scalar_arma11,
     make_sin_varma11,
 )
-from tdvarma import examples
+from tdvarma import examples, likelihood
 from tdvarma.errors import ContractError, SingularCovarianceError
 from tdvarma.estimate import _safe_objective, estimate_noise_cov
 from tdvarma.likelihood import (
@@ -430,34 +430,94 @@ def test_objective_builds_the_scale_once_per_evaluation(monkeypatch):
     assert len(calls) == 1
 
 
-def _entrywise_objective(m, series, theta):
-    """(q, grad, info) of a VAR(1) model one t at a time, from the entry-by-entry
-    value and deriv of its coefficient functions."""
+def _entrywise_objective(m, series, theta, estimate_sigma=False):
+    """(q, alphas, score_rows, grad, info) one t at a time, from the entry-by-entry
+    value and deriv of the coefficient functions and each Sigma_t and its inverse.
+    The residuals run the recursion e_t = x_t - sum_i A_ti x_{t-i} - sum_j B_tj e_{t-j}
+    and its derivative forward in t; with estimate_sigma, Sigma is first replaced by
+    Sigma_hat = (1/n) sum_t z_t z_t', z_t = g_t^{-1} e_t."""
     x = series.values
     n, r = x.shape
     ts = np.arange(1, n + 1)
-    a, g = m.a_funcs[0].value(ts, theta), m.g_func.value(ts, theta)
-    da = [m.a_funcs[0].deriv(ts, theta, (i,)) for i in range(m.m)]
+    a = [f.value(ts, theta) for f in m.a_funcs]
+    b = [f.value(ts, theta) for f in m.b_funcs]
+    da = [[f.deriv(ts, theta, (i,)) for i in range(m.m)] for f in m.a_funcs]
+    db = [[f.deriv(ts, theta, (i,)) for i in range(m.m)] for f in m.b_funcs]
+    g = m.g_func.value(ts, theta)
     dg = [m.g_func.deriv(ts, theta, (i,)) for i in range(m.m)]
-    q, grad, info = 0.5 * r * n * math.log(2.0 * math.pi), np.zeros(m.m), np.zeros((m.m, m.m))
+    e, de = np.zeros((n, r)), np.zeros((n, m.m, r))
     for t in range(n):
-        prev = x[t - 1] if t else np.zeros(r)
-        e = x[t] - a[t] @ prev
-        de = [-d[t] @ prev for d in da]
-        sig = g[t] @ m.sigma @ g[t].T
-        dsig = [d[t] @ m.sigma @ g[t].T + g[t] @ m.sigma @ d[t].T for d in dg]
+        e[t] = x[t]
+        for lag in range(1, t + 1):
+            for i in range(m.m):
+                if lag <= m.p:
+                    de[t, i] -= da[lag - 1][i][t] @ x[t - lag]
+                if lag <= m.q:
+                    de[t, i] -= db[lag - 1][i][t] @ e[t - lag] + b[lag - 1][t] @ de[t - lag, i]
+            if lag <= m.p:
+                e[t] -= a[lag - 1][t] @ x[t - lag]
+            if lag <= m.q:
+                e[t] -= b[lag - 1][t] @ e[t - lag]
+    sigma = m.sigma
+    if estimate_sigma:
+        z = [np.linalg.inv(g[t]) @ e[t] for t in range(n)]
+        sigma = sum(np.outer(zt, zt) for zt in z) / n
+    alphas, rows, info = np.zeros(n), np.zeros((n, m.m)), np.zeros((m.m, m.m))
+    for t in range(n):
+        sig = g[t] @ sigma @ g[t].T
+        dsig = [d[t] @ sigma @ g[t].T + g[t] @ sigma @ d[t].T for d in dg]
         inv = np.linalg.inv(sig)
-        w = inv @ e
-        q += 0.5 * (np.linalg.slogdet(sig)[1] + e @ w)
+        w = inv @ e[t]
+        alphas[t] = np.linalg.slogdet(sig)[1] + e[t] @ w
         for i in range(m.m):
-            grad[i] += de[i] @ w + 0.5 * (np.trace(inv @ dsig[i]) - w @ dsig[i] @ w)
+            rows[t, i] = 2.0 * de[t, i] @ w + np.trace(inv @ dsig[i]) - w @ dsig[i] @ w
             for j in range(m.m):
-                info[i, j] += de[i] @ inv @ de[j] + 0.5 * np.trace(inv @ dsig[i] @ inv @ dsig[j])
-    return q, grad, info
+                info[i, j] += de[t, i] @ inv @ de[t, j] + 0.5 * np.trace(inv @ dsig[i] @ inv @ dsig[j])
+    q = 0.5 * alphas.sum() + 0.5 * r * n * math.log(2.0 * math.pi)
+    return q, alphas, rows, 0.5 * rows.sum(axis=0), info
 
 
 def _assert_rel(got, want, rtol=1e-12):
     np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("which, estimate_sigma", [
+    ("example1_sim", True), ("example2", True), ("varma11", False),
+])
+def test_objective_reductions_match_the_per_t_reference(which, estimate_sigma):
+    # the whitened stack's flat reductions (alpha_t and the score rows along its last
+    # axis, the information in one product) against Sigma_t and its inverse one t at a
+    # time: the profile objective, example2's scale slots, and a q > 0 model
+    m = make_sin_varma11(np.random.default_rng(909)) if which == "varma11" else examples.build(which)
+    rng = np.random.default_rng(41)
+    series = simulate(SimPlan(m, m.layout.theta0, 60, 19))
+    for _ in range(3):
+        theta = np.array(m.layout.theta0) + rng.uniform(-0.1, 0.1, m.m)
+        rep = objective(m, series, theta, estimate_sigma=estimate_sigma)
+        q, alphas, rows, grad, info = _entrywise_objective(m, series, theta, estimate_sigma)
+        _assert_rel(rep.q, q)
+        _assert_rel(rep.alphas, alphas)
+        _assert_rel(rep.score_rows, rows)
+        _assert_rel(rep.grad, grad)
+        _assert_rel(rep.info, info)
+
+
+def test_residual_stack_is_one_buffer_and_a_pure_ar_model_solves_nothing(monkeypatch):
+    # e and de are views of one contiguous stack, with no concatenated copy, and
+    # without an MA part no lag solve is set up, not even the identity
+    models = [make_sin_varma11(np.random.default_rng(909)), examples.build("example1_sim"), examples.build("example2")]
+    data = [(m, simulate(SimPlan(m, m.layout.theta0, 40, 3)), m.layout.theta0) for m in models]
+    built = []
+    solver = likelihood._lag_solver
+    monkeypatch.setattr(likelihood, "_lag_solver", lambda *a: built.append(a) or solver(*a))
+    for m, series, theta in data:
+        res = residuals(m, series, theta, with_derivs=True)
+        assert res.stack.flags.c_contiguous and res.stack.shape == (1 + m.m, 40, m.r)
+        assert np.shares_memory(res.e, res.stack) and np.shares_memory(res.de, res.stack)
+        objective(m, series, theta, estimate_sigma=True)
+        objective_value(m, series, theta)
+        assert len(built) == (3 if m.q else 0)  # one per evaluation with an MA part
+        built.clear()
 
 
 @pytest.mark.parametrize("n", [25, 50, 400])
@@ -472,7 +532,7 @@ def test_example2_tables_match_entrywise_reference(n):
     for _ in range(5):
         theta = np.array(m.layout.theta0) + rng.uniform(-0.3, 0.3, m.m)
         rep = objective(m, series, theta)
-        q, grad, info = _entrywise_objective(m, series, theta)
+        q, _, _, grad, info = _entrywise_objective(m, series, theta)
         _assert_rel(rep.q, q)
         _assert_rel(rep.grad, grad)
         _assert_rel(rep.info, info)
