@@ -102,12 +102,24 @@ class AssumptionReport:
     h37_ratios: dict
     verdicts: dict
     checks: dict
+    weight_pass_s: float               # wall time of run_all's shared weight pass
 
     def all_pass(self) -> bool:
         return all(v == "pass" for v in self.verdicts.values())
 
 
 # -- MA-derivative weight tables ---------------------------------------------
+
+
+def _reduce_rows(resid_rows: tuple, reducers: Sequence) -> None:
+    """Hand each row stack of a _resid_rows pass to every reducer as it is produced;
+    no row is kept, and no row is computed when no tuple of order >= 1 is left."""
+    taus, rows = resid_rows
+    for red in reducers:
+        red.start(taus)
+    for t, (_, stack) in enumerate(rows if len(taus) > 1 else (), 1):
+        for red in reducers:
+            red.take(t, stack)
 
 
 def _norm_table(model: TdVarmaModel, theta0, n: int, max_order: int, kmax) -> tuple:
@@ -159,67 +171,103 @@ def _timed(check):
 def check_psi_decay(model: TdVarmaModel, theta0, n_probe: int = N_PROBE) -> CheckResult:
     """Geometric decay of MA-derivative tail sums from each start in NU_GRID below
     n_probe (squared and fourth powers for first/second-order weights; bounded
-    totals for third order)."""
-    taus, norms = _norm_table(model, theta0, n_probe, 3, None)
-    # weights whose norm sits at the roundoff floor count as exact zeros
-    norms[~(norms > 1e-14)] = 0.0
-    nu_grid = [v for v in NU_GRID if v <= n_probe - 1]
-    phis = []
-    constants: dict = {}
-    details: dict = {"nu_grid": nu_grid}
-    verdict = "pass"
-    max_k_nonzero = 0
-    any_positive = False
-    o3_max = 0.0
+    totals for third order).  The weight rows are reduced as the recurrence
+    produces them (run_all shares that pass with check_cross_sums)."""
+    decay = _DecayTails(n_probe)
+    _reduce_rows(_resid_rows(model, theta0, theta0, n_probe, 3, None), [decay])
+    return decay.result()
 
-    for tau, tab in zip(taus, norms):  # tab[t-1, k], zero-padded beyond K_t
-        if len(tau) == 3:
-            sums = np.sum(tab**2, axis=1)
-            if not np.all(np.isfinite(sums)):
-                verdict = "fail"
-            o3_max = max(o3_max, float(np.max(sums)))
-            continue
-        nz = np.nonzero(np.any(tab > 0, axis=0))[0]
+
+class _DecayTails:
+    """check_psi_decay as a reducer of the rows t <= n_probe of a _resid_rows pass of
+    order 3 without a lag cap.  The weight norms of BLOCK rows at a time are reduced
+    to their maxima over t: the tail sums from each start in nu_grid (orders 1 and 2,
+    powers 2 and 4), the totals of squares (order 3) and the last lag with a non-zero
+    weight of order 1 or 2.  A maximum is exact, so the blocks give the bits of one
+    (tuples, n_probe, n_probe) table, which is never made."""
+
+    BLOCK = 64
+
+    def __init__(self, n_probe: int):
+        self.n_probe = n_probe
+        self.nu_grid = [v for v in NU_GRID if v <= n_probe - 1]
+
+    def start(self, taus: list) -> None:
+        self.taus = taus[1:]
+        self.n_low = sum(len(tau) <= 2 for tau in self.taus)
+        # norms[j, i, k] of row t = i + 1 (mod BLOCK), zero-padded beyond K_t
+        self.block = np.zeros((len(self.taus), min(self.BLOCK, self.n_probe), self.n_probe))
+        self.tails = np.zeros((2, self.n_low, len(self.nu_grid)))  # powers 2 and 4
+        self.sum_sq = np.zeros(len(self.taus) - self.n_low)
+        self.k_nonzero = -1
+
+    def take(self, t: int, stack: np.ndarray) -> None:
+        if t > self.n_probe:
+            return
+        i = (t - 1) % self.block.shape[1]
+        self.block[:, i, : stack.shape[1]] = np.sqrt(np.einsum("jkrs,jkrs->jk", stack[1:], stack[1:]))
+        if i + 1 == self.block.shape[1] or t == self.n_probe:
+            self._reduce(self.block[:, : i + 1])
+
+    def _reduce(self, tab: np.ndarray) -> None:
+        # weights whose norm sits at the roundoff floor count as exact zeros; a later
+        # row in the same slot is longer, so it overwrites every floored entry
+        tab[~(tab > 1e-14)] = 0.0
+        low = tab[: self.n_low]
+        nz = np.nonzero(np.any(low > 0, axis=(0, 1)))[0]
         if nz.size:
-            max_k_nonzero = max(max_k_nonzero, int(nz[-1]))
-            any_positive = True
-        for power, label in ((2, "sq"), (4, "4th")):
-            tails = _tail_sums(tab, nu_grid, power)
-            if not np.all(np.isfinite(tails)):
-                verdict = "fail"
-                details[f"unbounded_{label}_{tau}"] = True
-                continue
-            pos = tails > 0
-            if pos.sum() < 2:
-                continue  # vanishes almost immediately: trivially geometric
-            x = np.array(nu_grid, dtype=float)[pos]
-            y = np.log(tails[pos])
-            slope = float(np.polyfit(x, y, 1)[0])
-            phi = math.exp(slope)
-            phis.append(phi)
-            if not phi < 0.999:
-                verdict = "fail"
-            if 0 < phi < 1:
-                key = f"decay_{label}_bound_o{len(tau)}"
-                bound = np.max(tails[pos] / phi ** (x - 1.0))
-                constants[key] = max(constants.get(key, 0.0), float(bound))
-    constants["sum_sq_bound_o3"] = o3_max
+            self.k_nonzero = max(self.k_nonzero, int(nz[-1]))
+        for tails, power in zip(self.tails, (2, 4)):
+            np.maximum(tails, _tail_sums(low, self.nu_grid, power), out=tails)
+        np.maximum(self.sum_sq, np.max(np.sum(tab[self.n_low :] ** 2, axis=-1), axis=-1), out=self.sum_sq)
 
-    phi = max(phis) if phis else (0.0 if any_positive else None)
-    if phi is None:
-        verdict = "inconclusive"  # no non-zero weights at all
-    details["max_k_nonzero"] = max_k_nonzero
-    if any_positive and max_k_nonzero < n_probe - 2:
-        details["k_cutoff"] = max_k_nonzero
-    if phi is not None:
-        constants["decay_base"] = phi
-    return CheckResult("psi_decay", verdict, constants, details)
+    def result(self) -> CheckResult:
+        nu_grid = self.nu_grid
+        phis = []
+        constants: dict = {}
+        details: dict = {"nu_grid": nu_grid}
+        verdict = "pass"
+        if not np.all(np.isfinite(self.sum_sq)):
+            verdict = "fail"
+        for j, tau in enumerate(self.taus[: self.n_low]):
+            for tails, label in zip(self.tails[:, j], ("sq", "4th")):
+                if not np.all(np.isfinite(tails)):
+                    verdict = "fail"
+                    details[f"unbounded_{label}_{tau}"] = True
+                    continue
+                pos = tails > 0
+                if pos.sum() < 2:
+                    continue  # vanishes almost immediately: trivially geometric
+                x = np.array(nu_grid, dtype=float)[pos]
+                y = np.log(tails[pos])
+                slope = float(np.polyfit(x, y, 1)[0])
+                phi = math.exp(slope)
+                phis.append(phi)
+                if not phi < 0.999:
+                    verdict = "fail"
+                if 0 < phi < 1:
+                    key = f"decay_{label}_bound_o{len(tau)}"
+                    bound = np.max(tails[pos] / phi ** (x - 1.0))
+                    constants[key] = max(constants.get(key, 0.0), float(bound))
+        constants["sum_sq_bound_o3"] = max([0.0, *self.sum_sq.tolist()])
+
+        any_positive = self.k_nonzero >= 0
+        phi = max(phis) if phis else (0.0 if any_positive else None)
+        if phi is None:
+            verdict = "inconclusive"  # no non-zero weights at all
+        details["max_k_nonzero"] = max(self.k_nonzero, 0)
+        if any_positive and self.k_nonzero < self.n_probe - 2:
+            details["k_cutoff"] = self.k_nonzero
+        if phi is not None:
+            constants["decay_base"] = phi
+        return CheckResult("psi_decay", verdict, constants, details)
 
 
 def _tail_sums(tab: np.ndarray, nu_grid: Sequence[int], power: int) -> np.ndarray:
-    """max_t sum_{k >= nu} tab[t, k]^power for each nu: one reverse cumulative
-    sum over the zero-padded (T, K+1) table, then the worst t per nu."""
-    return np.cumsum(tab[:, ::-1] ** power, axis=1)[:, ::-1][:, nu_grid].max(axis=0)
+    """max_t sum_{k >= nu} tab[..., t, k]^power for each nu: one reverse cumulative
+    sum over the zero-padded (..., T, K+1) table, then the worst t per nu.  The power
+    is taken before the reversal, so that numpy's vectorized loop serves every shape."""
+    return np.cumsum((tab**power)[..., ::-1], axis=-1)[..., ::-1][..., nu_grid].max(axis=-2)
 
 
 def _trend_ok(values: np.ndarray) -> bool:
@@ -313,94 +361,115 @@ def check_cross_sums(
     residual vanishes, so its term is skipped exactly.  The second family's
     weights are whitened by the model's scale factor H_t = (g_t L)^{-1}.
 
-    Lags are capped at 2 * D_CAP and shifts at D_CAP: geometric weight decay
-    makes the discarded tail negligible (VALIDATION.md compares D_CAP 60 and
-    120).  Both families run as array kernels (cumulative sums along the
-    diagonals, one batched matmul per shift), so the default grid costs well
-    under a second for the shipped examples.  Quasi-periodic models can have
-    n * value transients stretching over hundreds of observations, so the
-    verdict uses the slope between the two largest grid points.  details also
-    record the maximum of the second family's n * value curve over
+    Lags are capped at 2 * D_CAP and shifts at D_CAP, both read when the check
+    is called: geometric weight decay makes the discarded tail negligible
+    (VALIDATION.md compares D_CAP 60 and 120).  The order-1 weight rows are
+    reduced as the recurrence produces them (run_all shares that pass with
+    check_psi_decay), and both families run as array kernels (cumulative sums
+    along the diagonals, one batched matmul per shift), so the default grid
+    costs well under a second for the shipped examples.  Quasi-periodic models
+    can have n * value transients stretching over hundreds of observations, so
+    the verdict uses the slope between the two largest grid points.  details
+    also record the maximum of the second family's n * value curve over
     n = 1..max(m_term_grid) and where it occurs.  An empty m_term_grid skips the
     second family.
     """
-    theta0 = np.asarray(theta0, dtype=float)
-    n_grid = sorted(int(v) for v in n_grid)
-    m_term_grid = sorted(int(v) for v in m_term_grid)
-    if not n_grid or min(n_grid + m_term_grid) < 1:
-        raise ContractError("cross-sum lengths must be integers >= 1, with at least one in n_grid")
-    n_max, n2 = max(n_grid), max(m_term_grid, default=0)
-    horizon = max(n_max, n2)
-    kcap = min(horizon - 1, 2 * D_CAP)
-    g_all = model.g_values(range(1, horizon + 1), theta0)
-    # one pass over the weights: their norms up to n_max, and up to n2 the
-    # whitened lag-k weights V_t[i, :, k-1, :] = H_t w_{t,i,k} g_{t-k} L with
-    # Sigma = L L^T and H_t' H_t = Sigma_t^{-1}, so that V_t V_{t+d}^T carries the
-    # Sigma sandwich; both terms of the second family are Frobenius products, which
-    # an orthogonal Q_t in H_t = Q_t Sigma_t^{-1/2} leaves unchanged
-    taus, rows = _resid_rows(model, theta0, theta0, horizon, 1, kcap)
-    taus = taus[1:]
-    norms = np.zeros((len(taus), n_max, kcap + 1))
-    whitened = np.zeros((n2, len(taus), model.r, kcap, model.r))
-    if n2 and taus:
-        h = model.scale_factor(n2, theta0)[1]
-        g_chol = g_all @ model.sigma_chol
-    for t, (_, stack) in enumerate(rows if taus else (), 1):  # stack[0] is the residual itself
+    cross = _CrossSums(model, theta0, n_grid, m_term_grid)
+    _reduce_rows(_resid_rows(model, cross.theta0, cross.theta0, cross.horizon, 1, cross.kcap), [cross])
+    return cross.result()
+
+
+class _CrossSums:
+    """check_cross_sums as a reducer of a _resid_rows pass over t = 1..horizon that
+    stacks the order-1 tuples up to lag kcap (and may hold more of both)."""
+
+    def __init__(self, model: TdVarmaModel, theta0, n_grid: Sequence[int], m_term_grid: Sequence[int]):
+        self.model, self.theta0 = model, np.asarray(theta0, dtype=float)
+        self.n_grid = sorted(int(v) for v in n_grid)
+        self.m_term_grid = sorted(int(v) for v in m_term_grid)
+        if not self.n_grid or min(self.n_grid + self.m_term_grid) < 1:
+            raise ContractError("cross-sum lengths must be integers >= 1, with at least one in n_grid")
+        self.n_max, self.n2 = max(self.n_grid), max(self.m_term_grid, default=0)
+        self.horizon = max(self.n_max, self.n2)
+        self.kcap = min(self.horizon - 1, 2 * D_CAP)
+        self.g_all = model.g_values(range(1, self.horizon + 1), self.theta0)
+
+    def start(self, taus: list) -> None:
+        # the weight norms up to n_max, and up to n2 the whitened lag-k weights
+        # V_t[i, :, k-1, :] = H_t w_{t,i,k} g_{t-k} L with Sigma = L L^T and
+        # H_t' H_t = Sigma_t^{-1}, so that V_t V_{t+d}^T carries the Sigma sandwich;
+        # both terms of the second family are Frobenius products, which an
+        # orthogonal Q_t in H_t = Q_t Sigma_t^{-1/2} leaves unchanged
+        model = self.model
+        self.n_slots = sum(len(tau) == 1 for tau in taus)  # the order-1 tuples follow ()
+        self.norms = np.zeros((self.n_slots, self.n_max, self.kcap + 1))
+        self.whitened = np.zeros((self.n2, self.n_slots, model.r, self.kcap, model.r))
+        if self.n2 and self.n_slots:
+            self.h = model.scale_factor(self.n2, self.theta0)[1]
+            self.g_chol = self.g_all @ model.sigma_chol
+
+    def take(self, t: int, stack: np.ndarray) -> None:
+        stack = stack[1 : 1 + self.n_slots, : self.kcap + 1]
         lags = stack.shape[1] - 1
-        if t <= n_max:
-            norms[:, t - 1, : lags + 1] = np.sqrt(np.einsum("jkrs,jkrs->jk", stack[1:], stack[1:]))
-        if 2 <= t <= n2:
-            white = h[t - 1] @ stack[1:, 1:] @ g_chol[t - 2 :: -1][:lags]
-            whitened[t - 1, :, :, :lags] = white.transpose(0, 2, 1, 3)
-    drop = [j for j in range(len(taus)) if not norms[j].any()]  # slots that vanish up to n_max
-    details: dict = {}
-    verdict = "pass"
+        if t <= self.n_max:
+            self.norms[:, t - 1, : lags + 1] = np.sqrt(np.einsum("jkrs,jkrs->jk", stack, stack))
+        if 2 <= t <= self.n2:
+            white = self.h[t - 1] @ stack[:, 1:] @ self.g_chol[t - 2 :: -1][:lags]
+            self.whitened[t - 1, :, :, :lags] = white.transpose(0, 2, 1, 3)
 
-    # first family: v_k = N_{s+k}[k], k = 1..n-s, along the diagonal of each start s;
-    # cumulative sums over k give sum v and sum v^2 for every n at once
-    s_idx, k_idx = np.arange(1, n_max)[:, None], np.arange(kcap + 1)[None, :]
-    # indices past row n_max are clipped; they lie past the last k any n reads
-    diag = np.delete(norms, drop, axis=0)[:, np.minimum(s_idx + k_idx - 1, n_max - 1), k_idx]
-    diag[:, :, 0] = 0.0  # the diagonals start at lag 1
-    c1, c2 = np.cumsum(diag, axis=2), np.cumsum(diag**2, axis=2)
-    g2 = np.einsum("trs,trs->t", g_all, g_all)
-    first_vals = {}
-    for n in n_grid:
-        s = np.arange(1, n)
-        sv, sv2 = c1[:, s - 1, np.minimum(n - s, kcap)], c2[:, s - 1, np.minimum(n - s, kcap)]
-        totals = np.sum(g2[s - 1] * 0.5 * (sv**2 - sv2), axis=1)
-        first_vals[n] = max(0.0, float(np.max(totals, initial=0.0))) / (n * n)
-    ratios = {f"first_n{n}": n * val for n, val in first_vals.items()}
+    def result(self) -> CheckResult:
+        n_grid, m_term_grid, n_max, n2, kcap = self.n_grid, self.m_term_grid, self.n_max, self.n2, self.kcap
+        norms, whitened = self.norms, self.whitened
+        drop = [j for j in range(len(norms)) if not norms[j].any()]  # slots that vanish up to n_max
+        details: dict = {}
+        verdict = "pass"
 
-    second_vals = {}
-    if m_term_grid:
-        inner = np.zeros(n2 + 1)
-        if len(drop) < len(taus):
-            whitened[:, drop] = 0.0  # as in the first family
-            inner[1:] = _second_family_inner(whitened)
-        csum = np.cumsum(inner)
-        for n in m_term_grid:
-            second_vals[n] = float(csum[n]) / (n * n)
-            ratios[f"second_n{n}"] = n * second_vals[n]
-        curve = csum[1:] / np.arange(1, n2 + 1)  # n * value for n = 1..n2
-        details["second_curve_max"] = float(curve.max())
-        details["second_curve_argmax_n"] = int(np.argmax(curve)) + 1
+        # first family: v_k = N_{s+k}[k], k = 1..n-s, along the diagonal of each start s;
+        # cumulative sums over k give sum v and sum v^2 for every n at once
+        s_idx, k_idx = np.arange(1, n_max)[:, None], np.arange(kcap + 1)[None, :]
+        # indices past row n_max are clipped; they lie past the last k any n reads
+        diag = np.delete(norms, drop, axis=0)[:, np.minimum(s_idx + k_idx - 1, n_max - 1), k_idx]
+        diag[:, :, 0] = 0.0  # the diagonals start at lag 1
+        c1 = np.cumsum(diag, axis=2)
+        c2 = np.cumsum(np.square(diag, out=diag), axis=2, out=diag)  # in place: run_all peaks here
+        g2 = np.einsum("trs,trs->t", self.g_all, self.g_all)
+        first_vals = {}
+        for n in n_grid:
+            s = np.arange(1, n)
+            sv, sv2 = c1[:, s - 1, np.minimum(n - s, kcap)], c2[:, s - 1, np.minimum(n - s, kcap)]
+            totals = np.sum(g2[s - 1] * 0.5 * (sv**2 - sv2), axis=1)
+            first_vals[n] = max(0.0, float(np.max(totals, initial=0.0))) / (n * n)
+        ratios = {f"first_n{n}": n * val for n, val in first_vals.items()}
 
-    def trend(vals: dict, label: str):
-        nonlocal verdict
-        pts = sorted((n, n * v) for n, v in vals.items() if v > 0)
-        if len(pts) < 2:
-            return
-        (n1, y1), (n2, y2) = pts[-2], pts[-1]
-        slope = math.log(y2 / y1) / math.log(n2 / n1)
-        details[f"{label}_trend"] = slope
-        if slope > 0.15:
-            verdict = "fail"
+        second_vals = {}
+        if m_term_grid:
+            inner = np.zeros(n2 + 1)
+            if len(drop) < len(norms):
+                whitened[:, drop] = 0.0  # as in the first family
+                inner[1:] = _second_family_inner(whitened)
+            csum = np.cumsum(inner)
+            for n in m_term_grid:
+                second_vals[n] = float(csum[n]) / (n * n)
+                ratios[f"second_n{n}"] = n * second_vals[n]
+            curve = csum[1:] / np.arange(1, n2 + 1)  # n * value for n = 1..n2
+            details["second_curve_max"] = float(curve.max())
+            details["second_curve_argmax_n"] = int(np.argmax(curve)) + 1
 
-    trend(first_vals, "first")
-    trend(second_vals, "second")
-    details["gaussian_fourth_cumulant_term_skipped"] = True
-    return CheckResult("cross_sums", verdict, {}, {**details, "ratios": ratios})
+        def trend(vals: dict, label: str):
+            nonlocal verdict
+            pts = sorted((n, n * v) for n, v in vals.items() if v > 0)
+            if len(pts) < 2:
+                return
+            (n1, y1), (n2, y2) = pts[-2], pts[-1]
+            slope = math.log(y2 / y1) / math.log(n2 / n1)
+            details[f"{label}_trend"] = slope
+            if slope > 0.15:
+                verdict = "fail"
+
+        trend(first_vals, "first")
+        trend(second_vals, "second")
+        details["gaussian_fourth_cumulant_term_skipped"] = True
+        return CheckResult("cross_sums", verdict, {}, {**details, "ratios": ratios})
 
 
 def _second_family_inner(whitened: np.ndarray) -> np.ndarray:
@@ -435,15 +504,30 @@ def run_all(
     cross_m_grid: Sequence[int] = CROSS_M_GRID,
     info_grid: Sequence[int] = INFO_GRID,
 ) -> AssumptionReport:
-    """Run every audit and assemble the report."""
+    """Run every audit and assemble the report.
+
+    check_psi_decay and check_cross_sums share one pass of the weight recurrence,
+    and each reduces every row as it is produced.  The pass runs to the longer of
+    n_probe and the cross-sum horizon; past n_probe it stacks only the order-1
+    tuples, up to the cross-sum lag cap.  Their results are those of the checks
+    called alone, bit for bit.  Each check's details["wall_s"] leaves the pass
+    out; the report's weight_pass_s holds it.
+    """
     theta0 = model.layout.theta0_array() if theta0 is None else np.asarray(theta0, dtype=float)
+    start = time.perf_counter()
+    decay, cross = _DecayTails(n_probe), _CrossSums(model, theta0, cross_grid, cross_m_grid)
+    tail = (n_probe, 1, cross.kcap) if cross.horizon > n_probe else None
+    _reduce_rows(_resid_rows(model, theta0, theta0, max(n_probe, cross.horizon), 3, None, tail), [decay, cross])
+    weight_pass_s = time.perf_counter() - start
+    psi_decay, cross_sums = _timed(decay.result)(), _timed(cross.result)()
+    del decay, cross  # their arrays are freed before the other checks make theirs
     checks = {}
     for res in (
-        check_psi_decay(model, theta0, n_probe=n_probe),
+        psi_decay,
         check_sigma_bounds(model, theta0, n_probe=n_probe),
         check_moment_bounds(model.sigma),
         check_information(model, theta0, n_grid=info_grid),
-        check_cross_sums(model, theta0, n_grid=cross_grid, m_term_grid=cross_m_grid),
+        cross_sums,
     ):
         checks[res.name] = res
     constants: dict = {}
@@ -455,4 +539,5 @@ def run_all(
         h37_ratios=checks["cross_sums"].details.get("ratios", {}),
         verdicts={name: res.verdict for name, res in checks.items()},
         checks=checks,
+        weight_pass_s=weight_pass_s,
     )

@@ -165,6 +165,7 @@ def _cmd_check(args) -> int:
         "all_pass": report.all_pass(),
         "probe": probe,
         "details": {name: res.details for name, res in report.checks.items()},
+        "weight_pass_s": report.weight_pass_s,
     }
     _emit_json(payload, args.out)
     return 0

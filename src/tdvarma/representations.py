@@ -31,18 +31,24 @@ from .timefn import index_splits, sorted_tuples
 
 
 def _row_recurrence(
-    r: int, u_funcs, v_funcs, sign: float, theta, n: int, kmax, tuples, basis=None
+    r: int, u_funcs, v_funcs, sign: float, theta, n: int, kmax, tuples, basis=None, tail=None
 ) -> tuple[list, Iterator[np.ndarray]]:
     """(taus, rows) of the recurrence in the module docstring with U = sign u_funcs and
     V = sign v_funcs: the tuples (sorted by order, from ()) that are not identically
     zero, and for t = 1..n their rows stacked as (len(taus), K_t + 1, r, r).  basis
     iterates theta-free rows (None: identity at lag 0).  Only the rows the
-    recurrence still reads are kept."""
+    recurrence still reads are kept.
+
+    tail = (step, order, cap) steps the recurrence down after row step: later rows
+    stack only the tuples of order <= order (a prefix of taus, which reads no
+    higher order) and stop at lag cap.  A lag reads only lags at or below it, so
+    every entry that is kept has the same bits as without the tail."""
     if n < 1:
         raise ContractError("horizon must be at least 1")
     if kmax is not None and kmax < 0:
         raise ContractError("kmax must be non-negative")
     kcap = n - 1 if kmax is None else int(kmax)
+    step, low, tail_cap = (n, None, kcap) if tail is None else tail
     ts = range(1, n + 1)
     # one evaluation per lag matrix for all t; exact zeros dropped
     u, v = (
@@ -64,14 +70,16 @@ def _row_recurrence(
             taus.append(tau)
             terms.append(tau_terms)
 
+    width = len(taus) if low is None else sum(len(tau) <= low for tau in taus)
+
     def rows() -> Iterator[np.ndarray]:
         unit = np.eye(r)[None]
         past_basis: deque = deque(maxlen=len(u) + 1)
         past: deque = deque(maxlen=len(v))
         for t in range(1, n + 1):
-            K = min(t - 1, kcap)
+            K = min(t - 1, kcap if t <= step else tail_cap)
             past_basis.appendleft(unit if basis is None else next(basis))
-            acc = np.zeros((len(taus), K + 1, r, r))
+            acc = np.zeros((len(taus) if t <= step else width, K + 1, r, r))
             acc[0, : len(past_basis[0])] += past_basis[0]
             for row, tau_terms in zip(acc, terms):
                 for lag, c, src in tau_terms:
@@ -84,13 +92,16 @@ def _row_recurrence(
     return taus, rows()
 
 
-def _resid_rows(model: TdVarmaModel, theta, theta0, n: int, max_order: int, kmax) -> tuple:
+def _resid_rows(model: TdVarmaModel, theta, theta0, n: int, max_order: int, kmax, tail=None) -> tuple:
     """(taus, pairs): the _row_recurrence tuples up to max_order of M(theta) Psi(theta0),
-    and per t the row stacks of Psi(theta0), (1, K_t + 1, r, r), and of d^taus (M Psi)."""
+    and per t the row stacks of Psi(theta0), (1, K_t + 1, r, r), and of d^taus (M Psi).
+    The pairs are produced one t at a time, for the caller to reduce as they come;
+    tail = (step, order, cap) steps both recurrences down after row step, as in
+    _row_recurrence, so that one pass can serve a long low-order horizon too."""
     r, a, b = model.r, model.a_funcs, model.b_funcs
-    psi, basis = itertools.tee(_row_recurrence(r, b, a, 1.0, theta0, n, kmax, [()])[1])
+    psi, basis = itertools.tee(_row_recurrence(r, b, a, 1.0, theta0, n, kmax, [()], tail=tail)[1])
     tuples = sorted_tuples(range(model.m), max_order)
-    taus, rows = _row_recurrence(r, a, b, -1.0, theta, n, kmax, tuples, (s[0] for s in basis))
+    taus, rows = _row_recurrence(r, a, b, -1.0, theta, n, kmax, tuples, (s[0] for s in basis), tail)
     return taus, zip(psi, rows)
 
 

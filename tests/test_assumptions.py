@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -237,10 +238,111 @@ def test_run_all_examples_pass():
 
 
 def test_run_all_records_wall_time_per_check(example2):
+    start = time.perf_counter()
     rep = run_all(example2, n_probe=100, cross_grid=(50, 100), cross_m_grid=(50,), info_grid=(25,))
+    wall = time.perf_counter() - start
     for res in rep.checks.values():
         assert isinstance(res.details["wall_s"], float) and res.details["wall_s"] >= 0.0
     assert "wall_s" not in rep.bound_constants
+    # the shared weight pass is timed once, outside the checks, and the parts add up
+    assert isinstance(rep.weight_pass_s, float) and rep.weight_pass_s > 0.0
+    assert rep.weight_pass_s + sum(res.details["wall_s"] for res in rep.checks.values()) <= wall
+
+
+# -- run_all's shared weight pass -------------------------------------------------
+
+CRIT9 = dict(n_probe=250, cross_grid=(50, 100, 200), cross_m_grid=(50, 100), info_grid=(25, 50, 100))
+
+
+def _alone(model, theta0, n_probe, cross_grid, cross_m_grid, info_grid):
+    """The five checks called one by one, as run_all called them before it shared a pass."""
+    return [
+        check_psi_decay(model, theta0, n_probe=n_probe),
+        check_sigma_bounds(model, theta0, n_probe=n_probe),
+        check_moment_bounds(model.sigma),
+        check_information(model, theta0, n_grid=info_grid),
+        check_cross_sums(model, theta0, n_grid=cross_grid, m_term_grid=cross_m_grid),
+    ]
+
+
+def _same_results(got, want):
+    """Verdicts, constants and details (apart from wall_s) equal, bit for bit."""
+    assert [res.name for res in got] == [res.name for res in want]
+    for a, b in zip(got, want):
+        assert a.verdict == b.verdict, a.name
+        assert repr(a.constants) == repr(b.constants), a.name
+        strip = lambda d: repr({k: v for k, v in d.items() if k != "wall_s"})
+        assert strip(a.details) == strip(b.details), a.name
+
+
+def _shared_pass_cases():
+    yield "example2_crit9", lambda: examples.build("example2"), CRIT9, None
+    yield "example1_sim_crit9", lambda: examples.build("example1_sim"), CRIT9, None
+    # the cross-sum horizon (300) exceeds n_probe, and lags are capped at 120 from t = 122
+    tail = dict(n_probe=100, cross_grid=(50, 100), cross_m_grid=(150, 300), info_grid=(25,))
+    yield "example2_tail", lambda: examples.build("example2"), tail, None
+    # q > 0 on a short grid; D_CAP 10 caps the tail's lags at 20
+    short = dict(n_probe=30, cross_grid=(10, 20, 40), cross_m_grid=(5, 20, 40), info_grid=(10, 25))
+    yield "varma11_short", lambda: make_sin_varma11(np.random.default_rng(7)), short, 10
+
+
+@pytest.mark.parametrize("case", list(_shared_pass_cases()), ids=lambda c: c[0])
+def test_run_all_matches_the_checks_called_alone(case, monkeypatch):
+    # run_all's one pass gives each check exactly what its own pass gives it, and
+    # past n_probe the pass stacks only the order-1 tuples up to the cross-sum lag cap
+    _, build, grid, d_cap = case
+    if d_cap is not None:
+        monkeypatch.setattr(assumptions, "D_CAP", d_cap)
+    model = build()
+    theta0 = model.layout.theta0_array()
+    taus, shapes, resid_rows = [], [], assumptions._resid_rows
+
+    def recorded(*args, **kwargs):
+        got, pairs = resid_rows(*args, **kwargs)
+        taus.extend(got)
+        return got, ((psi, shapes.append(stack.shape) or stack) for psi, stack in pairs)
+
+    monkeypatch.setattr(assumptions, "_resid_rows", recorded)
+    rep = run_all(model, theta0, **grid)
+    monkeypatch.setattr(assumptions, "_resid_rows", resid_rows)
+    _same_results(list(rep.checks.values()), _alone(model, theta0, **grid))
+
+    n_probe, horizon = grid["n_probe"], max(*grid["cross_grid"], *grid["cross_m_grid"])
+    kcap = min(horizon - 1, 2 * assumptions.D_CAP)
+    low = sum(len(tau) <= 1 for tau in taus)  # higher orders are non-zero only through B_t
+    assert (len(taus) > low) == (model.q > 0) and len(shapes) == max(n_probe, horizon)
+    for t, shape in enumerate(shapes, 1):
+        want = (len(taus), t) if t <= n_probe else (low, min(t - 1, kcap) + 1)
+        assert shape == (*want, model.r, model.r), t
+
+
+def test_run_all_makes_one_weight_pass(example2, monkeypatch):
+    # the decay and cross-sum audits share one _resid_rows pass (they made two)
+    calls, resid_rows = [], assumptions._resid_rows
+
+    def spy(*args, **kwargs):
+        calls.append(args[3:])
+        return resid_rows(*args, **kwargs)
+
+    monkeypatch.setattr(assumptions, "_resid_rows", spy)
+    run_all(example2, **CRIT9)
+    assert calls == [(250, 3, None, None)]  # the horizon, 200, is within n_probe: no tail
+    check_psi_decay(example2, example2.layout.theta0_array(), n_probe=50)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("d_cap", [5, 120])
+def test_run_all_reads_d_cap_when_called(example2, monkeypatch, d_cap):
+    # VALIDATION.md's recipe: set tdvarma.assumptions.D_CAP before run_all
+    grid = dict(n_probe=100, cross_grid=(50, 100), cross_m_grid=(150,), info_grid=(25,))
+    theta0 = example2.layout.theta0_array()
+    default = run_all(example2, theta0, **grid).h37_ratios
+    monkeypatch.setattr(assumptions, "D_CAP", d_cap)
+    got = run_all(example2, theta0, **grid).h37_ratios
+    alone = check_cross_sums(example2, theta0, n_grid=grid["cross_grid"], m_term_grid=grid["cross_m_grid"])
+    assert repr(got) == repr(alone.details["ratios"])
+    if d_cap == 5:  # lags stop at 10, so the ratios move
+        assert got != default
 
 
 # -- oracles: the per-(t, k) and per-(t, d) loops the array kernels replaced -------
@@ -255,6 +357,42 @@ def _ref_tail_stats(rows, nu_grid, power):
                 best = max(best, float(np.sum(arr[nu:] ** power)))
         tails.append(best)
     return np.array(tails)
+
+
+def _ref_decay_maxima(model, theta0, n_probe):
+    """What check_psi_decay reduces its rows to, from the whole (tuples, n_probe, n_probe)
+    norm table at once: per order-1/2 tuple the worst tail sums (powers 2, 4), per
+    order-3 tuple the worst total of squares, and the last non-zero lag of order <= 2."""
+    taus, norms = _norm_table(model, theta0, n_probe, 3, None)
+    norms[~(norms > 1e-14)] = 0.0
+    nu_grid = [v for v in assumptions.NU_GRID if v <= n_probe - 1]
+    low = [tab for tau, tab in zip(taus, norms) if len(tau) <= 2]
+    tails = [[_tail_sums(tab, nu_grid, power) for tab in low] for power in (2, 4)]
+    sum_sq = [np.max(np.sum(tab**2, axis=1)) for tau, tab in zip(taus, norms) if len(tau) == 3]
+    lags = [np.nonzero(np.any(tab > 0, axis=0))[0] for tab in low]
+    return tails, sum_sq, max([-1] + [int(nz[-1]) for nz in lags if nz.size])
+
+
+@pytest.mark.parametrize(
+    "which, n_probe",
+    [("example1_sim", 250), ("example2", 64), ("example2", 65), ("varma11", 70), ("varma22", 60)],
+)
+def test_decay_blocks_match_the_whole_table(which, n_probe):
+    # the reducer folds BLOCK rows at a time (the last block may hold one row) into
+    # maxima over t; the table the blocks replaced gives the same bits
+    models = {
+        "varma22": lambda: make_random_varma22(np.random.default_rng(3)),
+        "varma11": lambda: make_sin_varma11(np.random.default_rng(7)),
+    }
+    model = models[which]() if which in models else examples.build(which)
+    theta0 = model.layout.theta0_array()
+    decay = assumptions._DecayTails(n_probe)
+    assumptions._reduce_rows(_resid_rows(model, theta0, theta0, n_probe, 3, None), [decay])
+    tails, sum_sq, k_last = _ref_decay_maxima(model, theta0, n_probe)
+    np.testing.assert_array_equal(decay.tails, np.array(tails).reshape(decay.tails.shape))
+    np.testing.assert_array_equal(decay.sum_sq, sum_sq)
+    assert decay.k_nonzero == k_last >= 0
+    assert (len(sum_sq) > 0) == (model.q > 0)
 
 
 def _ref_cross_sums(model, theta0, n_grid, m_term_grid):

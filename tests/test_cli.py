@@ -184,6 +184,7 @@ def _assert_check_details(doc):
     assert set(doc["details"]) == CHECKS
     for details in doc["details"].values():
         assert details["wall_s"] >= 0.0
+    assert doc["weight_pass_s"] > 0.0  # run_all's shared weight pass, outside every check
     cross = doc["details"]["cross_sums"]
     assert {"first_trend", "second_curve_max", "second_curve_argmax_n", "ratios"} <= set(cross)
     assert 1 <= cross["second_curve_argmax_n"] <= max(doc["probe"]["cross_m_grid"])
