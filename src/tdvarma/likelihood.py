@@ -6,7 +6,7 @@ block-lower-triangular operator applied to the series,
     e = (I + B_op)^{-1} (I - A_op) x,   (A_op x)_t = sum_i A_ti(theta) x_{t-i},
 
 so the exact likelihood needs no state-space filtering.  `_lag_sum` applies a
-lag operator and `_lag_solve` applies (I + C_op)^{-1} by recursive doubling over
+lag operator and `_lag_solver` builds (I + C_op)^{-1} by recursive doubling over
 the companion form; the same companion products give all residual derivatives, and
 `simulate` applies the inverse operator to the scaled innovations.  A_op x and
 the AR rows d_k A_op x of de are linear in the fixed series, so the products of
@@ -110,21 +110,16 @@ def _lag_sum(c: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lag_solve(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """y solving y_t + sum_i C_ti y_{t-i} = z_t forward in t (y_s = 0 for s < 1).
+def _lag_solver(c: np.ndarray, n: int):
+    """The function z -> y solving y_t + sum_i C_ti y_{t-i} = z_t forward in t (y_s = 0
+    for s < 1), for any (..., n, r) stack z, solved along its time axis; c is (k, n, r, r).
 
-    z is a (..., n, r) stack solved along its time axis; c is (k, n, r, r).  The
-    companion Phi_t, first block row -[C_t1 ... C_tk] and identities below, gives
+    The companion Phi_t, first block row -[C_t1 ... C_tk] and identities below, gives
     Y_t = (y_t, ..., y_{t-k+1}) = Phi_t Y_{t-1} + (z_t, 0, ...).  At level d = 1, 2, 4, ...
     each Y_t with t > d adds Phi_t ... Phi_{t-d+1} Y_{t-d}, and the products are then
-    composed to span 2d steps; each y_t sees the same operations whatever n is.
+    composed to span 2d steps, here, once for every z; each y_t sees the same
+    operations whatever n is.
     """
-    return _lag_solver(c, z.shape[-2])(z)
-
-
-def _lag_solver(c: np.ndarray, n: int):
-    """`_lag_solve(c, .)` for right-hand sides of length n, as a function of z.  The
-    companion products of every level are composed once, and every z reuses them."""
     k = len(c)
     if k == 0:
         return np.copy

@@ -4,15 +4,16 @@ A run gives one McSummary with a cell per series length.  A cell keeps what
 its replications produced: every replication's estimate, standard error and
 convergence flag, and the true value theta0; its summary lines (a)-(d) are
 read off those arrays over the replications that converged, and `LINES`
-names each line's label, attribute and printed decimals.  Each
-replication draws its innovations from an independent Philox stream keyed by
-(master seed, n, replication index), so enlarging the n-grid or the
-replication count never perturbs existing cells.  With more than one thread,
-one worker pool serves every series length of a run; its results come back
-in replication order, so the cells are bit-identical whatever the pool size.
-Each replication is fitted from the plan's theta_init (the true value theta0
-where it has none), bounded by the model layout's bounds; a fit that raises
-NumericalError counts as excluded.
+names each line's label, attribute and printed decimals.  Each replication
+draws its innovations from an independent Philox stream keyed by (master seed,
+n, replication index), so enlarging the n-grid or the replication count never
+perturbs existing cells.  What a series needs besides its draws (g_t, B_t and the
+AR solve at theta0 and n) `simulate` builds once per cell, and once per chunk of
+replications in a worker.  With more than one thread, one worker pool serves
+every series length of a run; its results come back in replication order, so
+the cells are bit-identical whatever the pool size.  Each replication is fitted
+from the plan's theta_init (the true value theta0 where it has none), bounded by
+the model layout's bounds; a fit that raises NumericalError counts as excluded.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Streams are Philox(4x64) generators keyed directly by (seed, stream):
 no seed hashing is involved, so any (seed, stream) pair maps to a
 documented, platform-independent innovation sequence.  Gaussian draws use
 numpy's ziggurat standard-normal on the keyed generator; the algorithm
-identifier is exposed for reproducibility audits.
+identifier is exposed for reproducibility audits.  The g_t, B_t and AR solve of
+the last (model, theta0 bits, n) simulated are kept: a cell builds them once.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .likelihood import _lag_solve, _lag_sum
+from .likelihood import _lag_solver, _lag_sum
 from .model import Series, TdVarmaModel
 
 RNG_ALGORITHM = f"philox4x64+ziggurat-standard-normal (numpy {np.__version__})"
 
 _MASK64 = (1 << 64) - 1
+_memo = [None, None, None]  # model, (theta0 bits, n) and operator of the last plan simulated
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -64,14 +66,26 @@ def simulate(plan: SimPlan, return_innovations: bool = False):
     theta0 = np.asarray(plan.theta0, dtype=float)
     rng = make_rng(plan.seed, plan.stream)
     eps = rng.standard_normal((n, r)) @ model.sigma_chol.T
-
-    ts = range(1, n + 1)
-    scaled = np.einsum("trs,ts->tr", model.g_values(ts, theta0), eps)
-    x = _lag_solve(-model.a_values(ts, theta0), scaled + _lag_sum(model.b_values(ts, theta0), scaled))
+    with np.errstate(all="ignore"):  # an overflow is reported below, by its first t
+        g, b, solve = _operator(model, theta0, n)
+        scaled = np.einsum("trs,ts->tr", g, eps)
+        x = solve(scaled + _lag_sum(b, scaled))
+    if not np.isfinite(x).all():
+        raise ConfigError(f"simulated series is not finite at t = {np.argmin(np.isfinite(x).all(axis=1)) + 1}")
     series = Series(values=x)
     if return_innovations:
         return series, eps
     return series
+
+
+def _operator(model: TdVarmaModel, theta0: np.ndarray, n: int) -> tuple:
+    """(g_t, B_t, AR solve) over t = 1..n at theta0, kept for the next plan of its cell."""
+    key = (theta0.tobytes(), n)
+    if _memo[0] is not model or _memo[1] != key:
+        ts = range(1, n + 1)
+        _memo[:] = model, key, (model.g_values(ts, theta0), model.b_values(ts, theta0),
+                                _lag_solver(-model.a_values(ts, theta0), n))
+    return _memo[2]
 
 
 def innovation_correlation(model: TdVarmaModel, theta0, t: int) -> float:

@@ -18,7 +18,7 @@ from tdvarma import examples, likelihood
 from tdvarma.errors import ContractError, SingularCovarianceError
 from tdvarma.estimate import _safe_objective, estimate_noise_cov
 from tdvarma.likelihood import (
-    _lag_solve,
+    _lag_solver,
     _lag_sum,
     _lagged,
     empirical_vw,
@@ -376,7 +376,7 @@ def test_lag_solve_matches_forward_substitution(k, r, stack, n, seed):
     c, z = _lag_problem(np.random.default_rng(seed), k, r, stack, n)
     z_before = z.copy()
     ref = lag_solve_loop(c, z)
-    y = _lag_solve(c, z)
+    y = _lag_solver(c, z.shape[-2])(z)
     assert y.shape == z.shape
     np.testing.assert_array_equal(z, z_before)
     assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -386,9 +386,9 @@ def test_lag_solve_matches_forward_substitution(k, r, stack, n, seed):
 def test_lag_solve_is_prefix_invariant(k, r, stack):
     # each y_t goes through the same operations whatever the length of the solve
     c, z = _lag_problem(np.random.default_rng(17), k, r, stack, 400)
-    full = _lag_solve(c, z)
+    full = _lag_solver(c, z.shape[-2])(z)
     for n0 in (3, 5, 6, 37, 100, 255, 257, 399):
-        np.testing.assert_array_equal(_lag_solve(c[:, :n0], z[..., :n0, :]), full[..., :n0, :])
+        np.testing.assert_array_equal(_lag_solver(c[:, :n0], n0)(z[..., :n0, :]), full[..., :n0, :])
 
 
 @pytest.mark.parametrize("q", [1, 2])
@@ -409,12 +409,12 @@ def test_residual_solves_share_companion_products(q):
         rhs = rhs - d.pop(())
         for (k,), dk in d.items():
             de_rhs[k] -= dk
-    e = _lag_solve(b_all, rhs)
+    e = _lag_solver(b_all, n)(rhs)
     for lag, f in enumerate(m.b_funcs, 1):
         slots, d = f.head_grad(n, theta)
         de_rhs[list(slots)] -= (d @ _lagged(e, lag)[:, :, None])[..., 0]
     np.testing.assert_array_equal(res.e, e)
-    np.testing.assert_array_equal(res.de, _lag_solve(b_all, de_rhs))
+    np.testing.assert_array_equal(res.de, _lag_solver(b_all, n)(de_rhs))
     for got, ref in ((res.e, lag_solve_loop(b_all, rhs)), (res.de, lag_solve_loop(b_all, de_rhs))):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 

@@ -1,13 +1,19 @@
+import importlib
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import make_sin_varma11
+from conftest import lag_solve_loop, make_sin_varma11
 from tdvarma import examples
 from tdvarma.errors import ConfigError, ContractError
 from tdvarma.likelihood import residuals
 from tdvarma.model import ParamLayout, TdVarmaModel
 from tdvarma.simulate import SimPlan, innovation_correlation, make_rng, simulate
 from tdvarma.timefn import Constant, MatrixTimeFunction, Param
+
+simulate_module = importlib.import_module("tdvarma.simulate")  # the package's `simulate` is the function
 
 
 def _zero_model():
@@ -39,6 +45,9 @@ def test_prefix_invariance_under_longer_horizon():
     s1 = simulate(SimPlan(m, m.layout.theta0, 40, 9))
     s2 = simulate(SimPlan(m, m.layout.theta0, 50, 9))
     np.testing.assert_array_equal(s2.values[:40], s1.values)
+    # and again from the memo, warm at each length in turn
+    for n in (50, 40):
+        np.testing.assert_array_equal(simulate(SimPlan(m, m.layout.theta0, n, 9)).values[:40], s1.values)
 
 
 def test_no_explosion_long_horizon():
@@ -96,3 +105,69 @@ def test_descaled_residual_covariance_matches_noise_cov(example2):
 def test_plan_without_true_value_rejected():
     with pytest.raises(ConfigError, match="theta0"):
         SimPlan(examples.example1_sim_model(), None, 10, 1)
+
+
+# -- the memo of the last (model, theta0, n) simulated -------------------------
+
+
+def _cold(plan):
+    """The plan's series with the memo emptied first, so its operator is built anew."""
+    simulate_module._memo[:] = [None] * 3
+    return simulate(plan).values
+
+
+@pytest.mark.parametrize("build", [
+    examples.example1_sim_model, examples.example1_theory_model, examples.example2_model,
+    lambda: make_sin_varma11(np.random.default_rng(909)),
+], ids=["example1_sim", "example1_theory", "example2", "sin_varma11"])
+def test_warm_memo_gives_the_cold_series(build):
+    m = build()
+    plans = [SimPlan(m, m.layout.theta0, 60, 5, stream) for stream in range(4)]
+    cold = [_cold(plan) for plan in plans]
+    simulate(plans[0])
+    operator = simulate_module._memo[2]
+    for plan, ref in zip(plans, cold):
+        np.testing.assert_array_equal(simulate(plan).values, ref)
+    assert simulate_module._memo[2] is operator  # one build served every stream
+
+
+def test_interleaved_plans_each_get_their_own_operator():
+    # a stale operator, keyed on too little, would hand one plan another's g_t or A_t:
+    # every plan is simulated right after every other, so each pair differs in one part
+    # of the key at least, and some in only one
+    plans = [
+        SimPlan(m, theta0, n, 3, 1)
+        for m in (examples.example1_sim_model(), examples.example1_sim_model(freq_a=0.3))
+        for theta0 in (m.layout.theta0, np.array(m.layout.theta0) * 0.5)
+        for n in (30, 45)
+    ]
+    cold = [_cold(plan) for plan in plans]
+    assert len({ref.tobytes() for ref in cold}) == len(plans)
+    for i, j in itertools.permutations(range(len(plans)), 2):
+        simulate(plans[i])
+        np.testing.assert_array_equal(simulate(plans[j]).values, cold[j])
+
+
+def test_with_sigma_copy_after_its_parent_matches_a_fresh_model():
+    sigma = ((2.0, -0.3), (-0.3, 0.5))
+    parent = examples.example2_model()
+    simulate(SimPlan(parent, parent.layout.theta0, 50, 8))
+    copy = parent.with_sigma(sigma)
+    got = simulate(SimPlan(copy, copy.layout.theta0, 50, 8)).values
+    fresh = examples.example2_model(sigma=sigma)
+    np.testing.assert_array_equal(got, _cold(SimPlan(fresh, fresh.layout.theta0, 50, 8)))
+
+
+def test_overflowing_series_raises_one_config_error_naming_its_first_t():
+    m = examples.example1_sim_model()
+    theta0, n = np.array([3.0, 0.5, -3.0]), 3000
+    eps = make_rng(1, 0).standard_normal((n, 2)) @ m.sigma_chol.T
+    ts = range(1, n + 1)
+    with np.errstate(all="ignore"):
+        ref = lag_solve_loop(-m.a_values(ts, theta0), np.einsum("trs,ts->tr", m.g_values(ts, theta0), eps))
+    first = int(np.argmin(np.isfinite(ref).all(axis=1))) + 1
+    assert 1 < first < n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning escapes the solve
+        with pytest.raises(ConfigError, match=rf"not finite at t = {first}$"):
+            simulate(SimPlan(m, theta0, n, 1))
