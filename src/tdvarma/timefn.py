@@ -133,6 +133,16 @@ def _mono_deriv(mono: tuple[int, ...], left: tuple[int, ...], theta: np.ndarray)
     return w
 
 
+def _slot_dot(th: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_k th[k] * stack[k], added in slot order.  einsum's order of addition
+    varies with the stack's shape, so an entry packed alone and the same entry
+    packed in a grid could differ in the last bit; a grid only adds zero terms."""
+    out = th[0] * stack[0]
+    for k in range(1, len(th)):
+        out += th[k] * stack[k]
+    return out
+
+
 class _Term(NamedTuple):
     """One packed term: arrays of the form's shape, stacked over its slots where noted."""
 
@@ -236,7 +246,7 @@ class _Form:
     def _poly(self, term: _Term, theta, th, left) -> Optional[np.ndarray]:
         """d^left p of the term's polynomial, None where it vanishes identically."""
         if not left:
-            p = term.c if term.lin is None else term.c + np.einsum("k,k...->...", th, term.lin)
+            p = term.c if term.lin is None else term.c + _slot_dot(th, term.lin)
         elif len(left) == 1 and term.lin is not None:
             p = term.lin[self._where[left[0]]]
         else:
@@ -253,7 +263,7 @@ class _Form:
         th = theta[self._take]
         out = dict.fromkeys(taus)
         for term in self.terms:
-            e = None if term.expo is None else np.exp(np.einsum("k,k...->...", th, term.expo))
+            e = None if term.expo is None else np.exp(_slot_dot(th, term.expo))
             polys: dict = {}
             for tau, acc in out.items():
                 for left, right in _splits(tau):
