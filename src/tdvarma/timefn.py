@@ -17,10 +17,16 @@ terms and products multiply them out, so the form is closed under both, and
 every derivative follows from it by the product rule:
 
     d^tau (p e^a) = sum over the splits (L, R) of tau of d^L p * prod_{s in R} G_s * e^a.
+
+A matrix packs its entries' terms into one table of the same (poly, expo)
+pairs, each coefficient an array over (t, row, col), with sorted keys: an
+entry alone and the same entry in a grid then add in the same order and give
+the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -119,52 +125,50 @@ def _multiply(left: list, right: list) -> list:
     return _join(out)
 
 
-def _mono_deriv(mono: tuple[int, ...], left: tuple[int, ...], theta: np.ndarray) -> float:
-    """d^left of the monomial prod_{s in mono} theta_s at theta."""
-    rest = list(mono)
-    w = 1.0
-    for slot in left:
-        if slot not in rest:
-            return 0.0
-        w *= rest.count(slot)
-        rest.remove(slot)
-    for slot in rest:
-        w *= theta[slot]
-    return w
+@lru_cache(maxsize=None)
+def _mono_parts(mono: tuple[int, ...]) -> tuple:
+    """(left, w, rest) for every derivative tuple left under which the monomial
+    prod_{s in mono} theta_s does not vanish: its d^left is w * prod_{s in rest}
+    theta_s.  Kept per monomial for the table's inner loop."""
+    parts = dict(index_splits(mono))
+    return tuple(
+        (left, float(math.prod(math.perm(mono.count(s), left.count(s)) for s in set(left))), rest)
+        for left, rest in parts.items()
+    )
 
 
-def _slot_dot(th: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_k th[k] * stack[k], added in slot order.  einsum's order of addition
-    varies with the stack's shape, so an entry packed alone and the same entry
-    packed in a grid could differ in the last bit; a grid only adds zero terms."""
-    out = th[0] * stack[0]
-    for k in range(1, len(th)):
-        out += th[k] * stack[k]
+def _poly_derivs(poly: dict, th: list, lefts: Iterable[tuple[int, ...]]) -> dict:
+    """{left: d^left p} for the polynomial p at theta = th, each a fresh array added
+    in key order, None where it vanishes."""
+    out = dict.fromkeys(lefts)
+    for mono, coef in poly.items():
+        for left, w, rest in _mono_parts(mono):
+            if left not in out:
+                continue
+            for slot in rest:
+                w *= th[slot]
+            if w:
+                x = coef if w == 1.0 else w * coef
+                if out[left] is None:
+                    out[left] = x.copy() if x is coef else x
+                else:
+                    out[left] += x
     return out
 
 
-class _Term(NamedTuple):
-    """One packed term: arrays of the form's shape, stacked over its slots where noted."""
-
-    c: np.ndarray                 # the constant coefficient
-    lin: Optional[np.ndarray]     # (slots, ...) linear coefficients, None without any
-    higher: dict                  # {monomial of degree >= 2: coefficient}
-    expo: Optional[np.ndarray]    # (slots, ...) exponent coefficients, None without an exponent
-    expo_slots: frozenset         # the slots the exponent uses
-
-
 class _Form:
-    """The terms of a grid of entries over t = 1..n, packed as arrays of shape
-    (n,) + grid: term k of the form holds term k of every entry, zero where an
-    entry has fewer terms.  `take` reads some of its rows, `applied_to` multiplies
-    a stack into it, and `derivs` evaluates the value and derivatives at a theta."""
+    """The terms of a grid of entries over t = 1..n: (poly, expo) pairs like an
+    entry's own, each coefficient an array of shape (n,) + grid.  Term k holds
+    term k of every entry, zero where an entry has fewer terms or lacks a key.
+    The keys are sorted, so an entry alone and the same entry in a grid add their
+    contributions in the same order and agree to the bit; the grid only adds
+    zeros.  `take` reads some of its rows, `applied_to` multiplies a stack into
+    it, and `derivs` evaluates the value and derivatives at a theta."""
 
     def __init__(self, slots: tuple[int, ...], shape: tuple, terms: list):
         self.slots = slots
         self.shape = shape
         self.terms = terms
-        self._where = {slot: k for k, slot in enumerate(slots)}
-        self._take = np.array(slots, dtype=np.intp)
 
     @classmethod
     def pack(cls, entries: Sequence[Sequence[ScalarTimeFunction]], n: int) -> "_Form":
@@ -173,116 +177,73 @@ class _Form:
         slots = tuple(sorted(frozenset().union(*(f.param_slots() for _, f in cells))))
         tt = np.arange(1.0, n + 1)
         shape = (n, len(entries), len(entries[0]))
-        where = {slot: k for k, slot in enumerate(slots)}
         per_cell = [(pos, f.terms(tt)) for pos, f in cells]
         terms = []
         for k in range(max(len(ts) for _, ts in per_cell)):
-            c = np.zeros(shape)
-            lin = expo = None
-            higher: dict = {}
-            expo_slots: set = set()
+            term: tuple = ({}, {})
             for pos, ts in per_cell:
-                if k >= len(ts):
-                    continue
-                at = (Ellipsis,) + pos
-                poly, ex = ts[k]
-                for mono, coef in poly.items():
-                    if not mono:
-                        c[at] = coef
-                    elif len(mono) == 1:
-                        lin = np.zeros((len(slots),) + shape) if lin is None else lin
-                        lin[(where[mono[0]],) + at] = coef
-                    else:
-                        higher.setdefault(mono, np.zeros(shape))[at] = coef
-                for slot, g in ex.items():
-                    expo = np.zeros((len(slots),) + shape) if expo is None else expo
-                    expo[(where[slot],) + at] = g
-                    expo_slots.add(slot)
-            for arr in (c, lin, expo, *higher.values()):
-                if arr is not None:
+                for packed, part in zip(term, ts[k] if k < len(ts) else ()):
+                    for key, coef in part.items():
+                        packed.setdefault(key, np.zeros(shape))[(Ellipsis,) + pos] = coef
+            for part in term:
+                for arr in part.values():
                     arr.setflags(write=False)
-            terms.append(_Term(c, lin, dict(sorted(higher.items())), expo, frozenset(expo_slots)))
+            terms.append(tuple(dict(sorted(part.items())) for part in term))
         return cls(slots, shape, terms)
 
-    @property
-    def affine(self) -> bool:
-        """One term without exponent or monomials above degree one: c + theta . lin."""
-        return len(self.terms) == 1 and self.terms[0].expo is None and not self.terms[0].higher
+    @cached_property
+    def slopes(self) -> Optional[np.ndarray]:
+        """For an affine form, one term without exponent or monomials above degree
+        one, its linear coefficients stacked over the slots, read-only; else None."""
+        poly, expo = self.terms[0]
+        if len(self.terms) > 1 or expo or any(len(mono) > 1 for mono in poly):
+            return None
+        out = np.stack([poly[(slot,)] for slot in self.slots]) if self.slots else np.zeros((0,) + self.shape)
+        out.setflags(write=False)
+        return out
 
     def take(self, rows) -> "_Form":
         """The same form at the given rows: views for a slice, a gather for indices."""
-        cut = [
-            _Term(
-                term.c[rows],
-                None if term.lin is None else term.lin[:, rows],
-                {mono: coef[rows] for mono, coef in term.higher.items()},
-                None if term.expo is None else term.expo[:, rows],
-                term.expo_slots,
-            )
-            for term in self.terms
-        ]
-        return _Form(self.slots, cut[0].c.shape, cut)
+        cut = [tuple({key: coef[rows] for key, coef in part.items()} for part in term) for term in self.terms]
+        return _Form(self.slots, next(iter(cut[0][0].values())).shape, cut)
 
     def applied_to(self, y: np.ndarray) -> "AppliedForm":
         """This form times the fixed (n, r) stack y, row t the vector f_t y_t.  A term
         without exponent is linear in its coefficient arrays, so they are contracted
         with y here; a term with one keeps y_tj in its entry (i, j)."""
-        def scaled(term: _Term, times) -> _Term:
-            arrays = [times(term.c), None if term.lin is None else times(term.lin),
-                      *(times(coef) for coef in term.higher.values())]
-            for arr in arrays:
-                if arr is not None:
-                    arr.setflags(write=False)
-            return _Term(arrays[0], arrays[1], dict(zip(term.higher, arrays[2:])), term.expo, term.expo_slots)
-
-        flat = [scaled(term, lambda a: (a @ y[..., None])[..., 0]) for term in self.terms if term.expo is None]
-        entry = [scaled(term, lambda a: a * y[:, None, :]) for term in self.terms if term.expo is not None]
+        flat = [({key: (coef @ y[..., None])[..., 0] for key, coef in poly.items()}, expo)
+                for poly, expo in self.terms if not expo]
+        entry = [({key: coef * y[:, None, :] for key, coef in poly.items()}, expo)
+                 for poly, expo in self.terms if expo]
         return AppliedForm(
             self.slots,
             _Form(self.slots, y.shape, flat) if flat else None,
             _Form(self.slots, self.shape, entry) if entry else None,
         )
 
-    def _poly(self, term: _Term, theta, th, left) -> Optional[np.ndarray]:
-        """d^left p of the term's polynomial, None where it vanishes identically."""
-        if not left:
-            p = term.c if term.lin is None else term.c + _slot_dot(th, term.lin)
-        elif len(left) == 1 and term.lin is not None:
-            p = term.lin[self._where[left[0]]]
-        else:
-            p = None
-        for mono, coef in term.higher.items():
-            w = _mono_deriv(mono, left, theta)
-            if w:
-                p = w * coef if p is None else p + w * coef
-        return p
-
     def derivs(self, theta, taus: Iterable[tuple[int, ...]]) -> dict:
         """{tau: d^tau f} at theta for every tau (() the value), each a fresh array."""
-        theta = _checked_theta(theta, self.slots)
-        th = theta[self._take]
+        th = _checked_theta(theta, self.slots).tolist()
         out = dict.fromkeys(taus)
-        for term in self.terms:
-            e = None if term.expo is None else np.exp(_slot_dot(th, term.expo))
-            polys: dict = {}
-            for tau, acc in out.items():
-                for left, right in _splits(tau):
-                    if right and (e is None or not term.expo_slots.issuperset(right)):
-                        continue
-                    x = polys[left] if left in polys else polys.setdefault(left, self._poly(term, theta, th, left))
-                    if x is None:
-                        continue
-                    for slot in right:
-                        x = x * term.expo[self._where[slot]]
-                    if e is not None:
-                        x = x * e
-                    acc = x if acc is None else acc + x
-                out[tau] = acc
+        for poly, expo in self.terms:
+            # the product-rule splits of every tau whose right part the exponent takes
+            splits = [(tau, left, right) for tau in out for left, right in _splits(tau)
+                      if not right or (expo and expo.keys() >= set(right))]
+            polys = _poly_derivs(poly, th, [left for _, left, _ in splits])
+            powers = [th[slot] * g for slot, g in expo.items()]  # theta_s G_s, added in slot order
+            e = np.exp(sum(powers[1:], powers[0])) if powers else None
+            for tau, left, right in splits:
+                x = polys[left]
+                if x is None:
+                    continue
+                for slot in right:
+                    x = x * expo[slot]
+                if e is not None:
+                    x = x * e
+                out[tau] = x if out[tau] is None else out[tau] + x
         for tau, x in out.items():
             if x is None:
                 out[tau] = np.zeros(self.shape)
-            elif not x.flags.writeable:
-                out[tau] = x.copy()
         return out
 
 
@@ -331,7 +292,6 @@ class ScalarTimeFunction:
 
     def deriv(self, t, theta, indices: Sequence[int]):
         """Exact partial derivative of order len(indices); zero for foreign slots."""
-        _checked_theta(theta, self.param_slots())
         return self._matrix.deriv(t, theta, indices)[..., 0, 0]
 
     def to_config(self) -> dict:
@@ -479,15 +439,17 @@ def scalar_from_config(rec: Mapping) -> ScalarTimeFunction:
 class MatrixTimeFunction:
     """An r x r matrix of scalar time functions, evaluated and differentiated jointly.
 
-    Every evaluation reads rows of one table, the entries' closed forms packed
-    over t = 1..N, built on first use and rebuilt at twice the length (or up to
-    the latest time, if that is further) when a later time comes.  Times are
+    Every evaluation reads rows of one table, the entries' own (poly, expo)
+    terms packed over t = 1..N with coefficients over (t, row, col) and sorted
+    keys, built on first use and rebuilt at twice the length (or up to the
+    latest time, if that is further) when a later time comes.  Times are
     integers >= 1: a range reads a slice of the table and anything else a
     gather.  Every derivative up to order 3 follows from the rows.  For an
-    affine matrix the table is (C, F), one term without exponent: the value is
-    C + theta_slots . F and the first derivatives are slices of F.  `applied_to`
-    multiplies a fixed (n, r) stack into the rows at t = 1..n once, for products
-    A_t y_t that are then evaluated at any theta.
+    affine matrix, one term without exponent or monomials above degree one,
+    the first derivatives are its linear coefficients, which `head_grad`
+    stacks once per table view.  `applied_to` multiplies a fixed (n, r) stack
+    into the rows at t = 1..n once, for products A_t y_t that are then
+    evaluated at any theta.
     """
 
     def __init__(self, entries: Sequence[Sequence[ScalarTimeFunction]]):
@@ -527,12 +489,12 @@ class MatrixTimeFunction:
 
     def head_grad(self, n: int, theta) -> tuple[tuple[int, ...], np.ndarray]:
         """(slots, D) with D[i] the derivative by theta[slots[i]] at t = 1..n, shape
-        (len(slots), n, r, r); read-only for an affine matrix."""
+        (len(slots), n, r, r); for an affine matrix the read-only linear coefficients,
+        stacked once per table view."""
         tab = self._rows(range(1, n + 1))
-        if tab.affine:
+        if tab.slopes is not None:
             _checked_theta(theta, tab.slots)
-            lin = tab.terms[0].lin
-            return tab.slots, np.zeros((0,) + tab.shape) if lin is None else lin
+            return tab.slots, tab.slopes
         grads = tab.derivs(theta, [(k,) for k in tab.slots])
         return tab.slots, np.stack(list(grads.values()))
 
@@ -546,10 +508,11 @@ class MatrixTimeFunction:
         return self._rows(t).derivs(theta, [()])[()]
 
     def deriv(self, t, theta, indices: Sequence[int]) -> np.ndarray:
-        """Exact partial derivative of the matrix w.r.t. theta[indices]."""
+        """Exact partial derivative of the matrix w.r.t. theta[indices]; zero when they
+        name a slot the matrix does not use."""
         tau = tuple(sorted(_check_indices(indices)))
-        form = self._rows(t)
-        return form.derivs(theta, [tau])[tau] if set(tau) <= self._slots else np.zeros(form.shape)
+        found = self.deriv_map(t, theta, [tau])
+        return found[tau] if found else np.zeros(self._rows(t).shape)
 
     def deriv_map(self, t, theta, tuples: Iterable[tuple[int, ...]]) -> dict:
         """Evaluate several derivative tuples at once; omits the tuples with a slot the

@@ -191,8 +191,10 @@ def test_affine_table_matches_entrywise_path_and_grows():
     theta = np.array([0.4, -0.03, 0.8])
     assert_heads_match_entrywise(f, 50, theta, rtol=1e-15)
     tab = f._table
-    assert tab.affine and tab.slots == (0, 1, 2)
-    assert tab.terms[0].c.shape == (50, 2, 2) and tab.terms[0].lin.shape == (3, 50, 2, 2)
+    assert tab.slopes is not None and tab.slots == (0, 1, 2)
+    [(poly, expo)] = tab.terms
+    assert expo == {} and list(poly) == [(), (0,), (1,), (2,)]
+    assert all(coef.shape == (50, 2, 2) for coef in poly.values()) and tab.slopes.shape == (3, 50, 2, 2)
     assert_heads_match_entrywise(f, 80, theta, rtol=1e-15)
     assert f._table.shape[0] == 100  # rebuilt at twice the old length
     assert_heads_match_entrywise(f, 7, theta + 0.2, rtol=1e-15)
@@ -206,6 +208,8 @@ NON_AFFINE = {
     "exp_sine": ExpSine(2, 2.0 * math.pi / 25.0, phase=math.pi),
     "product": Product(Sine(0, 0.3, 0.2), Param(1)),
     "sine_exp_sine": Product(Sine(0, 0.7), ExpSine(2, 0.25)),
+    # constant, linear and quadratic monomials in one term, and an exponent term
+    "mixed_product": Product(Sum(Constant(0.3), Param(0)), Sum(Param(1), ExpSine(2, 0.4))),
 }
 NON_AFFINE["sum"] = Sum(NON_AFFINE["sine_exp_sine"], Sum(NON_AFFINE["exp_sine"], NON_AFFINE["product"]))
 
@@ -217,7 +221,7 @@ def test_non_affine_matrices_are_tabled(name):
     theta = np.array([0.6, -0.4, 0.9])
     for n in (50, 80, 7):  # 80 rebuilds the table at 100; 7 reads a prefix of it
         assert_heads_match_entrywise(f, n, theta)
-        assert f._table.shape[0] == (50 if n == 50 else 100) and not f._table.affine
+        assert f._table.shape[0] == (50 if n == 50 else 100) and f._table.slopes is None
         theta = theta - 0.3
     for tau in sorted_tuples(sorted(entry.param_slots()), 3):  # the entry against per-kind formulas
         want = kind_oracle(entry, _T, theta, tau)
@@ -315,9 +319,10 @@ def test_slot_free_entry_is_constant_in_the_table():
     theta = np.array([0.7])
     assert_heads_match_entrywise(f, 30, theta)
     tab = f._table
-    assert tab.affine and tab.slots == (0,)
-    np.testing.assert_array_equal(tab.terms[0].c[:, 0, 0], np.exp(0.01 * _T[:30]))
-    np.testing.assert_array_equal(tab.terms[0].lin[0, :, 0, 0], np.zeros(30))
+    assert tab.slopes is not None and tab.slots == (0,)
+    poly = tab.terms[0][0]
+    np.testing.assert_array_equal(poly[()][:, 0, 0], np.exp(0.01 * _T[:30]))
+    np.testing.assert_array_equal(poly[(0,)][:, 0, 0], np.zeros(30))
 
 
 _AT_ANY_TIMES = {
@@ -379,6 +384,10 @@ def test_short_theta_raises_on_both_paths(path):
     else:
         with pytest.raises(ConfigError):
             f.value(ts, np.zeros(2))
+    # a tuple of slots the matrix or entry does not use still checks theta
+    for call in (lambda: f.deriv(ts, np.zeros(2), (1,)), lambda: f.entries[0][0].deriv(ts, np.zeros(2), (0,))):
+        with pytest.raises(ConfigError):
+            call()
 
 
 def test_every_evaluation_reads_rows_of_the_one_table(monkeypatch):
