@@ -405,7 +405,7 @@ class _CrossSums:
         self.norms = np.zeros((self.n_slots, self.n_max, self.kcap + 1))
         self.whitened = np.zeros((self.n2, self.n_slots, model.r, self.kcap, model.r))
         if self.n2 and self.n_slots:
-            self.h = model.scale_factor(self.n2, self.theta0)[1]
+            self.h = model.scale_factor(self.n2, self.theta0)[0]
             self.g_chol = self.g_all @ model.sigma_chol
 
     def take(self, t: int, stack: np.ndarray) -> None:

@@ -10,6 +10,7 @@ subcommand with identical inputs produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -138,14 +139,7 @@ def _cmd_fit(args) -> int:
 def _cmd_asymptotics(args) -> int:
     model, _ = config.load(args.config)
     rep = theoretical_v(model, model.layout.theta0_array(), args.n)
-    payload = {
-        "n": rep.n,
-        "v": rep.v,
-        "se": rep.se,
-        "positive_definite": rep.positive_definite,
-        "min_eigenvalue": rep.min_eigenvalue,
-    }
-    _emit_json(payload, args.out)
+    _emit_json(dataclasses.asdict(rep), args.out)
     return 0
 
 

@@ -1,23 +1,23 @@
 """Quasi-maximum likelihood fitting and sandwich standard errors.
 
-The objective, or with estimate_sigma the profile objective, is minimized in
-one quasi-Newton run with a backtracking Armijo line search (c = 1e-4, shrink
-0.5).  Each trial point is evaluated once, with its score and information, and
-an accepted trial's report is the next iterate's.  A trial whose evaluation
-raises NumericalError (a per-time or estimated covariance that is not positive
-definite, overflowing residuals, a non-finite score) or whose value is not
+The objective, or with estimate_sigma the profile objective, is minimized in one
+quasi-Newton run with a backtracking Armijo line search.  Each point is
+evaluated once, with its score and information, and with numpy's overflow,
+invalid and divide warnings off: a start that raises NumericalError fails the
+fit without printing them, and a trial that raises it or whose value is not
 finite counts as +inf, so the search backtracks.  The Hessian model B starts at
-the Gauss-Newton information; after each accepted step it takes the change in
-the information, B += info_+ - info, then the BFGS secant update where s'y > 0
-and s'Bs > 0.  The direction is -B^{-1} g, else -info^{-1} g, else -g, the
-first that descends.  Steps are clipped to the layout's bounds; a coordinate on
-a bound whose gradient points out of the box is left out of the step, and
-convergence is tested on the projected gradient, which leaves it out too.  With
-a fixed noise covariance and no MA part or scale parameters the information is
-the exact, constant Hessian, so this is plain BFGS and the first step lands on
-the GLS solution.  Every evaluation of a fit reads the series' AR products,
-formed once at its start.  The asymptotic covariance is the sandwich
-V_hat^{-1} W_hat V_hat^{-1} / n from the last evaluation.
+the information, adds the change in it after each accepted step and takes the
+BFGS update where s'y > 0 and s'Bs > 0.  The direction is -B^{-1} g, else
+-info^{-1} g, else -g, the first that descends.  Steps are clipped to the
+layout's bounds; a coordinate on a bound whose gradient points out of the box is
+left out of the step and of the projected gradient g_P.  The run ends on
+`gradient` (max |g_P| / n <= GRAD_TOL), `line_search` (no step down to MIN_STEP
+passes), `step` (a step of at most STEP_TOL (1 + |theta|)) or `max_iters`.
+Then the fit converged when the final max |g_P| / n is at most GRAD_TOL, or at
+most 10 GRAD_TOL after `line_search` or `step`; a converged `max_iters` end is
+relabelled `gradient`.  With Sigma fixed, q = 0 and no scale parameters the
+information is the exact Hessian, so the first step is the GLS solution.  The
+covariance is the sandwich V_hat^{-1} W_hat V_hat^{-1} / n at the estimate.
 """
 
 from __future__ import annotations
@@ -119,26 +119,23 @@ def _descent(mats, g: np.ndarray) -> np.ndarray:
 
 
 def _minimize(model: TdVarmaModel, series: Series, theta0, estimate_sigma: bool):
-    """The quasi-Newton run of the module docstring, projected onto the layout's
-    bounds; monotone in the objective."""
+    """The quasi-Newton run of the module docstring; monotone in the objective."""
     n = series.n
     bounds = model.layout.bounds
     theta = _project(np.asarray(theta0, dtype=float).copy(), bounds)
     ar_products = model.ar_products(series.values)  # fixed for the fit; every evaluation reads them
-    rep = likelihood.objective(model, series, theta, estimate_sigma, ar_products)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as for a trial point
+        rep = likelihood.objective(model, series, theta, estimate_sigma, ar_products)
     n_evals = 1
     b = rep.info.copy()
     history = [rep.q]
     termination = "max_iters"
-    converged = False
     it = 0
     for it in range(1, MAX_ITERS + 1):
         q, g = rep.q, rep.grad
         blocked = _blocked(theta, g, bounds)
-        g_max = _grad_max(g, blocked) / n
-        if g_max <= GRAD_TOL:
+        if _grad_max(g, blocked) / n <= GRAD_TOL:
             termination = "gradient"
-            converged = True
             break
         if blocked:  # the step moves the other coordinates only
             free = np.delete(np.arange(g.size), blocked)
@@ -147,19 +144,16 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, estimate_sigma: bool)
         else:
             d = _descent((b, rep.info), g)
         step = 1.0
-        accepted = False
         gd = g @ d
         while step >= MIN_STEP:
             trial = _project(theta + step * d, bounds)
             trial_rep = _safe_objective(model, series, trial, estimate_sigma, ar_products)
             n_evals += 1
             if trial_rep is not None and trial_rep.q <= q + ARMIJO_C * step * gd:
-                accepted = True
                 break
             step *= ARMIJO_SHRINK
-        if not accepted:
+        else:
             termination = "line_search"
-            converged = g_max <= 10 * GRAD_TOL
             break
         b += trial_rep.info - rep.info
         rep = trial_rep
@@ -168,17 +162,15 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, estimate_sigma: bool)
         theta = trial
         history.append(rep.q)
         if np.linalg.norm(s) <= STEP_TOL * (1.0 + np.linalg.norm(theta)):
-            converged = _grad_max(rep.grad, _blocked(theta, rep.grad, bounds)) / n <= 10 * GRAD_TOL
             termination = "step"
             break
         bs = b @ s
         sy, sbs = s @ y, s @ bs
         if sy > 0 and sbs > 0:
             b += np.outer(y, y) / sy - np.outer(bs, bs) / sbs
-    else:
-        it = MAX_ITERS
-    if not converged and _grad_max(rep.grad, _blocked(theta, rep.grad, bounds)) / n <= GRAD_TOL:
-        converged = True
+    tol = 10 * GRAD_TOL if termination in ("line_search", "step") else GRAD_TOL
+    converged = bool(_grad_max(rep.grad, _blocked(theta, rep.grad, bounds)) / n <= tol)
+    if converged and termination == "max_iters":
         termination = "gradient"
     return theta, rep, it, n_evals, converged, termination, history
 
@@ -206,7 +198,6 @@ def fit(model: TdVarmaModel, series: Series, theta_init, estimate_sigma: bool = 
     theta, rep, iters, n_evals, converged, termination, history = _minimize(model, series, theta, estimate_sigma)
 
     vhat = what = cov = se = se_info = None
-    covariance_ok = False
     try:
         vhat, what = likelihood.report_vw(rep)
         se_info = np.sqrt(np.diag(np.linalg.inv(vhat)) / series.n)
@@ -216,7 +207,6 @@ def fit(model: TdVarmaModel, series: Series, theta_init, estimate_sigma: bool = 
         diag = np.diag(cov)
         if np.all(np.isfinite(cov)) and np.all(diag >= -1e-10 * max(np.trace(cov), 1e-300)):
             se = np.sqrt(np.clip(diag, 0.0, None))
-            covariance_ok = True
         else:
             cov = se = None
     except (np.linalg.LinAlgError, NumericalError):
@@ -244,7 +234,7 @@ def fit(model: TdVarmaModel, series: Series, theta_init, estimate_sigma: bool = 
         n_evals=n_evals,
         converged=converged,
         termination=termination,
-        covariance_ok=covariance_ok,
+        covariance_ok=se is not None,
         q_history=history,
         metadata=metadata,
     )

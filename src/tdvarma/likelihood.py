@@ -178,8 +178,8 @@ def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = Fa
                 de[list(slots)] -= _apply(d, _lagged(e, lag))
             de[:] = solve(de)
     if not with_derivs:
-        return ResidualSet(stack, *model.scale_factor(n, theta)[1:], s=None)
-    _, h, logdet, s = model.scale_factor(n, theta, derivs=True)
+        return ResidualSet(stack, *model.scale_factor(n, theta), s=None)
+    h, logdet, s = model.scale_factor(n, theta, derivs=True)
     return ResidualSet(stack, h, logdet, s=s)
 
 

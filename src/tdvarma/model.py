@@ -162,7 +162,7 @@ class TdVarmaModel:
 
     When the layout supplies a true value, g_t is checked to be invertible
     for t = 1..DEFAULT_CHECK_HORIZON at construction.  The likelihood reads
-    Sigma_t = F_t F_t' (F_t = g_t L) only through `scale_factor`'s g_t^{-1},
+    Sigma_t = F_t F_t' (F_t = g_t L) only through `scale_factor`'s
     H_t = F_t^{-1} and log det Sigma_t; `sigma_t`, `sigma_t_all` and the
     derivative methods form Sigma_t and Sigma_t^{-1} for the audits and the theory.
     """
@@ -261,15 +261,15 @@ class TdVarmaModel:
         return self._sigma_t_table(range(1, n + 1), theta, [()])[0][()]
 
     def scale_factor(self, n: int, theta, derivs: bool = False) -> tuple:
-        """(g_t^{-1}, H_t, log det Sigma_t) for t = 1..n, shapes (n, r, r), (n, r, r) and
-        (n,), where H_t = L^{-1} g_t^{-1} inverts the factor F_t = g_t L of Sigma_t, so
-        H_t' H_t = Sigma_t^{-1}.  With derivs a fourth element, S_t = H_t (dg_t) L by the
+        """(H_t, log det Sigma_t) for t = 1..n, shapes (n, r, r) and (n,), where
+        H_t = L^{-1} g_t^{-1} inverts the factor F_t = g_t L of Sigma_t, so
+        H_t' H_t = Sigma_t^{-1}.  With derivs a third element, S_t = H_t (dg_t) L by the
         scale slots (which come last in theta) as an (n_scale, n, r, r) stack, zero for a
         slot g_t does not use, so that H_t dSigma_t H_t' = S_t + S_t'; one evaluation of
-        g_t serves all four.  A Sigma_t that is singular or not finite raises
+        g_t serves all three.  A Sigma_t that is singular or not finite raises
         SingularCovarianceError naming the first such t.  When g_t has no parameter
-        slots the first three are kept, read-only, for the longest n asked so far and
-        read by prefix."""
+        slots H_t and log det Sigma_t are kept, read-only, for the longest n asked so
+        far and read by prefix."""
         fixed = self._fixed_scale
         slots = self.layout.scale_slots if derivs else ()
         g: dict = {}  # g_t and its derivatives by the scale slots it uses; none when it is fixed
@@ -283,8 +283,7 @@ class TdVarmaModel:
             # diag(F_t F_t') overflows where Sigma_t does; a singular F_t has log det -inf
             if not np.isfinite(np.vdot(f, f) + np.sum(logdet)):
                 _check_scale(np.isfinite(logdet) & np.isfinite(np.sum(f * f, axis=-1)).all(axis=-1), ts, theta)
-            ginv = np.linalg.inv(g[()])
-            factors = (ginv, self._chol_inv @ ginv, 2.0 * logdet)
+            factors = (self._chol_inv @ np.linalg.inv(g[()]), 2.0 * logdet)
             if not self.g_func.param_slots():
                 for a in factors:
                     a.setflags(write=False)
@@ -294,7 +293,7 @@ class TdVarmaModel:
         s = np.zeros((len(slots), n, self.r, self.r))
         for i, slot in enumerate(slots):
             if (slot,) in g:
-                s[i] = factors[1] @ g[(slot,)] @ self.sigma_chol
+                s[i] = factors[0] @ g[(slot,)] @ self.sigma_chol
         return factors + (s,)
 
     def sigma_t_deriv(self, t, theta, indices) -> np.ndarray:

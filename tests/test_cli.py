@@ -114,6 +114,18 @@ def test_fit_round_trip(cfg_dir, tmp_path):
     assert len(doc["se_info"]) == 3 and all(v > 0 for v in doc["se_info"])
 
 
+def test_fit_writes_a_step_termination(cfg_dir, tmp_path, monkeypatch):
+    # converged is a JSON bool on every exit, a step or line-search end included
+    from tdvarma import cli, estimate
+
+    monkeypatch.setattr(estimate, "STEP_TOL", 1.0)  # the first accepted step ends the run
+    cfg, series, out = str(cfg_dir / "example1_sim.json"), str(tmp_path / "x.csv"), tmp_path / "fit.json"
+    assert cli.main(["simulate", "--config", cfg, "--n", "100", "--out", series]) == 0
+    assert cli.main(["fit", "--config", cfg, "--series", series, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["termination"] == "step" and isinstance(doc["converged"], bool)
+
+
 def test_singular_noise_covariance_estimate_exits_two(cfg_dir, tmp_path):
     # at sigma_hat's singularity `fit` once reported a usage error and exited 1
     series = tmp_path / "series.csv"

@@ -94,6 +94,43 @@ def test_nonconvergence_returns_result(monkeypatch):
     assert np.all(np.isfinite(res.theta))
 
 
+@pytest.mark.parametrize(
+    "case, termination, converged",
+    [
+        ("max_iters_relabelled", "gradient", True),
+        ("line_search_within_10x", "line_search", True),
+        ("line_search_beyond_10x", "line_search", False),
+        ("step_at_gls", "step", True),
+        ("step_short_of_minimum", "step", False),
+    ],
+)
+def test_termination_rule(monkeypatch, case, termination, converged):
+    # an exit sets the termination; convergence is read off the final projected gradient:
+    # at most GRAD_TOL, or 10 GRAD_TOL after line_search or step, and a max_iters end
+    # that passes is relabelled gradient
+    m = examples.example2_model() if case == "step_short_of_minimum" else examples.example1_sim_model()
+    series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
+    start = np.array(m.layout.theta0) + 0.1
+    if case == "max_iters_relabelled":
+        monkeypatch.setattr(estimate, "MAX_ITERS", 1)  # sigma fixed, one step reaches the GLS solution
+    elif case.startswith("line_search"):
+        # the objective is quadratic in theta, so this start's gradient / n is level * e_0;
+        # every trial point is then rejected
+        gls = fit(m, series, start).theta
+        level = (5.0 if case == "line_search_within_10x" else 50.0) * estimate.GRAD_TOL
+        start = gls + series.n * level * np.linalg.solve(likelihood.objective(m, series, gls).info, np.eye(m.m)[0])
+        monkeypatch.setattr(estimate, "_safe_objective", lambda *args, **kwargs: None)
+    else:
+        monkeypatch.setattr(estimate, "STEP_TOL", 1.0)  # the first accepted step ends the run
+    res = fit(m, series, start)
+    assert (res.termination, res.converged, res.iters) == (termination, converged, 1)
+    g_max = np.max(np.abs(res.grad)) / series.n
+    assert converged == (g_max <= (estimate.GRAD_TOL if termination == "gradient" else 10 * estimate.GRAD_TOL))
+    if termination == "line_search":
+        np.testing.assert_array_equal(res.theta, start)
+        assert g_max > estimate.GRAD_TOL
+
+
 def test_bounds_projection_respected():
     m = examples.example1_sim_model()
     series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
@@ -171,6 +208,14 @@ def test_exploding_moving_average_reads_as_inf(b, finite):
         assert _safe_objective(m, series, theta) is None
         with pytest.raises(NumericalError):
             likelihood.objective(m, series, theta)
+    # a fit from there evaluates its start as it does a trial point, without numpy warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if finite:
+            assert fit(m, series, theta).converged
+        else:
+            with pytest.raises(NumericalError, match="non-finite entries in the score"):
+                fit(m, series, theta)
 
 
 def test_noise_cov_moment_estimator_matches_direct(rng):

@@ -313,7 +313,6 @@ def test_residuals_carry_the_inverse_and_log_determinant(which, with_derivs):
     g = m.g_values(ts, theta)
     eye = np.broadcast_to(np.eye(m.r), g.shape)
     _assert_rel(res.h @ g @ m.sigma_chol, eye, rtol=1e-13)
-    _assert_rel(m.scale_factor(n, theta)[0] @ g, eye, rtol=1e-13)
     _assert_rel(np.swapaxes(res.h, -1, -2) @ res.h, m.sigma_t_inv(ts, theta), rtol=1e-13)
     _assert_rel(res.logdet, np.linalg.slogdet(m.sigma_t_all(n, theta))[1], rtol=1e-13)
     if not with_derivs:

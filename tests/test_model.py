@@ -251,22 +251,21 @@ def test_parameter_free_scale_is_built_once_and_read_by_prefix(example1_sim, exa
     th = np.array(example1_sim.layout.theta0)
     m = example1_sim.with_sigma([[1.0, 0.5], [0.5, 2.0]])
     factors = m.scale_factor(30, th)
-    ginv, h, logdet = factors
+    h, logdet = factors
     assert not any(a.flags.writeable for a in factors)
-    np.testing.assert_array_equal(ginv, np.broadcast_to(np.eye(2), (30, 2, 2)))  # g_t = I
     np.testing.assert_array_equal(h, np.broadcast_to(np.linalg.inv(m.sigma_chol), (30, 2, 2)))
     np.testing.assert_allclose(logdet, np.linalg.slogdet(m.sigma)[1], rtol=0, atol=1e-13)
     again = m.scale_factor(30, th + 0.3)
     assert all(np.shares_memory(a, b) for a, b in zip(again, factors))
     short = m.scale_factor(12, th)
     assert all(np.shares_memory(a, b) for a, b in zip(short, factors))
-    assert [a.shape for a in short] == [(12, 2, 2), (12, 2, 2), (12,)]
+    assert [a.shape for a in short] == [(12, 2, 2), (12,)]
     longer = m.scale_factor(45, th)
     for a, b in zip(longer, factors):
         np.testing.assert_array_equal(a[:30], b)
-    np.testing.assert_array_equal(m.with_sigma(4.0 * m.sigma).scale_factor(30, th)[1], 0.5 * h)
+    np.testing.assert_array_equal(m.with_sigma(4.0 * m.sigma).scale_factor(30, th)[0], 0.5 * h)
     # a scale with parameters is rebuilt at every theta
     th2 = np.array(example2.layout.theta0)
-    h2 = example2.scale_factor(30, th2)[1]
+    h2 = example2.scale_factor(30, th2)[0]
     assert h2.flags.writeable
-    assert not np.array_equal(h2, example2.scale_factor(30, th2 + 0.1)[1])
+    assert not np.array_equal(h2, example2.scale_factor(30, th2 + 0.1)[0])
