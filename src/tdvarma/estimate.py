@@ -1,23 +1,27 @@
 """Quasi-maximum likelihood fitting and sandwich standard errors.
 
 The objective, or with estimate_sigma the profile objective, is minimized in one
-quasi-Newton run with a backtracking Armijo line search.  Each point is
-evaluated once, with its score and information, and with numpy's overflow,
-invalid and divide warnings off: a start that raises NumericalError fails the
-fit without printing them, and a trial that raises it or whose value is not
-finite counts as +inf, so the search backtracks.  The Hessian model B starts at
-the information, adds the change in it after each accepted step and takes the
-BFGS update where s'y > 0 and s'Bs > 0.  The direction is -B^{-1} g, else
--info^{-1} g, else -g, the first that descends.  Steps are clipped to the
-layout's bounds; a coordinate on a bound whose gradient points out of the box is
-left out of the step and of the projected gradient g_P.  The run ends on
+Newton run with a backtracking Armijo line search.  Each point is evaluated once,
+with its score and information, and with numpy's overflow, invalid and divide
+warnings off: a start that raises NumericalError fails the fit without printing
+them, and a trial that raises it or whose value is not finite counts as +inf, so
+the search backtracks.  At each iterate that takes a step the report forms its
+exact Hessian H (`ObjectiveReport.hessian`); no trial point and no final point
+forms one.  The direction is -H^{-1} g, else -info^{-1} g, else -g, the first
+that descends.  When the full Newton step is finite but fails the Armijo test,
+the next trial is the full information (Gauss-Newton) step, once per iteration,
+and only then does the step halve; a trial that counts as +inf halves it at
+once.  Newton steps converge quadratically near the minimum, and far from it
+the information step is often the better one.  Steps are clipped to the
+layout's bounds; a coordinate on a bound whose gradient points out of the box
+is left out of the step and of the projected gradient g_P.  The run ends on
 `gradient` (max |g_P| / n <= GRAD_TOL), `line_search` (no step down to MIN_STEP
 passes), `step` (a step of at most STEP_TOL (1 + |theta|)) or `max_iters`.
 Then the fit converged when the final max |g_P| / n is at most GRAD_TOL, or at
 most 10 GRAD_TOL after `line_search` or `step`; a converged `max_iters` end is
-relabelled `gradient`.  With Sigma fixed, q = 0 and no scale parameters the
-information is the exact Hessian, so the first step is the GLS solution.  The
-covariance is the sandwich V_hat^{-1} W_hat V_hat^{-1} / n at the estimate.
+relabelled `gradient`.  With Sigma fixed, q = 0, affine AR matrices and no
+scale parameters H is the information, so the first step is the GLS solution.
+The covariance is the sandwich V_hat^{-1} W_hat V_hat^{-1} / n at the estimate.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ MIN_STEP = 1e-14
 MAX_ITERS = 200        # iterations per optimization
 GRAD_TOL = 1e-6        # on max_i |dQ/dtheta_i| / n
 STEP_TOL = 1e-10       # on |step| / (1 + |theta|)
+# FitResult.search: Hessians formed, rejected trial points, the direction each
+# iteration started from, and the Newton steps that switched to the information
+DIRECTIONS = ("newton", "information", "steepest")
+SEARCH_COUNTS = ("hessians", "rejected", *DIRECTIONS, "switched")
 
 
 @dataclass
@@ -48,9 +56,15 @@ class FitResult:
     information-only standard errors.
 
     n_evals counts every objective evaluation the fit made: one at the start
-    point and one per line-search trial point, accepted or not.  sigma_hat is
-    Sigma_hat(theta) at the estimate when the noise covariance is estimated,
-    and V_hat and W_hat are taken at it.
+    point and one per line-search trial point, accepted or not.  search counts,
+    by the keys of SEARCH_COUNTS, the Hessians formed (one per iteration that
+    searched), the rejected trial points, the iterations whose search started
+    from the Newton, information or -g (`steepest`) direction, and those whose
+    full Newton step failed and switched to the information step.  So newton +
+    information + steepest = hessians, which is iters, or iters - 1 after an
+    exit on the gradient test, and n_evals = 1 + rejected + the accepted steps
+    (len(q_history) - 1).  sigma_hat is Sigma_hat(theta) at the estimate when
+    the noise covariance is estimated, and V_hat and W_hat are taken at it.
     """
 
     theta: np.ndarray
@@ -69,6 +83,7 @@ class FitResult:
     covariance_ok: bool
     q_history: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+    search: dict = field(default_factory=dict)
 
 
 def _project(theta: np.ndarray, bounds) -> np.ndarray:
@@ -106,20 +121,26 @@ def _safe_objective(model, series, theta, estimate_sigma: bool = False,
     return rep if math.isfinite(rep.q) else None
 
 
-def _descent(mats, g: np.ndarray) -> np.ndarray:
-    """-M^{-1} g for the first M of mats that gives a descent direction; -g if none does."""
-    for mat in mats:
+def _directions(mats, g: np.ndarray):
+    """(i, -M_i^{-1} g) for each M_i of mats, in order, that gives a descent direction,
+    then (len(mats), -g)."""
+    for i, mat in enumerate(mats):
         try:
             d = -np.linalg.solve(mat, g)
         except np.linalg.LinAlgError:
             continue
         if d @ g < 0:
-            return d
-    return -g
+            yield i, d
+    yield len(mats), -g
+
+
+def _descent(mats, g: np.ndarray) -> np.ndarray:
+    """-M^{-1} g for the first M of mats that gives a descent direction; -g if none does."""
+    return next(_directions(mats, g))[1]
 
 
 def _minimize(model: TdVarmaModel, series: Series, theta0, estimate_sigma: bool):
-    """The quasi-Newton run of the module docstring; monotone in the objective."""
+    """The Newton run of the module docstring; monotone in the objective."""
     n = series.n
     bounds = model.layout.bounds
     theta = _project(np.asarray(theta0, dtype=float).copy(), bounds)
@@ -127,7 +148,7 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, estimate_sigma: bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as for a trial point
         rep = likelihood.objective(model, series, theta, estimate_sigma, ar_products)
     n_evals = 1
-    b = rep.info.copy()
+    search = dict.fromkeys(SEARCH_COUNTS, 0)
     history = [rep.q]
     termination = "max_iters"
     it = 0
@@ -137,42 +158,52 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, estimate_sigma: bool)
         if _grad_max(g, blocked) / n <= GRAD_TOL:
             termination = "gradient"
             break
-        if blocked:  # the step moves the other coordinates only
-            free = np.delete(np.arange(g.size), blocked)
-            d = np.zeros_like(g)
-            d[free] = _descent([mat[np.ix_(free, free)] for mat in (b, rep.info)], g[free])
-        else:
-            d = _descent((b, rep.info), g)
-        step = 1.0
-        gd = g @ d
+        free = [i for i in range(g.size) if i not in blocked]  # the step moves these coordinates only
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            hess = rep.hessian()[free][:, free]
+        info = rep.info[free][:, free]
+        search["hessians"] += 1
+        kind, d = next(_directions((hess, info), g[free]))
+        search[DIRECTIONS[kind]] += 1
+        d = _embed(d, free, g.size)
+        step, switch = 1.0, kind == 0
         while step >= MIN_STEP:
             trial = _project(theta + step * d, bounds)
             trial_rep = _safe_objective(model, series, trial, estimate_sigma, ar_products)
             n_evals += 1
-            if trial_rep is not None and trial_rep.q <= q + ARMIJO_C * step * gd:
+            if trial_rep is not None and trial_rep.q <= q + ARMIJO_C * step * (g @ d):
                 break
+            search["rejected"] += 1
+            if switch and trial_rep is not None:  # the full Newton step failed the Armijo test
+                d_info = _embed(_descent((info,), g[free]), free, g.size)
+                if not np.array_equal(d_info, d):  # so the full information step is next
+                    d, switch = d_info, False
+                    search["switched"] += 1
+                    continue
+            switch = False
             step *= ARMIJO_SHRINK
         else:
             termination = "line_search"
             break
-        b += trial_rep.info - rep.info
         rep = trial_rep
         s = trial - theta
-        y = rep.grad - g
         theta = trial
         history.append(rep.q)
         if np.linalg.norm(s) <= STEP_TOL * (1.0 + np.linalg.norm(theta)):
             termination = "step"
             break
-        bs = b @ s
-        sy, sbs = s @ y, s @ bs
-        if sy > 0 and sbs > 0:
-            b += np.outer(y, y) / sy - np.outer(bs, bs) / sbs
     tol = 10 * GRAD_TOL if termination in ("line_search", "step") else GRAD_TOL
     converged = bool(_grad_max(rep.grad, _blocked(theta, rep.grad, bounds)) / n <= tol)
     if converged and termination == "max_iters":
         termination = "gradient"
-    return theta, rep, it, n_evals, converged, termination, history
+    return theta, rep, it, n_evals, converged, termination, history, search
+
+
+def _embed(d: np.ndarray, free: list, m: int) -> np.ndarray:
+    """The step d over the free coordinates as a vector over all m, zero elsewhere."""
+    out = np.zeros(m)
+    out[free] = d
+    return out
 
 
 def estimate_noise_cov(model: TdVarmaModel, series: Series, theta) -> np.ndarray:
@@ -195,7 +226,8 @@ def fit(model: TdVarmaModel, series: Series, theta_init, estimate_sigma: bool = 
     theta = np.asarray(theta_init, dtype=float)
     if theta.shape != (model.m,):
         raise ContractError(f"theta_init has {theta.size} entries for {model.m} parameters")
-    theta, rep, iters, n_evals, converged, termination, history = _minimize(model, series, theta, estimate_sigma)
+    theta, rep, iters, n_evals, converged, termination, history, search = _minimize(
+        model, series, theta, estimate_sigma)
 
     vhat = what = cov = se = se_info = None
     try:
@@ -237,6 +269,7 @@ def fit(model: TdVarmaModel, series: Series, theta_init, estimate_sigma: bool = 
         covariance_ok=se is not None,
         q_history=history,
         metadata=metadata,
+        search=search,
     )
 
 

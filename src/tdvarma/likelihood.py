@@ -27,7 +27,7 @@ Sigma_t^{-1} = H_t' H_t.  The Gauss-Newton (expected) Hessian of Q_n, entry (i, 
     sum_t du_ti' du_tj + 0.5 tr(D_ti D_tj),   du_ti = H_t de_t/di,
     D_ti = H_t (dSigma_t/di) H_t' = S_ti + S_ti',
 
-is n times the plug-in curvature V_hat; the optimizer scales its steps by it.
+is n times the plug-in curvature V_hat.
 The stack is whitened by H_t in one pass; then alpha_t and the score rows
 d alpha_t / d theta_k = 2 du_tk' u_t are dot products along its last axis, and
 the first term of the information is one (m, n r) @ (n r, m) matrix product of
@@ -40,13 +40,30 @@ sum_t u_t u_t', so H_t <- K^{-1} H_t, which re-whitens the whole stack by one
 (rows, r) @ (r, r) product, S_t <- K^{-1} S_t K where there are scale slots, and
 log det Sigma_t gains 2 log det K.  By the envelope theorem the fixed-Sigma
 score and information at Sigma_hat(theta) are used as they are.
+
+The exact Hessian of Q_n, on which `fit` takes Newton steps, is formed on
+demand from one evaluation's own intermediates (`ObjectiveReport.hessian`).
+With Sigma fixed it is the information plus
+
+    sum_t v_t' d_kl e_t,   v_t = Sigma_t^{-1} e_t = H_t' u_t,
+
+which one adjoint solve lambda = (I + B_op)^{-T} v, the solver's doubling levels
+transposed in reverse order, turns into sums over the right-hand sides of
+(I + B_op) d_kl e, and which vanishes for q = 0 with affine AR matrices; the
+AR/MA-scale block -sum_t du_ti' (S_ts + S_ts') u_t, as du_t / d theta_s =
+-S_ts u_t; and, in the scale block, the terms of g_t's second derivatives and of
+u_t u_t' - I that the information drops.  The profile objective is
+sum_t log |det g_t| + (n/2) log det Sigma_hat(theta) + const, and its Hessian is
+the fixed-Sigma one at Sigma_hat(theta) less (n/2) <D_k, D_l>_F, where D_k =
+B_k + B_k' and B_k = (1/n) sum_t du_tk u_t' in Sigma_hat-whitened coordinates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import InitVar, dataclass
+from itertools import combinations_with_replacement
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -63,6 +80,7 @@ class ResidualSet:
     h: np.ndarray            # (n, r, r), H_t with H_t' H_t = Sigma_t^{-1}
     logdet: np.ndarray       # (n,)
     s: Optional[np.ndarray]  # (n_scale, n, r, r), S_t = H_t dg_t L by the scale slots, or None
+    solver: Optional["_LagSolver"] = None  # (I + B_op)^{-1} of the MA part, None for q = 0
 
     @property
     def e(self) -> np.ndarray:
@@ -95,6 +113,17 @@ class ObjectiveReport:
     score_rows: np.ndarray   # (n, m), rows d alpha_t / d theta
     info: np.ndarray         # (m, m), Gauss-Newton Hessian of q (n * V_hat)
     sigma_hat: Optional[np.ndarray]  # (r, r), Sigma_hat(theta) of the profile objective, or None
+    curvature: InitVar[Callable[[], np.ndarray]]  # forms the exact Hessian
+
+    def __post_init__(self, curvature):
+        self._curvature, self._hessian = curvature, None
+
+    def hessian(self) -> np.ndarray:
+        """(m, m), the exact Hessian of q at this point, formed on the first call from the
+        evaluation's own intermediates."""
+        if self._hessian is None:
+            self._hessian = self._curvature()
+        return self._hessian
 
 
 def _apply(c: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -110,9 +139,38 @@ def _lag_sum(c: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lag_solver(c: np.ndarray, n: int):
-    """The function z -> y solving y_t + sum_i C_ti y_{t-i} = z_t forward in t (y_s = 0
-    for s < 1), for any (..., n, r) stack z, solved along its time axis; c is (k, n, r, r).
+class _LagSolver:
+    """(I + C_op)^{-1} from the doubling levels of `_lag_solver`.  A call solves forward
+    in t; `adjoint` applies the transpose (I + C_op)^{-T}, the same levels transposed
+    and in reverse order, so each y_t takes the later rows."""
+
+    def __init__(self, levels: list):
+        self.levels = levels  # (d, Phi^(d)) by increasing d
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        return self._sweep(z, adjoint=False)
+
+    def adjoint(self, z: np.ndarray) -> np.ndarray:
+        return self._sweep(z, adjoint=True)
+
+    def _sweep(self, z: np.ndarray, adjoint: bool) -> np.ndarray:
+        if not self.levels:
+            return z.copy()
+        n, r = z.shape[-2:]
+        v = np.zeros((n, self.levels[0][1].shape[-1], math.prod(z.shape[:-2])))  # the stack runs along the columns
+        v[:, :r] = z.reshape(-1, n, r).transpose(1, 2, 0)
+        if adjoint:
+            for d, phi_d in reversed(self.levels):
+                v[:-d] += np.swapaxes(phi_d[d:], -1, -2) @ v[d:]
+        else:
+            for d, phi_d in self.levels:
+                v[d:] += phi_d[d:] @ v[:-d]
+        return v[:, :r].transpose(2, 0, 1).reshape(z.shape)
+
+
+def _lag_solver(c: np.ndarray, n: int) -> _LagSolver:
+    """The solver of y_t + sum_i C_ti y_{t-i} = z_t forward in t (y_s = 0 for s < 1),
+    for any (..., n, r) stack z, solved along its time axis; c is (k, n, r, r).
 
     The companion Phi_t, first block row -[C_t1 ... C_tk] and identities below, gives
     Y_t = (y_t, ..., y_{t-k+1}) = Phi_t Y_{t-1} + (z_t, 0, ...).  At level d = 1, 2, 4, ...
@@ -122,7 +180,7 @@ def _lag_solver(c: np.ndarray, n: int):
     """
     k = len(c)
     if k == 0:
-        return np.copy
+        return _LagSolver([])
     r = c.shape[-1]
     phi = np.zeros((n, k * r, k * r))
     phi[:, :r] = -np.concatenate(c, axis=-1)
@@ -136,15 +194,7 @@ def _lag_solver(c: np.ndarray, n: int):
             phi = phi.copy()
             phi[d:] = phi[d:] @ phi[:-d]
         d *= 2
-
-    def solve(z: np.ndarray) -> np.ndarray:
-        v = np.zeros((n, k * r, math.prod(z.shape[:-2])))  # the stack runs along the columns
-        v[:, :r] = z.reshape(-1, n, r).transpose(1, 2, 0)
-        for d, phi_d in levels:
-            v[d:] += phi_d[d:] @ v[:-d]
-        return v[:, :r].transpose(2, 0, 1).reshape(z.shape)
-
-    return solve
+    return _LagSolver(levels)
 
 
 def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = False,
@@ -168,6 +218,7 @@ def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = Fa
         e -= d.pop(())
         for (k,), dk in d.items():
             de[k] -= dk
+    solve = None
     if model.q:  # without an MA part the residuals are z and its derivatives as they stand
         solve = _lag_solver(model.b_values(range(1, n + 1), theta), n)  # shared by e and de
         e[:] = solve(e)
@@ -178,9 +229,9 @@ def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = Fa
                 de[list(slots)] -= _apply(d, _lagged(e, lag))
             de[:] = solve(de)
     if not with_derivs:
-        return ResidualSet(stack, *model.scale_factor(n, theta), s=None)
+        return ResidualSet(stack, *model.scale_factor(n, theta), s=None, solver=solve)
     h, logdet, s = model.scale_factor(n, theta, derivs=True)
-    return ResidualSet(stack, h, logdet, s=s)
+    return ResidualSet(stack, h, logdet, s=s, solver=solve)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -226,9 +277,11 @@ def objective(model: TdVarmaModel, series: Series, theta, estimate_sigma: bool =
     Sigma_hat(theta), which the report carries.  ar_products is passed on to
     `residuals`."""
     theta = np.asarray(theta, dtype=float)
+    if ar_products is None:
+        ar_products = model.ar_products(series.values)
     res = residuals(model, series, theta, with_derivs=True, ar_products=ar_products)
     w = res.whitened()  # u_t, then du_t1 .. du_tm, shape (1 + m, n, r)
-    logdet, s, sigma_hat = res.logdet, res.s, None
+    logdet, s, sigma_hat, chol = res.logdet, res.s, None, None
     r, k = w.shape[-1], s.shape[0]  # the k scale slots come last, and the residuals do not depend on them
     if estimate_sigma:
         sigma_hat, chol = noise_cov(model, w[0])
@@ -250,10 +303,85 @@ def objective(model: TdVarmaModel, series: Series, theta, estimate_sigma: bool =
     grad = 0.5 * score_rows.sum(axis=0)
     if not np.all(np.isfinite(score_rows)):
         raise NumericalError("non-finite entries in the score")
+    info = 0.5 * (info + info.T)
     return ObjectiveReport(
-        q=_q(alphas, r), alphas=alphas, grad=grad, score_rows=score_rows,
-        info=0.5 * (info + info.T), sigma_hat=sigma_hat,
+        q=_q(alphas, r), alphas=alphas, grad=grad, score_rows=score_rows, info=info, sigma_hat=sigma_hat,
+        curvature=lambda: _hessian(model, theta, res, w, s, info, chol, ar_products),
     )
+
+
+def _hessian(model: TdVarmaModel, theta: np.ndarray, res: ResidualSet, w: np.ndarray, s: np.ndarray,
+             info: np.ndarray, chol: Optional[np.ndarray], ar_products: tuple) -> np.ndarray:
+    """The exact Hessian of the objective from one evaluation: its residual set, the
+    whitened stack w and scale stack s and its information, all taken at Sigma_hat(theta)
+    when chol, the K of Sigma_hat's factor L K, is given (the profile objective)."""
+    u, du = w[0], w[1:]
+    n, r = u.shape
+    m, k = len(du), len(s)
+    p = m - k  # the AR and MA slots; the k scale slots come last
+    hess = info.copy()
+    pure = [prod.second_derivs(theta) for prod in ar_products]  # d_kl A_op x by AR lag
+    if k or model.q or any(pure):
+        # v_t = Sigma_t^{-1} e_t = H_t' K^{-T} u_t weighs d_kl e_t and d_kl g_t
+        v = _apply(np.swapaxes(res.h, -1, -2), u if chol is None else u @ np.linalg.inv(chol))
+    if model.q or any(pure):
+        hess += _residual_curvature(model, theta, res, v, pure)
+    if k:
+        # d u_t / d theta_s = -S_ts u_t: the AR/MA-scale block is -sum_t du_ti' (S_ts + S_ts') u_t
+        x, y = _apply(s, u).reshape(k, n * r), _apply(np.swapaxes(s, -1, -2), u).reshape(k, n * r)
+        cross = du[:p].reshape(p, n * r) @ (x + y).T
+        hess[:p, p:] -= cross
+        hess[p:, :p] -= cross.T
+        # the scale block, sum_t u_t' (S_ta S_tb + S_tb S_ta + S_ta' S_tb) u_t - tr(S_ta S_tb) - <G_tab, u_t u_t' - I>
+        # with G_tab = H_t d_ab g_t L, whose sum is that of <d_ab g_t, v_t z_t' - g_t^{-T}>, z_t = g_t^{-1} e_t
+        quad = y @ x.T
+        block = quad + quad.T + x @ x.T - s.reshape(k, -1) @ np.swapaxes(s, -1, -2).reshape(k, -1).T
+        lk = model.sigma_chol if chol is None else model.sigma_chol @ chol
+        weight = v[:, :, None] * (u @ lk.T)[:, None, :] - np.swapaxes(model.sigma_chol @ res.h, -1, -2)
+        pairs = combinations_with_replacement(model.layout.scale_slots, 2)
+        for (i, j), d2 in model.g_func.deriv_map(range(1, n + 1), theta, pairs).items():
+            c = np.vdot(d2, weight)
+            block[i - p, j - p] -= c
+            if i != j:
+                block[j - p, i - p] -= c
+        hess[p:, p:] = block
+    if chol is not None:
+        # the profile's own term, -(n/2) <D_k, D_l> with D_k = B_k + B_k' and
+        # B_k = (1/n) sum_t du_tk u_t', where du_ts = -S_ts u_t for a scale slot
+        dfull = du.copy()
+        if k:
+            dfull[p:] = -x.reshape(k, n, r)
+        b = np.swapaxes(dfull, -1, -2) @ u / n
+        d = (b + np.swapaxes(b, -1, -2)).reshape(m, -1)
+        hess -= 0.5 * n * d @ d.T
+    return 0.5 * (hess + hess.T)
+
+
+def _residual_curvature(model: TdVarmaModel, theta: np.ndarray, res: ResidualSet, v: np.ndarray,
+                        pure: list) -> np.ndarray:
+    """sum_t v_t' d_k d_l e_t, shape (m, m), for the (n, r) weights v, with pure the
+    second derivatives of the AR products by lag.
+
+    Differentiating (I + B_op) e = (I - A_op) x twice gives (I + B_op) d_kl e =
+    -(d_kl A_op x + d_kl B_op e + d_k B_op de_l + d_l B_op de_k), so the sum is one
+    adjoint solve lambda = (I + B_op)^{-T} v against those right-hand sides."""
+    lam = v if res.solver is None else res.solver.adjoint(v)
+    n, m = v.shape[0], model.m
+    de = res.de
+    out = np.zeros((m, m))  # row k: sum_t lambda_t' (d_k B_op de_l)_t over l
+    for lag, f in enumerate(model.b_funcs, 1):
+        slots, d = f.head_grad(n, theta)
+        back = _apply(np.swapaxes(d, -1, -2), lam)[:, lag:]  # d_k B_tj' lambda_t meets de at t - j
+        out[list(slots)] += back.reshape(len(slots), -1) @ de[:, :max(n - lag, 0)].reshape(m, -1).T
+        pure = pure + [{kl: _apply(d2, _lagged(res.e, lag)) for kl, d2 in f.head_second(n, theta).items()}]
+    out += out.T
+    for terms in pure:
+        for (a, b), x in terms.items():
+            c = np.vdot(lam, x)
+            out[a, b] += c
+            if a != b:
+                out[b, a] += c
+    return -out
 
 
 def empirical_vw(model: TdVarmaModel, series: Series, theta) -> tuple[np.ndarray, np.ndarray]:

@@ -192,12 +192,19 @@ class _Form:
         return cls(slots, shape, terms)
 
     @cached_property
-    def slopes(self) -> Optional[np.ndarray]:
-        """For an affine form, one term without exponent or monomials above degree
-        one, its linear coefficients stacked over the slots, read-only; else None."""
+    def affine(self) -> bool:
+        """One term without exponent or monomials above degree one: every second
+        derivative vanishes."""
         poly, expo = self.terms[0]
-        if len(self.terms) > 1 or expo or any(len(mono) > 1 for mono in poly):
+        return len(self.terms) == 1 and not expo and all(len(mono) <= 1 for mono in poly)
+
+    @cached_property
+    def slopes(self) -> Optional[np.ndarray]:
+        """For an affine form its linear coefficients stacked over the slots,
+        read-only; else None."""
+        if not self.affine:
             return None
+        poly = self.terms[0][0]
         out = np.stack([poly[(slot,)] for slot in self.slots]) if self.slots else np.zeros((0,) + self.shape)
         out.setflags(write=False)
         return out
@@ -264,6 +271,13 @@ class AppliedForm(NamedTuple):
             for tau, x in self.entry.derivs(theta, taus).items():
                 out[tau] = out[tau] + x.sum(axis=-1) if tau in out else x.sum(axis=-1)
         return out
+
+    def second_derivs(self, theta) -> dict:
+        """{(k, l): d_k d_l (f_t y_t)} at theta over the pairs k <= l of the slots, shape
+        (n, r); empty when the matrix is affine."""
+        if self.entry is None and (self.flat is None or self.flat.affine):
+            return {}
+        return self.derivs(theta, combinations_with_replacement(self.slots, 2))
 
 
 class ScalarTimeFunction:
@@ -497,6 +511,12 @@ class MatrixTimeFunction:
             return tab.slots, tab.slopes
         grads = tab.derivs(theta, [(k,) for k in tab.slots])
         return tab.slots, np.stack(list(grads.values()))
+
+    def head_second(self, n: int, theta) -> dict:
+        """{(k, l): d_k d_l of the matrix at t = 1..n} over the pairs k <= l of its slots,
+        each (n, r, r); empty for an affine matrix."""
+        tab = self._rows(range(1, n + 1))
+        return {} if tab.affine else tab.derivs(theta, combinations_with_replacement(tab.slots, 2))
 
     def applied_to(self, y) -> AppliedForm:
         """The matrix at t = 1..n times the fixed (n, r) stack y, as a form to evaluate

@@ -126,6 +126,29 @@ def test_fit_writes_a_step_termination(cfg_dir, tmp_path, monkeypatch):
     assert doc["termination"] == "step" and isinstance(doc["converged"], bool)
 
 
+def test_fit_reports_the_projected_gradient_over_n(cfg_dir, tmp_path):
+    # example1_sim with sigma fixed rests on the bound a11_amp = 0.75, where the gradient
+    # points out of the box: max |g| / n is far above GRAD_TOL, and the field reports
+    # the projected gradient over n that the convergence rule tests
+    from tdvarma import cli, config, estimate
+
+    doc = json.loads((cfg_dir / "example1_sim.json").read_text())
+    doc["model"]["layout"]["bounds"] = [[0.0, 0.75], None, [-0.75, 0.0]]
+    doc["run"]["estimate_sigma"] = False
+    cfg, series, out = tmp_path / "bounded.json", str(tmp_path / "x.csv"), tmp_path / "fit.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--config", str(cfg), "--n", "100", "--seed", "5", "--out", series]) == 0
+    assert cli.main(["fit", "--config", str(cfg), "--series", series, "--out", str(out)]) == 0
+    got = json.loads(out.read_text())
+    assert got["termination"] == "gradient" and got["converged"] is True and got["theta"][0] == 0.75
+    assert "grad_max" not in got
+    model, run = config.load(str(cfg))
+    res = estimate.fit(model, cli._series_from_csv(series), run.theta_init, run.estimate_sigma)
+    assert np.max(np.abs(res.grad)) / 100 > 1e-2
+    assert got["projected_grad_max_over_n"] == np.max(np.abs(res.grad[1:])) / 100 <= estimate.GRAD_TOL
+    assert got["search"] == res.search and sum(res.search[k] for k in estimate.DIRECTIONS) >= 1
+
+
 def test_singular_noise_covariance_estimate_exits_two(cfg_dir, tmp_path):
     # at sigma_hat's singularity `fit` once reported a usage error and exited 1
     series = tmp_path / "series.csv"

@@ -539,3 +539,97 @@ def test_information_only_errors_absent_without_vhat(rng):
     m = TdVarmaModel(2, [a], [], None, np.eye(2), layout)
     res = fit(m, Series(values=rng.standard_normal((200, 2))), (0.1, 0.3))
     assert res.vhat is None and res.se_info is None and res.se is None
+
+
+@pytest.mark.parametrize(
+    "which, estimate_sigma",
+    [("example1_sim", True), ("example2", False), ("varma11", False)],
+)
+def test_hessians_are_formed_where_a_step_is_taken(monkeypatch, which, estimate_sigma):
+    # every iterate that searches forms its Hessian once; no rejected trial point and
+    # not the final, converged point forms one
+    reports, formed = [], []
+    objective, hessian = likelihood.objective, likelihood.ObjectiveReport.hessian
+
+    def recorded(*args, **kwargs):
+        reports.append(objective(*args, **kwargs))
+        return reports[-1]
+
+    def spied(self):
+        formed.append(self)
+        return hessian(self)
+
+    monkeypatch.setattr(likelihood, "objective", recorded)
+    monkeypatch.setattr(likelihood.ObjectiveReport, "hessian", spied)
+    m = make_sin_varma11(np.random.default_rng(909)) if which == "varma11" else examples.build(which)
+    start = (0.1,) * m.m if which == "example1_sim" else tuple(v + 0.1 for v in m.layout.theta0)
+    series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
+    res = fit(m, series, start, estimate_sigma=estimate_sigma)
+    assert res.converged and res.termination == "gradient"
+    iterates = [rep for rep in reports if rep.q in res.q_history]
+    assert [rep.q for rep in iterates] == res.q_history
+    assert len(formed) == res.search["hessians"] == res.iters - 1
+    assert all(a is b for a, b in zip(formed, iterates[:-1], strict=True))
+
+
+def test_a_failed_newton_step_switches_to_the_information_step_once(monkeypatch):
+    # the first four trials fail the Armijo test: the full Newton step, then the full
+    # information step, then that step halved twice; the switch is made once
+    m = examples.example2_model()
+    series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
+    start = np.array(m.layout.theta0) + 0.1
+    trials, safe = [], estimate._safe_objective
+
+    def failing(model, series, theta, *args):
+        trials.append(np.array(theta))
+        rep = safe(model, series, theta, *args)
+        if len(trials) <= 4:
+            rep.q = 1e300
+        return rep
+
+    monkeypatch.setattr(estimate, "_safe_objective", failing)
+    res = fit(m, series, start)
+    first = likelihood.objective(m, series, start)
+    newton = -np.linalg.solve(first.hessian(), first.grad)
+    info = -np.linalg.solve(first.info, first.grad)
+    steps = [trial - start for trial in trials[:5]]
+    for got, want in zip(steps, [newton, info, 0.5 * info, 0.25 * info, 0.125 * info]):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    assert res.converged and res.termination == "gradient"
+    assert res.search["switched"] == 1 and res.search["rejected"] == 4
+
+
+@pytest.mark.parametrize(
+    "case, which, estimate_sigma, termination",
+    [
+        ("profile", "example1_sim", True, "gradient"),
+        ("bounded", "example1_sim", True, "gradient"),
+        ("from_0.1", "example2", False, "gradient"),
+        ("moving_average", "varma11", False, "gradient"),
+        ("max_iters", "example2", False, "max_iters"),
+        ("line_search", "example2", False, "line_search"),
+    ],
+)
+def test_search_counts_add_up(monkeypatch, case, which, estimate_sigma, termination):
+    # the directions started from add up to the Hessians formed, one per iteration that
+    # searched: iters, less the last one after an exit on the gradient test; and the
+    # evaluations to the start, the rejected trials and the accepted steps
+    m = make_sin_varma11(np.random.default_rng(909)) if which == "varma11" else examples.build(which)
+    start = np.array(m.layout.theta0) + 0.1
+    if case == "bounded":
+        layout = dataclasses.replace(m.layout, bounds=((0.0, 0.75), None, (-0.75, 0.0)))
+        m = TdVarmaModel(m.r, m.a_funcs, m.b_funcs, m.g_func, m.sigma, layout)
+    if case in ("profile", "bounded", "from_0.1"):
+        start = np.full(m.m, 0.1)
+    elif case == "max_iters":
+        monkeypatch.setattr(estimate, "MAX_ITERS", 1)
+    elif case == "line_search":
+        monkeypatch.setattr(estimate, "_safe_objective", lambda *args, **kwargs: None)
+    series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
+    res = fit(m, series, start, estimate_sigma=estimate_sigma)
+    counts, accepted = res.search, len(res.q_history) - 1
+    assert res.termination == termination and list(counts) == list(estimate.SEARCH_COUNTS)
+    assert sum(counts[k] for k in estimate.DIRECTIONS) == counts["hessians"]
+    assert counts["hessians"] == res.iters - (termination == "gradient") == accepted + (termination == "line_search")
+    assert res.n_evals == 1 + counts["rejected"] + accepted
+    assert counts["switched"] <= counts["newton"]

@@ -570,3 +570,58 @@ def test_objective_reads_coefficients_through_the_model(monkeypatch):
     got = objective(m, series, m.layout.theta0)
     assert sorted(calls) == [("ar_products", series.values.tobytes()), ("b_values", list(range(1, 41)))]
     assert got.q == want.q
+
+
+@pytest.mark.parametrize("k, r, stack", [(0, 2, ()), (1, 2, ()), (2, 3, (4,)), (3, 1, (2, 3))])
+def test_lag_solve_adjoint_is_the_transpose(k, r, stack):
+    # <(I + C_op)^{-1} z, y> = <z, (I + C_op)^{-T} y> for every stack slice
+    rng = np.random.default_rng(23)
+    c, z = _lag_problem(rng, k, r, stack, 70)
+    y = rng.standard_normal(z.shape)
+    solver = _lag_solver(c, 70)
+    lhs = np.sum(solver(z) * y, axis=(-2, -1))
+    rhs = np.sum(z * solver.adjoint(y), axis=(-2, -1))
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * np.max(np.abs(lhs)))
+
+
+def _score_jacobian(m, series, theta, estimate_sigma, h=1e-5):
+    """Central differences of the analytic score, column j by theta_j."""
+    cols = []
+    for j in range(m.m):
+        step = h * np.eye(m.m)[j]
+        up, down = (objective(m, series, theta + s, estimate_sigma).grad for s in (step, -step))
+        cols.append((up - down) / (2 * h))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("which, estimate_sigma", [
+    ("example1_sim", True), ("example2", False), ("example2", True), ("varma11", False),
+    ("varma11", True), ("varma22", False), ("random_varma", True),
+])
+def test_hessian_matches_differences_of_the_score(which, estimate_sigma):
+    # the exact Hessian against central differences of the analytic score: the profile
+    # objective, example2's scale block, an MA part (its adjoint solve), varma22's
+    # non-affine AR and MA matrices, and a VARMA(2, 1) with a scale block
+    makers = {
+        "varma11": lambda: make_sin_varma11(np.random.default_rng(909)),
+        "varma22": lambda: make_random_varma22(np.random.default_rng(3)),
+        "random_varma": lambda: make_random_varma(np.random.default_rng(5), 2, 1, 3),
+    }
+    m = makers[which]() if which in makers else examples.build(which)
+    series = simulate(SimPlan(m, m.layout.theta0, 80, 12))
+    theta = np.array(m.layout.theta0) + 0.05
+    rep = objective(m, series, theta, estimate_sigma)
+    hess, ref = rep.hessian(), _score_jacobian(m, series, theta, estimate_sigma)
+    np.testing.assert_array_equal(hess, hess.T)
+    assert np.max(np.abs(hess - ref)) <= 1e-6 * np.max(np.abs(ref))
+    assert np.max(np.abs(rep.info - ref)) > 1e-3 * np.max(np.abs(ref))  # the information is not it
+    assert rep.hessian() is hess  # formed once
+
+
+def test_hessian_is_the_information_for_a_fixed_sigma_var():
+    # q = 0, affine AR matrices, no scale slots and Sigma fixed: the residuals are affine in
+    # theta, so the Hessian is the information to the bit
+    m = examples.example1_sim_model()
+    series = simulate(SimPlan(m, m.layout.theta0, 120, 11))
+    rep = objective(m, series, np.array(m.layout.theta0) + 0.05)
+    np.testing.assert_array_equal(rep.hessian(), rep.info)

@@ -315,41 +315,41 @@ def test_every_run_key_reaches_the_plan_from_the_table_script(monkeypatch, tmp_p
     _assert_run_reaches_plan(plans[0], run, **overrides)
 
 
-# summary_to_csv of the table-2 cells below, written by the structured BFGS run
-# (Hessian model started at the Gauss-Newton information)
+# summary_to_csv of the table-2 cells below, written by the Newton run on the exact
+# Hessian (the full information step after a failed full Newton step)
 TABLE2_REFERENCE_CELLS = """n,param,line,value
-25,a11_amp,a,0.7617715185591669
-25,a11_amp,b,0.12688334016715982
-25,a11_amp,c,0.14248646798727185
+25,a11_amp,a,0.7617714897454801
+25,a11_amp,b,0.12688333002371702
+25,a11_amp,c,0.14248636275096221
 25,a11_amp,d,0.0
-25,a22_amp,a,-0.8269042593212885
-25,a22_amp,b,0.1521574196029665
-25,a22_amp,c,0.13862025472744632
+25,a22_amp,a,-0.8269042827023257
+25,a22_amp,b,0.1521574241685275
+25,a22_amp,c,0.13862030431226097
 25,a22_amp,d,10.0
-25,eta11,a,1.1095714785896027
-25,eta11,b,0.19418368747099177
-25,eta11,c,0.2796678703750907
+25,eta11,a,1.1095716935617024
+25,eta11,b,0.19418368063556518
+25,eta11,c,0.27966779770465494
 25,eta11,d,35.0
-25,eta22,a,-0.9814162255240895
-25,eta22,b,0.13851911009959358
-25,eta22,c,0.20485133932998764
+25,eta22,a,-0.9814164568047392
+25,eta22,b,0.13851907380274334
+25,eta22,c,0.20485114470486754
 25,eta22,d,25.0
 25,all,excluded,0
-50,a11_amp,a,0.7614398962740238
-50,a11_amp,b,0.09153359406367134
-50,a11_amp,c,0.09879459384940442
+50,a11_amp,a,0.7614398810264651
+50,a11_amp,b,0.09153359562478228
+50,a11_amp,c,0.09879469809410152
 50,a11_amp,d,15.0
-50,a22_amp,a,-0.8612135472635778
-50,a22_amp,b,0.1224473108912213
-50,a22_amp,c,0.17538414559217166
+50,a22_amp,a,-0.8612135847815932
+50,a22_amp,b,0.12244731122886945
+50,a22_amp,c,0.17538403492572444
 50,a22_amp,d,5.0
-50,eta11,a,0.9741655989616019
-50,eta11,b,0.16006341654631467
-50,eta11,c,0.24818530970213154
+50,eta11,a,0.9741658235272761
+50,eta11,b,0.16006340618074846
+50,eta11,c,0.24818507615895505
 50,eta11,d,25.0
-50,eta22,a,-1.0286047822519788
-50,eta22,b,0.13093496621743278
-50,eta22,c,0.12421928301674617
+50,eta22,a,-1.0286048150563867
+50,eta22,b,0.1309349472868877
+50,eta22,c,0.12421922049304766
 50,eta22,d,10.0
 50,all,excluded,0
 """
@@ -383,66 +383,66 @@ def test_table2_reference_cells_are_unchanged():
 # summary_to_csv of table 1's design (sigma estimated: one run on the profile
 # objective) and of the sinusoidal VARMA(1,1), written by the same search
 TABLE1_REFERENCE_CELLS = """n,param,line,value
-25,a11_amp,a,0.7874043589890072
-25,a11_amp,b,0.18654466819959808
-25,a11_amp,c,0.19162128007810303
+25,a11_amp,a,0.7874043441623986
+25,a11_amp,b,0.1865446642705086
+25,a11_amp,c,0.19162130046998307
 25,a11_amp,d,0.0
-25,a12,a,0.4790193069689927
-25,a12,b,0.15270934397266928
-25,a12,c,0.18393373362102022
+25,a12,a,0.47901928422632095
+25,a12,b,0.15270934359794106
+25,a12,c,0.18393373363445567
 25,a12,d,10.0
-25,a22_amp,a,-0.8173991679020446
-25,a22_amp,b,0.18484223837394959
-25,a22_amp,c,0.21184732479580407
+25,a22_amp,a,-0.8173991319755242
+25,a22_amp,b,0.1848422335445234
+25,a22_amp,c,0.2118473419798725
 25,a22_amp,d,5.0
 25,all,excluded,0
-50,a11_amp,a,0.7545399378305714
-50,a11_amp,b,0.13049176381276398
-50,a11_amp,c,0.13881205747688738
+50,a11_amp,a,0.7545399468920031
+50,a11_amp,b,0.1304917647061519
+50,a11_amp,c,0.13881208111421117
 50,a11_amp,d,10.0
-50,a12,a,0.46227544631535544
-50,a12,b,0.10128191558578195
-50,a12,c,0.10220611196020696
+50,a12,a,0.46227544642130225
+50,a12,b,0.10128191348106323
+50,a12,c,0.10220614591926454
 50,a12,d,0.0
-50,a22_amp,a,-0.8598593451020212
-50,a22_amp,b,0.12306303033023185
-50,a22_amp,c,0.18570583362868207
+50,a22_amp,a,-0.859859319251394
+50,a22_amp,b,0.12306302822334739
+50,a22_amp,c,0.18570583482444072
 50,a22_amp,d,10.0
 50,all,excluded,0
 """
 
 VARMA11_REFERENCE_CELLS = """n,param,line,value
-100,p0,a,0.1951565890868267
-100,p0,b,0.11622648265569224
-100,p0,c,0.07862545288867868
+100,p0,a,0.19515664716453474
+100,p0,b,0.11622646913963261
+100,p0,c,0.0786255518026358
 100,p0,d,0.0
-100,p1,a,0.14283281309606546
-100,p1,b,0.11053946620165986
-100,p1,c,0.07445080968034366
+100,p1,a,0.14283290881383498
+100,p1,b,0.1105394568990836
+100,p1,c,0.07445074490283415
 100,p1,d,0.0
-100,p2,a,-0.23027458041547547
-100,p2,b,0.12667520688737355
-100,p2,c,0.14343264203870373
+100,p2,a,-0.23027478897482362
+100,p2,b,0.1266752178029404
+100,p2,c,0.143432724494037
 100,p2,d,10.0
-100,p3,a,-0.43750139177509767
-100,p3,b,0.12308214121789725
-100,p3,c,0.08188235343878507
+100,p3,a,-0.4375013806104541
+100,p3,b,0.1230821395488692
+100,p3,c,0.08188236984908977
 100,p3,d,0.0
-100,p4,a,-0.4719702532483656
-100,p4,b,0.11935172914779735
-100,p4,c,0.12199515072020517
+100,p4,a,-0.47197048164544836
+100,p4,b,0.11935170655587587
+100,p4,c,0.12199509809656944
 100,p4,d,10.0
-100,p5,a,-0.14322454006377033
-100,p5,b,0.1207538035799752
-100,p5,c,0.14685120195253892
+100,p5,a,-0.1432243676387494
+100,p5,b,0.12075380454489326
+100,p5,c,0.14685129795421212
 100,p5,d,20.0
-100,p6,a,0.5433844328941768
-100,p6,b,0.145856632561991
-100,p6,c,0.10091825330513118
+100,p6,a,0.5433844093592082
+100,p6,b,0.14585663424999656
+100,p6,c,0.10091851627748069
 100,p6,d,0.0
-100,p7,a,-0.3949336148030365
-100,p7,b,0.14151904438411667
-100,p7,c,0.14498173272576753
+100,p7,a,-0.3949338415636027
+100,p7,b,0.14151902619378387
+100,p7,c,0.14498147940419584
 100,p7,d,10.0
 100,all,excluded,0
 """
