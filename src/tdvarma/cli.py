@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, config
 from .errors import ConfigError, ContractError, NumericalError
-from .estimate import _blocked, _grad_max, fit
+from .estimate import fit
 from .examples import EXAMPLE_IDS, build, paper_run
 from .mc import McPlan, estimates_to_csv, run_mc, summary_to_csv
 from .model import Series
@@ -114,27 +114,7 @@ def _cmd_fit(args) -> int:
     if start is None:
         raise ConfigError("no theta_init in the run block and no true value in the layout")
     result = fit(model, series, start, run.estimate_sigma)
-    g_p = _grad_max(result.grad, _blocked(result.theta, result.grad, model.layout.bounds))
-    payload = {
-        "names": list(model.layout.names),
-        "theta": result.theta,
-        "objective": result.objective,
-        "projected_grad_max_over_n": float(g_p) / series.n,  # what the convergence rule tests
-        "converged": result.converged,
-        "termination": result.termination,
-        "iters": result.iters,
-        "n_evals": result.n_evals,
-        "search": result.search,
-        "se": result.se,
-        "se_info": result.se_info,
-        "cov": result.cov,
-        "vhat": result.vhat,
-        "what": result.what,
-        "sigma_hat": result.sigma_hat,
-        "covariance_ok": result.covariance_ok,
-        "metadata": result.metadata,
-    }
-    _emit_json(payload, args.out)
+    _emit_json({"names": list(model.layout.names), **dataclasses.asdict(result)}, args.out)
     return 0
 
 

@@ -9,25 +9,27 @@ the search backtracks.  At each iterate that takes a step the report forms its
 exact Hessian H (`ObjectiveReport.hessian`); no trial point and no final point
 forms one.  The direction is -H^{-1} g, else -info^{-1} g, else -g, the first
 that descends.  When the full Newton step is finite but fails the Armijo test,
-the next trial is the full information (Gauss-Newton) step, once per iteration,
-and only then does the step halve; a trial that counts as +inf halves it at
-once.  Newton steps converge quadratically near the minimum, and far from it
-the information step is often the better one.  Steps are clipped to the
-layout's bounds; a coordinate on a bound whose gradient points out of the box
-is left out of the step and of the projected gradient g_P.  The run ends on
+the next trial is the full step along the next direction of that sequence (the
+information, or Gauss-Newton, step), once per iteration, and only then does the
+step halve; a trial that counts as +inf halves it at once.  Newton steps
+converge quadratically near the minimum, and far from it the information step
+is often the better one.  Steps are clipped to the layout's bounds; a
+coordinate on a bound whose gradient points out of the box is left out of the
+step and of the projected gradient g_P.  The run ends on
 `gradient` (max |g_P| / n <= GRAD_TOL), `line_search` (no step down to MIN_STEP
 passes), `step` (a step of at most STEP_TOL (1 + |theta|)) or `max_iters`.
-Then the fit converged when the final max |g_P| / n is at most GRAD_TOL, or at
-most 10 GRAD_TOL after `line_search` or `step`; a converged `max_iters` end is
-relabelled `gradient`.  With Sigma fixed, q = 0, affine AR matrices and no
-scale parameters H is the information, so the first step is the GLS solution.
-The covariance is the sandwich V_hat^{-1} W_hat V_hat^{-1} / n at the estimate.
+Then the fit converged when the final max |g_P| / n, recorded as
+`projected_grad_max_over_n`, is at most GRAD_TOL, or at most 10 GRAD_TOL after
+`line_search` or `step`; a converged `max_iters` end is relabelled `gradient`.
+With Sigma fixed, q = 0, affine AR matrices and no scale parameters H is the
+information, so the first step is the GLS solution.  The covariance is the
+sandwich V_hat^{-1} W_hat V_hat^{-1} / n at the estimate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -63,13 +65,17 @@ class FitResult:
     full Newton step failed and switched to the information step.  So newton +
     information + steepest = hessians, which is iters, or iters - 1 after an
     exit on the gradient test, and n_evals = 1 + rejected + the accepted steps
-    (len(q_history) - 1).  sigma_hat is Sigma_hat(theta) at the estimate when
-    the noise covariance is estimated, and V_hat and W_hat are taken at it.
+    (len(q_history) - 1).  projected_grad_max_over_n is max |g_P| / n at the
+    estimate, the number the convergence rule compares with GRAD_TOL, or with
+    10 GRAD_TOL after a `line_search` or `step` end.  sigma_hat is
+    Sigma_hat(theta) at the estimate when the noise covariance is estimated,
+    and V_hat and W_hat are taken at it.
     """
 
     theta: np.ndarray
     objective: float
     grad: np.ndarray
+    projected_grad_max_over_n: float
     sigma_hat: Optional[np.ndarray]
     vhat: Optional[np.ndarray]
     what: Optional[np.ndarray]
@@ -81,9 +87,9 @@ class FitResult:
     converged: bool
     termination: str
     covariance_ok: bool
-    q_history: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
-    search: dict = field(default_factory=dict)
+    q_history: list
+    metadata: dict
+    search: dict
 
 
 def _project(theta: np.ndarray, bounds) -> np.ndarray:
@@ -134,13 +140,9 @@ def _directions(mats, g: np.ndarray):
     yield len(mats), -g
 
 
-def _descent(mats, g: np.ndarray) -> np.ndarray:
-    """-M^{-1} g for the first M of mats that gives a descent direction; -g if none does."""
-    return next(_directions(mats, g))[1]
-
-
 def _minimize(model: TdVarmaModel, series: Series, theta0, estimate_sigma: bool):
-    """The Newton run of the module docstring; monotone in the objective."""
+    """The Newton run of the module docstring; monotone in the objective.  Returns
+    theta_hat, its report and the FitResult fields the run decides."""
     n = series.n
     bounds = model.layout.bounds
     theta = _project(np.asarray(theta0, dtype=float).copy(), bounds)
@@ -161,9 +163,9 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, estimate_sigma: bool)
         free = [i for i in range(g.size) if i not in blocked]  # the step moves these coordinates only
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             hess = rep.hessian()[free][:, free]
-        info = rep.info[free][:, free]
         search["hessians"] += 1
-        kind, d = next(_directions((hess, info), g[free]))
+        directions = _directions((hess, rep.info[free][:, free]), g[free])
+        kind, d = next(directions)
         search[DIRECTIONS[kind]] += 1
         d = _embed(d, free, g.size)
         step, switch = 1.0, kind == 0
@@ -175,9 +177,9 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, estimate_sigma: bool)
                 break
             search["rejected"] += 1
             if switch and trial_rep is not None:  # the full Newton step failed the Armijo test
-                d_info = _embed(_descent((info,), g[free]), free, g.size)
-                if not np.array_equal(d_info, d):  # so the full information step is next
-                    d, switch = d_info, False
+                d_next = _embed(next(directions)[1], free, g.size)
+                if not np.array_equal(d_next, d):  # so the full step along the next direction is next
+                    d, switch = d_next, False
                     search["switched"] += 1
                     continue
             switch = False
@@ -192,11 +194,12 @@ def _minimize(model: TdVarmaModel, series: Series, theta0, estimate_sigma: bool)
         if np.linalg.norm(s) <= STEP_TOL * (1.0 + np.linalg.norm(theta)):
             termination = "step"
             break
-    tol = 10 * GRAD_TOL if termination in ("line_search", "step") else GRAD_TOL
-    converged = bool(_grad_max(rep.grad, _blocked(theta, rep.grad, bounds)) / n <= tol)
+    grad_max = float(_grad_max(rep.grad, _blocked(theta, rep.grad, bounds)) / n)
+    converged = grad_max <= (10 * GRAD_TOL if termination in ("line_search", "step") else GRAD_TOL)
     if converged and termination == "max_iters":
         termination = "gradient"
-    return theta, rep, it, n_evals, converged, termination, history, search
+    return theta, rep, dict(iters=it, n_evals=n_evals, converged=converged, termination=termination,
+                            q_history=history, search=search, projected_grad_max_over_n=grad_max)
 
 
 def _embed(d: np.ndarray, free: list, m: int) -> np.ndarray:
@@ -226,8 +229,7 @@ def fit(model: TdVarmaModel, series: Series, theta_init, estimate_sigma: bool = 
     theta = np.asarray(theta_init, dtype=float)
     if theta.shape != (model.m,):
         raise ContractError(f"theta_init has {theta.size} entries for {model.m} parameters")
-    theta, rep, iters, n_evals, converged, termination, history, search = _minimize(
-        model, series, theta, estimate_sigma)
+    theta, rep, record = _minimize(model, series, theta, estimate_sigma)
 
     vhat = what = cov = se = se_info = None
     try:
@@ -252,25 +254,9 @@ def fit(model: TdVarmaModel, series: Series, theta_init, estimate_sigma: bool = 
         else "noise covariance held fixed",
         "score_rows_centered": False,
     }
-    return FitResult(
-        theta=theta,
-        objective=rep.q,
-        grad=rep.grad,
-        sigma_hat=rep.sigma_hat,
-        vhat=vhat,
-        what=what,
-        cov=cov,
-        se=se,
-        se_info=se_info,
-        iters=iters,
-        n_evals=n_evals,
-        converged=converged,
-        termination=termination,
-        covariance_ok=se is not None,
-        q_history=history,
-        metadata=metadata,
-        search=search,
-    )
+    return FitResult(theta=theta, objective=rep.q, grad=rep.grad, sigma_hat=rep.sigma_hat, vhat=vhat,
+                     what=what, cov=cov, se=se, se_info=se_info, covariance_ok=se is not None,
+                     metadata=metadata, **record)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -147,6 +148,26 @@ def test_fit_reports_the_projected_gradient_over_n(cfg_dir, tmp_path):
     assert np.max(np.abs(res.grad)) / 100 > 1e-2
     assert got["projected_grad_max_over_n"] == np.max(np.abs(res.grad[1:])) / 100 <= estimate.GRAD_TOL
     assert got["search"] == res.search and sum(res.search[k] for k in estimate.DIRECTIONS) >= 1
+
+
+@pytest.mark.parametrize("which", ["example1_sim", "example2"])
+def test_fit_writes_the_fit_record_as_it_is(cfg_dir, tmp_path, which):
+    # the JSON is the names plus every FitResult field under its own name, each
+    # written as the fit of the same series holds it, floats in shortest repr
+    from tdvarma import cli, config, estimate
+
+    cfg, series, out = str(cfg_dir / f"{which}.json"), str(tmp_path / "x.csv"), tmp_path / "fit.json"
+    assert cli.main(["simulate", "--config", cfg, "--n", "100", "--out", series]) == 0
+    assert cli.main(["fit", "--config", cfg, "--series", series, "--out", str(out)]) == 0
+    got = json.loads(out.read_text())
+    fields = {f.name for f in dataclasses.fields(estimate.FitResult)}
+    assert set(got) == {"names"} | fields
+    model, run = config.load(cfg)
+    assert got["names"] == list(model.layout.names)
+    res = estimate.fit(model, cli._series_from_csv(series), run.theta_init, run.estimate_sigma)
+    for name in fields:
+        want = json.dumps(getattr(res, name), sort_keys=True, default=lambda a: a.tolist())
+        assert json.dumps(got[name], sort_keys=True) == want, name
 
 
 def test_singular_noise_covariance_estimate_exits_two(cfg_dir, tmp_path):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from conftest import make_sin_varma11
 
-from tdvarma import estimate, examples, likelihood
+from tdvarma import estimate, examples, likelihood, mc
 from tdvarma.errors import ContractError, NumericalError
-from tdvarma.estimate import _descent, _safe_objective, estimate_noise_cov, fit, wald_test
+from tdvarma.estimate import _directions, _safe_objective, estimate_noise_cov, fit, wald_test
 from tdvarma.model import ParamLayout, Series, TdVarmaModel
 from tdvarma.simulate import SimPlan, replication_stream, simulate
 from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Sine
@@ -246,6 +246,34 @@ def test_wald_trivials():
     assert t3.statistic == pytest.approx(3.0) and t3.reject_5pct
     t196 = wald_test(res, 0, float(res.theta[0] - 1.9 * res.se[0]))
     assert not t196.reject_5pct
+    with pytest.raises(ContractError, match="not positive"):
+        wald_test(dataclasses.replace(res, se=np.zeros(m.m)), 0, 0.0)
+
+
+def test_a_sandwich_without_a_valid_diagonal_is_no_covariance(monkeypatch):
+    # W_hat = -V_hat makes the sandwich -V_hat^{-1} / n, whose diagonal is negative:
+    # the fit still converges, but it carries no covariance, the Wald test refuses it,
+    # and a Monte Carlo replication counts it as excluded
+    report_vw = likelihood.report_vw
+
+    def negated(rep):
+        vhat, _ = report_vw(rep)
+        return vhat, -vhat
+
+    monkeypatch.setattr(likelihood, "report_vw", negated)
+    m = examples.example1_sim_model()
+    series = simulate(SimPlan(m, m.layout.theta0, 100, 5))
+    res = fit(m, series, (0.1, 0.1, 0.1), estimate_sigma=True)
+    assert res.converged and res.termination == "gradient"
+    assert not res.covariance_ok and res.se is None and res.cov is None
+    np.testing.assert_array_equal(res.what, -res.vhat)
+    assert np.all(res.se_info > 0)
+    with pytest.raises(ContractError, match="no covariance"):
+        wald_test(res, 0, 0.0)
+    plan = mc.McPlan(m, m.layout.theta0, n_list=(100,), replications=1, seed=5, theta_init=(0.1, 0.1, 0.1),
+                     estimate_sigma=True)
+    theta, se, ok = mc._one_replication(plan, 100, 0)
+    assert not ok and np.all(np.isnan(se)) and np.all(np.isfinite(theta))
 
 
 def test_first_step_is_the_gls_solution():
@@ -314,7 +342,7 @@ def test_singular_info_falls_back_to_identity(rng):
     rep = likelihood.objective(m, series, np.array([0.1, 0.3]))
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(rep.info)
-    np.testing.assert_array_equal(_descent((rep.info, rep.info), rep.grad), -rep.grad)
+    np.testing.assert_array_equal(next(_directions((rep.info, rep.info), rep.grad))[1], -rep.grad)
     res = fit(m, series, (0.1, 0.3))
     assert res.converged
     assert float(res.theta[1]) == 0.3
@@ -323,9 +351,9 @@ def test_singular_info_falls_back_to_identity(rng):
 def test_descent_falls_back_from_the_model_to_the_information():
     g = np.array([1.0, -2.0])
     info = np.diag([2.0, 4.0])
-    np.testing.assert_array_equal(_descent((np.eye(2), info), g), -g)        # the model's direction
-    np.testing.assert_array_equal(_descent((-np.eye(2), info), g), [-0.5, 0.5])  # not descent: info's
-    np.testing.assert_array_equal(_descent((-np.eye(2), -info), g), -g)      # neither: -g
+    np.testing.assert_array_equal(next(_directions((np.eye(2), info), g))[1], -g)        # the model's direction
+    np.testing.assert_array_equal(next(_directions((-np.eye(2), info), g))[1], [-0.5, 0.5])  # not descent: info's
+    np.testing.assert_array_equal(next(_directions((-np.eye(2), -info), g))[1], -g)      # neither: -g
 
 
 def test_n_evals_counts_every_evaluation(monkeypatch):

@@ -68,3 +68,13 @@ def test_public_definitions_are_referenced(path):
     dead = [node.name for node in _definitions(ast.parse(path.read_text())) if not node.name.startswith("_")
             and everywhere[node.name] == _references(node).count(node.name)]
     assert dead == []
+
+
+def test_the_cli_imports_no_private_name():
+    # the CLI writes the records the package decides; a private helper it imports
+    # would make it a second place that decides them
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    private = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("tdvarma"))
+               for a in node.names if a.name.startswith("_") and not a.name.startswith("__")]
+    assert private == []
