@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .asymptotics import _information_pass, theoretical_v  # perfbench/tracer.py wraps theoretical_v here
-from .errors import ContractError
+from .errors import ContractError, SingularCovarianceError
 from .model import TdVarmaModel, _sym
 from .representations import _resid_rows
 from .representations import build_pi, build_psi  # unused here; perfbench/tracer.py wraps these names
@@ -157,11 +157,13 @@ def psi_deriv_norms(
 
 
 def _timed(check):
-    """Record the check's wall time in details["wall_s"]."""
+    """Record the check's wall time in details["wall_s"]; numpy prints no warning, as a
+    non-finite quantity is reported in the verdict."""
     @functools.wraps(check)
     def run(*args, **kwargs) -> CheckResult:
         start = time.perf_counter()
-        res = check(*args, **kwargs)
+        with np.errstate(all="ignore"):
+            res = check(*args, **kwargs)
         res.details["wall_s"] = time.perf_counter() - start
         return res
     return run
@@ -171,7 +173,8 @@ def _timed(check):
 def check_psi_decay(model: TdVarmaModel, theta0, n_probe: int = N_PROBE) -> CheckResult:
     """Geometric decay of MA-derivative tail sums from each start in NU_GRID below
     n_probe (squared and fourth powers for first/second-order weights; bounded
-    totals for third order).  The weight rows are reduced as the recurrence
+    totals for third order).  A tail sum that is not finite fails the check and
+    leaves no decay_base.  The weight rows are reduced as the recurrence
     produces them (run_all shares that pass with check_cross_sums)."""
     decay = _DecayTails(n_probe)
     _reduce_rows(_resid_rows(model, theta0, theta0, n_probe, 3, None), [decay])
@@ -226,13 +229,11 @@ class _DecayTails:
         phis = []
         constants: dict = {}
         details: dict = {"nu_grid": nu_grid}
-        verdict = "pass"
-        if not np.all(np.isfinite(self.sum_sq)):
-            verdict = "fail"
+        finite = bool(np.isfinite(self.tails).all() and np.isfinite(self.sum_sq).all())
+        verdict = "pass" if finite else "fail"
         for j, tau in enumerate(self.taus[: self.n_low]):
             for tails, label in zip(self.tails[:, j], ("sq", "4th")):
                 if not np.all(np.isfinite(tails)):
-                    verdict = "fail"
                     details[f"unbounded_{label}_{tau}"] = True
                     continue
                 pos = tails > 0
@@ -253,7 +254,9 @@ class _DecayTails:
 
         any_positive = self.k_nonzero >= 0
         phi = max(phis) if phis else (0.0 if any_positive else None)
-        if phi is None:
+        if not finite:
+            phi = None  # no decay rate describes a tail sum that overflowed
+        elif phi is None:
             verdict = "inconclusive"  # no non-zero weights at all
         details["max_k_nonzero"] = max(self.k_nonzero, 0)
         if any_positive and self.k_nonzero < self.n_probe - 2:
@@ -282,7 +285,8 @@ def _trend_ok(values: np.ndarray) -> bool:
 
 @_timed
 def check_sigma_bounds(model: TdVarmaModel, theta0, n_probe: int = N_PROBE) -> CheckResult:
-    """Finiteness (and non-growth) of covariance / scale derivative norms."""
+    """Finiteness (and non-growth) of covariance / scale derivative norms; a Sigma_t
+    that is singular or not finite up to n_probe fails with details["singular_t"]."""
     theta0 = np.asarray(theta0, dtype=float)
     ts = range(1, n_probe + 1)
     constants: dict = {}
@@ -294,7 +298,10 @@ def check_sigma_bounds(model: TdVarmaModel, theta0, n_probe: int = N_PROBE) -> C
 
     # every covariance and inverse derivative up to order 3 from one memo; the
     # tuples it leaves out are identically zero (_sym leaves sig's entries as they are)
-    sig, inv = model._sigma_t_table(ts, theta0, sorted_tuples(range(model.m), 3), inverse=True)
+    try:
+        sig, inv = model._sigma_t_table(ts, theta0, sorted_tuples(range(model.m), 3), inverse=True)
+    except SingularCovarianceError as exc:
+        return CheckResult("covariance_bounds", "fail", {}, {"singular_t": exc.t})
     quantities = {"scale_norm_bound": fro2(model.g_values(ts, theta0)), "covinv_norm_bound": fro2(inv[()])}
     for key, table, order in (
         ("cov_d1_bound", sig, 1),
@@ -339,8 +346,12 @@ def check_moment_bounds(sigma) -> CheckResult:
 
 @_timed
 def check_information(model: TdVarmaModel, theta0, n_grid: Sequence[int] = INFO_GRID) -> CheckResult:
-    """Positive definiteness of the finite-horizon information matrix."""
-    reports = _information_pass(model, theta0, n_grid)
+    """Positive definiteness of the finite-horizon information matrix; a Sigma_t that
+    is singular or not finite up to max(n_grid) fails with details["singular_t"]."""
+    try:
+        reports = _information_pass(model, theta0, n_grid)
+    except SingularCovarianceError as exc:
+        return CheckResult("information_pd", "fail", {}, {"singular_t": exc.t})
     min_eigs = {n: rep.min_eigenvalue for n, rep in reports.items()}
     verdict = "pass" if all(rep.positive_definite for rep in reports.values()) else "fail"
     return CheckResult("information_pd", verdict, {"min_eigenvalue": min(min_eigs.values())}, {"min_eigs": min_eigs})
@@ -372,7 +383,8 @@ def check_cross_sums(
     the verdict uses the slope between the two largest grid points.  details
     also record the maximum of the second family's n * value curve over
     n = 1..max(m_term_grid) and where it occurs.  An empty m_term_grid skips the
-    second family.
+    second family.  A Sigma_t that is singular or not finite up to the longest
+    length fails the check, with details["singular_t"] its first t.
     """
     cross = _CrossSums(model, theta0, n_grid, m_term_grid)
     _reduce_rows(_resid_rows(model, cross.theta0, cross.theta0, cross.horizon, 1, cross.kcap), [cross])
@@ -393,6 +405,10 @@ class _CrossSums:
         self.horizon = max(self.n_max, self.n2)
         self.kcap = min(self.horizon - 1, 2 * D_CAP)
         self.g_all = model.g_values(range(1, self.horizon + 1), self.theta0)
+        try:  # a Sigma_t that is singular or not finite up to the horizon fails the check
+            self.h, self.singular_t = model.scale_factor(self.horizon, self.theta0)[0], None
+        except SingularCovarianceError as exc:
+            self.h, self.singular_t = None, exc.t
 
     def start(self, taus: list) -> None:
         # the weight norms up to n_max, and up to n2 the whitened lag-k weights
@@ -405,7 +421,6 @@ class _CrossSums:
         self.norms = np.zeros((self.n_slots, self.n_max, self.kcap + 1))
         self.whitened = np.zeros((self.n2, self.n_slots, model.r, self.kcap, model.r))
         if self.n2 and self.n_slots:
-            self.h = model.scale_factor(self.n2, self.theta0)[0]
             self.g_chol = self.g_all @ model.sigma_chol
 
     def take(self, t: int, stack: np.ndarray) -> None:
@@ -413,11 +428,13 @@ class _CrossSums:
         lags = stack.shape[1] - 1
         if t <= self.n_max:
             self.norms[:, t - 1, : lags + 1] = np.sqrt(np.einsum("jkrs,jkrs->jk", stack, stack))
-        if 2 <= t <= self.n2:
+        if 2 <= t <= self.n2 and self.singular_t is None:
             white = self.h[t - 1] @ stack[:, 1:] @ self.g_chol[t - 2 :: -1][:lags]
             self.whitened[t - 1, :, :, :lags] = white.transpose(0, 2, 1, 3)
 
     def result(self) -> CheckResult:
+        if self.singular_t is not None:
+            return CheckResult("cross_sums", "fail", {}, {"singular_t": self.singular_t})
         n_grid, m_term_grid, n_max, n2, kcap = self.n_grid, self.m_term_grid, self.n_max, self.n2, self.kcap
         norms, whitened = self.norms, self.whitened
         drop = [j for j in range(len(norms)) if not norms[j].any()]  # slots that vanish up to n_max
@@ -511,13 +528,16 @@ def run_all(
     n_probe and the cross-sum horizon; past n_probe it stacks only the order-1
     tuples, up to the cross-sum lag cap.  Their results are those of the checks
     called alone, bit for bit.  Each check's details["wall_s"] leaves the pass
-    out; the report's weight_pass_s holds it.
+    out; the report's weight_pass_s holds it.  A check whose horizon holds a
+    Sigma_t that is singular or not finite fails with details["singular_t"], its
+    first t, and the other checks still run.
     """
     theta0 = model.layout.theta0_array() if theta0 is None else np.asarray(theta0, dtype=float)
     start = time.perf_counter()
-    decay, cross = _DecayTails(n_probe), _CrossSums(model, theta0, cross_grid, cross_m_grid)
-    tail = (n_probe, 1, cross.kcap) if cross.horizon > n_probe else None
-    _reduce_rows(_resid_rows(model, theta0, theta0, max(n_probe, cross.horizon), 3, None, tail), [decay, cross])
+    with np.errstate(all="ignore"):  # as in each check
+        decay, cross = _DecayTails(n_probe), _CrossSums(model, theta0, cross_grid, cross_m_grid)
+        tail = (n_probe, 1, cross.kcap) if cross.horizon > n_probe else None
+        _reduce_rows(_resid_rows(model, theta0, theta0, max(n_probe, cross.horizon), 3, None, tail), [decay, cross])
     weight_pass_s = time.perf_counter() - start
     psi_decay, cross_sums = _timed(decay.result)(), _timed(cross.result)()
     del decay, cross  # their arrays are freed before the other checks make theirs

@@ -184,8 +184,8 @@ def load(path: str) -> tuple[TdVarmaModel, RunConfig]:
 
 
 def model_to_config(model: TdVarmaModel) -> dict:
-    lay = model.layout
-    return {
+    """The model block as `load` reads it back from the file `dump` writes."""
+    block = {
         "r": model.r,
         "p": model.p,
         "q": model.q,
@@ -193,22 +193,15 @@ def model_to_config(model: TdVarmaModel) -> dict:
         "b_funcs": [f.to_config() for f in model.b_funcs],
         "g_func": model.g_func.to_config(),
         "sigma": model.sigma.tolist(),
-        "layout": {
-            "names": list(lay.names),
-            "n_ar": lay.n_ar,
-            "n_ma": lay.n_ma,
-            "theta0": list(lay.theta0) if lay.theta0 is not None else None,
-            "bounds": [list(b) if b is not None else None for b in lay.bounds]
-            if lay.bounds is not None
-            else None,
-        },
+        "layout": asdict(model.layout),
     }
+    return json.loads(json.dumps(block))
 
 
 def dump(model: TdVarmaModel, run: Optional[RunConfig], path: str):
     doc: dict = {"model": model_to_config(model)}
     if run is not None:
-        doc["run"] = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(run).items()}
+        doc["run"] = asdict(run)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -79,7 +79,7 @@ class ResidualSet:
     stack: np.ndarray        # (1, n, r), or (1 + m, n, r) with derivatives: e, then de/d theta_k
     h: np.ndarray            # (n, r, r), H_t with H_t' H_t = Sigma_t^{-1}
     logdet: np.ndarray       # (n,)
-    s: Optional[np.ndarray]  # (n_scale, n, r, r), S_t = H_t dg_t L by the scale slots, or None
+    s: Optional[np.ndarray]  # (S, n, r, r), S_t = H_t dg_t L by the S scale slots, or None
     solver: Optional["_LagSolver"] = None  # (I + B_op)^{-1} of the MA part, None for q = 0
 
     @property

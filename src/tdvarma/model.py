@@ -11,14 +11,13 @@ which gives the whitening factors H_t = F_t^{-1} = L^{-1} g_t^{-1}.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, SingularCovarianceError
-from .timefn import AppliedForm, MatrixTimeFunction, _check_indices, index_splits
+from .timefn import AppliedForm, MatrixTimeFunction, index_splits
 
 DEFAULT_CHECK_HORIZON = 400
 
@@ -67,10 +66,6 @@ class ParamLayout:
     @property
     def m(self) -> int:
         return len(self.names)
-
-    @property
-    def n_scale(self) -> int:
-        return self.m - self.n_ar - self.n_ma
 
     @property
     def ar_slots(self) -> range:
@@ -161,10 +156,12 @@ class TdVarmaModel:
     layout : parameter names / blocks / optional true value and bounds.
 
     When the layout supplies a true value, g_t is checked to be invertible
-    for t = 1..DEFAULT_CHECK_HORIZON at construction.  The likelihood reads
-    Sigma_t = F_t F_t' (F_t = g_t L) only through `scale_factor`'s
-    H_t = F_t^{-1} and log det Sigma_t; `sigma_t`, `sigma_t_all` and the
-    derivative methods form Sigma_t and Sigma_t^{-1} for the audits and the theory.
+    for t = 1..DEFAULT_CHECK_HORIZON at construction.  Sigma is set once, here;
+    a model at another Sigma is a new model on the same coefficient functions.
+    The likelihood reads Sigma_t = F_t F_t' (F_t = g_t L) only through
+    `scale_factor`'s H_t = F_t^{-1} and log det Sigma_t.  `_sigma_t_table` forms
+    Sigma_t, Sigma_t^{-1} and their exact derivatives up to order 3 for the
+    covariance audit; `sigma_t` and `sigma_t_all` read Sigma_t from it.
     """
 
     def __init__(
@@ -220,14 +217,6 @@ class TdVarmaModel:
             if bad.size:
                 raise ConfigError(f"scale matrix g_t is singular at t={bad[0] + 1}")
 
-    def with_sigma(self, sigma) -> "TdVarmaModel":
-        """Copy of the model with a replaced innovation covariance; it shares the
-        coefficient functions and their tables."""
-        new = copy.copy(self)
-        new.sigma, new.sigma_chol, new._chol_inv = _checked_sigma(sigma, self.r)
-        new._fixed_scale = None
-        return new
-
     # -- per-time evaluations -------------------------------------------------
 
     def a_values(self, ts, theta) -> np.ndarray:
@@ -264,7 +253,7 @@ class TdVarmaModel:
         """(H_t, log det Sigma_t) for t = 1..n, shapes (n, r, r) and (n,), where
         H_t = L^{-1} g_t^{-1} inverts the factor F_t = g_t L of Sigma_t, so
         H_t' H_t = Sigma_t^{-1}.  With derivs a third element, S_t = H_t (dg_t) L by the
-        scale slots (which come last in theta) as an (n_scale, n, r, r) stack, zero for a
+        scale slots (which come last in theta) as a (len(scale_slots), n, r, r) stack, zero for a
         slot g_t does not use, so that H_t dSigma_t H_t' = S_t + S_t'; one evaluation of
         g_t serves all three.  A Sigma_t that is singular or not finite raises
         SingularCovarianceError naming the first such t.  When g_t has no parameter
@@ -296,31 +285,11 @@ class TdVarmaModel:
                 s[i] = factors[0] @ g[(slot,)] @ self.sigma_chol
         return factors + (s,)
 
-    def sigma_t_deriv(self, t, theta, indices) -> np.ndarray:
-        """Exact derivative of Sigma_t of order 1 or 2 w.r.t. theta[indices]."""
-        idx = _check_indices(indices)
-        if len(idx) > 2:
-            raise ContractError(
-                "sigma_t_deriv supports orders 1 and 2; higher orders enter only "
-                "through derivatives of the inverse"
-            )
-        return self._sigma_t_deriv_any(t, theta, idx)
-
     def _sigma_t_deriv_any(self, t, theta, idx) -> np.ndarray:
         """Leibniz expansion of d^k (g Sigma g^T) for any k <= 3."""
         sig, _ = self._sigma_t_table(t, theta, _subtuples(idx))
         tau = tuple(sorted(idx))
         return sig[tau] if tau in sig else np.zeros(np.shape(t) + (self.r, self.r))
-
-    def sigma_t_inv(self, t, theta) -> np.ndarray:
-        return self._sigma_t_table(t, theta, [()], inverse=True)[1][()]
-
-    def sigma_t_inv_deriv(self, t, theta, indices) -> np.ndarray:
-        """Derivative of Sigma_t^{-1} of order 1..3 via d(M^-1) = -M^-1 dM M^-1."""
-        idx = _check_indices(indices)
-        _, inv = self._sigma_t_table(t, theta, _subtuples(idx), inverse=True)
-        tau = tuple(sorted(idx))
-        return _sym(inv[tau]) if tau in inv else np.zeros_like(inv[()])
 
     def _sigma_t_table(self, t, theta, taus, inverse: bool = False) -> tuple[dict, dict]:
         """({tau: d^tau Sigma_t}, {tau: d^tau Sigma_t^{-1}}) for the sorted tuples taus,

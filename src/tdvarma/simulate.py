@@ -55,11 +55,12 @@ class SimPlan:
             raise ConfigError("theta0 length does not match the model parameter count")
 
 
-def simulate(plan: SimPlan, return_innovations: bool = False):
+def simulate(plan: SimPlan) -> Series:
     """Draw one realization; identical plans yield bit-identical output.
 
-    The innovation sequence depends only on (seed, stream), so extending n
-    keeps the earlier prefix unchanged.
+    The innovations are eps = Z L' with Z the first n x r standard normals of
+    make_rng(seed, stream) and Sigma = L L'.  They depend only on (seed, stream),
+    so extending n keeps the earlier prefix unchanged.
     """
     model, n = plan.model, plan.n
     r = model.r
@@ -72,10 +73,7 @@ def simulate(plan: SimPlan, return_innovations: bool = False):
         x = solve(scaled + _lag_sum(b, scaled))
     if not np.isfinite(x).all():
         raise ConfigError(f"simulated series is not finite at t = {np.argmin(np.isfinite(x).all(axis=1)) + 1}")
-    series = Series(values=x)
-    if return_innovations:
-        return series, eps
-    return series
+    return Series(values=x)
 
 
 def _operator(model: TdVarmaModel, theta0: np.ndarray, n: int) -> tuple:

@@ -26,7 +26,7 @@ from tdvarma.likelihood import empirical_vw, objective, objective_value, residua
 from tdvarma.mc import McPlan, run_mc
 from tdvarma.model import ParamLayout, TdVarmaModel
 from tdvarma.representations import build_psi
-from tdvarma.simulate import SimPlan, simulate
+from tdvarma.simulate import SimPlan, make_rng, simulate
 from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Sine
 
 RESULTS: list = []
@@ -274,7 +274,8 @@ def test_criterion_07_cross_representation_residual_derivatives():
     m = examples.example1_sim_model()
     th0 = np.array(m.layout.theta0)
     n = 100
-    series, eps = simulate(SimPlan(m, m.layout.theta0, n, 99), return_innovations=True)
+    series = simulate(SimPlan(m, m.layout.theta0, n, 99))
+    eps = make_rng(99, 0).standard_normal((n, m.r)) @ m.sigma_chol.T
     res = residuals(m, series, th0, with_derivs=True)
     psi = build_psi(m, th0, th0, n, max_deriv_order=1)
     g_all = m.g_values(np.arange(1, n + 1), th0)

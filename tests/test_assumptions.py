@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +32,19 @@ from tdvarma.errors import ContractError
 from tdvarma.model import ParamLayout, TdVarmaModel
 from tdvarma.representations import _resid_rows
 from tdvarma.simulate import make_rng
-from tdvarma.timefn import Constant, ExpTrend, MatrixTimeFunction, Param
+from tdvarma.timefn import Constant, ExpSine, ExpTrend, MatrixTimeFunction, Param
 
 
 def _explosive_model(rho=1.5):
     layout = ParamLayout(names=("a1", "a2"), n_ar=2, n_ma=0, theta0=(rho, rho))
     a = MatrixTimeFunction([[Param(0), Constant(0.0)], [Constant(0.0), Param(1)]])
     return TdVarmaModel(2, [a], [], None, np.eye(2), layout)
+
+
+def _ar1(a, g=None):
+    """Univariate x_t = a x_{t-1} + g_t eps_t with the coefficient a free."""
+    layout = ParamLayout(names=("a",), n_ar=1, n_ma=0, theta0=(a,))
+    return TdVarmaModel(1, [MatrixTimeFunction([[Param(0)]])], [], g, [[1.0]], layout)
 
 
 # -- moment utilities ----------------------------------------------------------
@@ -65,12 +72,14 @@ def test_gaussian_quadratic_moment_identity():
 
 def test_gaussian_eighth_moment_against_monte_carlo():
     sigma = np.array([[1.0, 0.4], [0.4, 2.0]])
-    exact = gaussian_quad_norm_moment(sigma, power=4)
     rng = make_rng(2024, 99)
     draws = rng.standard_normal((1_000_000, 2)) @ np.linalg.cholesky(sigma).T
     q = np.einsum("ij,ij->i", draws, draws)
-    mc = float(np.mean(q**4))
-    assert exact == pytest.approx(mc, rel=0.02)
+    for power in (1, 2, 3, 4):
+        assert gaussian_quad_norm_moment(sigma, power) == pytest.approx(float(np.mean(q**power)), rel=0.02)
+    for power in (0, 5):
+        with pytest.raises(ContractError, match="between 1 and 4"):
+            gaussian_quad_norm_moment(sigma, power)
 
 
 @settings(max_examples=25, deadline=None)
@@ -106,6 +115,33 @@ def test_decay_passes_for_example1_with_amplitude_bound(example1_sim):
 def test_decay_fails_for_explosive_model():
     res = check_psi_decay(_explosive_model(), (1.5, 1.5), n_probe=80)
     assert res.verdict == "fail"
+
+
+def test_decay_of_an_overflowing_model_fails_without_a_decay_base():
+    # every tail sum overflows; a decay_base of 0.0 would read as "decays at once"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = check_psi_decay(_ar1(1e10), (1e10,), n_probe=80)
+    assert res.verdict == "fail" and res.details["unbounded_sq_(0,)"]
+    assert "decay_base" not in res.constants
+
+
+def test_decay_of_weights_that_vanish_after_one_lag():
+    # at a = 0 the only weight is at lag 1, so fewer than two tail sums are positive
+    res = check_psi_decay(_ar1(0.0), (0.0,), n_probe=80)
+    assert res.verdict == "pass" and res.constants["decay_base"] == 0.0
+    assert res.details["k_cutoff"] == 1
+
+
+def test_decay_is_inconclusive_without_weights():
+    # p = q = 0: the residuals depend on no AR or MA slot, so there is no weight to fit
+    layout = ParamLayout(names=("s",), n_ar=0, n_ma=0, theta0=(0.5,))
+    m = TdVarmaModel(1, [], [], MatrixTimeFunction([[ExpSine(0, 0.3)]]), [[1.0]], layout)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = check_psi_decay(m, (0.5,), n_probe=50)
+    assert res.verdict == "inconclusive" and res.details["max_k_nonzero"] == 0
+    assert "decay_base" not in res.constants
 
 
 def test_integer_period_weights_vanish_beyond_cutoff():
@@ -147,6 +183,28 @@ def test_sigma_bounds_fail_for_growing_scale():
     m = TdVarmaModel(2, [a], [], g, np.eye(2), layout)
     res = check_sigma_bounds(m, np.array([0.5]), n_probe=300)
     assert res.verdict == "fail"
+
+
+def test_audits_record_a_covariance_that_overflows_past_the_probe():
+    # Sigma_t = exp(t) is finite up to n_probe = 500 but overflows at t = 710, inside
+    # the cross sums' horizon of 1200
+    m = _ar1(0.5, MatrixTimeFunction([[ExpTrend(0.5)]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run_all(m)
+    bounds, cross = rep.checks["covariance_bounds"], rep.checks["cross_sums"]
+    assert bounds.verdict == "fail" and bounds.details["growing_scale_norm_bound"]
+    assert cross.verdict == "fail" and cross.details["singular_t"] == 710
+
+
+def test_sigma_bounds_record_a_covariance_that_overflows_inside_the_probe():
+    # Sigma_t = exp(4 t) overflows at t = 178
+    with np.errstate(over="ignore"):  # g_t overflows inside the construction's horizon too
+        m = _ar1(0.5, MatrixTimeFunction([[ExpTrend(2.0)]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = check_sigma_bounds(m, (0.5,))
+    assert res.verdict == "fail" and res.details["singular_t"] == 178
 
 
 # -- information and cross sums ---------------------------------------------------

@@ -400,7 +400,8 @@ def test_fit_reuses_the_last_evaluation(monkeypatch, which, estimate_sigma):
         np.testing.assert_array_equal(res.sigma_hat, last.sigma_hat)
         np.testing.assert_allclose(res.sigma_hat, estimate_noise_cov(m, series, res.theta), rtol=1e-12)
         # the same matrices from the fixed-sigma objective at sigma_hat
-        at_sigma_hat = likelihood.empirical_vw(m.with_sigma(res.sigma_hat), series, res.theta)
+        at_hat = TdVarmaModel(m.r, m.a_funcs, m.b_funcs, m.g_func, res.sigma_hat, m.layout)
+        at_sigma_hat = likelihood.empirical_vw(at_hat, series, res.theta)
         for got, want in zip((res.vhat, res.what), at_sigma_hat):
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)))
     else:
@@ -522,7 +523,7 @@ def test_profile_fit_is_the_fixed_point_of_the_alternation(monkeypatch, n):
         theta, work = np.array(run.theta_init), m
         for _ in range(200):
             new = fit(work, series, theta).theta
-            work = m.with_sigma(estimate_noise_cov(m, series, new))
+            work = TdVarmaModel(m.r, m.a_funcs, m.b_funcs, m.g_func, estimate_noise_cov(m, series, new), m.layout)
             moved, theta = np.max(np.abs(new - theta)), new
             if moved <= 1e-13:
                 break

@@ -14,7 +14,7 @@ from tdvarma.simulate import innovation_correlation
 def test_example1_sim_layout():
     m = examples.build("example1_sim")
     assert m.m == 3
-    assert (m.layout.n_ar, m.layout.n_ma, m.layout.n_scale) == (3, 0, 0)
+    assert (m.layout.n_ar, m.layout.n_ma, len(m.layout.scale_slots)) == (3, 0, 0)
     assert m.layout.theta0 == (0.8, 0.5, -0.9)
     np.testing.assert_array_equal(m.sigma, np.eye(2))
 
@@ -22,7 +22,7 @@ def test_example1_sim_layout():
 def test_example2_layout():
     m = examples.build("example2")
     assert m.m == 4
-    assert (m.layout.n_ar, m.layout.n_ma, m.layout.n_scale) == (2, 0, 2)
+    assert (m.layout.n_ar, m.layout.n_ma, len(m.layout.scale_slots)) == (2, 0, 2)
     assert m.layout.theta0 == (0.8, -0.9, 1.0, -1.0)
     np.testing.assert_array_equal(m.sigma, [[1.0, 0.5], [0.5, 1.0]])
 

@@ -28,7 +28,7 @@ from tdvarma.likelihood import (
 )
 from tdvarma.model import ParamLayout, Series, TdVarmaModel
 from tdvarma.representations import build_psi
-from tdvarma.simulate import SimPlan, simulate
+from tdvarma.simulate import SimPlan, make_rng, simulate
 from tdvarma.timefn import (
     Constant,
     ExpSine,
@@ -98,7 +98,8 @@ def test_gradient_matches_finite_differences(which):
 
 def _profile_value(m, series, th):
     """Q(theta, Sigma_hat(theta)) through the fixed-Sigma objective of a model that holds Sigma_hat."""
-    return objective_value(m.with_sigma(estimate_noise_cov(m, series, th)), series, th)
+    at_hat = TdVarmaModel(m.r, m.a_funcs, m.b_funcs, m.g_func, estimate_noise_cov(m, series, th), m.layout)
+    return objective_value(at_hat, series, th)
 
 
 @pytest.mark.parametrize("which", ["example1_sim", "example2"])
@@ -174,7 +175,8 @@ def test_residuals_and_simulation_match_dense_operator():
     n = 14
     th0 = np.array(m.layout.theta0)
     th = th0 + rng.uniform(-0.1, 0.1, size=th0.size)
-    series, eps = simulate(SimPlan(m, m.layout.theta0, n, 11), return_innovations=True)
+    series = simulate(SimPlan(m, m.layout.theta0, n, 11))
+    eps = make_rng(11, 0).standard_normal((n, m.r)) @ m.sigma_chol.T
     x = series.values.ravel()
     scaled = np.einsum("trs,ts->tr", m.g_values(np.arange(1, n + 1), th0), eps).ravel()
     np.testing.assert_allclose(x, np.linalg.solve(dense_residual_operator(m, th0, n)[0], scaled), atol=1e-12)
@@ -197,7 +199,8 @@ def test_cross_representation_residual_derivatives_arma(rng):
     m = make_sin_varma11(rng)
     th0 = np.array(m.layout.theta0)
     n = 60
-    series, eps = simulate(SimPlan(m, m.layout.theta0, n, 3), return_innovations=True)
+    series = simulate(SimPlan(m, m.layout.theta0, n, 3))
+    eps = make_rng(3, 0).standard_normal((n, m.r)) @ m.sigma_chol.T
     res = residuals(m, series, th0, with_derivs=True)
     psi = build_psi(m, th0, th0, n, max_deriv_order=1)
     g_all = m.g_values(np.arange(1, n + 1), th0)
@@ -313,14 +316,15 @@ def test_residuals_carry_the_inverse_and_log_determinant(which, with_derivs):
     g = m.g_values(ts, theta)
     eye = np.broadcast_to(np.eye(m.r), g.shape)
     _assert_rel(res.h @ g @ m.sigma_chol, eye, rtol=1e-13)
-    _assert_rel(np.swapaxes(res.h, -1, -2) @ res.h, m.sigma_t_inv(ts, theta), rtol=1e-13)
+    inv = m._sigma_t_table(ts, theta, [()], inverse=True)[1][()]
+    _assert_rel(np.swapaxes(res.h, -1, -2) @ res.h, inv, rtol=1e-13)
     _assert_rel(res.logdet, np.linalg.slogdet(m.sigma_t_all(n, theta))[1], rtol=1e-13)
     if not with_derivs:
         assert res.s is None
         return
-    assert res.s.shape == (m.layout.n_scale, n, m.r, m.r)
+    assert res.s.shape == (len(m.layout.scale_slots), n, m.r, m.r)
     for s, slot in zip(res.s, m.layout.scale_slots):
-        want = res.h @ m.sigma_t_deriv(ts, theta, (slot,)) @ np.swapaxes(res.h, -1, -2)
+        want = res.h @ m._sigma_t_deriv_any(ts, theta, (slot,)) @ np.swapaxes(res.h, -1, -2)
         _assert_rel(s + np.swapaxes(s, -1, -2), want, rtol=1e-13)
 
 

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import make_scale_singular_at
 
-from tdvarma.errors import ConfigError, ContractError, SingularCovarianceError
+from tdvarma.errors import ConfigError, SingularCovarianceError
 from tdvarma.estimate import _safe_objective
 from tdvarma.examples import FREQ_C, example1_sim_model, example2_model
 from tdvarma.likelihood import objective, objective_value, residuals
 from tdvarma.model import ParamLayout, Series, TdVarmaModel
 from tdvarma.simulate import SimPlan, simulate
-from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Sine
+from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Sine, sorted_tuples
 
 
 def fd_sigma(model, t, theta, idx, h):
@@ -22,6 +22,11 @@ def fd_sigma(model, t, theta, idx, h):
     tp[idx] += h
     tm[idx] -= h
     return (model.sigma_t(t, tp) - model.sigma_t(t, tm)) / (2 * h)
+
+
+def inverse_table(model, t, theta, order=3):
+    """{tau: d^tau Sigma_t^{-1}} up to order from the model's covariance table."""
+    return model._sigma_t_table(t, theta, sorted_tuples(range(model.m), order), inverse=True)[1]
 
 
 def test_identity_scale_identity_noise():
@@ -40,21 +45,21 @@ def test_example2_hand_product_at_zero_sine(example2):
 
 def test_scale_derivative_zero_for_ar_slot(example2):
     th = np.array(example2.layout.theta0)
-    np.testing.assert_array_equal(example2.sigma_t_deriv(9, th, (0,)), np.zeros((2, 2)))
-    np.testing.assert_array_equal(example2.sigma_t_deriv(9, th, (0, 2)), np.zeros((2, 2)))
+    np.testing.assert_array_equal(example2._sigma_t_deriv_any(9, th, (0,)), np.zeros((2, 2)))
+    np.testing.assert_array_equal(example2._sigma_t_deriv_any(9, th, (0, 2)), np.zeros((2, 2)))
 
 
 def test_constant_scale_derivative_zero(example1_sim):
     th = np.array(example1_sim.layout.theta0)
     for idx in ((0,), (1,), (2,)):
-        np.testing.assert_array_equal(example1_sim.sigma_t_deriv(5, th, idx), np.zeros((2, 2)))
+        np.testing.assert_array_equal(example1_sim._sigma_t_deriv_any(5, th, idx), np.zeros((2, 2)))
 
 
 def test_scale_derivative_matches_fd(example2):
     th = np.array(example2.layout.theta0)
     for t in (3, 12, 37):
         for idx in (2, 3):
-            exact = example2.sigma_t_deriv(t, th, (idx,))
+            exact = example2._sigma_t_deriv_any(t, th, (idx,))
             fd = fd_sigma(example2, t, th, idx, 1e-6)
             np.testing.assert_allclose(exact, fd, rtol=1e-7, atol=1e-10)
 
@@ -63,11 +68,11 @@ def test_second_scale_derivative_matches_fd(example2):
     th = np.array(example2.layout.theta0)
 
     def d1(theta, t, i):
-        return example2.sigma_t_deriv(t, theta, (i,))
+        return example2._sigma_t_deriv_any(t, theta, (i,))
 
     for t in (5, 21):
         for i, j in ((2, 2), (2, 3), (3, 3)):
-            exact = example2.sigma_t_deriv(t, th, (i, j))
+            exact = example2._sigma_t_deriv_any(t, th, (i, j))
             h = 1e-5
             tp = th.copy()
             tm = th.copy()
@@ -77,26 +82,21 @@ def test_second_scale_derivative_matches_fd(example2):
             np.testing.assert_allclose(exact, fd, rtol=1e-5, atol=1e-9)
 
 
-def test_scale_derivative_order_three_rejected(example2):
-    with pytest.raises(ContractError):
-        example2.sigma_t_deriv(5, np.array(example2.layout.theta0), (2, 2, 2))
-
-
 def test_inverse_derivative_of_constant_is_zero(example1_sim):
+    # every derivative tuple, (0,), (0, 1), (0, 1, 2) among them, is left out as identically zero
     th = np.array(example1_sim.layout.theta0)
-    for idx in ((0,), (0, 1), (0, 1, 2)):
-        np.testing.assert_allclose(
-            example1_sim.sigma_t_inv_deriv(7, th, idx), np.zeros((2, 2)), atol=1e-15
-        )
+    inv = inverse_table(example1_sim, 7, th)
+    assert list(inv) == [()]
 
 
 def test_inverse_derivative_identity(example2):
     # d(Sigma Sigma^-1) = dSigma Sigma^-1 + Sigma d(Sigma^-1) = 0
     th = np.array(example2.layout.theta0)
     for t in (4, 18):
+        inv = inverse_table(example2, t, th, order=1)
         for i in (2, 3):
-            lhs = example2.sigma_t_deriv(t, th, (i,)) @ example2.sigma_t_inv(t, th)
-            lhs += example2.sigma_t(t, th) @ example2.sigma_t_inv_deriv(t, th, (i,))
+            lhs = example2._sigma_t_deriv_any(t, th, (i,)) @ inv[()]
+            lhs += example2.sigma_t(t, th) @ inv[(i,)]
             np.testing.assert_allclose(lhs, np.zeros((2, 2)), atol=1e-12)
 
 
@@ -104,10 +104,10 @@ def test_inverse_third_derivative_matches_nested_fd(example2):
     th = np.array(example2.layout.theta0)
     t = 7
     i, j, l = 2, 2, 3
-    exact = example2.sigma_t_inv_deriv(t, th, (i, j, l))
+    exact = inverse_table(example2, t, th)[(i, j, l)]
 
     def d1(theta):
-        return example2.sigma_t_inv_deriv(t, theta, (i,))
+        return inverse_table(example2, t, theta, order=1)[(i,)]
 
     h = 1e-4
     grids = []
@@ -123,9 +123,15 @@ def test_inverse_third_derivative_matches_nested_fd(example2):
 
 def test_inverse_derivative_symmetric_in_index_order(example2):
     th = np.array(example2.layout.theta0)
-    a = example2.sigma_t_inv_deriv(11, th, (2, 3))
-    b = example2.sigma_t_inv_deriv(11, th, (3, 2))
+    a = example2._sigma_t_deriv_any(11, th, (2, 3))
+    b = example2._sigma_t_deriv_any(11, th, (3, 2))
     np.testing.assert_array_equal(a, b)
+    # the table differentiates by 2, then 3; the product rule, symmetric in 2 and 3, agrees
+    inv = inverse_table(example2, 11, th, order=2)
+    d2, d3 = (example2._sigma_t_deriv_any(11, th, (i,)) for i in (2, 3))
+    p = inv[()]
+    want = -p @ a @ p + p @ d2 @ p @ d3 @ p + p @ d3 @ p @ d2 @ p
+    np.testing.assert_allclose(inv[(2, 3)], want, rtol=1e-12, atol=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -167,13 +173,12 @@ def test_innovation_covariance_is_checked_once_on_every_path(example1_sim, sigma
     parts = (example1_sim.a_funcs, example1_sim.b_funcs, example1_sim.g_func)
     with pytest.raises(ConfigError, match=match):
         TdVarmaModel(2, *parts, sigma, layout)
-    with pytest.raises(ConfigError, match=match):
-        example1_sim.with_sigma(sigma)
 
 
 def test_innovation_covariance_keeps_its_cholesky_factor(example2):
-    m = example2.with_sigma([[2.0, 0.5], [0.5, 1.0]])
-    for model in (example2, m):  # the copy has its own factor, and the original keeps its one
+    parts = (example2.a_funcs, example2.b_funcs, example2.g_func)
+    m = TdVarmaModel(2, *parts, [[2.0, 0.5], [0.5, 1.0]], example2.layout)
+    for model in (example2, m):  # a model on the same functions has its own factor, and example2 keeps its one
         np.testing.assert_array_equal(model.sigma_chol, np.linalg.cholesky(model.sigma))
         assert not (model.sigma.flags.writeable or model.sigma_chol.flags.writeable)
 
@@ -186,8 +191,8 @@ def test_singular_residual_covariance_names_its_first_time(path):
     theta = np.array([0.5, 1.0])
     series = simulate(SimPlan(m, m.layout.theta0, 10, 4))
     calls = {
-        "sigma_t_inv": lambda: m.sigma_t_inv(np.arange(1, 11), theta),
-        "sigma_t_inv_deriv": lambda: m.sigma_t_inv_deriv(np.arange(1, 11), theta, (1, 1)),
+        "sigma_t_inv": lambda: m._sigma_t_table(np.arange(1, 11), theta, [()], inverse=True),
+        "sigma_t_inv_deriv": lambda: m._sigma_t_table(np.arange(1, 11), theta, [(), (1,), (1, 1)], inverse=True),
         "scale_factor": lambda: m.scale_factor(10, theta, derivs=True),
         "residuals": lambda: residuals(m, series, theta),
         "objective_value": lambda: objective_value(m, series, theta),
@@ -198,9 +203,10 @@ def test_singular_residual_covariance_names_its_first_time(path):
     assert err.value.t == 3 and err.value.theta == (0.5, 1.0)
     assert _safe_objective(m, series, theta) is None  # a rejected line-search trial
     with pytest.raises(SingularCovarianceError) as err:
-        m.sigma_t_inv(3, theta)
+        m._sigma_t_table(3, theta, [()], inverse=True)
     assert err.value.t == 3
-    np.testing.assert_array_equal(m.sigma_t_inv(np.arange(4, 8), theta), np.linalg.inv(m.sigma_t_all(7, theta)[3:]))
+    inv = m._sigma_t_table(np.arange(4, 8), theta, [()], inverse=True)[1][()]
+    np.testing.assert_array_equal(inv, np.linalg.inv(m.sigma_t_all(7, theta)[3:]))
 
 
 def test_singular_scale_detected_eagerly():
@@ -225,7 +231,6 @@ def test_layout_blocks():
     assert list(lay.ar_slots) == [0, 1]
     assert list(lay.ma_slots) == []
     assert list(lay.scale_slots) == [2, 3]
-    assert lay.n_scale == 2
     with pytest.raises(ConfigError):
         ParamLayout(names=("a",), n_ar=2, n_ma=0)
 
@@ -249,7 +254,8 @@ def test_layout_rejects_names_the_outputs_cannot_hold(names, message):
 
 def test_parameter_free_scale_is_built_once_and_read_by_prefix(example1_sim, example2):
     th = np.array(example1_sim.layout.theta0)
-    m = example1_sim.with_sigma([[1.0, 0.5], [0.5, 2.0]])
+    parts = (example1_sim.a_funcs, example1_sim.b_funcs, example1_sim.g_func)
+    m = TdVarmaModel(2, *parts, [[1.0, 0.5], [0.5, 2.0]], example1_sim.layout)
     factors = m.scale_factor(30, th)
     h, logdet = factors
     assert not any(a.flags.writeable for a in factors)
@@ -263,7 +269,7 @@ def test_parameter_free_scale_is_built_once_and_read_by_prefix(example1_sim, exa
     longer = m.scale_factor(45, th)
     for a, b in zip(longer, factors):
         np.testing.assert_array_equal(a[:30], b)
-    np.testing.assert_array_equal(m.with_sigma(4.0 * m.sigma).scale_factor(30, th)[0], 0.5 * h)
+    np.testing.assert_array_equal(TdVarmaModel(2, *parts, 4.0 * m.sigma, m.layout).scale_factor(30, th)[0], 0.5 * h)
     # a scale with parameters is rebuilt at every theta
     th2 = np.array(example2.layout.theta0)
     h2 = example2.scale_factor(30, th2)[0]

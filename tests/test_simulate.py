@@ -24,11 +24,10 @@ def _zero_model():
 
 def test_zero_model_returns_raw_draws():
     m = _zero_model()
-    series, eps = simulate(SimPlan(m, (1.0,), 50, 77), return_innovations=True)
-    np.testing.assert_array_equal(series.values, eps)
+    series = simulate(SimPlan(m, (1.0,), 50, 77))
     # identical to drawing from the keyed generator directly
     direct = make_rng(77, 0).standard_normal((50, 2)) @ np.linalg.cholesky(np.eye(2)).T
-    np.testing.assert_array_equal(eps, direct)
+    np.testing.assert_array_equal(series.values, direct)
 
 
 def test_bit_for_bit_determinism():
@@ -62,7 +61,8 @@ def test_no_explosion_long_horizon():
 def test_residuals_at_truth_recover_scaled_innovations(rng):
     m = make_sin_varma11(rng)
     th0 = np.array(m.layout.theta0)
-    series, eps = simulate(SimPlan(m, m.layout.theta0, 80, 4), return_innovations=True)
+    series = simulate(SimPlan(m, m.layout.theta0, 80, 4))
+    eps = make_rng(4, 0).standard_normal((80, m.r)) @ m.sigma_chol.T
     res = residuals(m, series, th0)
     g_all = m.g_values(np.arange(1, 81), th0)
     scaled = np.einsum("trs,ts->tr", g_all, eps)
@@ -152,7 +152,8 @@ def test_with_sigma_copy_after_its_parent_matches_a_fresh_model():
     sigma = ((2.0, -0.3), (-0.3, 0.5))
     parent = examples.example2_model()
     simulate(SimPlan(parent, parent.layout.theta0, 50, 8))
-    copy = parent.with_sigma(sigma)
+    # a model at another Sigma on the same coefficient functions, which keep their tables
+    copy = TdVarmaModel(parent.r, parent.a_funcs, parent.b_funcs, parent.g_func, sigma, parent.layout)
     got = simulate(SimPlan(copy, copy.layout.theta0, 50, 8)).values
     fresh = examples.example2_model(sigma=sigma)
     np.testing.assert_array_equal(got, _cold(SimPlan(fresh, fresh.layout.theta0, 50, 8)))
