@@ -383,8 +383,9 @@ def check_cross_sums(
     the verdict uses the slope between the two largest grid points.  details
     also record the maximum of the second family's n * value curve over
     n = 1..max(m_term_grid) and where it occurs.  An empty m_term_grid skips the
-    second family.  A Sigma_t that is singular or not finite up to the longest
-    length fails the check, with details["singular_t"] its first t.
+    second family.  A family whose value is not finite at some grid n fails, and
+    its ratios hold that value.  A Sigma_t that is singular or not finite up to
+    the longest length fails the check, with details["singular_t"] its first t.
     """
     cross = _CrossSums(model, theta0, n_grid, m_term_grid)
     _reduce_rows(_resid_rows(model, cross.theta0, cross.theta0, cross.horizon, 1, cross.kcap), [cross])
@@ -455,7 +456,7 @@ class _CrossSums:
             s = np.arange(1, n)
             sv, sv2 = c1[:, s - 1, np.minimum(n - s, kcap)], c2[:, s - 1, np.minimum(n - s, kcap)]
             totals = np.sum(g2[s - 1] * 0.5 * (sv**2 - sv2), axis=1)
-            first_vals[n] = max(0.0, float(np.max(totals, initial=0.0))) / (n * n)
+            first_vals[n] = float(np.max(totals, initial=0.0)) / (n * n)  # nan stays nan
         ratios = {f"first_n{n}": n * val for n, val in first_vals.items()}
 
         second_vals = {}
@@ -474,6 +475,9 @@ class _CrossSums:
 
         def trend(vals: dict, label: str):
             nonlocal verdict
+            if not all(map(math.isfinite, vals.values())):  # the ratios record the value
+                verdict = "fail"
+                return
             pts = sorted((n, n * v) for n, v in vals.items() if v > 0)
             if len(pts) < 2:
                 return

@@ -71,7 +71,7 @@ def _information_pass(model: TdVarmaModel, theta0, n_grid: Sequence[int]) -> dic
     if not n_grid or min(n_grid) < 1:
         raise ContractError("information horizons must be a non-empty list of integers >= 1")
     n_max = max(n_grid)
-    white, _, s = model.scale_factor(n_max, theta0, derivs=True)  # white' white = Sigma_t^{-1}
+    white, _, s = model.scale_factor(n_max, theta0)  # white' white = Sigma_t^{-1}
 
     trans, readout, noise = _state_system(model, theta0, n_max)
     dim = trans.shape[-1]

@@ -98,8 +98,6 @@ def _emit_json(payload: dict, out: Optional[str]):
 def _cmd_simulate(args) -> int:
     model, run = config.load(args.config)
     n = args.n if args.n is not None else run.n
-    if n < 1:
-        raise ConfigError("simulation length must be at least 1")
     seed = args.seed if args.seed is not None else run.seed
     plan = SimPlan(model, model.layout.theta0, n, seed, args.stream)
     series = simulate(plan)

@@ -73,13 +73,13 @@ from .model import Series, TdVarmaModel, _lagged
 
 @dataclass
 class ResidualSet:
-    """Residuals and, optionally, their derivatives in one stack, with the whitening
-    factors of their covariances and the log-determinants."""
+    """Residuals and their derivatives in one stack, with the whitening factors of
+    their covariances, the log-determinants and the scale-slot stack."""
 
-    stack: np.ndarray        # (1, n, r), or (1 + m, n, r) with derivatives: e, then de/d theta_k
+    stack: np.ndarray        # (1 + m, n, r): e, then de/d theta_k
     h: np.ndarray            # (n, r, r), H_t with H_t' H_t = Sigma_t^{-1}
     logdet: np.ndarray       # (n,)
-    s: Optional[np.ndarray]  # (S, n, r, r), S_t = H_t dg_t L by the S scale slots, or None
+    s: np.ndarray            # (S, n, r, r), S_t = H_t dg_t L by the S scale slots
     solver: Optional["_LagSolver"] = None  # (I + B_op)^{-1} of the MA part, None for q = 0
 
     @property
@@ -88,9 +88,9 @@ class ResidualSet:
         return self.stack[0]
 
     @property
-    def de(self) -> Optional[np.ndarray]:
-        """(m, n, r), a view of the stack, or None without derivatives."""
-        return self.stack[1:] if len(self.stack) > 1 else None
+    def de(self) -> np.ndarray:
+        """(m, n, r), a view of the stack."""
+        return self.stack[1:]
 
     def whitened(self) -> np.ndarray:
         """H_t times every row of the stack, u_t = H_t e_t then du_tk = H_t de_t/d theta_k,
@@ -197,11 +197,11 @@ def _lag_solver(c: np.ndarray, n: int) -> _LagSolver:
     return _LagSolver(levels)
 
 
-def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = False,
-              ar_products: Optional[tuple] = None) -> ResidualSet:
-    """One-step residuals e_t(theta) with the whitening factors of their covariances, and
-    optionally d e_t / d theta and the scale-slot stack S_t.  ar_products must be the
-    model's `ar_products(series.values)`; they are formed here when not given."""
+def residuals(model: TdVarmaModel, series: Series, theta, ar_products: Optional[tuple] = None) -> ResidualSet:
+    """One-step residuals e_t(theta) and d e_t / d theta, with the model's `scale_factor`
+    at theta: the whitening factors of their covariances, the log-determinants and the
+    scale-slot stack S_t.  ar_products must be the model's `ar_products(series.values)`;
+    they are formed here when not given."""
     if series.r != model.r:
         raise ContractError(f"series dimension {series.r} does not match model dimension {model.r}")
     theta = np.asarray(theta, dtype=float)
@@ -210,11 +210,11 @@ def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = Fa
     if ar_products is None:
         ar_products = model.ar_products(x)
     # e starts at z = x - sum_i A_ti x_{t-i}, and de row k at -sum_i d_k A_ti x_{t-i}
-    stack = np.zeros((1 + model.m if with_derivs else 1, n, r))
+    stack = np.zeros((1 + model.m, n, r))
     e, de = stack[0], stack[1:]
     e[:] = x
     for prod in ar_products:
-        d = prod.derivs(theta, [()] + ([(k,) for k in prod.slots] if with_derivs else []))
+        d = prod.derivs(theta, [()] + [(k,) for k in prod.slots])
         e -= d.pop(())
         for (k,), dk in d.items():
             de[k] -= dk
@@ -222,16 +222,12 @@ def residuals(model: TdVarmaModel, series: Series, theta, with_derivs: bool = Fa
     if model.q:  # without an MA part the residuals are z and its derivatives as they stand
         solve = _lag_solver(model.b_values(range(1, n + 1), theta), n)  # shared by e and de
         e[:] = solve(e)
-        if with_derivs:
-            # then row k gains -sum_j d_k B_tj e_{t-j}, and takes the same solve as e
-            for lag, f in enumerate(model.b_funcs, 1):
-                slots, d = f.head_grad(n, theta)
-                de[list(slots)] -= _apply(d, _lagged(e, lag))
-            de[:] = solve(de)
-    if not with_derivs:
-        return ResidualSet(stack, *model.scale_factor(n, theta), s=None, solver=solve)
-    h, logdet, s = model.scale_factor(n, theta, derivs=True)
-    return ResidualSet(stack, h, logdet, s=s, solver=solve)
+        # then row k gains -sum_j d_k B_tj e_{t-j}, and takes the same solve as e
+        for lag, f in enumerate(model.b_funcs, 1):
+            slots, d = f.head_grad(n, theta)
+            de[list(slots)] -= _apply(d, _lagged(e, lag))
+        de[:] = solve(de)
+    return ResidualSet(stack, *model.scale_factor(n, theta), solver=solve)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -241,14 +237,8 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def objective_value(model: TdVarmaModel, series: Series, theta) -> float:
-    """Q_n(theta) alone, without the derivatives that `objective` adds."""
-    res = residuals(model, series, theta, with_derivs=False)
-    u = res.whitened()[0]
-    return _q(res.logdet + _rowdot(u, u), u.shape[1])
-
-
-def _q(alphas: np.ndarray, r: int) -> float:
-    return 0.5 * float(np.sum(alphas)) + 0.5 * r * alphas.shape[0] * math.log(2.0 * math.pi)
+    """Q_n(theta), the value of `objective`'s report."""
+    return objective(model, series, theta).q
 
 
 def _scale_info(s: np.ndarray) -> np.ndarray:
@@ -279,7 +269,7 @@ def objective(model: TdVarmaModel, series: Series, theta, estimate_sigma: bool =
     theta = np.asarray(theta, dtype=float)
     if ar_products is None:
         ar_products = model.ar_products(series.values)
-    res = residuals(model, series, theta, with_derivs=True, ar_products=ar_products)
+    res = residuals(model, series, theta, ar_products=ar_products)
     w = res.whitened()  # u_t, then du_t1 .. du_tm, shape (1 + m, n, r)
     logdet, s, sigma_hat, chol = res.logdet, res.s, None, None
     r, k = w.shape[-1], s.shape[0]  # the k scale slots come last, and the residuals do not depend on them
@@ -304,8 +294,9 @@ def objective(model: TdVarmaModel, series: Series, theta, estimate_sigma: bool =
     if not np.all(np.isfinite(score_rows)):
         raise NumericalError("non-finite entries in the score")
     info = 0.5 * (info + info.T)
+    q = 0.5 * float(np.sum(alphas)) + 0.5 * r * alphas.shape[0] * math.log(2.0 * math.pi)
     return ObjectiveReport(
-        q=_q(alphas, r), alphas=alphas, grad=grad, score_rows=score_rows, info=info, sigma_hat=sigma_hat,
+        q=q, alphas=alphas, grad=grad, score_rows=score_rows, info=info, sigma_hat=sigma_hat,
         curvature=lambda: _hessian(model, theta, res, w, s, info, chol, ar_products),
     )
 

@@ -155,11 +155,13 @@ class TdVarmaModel:
         Cholesky factor L is kept as `sigma_chol`.
     layout : parameter names / blocks / optional true value and bounds.
 
-    When the layout supplies a true value, g_t is checked to be invertible
-    for t = 1..DEFAULT_CHECK_HORIZON at construction.  Sigma is set once, here;
-    a model at another Sigma is a new model on the same coefficient functions.
-    The likelihood reads Sigma_t = F_t F_t' (F_t = g_t L) only through
-    `scale_factor`'s H_t = F_t^{-1} and log det Sigma_t.  `_sigma_t_table` forms
+    When the layout supplies a true value, the constructor evaluates
+    `scale_factor` there for t = 1..DEFAULT_CHECK_HORIZON, and a Sigma_t that is
+    singular or not finite raises ConfigError naming its t; no fixed determinant
+    threshold applies.  Sigma is set once, here; a model at another Sigma is a
+    new model on the same coefficient functions.  The likelihood reads
+    Sigma_t = F_t F_t' (F_t = g_t L) only through `scale_factor`'s H_t = F_t^{-1},
+    log det Sigma_t and S_t.  `_sigma_t_table` forms
     Sigma_t, Sigma_t^{-1} and their exact derivatives up to order 3 for the
     covariance audit; `sigma_t` and `sigma_t_all` read Sigma_t from it.
     """
@@ -181,6 +183,12 @@ class TdVarmaModel:
         self._fixed_scale: Optional[tuple] = None
         self._validate()
         self.sigma, self.sigma_chol, self._chol_inv = _checked_sigma(sigma, self.r)
+        if layout.theta0 is not None:
+            try:
+                with np.errstate(all="ignore"):
+                    self.scale_factor(DEFAULT_CHECK_HORIZON, layout.theta0_array())
+            except SingularCovarianceError as exc:
+                raise ConfigError(f"Sigma_t = g_t Sigma g_t' is not finite or singular at t={exc.t}") from exc
 
     @property
     def p(self) -> int:
@@ -211,11 +219,6 @@ class TdVarmaModel:
                 extra = f.param_slots() - allowed
                 if extra:
                     raise ConfigError(f"{name} coefficients reference slots {sorted(extra)} outside their block")
-        if lay.theta0 is not None:
-            dets = np.linalg.det(self.g_values(range(1, DEFAULT_CHECK_HORIZON + 1), lay.theta0_array()))
-            bad = np.nonzero(np.abs(dets) < 1e-12)[0]
-            if bad.size:
-                raise ConfigError(f"scale matrix g_t is singular at t={bad[0] + 1}")
 
     # -- per-time evaluations -------------------------------------------------
 
@@ -249,18 +252,17 @@ class TdVarmaModel:
         """Residual covariances for t = 1..n, shape (n, r, r)."""
         return self._sigma_t_table(range(1, n + 1), theta, [()])[0][()]
 
-    def scale_factor(self, n: int, theta, derivs: bool = False) -> tuple:
-        """(H_t, log det Sigma_t) for t = 1..n, shapes (n, r, r) and (n,), where
-        H_t = L^{-1} g_t^{-1} inverts the factor F_t = g_t L of Sigma_t, so
-        H_t' H_t = Sigma_t^{-1}.  With derivs a third element, S_t = H_t (dg_t) L by the
-        scale slots (which come last in theta) as a (len(scale_slots), n, r, r) stack, zero for a
-        slot g_t does not use, so that H_t dSigma_t H_t' = S_t + S_t'; one evaluation of
-        g_t serves all three.  A Sigma_t that is singular or not finite raises
-        SingularCovarianceError naming the first such t.  When g_t has no parameter
-        slots H_t and log det Sigma_t are kept, read-only, for the longest n asked so
-        far and read by prefix."""
+    def scale_factor(self, n: int, theta) -> tuple:
+        """(H_t, log det Sigma_t, S_t) for t = 1..n, shapes (n, r, r), (n,) and
+        (len(scale_slots), n, r, r).  H_t = L^{-1} g_t^{-1} inverts the factor F_t = g_t L
+        of Sigma_t, so H_t' H_t = Sigma_t^{-1}, and S_t = H_t (dg_t) L by the scale slots
+        (which come last in theta), zero for a slot g_t does not use, so that
+        H_t dSigma_t H_t' = S_t + S_t'; one evaluation of g_t serves all three.  A Sigma_t
+        that is singular or not finite raises SingularCovarianceError naming the first
+        such t.  When g_t has no parameter slots H_t and log det Sigma_t are kept,
+        read-only, for the longest n asked so far and read by prefix."""
         fixed = self._fixed_scale
-        slots = self.layout.scale_slots if derivs else ()
+        slots = self.layout.scale_slots
         g: dict = {}  # g_t and its derivatives by the scale slots it uses; none when it is fixed
         if fixed is not None and fixed[0].shape[0] >= n:
             factors = tuple(a[:n] for a in fixed)
@@ -277,8 +279,6 @@ class TdVarmaModel:
                 for a in factors:
                     a.setflags(write=False)
                 self._fixed_scale = factors
-        if not derivs:
-            return factors
         s = np.zeros((len(slots), n, self.r, self.r))
         for i, slot in enumerate(slots):
             if (slot,) in g:

@@ -276,7 +276,7 @@ def test_criterion_07_cross_representation_residual_derivatives():
     n = 100
     series = simulate(SimPlan(m, m.layout.theta0, n, 99))
     eps = make_rng(99, 0).standard_normal((n, m.r)) @ m.sigma_chol.T
-    res = residuals(m, series, th0, with_derivs=True)
+    res = residuals(m, series, th0)
     psi = build_psi(m, th0, th0, n, max_deriv_order=1)
     g_all = m.g_values(np.arange(1, n + 1), th0)
     scaled = np.einsum("trs,ts->tr", g_all, eps)

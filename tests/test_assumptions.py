@@ -126,6 +126,19 @@ def test_decay_of_an_overflowing_model_fails_without_a_decay_base():
     assert "decay_base" not in res.constants
 
 
+def test_cross_sums_of_an_overflowing_model_fail():
+    # n * value is not finite in both families; the ratios keep it, not 0.0
+    m = _ar1(1e10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = check_cross_sums(m, (1e10,))
+        shared = run_all(m, n_probe=80).checks["cross_sums"]
+    for res in (alone, shared):
+        assert res.verdict == "fail"
+        ratios = res.details["ratios"]
+        assert math.isnan(ratios["first_n50"]) and math.isinf(ratios["second_n300"])
+
+
 def test_decay_of_weights_that_vanish_after_one_lag():
     # at a = 0 the only weight is at lag 1, so fewer than two tail sums are positive
     res = check_psi_decay(_ar1(0.0), (0.0,), n_probe=80)
@@ -198,9 +211,10 @@ def test_audits_record_a_covariance_that_overflows_past_the_probe():
 
 
 def test_sigma_bounds_record_a_covariance_that_overflows_inside_the_probe():
-    # Sigma_t = exp(4 t) overflows at t = 178
-    with np.errstate(over="ignore"):  # g_t overflows inside the construction's horizon too
-        m = _ar1(0.5, MatrixTimeFunction([[ExpTrend(2.0)]]))
+    # Sigma_t = exp(4 t) overflows at t = 178; with no true value the model builds
+    layout = ParamLayout(names=("a",), n_ar=1, n_ma=0)
+    g = MatrixTimeFunction([[ExpTrend(2.0)]])
+    m = TdVarmaModel(1, [MatrixTimeFunction([[Param(0)]])], [], g, [[1.0]], layout)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = check_sigma_bounds(m, (0.5,))

@@ -308,6 +308,33 @@ def test_mc_honours_run_block_tolerances(cfg_dir, tmp_path, monkeypatch):
     assert seen == [((0.2, 0.3, -0.4), True)] * 3
 
 
+def test_mc_warns_when_most_replications_fail(cfg_dir, tmp_path, monkeypatch, capsys):
+    # a replication whose fit raises counts as not converged; past 5% of a cell the
+    # CLI warns on stderr, and still writes the summary and exits 0
+    from tdvarma import cli, mc
+    from tdvarma.errors import NumericalError
+    from tdvarma.estimate import fit
+
+    cfg = str(cfg_dir / "example1_sim.json")
+    argv = ["mc", "--config", cfg, "--n-list", "40", "--replications", "4", "--threads", "1"]
+    out = tmp_path / "clean.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert "failed to converge" not in capsys.readouterr().err and out.exists()
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 1:
+            raise NumericalError("fit broke down")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "fit", failing)
+    out = tmp_path / "failing.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert "warning: more than 5% of replications failed to converge" in capsys.readouterr().err
+    assert len(calls) == 4 and out.read_text().startswith("n,")
+
+
 def test_non_finite_config_numbers_rejected(cfg_dir, tmp_path):
     # JSON's NaN and Infinity load as floats; each of these once reached the numerics
     from tdvarma import config

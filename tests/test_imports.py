@@ -5,7 +5,9 @@ package __init__ re-exports its imports and is left out of the first check; a
 module may import a name, or define a private one, that only the benchmark's
 tracer reads when perfbench/tracer.py wraps that name.  The tracer's string
 targets do not count as references of a public name, except for the model's,
-whose public names the tests alone do not keep."""
+whose public names the tests alone do not keep.  Σ_t has one singularity rule: no
+module calls a determinant, and only `model._check_scale` raises
+SingularCovarianceError."""
 
 import ast
 from collections import Counter
@@ -92,3 +94,30 @@ def test_the_cli_imports_no_private_name():
                and (node.level or (node.module or "").startswith("tdvarma"))
                for a in node.names if a.name.startswith("_") and not a.name.startswith("__")]
     assert private == []
+
+
+
+def _calls(tree: ast.AST) -> list:
+    """(callee source, name of the innermost enclosing function) of every call in tree."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            out.append((ast.unparse(node.func), scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return out
+
+
+def test_one_singularity_rule():
+    # a Sigma_t is usable when scale_factor finds it finite and non-singular; a
+    # determinant threshold or a second place that raises would be a second rule
+    calls = [(p.name, callee, scope) for p in sorted(PACKAGE.glob("*.py"))
+             for callee, scope in _calls(ast.parse(p.read_text()))]
+    assert [c for c in calls if c[1].endswith("linalg.det")] == []
+    raising = {(path, scope) for path, callee, scope in calls if callee.split(".")[-1] == "SingularCovarianceError"}
+    assert raising == {("model.py", "_check_scale")}

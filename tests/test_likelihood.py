@@ -180,7 +180,7 @@ def test_residuals_and_simulation_match_dense_operator():
     x = series.values.ravel()
     scaled = np.einsum("trs,ts->tr", m.g_values(np.arange(1, n + 1), th0), eps).ravel()
     np.testing.assert_allclose(x, np.linalg.solve(dense_residual_operator(m, th0, n)[0], scaled), atol=1e-12)
-    res = residuals(m, series, th, with_derivs=True)
+    res = residuals(m, series, th)
     big_m, dms = dense_residual_operator(m, th, n)
     np.testing.assert_allclose(res.e.ravel(), big_m @ x, atol=1e-12)
     np.testing.assert_allclose(res.de.reshape(m.m, -1), np.stack([dm @ x for dm in dms]), atol=1e-12)
@@ -201,7 +201,7 @@ def test_cross_representation_residual_derivatives_arma(rng):
     n = 60
     series = simulate(SimPlan(m, m.layout.theta0, n, 3))
     eps = make_rng(3, 0).standard_normal((n, m.r)) @ m.sigma_chol.T
-    res = residuals(m, series, th0, with_derivs=True)
+    res = residuals(m, series, th0)
     psi = build_psi(m, th0, th0, n, max_deriv_order=1)
     g_all = m.g_values(np.arange(1, n + 1), th0)
     scaled = np.einsum("trs,ts->tr", g_all, eps)
@@ -304,24 +304,20 @@ def test_non_finite_covariance_names_first_time_index():
 
 
 @pytest.mark.parametrize("which", ["example1_sim", "example2", "random_varma"])
-@pytest.mark.parametrize("with_derivs", [False, True])
-def test_residuals_carry_the_inverse_and_log_determinant(which, with_derivs):
+def test_residuals_carry_the_inverse_and_log_determinant(which):
     # H_t inverts F_t = g_t L, H_t' H_t = Sigma_t^{-1}, and S_t + S_t' = H_t dSigma_t H_t'
     rng = np.random.default_rng(23)
     m = make_random_varma(rng, 1, 1, 3) if which == "random_varma" else examples.build(which)
     theta = np.array(m.layout.theta0) + 0.05
     n = 40
     ts = np.arange(1, n + 1)
-    res = residuals(m, simulate(SimPlan(m, m.layout.theta0, n, 5)), theta, with_derivs=with_derivs)
+    res = residuals(m, simulate(SimPlan(m, m.layout.theta0, n, 5)), theta)
     g = m.g_values(ts, theta)
     eye = np.broadcast_to(np.eye(m.r), g.shape)
     _assert_rel(res.h @ g @ m.sigma_chol, eye, rtol=1e-13)
     inv = m._sigma_t_table(ts, theta, [()], inverse=True)[1][()]
     _assert_rel(np.swapaxes(res.h, -1, -2) @ res.h, inv, rtol=1e-13)
     _assert_rel(res.logdet, np.linalg.slogdet(m.sigma_t_all(n, theta))[1], rtol=1e-13)
-    if not with_derivs:
-        assert res.s is None
-        return
     assert res.s.shape == (len(m.layout.scale_slots), n, m.r, m.r)
     for s, slot in zip(res.s, m.layout.scale_slots):
         want = res.h @ m._sigma_t_deriv_any(ts, theta, (slot,)) @ np.swapaxes(res.h, -1, -2)
@@ -402,7 +398,7 @@ def test_residual_solves_share_companion_products(q):
     m = make_random_varma(rng, 2, q, 3)
     series = simulate(SimPlan(m, m.layout.theta0, 70, 5))
     theta = np.array(m.layout.theta0) + rng.uniform(-0.05, 0.05, size=m.m)
-    res = residuals(m, series, theta, with_derivs=True)
+    res = residuals(m, series, theta)
     x, (n, r) = series.values, series.values.shape
     b_all = m.b_values(range(1, n + 1), theta)
     # the AR side from the series' products with the coefficient tables, the MA side per theta
@@ -514,7 +510,7 @@ def test_residual_stack_is_one_buffer_and_a_pure_ar_model_solves_nothing(monkeyp
     solver = likelihood._lag_solver
     monkeypatch.setattr(likelihood, "_lag_solver", lambda *a: built.append(a) or solver(*a))
     for m, series, theta in data:
-        res = residuals(m, series, theta, with_derivs=True)
+        res = residuals(m, series, theta)
         assert res.stack.flags.c_contiguous and res.stack.shape == (1 + m.m, 40, m.r)
         assert np.shares_memory(res.e, res.stack) and np.shares_memory(res.de, res.stack)
         objective(m, series, theta, estimate_sigma=True)

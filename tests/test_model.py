@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from tdvarma.examples import FREQ_C, example1_sim_model, example2_model
 from tdvarma.likelihood import objective, objective_value, residuals
 from tdvarma.model import ParamLayout, Series, TdVarmaModel
 from tdvarma.simulate import SimPlan, simulate
-from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Sine, sorted_tuples
+from tdvarma.timefn import Constant, ExpTrend, MatrixTimeFunction, Param, Sine, sorted_tuples
 
 
 def fd_sigma(model, t, theta, idx, h):
@@ -193,7 +194,7 @@ def test_singular_residual_covariance_names_its_first_time(path):
     calls = {
         "sigma_t_inv": lambda: m._sigma_t_table(np.arange(1, 11), theta, [()], inverse=True),
         "sigma_t_inv_deriv": lambda: m._sigma_t_table(np.arange(1, 11), theta, [(), (1,), (1, 1)], inverse=True),
-        "scale_factor": lambda: m.scale_factor(10, theta, derivs=True),
+        "scale_factor": lambda: m.scale_factor(10, theta),
         "residuals": lambda: residuals(m, series, theta),
         "objective_value": lambda: objective_value(m, series, theta),
         "objective": lambda: objective(m, series, theta),
@@ -215,6 +216,29 @@ def test_singular_scale_detected_eagerly():
     g = MatrixTimeFunction([[Param(1)]])  # zero at theta0: singular for every t
     with pytest.raises(ConfigError, match="singular at t=1"):
         TdVarmaModel(1, [a], [], g, [[1.0]], layout)
+
+
+def test_a_tiny_but_regular_scale_builds_and_evaluates():
+    # g_t = 1e-7 I has det 1e-14, yet Sigma_t and its inverse are finite
+    layout = ParamLayout(names=("a",), n_ar=1, n_ma=0, theta0=(0.5,))
+    a = MatrixTimeFunction([[Param(0), Constant(0.0)], [Constant(0.0), Constant(0.3)]])
+    g = MatrixTimeFunction([[Constant(1e-7), Constant(0.0)], [Constant(0.0), Constant(1e-7)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = TdVarmaModel(2, [a], [], g, np.eye(2), layout)
+        series = simulate(SimPlan(m, layout.theta0, 50, 3))
+        rep = objective(m, series, np.array([0.4]))
+    assert np.isfinite(rep.q) and np.all(np.isfinite(rep.grad))
+
+
+def test_an_overflowing_scale_is_rejected_at_its_first_t():
+    # Sigma_t = exp(4 t) overflows at t = 178, inside the construction's horizon
+    layout = ParamLayout(names=("a",), n_ar=1, n_ma=0, theta0=(0.5,))
+    g = MatrixTimeFunction([[ExpTrend(2.0)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="singular at t=178"):
+            TdVarmaModel(1, [MatrixTimeFunction([[Param(0)]])], [], g, [[1.0]], layout)
 
 
 def test_series_validation():
@@ -256,17 +280,17 @@ def test_parameter_free_scale_is_built_once_and_read_by_prefix(example1_sim, exa
     th = np.array(example1_sim.layout.theta0)
     parts = (example1_sim.a_funcs, example1_sim.b_funcs, example1_sim.g_func)
     m = TdVarmaModel(2, *parts, [[1.0, 0.5], [0.5, 2.0]], example1_sim.layout)
-    factors = m.scale_factor(30, th)
+    factors = m.scale_factor(30, th)[:2]
     h, logdet = factors
     assert not any(a.flags.writeable for a in factors)
     np.testing.assert_array_equal(h, np.broadcast_to(np.linalg.inv(m.sigma_chol), (30, 2, 2)))
     np.testing.assert_allclose(logdet, np.linalg.slogdet(m.sigma)[1], rtol=0, atol=1e-13)
-    again = m.scale_factor(30, th + 0.3)
+    again = m.scale_factor(30, th + 0.3)[:2]
     assert all(np.shares_memory(a, b) for a, b in zip(again, factors))
-    short = m.scale_factor(12, th)
+    short = m.scale_factor(12, th)[:2]
     assert all(np.shares_memory(a, b) for a, b in zip(short, factors))
     assert [a.shape for a in short] == [(12, 2, 2), (12,)]
-    longer = m.scale_factor(45, th)
+    longer = m.scale_factor(45, th)[:2]
     for a, b in zip(longer, factors):
         np.testing.assert_array_equal(a[:30], b)
     np.testing.assert_array_equal(TdVarmaModel(2, *parts, 4.0 * m.sigma, m.layout).scale_factor(30, th)[0], 0.5 * h)
