@@ -112,45 +112,16 @@ class AssumptionReport:
 
 
 def _reduce_rows(resid_rows: tuple, reducers: Sequence) -> None:
-    """Hand each row stack of a _resid_rows pass to every reducer as it is produced;
-    no row is kept, and no row is computed when no tuple of order >= 1 is left."""
+    """Hand each row stack of a _resid_rows pass to every reducer as it is produced, with
+    the Frobenius norms of its order >= 1 weights (norms[j - 1, k] of stack[j, k]) formed
+    here once; no row is kept, and none is computed when no tuple of order >= 1 is left."""
     taus, rows = resid_rows
     for red in reducers:
         red.start(taus)
     for t, (_, stack) in enumerate(rows if len(taus) > 1 else (), 1):
+        norms = np.sqrt(np.einsum("jkrs,jkrs->jk", stack[1:], stack[1:]))
         for red in reducers:
-            red.take(t, stack)
-
-
-def _norm_table(model: TdVarmaModel, theta0, n: int, max_order: int, kmax) -> tuple:
-    """(taus, table): the tuples of order 1..max_order whose residual-derivative MA weights
-    d^tau (M Psi)_t[k] are not identically zero, and their Frobenius norms, zero-padded
-    over k = 0..K into table[j, t-1, k]; each row is reduced as it is produced."""
-    taus, rows = _resid_rows(model, theta0, theta0, n, max_order, kmax)
-    table = np.zeros((len(taus) - 1, n, (n - 1 if kmax is None else min(n - 1, int(kmax))) + 1))
-    for t, (_, stack) in enumerate(rows if len(taus) > 1 else ()):
-        table[:, t, : stack.shape[1]] = np.sqrt(np.einsum("jkrs,jkrs->jk", stack[1:], stack[1:]))
-    return taus[1:], table
-
-
-def psi_deriv_norms(
-    model: TdVarmaModel, theta0, n: int, max_order: int = 3, kmax: Optional[int] = None
-) -> dict:
-    """Frobenius norms of the residual-derivative MA weights.
-
-    Returns {tuple: [per-t 1d arrays over k = 0..K_t]} for all sorted index
-    tuples of order 1..max_order; the rows are views of one padded table, and
-    the identically zero tuples share read-only zero rows.
-    """
-    taus, table = _norm_table(model, theta0, n, max_order, kmax)
-    zero = np.zeros(table.shape[2])
-    zero.flags.writeable = False
-    present = dict(zip(taus, table))
-    lengths = np.minimum(np.arange(n), table.shape[2] - 1) + 1
-    return {
-        tau: [(present[tau][t] if tau in present else zero)[:c] for t, c in enumerate(lengths)]
-        for tau in sorted_tuples(range(model.m), max_order)[1:]
-    }
+            red.take(t, stack, norms)
 
 
 # -- individual checks --------------------------------------------------------
@@ -177,7 +148,7 @@ def check_psi_decay(model: TdVarmaModel, theta0, n_probe: int = N_PROBE) -> Chec
     leaves no decay_base.  The weight rows are reduced as the recurrence
     produces them (run_all shares that pass with check_cross_sums)."""
     decay = _DecayTails(n_probe)
-    _reduce_rows(_resid_rows(model, theta0, theta0, n_probe, 3, None), [decay])
+    _reduce_rows(_resid_rows(model, theta0, theta0, n_probe, 3), [decay])
     return decay.result()
 
 
@@ -204,11 +175,11 @@ class _DecayTails:
         self.sum_sq = np.zeros(len(self.taus) - self.n_low)
         self.k_nonzero = -1
 
-    def take(self, t: int, stack: np.ndarray) -> None:
+    def take(self, t: int, stack: np.ndarray, norms: np.ndarray) -> None:
         if t > self.n_probe:
             return
         i = (t - 1) % self.block.shape[1]
-        self.block[:, i, : stack.shape[1]] = np.sqrt(np.einsum("jkrs,jkrs->jk", stack[1:], stack[1:]))
+        self.block[:, i, : norms.shape[1]] = norms
         if i + 1 == self.block.shape[1] or t == self.n_probe:
             self._reduce(self.block[:, : i + 1])
 
@@ -374,13 +345,14 @@ def check_cross_sums(
 
     Lags are capped at 2 * D_CAP and shifts at D_CAP, both read when the check
     is called: geometric weight decay makes the discarded tail negligible
-    (VALIDATION.md compares D_CAP 60 and 120).  The order-1 weight rows are
-    reduced as the recurrence produces them (run_all shares that pass with
-    check_psi_decay), and both families run as array kernels (cumulative sums
-    along the diagonals, one batched matmul per shift), so the default grid
-    costs well under a second for the shipped examples.  Quasi-periodic models
-    can have n * value transients stretching over hundreds of observations, so
-    the verdict uses the slope between the two largest grid points.  details
+    (VALIDATION.md compares D_CAP 60 and 120).  Alone, the check asks for the
+    order-1 rows capped at that lag from row 1 on, tail (0, 1, kcap); run_all
+    shares its pass with check_psi_decay.  Each row is reduced as it is
+    produced, and both families run as array kernels (cumulative sums along the
+    diagonals, one batched matmul per shift), so the default grid costs well
+    under a second for the shipped examples.  Quasi-periodic models can have
+    n * value transients stretching over hundreds of observations, so the
+    verdict uses the slope between the two largest grid points.  details
     also record the maximum of the second family's n * value curve over
     n = 1..max(m_term_grid) and where it occurs.  An empty m_term_grid skips the
     second family.  A family whose value is not finite at some grid n fails, and
@@ -388,13 +360,14 @@ def check_cross_sums(
     the longest length fails the check, with details["singular_t"] its first t.
     """
     cross = _CrossSums(model, theta0, n_grid, m_term_grid)
-    _reduce_rows(_resid_rows(model, cross.theta0, cross.theta0, cross.horizon, 1, cross.kcap), [cross])
+    _reduce_rows(_resid_rows(model, cross.theta0, cross.theta0, cross.horizon, 1, (0, 1, cross.kcap)), [cross])
     return cross.result()
 
 
 class _CrossSums:
     """check_cross_sums as a reducer of a _resid_rows pass over t = 1..horizon that
-    stacks the order-1 tuples up to lag kcap (and may hold more of both)."""
+    stacks the order-1 tuples up to lag kcap (and may hold more of both).  A slot
+    that is identically zero is not in the pass, so every slot is reduced."""
 
     def __init__(self, model: TdVarmaModel, theta0, n_grid: Sequence[int], m_term_grid: Sequence[int]):
         self.model, self.theta0 = model, np.asarray(theta0, dtype=float)
@@ -424,11 +397,11 @@ class _CrossSums:
         if self.n2 and self.n_slots:
             self.g_chol = self.g_all @ model.sigma_chol
 
-    def take(self, t: int, stack: np.ndarray) -> None:
+    def take(self, t: int, stack: np.ndarray, norms: np.ndarray) -> None:
         stack = stack[1 : 1 + self.n_slots, : self.kcap + 1]
         lags = stack.shape[1] - 1
         if t <= self.n_max:
-            self.norms[:, t - 1, : lags + 1] = np.sqrt(np.einsum("jkrs,jkrs->jk", stack, stack))
+            self.norms[:, t - 1, : lags + 1] = norms[: self.n_slots, : lags + 1]
         if 2 <= t <= self.n2 and self.singular_t is None:
             white = self.h[t - 1] @ stack[:, 1:] @ self.g_chol[t - 2 :: -1][:lags]
             self.whitened[t - 1, :, :, :lags] = white.transpose(0, 2, 1, 3)
@@ -438,7 +411,6 @@ class _CrossSums:
             return CheckResult("cross_sums", "fail", {}, {"singular_t": self.singular_t})
         n_grid, m_term_grid, n_max, n2, kcap = self.n_grid, self.m_term_grid, self.n_max, self.n2, self.kcap
         norms, whitened = self.norms, self.whitened
-        drop = [j for j in range(len(norms)) if not norms[j].any()]  # slots that vanish up to n_max
         details: dict = {}
         verdict = "pass"
 
@@ -446,7 +418,7 @@ class _CrossSums:
         # cumulative sums over k give sum v and sum v^2 for every n at once
         s_idx, k_idx = np.arange(1, n_max)[:, None], np.arange(kcap + 1)[None, :]
         # indices past row n_max are clipped; they lie past the last k any n reads
-        diag = np.delete(norms, drop, axis=0)[:, np.minimum(s_idx + k_idx - 1, n_max - 1), k_idx]
+        diag = norms[:, np.minimum(s_idx + k_idx - 1, n_max - 1), k_idx]
         diag[:, :, 0] = 0.0  # the diagonals start at lag 1
         c1 = np.cumsum(diag, axis=2)
         c2 = np.cumsum(np.square(diag, out=diag), axis=2, out=diag)  # in place: run_all peaks here
@@ -462,8 +434,7 @@ class _CrossSums:
         second_vals = {}
         if m_term_grid:
             inner = np.zeros(n2 + 1)
-            if len(drop) < len(norms):
-                whitened[:, drop] = 0.0  # as in the first family
+            if self.n_slots:
                 inner[1:] = _second_family_inner(whitened)
             csum = np.cumsum(inner)
             for n in m_term_grid:
@@ -541,7 +512,7 @@ def run_all(
     with np.errstate(all="ignore"):  # as in each check
         decay, cross = _DecayTails(n_probe), _CrossSums(model, theta0, cross_grid, cross_m_grid)
         tail = (n_probe, 1, cross.kcap) if cross.horizon > n_probe else None
-        _reduce_rows(_resid_rows(model, theta0, theta0, max(n_probe, cross.horizon), 3, None, tail), [decay, cross])
+        _reduce_rows(_resid_rows(model, theta0, theta0, max(n_probe, cross.horizon), 3, tail), [decay, cross])
     weight_pass_s = time.perf_counter() - start
     psi_decay, cross_sums = _timed(decay.result)(), _timed(cross.result)()
     del decay, cross  # their arrays are freed before the other checks make theirs

@@ -6,7 +6,7 @@ row t.  The AR weights are pi_{tk} = -M_t[k], the MA weights psi_{tk} are the
 rows of Psi = M(theta0)^{-1}, and the residual derivatives expand as
 d^tau e_t(theta) = sum_k (d^tau M(theta) Psi(theta0))_t[k] g_{t-k} eps_{t-k}.
 All three tables are instances of one block-row recurrence over lags
-k = 0..min(t-1, kmax), differentiated by the product rule:
+k = 0..t-1, differentiated by the product rule:
 
     R_t = basis_t + sum_i U_ti basis_{t-i} + sum_j V_tj R_{t-j}   (shifted i, j lags)
 
@@ -31,7 +31,7 @@ from .timefn import index_splits, sorted_tuples
 
 
 def _row_recurrence(
-    r: int, u_funcs, v_funcs, sign: float, theta, n: int, kmax, tuples, basis=None, tail=None
+    r: int, u_funcs, v_funcs, sign: float, theta, n: int, tuples, basis=None, tail=None
 ) -> tuple[list, Iterator[np.ndarray]]:
     """(taus, rows) of the recurrence in the module docstring with U = sign u_funcs and
     V = sign v_funcs: the tuples (sorted by order, from ()) that are not identically
@@ -39,16 +39,16 @@ def _row_recurrence(
     iterates theta-free rows (None: identity at lag 0).  Only the rows the
     recurrence still reads are kept.
 
-    tail = (step, order, cap) steps the recurrence down after row step: later rows
-    stack only the tuples of order <= order (a prefix of taus, which reads no
-    higher order) and stop at lag cap.  A lag reads only lags at or below it, so
-    every entry that is kept has the same bits as without the tail."""
+    tail = (step, order, cap) is the one lag cap and step-down rule: rows after row
+    step (every row for step 0) stack only the tuples of order <= order (a prefix
+    of taus, which reads no higher order) and stop at lag cap (None: every lag).
+    A lag reads only lags at or below it, so every entry that is kept has the same
+    bits as without the tail."""
     if n < 1:
         raise ContractError("horizon must be at least 1")
-    if kmax is not None and kmax < 0:
-        raise ContractError("kmax must be non-negative")
-    kcap = n - 1 if kmax is None else int(kmax)
-    step, low, tail_cap = (n, None, kcap) if tail is None else tail
+    step, low, cap = (n, None, None) if tail is None else tail
+    if cap is not None and cap < 0:
+        raise ContractError("lag cap must be non-negative")
     ts = range(1, n + 1)
     # one evaluation per lag matrix for all t; exact zeros dropped
     u, v = (
@@ -77,7 +77,7 @@ def _row_recurrence(
         past_basis: deque = deque(maxlen=len(u) + 1)
         past: deque = deque(maxlen=len(v))
         for t in range(1, n + 1):
-            K = min(t - 1, kcap if t <= step else tail_cap)
+            K = t - 1 if t <= step or cap is None else min(t - 1, cap)
             past_basis.appendleft(unit if basis is None else next(basis))
             acc = np.zeros((len(taus) if t <= step else width, K + 1, r, r))
             acc[0, : len(past_basis[0])] += past_basis[0]
@@ -92,16 +92,16 @@ def _row_recurrence(
     return taus, rows()
 
 
-def _resid_rows(model: TdVarmaModel, theta, theta0, n: int, max_order: int, kmax, tail=None) -> tuple:
+def _resid_rows(model: TdVarmaModel, theta, theta0, n: int, max_order: int, tail=None) -> tuple:
     """(taus, pairs): the _row_recurrence tuples up to max_order of M(theta) Psi(theta0),
     and per t the row stacks of Psi(theta0), (1, K_t + 1, r, r), and of d^taus (M Psi).
     The pairs are produced one t at a time, for the caller to reduce as they come;
-    tail = (step, order, cap) steps both recurrences down after row step, as in
+    tail = (step, order, cap) caps and steps down both recurrences as in
     _row_recurrence, so that one pass can serve a long low-order horizon too."""
     r, a, b = model.r, model.a_funcs, model.b_funcs
-    psi, basis = itertools.tee(_row_recurrence(r, b, a, 1.0, theta0, n, kmax, [()], tail=tail)[1])
+    psi, basis = itertools.tee(_row_recurrence(r, b, a, 1.0, theta0, n, [()], tail=tail)[1])
     tuples = sorted_tuples(range(model.m), max_order)
-    taus, rows = _row_recurrence(r, a, b, -1.0, theta, n, kmax, tuples, (s[0] for s in basis), tail)
+    taus, rows = _row_recurrence(r, a, b, -1.0, theta, n, tuples, (s[0] for s in basis), tail)
     return taus, zip(psi, rows)
 
 
@@ -157,9 +157,6 @@ class MaWeightTable(_StackedRows):
     def weight(self, t: int, k: int) -> np.ndarray:
         return self._entry(t, k, (), self.weights)
 
-    def resid_weight(self, t: int, k: int) -> np.ndarray:
-        return self._entry(t, k, ())
-
     def deriv_weight(self, t: int, k: int, indices: Sequence[int]) -> np.ndarray:
         return self._entry(t, k, indices)
 
@@ -167,7 +164,7 @@ class MaWeightTable(_StackedRows):
 def build_pi(model: TdVarmaModel, theta, n: int, max_deriv_order: int = 0) -> ArWeightTable:
     """AR weight table for t = 1..n with derivative layers up to max_deriv_order."""
     tuples = sorted_tuples(range(model.m), max_deriv_order)
-    taus, rows = _row_recurrence(model.r, model.a_funcs, model.b_funcs, -1.0, theta, n, None, tuples)
+    taus, rows = _row_recurrence(model.r, model.a_funcs, model.b_funcs, -1.0, theta, n, tuples)
     return ArWeightTable._build(model, max_deriv_order, taus, [-row[:, 1:] for row in rows])
 
 
@@ -178,7 +175,7 @@ def build_psi(model: TdVarmaModel, theta_eval, theta_truth, n: int, max_deriv_or
     theta_eval drives the AR weights and their derivatives.  The two
     coincide when expanding at the data-generating parameter.
     """
-    taus, pairs = _resid_rows(model, theta_eval, theta_truth, n, max_deriv_order, None)
+    taus, pairs = _resid_rows(model, theta_eval, theta_truth, n, max_deriv_order)
     weights, rows = (list(side) for side in zip(*pairs))
     return MaWeightTable._build(model, max_deriv_order, taus, rows, weights=weights)
 

@@ -9,10 +9,10 @@ import pytest
 from conftest import make_random_varma22, make_sin_varma11
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import norm_table
 
 from tdvarma import assumptions, examples
 from tdvarma.assumptions import (
-    _norm_table,
     _tail_sums,
     check_cross_sums,
     check_information,
@@ -23,7 +23,6 @@ from tdvarma.assumptions import (
     fourth_cumulant_residual,
     gaussian_kappa,
     gaussian_quad_norm_moment,
-    psi_deriv_norms,
     run_all,
     vec,
 )
@@ -32,7 +31,7 @@ from tdvarma.errors import ContractError
 from tdvarma.model import ParamLayout, TdVarmaModel
 from tdvarma.representations import _resid_rows
 from tdvarma.simulate import make_rng
-from tdvarma.timefn import Constant, ExpSine, ExpTrend, MatrixTimeFunction, Param
+from tdvarma.timefn import Constant, ExpSine, ExpTrend, MatrixTimeFunction, Param, Sine
 
 
 def _explosive_model(rho=1.5):
@@ -160,13 +159,8 @@ def test_decay_is_inconclusive_without_weights():
 def test_integer_period_weights_vanish_beyond_cutoff():
     m = examples.example1_sim_model(freq_a=2 * math.pi / 25, freq_b=2 * math.pi / 25)
     th0 = np.array(m.layout.theta0)
-    norms = psi_deriv_norms(m, th0, 200, max_order=1)
-    worst_beyond = 0.0
-    for rows in norms.values():
-        for arr in rows:
-            if arr.shape[0] > 52:
-                worst_beyond = max(worst_beyond, float(arr[52:].max()))
-    assert worst_beyond < 1e-14
+    _, norms = norm_table(m, th0, 200, 1)
+    assert float(norms[:, :, 52:].max()) < 1e-14  # zero-padded past each row's last lag
     res = check_psi_decay(m, th0, n_probe=200)
     assert res.verdict == "pass"
     assert res.details["k_cutoff"] <= 51
@@ -389,18 +383,42 @@ def test_run_all_matches_the_checks_called_alone(case, monkeypatch):
 
 
 def test_run_all_makes_one_weight_pass(example2, monkeypatch):
-    # the decay and cross-sum audits share one _resid_rows pass (they made two)
+    # the decay and cross-sum audits share one _resid_rows pass (they made two), and
+    # tail = (step, order, cap) is the only lag cap a pass is asked for
     calls, resid_rows = [], assumptions._resid_rows
 
-    def spy(*args, **kwargs):
-        calls.append(args[3:])
-        return resid_rows(*args, **kwargs)
+    def spy(model, theta, theta0, n, max_order, tail=None):
+        calls.append((n, max_order, tail))
+        return resid_rows(model, theta, theta0, n, max_order, tail)
 
     monkeypatch.setattr(assumptions, "_resid_rows", spy)
+    theta0 = example2.layout.theta0_array()
     run_all(example2, **CRIT9)
-    assert calls == [(250, 3, None, None)]  # the horizon, 200, is within n_probe: no tail
-    check_psi_decay(example2, example2.layout.theta0_array(), n_probe=50)
-    assert len(calls) == 2
+    assert calls.pop() == (250, 3, None)  # the horizon, 200, is within n_probe: no tail
+    run_all(example2, theta0, n_probe=100, cross_grid=(50, 100), cross_m_grid=(150,), info_grid=(25,))
+    assert calls.pop() == (150, 3, (100, 1, 2 * assumptions.D_CAP))  # stepped down past n_probe
+    check_psi_decay(example2, theta0, n_probe=50)
+    assert calls.pop() == (50, 3, None)  # every lag
+    check_cross_sums(example2, theta0, n_grid=(50, 100), m_term_grid=(30,))
+    assert calls.pop() == (100, 1, (0, 1, 99))  # capped from row 1 on
+    assert not calls
+
+
+def test_identically_zero_slot_leaves_the_audits_unchanged():
+    # the recurrence alone leaves out an AR slot whose entry sin(0 t) is zero for every t
+    base = examples.example1_sim_model()
+    a = MatrixTimeFunction([[Sine(0, examples.FREQ_A), Param(1)], [Sine(3, 0.0), Sine(2, examples.FREQ_B)]])
+    names = (*base.layout.names, "dead")
+    layout = ParamLayout(names=names, n_ar=4, n_ma=0, theta0=(*base.layout.theta0, 0.3))
+    dead = TdVarmaModel(r=2, a_funcs=[a], b_funcs=[], g_func=None, sigma=np.eye(2), layout=layout)
+    theta0 = dead.layout.theta0_array()
+    assert all(3 not in tau for tau in _resid_rows(dead, theta0, theta0, 5, 3)[0])
+    for check, kwargs in (
+        (check_cross_sums, dict(n_grid=(50, 100), m_term_grid=(50, 100))),
+        (check_psi_decay, dict(n_probe=100)),
+    ):
+        with_dead, without = (check(m, m.layout.theta0_array(), **kwargs) for m in (dead, base))
+        _same_results([with_dead], [without])
 
 
 @pytest.mark.parametrize("d_cap", [5, 120])
@@ -435,7 +453,7 @@ def _ref_decay_maxima(model, theta0, n_probe):
     """What check_psi_decay reduces its rows to, from the whole (tuples, n_probe, n_probe)
     norm table at once: per order-1/2 tuple the worst tail sums (powers 2, 4), per
     order-3 tuple the worst total of squares, and the last non-zero lag of order <= 2."""
-    taus, norms = _norm_table(model, theta0, n_probe, 3, None)
+    taus, norms = norm_table(model, theta0, n_probe, 3)
     norms[~(norms > 1e-14)] = 0.0
     nu_grid = [v for v in assumptions.NU_GRID if v <= n_probe - 1]
     low = [tab for tau, tab in zip(taus, norms) if len(tau) <= 2]
@@ -476,20 +494,17 @@ def _ref_cross_sums(model, theta0, n_grid, m_term_grid):
     n_max = max(n_grid)
     horizon = max([n_max, *m_term_grid])
     kcap = min(horizon - 1, 2 * d_cap)
-    norms = psi_deriv_norms(model, theta0, n_max, max_order=1, kmax=kcap)
-    slots = [tau[0] for tau, rows in norms.items() if any(a.any() for a in rows)]
+    taus, table = norm_table(model, theta0, n_max, 1, kcap)
+    slots = [tau[0] for tau in taus]  # the recurrence leaves out the identically zero ones
     g_all = model.g_values(np.arange(1, horizon + 1), theta0)
     g2 = np.einsum("trs,trs->t", g_all, g_all)
     ratios = {}
     for n in n_grid:
         best = 0.0
-        for i in slots:
-            rows = norms[(i,)]
+        for tab in table:
             total = 0.0
             for s in range(1, n):
-                v = np.array(
-                    [rows[s + k - 1][k] if rows[s + k - 1].shape[0] > k else 0.0 for k in range(1, n - s + 1)]
-                )
+                v = np.array([tab[s + k - 1, k] if k < tab.shape[1] else 0.0 for k in range(1, n - s + 1)])
                 total += g2[s - 1] * 0.5 * (v.sum() ** 2 - float(v @ v))
             best = max(best, total / (n * n))
         ratios[f"first_n{n}"] = n * best
@@ -501,7 +516,7 @@ def _ref_cross_sums(model, theta0, n_grid, m_term_grid):
         evals, evecs = np.linalg.eigh(model.sigma_t_all(n2_max, theta0))
         inv_sqrt = np.einsum("tab,tb,tcb->tac", evecs, 1.0 / np.sqrt(evals), evecs)
         urows = []
-        taus, stacks = _resid_rows(model, theta0, theta0, n2_max, 1, kcap)
+        taus, stacks = _resid_rows(model, theta0, theta0, n2_max, 1, (0, 1, kcap))
         keep = [taus.index((i,)) for i in slots]
         for t, (_, stack) in enumerate(stacks, 1):
             rows = stack[keep, 1:]
@@ -567,14 +582,13 @@ def test_tail_sums_match_looped_oracle(which, n_probe, nu_grid):
     }
     model = models[which]() if which in models else examples.build(which)
     theta0 = model.layout.theta0_array()
-    taus, table = _norm_table(model, theta0, n_probe, 3, None)
+    _, table = norm_table(model, theta0, n_probe, 3)
     table[~(table > 1e-14)] = 0.0
-    rows = psi_deriv_norms(model, theta0, n_probe, max_order=3)
     checked = 0
-    for tau, tab in zip(taus, table):
-        floored = [np.where(arr > 1e-14, arr, 0.0) for arr in rows[tau]]
+    for tab in table:
+        rows = [tab[t, : t + 1] for t in range(n_probe)]  # row t + 1 holds lags 0..t
         for power in (2, 4):
-            ref = _ref_tail_stats(floored, nu_grid, power)
+            ref = _ref_tail_stats(rows, nu_grid, power)
             got = _tail_sums(tab, list(nu_grid), power)
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
             checked += int(np.count_nonzero(ref))

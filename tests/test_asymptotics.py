@@ -54,7 +54,7 @@ def ma_expansion_v(model, theta0, n_grid):
     siginv = np.linalg.inv(sig)
     v = np.zeros((model.m, model.m))
     out = {}
-    taus, rows = _resid_rows(model, th, th, n_max, 1, None)
+    taus, rows = _resid_rows(model, th, th, n_max, 1)
     slots = [tau[0] for tau in taus[1:]]  # the slots the residuals use; V's first term is zero elsewhere
     for t, (_, stack) in enumerate(rows, 1):
         psi = stack[1:, 1:]  # psi[i, k-1] = psi_tik for k = 1..t-1

@@ -35,7 +35,7 @@ def cfg_dir(tmp_path_factory):
 def test_examples_materializes_configs(cfg_dir):
     names = {p for p in os.listdir(cfg_dir)}
     assert {"example1_sim.json", "example1_theory.json", "example2.json"} <= names
-    doc = json.load(open(cfg_dir / "example1_sim.json"))
+    doc = json.loads((cfg_dir / "example1_sim.json").read_text())
     assert doc["model"]["layout"]["theta0"] == [0.8, 0.5, -0.9]
     assert doc["run"]["theta_init"] == [0.1, 0.1, 0.1]
 

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import dense_residual_operator, make_random_varma22, make_scalar_arma11, make_sin_varma11
 from oracles import var1_transition_power, varma11_pi_closed, varma11_pi_deriv_closed
-from tdvarma.assumptions import psi_deriv_norms
 from tdvarma.errors import ContractError
 from tdvarma.examples import FREQ_A, FREQ_B, example1_sim_model, example1_theory_model
 from tdvarma.model import ParamLayout, TdVarmaModel
@@ -71,7 +70,7 @@ def test_duality_residual_weights_vanish_at_truth(rng):
     worst = 0.0
     for t in range(2, 41):
         for k in range(1, t):
-            worst = max(worst, np.abs(psi.resid_weight(t, k)).max())
+            worst = max(worst, np.abs(psi.deriv_weight(t, k, ())).max())
     assert worst < 1e-10
 
 
@@ -80,9 +79,9 @@ def test_residual_weights_nonzero_away_from_truth():
     th0 = np.array([0.5, 0.4])
     th = np.array([0.3, 0.2])
     psi = build_psi(m, th, th0, 10)
-    assert abs(float(psi.resid_weight(10, 1)[0, 0])) > 0.1
+    assert abs(float(psi.deriv_weight(10, 1, ())[0, 0])) > 0.1
     # and the k = 0 weight stays the identity
-    np.testing.assert_array_equal(psi.resid_weight(10, 0), np.eye(1))
+    np.testing.assert_array_equal(psi.deriv_weight(10, 0, ()), np.eye(1))
 
 
 def test_example1_first_derivative_weights_structure(example1_theory):
@@ -160,10 +159,10 @@ def test_ar_second_and_third_derivative_layers():
 
 
 def test_kmax_truncation_prefix_agrees(rng):
-    # the audits cap the lags; the recurrence at lag k reads only lags <= k
+    # the audits cap the lags through tail's cap; the recurrence at lag k reads only lags <= k
     m = make_sin_varma11(rng)
     th = np.array(m.layout.theta0)
-    (taus, full), (taus5, trunc) = (_resid_rows(m, th, th, 30, 1, kmax) for kmax in (None, 5))
+    (taus, full), (taus5, trunc) = (_resid_rows(m, th, th, 30, 1, tail) for tail in (None, (0, 1, 5)))
     assert taus5 == taus
     for t, ((psi, rows), (psi5, rows5)) in enumerate(zip(full, trunc), 1):
         assert psi5.shape[1] == rows5.shape[1] == min(t, 6)
@@ -224,13 +223,11 @@ def test_varma11_psi_k1_trivial():
 def test_negative_kmax_rejected(rng):
     m = make_sin_varma11(rng)
     th = np.array(m.layout.theta0)
-    with pytest.raises(ContractError, match="kmax"):
-        _resid_rows(m, th, th, 10, 1, -1)
-    with pytest.raises(ContractError, match="kmax"):
-        psi_deriv_norms(m, th, 10, kmax=-1)
+    with pytest.raises(ContractError, match="lag cap"):
+        _resid_rows(m, th, th, 10, 1, (0, 1, -1))
 
 
-@pytest.mark.parametrize("accessor", ["weight", "resid_weight", "deriv_weight"])
+@pytest.mark.parametrize("accessor", ["weight", "deriv_weight"])
 @pytest.mark.parametrize("t, k", [(0, 1), (11, 0), (3, -1)])
 def test_ma_table_rejects_entries_outside_the_table(example1_sim, accessor, t, k):
     th = np.array(example1_sim.layout.theta0)
@@ -284,7 +281,7 @@ def test_tables_match_dense_operator_inverse():
     worst = 0.0
     for t in range(1, n + 1):
         for k in range(0, t):
-            got = [(psi.weight(t, k), "psi"), (psi.resid_weight(t, k), "resid")]
+            got = [(psi.weight(t, k), "psi"), (psi.deriv_weight(t, k, ()), "resid")]
             got += [(psi.deriv_weight(t, k, (i,)), ("deriv", i)) for i in range(m.m)]
             if k >= 1:
                 got.append((pi.weight(t, k), "pi"))
