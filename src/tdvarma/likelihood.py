@@ -6,9 +6,9 @@ block-lower-triangular operator applied to the series,
     e = (I + B_op)^{-1} (I - A_op) x,   (A_op x)_t = sum_i A_ti(theta) x_{t-i},
 
 so the exact likelihood needs no state-space filtering.  `_lag_sum` applies a
-lag operator and `_lag_solver` builds (I + C_op)^{-1} by recursive doubling over
-the companion form; the same companion products give all residual derivatives, and
-`simulate` applies the inverse operator to the scaled innovations.  A_op x and
+lag operator and `_lag_solver` solves (I + C_op) e = z by recursive doubling over
+the companion form, keeping its levels: one sweep of them solves all residual
+derivatives, and `simulate` builds the AR operator's with no z.  A_op x and
 the AR rows d_k A_op x of de are linear in the fixed series, so the products of
 x_{t-i} with the AR coefficient tables are formed once per series (the model's
 `ar_products`, once per fit in `estimate`) and each evaluation only combines
@@ -47,8 +47,8 @@ With Sigma fixed it is the information plus
 
     sum_t v_t' d_kl e_t,   v_t = Sigma_t^{-1} e_t = H_t' u_t,
 
-which one adjoint solve lambda = (I + B_op)^{-T} v, the solver's doubling levels
-transposed in reverse order, turns into sums over the right-hand sides of
+which one adjoint sweep lambda = (I + B_op)^{-T} v, the evaluation's doubling
+levels transposed in reverse order, turns into sums over the right-hand sides of
 (I + B_op) d_kl e, and which vanishes for q = 0 with affine AR matrices; the
 AR/MA-scale block -sum_t du_ti' (S_ts + S_ts') u_t, as du_t / d theta_s =
 -S_ts u_t; and, in the scale block, the terms of g_t's second derivatives and of
@@ -139,13 +139,12 @@ def _lag_sum(c: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass
 class _LagSolver:
-    """(I + C_op)^{-1} from the doubling levels of `_lag_solver`.  A call solves forward
-    in t; `adjoint` applies the transpose (I + C_op)^{-T}, the same levels transposed
-    and in reverse order, so each y_t takes the later rows."""
+    """(I + C_op)^{-1} from the Phi levels of a `_lag_solver` build, swept forward in t;
+    `adjoint` applies (I + C_op)^{-T}, the same levels transposed in reverse order."""
 
-    def __init__(self, levels: list):
-        self.levels = levels  # (d, Phi^(d)) by increasing d
+    levels: list  # (d, Phi^(d)) by increasing d
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         return self._sweep(z, adjoint=False)
@@ -168,33 +167,35 @@ class _LagSolver:
         return v[:, :r].transpose(2, 0, 1).reshape(z.shape)
 
 
-def _lag_solver(c: np.ndarray, n: int) -> _LagSolver:
-    """The solver of y_t + sum_i C_ti y_{t-i} = z_t forward in t (y_s = 0 for s < 1),
-    for any (..., n, r) stack z, solved along its time axis; c is (k, n, r, r).
+def _lag_solver(c: np.ndarray, z: np.ndarray) -> tuple[_LagSolver, np.ndarray]:
+    """The solver of y_t + sum_i C_ti y_{t-i} = z_t (y_s = 0 for s < 1) along the time
+    axis of any (..., n, r) stack, and its solution y for the stack z; c is (k, n, r, r).
 
     The companion Phi_t, first block row -[C_t1 ... C_tk] and identities below, gives
-    Y_t = (y_t, ..., y_{t-k+1}) = Phi_t Y_{t-1} + (z_t, 0, ...).  At level d = 1, 2, 4, ...
-    each Y_t with t > d adds Phi_t ... Phi_{t-d+1} Y_{t-d}, and the products are then
-    composed to span 2d steps, here, once for every z; each y_t sees the same
-    operations whatever n is.
+    Y_t = (y_t, ..., y_{t-k+1}) = Phi_t Y_{t-1} + Z_t, Z_t = (z_t, 0, ...), so [Y_t; I] is
+    the product of the [[Phi_s, Z_s], [0, I]] over s <= t.  At level d = 1, 2, 4, ... one
+    batched matmul composes row t > d of these products with row t - d to span 2d steps:
+    their Phi blocks are the solver's levels, and their last columns end as Y_t.  Each
+    y_t sees the same operations whatever n is.
     """
-    k = len(c)
+    k, (n, r) = len(c), z.shape[-2:]
     if k == 0:
-        return _LagSolver([])
-    r = c.shape[-1]
-    phi = np.zeros((n, k * r, k * r))
-    phi[:, :r] = -np.concatenate(c, axis=-1)
-    phi[:, r:, :-r] = np.eye((k - 1) * r)
-    phi[0] = 0.0  # it multiplies Y_0 = 0
+        return _LagSolver([]), z.copy()
+    kr, cols = k * r, math.prod(z.shape[:-2])  # the stack runs along the columns
+    aug = np.zeros((n, kr + cols, kr + cols))  # Phi_1 multiplies Y_0 = 0 and stays zero
+    np.negative(c[:, 1:].transpose(1, 2, 0, 3).reshape(n - 1, r, kr), out=aug[1:, :r, :kr])
+    aug[1:, r:kr, :kr - r] = np.eye(kr - r)
+    aug[:, kr:, kr:] = np.eye(cols)
+    aug[:, :r, kr:] = z.reshape(-1, n, r).transpose(1, 2, 0)
     levels = []  # (d, Phi^(d)) with row t >= d of Phi^(d) the product Phi_t ... Phi_{t-d+1}
     d = 1
     while d < n:
-        levels.append((d, phi))
-        if 2 * d < n:
-            phi = phi.copy()
-            phi[d:] = phi[d:] @ phi[:-d]
+        levels.append((d, aug[:, :kr, :kr]))
+        if 2 * d < n or cols:  # the right-hand sides take the top level too
+            aug = aug.copy()
+            aug[d:] = aug[d:] @ aug[:-d]
         d *= 2
-    return _LagSolver(levels)
+    return _LagSolver(levels), aug[:, :r, kr:].transpose(2, 0, 1).reshape(z.shape)
 
 
 def residuals(model: TdVarmaModel, series: Series, theta, ar_products: Optional[tuple] = None) -> ResidualSet:
@@ -220,9 +221,8 @@ def residuals(model: TdVarmaModel, series: Series, theta, ar_products: Optional[
             de[k] -= dk
     solve = None
     if model.q:  # without an MA part the residuals are z and its derivatives as they stand
-        solve = _lag_solver(model.b_values(range(1, n + 1), theta), n)  # shared by e and de
-        e[:] = solve(e)
-        # then row k gains -sum_j d_k B_tj e_{t-j}, and takes the same solve as e
+        solve, e[:] = _lag_solver(model.b_values(range(1, n + 1), theta), e)
+        # then row k gains -sum_j d_k B_tj e_{t-j}, and one sweep of the levels that solved e
         for lag, f in enumerate(model.b_funcs, 1):
             slots, d = f.head_grad(n, theta)
             de[list(slots)] -= _apply(d, _lagged(e, lag))

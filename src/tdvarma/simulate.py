@@ -77,12 +77,13 @@ def simulate(plan: SimPlan) -> Series:
 
 
 def _operator(model: TdVarmaModel, theta0: np.ndarray, n: int) -> tuple:
-    """(g_t, B_t, AR solve) over t = 1..n at theta0, kept for the next plan of its cell."""
+    """(g_t, B_t, AR solve) over t = 1..n at theta0, kept for the next plan of its cell;
+    the solve's levels are built for a stack of no columns."""
     key = (theta0.tobytes(), n)
     if _memo[0] is not model or _memo[1] != key:
         ts = range(1, n + 1)
         _memo[:] = model, key, (model.g_values(ts, theta0), model.b_values(ts, theta0),
-                                _lag_solver(-model.a_values(ts, theta0), n))
+                                _lag_solver(-model.a_values(ts, theta0), np.zeros((0, n, model.r)))[0])
     return _memo[2]
 
 

@@ -166,8 +166,9 @@ def make_random_varma(rng, p, q, r):
 
 
 def lag_solve_loop(c, z):
-    """Reference for `likelihood._lag_solver(c, n)(z)`: forward substitution one t at a time,
-    y_t = z_t - sum_i C_ti y_{t-i} with y_s = 0 for s < 1."""
+    """Reference for the y that `likelihood._lag_solver(c, z)` returns and for its solver's
+    sweep of z: forward substitution one t at a time, y_t = z_t - sum_i C_ti y_{t-i} with
+    y_s = 0 for s < 1."""
     y = z.copy()
     for t in range(1, y.shape[-2]):
         for i in range(min(len(c), t)):

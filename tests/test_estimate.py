@@ -535,6 +535,45 @@ def test_profile_fit_is_the_fixed_point_of_the_alternation(monkeypatch, n):
         np.testing.assert_allclose(res.sigma_hat, work.sigma, rtol=0, atol=1e-8)
 
 
+def test_ma_fits_match_a_separate_solve_of_the_residuals(monkeypatch):
+    # q > 0: e comes from the build of B_op's doubling levels; taken instead from a
+    # sweep of those levels it differs by rounding, and the fits agree to 1e-12 with
+    # the same records
+    m = make_sin_varma11(np.random.default_rng(909))
+    start = np.array(m.layout.theta0) + 0.1
+    series = [simulate(SimPlan(m, m.layout.theta0, 100, 4242, replication_stream(100, rep))) for rep in range(20)]
+    shipped = [fit(m, x, start) for x in series]
+    build = likelihood._lag_solver
+
+    def swept(c, z):
+        solver, _ = build(c, z)
+        return solver, solver(z)
+
+    monkeypatch.setattr(likelihood, "_lag_solver", swept)
+    record = ("iters", "n_evals", "converged", "termination", "covariance_ok", "search")
+    for x, got in zip(series, shipped):
+        want = fit(m, x, start)
+        np.testing.assert_allclose(got.theta, want.theta, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.se, want.se, rtol=1e-12, atol=0)
+        assert [getattr(got, f) for f in record] == [getattr(want, f) for f in record]
+
+
+def test_an_ma_trial_whose_filtered_series_overflows_counts_as_inf():
+    # z = x - sum_i A_ti x_{t-i} overflows, so the build that solves e carries inf
+    # and its levels turn NaN: the point is rejected, and numpy prints no warning
+    m = make_sin_varma11(np.random.default_rng(909))
+    x = simulate(SimPlan(m, m.layout.theta0, 100, 4242)).values * 1e10
+    theta = np.array(m.layout.theta0)
+    theta[:m.layout.n_ar] *= 1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(x - likelihood._lag_sum(m.a_values(range(1, 101), theta), x)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _safe_objective(m, Series(values=x), theta) is None
+        with pytest.raises(NumericalError):
+            fit(m, Series(values=x), theta)
+
+
 def test_rejected_trial_points_do_not_warn():
     # example2 from 0.1 meets trial points where g_t overflows; they are rejected
     # without numpy warnings, and the results are those of an unfiltered run

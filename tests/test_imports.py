@@ -7,9 +7,12 @@ tracer reads when perfbench/tracer.py wraps that name.  The tracer's string
 targets do not count as references of a public name, except for the model's,
 whose public names the tests alone do not keep.  Σ_t has one singularity rule: no
 module calls a determinant, and only `model._check_scale` raises
-SingularCovarianceError."""
+SingularCovarianceError.  The package imports the standard library, itself and the
+dependencies pyproject.toml declares, nothing else."""
 
 import ast
+import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -121,3 +124,19 @@ def test_one_singularity_rule():
     assert [c for c in calls if c[1].endswith("linalg.det")] == []
     raising = {(path, scope) for path, callee, scope in calls if callee.split(".")[-1] == "SingularCovarianceError"}
     assert raising == {("model.py", "_check_scale")}
+
+
+def test_the_package_imports_only_its_declared_dependencies():
+    # pyproject.toml declares numpy alone; another import, even one that is installed
+    # (SciPy's banded LAPACK solve, say), adds its load time and memory to every run
+    declared = re.search(r"^dependencies = \[(.*)\]", (REPO / "pyproject.toml").read_text(), re.M).group(1)
+    allowed = set(sys.stdlib_module_names) | {"tdvarma"} | set(re.findall(r'"([A-Za-z0-9_]+)', declared))
+    imported = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.append((path.name, node.module))
+    assert allowed >= {"numpy", "math"}
+    assert [(name, module) for name, module in imported if module.split(".")[0] not in allowed] == []

@@ -367,33 +367,60 @@ def _lag_problem(rng, k, r, stack, n):
 @given(
     k=st.integers(0, 3),
     r=st.integers(1, 3),
-    stack=st.sampled_from([(), (5,), (2, 3)]),
+    stack=st.sampled_from([(0,), (), (5,), (2, 3)]),
     n=st.sampled_from([1, 2, 3, 4, 5, 8, 9, 64, 65, 400]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_lag_solve_matches_forward_substitution(k, r, stack, n, seed):
-    c, z = _lag_problem(np.random.default_rng(seed), k, r, stack, n)
+    # the solution the build returns for its stack of 0, 1, 5 or 6 columns, and the
+    # sweeps of its levels for that stack and another one
+    rng = np.random.default_rng(seed)
+    c, z = _lag_problem(rng, k, r, stack, n)
+    w = rng.standard_normal((2, n, r))
     z_before = z.copy()
-    ref = lag_solve_loop(c, z)
-    y = _lag_solver(c, z.shape[-2])(z)
-    assert y.shape == z.shape
+    solver, y = _lag_solver(c, z)
     np.testing.assert_array_equal(z, z_before)
-    assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for rhs, got in ((z, y), (z, solver(z)), (w, solver(w))):
+        ref = lag_solve_loop(c, rhs)
+        assert got.shape == rhs.shape
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
 
 
 @pytest.mark.parametrize("k, r, stack", [(1, 2, ()), (2, 3, (4,)), (3, 1, (2, 3))])
 def test_lag_solve_is_prefix_invariant(k, r, stack):
-    # each y_t goes through the same operations whatever the length of the solve
+    # each y_t goes through the same operations whatever the length of the solve,
+    # in the build's own solution and in a sweep of its levels
     c, z = _lag_problem(np.random.default_rng(17), k, r, stack, 400)
-    full = _lag_solver(c, z.shape[-2])(z)
+    solver, y = _lag_solver(c, z)
+    full = solver(z)
     for n0 in (3, 5, 6, 37, 100, 255, 257, 399):
-        np.testing.assert_array_equal(_lag_solver(c[:, :n0], n0)(z[..., :n0, :]), full[..., :n0, :])
+        head, y0 = _lag_solver(c[:, :n0], z[..., :n0, :])
+        np.testing.assert_array_equal(y0, y[..., :n0, :])
+        np.testing.assert_array_equal(head(z[..., :n0, :]), full[..., :n0, :])
+
+
+@pytest.mark.parametrize("k, r, stack, n", [
+    (1, 2, (), 100), (1, 1, (), 2), (2, 3, (4,), 65), (3, 4, (2, 3), 400), (3, 1, (), 9),
+])
+def test_lag_solve_levels_do_not_see_the_right_hand_sides(k, r, stack, n):
+    # the Phi levels of a build that carries z are those of a build with no columns,
+    # bit for bit, so the sweeps and adjoints of the two solvers agree bit for bit too
+    rng = np.random.default_rng(29)
+    c, z = _lag_problem(rng, k, r, stack, n)
+    carried, _ = _lag_solver(c, z)
+    bare, _ = _lag_solver(c, np.zeros((0, n, r)))
+    assert [d for d, _ in carried.levels] == [d for d, _ in bare.levels]
+    for (_, got), (_, want) in zip(carried.levels, bare.levels):
+        np.testing.assert_array_equal(got, want)
+    x = rng.standard_normal((3, n, r))
+    np.testing.assert_array_equal(carried(x), bare(x))
+    np.testing.assert_array_equal(carried.adjoint(x), bare.adjoint(x))
 
 
 @pytest.mark.parametrize("q", [1, 2])
 def test_residual_solves_share_companion_products(q):
-    # e and de come from one set of companion products; each equals its own
-    # two-call solve bit for bit, and the per-t forward substitution to rounding
+    # e is the solution of the build of B_op's levels and de one sweep of those
+    # levels, each bit for bit, and both match the per-t forward substitution to rounding
     rng = np.random.default_rng(31 + q)
     m = make_random_varma(rng, 2, q, 3)
     series = simulate(SimPlan(m, m.layout.theta0, 70, 5))
@@ -408,12 +435,12 @@ def test_residual_solves_share_companion_products(q):
         rhs = rhs - d.pop(())
         for (k,), dk in d.items():
             de_rhs[k] -= dk
-    e = _lag_solver(b_all, n)(rhs)
+    solver, e = _lag_solver(b_all, rhs)
     for lag, f in enumerate(m.b_funcs, 1):
         slots, d = f.head_grad(n, theta)
         de_rhs[list(slots)] -= (d @ _lagged(e, lag)[:, :, None])[..., 0]
     np.testing.assert_array_equal(res.e, e)
-    np.testing.assert_array_equal(res.de, _lag_solver(b_all, n)(de_rhs))
+    np.testing.assert_array_equal(res.de, solver(de_rhs))
     for got, ref in ((res.e, lag_solve_loop(b_all, rhs)), (res.de, lag_solve_loop(b_all, de_rhs))):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -578,7 +605,7 @@ def test_lag_solve_adjoint_is_the_transpose(k, r, stack):
     rng = np.random.default_rng(23)
     c, z = _lag_problem(rng, k, r, stack, 70)
     y = rng.standard_normal(z.shape)
-    solver = _lag_solver(c, 70)
+    solver, _ = _lag_solver(c, z)
     lhs = np.sum(solver(z) * y, axis=(-2, -1))
     rhs = np.sum(z * solver.adjoint(y), axis=(-2, -1))
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * np.max(np.abs(lhs)))
