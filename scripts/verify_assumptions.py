@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Audit the regularity conditions for the built-in examples plus an
-explosive control model, and print theoretical standard errors."""
+explosive control model, and print theoretical standard errors.  Each
+example's run_all wall time and its shared weight pass go to stderr, so
+that stdout stays the same from run to run."""
 
 import sys
+import time
 
 import numpy as np
 
@@ -16,7 +19,10 @@ from tdvarma.timefn import Constant, MatrixTimeFunction, Param
 def main() -> int:
     for which in ("example1_sim", "example1_theory", "example2"):
         model = examples.build(which)
+        start = time.perf_counter()
         report = run_all(model)
+        wall = time.perf_counter() - start
+        print(f"{which}: run_all {wall:.3f} s, weight pass {report.weight_pass_s:.3f} s", file=sys.stderr)
         print(f"{which}: decay base = {report.phi:.4f}")
         for name, verdict in report.verdicts.items():
             print(f"  {name:18s} {verdict}")

@@ -23,7 +23,7 @@ import numpy as np
 from .asymptotics import _information_pass, theoretical_v  # perfbench/tracer.py wraps theoretical_v here
 from .errors import ContractError, SingularCovarianceError
 from .model import TdVarmaModel, _sym
-from .representations import _resid_rows
+from .representations import BLOCK, _resid_rows
 from .representations import build_pi, build_psi  # unused here; perfbench/tracer.py wraps these names
 from .timefn import sorted_tuples
 
@@ -112,16 +112,27 @@ class AssumptionReport:
 
 
 def _reduce_rows(resid_rows: tuple, reducers: Sequence) -> None:
-    """Hand each row stack of a _resid_rows pass to every reducer as it is produced, with
-    the Frobenius norms of its order >= 1 weights (norms[j - 1, k] of stack[j, k]) formed
-    here once; no row is kept, and none is computed when no tuple of order >= 1 is left."""
-    taus, rows = resid_rows
+    """Hand each block of a _resid_rows pass, rows t0.., to every reducer as it is
+    produced, with the norms of its weights formed here once; no block is kept, and
+    none is computed when no tuple of order >= 1 is left."""
+    taus, blocks = resid_rows
     for red in reducers:
         red.start(taus)
-    for t, (_, stack) in enumerate(rows if len(taus) > 1 else (), 1):
-        norms = np.sqrt(np.einsum("jkrs,jkrs->jk", stack[1:], stack[1:]))
+    t0 = 1
+    for block in blocks if len(taus) > 1 else ():
+        norms = _weight_norms(block)
         for red in reducers:
-            red.take(t, stack, norms)
+            red.take(t0, block, norms)
+        t0 += len(block)
+        del block, norms  # the next block is made without them
+
+
+def _weight_norms(block: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a block's order >= 1 weights, norms[j - 1, b, k] of
+    block[b, j, :, k, :].  Each weight is summed as one contiguous r x r matrix, so the
+    norms have the bits of a row-by-row einsum."""
+    weights = np.ascontiguousarray(block[:, 1:].transpose(0, 1, 3, 2, 4))
+    return np.sqrt(np.einsum("bjkrs,bjkrs->jbk", weights, weights))
 
 
 # -- individual checks --------------------------------------------------------
@@ -154,13 +165,14 @@ def check_psi_decay(model: TdVarmaModel, theta0, n_probe: int = N_PROBE) -> Chec
 
 class _DecayTails:
     """check_psi_decay as a reducer of the rows t <= n_probe of a _resid_rows pass of
-    order 3 without a lag cap.  The weight norms of BLOCK rows at a time are reduced
-    to their maxima over t: the tail sums from each start in nu_grid (orders 1 and 2,
-    powers 2 and 4), the totals of squares (order 3) and the last lag with a non-zero
-    weight of order 1 or 2.  A maximum is exact, so the blocks give the bits of one
-    (tuples, n_probe, n_probe) table, which is never made."""
+    order 3 without a lag cap.  The weight norms of ROWS rows at a time (whole blocks of
+    the pass, which cross neither a multiple of BLOCK nor n_probe) are reduced to their
+    maxima over t: the tail sums from each start in nu_grid (orders 1 and 2, powers 2
+    and 4), the totals of squares (order 3) and the last lag with a non-zero weight of
+    order 1 or 2.  A maximum is exact, so the blocks give the bits of one (tuples,
+    n_probe, n_probe) table, which is never made."""
 
-    BLOCK = 64
+    ROWS = 4 * BLOCK
 
     def __init__(self, n_probe: int):
         self.n_probe = n_probe
@@ -169,25 +181,29 @@ class _DecayTails:
     def start(self, taus: list) -> None:
         self.taus = taus[1:]
         self.n_low = sum(len(tau) <= 2 for tau in self.taus)
-        # norms[j, i, k] of row t = i + 1 (mod BLOCK), zero-padded beyond K_t
-        self.block = np.zeros((len(self.taus), min(self.BLOCK, self.n_probe), self.n_probe))
+        # norms[j, i, k] of row t = i + 1 (mod ROWS), zero-padded beyond K_t
+        self.block = np.zeros((len(self.taus), min(self.ROWS, self.n_probe), self.n_probe))
         self.tails = np.zeros((2, self.n_low, len(self.nu_grid)))  # powers 2 and 4
         self.sum_sq = np.zeros(len(self.taus) - self.n_low)
         self.k_nonzero = -1
 
-    def take(self, t: int, stack: np.ndarray, norms: np.ndarray) -> None:
-        if t > self.n_probe:
+    def take(self, t0: int, block: np.ndarray, norms: np.ndarray) -> None:
+        if t0 > self.n_probe:  # blocks never cross n_probe, the step of a longer pass
             return
-        i = (t - 1) % self.block.shape[1]
-        self.block[:, i, : norms.shape[1]] = norms
-        if i + 1 == self.block.shape[1] or t == self.n_probe:
-            self._reduce(self.block[:, : i + 1])
+        i, t1 = (t0 - 1) % self.block.shape[1], t0 + len(block) - 1
+        self.block[:, i : i + len(block), : norms.shape[2]] = norms
+        if i + len(block) == self.block.shape[1] or t1 == self.n_probe:
+            self._reduce(self.block[:, : i + len(block)], t1)
 
-    def _reduce(self, tab: np.ndarray) -> None:
-        # weights whose norm sits at the roundoff floor count as exact zeros; a later
-        # row in the same slot is longer, so it overwrites every floored entry
-        tab[~(tab > 1e-14)] = 0.0
-        low = tab[: self.n_low]
+    def _reduce(self, tab: np.ndarray, t1: int) -> None:
+        # row t holds t lags, so the columns past the last row's (and the last start
+        # of a tail sum) are zero; weights whose norm sits at the roundoff floor count
+        # as exact zeros, and a later row in the same slot is longer, so it overwrites
+        # every floored entry.  The totals of squares sum every column, zeros too, as
+        # the pairwise sum they are takes its grouping from the row length
+        part = tab[..., : max(t1, max(self.nu_grid, default=0) + 1)]
+        part[~(part > 1e-14)] = 0.0
+        low = part[: self.n_low]
         nz = np.nonzero(np.any(low > 0, axis=(0, 1)))[0]
         if nz.size:
             self.k_nonzero = max(self.k_nonzero, int(nz[-1]))
@@ -347,8 +363,8 @@ def check_cross_sums(
     is called: geometric weight decay makes the discarded tail negligible
     (VALIDATION.md compares D_CAP 60 and 120).  Alone, the check asks for the
     order-1 rows capped at that lag from row 1 on, tail (0, 1, kcap); run_all
-    shares its pass with check_psi_decay.  Each row is reduced as it is
-    produced, and both families run as array kernels (cumulative sums along the
+    shares its pass with check_psi_decay.  Each block of rows is reduced as it
+    is produced, and both families run as array kernels (cumulative sums along the
     diagonals, one batched matmul per shift), so the default grid costs well
     under a second for the shipped examples.  Quasi-periodic models can have
     n * value transients stretching over hundreds of observations, so the
@@ -389,22 +405,31 @@ class _CrossSums:
         # V_t[i, :, k-1, :] = H_t w_{t,i,k} g_{t-k} L with Sigma = L L^T and
         # H_t' H_t = Sigma_t^{-1}, so that V_t V_{t+d}^T carries the Sigma sandwich;
         # both terms of the second family are Frobenius products, which an
-        # orthogonal Q_t in H_t = Q_t Sigma_t^{-1/2} leaves unchanged
+        # orthogonal Q_t in H_t = Q_t Sigma_t^{-1/2} leaves unchanged.  Row n2 has
+        # n2 - 1 lags past lag 0, so no more are kept
         model = self.model
         self.n_slots = sum(len(tau) == 1 for tau in taus)  # the order-1 tuples follow ()
         self.norms = np.zeros((self.n_slots, self.n_max, self.kcap + 1))
-        self.whitened = np.zeros((self.n2, self.n_slots, model.r, self.kcap, model.r))
+        self.whitened = np.zeros((self.n2, self.n_slots, model.r, min(self.kcap, max(self.n2 - 1, 0)), model.r))
         if self.n2 and self.n_slots:
             self.g_chol = self.g_all @ model.sigma_chol
 
-    def take(self, t: int, stack: np.ndarray, norms: np.ndarray) -> None:
-        stack = stack[1 : 1 + self.n_slots, : self.kcap + 1]
-        lags = stack.shape[1] - 1
-        if t <= self.n_max:
-            self.norms[:, t - 1, : lags + 1] = norms[: self.n_slots, : lags + 1]
-        if 2 <= t <= self.n2 and self.singular_t is None:
-            white = self.h[t - 1] @ stack[:, 1:] @ self.g_chol[t - 2 :: -1][:lags]
-            self.whitened[t - 1, :, :, :lags] = white.transpose(0, 2, 1, 3)
+    def take(self, t0: int, block: np.ndarray, norms: np.ndarray) -> None:
+        t1, lags = t0 + len(block) - 1, min(block.shape[3] - 1, self.kcap)
+        if t0 <= self.n_max:
+            rows = min(t1, self.n_max) - t0 + 1
+            self.norms[:, t0 - 1 : t0 - 1 + rows, : lags + 1] = norms[: self.n_slots, :rows, : lags + 1]
+        lo, hi, lags = max(t0, 2), min(t1, self.n2), min(lags, self.whitened.shape[3])
+        if lo > hi or self.singular_t is not None:
+            return
+        # rows lo..hi at once: H_t times each slot's lag panel, then each lag times g_{t-k} L,
+        # zero past a row's own t - 1 lags
+        panels = block[lo - t0 : hi - t0 + 1, 1 : 1 + self.n_slots, :, 1 : lags + 1]
+        left = (self.h[lo - 1 : hi, None] @ panels.reshape(*panels.shape[:3], -1)).reshape(panels.shape)
+        src = np.arange(lo - 2, hi - 1)[:, None] - np.arange(lags)  # t - k - 1 for k = 1..lags
+        white = left.transpose(0, 1, 3, 2, 4) @ self.g_chol[np.maximum(src, 0)][:, None]
+        white.transpose(0, 2, 1, 3, 4)[src < 0] = 0.0
+        self.whitened[lo - 1 : hi, :, :, :lags] = white.transpose(0, 1, 3, 2, 4)
 
     def result(self) -> CheckResult:
         if self.singular_t is not None:

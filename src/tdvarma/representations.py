@@ -14,10 +14,22 @@ k = 0..t-1, differentiated by the product rule:
     M(theta)               -A    -B    identity at lag 0
     Psi(theta0)            +B    +A    identity at lag 0
     M(theta) Psi(theta0)   -A    -B    Psi(theta0)
+
+A row is stored as lag panels, (tuples, r, K_t + 1, r) with [j, :, k, :] the lag-k
+weight of tuple j, so that a term U_ti R_{t-i} over all its lags is one
+(r, r) @ (r, lags r) product.  The rows come in blocks of consecutive rows, as
+many as the smallest lag at which V reads the recurrence's own rows, at most
+BLOCK, and crossing neither a multiple of BLOCK nor the tail's step; each term is
+then one batched product over the block.  That gives BLOCK rows for the
+M(theta) Psi(theta0) pass of a q = 0 model (V = -B is empty), and one row
+wherever V has a lag-1 term: Psi(theta0) of a model with a non-zero A_1, and
+M(theta) Psi(theta0) of one with a non-zero B_1.  The rule reads only the
+model's structure, so a row at a time is a block of one.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -30,14 +42,23 @@ from .model import TdVarmaModel
 from .timefn import index_splits, sorted_tuples
 
 
+BLOCK = 16  # the most rows a block holds; 64 was no faster and held 2 MB more at peak
+
+
 def _row_recurrence(
     r: int, u_funcs, v_funcs, sign: float, theta, n: int, tuples, basis=None, tail=None
 ) -> tuple[list, Iterator[np.ndarray]]:
-    """(taus, rows) of the recurrence in the module docstring with U = sign u_funcs and
+    """(taus, blocks) of the recurrence in the module docstring with U = sign u_funcs and
     V = sign v_funcs: the tuples (sorted by order, from ()) that are not identically
-    zero, and for t = 1..n their rows stacked as (len(taus), K_t + 1, r, r).  basis
-    iterates theta-free rows (None: identity at lag 0).  Only the rows the
-    recurrence still reads are kept.
+    zero, and the rows t = 1..n in blocks of consecutive rows, each block
+    (rows, len(taus), r, K + 1, r) with K that of its last row.  A row is a stack of lag
+    panels: block[b, j, :, k, :] is the lag-k entry of tuple taus[j], zero past the
+    row's own K_t.  basis iterates theta-free rows, (1, r, lags, r) zero-padded past
+    their own (None: identity at lag 0).  Only the rows the recurrence still reads are
+    kept.
+
+    The blocks follow the rule in the module docstring, so each term c_t R_{t-i}[lags]
+    of a block reads finished rows.
 
     tail = (step, order, cap) is the one lag cap and step-down rule: rows after row
     step (every row for step 0) stack only the tuples of order <= order (a prefix
@@ -71,44 +92,95 @@ def _row_recurrence(
             terms.append(tau_terms)
 
     width = len(taus) if low is None else sum(len(tau) <= low for tau in taus)
+    span = min([BLOCK] + [lag for tau_terms in terms for lag, _, src in tau_terms if src is not None])
 
-    def rows() -> Iterator[np.ndarray]:
-        unit = np.eye(r)[None]
-        past_basis: deque = deque(maxlen=len(u) + 1)
-        past: deque = deque(maxlen=len(v))
-        for t in range(1, n + 1):
-            K = t - 1 if t <= step or cap is None else min(t - 1, cap)
-            past_basis.appendleft(unit if basis is None else next(basis))
-            acc = np.zeros((len(taus) if t <= step else width, K + 1, r, r))
-            acc[0, : len(past_basis[0])] += past_basis[0]
-            for row, tau_terms in zip(acc, terms):
-                for lag, c, src in tau_terms:
-                    if lag <= K:
-                        seg = (past_basis[lag] if src is None else past[lag - 1][src])[: K - lag + 1]
-                        row[lag : lag + len(seg)] += c[t - 1] @ seg
-            past.appendleft(acc)
-            yield acc
+    def block(t0: int, ks: list, kept: list, fresh, past: deque) -> np.ndarray:
+        # rows t0..t1 with lags ks, from the basis panels kept of the rows t0 - len(u)..
+        # that exist, those fresh of rows t0..t1, and the own rows before t0, past[-1]
+        # the last; kept is left with the last len(u) basis panels, and past gains the rows
+        kept += [row[0] for row in fresh]
+        t1, bases = t0 + len(ks) - 1, _panels(kept, ks[-1] + 1)
+        del kept[: len(kept) - len(u)]
+        acc = np.zeros((len(ks), len(taus) if t1 <= step else width, r, ks[-1] + 1, r))
+        acc[:, 0, :, : bases.shape[2]] += bases[len(bases) - len(ks) :]
+        segs: dict = {}  # the own rows' panels at each lag, stacked once per block
+        for j, tau_terms in enumerate(terms[: acc.shape[1]]):
+            for lag, c, src in tau_terms:
+                first = bisect.bisect_left(ks, lag)  # the rows whose lags reach this one
+                if first == len(ks):
+                    continue
+                if src is None:
+                    seg = bases[len(bases) - len(ks) + first - lag : len(bases) - lag, :, : ks[-1] + 1 - lag]
+                elif (seg := segs.get((src, lag))) is None:
+                    rows = [past[s - t0][src] for s in range(t0 + first - lag, t1 - lag + 1)]
+                    seg = segs[src, lag] = _panels(rows, ks[-1] + 1 - lag)
+                dst = acc[first:, j, :, lag : lag + seg.shape[2]]
+                dst += (c[t0 + first - 1 : t1] @ seg.reshape(len(seg), r, -1)).reshape(dst.shape)
+        if len(ks) > 1:
+            # a row shorter than its block's last is zero past its own lags, also where
+            # a coefficient that is not finite met the zero padding of its source
+            for row, k in zip(acc, ks):
+                row[..., k + 1 :, :] = 0.0
+        past.extend(acc)
+        return acc
 
-    return taus, rows()
+    def blocks() -> Iterator[np.ndarray]:
+        unit = np.eye(r)[None, :, None]
+        kept: list = []  # the basis panels of the len(u) rows before the block
+        past: deque = deque(maxlen=len(v))  # own rows, up to the one before the block
+        t0 = 1
+        while t0 <= n:
+            t1 = min(t0 + span - 1, n, -(-t0 // BLOCK) * BLOCK, step if t0 <= step else n)
+            ks = [t - 1 if t <= step or cap is None else min(t - 1, cap) for t in range(t0, t1 + 1)]
+            fresh = itertools.repeat(unit, len(ks)) if basis is None else itertools.islice(basis, len(ks))
+            yield block(t0, ks, kept, fresh, past)  # kept here only through past
+            t0 = t1 + 1
+
+    return taus, blocks()
 
 
-def _resid_rows(model: TdVarmaModel, theta, theta0, n: int, max_order: int, tail=None) -> tuple:
-    """(taus, pairs): the _row_recurrence tuples up to max_order of M(theta) Psi(theta0),
-    and per t the row stacks of Psi(theta0), (1, K_t + 1, r, r), and of d^taus (M Psi).
-    The pairs are produced one t at a time, for the caller to reduce as they come;
-    tail = (step, order, cap) caps and steps down both recurrences as in
-    _row_recurrence, so that one pass can serve a long low-order horizon too."""
-    r, a, b = model.r, model.a_funcs, model.b_funcs
-    psi, basis = itertools.tee(_row_recurrence(r, b, a, 1.0, theta0, n, [()], tail=tail)[1])
+def _panels(rows: list, width: int) -> np.ndarray:
+    """The (r, lags, r) panels rows stacked over their first width lags, zero-padded to
+    the longest; a lone row is a view."""
+    if len(rows) == 1:
+        return rows[0][None, :, :width]
+    width = min(width, max(row.shape[1] for row in rows))
+    out = np.zeros((len(rows), rows[0].shape[0], width, rows[0].shape[2]))
+    for dst, row in zip(out, rows):
+        dst[:, : row.shape[1]] = row[:, :width]
+    return out
+
+
+def _rows(blocks) -> Iterator[np.ndarray]:
+    return (row for block in blocks for row in block)
+
+
+def _psi_rows(model: TdVarmaModel, theta0, n: int, tail=None) -> Iterator[np.ndarray]:
+    """The rows t = 1..n of Psi(theta0), each (1, r, lags, r) as _row_recurrence makes them."""
+    return _rows(_row_recurrence(model.r, model.b_funcs, model.a_funcs, 1.0, theta0, n, [()], tail=tail)[1])
+
+
+def _resid_rows(model: TdVarmaModel, theta, theta0, n: int, max_order: int, tail=None, psi=None) -> tuple:
+    """(taus, blocks): the _row_recurrence tuples up to max_order of M(theta) Psi(theta0)
+    and its blocks of rows, produced one block at a time for the caller to reduce as
+    they come.  psi iterates the rows of Psi(theta0) (None: made here, one at a time as
+    the blocks read them); tail = (step, order, cap) caps and steps down both
+    recurrences as in _row_recurrence, so that one pass can serve a long low-order
+    horizon too."""
+    psi = _psi_rows(model, theta0, n, tail) if psi is None else psi
     tuples = sorted_tuples(range(model.m), max_order)
-    taus, rows = _row_recurrence(r, a, b, -1.0, theta, n, tuples, (s[0] for s in basis), tail)
-    return taus, zip(psi, rows)
+    return _row_recurrence(model.r, model.a_funcs, model.b_funcs, -1.0, theta, n, tuples, psi, tail)
+
+
+def _trimmed(rows) -> list:
+    """The rows t = 1, 2, ... without their zero padding: t lags each."""
+    return [row[:, :, :t] for t, row in enumerate(rows, 1)]
 
 
 @dataclass
 class _StackedRows:
-    """Rows t = 1..n as _row_recurrence stacks them: rows[t-1][index[tau], k] is the
-    lag-k entry for tuple tau.  index holds every sorted tuple of order up to
+    """Rows t = 1..n as _row_recurrence stacks them: rows[t-1][index[tau], :, k, :] is
+    the lag-k entry for tuple tau.  index holds every sorted tuple of order up to
     max_order; one mapped to None (identically zero) and a lag beyond the row read
     as zero, and any other tuple is an error."""
 
@@ -130,12 +202,12 @@ class _StackedRows:
         if tau not in self.index:
             raise ContractError(f"derivative tuple {tau} was not built (max_order={self.max_order})")
         j, row = self.index[tau], (self.rows if rows is None else rows)[t - 1]
-        return np.zeros((self.r, self.r)) if j is None or k >= row.shape[1] else row[j, k]
+        return np.zeros((self.r, self.r)) if j is None or k >= row.shape[2] else row[j, :, k]
 
 
 @dataclass
 class ArWeightTable(_StackedRows):
-    """AR weights pi_{tk} and their theta-derivatives: rows[t-1][j, k-1] is the
+    """AR weights pi_{tk} and their theta-derivatives: rows[t-1][j, :, k-1] is the
     pi_{tk} entry, k >= 1 (the rows of -M without lag 0)."""
 
     def weight(self, t: int, k: int, indices: Sequence[int] = ()) -> np.ndarray:
@@ -146,8 +218,8 @@ class ArWeightTable(_StackedRows):
 class MaWeightTable(_StackedRows):
     """MA weights and the MA expansion coefficients of residual derivatives.
 
-    weights[t-1][0, k] is psi_{tk} at the data-generating parameter (the k = 0
-    entry is the identity).  rows[t-1][index[tau], k] is the weight of
+    weights[t-1][0, :, k] is psi_{tk} at the data-generating parameter (the k = 0
+    entry is the identity).  rows[t-1][index[tau], :, k] is the weight of
     g_{t-k} eps_{t-k} in d^tau e_t(theta); for tau = () it vanishes for k >= 1
     when theta equals the data-generating value.
     """
@@ -164,8 +236,8 @@ class MaWeightTable(_StackedRows):
 def build_pi(model: TdVarmaModel, theta, n: int, max_deriv_order: int = 0) -> ArWeightTable:
     """AR weight table for t = 1..n with derivative layers up to max_deriv_order."""
     tuples = sorted_tuples(range(model.m), max_deriv_order)
-    taus, rows = _row_recurrence(model.r, model.a_funcs, model.b_funcs, -1.0, theta, n, tuples)
-    return ArWeightTable._build(model, max_deriv_order, taus, [-row[:, 1:] for row in rows])
+    taus, blocks = _row_recurrence(model.r, model.a_funcs, model.b_funcs, -1.0, theta, n, tuples)
+    return ArWeightTable._build(model, max_deriv_order, taus, [-row[:, :, 1:] for row in _trimmed(_rows(blocks))])
 
 
 def build_psi(model: TdVarmaModel, theta_eval, theta_truth, n: int, max_deriv_order: int = 0) -> MaWeightTable:
@@ -175,9 +247,9 @@ def build_psi(model: TdVarmaModel, theta_eval, theta_truth, n: int, max_deriv_or
     theta_eval drives the AR weights and their derivatives.  The two
     coincide when expanding at the data-generating parameter.
     """
-    taus, pairs = _resid_rows(model, theta_eval, theta_truth, n, max_deriv_order)
-    weights, rows = (list(side) for side in zip(*pairs))
-    return MaWeightTable._build(model, max_deriv_order, taus, rows, weights=weights)
+    weights = _trimmed(_psi_rows(model, theta_truth, n))
+    taus, blocks = _resid_rows(model, theta_eval, theta_truth, n, max_deriv_order, psi=iter(weights))
+    return MaWeightTable._build(model, max_deriv_order, taus, _trimmed(_rows(blocks)), weights=weights)
 
 
 # -- closed forms used as oracles -------------------------------------------

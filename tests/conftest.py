@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -187,21 +189,31 @@ def dense_lag_operator(funcs, theta, n, indices=()):
     return out
 
 
-def dense_residual_operator(model, theta, n):
-    """Dense M(theta) = (I + B_op)^{-1} (I - A_op), so that e = M x, and the list of its
-    first derivatives d_i M = (I + B_op)^{-1} (-d_i A_op - d_i B_op M)."""
+def dense_residual_operator(model, theta, n, taus=((),)):
+    """{tau: d^tau M(theta)} for sorted tuples tau, where M = (I + B_op)^{-1} (I - A_op) is
+    dense, so that e = M x (tau = () gives M itself).  The derivatives follow from the
+    product rule on (I + B_op) M = I - A_op over every split of tau's positions:
+    (I + B_op) d^tau M = -d^tau A_op - sum over non-empty position sets S of d^S B_op d^(tau - S) M."""
     eye = np.eye(n * model.r)
-    lhs = eye + dense_lag_operator(model.b_funcs, theta, n)
-    big_m = np.linalg.solve(lhs, eye - dense_lag_operator(model.a_funcs, theta, n))
-    dms = [
-        np.linalg.solve(
-            lhs,
-            -dense_lag_operator(model.a_funcs, theta, n, (i,))
-            - dense_lag_operator(model.b_funcs, theta, n, (i,)) @ big_m,
-        )
-        for i in range(model.m)
-    ]
-    return big_m, dms
+
+    def op(funcs, tau=()):  # a model without an AR or MA part has a zero operator there
+        return dense_lag_operator(funcs, theta, n, tau) if funcs else np.zeros_like(eye)
+
+    lhs = eye + op(model.b_funcs)
+    out = {}
+
+    def deriv(tau):
+        if tau not in out:
+            rhs = eye - op(model.a_funcs) if not tau else -op(model.a_funcs, tau)
+            for size in range(1, len(tau) + 1):
+                for pos in itertools.combinations(range(len(tau)), size):
+                    sub = tuple(tau[i] for i in pos)
+                    rest = tuple(tau[i] for i in range(len(tau)) if i not in pos)
+                    rhs = rhs - op(model.b_funcs, sub) @ deriv(rest)
+            out[tau] = np.linalg.solve(lhs, rhs)
+        return out[tau]
+
+    return {tuple(tau): deriv(tuple(tau)) for tau in taus}
 
 
 def entrywise(f, t, theta, tau=()):

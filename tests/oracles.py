@@ -3,14 +3,15 @@
 Each closed form restates a quantity of the library (an AR weight, its first
 derivative, a VAR(1) transition product or the example-2 scale traces) as an
 explicit product or formula, for special model shapes only.  `norm_table`
-holds at once the weight norms that the audits reduce row by row.
+holds at once the weight norms that the audits reduce block by block, each
+row's formed on its own.
 """
 
 import numpy as np
 
 from tdvarma.errors import ContractError
 from tdvarma.model import TdVarmaModel
-from tdvarma.representations import _resid_rows, _triangular_var1_params, triangular_var1_product
+from tdvarma.representations import _resid_rows, _rows, _triangular_var1_params, triangular_var1_product
 
 
 def norm_table(model: TdVarmaModel, theta0, n: int, max_order: int, cap=None) -> tuple:
@@ -18,10 +19,11 @@ def norm_table(model: TdVarmaModel, theta0, n: int, max_order: int, cap=None) ->
     d^tau (M Psi)_t[k] are not identically zero, and their Frobenius norms over lags
     k = 0..min(t-1, cap) (cap None: every lag), zero-padded into table[j, t-1, k]."""
     tail = None if cap is None else (0, max_order, cap)
-    taus, rows = _resid_rows(model, theta0, theta0, n, max_order, tail)
+    taus, blocks = _resid_rows(model, theta0, theta0, n, max_order, tail)
     table = np.zeros((len(taus) - 1, n, n if cap is None else min(n - 1, cap) + 1))
-    for t, (_, stack) in enumerate(rows if len(taus) > 1 else ()):
-        table[:, t, : stack.shape[1]] = np.sqrt(np.einsum("jkrs,jkrs->jk", stack[1:], stack[1:]))
+    for t, row in enumerate(_rows(blocks) if len(taus) > 1 else ()):
+        stack = np.ascontiguousarray(row[1:].transpose(0, 2, 1, 3))  # stack[j, k] is one r x r weight
+        table[:, t, : stack.shape[1]] = np.sqrt(np.einsum("jkrs,jkrs->jk", stack, stack))
     return taus[1:], table
 
 

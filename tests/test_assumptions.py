@@ -364,9 +364,9 @@ def test_run_all_matches_the_checks_called_alone(case, monkeypatch):
     taus, shapes, resid_rows = [], [], assumptions._resid_rows
 
     def recorded(*args, **kwargs):
-        got, pairs = resid_rows(*args, **kwargs)
+        got, blocks = resid_rows(*args, **kwargs)
         taus.extend(got)
-        return got, ((psi, shapes.append(stack.shape) or stack) for psi, stack in pairs)
+        return got, (shapes.append(block.shape) or block for block in blocks)
 
     monkeypatch.setattr(assumptions, "_resid_rows", recorded)
     rep = run_all(model, theta0, **grid)
@@ -376,10 +376,14 @@ def test_run_all_matches_the_checks_called_alone(case, monkeypatch):
     n_probe, horizon = grid["n_probe"], max(*grid["cross_grid"], *grid["cross_m_grid"])
     kcap = min(horizon - 1, 2 * assumptions.D_CAP)
     low = sum(len(tau) <= 1 for tau in taus)  # higher orders are non-zero only through B_t
-    assert (len(taus) > low) == (model.q > 0) and len(shapes) == max(n_probe, horizon)
-    for t, shape in enumerate(shapes, 1):
-        want = (len(taus), t) if t <= n_probe else (low, min(t - 1, kcap) + 1)
-        assert shape == (*want, model.r, model.r), t
+    assert (len(taus) > low) == (model.q > 0) and sum(shape[0] for shape in shapes) == max(n_probe, horizon)
+    t0 = 1
+    for shape in shapes:  # a block's rows lie on one side of n_probe; it is as long as its last row
+        t1 = t0 + shape[0] - 1
+        assert t1 <= n_probe or t0 > n_probe, (t0, t1)
+        want = (len(taus), t1) if t1 <= n_probe else (low, min(t1 - 1, kcap) + 1)
+        assert shape == (shape[0], want[0], model.r, want[1], model.r), (t0, t1)
+        t0 = t1 + 1
 
 
 def test_run_all_makes_one_weight_pass(example2, monkeypatch):
@@ -468,7 +472,7 @@ def _ref_decay_maxima(model, theta0, n_probe):
     [("example1_sim", 250), ("example2", 64), ("example2", 65), ("varma11", 70), ("varma22", 60)],
 )
 def test_decay_blocks_match_the_whole_table(which, n_probe):
-    # the reducer folds BLOCK rows at a time (the last block may hold one row) into
+    # the reducer folds ROWS rows at a time (the last block may hold one row) into
     # maxima over t; the table the blocks replaced gives the same bits
     models = {
         "varma22": lambda: make_random_varma22(np.random.default_rng(3)),
@@ -516,12 +520,12 @@ def _ref_cross_sums(model, theta0, n_grid, m_term_grid):
         evals, evecs = np.linalg.eigh(model.sigma_t_all(n2_max, theta0))
         inv_sqrt = np.einsum("tab,tb,tcb->tac", evecs, 1.0 / np.sqrt(evals), evecs)
         urows = []
-        taus, stacks = _resid_rows(model, theta0, theta0, n2_max, 1, (0, 1, kcap))
+        taus, blocks = _resid_rows(model, theta0, theta0, n2_max, 1, (0, 1, kcap))
         keep = [taus.index((i,)) for i in slots]
-        for t, (_, stack) in enumerate(stacks, 1):
-            rows = stack[keep, 1:]
-            gseg = g_all[t - 2 :: -1][: rows.shape[1]] if t >= 2 else g_all[:0]
-            urows.append(np.einsum("ab,ikbc,kcd->ikad", inv_sqrt[t - 1], rows, gseg))
+        for t, row in enumerate((row for block in blocks for row in block), 1):
+            rows = row[keep, :, 1 : min(t - 1, kcap) + 1]  # rows[i, :, k-1] for k = 1..min(t-1, kcap)
+            gseg = g_all[t - 2 :: -1][: rows.shape[2]] if t >= 2 else g_all[:0]
+            urows.append(np.einsum("ab,ibkc,kcd->ikad", inv_sqrt[t - 1], rows, gseg))
         for t in range(2, n2_max + 1):
             ut = urows[t - 1]
             tot = 0.0

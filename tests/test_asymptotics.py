@@ -54,12 +54,12 @@ def ma_expansion_v(model, theta0, n_grid):
     siginv = np.linalg.inv(sig)
     v = np.zeros((model.m, model.m))
     out = {}
-    taus, rows = _resid_rows(model, th, th, n_max, 1)
+    taus, blocks = _resid_rows(model, th, th, n_max, 1)
     slots = [tau[0] for tau in taus[1:]]  # the slots the residuals use; V's first term is zero elsewhere
-    for t, (_, stack) in enumerate(rows, 1):
-        psi = stack[1:, 1:]  # psi[i, k-1] = psi_tik for k = 1..t-1
+    for t, row in enumerate((row for block in blocks for row in block), 1):
+        psi = row[1:, :, 1:t]  # psi[i, :, k-1, :] = psi_tik for k = 1..t-1
         lagged = sig[t - 2 :: -1][: t - 1]  # Sigma_{t-k} for k = 1..t-1
-        v[np.ix_(slots, slots)] += np.einsum("ab,ikbc,kcd,jkad->ij", siginv[t - 1], psi, lagged, psi, optimize=True)
+        v[np.ix_(slots, slots)] += np.einsum("ab,ibkc,kcd,jakd->ij", siginv[t - 1], psi, lagged, psi, optimize=True)
         if t in n_grid:
             out[t] = v.copy()
     # 0.5 tr(Sigma_t^{-1} dSigma_t/di Sigma_t^{-1} dSigma_t/dj) over the scale slots, per t

@@ -6,10 +6,20 @@ import pytest
 from conftest import dense_residual_operator, make_random_varma22, make_scalar_arma11, make_sin_varma11
 from oracles import var1_transition_power, varma11_pi_closed, varma11_pi_deriv_closed
 from tdvarma.errors import ContractError
-from tdvarma.examples import FREQ_A, FREQ_B, example1_sim_model, example1_theory_model
+from tdvarma.examples import FREQ_A, FREQ_B, example1_sim_model, example1_theory_model, example2_model
 from tdvarma.model import ParamLayout, TdVarmaModel
-from tdvarma.representations import _resid_rows, build_pi, build_psi, triangular_var1_product, varma11_psi_closed
-from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Product
+from tdvarma.representations import (
+    BLOCK,
+    _psi_rows,
+    _resid_rows,
+    _row_recurrence,
+    _rows,
+    build_pi,
+    build_psi,
+    triangular_var1_product,
+    varma11_psi_closed,
+)
+from tdvarma.timefn import Constant, MatrixTimeFunction, Param, Product, Sine, sorted_tuples
 
 
 def test_pure_ar_weights_are_lag_coefficients(example1_sim):
@@ -163,11 +173,13 @@ def test_kmax_truncation_prefix_agrees(rng):
     m = make_sin_varma11(rng)
     th = np.array(m.layout.theta0)
     (taus, full), (taus5, trunc) = (_resid_rows(m, th, th, 30, 1, tail) for tail in (None, (0, 1, 5)))
+    psi, psi5 = (_psi_rows(m, th, 30, tail) for tail in (None, (0, 1, 5)))
     assert taus5 == taus
-    for t, ((psi, rows), (psi5, rows5)) in enumerate(zip(full, trunc), 1):
-        assert psi5.shape[1] == rows5.shape[1] == min(t, 6)
-        np.testing.assert_allclose(psi5, psi[:, :6], atol=1e-14)
-        np.testing.assert_allclose(rows5, rows[:, :6], atol=1e-14)
+    pairs = zip(_rows(full), _rows(trunc), psi, psi5)
+    for t, (rows, rows5, psi_t, psi5_t) in enumerate(pairs, 1):  # q = 1: one row per block
+        assert psi5_t.shape[2] == rows5.shape[2] == min(t, 6)
+        np.testing.assert_allclose(psi5_t, psi_t[:, :, :6], atol=1e-14)
+        np.testing.assert_allclose(rows5, rows[:, :, :6], atol=1e-14)
 
 
 def test_transition_power_identity_at_k1(example1_theory):
@@ -257,34 +269,81 @@ def test_tables_read_built_zero_tuples_as_zero_and_reject_unbuilt_ones(example1_
         psi2.deriv_weight(5, 1, (4,))
 
 
+def _seasonal_varma22() -> TdVarmaModel:
+    """Bivariate VARMA(2, 2) whose lag-1 coefficients vanish, so that the recurrences read
+    their own rows from lag 2 on."""
+    zero = MatrixTimeFunction([[Constant(0.0), Constant(0.0)], [Constant(0.0), Constant(0.0)]])
+    a2 = MatrixTimeFunction([[Param(0), Sine(1, 0.3, 0.4)], [Constant(0.0), Param(2)]])
+    b2 = MatrixTimeFunction([[Param(3), Constant(0.1)], [Sine(4, 0.7, 0.2), Param(3)]])
+    layout = ParamLayout(names=tuple("abcde"), n_ar=3, n_ma=2, theta0=(0.3, 0.2, -0.25, 0.2, 0.15))
+    return TdVarmaModel(2, [zero, a2], [zero, b2], None, np.eye(2), layout)
+
+
 def test_tables_match_dense_operator_inverse():
-    # e = M x with M = (I + B_op)^{-1} (I - A_op); pi = -M, psi = M(theta0)^{-1},
-    # residual weights M(theta) psi, derivative weights d_i M(theta) psi with
-    # d_i M = (I + B_op)^{-1} (-d_i A_op - d_i B_op M)
+    # e = M x with M = (I + B_op)^{-1} (I - A_op); pi = -M, psi = M(theta0)^{-1}, and the
+    # residual weights d^tau M(theta) psi for every tuple up to order 3 (the orders the
+    # decay audit reads), d^tau M from the product rule on (I + B_op) M = I - A_op.  A
+    # tail (step, order, cap) keeps the bits of every entry it stacks
     rng = np.random.default_rng(2718)
-    m = make_random_varma22(rng)
-    n, r = 14, m.r
-    th0 = np.array(m.layout.theta0)
-    th = th0 + rng.uniform(-0.1, 0.1, size=th0.size)
-    big_m, dms = dense_residual_operator(m, th, n)
-    psi0 = np.linalg.inv(dense_residual_operator(m, th0, n)[0])
-    dense = {"pi": -big_m, "psi": psi0, "resid": big_m @ psi0}
-    for i, dm in enumerate(dms):
-        dense[("pi", i)] = -dm
-        dense[("deriv", i)] = dm @ psi0
+    n, tail = 14, (6, 1, 4)
+    for m in (make_random_varma22(rng), example2_model(), _seasonal_varma22()):
+        r = m.r
+        th0 = np.array(m.layout.theta0)
+        th = th0 + rng.uniform(-0.1, 0.1, size=th0.size)
+        taus = sorted_tuples(range(m.m), 3)
+        dense_m = dense_residual_operator(m, th, n, taus)
+        psi0 = np.linalg.inv(dense_residual_operator(m, th0, n)[()])
+        dense = {"psi": psi0, **{("pi", tau): -dm for tau, dm in dense_m.items()}}
+        dense.update({("resid", tau): dm @ psi0 for tau, dm in dense_m.items()})
+        scale = {key: max(float(np.abs(mat).max()), 1e-300) for key, mat in dense.items()}
 
-    def block(key, t, k):
-        return dense[key][(t - 1) * r : t * r, (t - 1 - k) * r : (t - k) * r]
+        def rel(got, key, t, k):
+            want = dense[key][(t - 1) * r : t * r, (t - 1 - k) * r : (t - k) * r]
+            return float(np.abs(got - want).max()) / scale[key]
 
-    pi = build_pi(m, th, n, max_deriv_order=1)
-    psi = build_psi(m, th, th0, n, max_deriv_order=1)
-    worst = 0.0
-    for t in range(1, n + 1):
-        for k in range(0, t):
-            got = [(psi.weight(t, k), "psi"), (psi.deriv_weight(t, k, ()), "resid")]
-            got += [(psi.deriv_weight(t, k, (i,)), ("deriv", i)) for i in range(m.m)]
-            if k >= 1:
-                got.append((pi.weight(t, k), "pi"))
-                got += [(pi.weight(t, k, (i,)), ("pi", i)) for i in range(m.m)]
-            worst = max(worst, max(float(np.abs(w - block(key, t, k)).max()) for w, key in got))
-    assert worst < 1e-12
+        pi = build_pi(m, th, n, max_deriv_order=3)
+        psi = build_psi(m, th, th0, n, max_deriv_order=3)
+        worst = 0.0
+        for t in range(1, n + 1):
+            for k in range(0, t):
+                worst = max(worst, rel(psi.weight(t, k), "psi", t, k))
+                worst = max(worst, *(rel(psi.deriv_weight(t, k, tau), ("resid", tau), t, k) for tau in taus))
+                if k >= 1:
+                    worst = max(worst, *(rel(pi.weight(t, k, tau), ("pi", tau), t, k) for tau in taus))
+        assert worst <= 1e-12, worst
+
+        kept, blocks = _resid_rows(m, th, th0, n, 3, tail)
+        rows = [row for block in blocks for row in block]
+        assert kept == [tau for tau in taus if psi.index[tau] is not None]
+        for t, row in enumerate(rows, 1):
+            lags = t - 1 if t <= tail[0] else min(t - 1, tail[2])
+            assert row.shape[0] == (len(kept) if t <= tail[0] else sum(len(tau) <= tail[1] for tau in kept))
+            assert not row[:, :, lags + 1 :].any()  # zero past the row's own lags
+            for j, tau in enumerate(kept[: row.shape[0]]):
+                np.testing.assert_array_equal(row[j, :, : lags + 1], psi.rows[t - 1][j, :, : lags + 1])
+
+
+@pytest.mark.parametrize(
+    "which, tail",
+    [("example2", None), ("example2", (40, 1, 10)), ("varma11", (30, 1, 8)), ("seasonal", (37, 1, 12))],
+)
+def test_blocks_are_as_long_as_the_smallest_self_lag(which, tail):
+    # each block of rows is as long as the smallest lag at which its recurrence reads its
+    # own rows (none: BLOCK), and crosses neither a multiple of BLOCK nor the tail's step:
+    # BLOCK rows at a time for the q = 0 M(theta) Psi(theta0) pass, one row at a time for
+    # Psi(theta0) itself (it reads row t - 1) and for any q >= 1 pass
+    build = {"example2": example2_model, "varma11": lambda: make_sin_varma11(np.random.default_rng(7))}
+    m = build.get(which, _seasonal_varma22)()
+    th = m.layout.theta0_array()
+    n = 100
+    step = n if tail is None else tail[0]
+    psi_blocks = _row_recurrence(m.r, m.b_funcs, m.a_funcs, 1.0, th, n, [()], tail=tail)[1]
+    resid_blocks = _resid_rows(m, th, th, n, 3, tail)[1]
+    self_lag = {"example2": (1, BLOCK), "varma11": (1, 1), "seasonal": (2, 2)}[which]
+    for blocks, span in zip((psi_blocks, resid_blocks), self_lag):
+        t0 = 1
+        for block in blocks:
+            t1 = t0 + len(block) - 1
+            assert len(block) == min(span, BLOCK - (t0 - 1) % BLOCK, (step if t0 <= step else n) - t0 + 1), (t0, t1)
+            t0 = t1 + 1
+        assert t0 == n + 1
