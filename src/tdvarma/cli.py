@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, config
 from .errors import ConfigError, ContractError, NumericalError
 from .estimate import fit
-from .examples import EXAMPLE_IDS, build, paper_run
+from .examples import EXAMPLE_IDS, build, paper_run, paper_table
 from .mc import McPlan, estimates_to_csv, run_mc, summary_to_csv
 from .model import Series
 from .simulate import RNG_ALGORITHM, SimPlan, simulate
@@ -56,21 +56,21 @@ def _series_to_csv(series: Series) -> str:
 
 
 def _series_from_csv(path: str) -> Series:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "t":
-            raise ConfigError(f"series file {path} must start with a 't,x1,...' header")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            cells = line.strip().split(",")
-            if cells == [""]:
-                continue
-            if len(cells) != len(header):
-                raise ConfigError(f"series file {path} line {lineno}: {len(cells)} fields, header has {len(header)}")
-            try:
-                rows.append([float(v) for v in cells[1:]])
-            except ValueError as exc:
-                raise ConfigError(f"series file {path} line {lineno}: {exc}") from None
+    header, *lines = config.read_text(path).split("\n")
+    header = header.strip().split(",")
+    if header[0] != "t":
+        raise ConfigError(f"series file {path} must start with a 't,x1,...' header")
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        cells = line.strip().split(",")
+        if cells == [""]:
+            continue
+        if len(cells) != len(header):
+            raise ConfigError(f"series file {path} line {lineno}: {len(cells)} fields, header has {len(header)}")
+        try:
+            rows.append([float(v) for v in cells[1:]])
+        except ValueError as exc:
+            raise ConfigError(f"series file {path} line {lineno}: {exc}") from None
     if not rows:
         raise ConfigError(f"series file {path} contains no observations")
     return Series(values=np.asarray(rows))
@@ -158,6 +158,9 @@ def _cmd_mc(args) -> int:
     if args.estimates:
         _write_text(estimates_to_csv(summary), args.estimates)
     _write_text(summary_to_csv(summary), args.out)
+    table = paper_table(model, run)
+    if table is not None:
+        sys.stderr.write(table.report(summary))
     if summary.flagged:
         sys.stderr.write("warning: more than 5% of replications failed to converge\n")
     return 0

@@ -133,15 +133,21 @@ _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a st
 def _checked(where: str, key: str, value, kind: type, infinite_ok: bool = False):
     """value as a config value of kind bool, int, float, str, list or dict; any other
     JSON type is a ConfigError naming where and key, and so is a boolean or a
-    non-integral number for an int, NaN, and an infinite float unless infinite_ok
-    (an end of a layout bound).  Numbers are converted to kind."""
+    non-integral number for an int, NaN, an integer beyond the float range for a
+    float, and an infinite float unless infinite_ok (an end of a layout bound).
+    Numbers are converted to kind."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     ok = {bool: isinstance(value, bool), int: number and (isinstance(value, int) or value.is_integer()), float: number}
     if not ok.get(kind, isinstance(value, kind)):
         raise ConfigError(f"{where} key '{key}' must be {_EXPECTED[kind]}, got {value!r}")
-    if kind is float and not (math.isfinite(value) or infinite_ok and not math.isnan(value)):
-        wanted = "a number" if infinite_ok else "finite"
-        raise ConfigError(f"{where} key '{key}' must be {wanted}, got {value!r}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            raise ConfigError(f"{where} key '{key}' must be a number within the float range") from None
+        if not (math.isfinite(value) or infinite_ok and not math.isnan(value)):
+            wanted = "a number" if infinite_ok else "finite"
+            raise ConfigError(f"{where} key '{key}' must be {wanted}, got {value!r}")
     return kind(value) if kind in ok else value
 
 
@@ -167,12 +173,23 @@ def run_from_config(block: Optional[dict]) -> RunConfig:
     return cfg
 
 
-def load(path: str) -> tuple[TdVarmaModel, RunConfig]:
+def read_text(path: str) -> str:
+    """The text of the file at path; bytes that are not UTF-8 are a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return fh.read()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path} is not UTF-8 text") from None
+
+
+def load(path: str) -> tuple[TdVarmaModel, RunConfig]:
+    text = read_text(path)
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ConfigError(f"unreadable number in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be an object")
     _reject_unknown(doc, {"model", "run"}, "configuration root")

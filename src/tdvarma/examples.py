@@ -17,10 +17,12 @@ A_t = [[a11 sin(freq_a t), a12], [0, a22 sin(freq_b t)]] of irrational periods:
 The paper's Monte Carlo study and every number it prints are recorded here
 once.  `PAPER_TABLES` holds one `PaperTable` per printed table: the example it
 fits, the seed of its replications, R, the lines it shows and each printed
-value per (n, line), its lengths being the printed n.  `PRINTED_THEORY_SE`
-holds the printed theoretical standard errors (VALIDATION.md explains why
-neither set is reproducible as stated).  `paper_run` gives each example's run
-as the study fits it, with its table's design where it has one.
+value per (n, line), its lengths being the printed n; `PaperTable.report` sets
+a Monte Carlo run's cells against them, and `paper_table` finds the table whose
+design a config is.  `PRINTED_THEORY_SE` holds the printed theoretical
+standard errors (VALIDATION.md explains why neither set is reproducible as
+stated).  `paper_run` gives each example's run as the study fits it, with its
+table's design where it has one.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, model_to_config
 from .errors import ConfigError
+from .mc import LINES, McSummary
 from .model import ParamLayout, TdVarmaModel
 from .timefn import Constant, ExpSine, MatrixTimeFunction, Param, Sine
 
@@ -118,6 +121,20 @@ class PaperTable:
         """The series lengths, those of the printed cells."""
         return tuple(self.printed)
 
+    def report(self, summary: McSummary) -> str:
+        """Each cell of summary against the table: the line n=N (converged k/R), then
+        for each shown line its label, its values rounded to the decimals the paper
+        prints (`mc.LINES`), and the printed values where the table has that cell."""
+        out = []
+        for n, cell in summary.cells.items():
+            out.append(f"n={n} (converged {cell.n_converged}/{cell.n_total})")
+            for line in self.shown:
+                label, attr, decimals = LINES[line]
+                pub = self.printed.get(n, {}).get(line)
+                out.append(f"  ({line}) {label:<14}: {np.round(getattr(cell, attr), decimals).tolist()}"
+                           + (f"  published {pub}" if pub else ""))
+        return "\n".join(out) + "\n"
+
 
 PAPER_TABLES = {
     1: PaperTable("example1_sim", 1234567, 1000, "abcd", {
@@ -157,3 +174,12 @@ def paper_run(which: str) -> RunConfig:
     if which.startswith("example1"):
         return RunConfig(theta_init=(0.1,) * len(theta0), estimate_sigma=True, **design)
     return RunConfig(theta_init=tuple(v + 0.1 for v in theta0), **design)
+
+
+def paper_table(model: TdVarmaModel, run: RunConfig):
+    """The printed table whose design model and run are, else None: model is the one
+    `build` makes for the table's example, and run is its `paper_run`."""
+    for table in PAPER_TABLES.values():
+        if run == paper_run(table.which) and model_to_config(model) == model_to_config(build(table.which)):
+            return table
+    return None

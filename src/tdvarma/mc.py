@@ -31,7 +31,7 @@ from .config import RunConfig
 from .errors import ConfigError, ContractError, NumericalError
 from .estimate import NORMAL_CRIT_5PCT, fit
 from .model import TdVarmaModel
-from .simulate import SimPlan, replication_stream, simulate
+from .simulate import KEY_LIMIT, SimPlan, replication_stream, simulate
 
 NONCONVERGENCE_FLAG_SHARE = 0.05
 
@@ -60,6 +60,8 @@ class McPlan:
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if self.replications < 1:
             raise ConfigError("replication count must be at least 1")
+        if not 0 <= self.seed < KEY_LIMIT:
+            raise ConfigError(f"seed {self.seed} must lie in [0, 2**64)")
         if not self.n_list or any(n < self.model.m for n in self.n_list):
             raise ConfigError("a Monte Carlo study needs at least one series length, each at least the parameter count")
         for i, n in enumerate(self.n_list):

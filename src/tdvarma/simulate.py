@@ -20,13 +20,13 @@ from .model import Series, TdVarmaModel
 
 RNG_ALGORITHM = f"philox4x64+ziggurat-standard-normal (numpy {np.__version__})"
 
-_MASK64 = (1 << 64) - 1
+KEY_LIMIT = 1 << 64  # seeds and streams lie in [0, KEY_LIMIT)
 _memo = [None, None, None]  # model, (theta0 bits, n) and operator of the last plan simulated
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Generator for the given 64-bit (seed, stream) pair; key = [seed, stream]."""
-    key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
+    key = np.array([int(seed), int(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -48,6 +48,8 @@ class SimPlan:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError("simulation length must be at least 1")
+        if not (0 <= self.seed < KEY_LIMIT and 0 <= self.stream < KEY_LIMIT):
+            raise ConfigError(f"seed {self.seed} and stream {self.stream} must each lie in [0, 2**64)")
         if self.theta0 is None:
             raise ConfigError("simulation needs the true parameter theta0")
         object.__setattr__(self, "theta0", tuple(float(v) for v in self.theta0))

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -11,16 +13,17 @@ import pytest
 from tdvarma.examples import PAPER_TABLES
 
 CLI = [sys.executable, "-m", "tdvarma.cli"]
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 CHECKS = {"psi_decay", "covariance_bounds", "moment_bounds", "information_pd", "cross_sums"}
 
 
-def run_cli(*args, command=CLI):
+def run_cli(*args):
     env = os.environ.copy()
     # the child interpreter imports the package from this checkout, installed or not
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run(
-        command + list(args), capture_output=True, text=True, env=env, timeout=300
+        CLI + list(args), capture_output=True, text=True, env=env, timeout=300
     )
 
 
@@ -42,7 +45,7 @@ def test_examples_materializes_configs(cfg_dir):
 
 def test_shipped_configs_are_the_examples_output(cfg_dir):
     # configs/ is what `tdvarma examples --which all` writes, byte for byte
-    shipped = os.path.join(os.path.dirname(SRC), "configs")
+    shipped = os.path.join(ROOT, "configs")
     assert sorted(os.listdir(shipped)) == sorted(os.listdir(cfg_dir))
     for name in os.listdir(shipped):
         with open(os.path.join(shipped, name), "rb") as fh:
@@ -226,7 +229,7 @@ def test_check_reports_verdicts(cfg_dir):
 
 def test_check_default_grids_on_shipped_config():
     # the array kernels make the default probe grids affordable; no verdict is asserted
-    config = os.path.join(os.path.dirname(SRC), "configs", "example2.json")
+    config = os.path.join(ROOT, "configs", "example2.json")
     res = run_cli("check", "--config", config)
     assert res.returncode == 0, res.stderr
     doc = json.loads(res.stdout)
@@ -262,6 +265,8 @@ def test_usage_errors_exit_one(cfg_dir, tmp_path):
         ("check", "--cross-grid", ""),
         ("check", "--cross-grid", "0,5"),
         ("check", "--cross-m-grid", "0,5"),
+        ("simulate", "--seed", "-1"),  # -1 and 2**64 once aliased seeds and streams 2**64 - 1 and 0
+        ("simulate", "--stream", str(1 << 64)),
     ):
         res = run_cli(command, "--config", str(cfg_dir / "example1_sim.json"), flag, value)
         assert res.returncode == 1 and "Traceback" not in res.stderr, (flag, value, res.stderr)
@@ -362,6 +367,33 @@ def test_non_finite_config_numbers_rejected(cfg_dir, tmp_path):
     assert res.returncode == 1 and res.stderr.startswith("error:") and "Traceback" not in res.stderr, res.stderr
 
 
+@pytest.mark.parametrize("edit, key", [
+    (lambda doc, big: doc["model"].update(sigma=[[big, 0], [0, 1]]), "model key 'sigma'"),
+    (lambda doc, big: doc["model"]["layout"].update(theta0=[big, 0.5, -0.9]), "model.layout key 'theta0'"),
+    (lambda doc, big: doc["model"]["layout"].update(bounds=[[-big, 1.0], None, None]), "model.layout key 'bounds'"),
+    (lambda doc, big: doc["model"]["a_funcs"][0][0][0]["constants"].update(omega=big), "key 'omega'"),
+    (lambda doc, big: doc["run"].update(theta_init=[0.1, big, 0.1]), "run key 'theta_init'"),
+], ids=["sigma", "theta0", "bounds", "constant", "theta_init"])
+def test_config_integers_beyond_float_range_rejected(edit, key, cfg_dir, tmp_path, capsys):
+    # each once ended in an OverflowError traceback
+    from tdvarma import cli
+
+    cfg = _edited_config(cfg_dir, tmp_path, lambda doc: edit(doc, 10 ** 400))
+    assert cli.main(["check", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and "float range" in err, err
+
+
+def test_config_integer_past_the_digit_limit_rejected(tmp_path, capsys):
+    # json reads no integer literal of more than 4300 digits, and once raised a ValueError
+    from tdvarma import cli
+
+    path = tmp_path / "huge.json"
+    path.write_text('{"model": {"r": ' + "9" * 5000 + "}}")
+    assert cli.main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: unreadable number in {path}")
+
+
 def test_config_without_true_value_is_a_usage_error(cfg_dir, tmp_path):
     def no_start(doc):
         doc["model"]["layout"].update(theta0=None)
@@ -378,58 +410,37 @@ def test_config_without_true_value_is_a_usage_error(cfg_dir, tmp_path):
 
 
 @pytest.mark.parametrize("table", [1, 2])
-def test_table_script_writes_outputs_and_cell_lines(table, tmp_path):
-    script = os.path.join(os.path.dirname(SRC), "scripts", "run_table.py")
-    res = run_cli("--table", str(table), "--n-list", "25,50", "--replications", "2", "--threads", "1",
-                  "--out", str(tmp_path), command=[sys.executable, script])
-    assert res.returncode == 0, res.stderr
-    assert (tmp_path / "summary.csv").is_file() and (tmp_path / "estimates.csv").is_file()
-    shown = "abcd" if table == 1 else "acd"
-    labels = {"a": "mean estimate", "b": "mean est. se", "c": "sample std", "d": "rejection %"}
+def test_mc_reports_the_cells_of_a_paper_table(table, tmp_path):
+    # the shipped config of a table is its design: past the overrides, stderr shows
+    # each cell against the printed values, with the labels and decimals of the paper
+    cfg = os.path.join(ROOT, "configs", f"{PAPER_TABLES[table].which}.json")
+    summary = tmp_path / "s.csv"
+    res = run_cli("mc", "--config", cfg, "--n-list", "25,50", "--replications", "2", "--threads", "1",
+                  "--out", str(summary))
+    assert res.returncode == 0 and res.stdout == "", res.stderr
+    values = {}
+    for row in summary.read_text().splitlines()[1:]:
+        n, _, line, value = row.split(",")
+        values.setdefault((int(n), line), []).append(float(value))
+    labels = {"a": ("mean estimate", 4), "b": ("mean est. se", 4), "c": ("sample std", 4), "d": ("rejection %", 1)}
     expected = []
     for n in (25, 50):
-        printed = PAPER_TABLES[table].printed[n]
-        expected += [(f"n={n} (converged ", None)]
-        expected += [(f"  ({line}) {labels[line]}", printed.get(line)) for line in shown]
-    lines = res.stdout.splitlines()
-    assert len(lines) == len(expected) + 1 and lines[-1].startswith("elapsed ")
-    for got, (want, pub) in zip(lines, expected):
-        assert got.startswith(want), (got, want)
-        # every printed value is shown, table 2's line (c) at n = 50 too
-        assert got.endswith(f"  published {pub}") if pub else "published" not in got, got
+        expected.append(f"n={n} (converged {2 - int(values[n, 'excluded'][0])}/2)")
+        for line in "abcd" if table == 1 else "acd":
+            label, decimals = labels[line]
+            # every printed value is shown, table 2's line (c) at n = 50 too
+            pub = PAPER_TABLES[table].printed[n].get(line)
+            expected.append(f"  ({line}) {label:<14}: {np.round(values[n, line], decimals).tolist()}"
+                            + (f"  published {pub}" if pub else ""))
+    assert res.stderr.splitlines() == expected
 
 
-@pytest.mark.parametrize("table", [1, 2])
-def test_shipped_config_runs_the_table_of_the_script(table, tmp_path):
-    # tdvarma mc on the shipped config is the table script's run, byte for byte
-    script = os.path.join(os.path.dirname(SRC), "scripts", "run_table.py")
-    cfg = os.path.join(os.path.dirname(SRC), "configs", f"{PAPER_TABLES[table].which}.json")
-    res = run_cli("mc", "--config", cfg, "--n-list", "25", "--replications", "3",
-                  "--out", str(tmp_path / "s.csv"), "--estimates", str(tmp_path / "e.csv"))
-    assert res.returncode == 0, res.stderr
-    res = run_cli("--table", str(table), "--n-list", "25", "--replications", "3", "--out", str(tmp_path / "d"),
-                  command=[sys.executable, script])
-    assert res.returncode == 0, res.stderr
-    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "d" / "summary.csv").read_bytes()
-    assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "d" / "estimates.csv").read_bytes()
-
-
-@pytest.mark.parametrize("n_list", ["25,x", ""])
-def test_table_script_rejects_malformed_lengths(n_list, tmp_path):
-    script = os.path.join(os.path.dirname(SRC), "scripts", "run_table.py")
-    res = run_cli("--table", "1", "--n-list", n_list, "--replications", "2", "--out", str(tmp_path),
-                  command=[sys.executable, script])
-    assert res.returncode == 2 and "Traceback" not in res.stderr, res.stderr
-    assert "usage:" in res.stderr and not (tmp_path / "summary.csv").exists()
-
-
-def test_table_script_rejects_fewer_than_one_thread(tmp_path):
-    # it once ran serially and exited 0
-    script = os.path.join(os.path.dirname(SRC), "scripts", "run_table.py")
-    res = run_cli("--table", "1", "--n-list", "25", "--replications", "2", "--threads", "0",
-                  "--out", str(tmp_path), command=[sys.executable, script])
-    assert res.returncode == 2 and "Traceback" not in res.stderr, res.stderr
-    assert "worker count" in res.stderr and not (tmp_path / "summary.csv").exists()
+def test_mc_reports_no_cells_off_a_paper_table_design(cfg_dir, tmp_path):
+    edits = (lambda doc: doc["run"].update(theta_init=[0.2, 0.1, 0.1]),
+             lambda doc: doc["model"].update(sigma=[[2.0, 0.0], [0.0, 1.0]]))
+    for cfg in [str(cfg_dir / "example1_theory.json")] + [_edited_config(cfg_dir, tmp_path, e) for e in edits]:
+        res = run_cli("mc", "--config", cfg, "--n-list", "25", "--replications", "2", "--out", str(tmp_path / "s.csv"))
+        assert res.returncode == 0 and res.stderr == "", res.stderr
 
 
 def test_malformed_config_names_offending_key(tmp_path):
@@ -501,12 +512,15 @@ def _series_file(tmp_path, text):
 
 @pytest.mark.parametrize(
     "case",
-    ["missing_config", "missing_series", "out_dir_missing", "examples_out_is_file", "non_numeric_cell", "ragged_row"],
+    ["missing_config", "missing_series", "out_dir_missing", "examples_out_is_file", "non_numeric_cell", "ragged_row",
+     "config_not_utf8", "series_not_utf8"],
 )
 def test_input_and_output_errors_exit_one(case, cfg_dir, tmp_path):
-    # each once ended in a FileNotFoundError, FileExistsError or ValueError traceback
+    # each once ended in a FileNotFoundError, FileExistsError, ValueError or UnicodeDecodeError traceback
     cfg = str(cfg_dir / "example1_sim.json")
     good = _series_file(tmp_path, "t,x1,x2\n1,0.5,0.25\n2,0.1,-0.3\n")
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("t,x1,x2\n1,0.5,0.25\n# \u00e9t\u00e9\n".encode("latin-1"))
     args = {
         "missing_config": ("simulate", "--config", str(tmp_path / "absent.json")),
         "missing_series": ("fit", "--config", cfg, "--series", str(tmp_path / "absent.csv")),
@@ -514,7 +528,32 @@ def test_input_and_output_errors_exit_one(case, cfg_dir, tmp_path):
         "examples_out_is_file": ("examples", "--which", "2", "--out", good),
         "non_numeric_cell": ("fit", "--config", cfg, "--series", _series_file(tmp_path, "t,x1,x2\n1,0.5,abc\n")),
         "ragged_row": ("fit", "--config", cfg, "--series", _series_file(tmp_path, "t,x1,x2\n1,0.5,0.2\n2,0.1\n")),
+        "config_not_utf8": ("check", "--config", str(latin1)),
+        "series_not_utf8": ("fit", "--config", cfg, "--series", str(latin1)),
     }[case]
     res = run_cli(*args)
     assert res.returncode == 1, res.stderr
     assert res.stderr.startswith("error:") and "Traceback" not in res.stderr, res.stderr
+    if case.endswith("utf8"):
+        assert res.stderr == f"error: {latin1} is not UTF-8 text\n", res.stderr
+
+
+def test_readme_commands_parse_and_name_existing_scripts(capsys):
+    # the README's commands are what a reader runs first; each tdvarma line must parse
+    from tdvarma import cli
+
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("tdvarma ")]
+    # a command reproduces each paper table from its shipped config
+    mc_configs = {argv[argv.index("--config") + 1] for argv in commands if argv[1] == "mc"}
+    assert {f"configs/{t.which}.json" for t in PAPER_TABLES.values()} <= mc_configs, mc_configs
+    for argv in commands:
+        try:
+            cli.build_parser().parse_args(argv[1:])
+        except SystemExit as exc:
+            assert exc.code == 0 and argv == ["tdvarma", "--version"], (argv, capsys.readouterr().err)
+    scripts = set(re.findall(r"scripts/[\w/.-]+?\.py", readme))
+    assert scripts and all(os.path.isfile(os.path.join(ROOT, path)) for path in scripts), scripts

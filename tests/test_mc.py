@@ -1,7 +1,4 @@
 import dataclasses
-import importlib.util
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +18,6 @@ from tdvarma.mc import (
     run_mc,
     summary_to_csv,
 )
-
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
 
 def _small_plan(**kw):
     m = examples.example1_sim_model()
@@ -252,6 +246,14 @@ def test_plan_without_true_value_rejected():
         _small_plan(theta0=None)
 
 
+def test_plan_rejects_seeds_outside_64_bits():
+    for bad in (-1, 1 << 64):
+        with pytest.raises(ConfigError, match=f"seed {bad} "):
+            _small_plan(seed=bad)
+    for good in (0, (1 << 64) - 1):
+        assert _small_plan(seed=good).seed == good
+
+
 class _Captured(Exception):
     pass
 
@@ -296,23 +298,6 @@ def test_every_run_key_reaches_the_plan_from_the_cli(monkeypatch, tmp_path, over
         cli.main(argv)
     _assert_run_reaches_plan(plans[0], run, **overrides)
     assert plans[0] == McPlan.from_run(model, run, **overrides)
-
-
-@pytest.mark.parametrize("overrides", [{}, dict(seed=99, replications=2, n_list=(35,))])
-def test_every_run_key_reaches_the_plan_from_the_table_script(monkeypatch, tmp_path, overrides):
-    spec = importlib.util.spec_from_file_location("run_table", SCRIPTS / "run_table.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    run = RunConfig(**_RUN_BLOCK)
-    monkeypatch.setattr(examples, "paper_run", lambda which: run)
-    plans = _capture_plan(monkeypatch, script)
-    argv = ["run_table.py", "--table", "1", "--out", str(tmp_path)]
-    if overrides:
-        argv += ["--seed", "99", "--replications", "2", "--n-list", "35"]
-    monkeypatch.setattr(sys, "argv", argv)
-    with pytest.raises(_Captured):
-        script.main()
-    _assert_run_reaches_plan(plans[0], run, **overrides)
 
 
 # summary_to_csv of the table-2 cells below, written by the Newton run on the exact

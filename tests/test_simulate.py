@@ -107,6 +107,18 @@ def test_plan_without_true_value_rejected():
         SimPlan(examples.example1_sim_model(), None, 10, 1)
 
 
+@pytest.mark.parametrize("key", ["seed", "stream"])
+def test_seeds_and_streams_outside_64_bits_rejected(key):
+    # masked to 64 bits, -1, 2**64 - 1 and 2**65 - 1 once drew the same series
+    m = examples.example1_sim_model()
+    plan = dict(seed=5, stream=0)
+    for bad in (-1, 1 << 64):
+        with pytest.raises(ConfigError, match=f"{key} {bad} "):
+            SimPlan(m, m.layout.theta0, 3, **{**plan, key: bad})
+    low, high = (simulate(SimPlan(m, m.layout.theta0, 3, **{**plan, key: v})).values for v in (0, (1 << 64) - 1))
+    assert not np.array_equal(low, high)
+
+
 # -- the memo of the last (model, theta0, n) simulated -------------------------
 
 
