@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Audit the regularity conditions for the built-in examples plus an
 explosive control model, and print theoretical standard errors.  Each
-example's run_all wall time and its shared weight pass go to stderr, so
-that stdout stays the same from run to run."""
+example's run_all wall time, its shared weight pass and the wall time of
+theoretical_v at n = 400 go to stderr, so that stdout stays the same from
+run to run."""
 
 import sys
 import time
@@ -23,6 +24,9 @@ def main() -> int:
         report = run_all(model)
         wall = time.perf_counter() - start
         print(f"{which}: run_all {wall:.3f} s, weight pass {report.weight_pass_s:.3f} s", file=sys.stderr)
+        start = time.perf_counter()
+        theoretical_v(model, np.array(model.layout.theta0), 400)
+        print(f"{which}: theoretical_v n=400 {1e3 * (time.perf_counter() - start):.2f} ms", file=sys.stderr)
         print(f"{which}: decay base = {report.phi:.4f}")
         for name, verdict in report.verdicts.items():
             print(f"  {name:18s} {verdict}")

@@ -11,7 +11,12 @@ the innovation lags and the residual derivatives form one linear state
 s_t = F_t s_{t-1} + G eta_t with every derivative a readout de_t = H_t s_{t-1}.
 Its covariance follows P_t = F_t P_{t-1} F_t' + G Sigma_t G' from P_0 = 0 (zero
 initial values), and E[de_t/di de_t/dj'] = H_ti P_{t-1} H_tj', so V(n) costs
-O(n dim^3) for a state of dimension dim = r (p + q + q (n_ar + n_ma)).
+O(n dim^3) for a state of dimension dim = r (p + q + q (n_ar + n_ma)).  The
+recursion runs in blocks of B consecutive steps, B = 8 for dim up to 12 and 1
+above: the transition products and gathered noise of every block are formed at once, one pass carries P from block edge to block edge, and one
+batched product fills the P_t inside the blocks.  That is about n/B + B Python
+steps instead of n, for about 2.5 times the arithmetic; at B = 1 it is the per-t
+recursion, operation for operation.
 Theoretical standard errors are sqrt(diag(V^{-1}) / n).
 """
 
@@ -56,7 +61,21 @@ def _se_from_v(v: np.ndarray, n: int) -> InfoReport:
 
 def theoretical_v(model: TdVarmaModel, theta0, n: int) -> InfoReport:
     """Information matrix at horizon n, from the state-covariance recursion."""
-    return _information_pass(model, theta0, (n,))[int(n)]
+    (rep,) = _information_pass(model, theta0, (n,)).values()
+    return rep
+
+
+def _horizon(n) -> int:
+    """n as an int: an integer >= 1 within numpy's index range, or a ContractError."""
+    try:
+        k = int(n)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != n or k < 1:
+        raise ContractError(f"information horizon {n!r} is not an integer >= 1")
+    if k > np.iinfo(np.intp).max:
+        raise ContractError(f"information horizon {k} is past numpy's index range")
+    return k
 
 
 def _information_pass(model: TdVarmaModel, theta0, n_grid: Sequence[int]) -> dict:
@@ -67,8 +86,8 @@ def _information_pass(model: TdVarmaModel, theta0, n_grid: Sequence[int]) -> dic
     per t, so memory stays linear in n.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    n_grid = [int(n) for n in n_grid]
-    if not n_grid or min(n_grid) < 1:
+    n_grid = [_horizon(n) for n in n_grid]
+    if not n_grid:
         raise ContractError("information horizons must be a non-empty list of integers >= 1")
     n_max = max(n_grid)
     white, _, s = model.scale_factor(n_max, theta0)  # white' white = Sigma_t^{-1}
@@ -76,12 +95,7 @@ def _information_pass(model: TdVarmaModel, theta0, n_grid: Sequence[int]) -> dic
     trans, readout, noise = _state_system(model, theta0, n_max)
     dim = trans.shape[-1]
     m_arma, r = readout.shape[1:3]
-    # P_t = F_t P_{t-1} F_t' + G Sigma_t G' from P_0 = 0; cov[t] holds P_t, t < n_max
-    cov = np.zeros((n_max, dim, dim))
-    gf = noise @ model.g_values(range(1, n_max + 1), theta0) @ model.sigma_chol  # G g_t L
-    gsg = gf @ np.swapaxes(gf, -1, -2)
-    for t in range(1, n_max):
-        cov[t] = trans[t - 1] @ cov[t - 1] @ trans[t - 1].T + gsg[t - 1]
+    cov = _state_covariance(trans, noise)
     # tr(Sigma_t^{-1} H_ti P_{t-1} H_tj') for all slot pairs (i, j), summed over t
     wr = white[:, None] @ readout
     left = (wr @ cov[:, None]).reshape(n_max, m_arma, r * dim)
@@ -97,13 +111,14 @@ def _information_pass(model: TdVarmaModel, theta0, n_grid: Sequence[int]) -> dic
 
 
 def _state_system(model: TdVarmaModel, theta0, n: int) -> tuple:
-    """(F, H, G) of the state s_t = (x_t..x_{t-p+1}, eta_t..eta_{t-q+1}, and per AR/MA
+    """(F, H, Q) of the state s_t = (x_t..x_{t-p+1}, eta_t..eta_{t-q+1}, and per AR/MA
     slot i, de^i_t..de^i_{t-q+1}) at theta0, where eta_t = e_t(theta0):
 
         s_t = F_t s_{t-1} + G eta_t,    de^i_t = H_ti s_{t-1},
 
     since de^i_t + sum_j B_tj de^i_{t-j} = -(sum_j d_i A_tj x_{t-j} + sum_j d_i B_tj eta_{t-j}).
-    F is (n, dim, dim), H is (n, slots, r, dim) and G is (dim, r), for t = 1..n.
+    F is (n, dim, dim), H is (n, slots, r, dim) and the state noise Q_t = G Sigma_t G'
+    is (n, dim, dim), for t = 1..n.
     """
     r, p, q = model.r, model.p, model.q
     m_arma = model.layout.n_ar + model.layout.n_ma
@@ -133,7 +148,49 @@ def _state_system(model: TdVarmaModel, theta0, n: int) -> tuple:
     noise[[head for head, length in groups[:2] if length]] = np.eye(r)  # eta_t enters x_t and eta_t
     dim = nb * r
     readout = readout.transpose(1, 0, 2, 3, 4).reshape(n, m_arma, r, dim)
-    return trans.reshape(n, dim, dim), readout, noise.reshape(dim, r)
+    gf = noise.reshape(dim, r) @ model.g_values(range(1, n + 1), theta0) @ model.sigma_chol  # G g_t L
+    return trans.reshape(n, dim, dim), readout, gf @ np.swapaxes(gf, -1, -2)
+
+
+def _block_steps(dim: int) -> int:
+    """Steps per block of `_state_covariance` for a state of dimension dim.  Timed on one
+    core against block sizes 1 to 16 at n = 50, 100 and 400, 8 steps took 0.26 to 0.87
+    of the per-t time for dim 2 to 12.  At dim 16 they were slower at n = 50 and 400,
+    and at dim 20 every block size above 1 was: there the block products cost more
+    than the Python steps they save."""
+    return 8 if dim <= 12 else 1
+
+
+def _state_covariance(trans: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """(n, dim, dim) stack of P_t = F_t P_{t-1} F_t' + Q_t for t < n from P_0 = 0, where
+    F_t = trans[t - 1] and Q_t = noise[t - 1].
+
+    Block i of b = _block_steps(dim) steps takes P_{ib} to P_{ib+b}.  Over all blocks
+    at once, b - 1 batched steps form Phi_j = F_{ib+j} ... F_{ib+1} and the noise
+    gathered over those steps, A_j = F_{ib+j} A_{j-1} F_{ib+j}' + Q_{ib+j}; one
+    sequential pass carries P_{ib+b} = Phi_b P_{ib} Phi_b' + A_b from block to block;
+    and one batched product fills P_{ib+j} = Phi_j P_{ib} Phi_j' + A_j inside every
+    block.  Block edges sit at multiples of b whatever n is, so each P_t takes the same
+    operations for every n; at b = 1 the carry is the per-t recursion itself.
+    """
+    n, dim = trans.shape[0], trans.shape[-1]
+    b = _block_steps(dim)
+    k = -(-(n - 1) // b)  # blocks over the steps t = 1..n-1
+    if b > 1:  # the block steps work in place, on copies that zero steps pad to k blocks
+        fill = np.zeros((k * b - n + 1, dim, dim))  # they reach no P_t with t < n
+        trans, noise = (np.concatenate([x[: n - 1], fill]) for x in (trans, noise))
+    phi, acc = (x[: k * b].reshape(k, b, dim, dim) for x in (trans, noise))
+    for j in range(1, b):  # phi[:, j] becomes Phi_j+1 and acc[:, j] A_j+1
+        f = phi[:, j]
+        acc[:, j] += f @ acc[:, j - 1] @ np.swapaxes(f, -1, -2)
+        phi[:, j] = f @ phi[:, j - 1]
+    cov = np.zeros((k * b + 1, dim, dim))
+    edges = cov[::b]  # P_ib for i = 0..k
+    for i, (f, a) in enumerate(zip(phi[:, -1], acc[:, -1])):
+        edges[i + 1] = f @ edges[i] @ f.T + a
+    inner = phi[:, :-1]
+    cov[: k * b].reshape(k, b, dim, dim)[:, 1:] = inner @ edges[:-1, None] @ np.swapaxes(inner, -1, -2) + acc[:, :-1]
+    return cov[:n]
 
 
 def example1_v_closed(model: TdVarmaModel, theta0, n: int) -> InfoReport:

@@ -178,6 +178,17 @@ def lag_solve_loop(c, z):
     return y
 
 
+def state_covariance_loop(trans, noise):
+    """Reference for `asymptotics._state_covariance(trans, noise)`: the state covariance
+    P_t = F_t P_{t-1} F_t' + Q_t one t at a time from P_0 = 0, for t < n, with
+    F_t = trans[t - 1] and Q_t = noise[t - 1]."""
+    n, dim = trans.shape[0], trans.shape[-1]
+    cov = np.zeros((n, dim, dim))
+    for t in range(1, n):
+        cov[t] = trans[t - 1] @ cov[t - 1] @ trans[t - 1].T + noise[t - 1]
+    return cov
+
+
 def dense_lag_operator(funcs, theta, n, indices=()):
     """(n r)^2 matrix with the lag-i coefficient (or its derivative) of row t in block (t, t-i)."""
     r = funcs[0].rows

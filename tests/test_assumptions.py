@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import time
 import warnings
 from pathlib import Path
@@ -26,7 +27,7 @@ from tdvarma.assumptions import (
     run_all,
     vec,
 )
-from tdvarma.asymptotics import theoretical_v
+from tdvarma.asymptotics import _block_steps, _information_pass, _state_system, theoretical_v
 from tdvarma.errors import ContractError
 from tdvarma.model import ParamLayout, TdVarmaModel
 from tdvarma.representations import _resid_rows
@@ -228,14 +229,19 @@ def test_information_audit_examples():
 
 @pytest.mark.parametrize("which", ["example1_sim", "example1_theory", "example2", "varma11"])
 def test_information_audit_matches_per_n_reports(which):
-    # one pass over the largest n gives each grid n exactly what its own call gives
+    # one pass over the largest n gives each grid n exactly what its own call gives, at
+    # block edges of the state covariance recursion too
     m = make_sin_varma11(np.random.default_rng(909)) if which == "varma11" else examples.build(which)
     th = np.array(m.layout.theta0)
-    grid = (50, 3, 25)
+    b = _block_steps(_state_system(m, th, 1)[0].shape[-1])
+    grid = tuple(dict.fromkeys((50, 3, 25, 1, 2, b, b + 1, 2 * b, 2 * b + 1, 49)))
     res = check_information(m, th, n_grid=grid)
     assert list(res.details["min_eigs"]) == list(grid)
+    reports = _information_pass(m, th, grid)
     for n in grid:
-        assert res.details["min_eigs"][n] == theoretical_v(m, th, n).min_eigenvalue
+        own = theoretical_v(m, th, n)
+        assert res.details["min_eigs"][n] == own.min_eigenvalue
+        assert np.array_equal(reports[n].v, own.v), n
 
 
 def test_cross_sums_bounded_for_example1(example1_sim):
@@ -605,7 +611,13 @@ def test_verify_assumptions_script_reports_every_example(capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.main() == 0
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    timings = captured.err.splitlines()
+    assert len(timings) == 3 * 2
+    for block, which in enumerate(("example1_sim", "example1_theory", "example2")):
+        assert re.fullmatch(rf"{which}: run_all \d+\.\d{{3}} s, weight pass \d+\.\d{{3}} s", timings[2 * block])
+        assert re.fullmatch(rf"{which}: theoretical_v n=400 \d+\.\d{{2}} ms", timings[2 * block + 1])
     checks = ["psi_decay", "covariance_bounds", "moment_bounds", "information_pd", "cross_sums"]
     assert len(lines) == 3 * 9 + 1
     for block, which in enumerate(("example1_sim", "example1_theory", "example2")):

@@ -4,14 +4,21 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import make_random_varma, make_random_varma22, make_scale_singular_at
+from conftest import make_random_varma, make_random_varma22, make_scale_singular_at, state_covariance_loop
 from oracles import example2_trace_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdvarma import examples
 from tdvarma.assumptions import check_information
-from tdvarma.asymptotics import _information_pass, example1_v_closed, theoretical_v
+from tdvarma.asymptotics import (
+    _block_steps,
+    _information_pass,
+    _state_covariance,
+    _state_system,
+    example1_v_closed,
+    theoretical_v,
+)
 from tdvarma.errors import ContractError, NumericalError, SingularCovarianceError
 from tdvarma.mc import McPlan, run_mc
 from tdvarma.model import ParamLayout, TdVarmaModel
@@ -88,6 +95,27 @@ def test_state_recursion_matches_ma_expansion_for_random_varma(p, q, r, seed):
     _assert_matches_ma_expansion(make_random_varma(np.random.default_rng(seed), p, q, r), (1, 2, 9, 30))
 
 
+def test_blocked_state_covariance_matches_the_per_t_loop():
+    # (p, q, r) with state dimensions 1, 2, 6, 8, 8, 16 and 24, on both sides of the
+    # block rule; n runs over the block edges, where the carry and the fill meet
+    blocks = set()
+    for k, (p, q, r) in enumerate([(1, 0, 1), (1, 0, 2), (2, 0, 3), (0, 1, 2), (1, 1, 1), (1, 1, 2), (1, 1, 3)]):
+        model = make_random_varma(np.random.default_rng(k), p, q, r)
+        th = np.array(model.layout.theta0)
+        trans, _, noise = _state_system(model, th, 1)
+        b = _block_steps(trans.shape[-1])
+        blocks.add(b)
+        for n in sorted({1, 2, b - 1, b, b + 1, 2 * b + 1, 40} - {0}):
+            trans, _, noise = _state_system(model, th, n)
+            want = state_covariance_loop(trans, noise)
+            got = _state_covariance(trans, noise)
+            if b == 1:  # no block products: the carry is the loop, operation for operation
+                assert np.array_equal(got, want), (p, q, r, n)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max(), err_msg=str((p, q, r, n)))
+    assert blocks == {1, _block_steps(1)}
+
+
 def test_rank_deficient_information_has_no_standard_errors():
     # the AR amplitudes and their shared factor are not separately identified, so
     # V(n) has a null eigenvalue that rounds to about +-1e-18
@@ -122,6 +150,11 @@ def test_information_rejects_horizons_below_one(example2):
         check_information(example2, th, n_grid=())
     with pytest.raises(ContractError):
         check_information(example2, th, n_grid=(25, 0))
+    # a horizon that is not a whole number is not cut to one
+    with pytest.raises(ContractError):
+        theoretical_v(example2, th, 2.5)
+    with pytest.raises(ContractError):
+        check_information(example2, th, n_grid=(25, 2.5))
 
 
 def test_information_reports_singular_residual_covariance():

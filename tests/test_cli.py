@@ -277,6 +277,14 @@ def test_usage_errors_exit_one(cfg_dir, tmp_path):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("command, name", [("simulate", "example1_sim"), ("asymptotics", "example2")])
+def test_a_length_past_numpys_index_range_is_a_usage_error(cfg_dir, command, name):
+    # the length is refused before any array is sized by it
+    res = run_cli(command, "--config", str(cfg_dir / f"{name}.json"), "--n", str(10**30))
+    assert res.returncode == 1 and res.stderr.startswith("error:") and "index range" in res.stderr, res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
+
+
 def _edited_config(cfg_dir, tmp_path, edit):
     doc = json.loads((cfg_dir / "example1_sim.json").read_text())
     edit(doc)
