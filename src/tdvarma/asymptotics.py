@@ -90,6 +90,7 @@ def _information_pass(model: TdVarmaModel, theta0, n_grid: Sequence[int]) -> dic
     if not n_grid:
         raise ContractError("information horizons must be a non-empty list of integers >= 1")
     n_max = max(n_grid)
+    model.check_length(n_max, "information horizon")
     white, _, s = model.scale_factor(n_max, theta0)  # white' white = Sigma_t^{-1}
 
     trans, readout, noise = _state_system(model, theta0, n_max)

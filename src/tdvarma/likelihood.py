@@ -329,7 +329,7 @@ def _hessian(model: TdVarmaModel, theta: np.ndarray, res: ResidualSet, w: np.nda
         block = quad + quad.T + x @ x.T - s.reshape(k, -1) @ np.swapaxes(s, -1, -2).reshape(k, -1).T
         lk = model.sigma_chol if chol is None else model.sigma_chol @ chol
         weight = v[:, :, None] * (u @ lk.T)[:, None, :] - np.swapaxes(model.sigma_chol @ res.h, -1, -2)
-        pairs = combinations_with_replacement(model.layout.scale_slots, 2)
+        pairs = model.g_func.joint(combinations_with_replacement(model.layout.scale_slots, 2))
         for (i, j), d2 in model.g_func.deriv_map(range(1, n + 1), theta, pairs).items():
             c = np.vdot(d2, weight)
             block[i - p, j - p] -= c

@@ -220,6 +220,12 @@ class TdVarmaModel:
                 if extra:
                     raise ConfigError(f"{name} coefficients reference slots {sorted(extra)} outside their block")
 
+    def check_length(self, n: int, what: str) -> None:
+        """Raise ConfigError where numpy could not hold an (n, r, r) float64 table, which
+        any pass over t = 1..n makes, before anything is sized by n."""
+        if n * self.r * self.r * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"{what} {n} needs ({n}, {self.r}, {self.r}) tables past numpy's size limit")
+
     # -- per-time evaluations -------------------------------------------------
 
     def a_values(self, ts, theta) -> np.ndarray:
@@ -294,27 +300,36 @@ class TdVarmaModel:
     def _sigma_t_table(self, t, theta, taus, inverse: bool = False) -> tuple[dict, dict]:
         """({tau: d^tau Sigma_t}, {tau: d^tau Sigma_t^{-1}}) for the sorted tuples taus,
         which run by order from () and hold the sorted sub-tuples of each member; every
-        product is formed once, from one evaluation of g_t and its derivatives.  Tuples
-        with an index outside the scale slots are identically zero and left out.  The
-        inverse table is empty unless requested; its entries other than () are not
-        symmetrized."""
+        product is formed once, from one evaluation of g_t and its derivatives.  A tuple
+        with an index outside the scale slots, or whose every product vanishes, is
+        identically zero and left out; a derivative of g_t that deriv_map leaves out is
+        read as zero, so a mixed derivative of Sigma_t (or its inverse) is kept whether
+        or not g_t's own is formed.  The inverse table is empty unless requested; its
+        entries other than () are not symmetrized."""
+        slots = self.g_func.param_slots()
+        taus = [tau for tau in taus if set(tau) <= slots]
         g = self.g_func.deriv_map(t, theta, taus)
         gs = {tau: d @ self.sigma for tau, d in g.items()}
         gt = {tau: np.ascontiguousarray(np.swapaxes(d, -1, -2)) for tau, d in g.items()}  # a faster matmul
-        sig = {tau: _sym(sum(gs[a] @ gt[b] for a, b in index_splits(tau))) for tau in g}  # over g Sigma g^T
+        sig = {}  # over g Sigma g^T
+        for tau in taus:
+            parts = [gs[a] @ gt[b] for a, b in index_splits(tau) if a in g and b in g]
+            if parts:
+                sig[tau] = _sym(sum(parts))
         inv: dict = {}
         if not inverse:
             return sig, inv
         sign, logdet = np.linalg.slogdet(sig[()])
         _check_scale((sign > 0) & np.isfinite(logdet) & np.isfinite(sig[()]).all(axis=(-2, -1)), t, theta)
         inv[()] = _sym(np.linalg.inv(sig[()]))
-        for tau in list(sig)[1:]:
+        for tau in taus[1:]:
             # differentiate -M^-1 (d_head M) M^-1 by the remaining indices, split three ways
             head, rest = tau[0], tau[1:]
             splits = [(a, tuple(sorted((head,) + b)), c) for a, bc in index_splits(rest)
                       for b, c in index_splits(bc)]
-            inv[tau] = sum(-inv[a] @ sig[m] @ inv[c] for a, m, c in splits
-                           if a in inv and m in sig and c in inv)
+            parts = [-inv[a] @ sig[m] @ inv[c] for a, m, c in splits if a in inv and m in sig and c in inv]
+            if parts:
+                inv[tau] = sum(parts)
         return sig, inv
 
     def __eq__(self, other):

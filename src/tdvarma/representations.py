@@ -17,19 +17,23 @@ k = 0..t-1, differentiated by the product rule:
 
 A row is stored as lag panels, (tuples, r, K_t + 1, r) with [j, :, k, :] the lag-k
 weight of tuple j, so that a term U_ti R_{t-i} over all its lags is one
-(r, r) @ (r, lags r) product.  The rows come in blocks of consecutive rows, as
-many as the smallest lag at which V reads the recurrence's own rows, at most
-BLOCK, and crossing neither a multiple of BLOCK nor the tail's step; each term is
-then one batched product over the block.  That gives BLOCK rows for the
-M(theta) Psi(theta0) pass of a q = 0 model (V = -B is empty), and one row
-wherever V has a lag-1 term: Psi(theta0) of a model with a non-zero A_1, and
-M(theta) Psi(theta0) of one with a non-zero B_1.  The rule reads only the
-model's structure, so a row at a time is a block of one.
+(r, r) @ (r, lags r) product.  The rows of each derivative order are made in
+blocks of consecutive rows: BLOCK of them from each 1 + multiple of BLOCK, halved
+while they would take more than BLOCK_BYTES, and never more than a lower order's.
+In a block, each term that reads the basis, a lower order or a row before the
+block is one batched product over the block's rows, X_t.  The block's own rows
+then follow by recursive doubling (Kogge and Stone 1973): stacked over the panels'
+left axis, Y_t = (R_t, sh_1 R_{t-1}, ...) = X_t + sh_1 (Phi_t Y_{t-1}) with Phi_t the
+companion of V's lags and sh_1 a move by one lag, so the levels that
+likelihood._lag_solver builds for the block apply as they are, and level d moves
+its source by d lags, a fixed offset of d r columns in a panel.  A row's operations
+depend only on its place in its block, and the blocks only on the rows, r and the
+number of tuples of each order up to the row's own: not on n, the tail, or the
+orders a pass asks for above.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -38,11 +42,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ContractError
+from .likelihood import _lag_solver
 from .model import TdVarmaModel
 from .timefn import index_splits, sorted_tuples
 
 
-BLOCK = 16  # the most rows a block holds; 64 was no faster and held 2 MB more at peak
+BLOCK = 16  # the most rows a block holds; 8 was slower and 32 no faster on example2's audit
+BLOCK_BYTES = 1 << 19  # the most bytes a block's rows of one order take at their full lags;
+# 1 MB was no faster and peaked 2.6 MB higher on the default audit of a VARMA(1, 1)
 
 
 def _row_recurrence(
@@ -57,14 +64,15 @@ def _row_recurrence(
     their own (None: identity at lag 0).  Only the rows the recurrence still reads are
     kept.
 
-    The blocks follow the rule in the module docstring, so each term c_t R_{t-i}[lags]
-    of a block reads finished rows.
+    Each order is made in the blocks of the module docstring; a block handed out holds
+    the rows that every order has finished, split at the tail's step.
 
     tail = (step, order, cap) is the one lag cap and step-down rule: rows after row
     step (every row for step 0) stack only the tuples of order <= order (a prefix
     of taus, which reads no higher order) and stop at lag cap (None: every lag).
-    A lag reads only lags at or below it, so every entry that is kept has the same
-    bits as without the tail."""
+    A lag reads only lags at or below it, and the blocks do not depend on n or the
+    tail, so every entry that is kept has the same bits as without the tail, and as
+    at any other n."""
     if n < 1:
         raise ContractError("horizon must be at least 1")
     step, low, cap = (n, None, None) if tail is None else tail
@@ -91,50 +99,117 @@ def _row_recurrence(
             taus.append(tau)
             terms.append(tau_terms)
 
-    width = len(taus) if low is None else sum(len(tau) <= low for tau in taus)
-    span = min([BLOCK] + [lag for tau_terms in terms for lag, _, src in tau_terms if src is not None])
+    order = [len(tau) for tau in taus]
+    width = len(taus) if low is None else sum(o <= low for o in order)
+    spans = {o: (order.index(o), len(order) - order[::-1].index(o)) for o in order}  # taus[lo:hi] of order o
+    # the doubling's companion reads V_tj R_{t-j} of a row's own tuple, j = 1..own
+    own = max((j for j, c in enumerate(v, 1) if () in c), default=0)
+    minus_v = np.stack([-c[()] if () in c else np.zeros((n, r, r)) for c in v[:own]]) if own else None
 
-    def block(t0: int, ks: list, kept: list, fresh, past: deque) -> np.ndarray:
-        # rows t0..t1 with lags ks, from the basis panels kept of the rows t0 - len(u)..
-        # that exist, those fresh of rows t0..t1, and the own rows before t0, past[-1]
-        # the last; kept is left with the last len(u) basis panels, and past gains the rows
-        kept += [row[0] for row in fresh]
-        t1, bases = t0 + len(ks) - 1, _panels(kept, ks[-1] + 1)
-        del kept[: len(kept) - len(u)]
-        acc = np.zeros((len(ks), len(taus) if t1 <= step else width, r, ks[-1] + 1, r))
-        acc[:, 0, :, : bases.shape[2]] += bases[len(bases) - len(ks) :]
-        segs: dict = {}  # the own rows' panels at each lag, stacked once per block
-        for j, tau_terms in enumerate(terms[: acc.shape[1]]):
-            for lag, c, src in tau_terms:
-                first = bisect.bisect_left(ks, lag)  # the rows whose lags reach this one
-                if first == len(ks):
-                    continue
-                if src is None:
-                    seg = bases[len(bases) - len(ks) + first - lag : len(bases) - lag, :, : ks[-1] + 1 - lag]
-                elif (seg := segs.get((src, lag))) is None:
-                    rows = [past[s - t0][src] for s in range(t0 + first - lag, t1 - lag + 1)]
-                    seg = segs[src, lag] = _panels(rows, ks[-1] + 1 - lag)
-                dst = acc[first:, j, :, lag : lag + seg.shape[2]]
-                dst += (c[t0 + first - 1 : t1] @ seg.reshape(len(seg), r, -1)).reshape(dst.shape)
-        if len(ks) > 1:
-            # a row shorter than its block's last is zero past its own lags, also where
-            # a coefficient that is not finite met the zero padding of its source
-            for row, k in zip(acc, ks):
-                row[..., k + 1 :, :] = 0.0
-        past.extend(acc)
-        return acc
+    def lags(t: int) -> int:
+        return t - 1 if t <= step or cap is None else min(t - 1, cap)
+
+    def sizes(g0: int) -> dict:
+        # the rows of each order's blocks in the group g0..g0 + BLOCK - 1: BLOCK, halved
+        # while they would take more than BLOCK_BYTES at the lags of the group's last
+        # row without the tail, and no more than a lower order's; so the blocks depend
+        # on neither n nor the tail nor the orders above
+        out, rows = {}, BLOCK
+        for o, (lo, hi) in spans.items():
+            while rows > 1 and rows * (hi - lo) * r * r * 8 * (g0 + BLOCK - 1) > BLOCK_BYTES:
+                rows //= 2
+            out[o] = rows
+        return out
 
     def blocks() -> Iterator[np.ndarray]:
         unit = np.eye(r)[None, :, None]
-        kept: list = []  # the basis panels of the len(u) rows before the block
+        kept: list = []  # the basis panels of the rows from t = first on
         past: deque = deque(maxlen=len(v))  # own rows, up to the one before the block
-        t0 = 1
-        while t0 <= n:
-            t1 = min(t0 + span - 1, n, -(-t0 // BLOCK) * BLOCK, step if t0 <= step else n)
-            ks = [t - 1 if t <= step or cap is None else min(t - 1, cap) for t in range(t0, t1 + 1)]
-            fresh = itertools.repeat(unit, len(ks)) if basis is None else itertools.islice(basis, len(ks))
-            yield block(t0, ks, kept, fresh, past)  # kept here only through past
-            t0 = t1 + 1
+        made: dict = {}  # order -> (first row, rows) of its current block
+
+        def solve(out: np.ndarray, a: int, lo: int, hi: int, segs: dict) -> None:
+            # rows a.. of the tuples taus[lo:hi] into the zeros out: every term that reads
+            # the basis, a lower order or an own row before a, then the own rows by
+            # doubling; segs holds the block's source panels, stacked once for its orders
+            nb, nk = len(out), out.shape[3]
+            if (bases := segs.get(None)) is None:  # the basis rows a - len(u).. that exist
+                have = kept[max(a - len(u) - first, 0) : a + nb - first]
+                # the identity basis is one panel, repeated
+                bases = segs[None] = np.broadcast_to(unit, (len(have), r, 1, r)) if basis is None else _panels(have, nk)
+            end = len(bases)  # bases[end - 1] is row a + nb - 1
+            if lo == 0:
+                out[:, 0, :, : bases.shape[2]] += bases[end - nb :]
+
+            def source(src: int, s: int) -> np.ndarray:
+                if s < a:
+                    return past[s - a][src]
+                start, rows = made[order[src]]
+                return rows[s - start, src - spans[order[src]][0]]
+
+            for j in range(lo, hi):
+                for lag, c, src in terms[j]:
+                    i0, i1 = max(0, lag + 1 - a), min(nb, lag) if src == j else nb
+                    if i0 >= i1 or lag >= nk:
+                        continue
+                    if src is None:
+                        seg = bases[end - nb + i0 - lag : end - lag, :, : nk - lag]
+                    elif (seg := segs.get((src, lag, i1))) is None:
+                        seg = segs[src, lag, i1] = _panels([source(src, a + i - lag) for i in range(i0, i1)], nk - lag)
+                    dst = out[i0:i1, j - lo, :, lag : lag + seg.shape[2]]
+                    dst += (c[a + i0 - 1 : a + i1 - 1] @ seg.reshape(len(seg), r, -1)).reshape(dst.shape)
+            if own and nb > 1:
+                # Y_t = (R_t, sh_1 R_{t-1}, ...) stacked over the panels' left axis, so level
+                # d of the solver's doubling moves its source d lags, d r columns of a panel
+                y = out if own == 1 else np.concatenate([out, np.zeros((nb, hi - lo, (own - 1) * r, nk, r))], axis=2)
+                if (levels := segs.get("levels")) is None:  # one build for the block's orders
+                    levels = segs["levels"] = _lag_solver(minus_v[:, a - 1 : a - 1 + nb], np.zeros((0, nb, r)))[0].levels
+                for d, phi in levels:
+                    if d < nk:  # a capped row's lags reach no further
+                        moved = phi[d:, None] @ y[:-d, :, :, : nk - d].reshape(nb - d, hi - lo, own * r, -1)
+                        y[d:, :, :, d:] += moved.reshape(nb - d, hi - lo, own * r, nk - d, r)
+                if own > 1:
+                    out[:] = y[:, :, :r]
+
+        for g0 in range(1, n + 1, BLOCK):
+            g1, size = min(g0 + BLOCK - 1, n), sizes(g0)
+            fresh = itertools.repeat(unit, g1 - g0 + 1) if basis is None else itertools.islice(basis, g1 - g0 + 1)
+            del kept[: max(len(kept) - len(u), 0)]
+            kept += [row[0] for row in fresh]
+            first = g1 + 1 - len(kept)
+            t0 = g0
+            while t0 <= g1:
+                # the rows t0..t1 up to the next block start of an order still stacked
+                live = [o for o in spans if t0 <= step or o <= low]
+                t1 = min(g1, *(g0 + ((t0 - g0) // size[o] + 1) * size[o] - 1 for o in live))
+                ks = [lags(t) for t in range(t0, t1 + 1)]
+                acc = np.zeros((len(ks), len(taus) if t0 <= step else width, r, max(ks) + 1, r))
+                segs: dict = {}  # by block end, for the blocks that start at t0
+                for o in live:
+                    lo, hi = spans[o]
+                    if (t0 - g0) % size[o] == 0:  # an order-o block starts: in acc if it ends by t1
+                        b1 = min(t0 + size[o] - 1, g1 if low is None or o <= low else min(g1, step))
+                        shape = (b1 - t0 + 1, hi - lo, r, max(map(lags, range(t0, b1 + 1))) + 1, r)
+                        made[o] = (t0, acc[: b1 - t0 + 1, lo:hi] if b1 <= t1 else np.zeros(shape))
+                        solve(made[o][1], t0, lo, hi, segs.setdefault(b1, {}))
+                    start, rows = made[o]
+                    if rows.base is not acc:  # a longer block: these rows of it
+                        take, nk = min(t1, start + len(rows) - 1) - t0 + 1, min(acc.shape[3], rows.shape[3])
+                        acc[:take, lo:hi, :, :nk] = rows[t0 - start : t0 - start + take, :, :, :nk]
+                del segs  # no stacked source is kept while the rows are read
+                if len(ks) > 1:
+                    # a row shorter than the longest is zero past its own lags, also where a
+                    # coefficient that is not finite met the zero padding of a source; a
+                    # source's padding reaches only padding, so the orders above read none
+                    for row, k in zip(acc, ks):
+                        row[..., k + 1 :, :] = 0.0
+                cut = min(step, t1) - t0 + 1
+                pieces = [acc]
+                if 0 < cut < len(acc):  # rows on both sides of the step
+                    pieces = [acc[:cut, :, :, : ks[cut - 1] + 1], acc[cut:, :width, :, : ks[-1] + 1]]
+                for piece in pieces:
+                    past.extend(piece)
+                    yield piece
+                t0 = t1 + 1
 
     return taus, blocks()
 

@@ -50,6 +50,7 @@ class SimPlan:
             raise ConfigError("simulation length must be at least 1")
         if self.n > np.iinfo(np.intp).max:
             raise ConfigError(f"simulation length {self.n} is past numpy's index range")
+        self.model.check_length(self.n, "simulation length")
         if not (0 <= self.seed < KEY_LIMIT and 0 <= self.stream < KEY_LIMIT):
             raise ConfigError(f"seed {self.seed} and stream {self.stream} must each lie in [0, 2**64)")
         if self.theta0 is None:

@@ -473,6 +473,7 @@ class MatrixTimeFunction:
             raise ConfigError("coefficient matrices must be square and non-empty")
         self.cols = self.rows
         self._slots = frozenset().union(*(f.param_slots() for row in self.entries for f in row))
+        self._entry_slots = {f.param_slots() for row in self.entries for f in row}
         self._table: Optional[_Form] = None  # the form over t = 1..N once built, read-only
         self._cut: tuple = (None, None)  # (range, the table's rows there) at the last range asked
 
@@ -487,6 +488,11 @@ class MatrixTimeFunction:
 
     def param_slots(self) -> frozenset[int]:
         return self._slots
+
+    def joint(self, tuples: Iterable[tuple[int, ...]]) -> list:
+        """The tuples whose slots one entry uses together: the derivatives of the others
+        vanish, also where deriv_map forms them."""
+        return [tau for tau in tuples if any(set(tau) <= slots for slots in self._entry_slots)]
 
     def _rows(self, t) -> _Form:
         """The table's form at the times t."""

@@ -10,7 +10,7 @@ import pytest
 from conftest import make_random_varma22, make_sin_varma11
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import norm_table
+from oracles import norm_table, second_family_inner
 
 from tdvarma import assumptions, examples
 from tdvarma.assumptions import (
@@ -578,6 +578,45 @@ def test_cross_sum_kernels_match_looped_oracle(case, monkeypatch):
     curve = np.cumsum(inner)[1:] / np.arange(1, len(inner))
     assert res.details["second_curve_argmax_n"] == int(np.argmax(curve)) + 1
     assert res.details["second_curve_max"] == pytest.approx(float(curve.max()), rel=1e-12, abs=0.0)
+
+
+def _whitened(which: str, n2: int, d_cap: int) -> np.ndarray:
+    """The second family's whitened weights of a model's cross-sum pass up to n2."""
+    models = {
+        "example2": lambda: examples.build("example2"),
+        "varma11": lambda: make_sin_varma11(np.random.default_rng(909)),
+        "varma22": lambda: make_random_varma22(np.random.default_rng(3)),
+    }
+    model = models[which]()
+    theta0 = model.layout.theta0_array()
+    cross = assumptions._CrossSums(model, theta0, (n2,), (n2,))
+    assumptions._reduce_rows(_resid_rows(model, theta0, theta0, cross.horizon, 1, (0, 1, 2 * d_cap)), [cross])
+    return cross.whitened
+
+
+@pytest.mark.parametrize(
+    "which, n2, d_cap, entries",
+    [
+        ("example2", 100, 60, 1 << 19),  # example2's criterion-9 grid: one group
+        ("example2", 100, 60, 5000),  # a multi-group grid, a shift at a time
+        ("example2", 1, 60, 1 << 19),  # T = 1: no shift
+        ("example2", 40, 60, 1 << 19),  # T <= D_CAP
+        ("varma11", 90, 20, 1 << 14),
+        ("varma22", 70, 25, 1 << 16),
+    ],
+)
+def test_grouped_second_family_matches_the_per_shift_kernel(which, n2, d_cap, entries, monkeypatch):
+    monkeypatch.setattr(assumptions, "D_CAP", d_cap)
+    monkeypatch.setattr(assumptions, "GROUP_ENTRIES", entries)
+    whitened = _whitened(which, n2, d_cap)
+    want = second_family_inner(whitened, d_cap)
+    got = assumptions._second_family_inner(whitened)
+    assert got.shape == want.shape and want[1 : n2 - 1].all()  # row 1 has no lags, row T no shift
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    # without slots both are zero
+    empty = whitened[:, :0]
+    np.testing.assert_array_equal(assumptions._second_family_inner(empty), second_family_inner(empty, d_cap))
+    assert not assumptions._second_family_inner(empty).any()
 
 
 @pytest.mark.parametrize(

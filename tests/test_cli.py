@@ -285,6 +285,15 @@ def test_a_length_past_numpys_index_range_is_a_usage_error(cfg_dir, command, nam
     assert "Traceback" not in res.stderr and res.stdout == ""
 
 
+@pytest.mark.parametrize("command, name", [("simulate", "example1_sim"), ("asymptotics", "example2")])
+def test_a_length_whose_tables_cannot_exist_is_a_usage_error(cfg_dir, command, name):
+    # 2**62 is inside numpy's index range, but an (n, 2, 2) float64 table of it is not;
+    # numpy refuses that size before allocating anything
+    res = run_cli(command, "--config", str(cfg_dir / f"{name}.json"), "--n", str(2**62))
+    assert res.returncode == 1 and res.stderr.startswith("error:") and "size limit" in res.stderr, res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
+
+
 def _edited_config(cfg_dir, tmp_path, edit):
     doc = json.loads((cfg_dir / "example1_sim.json").read_text())
     edit(doc)

@@ -122,6 +122,39 @@ def test_inverse_third_derivative_matches_nested_fd(example2):
     np.testing.assert_allclose(exact, fd, rtol=1e-4, atol=1e-6)
 
 
+def test_mixed_inverse_derivative_matches_central_differences(example2):
+    # example2's g_t uses slots 2 and 3 in different entries, so d^2 g_t / d2 d3 vanishes
+    # while d^2 Sigma_t^{-1} / d2 d3 does not
+    th = np.array(example2.layout.theta0)
+    t, h = 7, 1e-4
+    got = inverse_table(example2, t, th, order=2)[(2, 3)]
+
+    def inv_at(s2, s3):
+        return np.linalg.inv(example2.sigma_t(t, th + np.array([0.0, 0.0, s2 * h, s3 * h])))
+
+    fd = (inv_at(1, 1) - inv_at(1, -1) - inv_at(-1, 1) + inv_at(-1, -1)) / (4 * h * h)
+    assert np.abs(got).max() > 0.1
+    np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-7)
+
+
+def test_covariance_tables_do_not_need_the_zero_derivatives_of_g(example2, monkeypatch):
+    # a g_t table that leaves out its identically zero mixed derivatives gives the same
+    # covariance and inverse tables, bit for bit
+    th = np.array(example2.layout.theta0)
+    ts = np.arange(1, 41)
+    taus = sorted_tuples(range(example2.m), 3)
+    want_sig, want_inv = example2._sigma_t_table(ts, th, taus, inverse=True)
+    deriv_map = example2.g_func.deriv_map
+    dropped = lambda t, theta, tuples: {k: d for k, d in deriv_map(t, theta, tuples).items() if d.any()}
+    monkeypatch.setattr(example2.g_func, "deriv_map", dropped)
+    assert (2, 3) not in example2.g_func.deriv_map(ts, th, taus)
+    got_sig, got_inv = example2._sigma_t_table(ts, th, taus, inverse=True)
+    for want, got in ((want_sig, got_sig), (want_inv, got_inv)):
+        assert list(got) == list(want) and (2, 3) in got
+        for tau in want:
+            np.testing.assert_array_equal(got[tau], want[tau])
+
+
 def test_inverse_derivative_symmetric_in_index_order(example2):
     th = np.array(example2.layout.theta0)
     a = example2._sigma_t_deriv_any(11, th, (2, 3))

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import dense_residual_operator, make_random_varma22, make_scalar_arma11, make_sin_varma11
-from oracles import var1_transition_power, varma11_pi_closed, varma11_pi_deriv_closed
+from oracles import resid_rows_one_at_a_time, var1_transition_power, varma11_pi_closed, varma11_pi_deriv_closed
 from tdvarma.errors import ContractError
 from tdvarma.examples import FREQ_A, FREQ_B, example1_sim_model, example1_theory_model, example2_model
 from tdvarma.model import ParamLayout, TdVarmaModel
 from tdvarma.representations import (
     BLOCK,
+    BLOCK_BYTES,
     _psi_rows,
     _resid_rows,
     _row_recurrence,
@@ -176,10 +177,11 @@ def test_kmax_truncation_prefix_agrees(rng):
     psi, psi5 = (_psi_rows(m, th, 30, tail) for tail in (None, (0, 1, 5)))
     assert taus5 == taus
     pairs = zip(_rows(full), _rows(trunc), psi, psi5)
-    for t, (rows, rows5, psi_t, psi5_t) in enumerate(pairs, 1):  # q = 1: one row per block
-        assert psi5_t.shape[2] == rows5.shape[2] == min(t, 6)
-        np.testing.assert_allclose(psi5_t, psi_t[:, :, :6], atol=1e-14)
-        np.testing.assert_allclose(rows5, rows[:, :, :6], atol=1e-14)
+    for t, (rows, rows5, psi_t, psi5_t) in enumerate(pairs, 1):  # a row is as long as its block's last
+        assert psi5_t.shape[2] == rows5.shape[2] <= 6
+        assert not rows5[:, :, t:].any() and not psi5_t[:, :, t:].any()
+        np.testing.assert_allclose(psi5_t, psi_t[:, :, : psi5_t.shape[2]], atol=1e-14)
+        np.testing.assert_allclose(rows5, rows[:, :, : rows5.shape[2]], atol=1e-14)
 
 
 def test_transition_power_identity_at_k1(example1_theory):
@@ -323,27 +325,94 @@ def test_tables_match_dense_operator_inverse():
                 np.testing.assert_array_equal(row[j, :, : lags + 1], psi.rows[t - 1][j, :, : lags + 1])
 
 
+_BUILD = {
+    "example2": example2_model,
+    "varma11": lambda: make_sin_varma11(np.random.default_rng(7)),
+    "seasonal": _seasonal_varma22,
+    "varma22": lambda: make_random_varma22(np.random.default_rng(3)),
+}
+
+
 @pytest.mark.parametrize(
     "which, tail",
-    [("example2", None), ("example2", (40, 1, 10)), ("varma11", (30, 1, 8)), ("seasonal", (37, 1, 12))],
+    [
+        ("example2", None),
+        ("example2", (40, 1, 10)),
+        ("varma11", (30, 1, 8)),
+        ("seasonal", (37, 1, 12)),
+        ("varma11", None),
+    ],
 )
-def test_blocks_are_as_long_as_the_smallest_self_lag(which, tail):
-    # each block of rows is as long as the smallest lag at which its recurrence reads its
-    # own rows (none: BLOCK), and crosses neither a multiple of BLOCK nor the tail's step:
-    # BLOCK rows at a time for the q = 0 M(theta) Psi(theta0) pass, one row at a time for
-    # Psi(theta0) itself (it reads row t - 1) and for any q >= 1 pass
-    build = {"example2": example2_model, "varma11": lambda: make_sin_varma11(np.random.default_rng(7))}
-    m = build.get(which, _seasonal_varma22)()
+def test_blocks_start_at_multiples_of_block(which, tail):
+    # whatever V is, each order's rows are made BLOCK at a time from 1 + multiples of BLOCK,
+    # fewer (halved) where that order's rows would take more than BLOCK_BYTES at the lags of
+    # the group's last row, and never more than a lower order's; a block handed out holds
+    # the rows that every order still stacked has finished, and is split at the tail's step
+    m = _BUILD[which]()
     th = m.layout.theta0_array()
-    n = 100
+    n, low = 130, None if tail is None else tail[1]
     step = n if tail is None else tail[0]
     psi_blocks = _row_recurrence(m.r, m.b_funcs, m.a_funcs, 1.0, th, n, [()], tail=tail)[1]
-    resid_blocks = _resid_rows(m, th, th, n, 3, tail)[1]
-    self_lag = {"example2": (1, BLOCK), "varma11": (1, 1), "seasonal": (2, 2)}[which]
-    for blocks, span in zip((psi_blocks, resid_blocks), self_lag):
-        t0 = 1
+    taus, resid_blocks = _resid_rows(m, th, th, n, 3, tail)
+    for blocks, orders in ((psi_blocks, [0]), (resid_blocks, [len(tau) for tau in taus])):
+        t0, lengths = 1, []
         for block in blocks:
-            t1 = t0 + len(block) - 1
-            assert len(block) == min(span, BLOCK - (t0 - 1) % BLOCK, (step if t0 <= step else n) - t0 + 1), (t0, t1)
-            t0 = t1 + 1
+            g0 = t0 - (t0 - 1) % BLOCK
+            counts = [orders.count(o) for o in sorted(set(orders)) if t0 <= step or o <= low]
+            rows = BLOCK
+            while rows > 1 and rows * max(counts) * m.r**2 * 8 * (g0 + BLOCK - 1) > BLOCK_BYTES:
+                rows //= 2
+            t1 = min(g0 + ((t0 - g0) // rows + 1) * rows - 1, n)
+            assert len(block) == (min(t1, step) if t0 <= step else t1) - t0 + 1, (t0, len(block))
+            t0 += len(block)
+            lengths.append(len(block))
         assert t0 == n + 1
+    if tail is None and which == "varma11":  # 95 tuples of order <= 3: the budget halves late blocks
+        assert min(lengths) < BLOCK
+
+
+def test_blocked_rows_match_the_row_at_a_time_reference():
+    # the doubling over each block against the recurrence one row, tuple and term at a time:
+    # the seasonal VARMA(2, 2) reads its own rows at two lags, and varma11 steps down at a
+    # tail inside a block
+    for m, n, order, tail in ((_seasonal_varma22(), 40, 3, None), (_BUILD["varma11"](), 36, 2, (21, 1, 6))):
+        th0 = m.layout.theta0_array()
+        th = th0 + np.random.default_rng(3).uniform(-0.05, 0.05, size=th0.size)
+        ref = resid_rows_one_at_a_time(m, th, th0, n, order, tail)
+        taus, blocks = _resid_rows(m, th, th0, n, order, tail)
+        scale = max(float(np.abs(row).max()) for rows in ref.values() for row in rows if row is not None)
+        for t, row in enumerate(_rows(blocks), 1):
+            for tau, rows in ref.items():
+                want = rows[t - 1]
+                if want is None:
+                    assert tau not in taus[: row.shape[0]]
+                    continue
+                got = row[taus.index(tau)] if tau in taus else np.zeros_like(want)
+                assert not got[:, want.shape[1] :].any()
+                assert np.abs(got[:, : want.shape[1]] - want).max() <= 1e-13 * scale, (t, tau)
+
+
+@pytest.mark.parametrize("which", sorted(_BUILD))
+def test_a_row_has_the_same_bits_at_any_n_and_tail(which):
+    # a row's operations depend only on its place in its block, so its bits do not move
+    # with n (n, n + 1, n + BLOCK) or with a tail that keeps it
+    m = _BUILD[which]()
+    th = m.layout.theta0_array()
+    n = 37
+
+    def rows(n, tail=None):
+        taus, blocks = _resid_rows(m, th, th, n, 3, tail)
+        return taus, list(_rows(blocks))
+
+    taus, base = rows(n)
+    for other_n in (n + 1, n + BLOCK):
+        assert rows(other_n)[0] == taus
+        for want, got in zip(base, rows(other_n)[1]):
+            k = min(want.shape[2], got.shape[2])
+            np.testing.assert_array_equal(got[:, :, :k], want[:, :, :k])
+    for tail in ((20, 1, 9), (23, 1, 30)):  # a cap past the step leaves some rows after it whole
+        for t, got in enumerate(rows(n, tail)[1], 1):
+            kept = t if t <= tail[0] else min(t, tail[2] + 1)  # the row's own lags
+            k = min(got.shape[2], base[t - 1].shape[2])
+            assert not got[:, :, kept:].any()
+            np.testing.assert_array_equal(got[:, :, :k], base[t - 1][: len(got), :, :k])

@@ -442,3 +442,16 @@ def test_table_is_read_only_and_values_are_fresh():
 def test_malformed_records_rejected(rec):
     with pytest.raises(ConfigError):
         scalar_from_config(rec)
+
+
+def test_joint_keeps_the_tuples_one_entry_uses():
+    # a mixed derivative over slots that no one entry uses together vanishes
+    m = MatrixTimeFunction([[ExpSine(2, 0.3), Constant(1.0)], [Product(Param(0), Sine(1, 0.2)), ExpSine(3, 0.3)]])
+    pairs = sorted_tuples(range(4), 2)[5:]
+    assert m.joint(pairs) == [(0, 0), (0, 1), (1, 1), (2, 2), (3, 3)]
+    assert m.joint([(), (0, 1, 1), (0, 2, 3)]) == [(), (0, 1, 1)]
+    theta = np.array([0.4, -0.3, 0.7, 0.2])
+    found = m.deriv_map(range(1, 9), theta, pairs)
+    assert found[(0, 1)].any() and found[(2, 2)].any()
+    for tau, d in found.items():
+        assert tau in m.joint(pairs) or not d.any(), tau
